@@ -105,14 +105,13 @@ USAGE:
   tgp approx --bound K [--input FILE]                 # general graphs
   tgp simulate --bound K --items N [--processors P]
                [--interconnect bus|crossbar] [--input FILE]
-  tgp serve [--addr 127.0.0.1:7070] [--io threads|epoll] [--workers 4]
-            [--loops N|auto]  # epoll event loops, one per core by default
+  tgp serve [--addr 127.0.0.1:7070] [--workers 4]  # Linux only
+            [--loops N|auto]  # event loops, one per core by default
             [--cache-bytes 33554432] [--cache-ttl SECS] [--cache-file PATH]
             [--queue-depth 64] [--max-connections 1024] [--shed-cost UNITS]
             [--shed-remaining MS] [--max-body-bytes N]
             [--graph-spill-bytes N] [--graph-spill-dir PATH]
             [--read-timeout SECS] [--write-timeout SECS] [--idle-timeout SECS]
-            [--write-min-bytes N]  # write-deadline progress floor (0 = total)
             [--session-file PATH] [--session-budget BYTES]
             [--log-requests] [--debug-endpoints]  # HTTP partition service
   tgp sessions [--addr HOST:PORT | --file PATH]   # resident session graphs
@@ -619,14 +618,6 @@ fn simulate(opts: &Options) -> CliResult<Value> {
 }
 
 fn serve(opts: &Options, log_requests: bool, debug_endpoints: bool) -> CliResult<Value> {
-    if opts.get("cache-capacity").is_some() {
-        return Err(
-            "--cache-capacity was replaced in this release: the cache now budgets \
-                    bytes, not entries. Use --cache-bytes (default 33554432 = 32 MiB), and \
-                    see docs/SERVICE.md for --cache-ttl / --cache-file."
-                .into(),
-        );
-    }
     let mut cache = CacheConfig::with_budget(opts.num("cache-bytes")?.unwrap_or(32 << 20));
     let ttl_secs: u64 = opts.num("cache-ttl")?.unwrap_or(0);
     if ttl_secs > 0 {
@@ -641,10 +632,6 @@ fn serve(opts: &Options, log_requests: bool, debug_endpoints: bool) -> CliResult
     };
     let config = ServerConfig {
         addr: opts.get("addr").unwrap_or("127.0.0.1:7070").to_string(),
-        io: match opts.get("io") {
-            Some(raw) => raw.parse().map_err(|e: String| format!("--io: {e}"))?,
-            None => defaults.io,
-        },
         workers: opts.num("workers")?.unwrap_or(4),
         // The CLI defaults to auto (0 = one loop per core); the library
         // default stays 1 so embedders opt in explicitly.
@@ -660,9 +647,6 @@ fn serve(opts: &Options, log_requests: bool, debug_endpoints: bool) -> CliResult
         max_connections: opts.num("max-connections")?.unwrap_or(1024),
         read_timeout: secs("read-timeout", defaults.read_timeout)?,
         write_timeout: secs("write-timeout", defaults.write_timeout)?,
-        write_min_bytes: opts
-            .num("write-min-bytes")?
-            .unwrap_or(defaults.write_min_bytes),
         idle_timeout: secs("idle-timeout", defaults.idle_timeout)?,
         shed_cost: opts.num("shed-cost")?,
         shed_remaining: opts.num("shed-remaining")?,
@@ -682,24 +666,20 @@ fn serve(opts: &Options, log_requests: bool, debug_endpoints: bool) -> CliResult
         ..ServerConfig::default()
     };
     let workers = config.workers;
-    let io = config.io;
     let mut server = Server::start(config)?;
-    let loops = match server.net_loops() {
-        0 => String::new(),
-        n => format!(", {n} loops"),
-    };
+    let loops = server.net_loops();
     let debug_note = if debug_endpoints {
         ", GET /debug/*"
     } else {
         ""
     };
     eprintln!(
-        "tgp serve: listening on http://{} ({workers} workers, {io:?} io{loops}); \
+        "tgp serve: listening on http://{} ({workers} workers, {loops} loops); \
          endpoints: POST /v1/partition, POST /v1/simulate, /v1/graphs sessions, \
          GET /healthz, GET /metrics{debug_note}",
         server.local_addr()
     );
-    // Blocks until the acceptor exits (it never does on its own; kill
+    // Blocks until the workers exit (they never do on their own; kill
     // the process to stop serving).
     server.wait();
     Ok(json!({ "status": "stopped" }))
@@ -867,16 +847,6 @@ mod tests {
         // A missing journal file is a clean error, not a panic.
         let missing = Options::parse(&strs(&["--file", "/definitely/not/here.journal"])).unwrap();
         assert!(sessions(&missing).is_err());
-    }
-
-    #[test]
-    fn serve_rejects_removed_cache_capacity_flag() {
-        let opts = Options::parse(&strs(&["--cache-capacity", "1024"])).unwrap();
-        let err = serve(&opts, false, false).unwrap_err().to_string();
-        assert!(
-            err.contains("--cache-bytes"),
-            "migration hint missing: {err}"
-        );
     }
 
     #[test]

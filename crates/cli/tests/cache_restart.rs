@@ -25,14 +25,12 @@ impl Drop for ServeChild {
 
 /// Spawns `tgp serve --cache-file` on an ephemeral port and waits for
 /// the listening banner.
-fn spawn_serve(io: &str, cache_file: &std::path::Path) -> ServeChild {
+fn spawn_serve(cache_file: &std::path::Path) -> ServeChild {
     let mut child = Command::new(env!("CARGO_BIN_EXE_tgp"))
         .args([
             "serve",
             "--addr",
             "127.0.0.1:0",
-            "--io",
-            io,
             "--workers",
             "2",
             "--cache-file",
@@ -106,78 +104,66 @@ fn gauge(metrics: &str, name: &str) -> u64 {
         .unwrap_or_else(|_| panic!("{name} is not an integer"))
 }
 
-fn modes() -> Vec<&'static str> {
-    if cfg!(target_os = "linux") {
-        vec!["threads", "epoll"]
-    } else {
-        vec!["threads"]
-    }
-}
-
 #[test]
 fn sigkill_and_restart_replay_every_acked_cache_entry() {
-    for io in modes() {
-        let path = std::env::temp_dir().join(format!(
-            "tgp-cache-restart-{}-{io}.journal",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
+    let path =
+        std::env::temp_dir().join(format!("tgp-cache-restart-{}.journal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
 
-        let first = spawn_serve(io, &path);
+    let first = spawn_serve(&path);
 
-        // Five distinct solves, each inserted (and journaled) on ack.
-        let requests: Vec<String> = (0..5u64)
-            .map(|i| {
-                format!(
-                    r#"{{"objective":"lexicographic","bound":{},"graph":{{"node_weights":[2,3,5,7,2,8],"edge_weights":[10,1,10,2,6]}}}}"#,
-                    12 + i
-                )
-            })
-            .collect();
-        let mut bodies = Vec::new();
-        for request in &requests {
-            let (status, body) = roundtrip(&first.addr, "POST", "/v1/partition", request);
-            assert_eq!(status, 200, "{body}");
-            bodies.push(body);
-        }
-        let (_, metrics) = roundtrip(&first.addr, "GET", "/metrics", "");
-        assert_eq!(gauge(&metrics, "tgp_cache_entries"), 5, "{metrics}");
-        assert!(
-            gauge(&metrics, "tgp_cache_journal_bytes") > 0,
-            "journal must have grown:\n{metrics}"
-        );
-
-        // SIGKILL (`Child::kill` on unix): no shutdown dump, no
-        // compaction — append-on-ack is all that survives.
-        drop(first);
-
-        let second = spawn_serve(io, &path);
-
-        // Every acked entry replayed.
-        let (_, metrics) = roundtrip(&second.addr, "GET", "/metrics", "");
-        assert_eq!(gauge(&metrics, "tgp_cache_entries"), 5, "{metrics}");
-        assert_eq!(
-            gauge(&metrics, "tgp_cache_warm_loaded_total"),
-            5,
-            "{metrics}"
-        );
-        let hits_before = gauge(&metrics, "tgp_cache_hits_total");
-
-        // Re-requests are served from the replayed cache, byte-identical
-        // to the pre-crash responses.
-        for (request, expected) in requests.iter().zip(&bodies) {
-            let (status, body) = roundtrip(&second.addr, "POST", "/v1/partition", request);
-            assert_eq!(status, 200, "{body}");
-            assert_eq!(&body, expected, "replayed entry diverged");
-        }
-        let (_, metrics) = roundtrip(&second.addr, "GET", "/metrics", "");
-        assert_eq!(
-            gauge(&metrics, "tgp_cache_hits_total"),
-            hits_before + 5,
-            "all five re-requests must hit the replayed cache:\n{metrics}"
-        );
-
-        drop(second);
-        let _ = std::fs::remove_file(&path);
+    // Five distinct solves, each inserted (and journaled) on ack.
+    let requests: Vec<String> = (0..5u64)
+        .map(|i| {
+            format!(
+                r#"{{"objective":"lexicographic","bound":{},"graph":{{"node_weights":[2,3,5,7,2,8],"edge_weights":[10,1,10,2,6]}}}}"#,
+                12 + i
+            )
+        })
+        .collect();
+    let mut bodies = Vec::new();
+    for request in &requests {
+        let (status, body) = roundtrip(&first.addr, "POST", "/v1/partition", request);
+        assert_eq!(status, 200, "{body}");
+        bodies.push(body);
     }
+    let (_, metrics) = roundtrip(&first.addr, "GET", "/metrics", "");
+    assert_eq!(gauge(&metrics, "tgp_cache_entries"), 5, "{metrics}");
+    assert!(
+        gauge(&metrics, "tgp_cache_journal_bytes") > 0,
+        "journal must have grown:\n{metrics}"
+    );
+
+    // SIGKILL (`Child::kill` on unix): no shutdown dump, no
+    // compaction — append-on-ack is all that survives.
+    drop(first);
+
+    let second = spawn_serve(&path);
+
+    // Every acked entry replayed.
+    let (_, metrics) = roundtrip(&second.addr, "GET", "/metrics", "");
+    assert_eq!(gauge(&metrics, "tgp_cache_entries"), 5, "{metrics}");
+    assert_eq!(
+        gauge(&metrics, "tgp_cache_warm_loaded_total"),
+        5,
+        "{metrics}"
+    );
+    let hits_before = gauge(&metrics, "tgp_cache_hits_total");
+
+    // Re-requests are served from the replayed cache, byte-identical
+    // to the pre-crash responses.
+    for (request, expected) in requests.iter().zip(&bodies) {
+        let (status, body) = roundtrip(&second.addr, "POST", "/v1/partition", request);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(&body, expected, "replayed entry diverged");
+    }
+    let (_, metrics) = roundtrip(&second.addr, "GET", "/metrics", "");
+    assert_eq!(
+        gauge(&metrics, "tgp_cache_hits_total"),
+        hits_before + 5,
+        "all five re-requests must hit the replayed cache:\n{metrics}"
+    );
+
+    drop(second);
+    let _ = std::fs::remove_file(&path);
 }

@@ -11,7 +11,7 @@ use std::net::TcpStream;
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
-use tgp_service::{IoMode, Server, ServerConfig};
+use tgp_service::{Server, ServerConfig};
 use tgp_solvers::Registry;
 
 /// One golden request per objective: the CLI flags and the JSON params
@@ -171,20 +171,9 @@ fn post(server: &Server, path: &str, body: &str) -> (u16, Vec<u8>) {
     (status, reply[head_end + 4..].to_vec())
 }
 
-/// The io modes this target can run: conformance must hold under both
-/// front-ends, since they frame request bytes differently.
-fn modes() -> Vec<IoMode> {
-    if cfg!(target_os = "linux") {
-        vec![IoMode::Threads, IoMode::Epoll]
-    } else {
-        vec![IoMode::Threads]
-    }
-}
-
-fn start_server(io: IoMode) -> Server {
+fn start_server() -> Server {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        io,
         ..ServerConfig::default()
     })
     .expect("bind ephemeral port")
@@ -204,32 +193,30 @@ fn golden_table_covers_the_whole_registry() {
 
 #[test]
 fn cli_and_http_agree_byte_for_byte_on_every_objective() {
-    for io in modes() {
-        let mut server = start_server(io);
-        for golden in GOLDEN {
-            let (status, http) = post(&server, "/v1/partition", &http_body(golden));
-            assert_eq!(
-                status,
-                200,
-                "[{io:?}] {}: {}",
-                golden.objective,
-                String::from_utf8_lossy(&http)
-            );
-            // The service terminates bodies with `\n`, the CLI's
-            // `println` does the same — the byte streams must match
-            // exactly, in either io mode.
-            let cli = cli_bytes(golden);
-            assert_eq!(
-                cli,
-                http,
-                "[{io:?}] {}: CLI bytes differ from HTTP body\nCLI:  {}\nHTTP: {}",
-                golden.objective,
-                String::from_utf8_lossy(&cli),
-                String::from_utf8_lossy(&http)
-            );
-        }
-        server.shutdown();
+    let mut server = start_server();
+    for golden in GOLDEN {
+        let (status, http) = post(&server, "/v1/partition", &http_body(golden));
+        assert_eq!(
+            status,
+            200,
+            "{}: {}",
+            golden.objective,
+            String::from_utf8_lossy(&http)
+        );
+        // The service terminates bodies with `\n`, the CLI's
+        // `println` does the same — the byte streams must match
+        // exactly.
+        let cli = cli_bytes(golden);
+        assert_eq!(
+            cli,
+            http,
+            "{}: CLI bytes differ from HTTP body\nCLI:  {}\nHTTP: {}",
+            golden.objective,
+            String::from_utf8_lossy(&cli),
+            String::from_utf8_lossy(&http)
+        );
     }
+    server.shutdown();
 }
 
 /// GETs `path` and returns the body text.
@@ -256,92 +243,82 @@ fn get_text(server: &Server, path: &str) -> String {
 /// disk backing.
 #[test]
 fn flat_disk_backing_agrees_byte_for_byte_with_the_cli() {
-    for io in modes() {
-        let mut server = Server::start(ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            io,
-            graph_spill_bytes: 0,
-            ..ServerConfig::default()
-        })
-        .expect("bind ephemeral port");
-        for golden in GOLDEN {
-            let (status, http) = post(&server, "/v1/partition", &http_body(golden));
-            assert_eq!(
-                status,
-                200,
-                "[{io:?}] {}: {}",
-                golden.objective,
-                String::from_utf8_lossy(&http)
-            );
-            let cli = cli_bytes(golden);
-            assert_eq!(
-                cli,
-                http,
-                "[{io:?}] {}: disk-backed flat solve differs from CLI\nCLI:  {}\nHTTP: {}",
-                golden.objective,
-                String::from_utf8_lossy(&cli),
-                String::from_utf8_lossy(&http)
-            );
-        }
-        let metrics = get_text(&server, "/metrics");
-        assert!(
-            metrics.contains("tgp_store_backing{kind=\"disk\"} 3"),
-            "[{io:?}] expected 3 disk-backed ingests (bandwidth, bottleneck, \
-             lexicographic):\n{metrics}"
+    let mut server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        graph_spill_bytes: 0,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    for golden in GOLDEN {
+        let (status, http) = post(&server, "/v1/partition", &http_body(golden));
+        assert_eq!(
+            status,
+            200,
+            "{}: {}",
+            golden.objective,
+            String::from_utf8_lossy(&http)
         );
-        assert!(
-            metrics.contains("tgp_graph_spilled_total 3"),
-            "[{io:?}] {metrics}"
+        let cli = cli_bytes(golden);
+        assert_eq!(
+            cli,
+            http,
+            "{}: disk-backed flat solve differs from CLI\nCLI:  {}\nHTTP: {}",
+            golden.objective,
+            String::from_utf8_lossy(&cli),
+            String::from_utf8_lossy(&http)
         );
-        server.shutdown();
     }
+    let metrics = get_text(&server, "/metrics");
+    assert!(
+        metrics.contains("tgp_store_backing{kind=\"disk\"} 3"),
+        "expected 3 disk-backed ingests (bandwidth, bottleneck, \
+         lexicographic):\n{metrics}"
+    );
+    assert!(metrics.contains("tgp_graph_spilled_total 3"), "{metrics}");
+    server.shutdown();
 }
 
 #[test]
 fn undeclared_fields_are_422_unknown_field_for_every_objective() {
-    for io in modes() {
-        let mut server = start_server(io);
-        for golden in GOLDEN {
-            let body = format!(
-                r#"{{"objective":"{}",{},"zzz_not_a_field":1,"graph":{}}}"#,
-                golden.objective, golden.params_json, golden.graph
-            );
-            let (status, reply) = post(&server, "/v1/partition", &body);
-            let text = String::from_utf8_lossy(&reply);
-            assert_eq!(status, 422, "[{io:?}] {}: {text}", golden.objective);
-            assert!(
-                text.contains(r#""code":"unknown_field""#),
-                "[{io:?}] {}: {text}",
-                golden.objective
-            );
-        }
-        server.shutdown();
+    let mut server = start_server();
+    for golden in GOLDEN {
+        let body = format!(
+            r#"{{"objective":"{}",{},"zzz_not_a_field":1,"graph":{}}}"#,
+            golden.objective, golden.params_json, golden.graph
+        );
+        let (status, reply) = post(&server, "/v1/partition", &body);
+        let text = String::from_utf8_lossy(&reply);
+        assert_eq!(status, 422, "{}: {text}", golden.objective);
+        assert!(
+            text.contains(r#""code":"unknown_field""#),
+            "{}: {text}",
+            golden.objective
+        );
     }
+    server.shutdown();
 }
 
 #[test]
 fn wrong_graph_shape_is_422_wrong_graph_kind_for_every_objective() {
-    for io in modes() {
-        let mut server = start_server(io);
-        for golden in GOLDEN {
-            // Feed each objective the opposite shape: trees/process
-            // graphs get a chain, chain objectives get a tree.
-            let wrong = if golden.graph == CHAIN { TREE } else { CHAIN };
-            let body = format!(
-                r#"{{"objective":"{}",{},"graph":{}}}"#,
-                golden.objective, golden.params_json, wrong
-            );
-            let (status, reply) = post(&server, "/v1/partition", &body);
-            let text = String::from_utf8_lossy(&reply);
-            assert_eq!(status, 422, "[{io:?}] {}: {text}", golden.objective);
-            assert!(
-                text.contains(r#""code":"wrong_graph_kind""#),
-                "[{io:?}] {}: {text}",
-                golden.objective
-            );
-        }
-        server.shutdown();
+    let mut server = start_server();
+    for golden in GOLDEN {
+        // Feed each objective the opposite shape: trees/process
+        // graphs get a chain, chain objectives get a tree.
+        let wrong = if golden.graph == CHAIN { TREE } else { CHAIN };
+        let body = format!(
+            r#"{{"objective":"{}",{},"graph":{}}}"#,
+            golden.objective, golden.params_json, wrong
+        );
+        let (status, reply) = post(&server, "/v1/partition", &body);
+        let text = String::from_utf8_lossy(&reply);
+        assert_eq!(status, 422, "{}: {text}", golden.objective);
+        assert!(
+            text.contains(r#""code":"wrong_graph_kind""#),
+            "{}: {text}",
+            golden.objective
+        );
     }
+    server.shutdown();
 }
 
 /// The sharded runtime must be invisible in the bytes: under two
@@ -351,11 +328,9 @@ fn wrong_graph_shape_is_422_wrong_graph_kind_for_every_objective() {
 /// every request gets a globally unique trace id even though two loops
 /// mint them concurrently.
 #[test]
-#[cfg(target_os = "linux")]
 fn two_loop_server_stays_byte_identical_with_unique_traces() {
     let mut server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        io: IoMode::Epoll,
         loops: 2,
         debug_endpoints: true,
         cache: tgp_service::CacheConfig::with_budget(0), // every request solves

@@ -1,7 +1,7 @@
 //! End-to-end trace test against the real `tgp serve` binary: a
 //! client-supplied `x-trace-id` must show up (a) in the access-log
 //! line on stderr, with the new `queue_us`/`total_us` fields, and
-//! (b) in `GET /debug/trace/<id>`, under both `--io` modes.
+//! (b) in `GET /debug/trace/<id>`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -30,14 +30,12 @@ impl Drop for ServeChild {
 /// Spawns `tgp serve` on an ephemeral port and waits for the
 /// "listening on" banner; stderr keeps streaming into a channel so
 /// the test can await access-log lines without blocking forever.
-fn spawn_serve(io: &str) -> ServeChild {
+fn spawn_serve() -> ServeChild {
     let mut child = Command::new(env!("CARGO_BIN_EXE_tgp"))
         .args([
             "serve",
             "--addr",
             "127.0.0.1:0",
-            "--io",
-            io,
             "--workers",
             "2",
             "--log-requests",
@@ -99,8 +97,9 @@ fn roundtrip(addr: &str, request: &str) -> (u16, String) {
     (status, body)
 }
 
-fn serve_mode_roundtrips_trace(io: &str) {
-    let server = spawn_serve(io);
+#[test]
+fn epoll_mode_roundtrips_client_trace_id() {
+    let server = spawn_serve();
 
     let body = format!(r#"{{"objective":"bandwidth","bound":12,"graph":{CHAIN}}}"#);
     let request = format!(
@@ -131,7 +130,7 @@ fn serve_mode_roundtrips_trace(io: &str) {
         "total_us=",
         &format!("trace={TRACE_ID}"),
     ] {
-        assert!(access.contains(field), "{io}: {field} missing in {access}");
+        assert!(access.contains(field), "{field} missing in {access}");
     }
 
     // The same id resolves through the debug surface.
@@ -139,23 +138,12 @@ fn serve_mode_roundtrips_trace(io: &str) {
         &server.addr,
         &format!("GET /debug/trace/{TRACE_ID} HTTP/1.1\r\nconnection: close\r\n\r\n"),
     );
-    assert_eq!(status, 200, "{io}: {body}");
+    assert_eq!(status, 200, "{body}");
     let trace = Value::parse(&body).expect("trace JSON");
     assert_eq!(trace["trace"].as_str(), Some(TRACE_ID));
     assert_eq!(trace["endpoint"].as_str(), Some("partition"));
     assert!(
         !trace["spans"].as_array().expect("spans").is_empty(),
-        "{io}: no spans in {body}"
+        "no spans in {body}"
     );
-}
-
-#[test]
-fn threads_mode_roundtrips_client_trace_id() {
-    serve_mode_roundtrips_trace("threads");
-}
-
-#[test]
-#[cfg_attr(not(target_os = "linux"), ignore = "epoll io is Linux-only")]
-fn epoll_mode_roundtrips_client_trace_id() {
-    serve_mode_roundtrips_trace("epoll");
 }

@@ -21,7 +21,7 @@
 //! Timeout policy (one armed timer per connection, superseded by
 //! generation bump): *read* = total deadline per request from its
 //! first byte; *write* = progress-based deadline per response (the
-//! timer renews while at least `write_min_bytes` reach the socket per
+//! timer renews while at least [`WRITE_MIN_BYTES`] reach the socket per
 //! interval, so large responses to slow-but-live readers survive while
 //! byte-at-a-time readers still reap); *idle* = quiet keep-alive
 //! connection. Dispatched connections carry no timer — the worker pool
@@ -45,7 +45,7 @@ use crate::framer::{frame, FrameLimits, FrameStatus};
 use crate::poll::{Event, Interest, Poller, Token, Waker};
 use crate::sys;
 use crate::timer::{TimeoutKind, TimerWheel};
-use crate::{Action, ConnId, Handler, NetConfig, NetCounters};
+use crate::{Action, ConnId, Handler, NetConfig, NetCounters, WRITE_MIN_BYTES};
 
 const LISTENER_TOKEN: Token = u64::MAX;
 const WAKER_TOKEN: Token = u64::MAX - 1;
@@ -361,17 +361,15 @@ impl Loop {
     }
 
     /// A live write timer fired: renew it (and return `true`) if the
-    /// connection flushed at least `write_min_bytes` since the timer
-    /// was armed — the reader is slow but draining. `write_min_bytes`
-    /// of 0 keeps the old total-per-response behavior: never renew.
+    /// connection flushed at least [`WRITE_MIN_BYTES`] since the timer
+    /// was armed — the reader is slow but draining.
     fn renew_write_timer(&mut self, idx: usize) -> bool {
-        let min = self.config.write_min_bytes;
         let progressed = self.slots[idx]
             .conn
             .as_mut()
             .filter(|conn| conn.state == ConnState::Writing)
             .is_some_and(|conn| {
-                let moved = min > 0 && conn.written.saturating_sub(conn.write_mark) >= min;
+                let moved = conn.written.saturating_sub(conn.write_mark) >= WRITE_MIN_BYTES;
                 if moved {
                     conn.write_mark = conn.written;
                 }

@@ -3,10 +3,9 @@
 //! The event loop needs exactly one thing from HTTP: to know where a
 //! request ends, so it can hand a complete byte slice to a worker. Full
 //! parsing — method/path dispatch, header validation, error responses —
-//! stays in `tgp-service`, which re-parses the framed bytes with the
-//! same code it uses in threads mode. That split keeps the two `--io`
-//! modes byte-identical on the wire: the framer only ever answers
-//! "complete / need more / unframeable", never "valid".
+//! stays in `tgp-service`, which parses the framed bytes on a worker.
+//! The framer only ever answers "complete / need more / unframeable",
+//! never "valid".
 //!
 //! Framing rules (mirroring the service's parser limits):
 //! - the head (request line + headers) ends at the first blank line and
@@ -18,7 +17,7 @@
 //!   misinterpreted as a pipelined request.
 
 /// Why a connection's bytes cannot be framed. The service maps each
-/// variant to the same HTTP error it produces in threads mode.
+/// variant to the HTTP error its own parser gives for the same fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
     /// No blank line within `max_head_bytes`.
@@ -102,7 +101,8 @@ pub fn frame(buf: &[u8], limits: &FrameLimits) -> FrameStatus {
 
 /// Index one past the head terminator (`\r\n\r\n` or `\n\n`), if any.
 /// The service's line-based parser treats a bare `\n` as a line ending,
-/// so the framer must too, or the two modes would disagree on framing.
+/// so the framer must too, or the two would disagree on where a request
+/// ends.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     let mut i = 0;
     while i < buf.len() {

@@ -1,13 +1,12 @@
 //! `tgp-net` — a std-only, readiness-driven connection layer for the
-//! partition service.
+//! partition service, and its only connection model.
 //!
-//! The thread-per-connection model in `tgp-service` dedicates a blocking
-//! worker to every in-flight connection, so persistent (keep-alive)
-//! connections beyond `--workers` starve (EXPERIMENTS.md §SRV-OPEN).
-//! This crate replaces socket babysitting with a single event-loop
-//! thread built on raw `epoll`/`eventfd` bindings — no external
-//! dependencies, the same vendoring philosophy as the in-tree
-//! `rand`/`proptest` shims. The loop owns:
+//! A blocking thread per connection would pin a worker to every
+//! in-flight connection, so persistent (keep-alive) connections beyond
+//! `--workers` would starve (EXPERIMENTS.md §SRV-OPEN). This crate
+//! instead runs an event-loop thread built on raw `epoll`/`eventfd`
+//! bindings — no external dependencies, the same vendoring philosophy
+//! as the in-tree `rand`/`proptest` shims. The loop owns:
 //!
 //! - **non-blocking accept** with a connection cap and accept
 //!   backpressure (the listener is paused, not the accept queue
@@ -15,9 +14,10 @@
 //! - **per-connection state machines**: incremental request framing
 //!   ([`framer`]), partial-write resumption, and keep-alive reuse;
 //! - **timeouts** via a hashed timer wheel ([`timer`]): a total
-//!   per-request read deadline (slowloris defense), a total per-response
-//!   write deadline (stalled-reader defense), and an idle deadline for
-//!   quiet keep-alive connections;
+//!   per-request read deadline (slowloris defense), a progress-based
+//!   per-response write deadline (stalled-reader defense, renewed while
+//!   the reader drains at least [`WRITE_MIN_BYTES`] per window), and an
+//!   idle deadline for quiet keep-alive connections;
 //! - **dispatch**: only *complete* requests are handed to the caller's
 //!   [`Handler`], which typically enqueues them on a worker pool and
 //!   later answers through [`LoopHandle::submit`] from any thread.
@@ -25,9 +25,10 @@
 //! Workers therefore compute instead of waiting on sockets: thousands
 //! of connections can be open while `--workers` stays small.
 //!
-//! The epoll loop itself is Linux-only ([`EventLoop::spawn`] returns
-//! `ErrorKind::Unsupported` elsewhere); the framer and timer wheel are
-//! portable and unit-tested everywhere.
+//! The epoll loop itself is Linux-only: elsewhere a stub keeps the API
+//! compiling and [`EventLoop::spawn`] returns `ErrorKind::Unsupported`,
+//! so the library and the solver commands still build. The framer and
+//! timer wheel are portable and unit-tested everywhere.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -99,6 +100,11 @@ impl ConnId {
     }
 }
 
+/// Minimum write progress (bytes flushed to the socket) per
+/// [`NetConfig::write_timeout`] window for a response's write timer to
+/// renew. A reader that drains less than this per window is closed.
+pub const WRITE_MIN_BYTES: usize = 1024;
+
 /// Tuning knobs for the event loop.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -110,15 +116,10 @@ pub struct NetConfig {
     /// reset by progress — byte-at-a-time senders still time out.
     pub read_timeout: Duration,
     /// Deadline for writing a response: the timer renews each time it
-    /// fires if at least [`NetConfig::write_min_bytes`] were flushed
-    /// during the elapsed interval, so a slow-but-live reader of a
-    /// large response survives. A reader draining below that rate is
-    /// closed as before.
+    /// fires if at least [`WRITE_MIN_BYTES`] were flushed during the
+    /// elapsed interval, so a slow-but-live reader of a large response
+    /// survives. A reader draining below that rate is closed.
     pub write_timeout: Duration,
-    /// Minimum write progress (bytes flushed to the socket) per
-    /// `write_timeout` interval for the response timer to renew.
-    /// `0` disables renewal, restoring the total-per-response deadline.
-    pub write_min_bytes: usize,
     /// How long a keep-alive connection may sit with no request bytes
     /// buffered before it is closed.
     pub idle_timeout: Duration,
@@ -140,7 +141,6 @@ impl Default for NetConfig {
             max_connections: 1024,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
-            write_min_bytes: 1024,
             idle_timeout: Duration::from_secs(60),
             max_head_bytes: 16 * 1024,
             max_body_bytes: 1024 * 1024,
@@ -206,8 +206,7 @@ pub enum Action {
 /// belongs on the worker pool via [`Action::Pending`].
 pub trait Handler: Send + Sync + 'static {
     /// Called once per complete framed request. `request` is the exact
-    /// wire bytes (head + body) for the service's parser to re-parse,
-    /// so both `--io` modes share one parse path.
+    /// wire bytes (head + body) for the service's parser to re-parse.
     fn on_request(&self, conn: ConnId, request: Vec<u8>, handle: &LoopHandle) -> Action;
 
     /// Called when a connection's bytes can never frame (oversized

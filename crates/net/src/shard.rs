@@ -84,7 +84,7 @@ impl LoopSet {
     pub fn bind(_addr: &SocketAddr, _n: usize) -> io::Result<(Vec<TcpListener>, SocketAddr)> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "sharded listeners require Linux; use --io threads",
+            "sharded listeners require Linux (SO_REUSEPORT)",
         ))
     }
 

@@ -1,7 +1,8 @@
 //! Non-Linux placeholder: the API shape of the epoll loop, with
-//! [`EventLoop::spawn`] reporting `Unsupported`. The service falls
-//! back to (and defaults to) threads mode on these targets; the framer
-//! and timer wheel remain fully functional and tested.
+//! [`EventLoop::spawn`] reporting `Unsupported`. The library and the
+//! solver commands still compile on these targets, but the service
+//! cannot start; the framer and timer wheel remain fully functional and
+//! tested.
 
 use std::io;
 use std::net::TcpListener;
@@ -39,7 +40,7 @@ impl EventLoop {
     ) -> io::Result<EventLoop> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "the epoll connection layer requires Linux; use --io threads",
+            "the tgp-net event loop requires Linux (epoll)",
         ))
     }
 

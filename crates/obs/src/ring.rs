@@ -28,8 +28,8 @@ pub enum EventKind {
     Timeout,
     /// The framer rejected bytes on a connection (`a` = slot index).
     FrameError,
-    /// A request (or connection, in threads mode) was pushed onto the
-    /// worker queue (`a` = connection index).
+    /// A request was pushed onto the worker queue (`a` = connection
+    /// index).
     Enqueue,
     /// A worker popped the work item (`a` = connection index,
     /// `b` = queue-wait nanoseconds).

@@ -2,10 +2,9 @@
 //! bounded store of recently completed traces.
 //!
 //! A [`TraceId`] is a nonzero 64-bit identifier minted when a request
-//! enters the system (at accept/frame time in epoll mode, at parse
-//! time in threads mode) or adopted from an inbound `x-trace-id`
-//! (16 hex chars) or W3C `traceparent` header (low 64 bits of the
-//! trace-id field). The id travels with the work item through the
+//! enters the system (at frame time on the event loop) or adopted from
+//! an inbound `x-trace-id` (16 hex chars) or W3C `traceparent` header
+//! (low 64 bits of the trace-id field). The id travels with the work item through the
 //! queue and the worker, and each stage appends a [`Span`] to the
 //! thread-local [`SpanRecorder`]. When the response is built the
 //! recorder is finished into a [`TraceRecord`] and committed to the
@@ -114,8 +113,7 @@ impl fmt::Display for TraceId {
 pub enum Stage {
     /// Time between enqueue and a worker picking the work up.
     Queue,
-    /// HTTP request parsing (in threads mode this includes the
-    /// blocking socket read).
+    /// HTTP request parsing of the framed bytes on a worker.
     Parse,
     /// Streaming flat-array ingest: scanning the raw body straight
     /// into `tgp-store` arrays without materializing a JSON tree.

@@ -589,11 +589,10 @@ pub struct RequestCtx {
     /// When a worker picked the work up (the trace base when nothing
     /// queued).
     pub dequeued_at: Instant,
-    /// Time spent parsing the request bytes (in threads mode this
-    /// includes the blocking socket read).
+    /// Time spent parsing the framed request bytes.
     pub parse: Duration,
     /// Absolute deadline the transport already extracted from the
-    /// request (epoll mode reads `x-deadline-ms` at frame time). `None`
+    /// request (the event loop reads `x-deadline-ms` at frame time). `None`
     /// lets [`handle_traced`] fall back to parsing the header itself.
     pub deadline: Option<Instant>,
 }
@@ -646,8 +645,7 @@ pub fn handle(state: &AppState, req: &Request) -> ApiResponse {
 /// minted id), records queue/parse spans from `ctx`, per-stage
 /// histograms, the journal `respond` event, and commits the trace to
 /// [`AppState::traces`]. The `write` stage happens after this returns
-/// and is patched in by the transport ([`AppState::complete_write`] in
-/// epoll mode, the connection server in threads mode).
+/// and is patched in by the transport ([`AppState::complete_write`]).
 ///
 /// Trace records and journal events exist only to be read back through
 /// `GET /debug/*`, so both are captured only while
@@ -972,79 +970,55 @@ fn partition_endpoint(state: &AppState, body: &[u8], deadline: Option<Instant>) 
         let Some(items) = requests.as_array() else {
             return error_response("partition", &bad("\"requests\" must be an array"));
         };
-        let compat = match value.get("compat") {
-            None => false,
-            Some(Value::Bool(b)) => *b,
-            Some(_) => {
-                return error_response("partition", &bad("\"compat\" must be a boolean"));
-            }
-        };
         let prepared = prepare_batch_items(items.to_vec(), deadline);
         let outcomes = run_batch(state, prepared);
-        let body = if compat {
-            // Deprecated v1 shape: each result is either the response
-            // object or {"error", "code"} in place — kept one release
-            // for clients that haven't migrated (docs/SERVICE.md).
-            let results: Vec<Value> = outcomes
-                .into_iter()
-                .map(|outcome| match outcome {
-                    Ok(rendered) => Value::parse(&rendered).expect("rendered response is JSON"),
-                    Err(failure) => json!({
-                        "error": failure.message.as_str(),
-                        "code": failure.code,
-                    }),
-                })
-                .collect();
-            format!("{}\n", json!({ "results": results }))
-        } else {
-            // v2 envelope: every item is tagged with its index and an
-            // HTTP-style status, the batch reports aggregate counts so
-            // callers can check success without walking the array, and
-            // items the deadline interrupted are marked `partial` (as
-            // is the batch itself, at top level).
-            let mut completed = 0u64;
-            let mut failed = 0u64;
-            let mut partial = false;
-            let results: Vec<Value> = outcomes
-                .into_iter()
-                .enumerate()
-                .map(|(index, outcome)| match outcome {
-                    Ok(rendered) => {
-                        completed += 1;
-                        json!({
-                            "index": index as u64,
-                            "status": 200u64,
-                            "body": Value::parse(&rendered).expect("rendered response is JSON"),
-                        })
-                    }
-                    Err(failure) => {
-                        failed += 1;
-                        let dropped = failure.is_interrupt();
-                        partial |= dropped;
-                        json!({
-                            "index": index as u64,
-                            "status": u64::from(failure.status),
-                            "body": envelope::envelope_value(
-                                failure.code,
-                                &failure.message,
-                                failure.retry_after,
-                                failure.deadline_remaining_ms,
-                                dropped,
-                            ),
-                        })
-                    }
-                })
-                .collect();
-            let mut top: Vec<(String, Value)> = vec![
-                ("completed".to_string(), Value::from(completed)),
-                ("failed".to_string(), Value::from(failed)),
-            ];
-            if partial {
-                top.push(("partial".to_string(), Value::Bool(true)));
-            }
-            top.push(("results".to_string(), Value::Array(results)));
-            format!("{}\n", Value::Object(top))
-        };
+        // Every item is tagged with its index and an HTTP-style status,
+        // the batch reports aggregate counts so callers can check
+        // success without walking the array, and items the deadline
+        // interrupted are marked `partial` (as is the batch itself, at
+        // top level).
+        let mut completed = 0u64;
+        let mut failed = 0u64;
+        let mut partial = false;
+        let results: Vec<Value> = outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(index, outcome)| match outcome {
+                Ok(rendered) => {
+                    completed += 1;
+                    json!({
+                        "index": index as u64,
+                        "status": 200u64,
+                        "body": Value::parse(&rendered).expect("rendered response is JSON"),
+                    })
+                }
+                Err(failure) => {
+                    failed += 1;
+                    let dropped = failure.is_interrupt();
+                    partial |= dropped;
+                    json!({
+                        "index": index as u64,
+                        "status": u64::from(failure.status),
+                        "body": envelope::envelope_value(
+                            failure.code,
+                            &failure.message,
+                            failure.retry_after,
+                            failure.deadline_remaining_ms,
+                            dropped,
+                        ),
+                    })
+                }
+            })
+            .collect();
+        let mut top: Vec<(String, Value)> = vec![
+            ("completed".to_string(), Value::from(completed)),
+            ("failed".to_string(), Value::from(failed)),
+        ];
+        if partial {
+            top.push(("partial".to_string(), Value::Bool(true)));
+        }
+        top.push(("results".to_string(), Value::Array(results)));
+        let body = format!("{}\n", Value::Object(top));
         let mut response = json_response(200, "partition", body);
         response.objective = "batch";
         return response;
@@ -2311,26 +2285,29 @@ mod tests {
     }
 
     #[test]
-    fn batch_compat_flag_restores_v1_shape() {
+    fn batch_compat_key_is_ignored() {
+        // The v1 `compat` shape is gone: the key is one more envelope
+        // key the server does not read, whatever its value.
         let state = AppState::new(CacheConfig::default());
-        let body = format!(
-            r#"{{"compat": true, "requests": [
-                {{"objective": "bandwidth", "bound": 10, "graph": {CHAIN}}},
-                {{"objective": "nonsense", "bound": 10, "graph": {CHAIN}}}
-            ]}}"#
-        );
-        let r = handle(&state, &post("/v1/partition", &body));
-        assert_eq!(r.status, 200, "{}", r.body);
-        let v = Value::parse(&r.body).unwrap();
-        assert!(v.get("completed").is_none(), "v1 shape has no counts");
-        let results = v["results"].as_array().unwrap();
-        assert!(results[0]["objective"].as_str().is_some());
-        assert_eq!(results[1]["code"].as_str(), Some("unknown_objective"));
-
-        // compat must be a boolean, not merely truthy.
-        let bad_flag = body.replace("\"compat\": true", "\"compat\": 1");
-        let r = handle(&state, &post("/v1/partition", &bad_flag));
-        assert_eq!(r.status, 400, "{}", r.body);
+        for flag in ["true", "1"] {
+            let body = format!(
+                r#"{{"compat": {flag}, "requests": [
+                    {{"objective": "bandwidth", "bound": 10, "graph": {CHAIN}}},
+                    {{"objective": "nonsense", "bound": 10, "graph": {CHAIN}}}
+                ]}}"#
+            );
+            let r = handle(&state, &post("/v1/partition", &body));
+            assert_eq!(r.status, 200, "{}", r.body);
+            let v = Value::parse(&r.body).unwrap();
+            assert_eq!(v["completed"].as_u64(), Some(1), "{}", r.body);
+            assert_eq!(v["failed"].as_u64(), Some(1), "{}", r.body);
+            let results = v["results"].as_array().unwrap();
+            assert!(results[0]["body"]["objective"].as_str().is_some());
+            assert_eq!(
+                results[1]["body"]["code"].as_str(),
+                Some("unknown_objective")
+            );
+        }
     }
 
     #[test]

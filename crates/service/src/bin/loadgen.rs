@@ -14,9 +14,9 @@
 //!
 //! `--connections N` opens N persistent keep-alive connections (default:
 //! one per client thread). With N much larger than the server's
-//! `--workers`, this is the §SRV-EPOLL scenario: a thread-per-connection
-//! server pins a worker per connection and starves the rest, while the
-//! epoll front-end keeps every connection served. Each connection slot
+//! `--workers`, this is the §SRV-EPOLL scenario: a server that pinned a
+//! worker per connection would starve the rest, while the event loop
+//! keeps every connection served. Each connection slot
 //! counts the requests it completed; slots that finish the run without
 //! a single response other than shed 503s are reported as **starved**
 //! (a slot that only ever gets shed received no service), and
@@ -1105,7 +1105,7 @@ fn closed_loop_run(
 /// Under `--strict` the process exits 1 if any point starved a
 /// connection slot or answered a non-shed 5xx.
 fn sweep_loops_run(config: &Config, lo: usize, hi: usize) -> ! {
-    use tgp_service::{IoMode, Server, ServerConfig};
+    use tgp_service::{Server, ServerConfig};
 
     let bodies = Arc::new(request_bodies(Mix::Chain, config.nodes, config.distinct));
     let slots = config.connections.unwrap_or(config.clients).max(1);
@@ -1126,7 +1126,6 @@ fn sweep_loops_run(config: &Config, lo: usize, hi: usize) -> ! {
     for loops in lo..=hi {
         let server_config = ServerConfig {
             addr: "127.0.0.1:0".into(),
-            io: IoMode::Epoll,
             loops,
             workers,
             queue_depth: 256,

@@ -1,5 +1,5 @@
 //! Sharded, byte-budgeted LRU cache for rendered partition responses,
-//! with optional per-entry TTL and dump/load persistence.
+//! with optional per-entry TTL and an append-on-ack journal.
 //!
 //! Keys are the canonical request bytes themselves (objective, bound,
 //! weights — see [`KeyBuilder`]); values are the rendered JSON response
@@ -32,32 +32,36 @@
 //!
 //! # Persistence
 //!
-//! Two mechanisms share the on-disk duty:
+//! [`ResultCache::attach_journal`] keeps `--cache-file` in the journal
+//! format the session store uses ([`tgp_session::journal`]), under the
+//! cache's own magic `TGPCJRNL`. Every admitted insert appends one
+//! record, so `kill -9` loses at most a torn tail; boot replays the
+//! longest intact prefix, and a grown log is compacted back to a
+//! snapshot of the live entries, LRU→MRU (periodically, and on
+//! graceful shutdown). Each record payload is one binary entry:
 //!
-//! - [`ResultCache::dump`] / [`ResultCache::load`]: the legacy
-//!   whole-file snapshot (versioned, FNV-checksummed, written to a
-//!   temp sibling then renamed). Still used by tests and as the
-//!   migration source for old files.
-//! - [`ResultCache::attach_journal`]: the append-on-ack snapshot+log
-//!   discipline `--cache-file` uses (see the `cache_journal` module).
-//!   Every admitted insert appends one record, so `kill -9` loses at
-//!   most a torn tail; boot replays the longest intact prefix, and a
-//!   grown log is compacted back to a snapshot (periodically, and on
-//!   graceful shutdown). Cached values are pure functions of their
-//!   canonical keys, so replaying an insert whose TTL elapsed since
-//!   the append can only re-serve a still-correct response; TTL here
-//!   is a freshness/memory policy, not a correctness guard.
+//! ```text
+//! key_len u64 LE | cost u64 LE | ttl_remaining_ms u64 LE | key | value
+//! ```
 //!
-//! A file that fails validation — magic, version, checksum, per-entry
-//! bounds — is rejected with an error and never partially trusted.
+//! The journal is a log of inserts: replay applies them in order
+//! through the normal admission path, so a later insert under the same
+//! key wins, exactly as it did live. Cached values are pure functions
+//! of their canonical keys, so replaying an insert whose TTL elapsed
+//! since the append can only re-serve a still-correct response; TTL
+//! here is a freshness/memory policy, not a correctness guard.
+//!
+//! A file that is not a cache journal — another magic (including the
+//! retired `TGPCACHE` dump format), a future version — is rejected with
+//! an error and left untouched; the cache then runs memory-only.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::cache_journal::{self, CacheJournal};
+use tgp_session::journal::{self, fnv1a, Journal};
 
 /// Default number of independently locked shards (power of two).
 /// Multi-loop servers raise it via [`CacheConfig::shards`] so each
@@ -82,23 +86,51 @@ const COSTLY_WORK_UNITS: u64 = 1_000_000;
 /// Expiry sentinel: an entry with this deadline never expires.
 const NO_EXPIRY: u64 = u64::MAX;
 
-const DUMP_MAGIC: &[u8; 8] = b"TGPCACHE";
-const DUMP_VERSION: u64 = 1;
-/// Header: magic + version + entry count + payload checksum.
-const DUMP_HEADER_BYTES: usize = 32;
-/// Per-entry header: key length + value length + cost + remaining TTL.
-const DUMP_ENTRY_HEADER_BYTES: usize = 32;
+/// Magic of the `--cache-file` journal.
+const JOURNAL_MAGIC: &[u8; 8] = b"TGPCJRNL";
+/// Entry payload prefix: key_len + cost + ttl_remaining.
+const ENTRY_PREFIX: usize = 24;
 
-/// 64-bit FNV-1a digest, used to pick shards and hash buckets and as
-/// the persistence-file checksum (integrity against corruption, not
-/// tampering — the key-byte comparison is what defends correctness).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut state = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(0x0000_0100_0000_01B3);
+/// One cache entry decoded from a journal record.
+struct EntryRecord {
+    key: Vec<u8>,
+    value: String,
+    cost: u64,
+    ttl_remaining_ms: u64,
+}
+
+/// Encodes one entry as a journal record payload.
+fn encode_entry(key: &[u8], value: &str, cost: u64, ttl_remaining_ms: u64) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(ENTRY_PREFIX + key.len() + value.len());
+    payload.extend_from_slice(&(key.len() as u64).to_le_bytes());
+    payload.extend_from_slice(&cost.to_le_bytes());
+    payload.extend_from_slice(&ttl_remaining_ms.to_le_bytes());
+    payload.extend_from_slice(key);
+    payload.extend_from_slice(value.as_bytes());
+    payload
+}
+
+/// Decodes a journal record payload. `None` for a structurally invalid
+/// payload (possible only if a checksum collision let corruption
+/// through), which ends the replay like any other corrupt record.
+fn decode_entry(payload: &[u8]) -> Option<EntryRecord> {
+    if payload.len() < ENTRY_PREFIX {
+        return None;
     }
-    state
+    let key_len = u64::from_le_bytes(payload[0..8].try_into().ok()?) as usize;
+    let cost = u64::from_le_bytes(payload[8..16].try_into().ok()?);
+    let ttl_remaining_ms = u64::from_le_bytes(payload[16..24].try_into().ok()?);
+    let body = &payload[ENTRY_PREFIX..];
+    if key_len > body.len() {
+        return None;
+    }
+    let value = std::str::from_utf8(&body[key_len..]).ok()?.to_string();
+    Some(EntryRecord {
+        key: body[..key_len].to_vec(),
+        value,
+        cost,
+        ttl_remaining_ms,
+    })
 }
 
 // The canonical key builder moved to `tgp-solvers` (solvers define
@@ -158,8 +190,8 @@ struct Entry {
     hash: u64,
     key: Box<[u8]>,
     value: String,
-    /// Solver work-unit estimate, persisted so re-admission after a
-    /// warm load applies the same policy.
+    /// Solver work-unit estimate, journaled so re-admission on replay
+    /// applies the same policy.
     cost: u64,
     /// Milliseconds on the cache clock; [`NO_EXPIRY`] means never.
     expires_at_ms: u64,
@@ -354,8 +386,7 @@ pub struct ResultCache {
     epoch: Instant,
     /// Test-only clock skew; stays 0 in production.
     skew_ms: AtomicU64,
-    /// Bumped on every mutation; flushers compare it against the
-    /// generation they last dumped to skip redundant writes.
+    /// Bumped on every mutation (insert or expiry).
     generation: AtomicU64,
     evicted: AtomicU64,
     rejected_oversize: AtomicU64,
@@ -364,7 +395,7 @@ pub struct ResultCache {
     /// Insert log attached by [`ResultCache::attach_journal`]; `None`
     /// runs memory-only. Dropped (with a log line) on the first append
     /// failure, so a full disk degrades persistence, not serving.
-    journal: Mutex<Option<CacheJournal>>,
+    journal: Mutex<Option<Journal>>,
 }
 
 /// What [`ResultCache::attach_journal`] found at the path.
@@ -374,8 +405,6 @@ pub struct AttachReport {
     pub admitted: usize,
     /// Whether a torn/corrupt tail was trimmed.
     pub truncated: bool,
-    /// Whether a legacy whole-file dump was migrated to journal form.
-    pub migrated: bool,
 }
 
 impl ResultCache {
@@ -471,17 +500,7 @@ impl ResultCache {
     /// `0` when unknown (strictest admission). Returns whether the
     /// entry was admitted.
     pub fn insert(&self, key: &[u8], value: String, cost: u64) -> bool {
-        self.insert_with_deadline(key, value, cost, self.deadline(self.default_ttl_ms))
-    }
-
-    fn insert_with_deadline(
-        &self,
-        key: &[u8],
-        value: String,
-        cost: u64,
-        expires_at_ms: u64,
-    ) -> bool {
-        self.insert_inner(key, value, cost, expires_at_ms, true)
+        self.insert_inner(key, value, cost, self.deadline(self.default_ttl_ms), true)
     }
 
     fn insert_inner(
@@ -521,12 +540,7 @@ impl ResultCache {
             } else {
                 expires_at_ms.saturating_sub(self.now_ms())
             };
-            Some(cache_journal::encode_entry(
-                key,
-                &value,
-                cost,
-                ttl_remaining,
-            ))
+            Some(encode_entry(key, &value, cost, ttl_remaining))
         } else {
             None
         };
@@ -561,88 +575,43 @@ impl ResultCache {
     /// * missing file — a fresh journal is created;
     /// * an existing journal — the longest intact prefix is replayed
     ///   (any torn tail from an abrupt kill is trimmed) and appends
-    ///   resume after it;
-    /// * a legacy `TGPCACHE` whole-file dump — loaded with the old
-    ///   validator, then rewritten in journal form (`migrated`).
+    ///   resume after it.
     ///
-    /// A file that is neither — foreign magic, future version, or an
-    /// invalid legacy dump — is an error and is left untouched; the
-    /// caller should boot cold and memory-only rather than destroy
+    /// Any other file — foreign magic (a retired `TGPCACHE` dump
+    /// included), future version — is an error and is left untouched;
+    /// the caller should boot cold and memory-only rather than destroy
     /// whatever the operator pointed us at.
     pub fn attach_journal(&self, path: &Path) -> Result<AttachReport, String> {
         if self.per_shard_budget == 0 {
             return Err("cache budget is zero; nothing to persist".into());
         }
-        let mut magic = [0u8; 8];
-        let legacy = match std::fs::File::open(path) {
-            Ok(mut f) => {
-                use std::io::Read as _;
-                let mut n = 0;
-                while n < magic.len() {
-                    match f.read(&mut magic[n..]) {
-                        Ok(0) => break,
-                        Ok(m) => n += m,
-                        Err(e) => return Err(format!("read {}: {e}", path.display())),
-                    }
-                }
-                n == magic.len() && &magic == DUMP_MAGIC
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
-            Err(e) => return Err(format!("open {}: {e}", path.display())),
-        };
-        if legacy {
-            let admitted = self.load(path)?;
-            let mut journal = CacheJournal::create(path)
-                .map_err(|e| format!("rewrite {} as a journal: {e}", path.display()))?;
-            for record in self.snapshot_records() {
-                journal
-                    .append(&record)
-                    .map_err(|e| format!("migrate {}: {e}", path.display()))?;
-            }
+        let replay = journal::read(path, JOURNAL_MAGIC, decode_entry)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let Some(replay) = replay else {
+            let journal = Journal::create(path, JOURNAL_MAGIC)
+                .map_err(|e| format!("create {}: {e}", path.display()))?;
             *self.journal.lock().expect("cache journal poisoned") = Some(journal);
             return Ok(AttachReport {
-                admitted,
+                admitted: 0,
                 truncated: false,
-                migrated: true,
             });
-        }
-        let replay = cache_journal::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        match replay {
-            None => {
-                let journal = CacheJournal::create(path)
-                    .map_err(|e| format!("create {}: {e}", path.display()))?;
-                *self.journal.lock().expect("cache journal poisoned") = Some(journal);
-                Ok(AttachReport {
-                    admitted: 0,
-                    truncated: false,
-                    migrated: false,
-                })
-            }
-            Some(replay) => {
-                let mut admitted = 0usize;
-                for payload in &replay.records {
-                    // A payload that fails to decode (checksum collision
-                    // let corruption through) is skipped, not trusted.
-                    let Some(rec) = cache_journal::decode_entry(payload) else {
-                        continue;
-                    };
-                    let deadline = self.deadline(rec.ttl_remaining_ms);
-                    if self.insert_inner(&rec.key, rec.value, rec.cost, deadline, false) {
-                        admitted += 1;
-                    }
-                }
-                self.warm_loaded
-                    .fetch_add(admitted as u64, Ordering::Relaxed);
-                let journal = CacheJournal::open_for_append(path, replay.keep_len)
-                    .map_err(|e| format!("open {}: {e}", path.display()))?;
-                *self.journal.lock().expect("cache journal poisoned") = Some(journal);
-                Ok(AttachReport {
-                    admitted,
-                    truncated: replay.truncated,
-                    migrated: false,
-                })
+        };
+        let mut admitted = 0usize;
+        for rec in replay.records {
+            let deadline = self.deadline(rec.ttl_remaining_ms);
+            if self.insert_inner(&rec.key, rec.value, rec.cost, deadline, false) {
+                admitted += 1;
             }
         }
+        self.warm_loaded
+            .fetch_add(admitted as u64, Ordering::Relaxed);
+        let journal = Journal::open_for_append(path, JOURNAL_MAGIC, replay.keep_len)
+            .map_err(|e| format!("open {}: {e}", path.display()))?;
+        *self.journal.lock().expect("cache journal poisoned") = Some(journal);
+        Ok(AttachReport {
+            admitted,
+            truncated: replay.truncated,
+        })
     }
 
     /// Journal payloads for every live (unexpired) entry, walking each
@@ -661,12 +630,7 @@ impl ResultCache {
                     } else {
                         e.expires_at_ms - now_ms
                     };
-                    records.push(cache_journal::encode_entry(
-                        &e.key,
-                        &e.value,
-                        e.cost,
-                        ttl_remaining,
-                    ));
+                    records.push(encode_entry(&e.key, &e.value, e.cost, ttl_remaining));
                 }
                 i = shard.slots[i].prev;
             }
@@ -710,7 +674,7 @@ impl ResultCache {
             .lock()
             .expect("cache journal poisoned")
             .as_ref()
-            .map(CacheJournal::len)
+            .map(Journal::size)
     }
 
     /// Number of cached entries across all shards (including entries
@@ -740,127 +704,9 @@ impl ResultCache {
         self.budget_bytes
     }
 
-    /// Mutation counter; unchanged generation means an earlier dump is
-    /// still current.
+    /// Mutation counter: bumped by every insert and expiry.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
-    }
-
-    /// Serialises every live (unexpired) entry to `path`, writing a
-    /// temp sibling first and renaming so readers never observe a
-    /// partial file. Entries carry their remaining TTL.
-    pub fn dump(&self, path: &Path) -> std::io::Result<()> {
-        let now_ms = self.now_ms();
-        let mut payload = Vec::new();
-        let mut count = 0u64;
-        for shard in &self.shards {
-            let shard = shard.lock().expect("cache shard poisoned");
-            // Walk LRU→MRU so re-insertion on load restores recency.
-            let mut i = shard.tail;
-            while i != NIL {
-                let e = &shard.slots[i];
-                if now_ms < e.expires_at_ms {
-                    let ttl_remaining = if e.expires_at_ms == NO_EXPIRY {
-                        NO_EXPIRY
-                    } else {
-                        e.expires_at_ms - now_ms
-                    };
-                    push_u64(&mut payload, e.key.len() as u64);
-                    push_u64(&mut payload, e.value.len() as u64);
-                    push_u64(&mut payload, e.cost);
-                    push_u64(&mut payload, ttl_remaining);
-                    payload.extend_from_slice(&e.key);
-                    payload.extend_from_slice(e.value.as_bytes());
-                    count += 1;
-                }
-                i = shard.slots[i].prev;
-            }
-        }
-        let mut file = Vec::with_capacity(DUMP_HEADER_BYTES + payload.len());
-        file.extend_from_slice(DUMP_MAGIC);
-        push_u64(&mut file, DUMP_VERSION);
-        push_u64(&mut file, count);
-        push_u64(&mut file, fnv1a(&payload));
-        file.extend_from_slice(&payload);
-
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, &file)?;
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Warm-loads a file written by [`ResultCache::dump`]. Every entry
-    /// passes the normal admission path, so a file dumped under a
-    /// larger budget cannot overfill this cache. Returns the number of
-    /// entries admitted, or a description of why the file was rejected
-    /// — in which case the cache is left exactly as it was and the
-    /// caller should boot cold.
-    ///
-    /// Validation order matters: magic, version and checksum are
-    /// checked before any entry is parsed, and per-entry lengths are
-    /// bounds-checked against the remaining payload before slicing, so
-    /// a corrupt or truncated file can neither panic nor partially
-    /// populate the cache.
-    pub fn load(&self, path: &Path) -> Result<usize, String> {
-        let data = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        if data.len() < DUMP_HEADER_BYTES {
-            return Err("cache file truncated: incomplete header".into());
-        }
-        if &data[0..8] != DUMP_MAGIC {
-            return Err("not a tgp cache file (bad magic)".into());
-        }
-        let version = read_u64(&data[8..16]);
-        if version != DUMP_VERSION {
-            return Err(format!(
-                "unsupported cache file version {version} (expected {DUMP_VERSION})"
-            ));
-        }
-        let count = read_u64(&data[16..24]);
-        let checksum = read_u64(&data[24..32]);
-        let payload = &data[DUMP_HEADER_BYTES..];
-        if fnv1a(payload) != checksum {
-            return Err("cache file checksum mismatch".into());
-        }
-        // Validate the full payload before touching the cache, so a
-        // malformed file loads nothing rather than a prefix.
-        let mut parsed: Vec<(&[u8], &str, u64, u64)> = Vec::new();
-        let mut offset = 0usize;
-        for i in 0..count {
-            let remaining = payload.len() - offset;
-            if remaining < DUMP_ENTRY_HEADER_BYTES {
-                return Err(format!("cache file truncated in entry {i} header"));
-            }
-            let key_len = read_u64(&payload[offset..offset + 8]);
-            let value_len = read_u64(&payload[offset + 8..offset + 16]);
-            let cost = read_u64(&payload[offset + 16..offset + 24]);
-            let ttl_remaining = read_u64(&payload[offset + 24..offset + 32]);
-            offset += DUMP_ENTRY_HEADER_BYTES;
-            let body = (payload.len() - offset) as u64;
-            if key_len > body || value_len > body - key_len {
-                return Err(format!("cache file truncated in entry {i} body"));
-            }
-            let (key_len, value_len) = (key_len as usize, value_len as usize);
-            let key = &payload[offset..offset + key_len];
-            offset += key_len;
-            let value = std::str::from_utf8(&payload[offset..offset + value_len])
-                .map_err(|_| format!("cache file entry {i} value is not UTF-8"))?;
-            offset += value_len;
-            parsed.push((key, value, cost, ttl_remaining));
-        }
-        if offset != payload.len() {
-            return Err("cache file has trailing bytes after the last entry".into());
-        }
-        let mut admitted = 0usize;
-        for (key, value, cost, ttl_remaining) in parsed {
-            if self.insert_with_deadline(key, value.to_string(), cost, self.deadline(ttl_remaining))
-            {
-                admitted += 1;
-            }
-        }
-        self.warm_loaded
-            .fetch_add(admitted as u64, Ordering::Relaxed);
-        Ok(admitted)
     }
 
     /// Appends the cache's Prometheus metrics to `out`.
@@ -923,14 +769,6 @@ impl ResultCache {
     }
 }
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn read_u64(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes[..8].try_into().expect("caller sliced 8 bytes"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -959,14 +797,6 @@ mod tests {
             }
         }
         unreachable!()
-    }
-
-    #[test]
-    fn fnv_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325); // offset basis
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]
@@ -1146,20 +976,28 @@ mod tests {
         assert!(cache.is_empty());
     }
 
-    #[test]
-    fn dump_load_round_trips_entries_and_recency() {
-        let dir = std::env::temp_dir().join(format!("tgp-cache-test-{}", std::process::id()));
+    /// A fresh journal path for one test (the file itself is removed).
+    fn journal_path(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("tgp-cache-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("round-trip.cache");
+        let path = dir.join(format!("{tag}.cachejournal"));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
 
+    #[test]
+    fn compacted_journal_round_trips_entries_and_recency() {
+        let path = journal_path("round-trip");
         let cache = ResultCache::with_budget(1 << 20);
+        cache.attach_journal(&path).unwrap();
         for i in 0..20u64 {
             cache.insert(format!("key-{i}").as_bytes(), format!("value-{i}"), i);
         }
-        cache.dump(&path).unwrap();
+        cache.compact_journal().unwrap();
+        drop(cache);
 
         let restored = ResultCache::with_budget(1 << 20);
-        assert_eq!(restored.load(&path).unwrap(), 20);
+        assert_eq!(restored.attach_journal(&path).unwrap().admitted, 20);
         for i in 0..20u64 {
             assert_eq!(
                 restored.get(format!("key-{i}").as_bytes()).as_deref(),
@@ -1167,108 +1005,67 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).unwrap();
+
+        // Recency: the snapshot walks each shard LRU→MRU, so replay
+        // rebuilds the same order and evicts the same entry next.
+        let path = journal_path("recency");
+        let keys = colliding_keys(4);
+        let cache = ResultCache::with_budget(small_entry_budget(3));
+        cache.attach_journal(&path).unwrap();
+        for key in &keys[..3] {
+            cache.insert(key, "v".into(), 0);
+        }
+        let _ = cache.get(&keys[0]); // key 1 becomes the LRU entry
+        cache.compact_journal().unwrap();
+        drop(cache);
+
+        let restored = ResultCache::with_budget(small_entry_budget(3));
+        assert_eq!(restored.attach_journal(&path).unwrap().admitted, 3);
+        restored.insert(&keys[3], "v".into(), 0); // evicts the LRU entry
+        assert!(restored.get(&keys[1]).is_none(), "LRU entry must go first");
+        for key in [&keys[0], &keys[2], &keys[3]] {
+            assert!(restored.get(key).is_some());
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn dump_skips_expired_and_preserves_remaining_ttl() {
-        let dir = std::env::temp_dir().join(format!("tgp-cache-ttl-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ttl.cache");
-
+    fn compaction_skips_expired_and_preserves_remaining_ttl() {
+        let path = journal_path("ttl");
         let cache = ResultCache::new(CacheConfig {
             budget_bytes: 1 << 20,
             ttl: Some(Duration::from_millis(100)),
             max_entry_bytes: 1 << 16,
             shards: SHARDS,
         });
+        cache.attach_journal(&path).unwrap();
         cache.insert(b"doomed", "v".into(), 0);
         cache.advance(Duration::from_millis(60));
         cache.insert(b"fresh", "v".into(), 0);
         cache.advance(Duration::from_millis(50)); // "doomed" is now past its deadline
-        cache.dump(&path).unwrap();
+        cache.compact_journal().unwrap();
+        drop(cache);
 
         let restored = ResultCache::with_budget(1 << 20);
-        assert_eq!(restored.load(&path).unwrap(), 1, "expired entry not dumped");
+        let report = restored.attach_journal(&path).unwrap();
+        assert_eq!(report.admitted, 1, "expired entry not compacted");
         assert_eq!(restored.get(b"fresh").as_deref(), Some("v"));
-        // "fresh" had 50ms left at dump time; it must still expire.
+        // "fresh" had 50ms left at compaction; it must still expire.
         restored.advance(Duration::from_millis(50));
         assert!(restored.get(b"fresh").is_none());
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn corrupt_cache_files_are_rejected_without_panicking() {
-        let dir = std::env::temp_dir().join(format!("tgp-cache-corrupt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corrupt.cache");
-
-        let cache = ResultCache::with_budget(1 << 20);
-        cache.insert(b"key", "value".into(), 0);
-        cache.dump(&path).unwrap();
-        let good = std::fs::read(&path).unwrap();
-
-        let cases: Vec<(&str, Vec<u8>)> = vec![
-            ("empty", Vec::new()),
-            ("truncated header", good[..16].to_vec()),
-            ("bad magic", {
-                let mut bad = good.clone();
-                bad[0] ^= 0xff;
-                bad
-            }),
-            ("future version", {
-                let mut bad = good.clone();
-                bad[8..16].copy_from_slice(&99u64.to_le_bytes());
-                bad
-            }),
-            ("flipped payload byte", {
-                let mut bad = good.clone();
-                let last = bad.len() - 1;
-                bad[last] ^= 0x01;
-                bad
-            }),
-            ("truncated mid-entry", {
-                let mut bad = good[..good.len() - 3].to_vec();
-                // Re-checksum so only the truncation is at fault.
-                let sum = fnv1a(&bad[DUMP_HEADER_BYTES..]);
-                bad[24..32].copy_from_slice(&sum.to_le_bytes());
-                bad
-            }),
-            ("count larger than payload", {
-                let mut bad = good.clone();
-                bad[16..24].copy_from_slice(&1_000_000u64.to_le_bytes());
-                bad
-            }),
-            ("trailing bytes", {
-                let mut bad = good.clone();
-                bad.push(0);
-                let sum = fnv1a(&bad[DUMP_HEADER_BYTES..]);
-                bad[24..32].copy_from_slice(&sum.to_le_bytes());
-                bad
-            }),
-        ];
-        for (what, bytes) in cases {
-            std::fs::write(&path, &bytes).unwrap();
-            let fresh = ResultCache::with_budget(1 << 20);
-            let err = fresh.load(&path).expect_err(what);
-            assert!(!err.is_empty(), "{what}: error must describe the reject");
-            assert!(fresh.is_empty(), "{what}: nothing may be partially loaded");
-        }
-        let missing = dir.join("does-not-exist.cache");
-        assert!(ResultCache::with_budget(1 << 20).load(&missing).is_err());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn load_respects_the_admission_guard() {
-        let dir = std::env::temp_dir().join(format!("tgp-cache-admit-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("admit.cache");
-
-        // Dump from a roomy cache, load into a tight one.
+    fn replay_respects_the_admission_guard() {
+        let path = journal_path("admit");
+        // Compact from a roomy cache, replay into a tight one.
         let roomy = ResultCache::with_budget(1 << 20);
+        roomy.attach_journal(&path).unwrap();
         roomy.insert(b"small", "v".into(), 0);
         roomy.insert(b"large", "x".repeat(4000), 0);
-        roomy.dump(&path).unwrap();
+        roomy.compact_journal().unwrap();
+        drop(roomy);
 
         let tight = ResultCache::new(CacheConfig {
             budget_bytes: 1 << 20,
@@ -1276,10 +1073,37 @@ mod tests {
             max_entry_bytes: 1024,
             shards: SHARDS,
         });
-        assert_eq!(tight.load(&path).unwrap(), 1, "oversized entry refused");
+        let report = tight.attach_journal(&path).unwrap();
+        assert_eq!(report.admitted, 1, "oversized entry refused");
         assert!(tight.get(b"small").is_some());
         assert!(tight.get(b"large").is_none());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn entry_codec_round_trips_and_rejects_malformed_payloads() {
+        let decoded = decode_entry(&encode_entry(b"key-3", "value-3", 3, u64::MAX)).unwrap();
+        assert_eq!(decoded.key, b"key-3");
+        assert_eq!(decoded.value, "value-3");
+        assert_eq!(decoded.cost, 3);
+        assert_eq!(decoded.ttl_remaining_ms, u64::MAX);
+
+        assert!(decode_entry(b"").is_none());
+        assert!(decode_entry(&[0u8; 23]).is_none());
+        // key_len larger than the body.
+        let mut p = Vec::new();
+        p.extend_from_slice(&100u64.to_le_bytes());
+        p.extend_from_slice(&0u64.to_le_bytes());
+        p.extend_from_slice(&0u64.to_le_bytes());
+        p.extend_from_slice(b"short");
+        assert!(decode_entry(&p).is_none());
+        // non-UTF-8 value.
+        let mut p = Vec::new();
+        p.extend_from_slice(&1u64.to_le_bytes());
+        p.extend_from_slice(&0u64.to_le_bytes());
+        p.extend_from_slice(&0u64.to_le_bytes());
+        p.extend_from_slice(&[b'k', 0xff, 0xfe]);
+        assert!(decode_entry(&p).is_none());
     }
 
     #[test]
@@ -1315,10 +1139,7 @@ mod tests {
 
     #[test]
     fn journal_persists_inserts_across_attach_cycles() {
-        let dir = std::env::temp_dir().join(format!("tgp-cache-journal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("attach.cachejournal");
-        let _ = std::fs::remove_file(&path);
+        let path = journal_path("attach");
 
         let cache = ResultCache::with_budget(1 << 20);
         let report = cache.attach_journal(&path).unwrap();
@@ -1327,7 +1148,6 @@ mod tests {
             AttachReport {
                 admitted: 0,
                 truncated: false,
-                migrated: false
             }
         );
         for i in 0..10u64 {
@@ -1340,7 +1160,6 @@ mod tests {
         let report = restored.attach_journal(&path).unwrap();
         assert_eq!(report.admitted, 11, "log of inserts: every append replays");
         assert!(!report.truncated);
-        assert!(!report.migrated);
         assert_eq!(restored.len(), 10, "later insert under the same key wins");
         assert_eq!(restored.get(b"key-3").as_deref(), Some("updated"));
         for i in [0u64, 9] {
@@ -1354,10 +1173,7 @@ mod tests {
 
     #[test]
     fn journal_torn_tail_replays_prefix_and_resumes() {
-        let dir = std::env::temp_dir().join(format!("tgp-cache-torn-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn.cachejournal");
-        let _ = std::fs::remove_file(&path);
+        let path = journal_path("torn");
 
         let cache = ResultCache::with_budget(1 << 20);
         cache.attach_journal(&path).unwrap();
@@ -1384,56 +1200,33 @@ mod tests {
     }
 
     #[test]
-    fn legacy_dump_migrates_to_journal_on_attach() {
-        let dir = std::env::temp_dir().join(format!("tgp-cache-migrate-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.cache");
-
-        let old = ResultCache::with_budget(1 << 20);
-        old.insert(b"carried", "v".into(), 0);
-        old.dump(&path).unwrap();
-
-        let cache = ResultCache::with_budget(1 << 20);
-        let report = cache.attach_journal(&path).unwrap();
-        assert_eq!(report.admitted, 1);
-        assert!(report.migrated);
-        assert_eq!(cache.get(b"carried").as_deref(), Some("v"));
-        cache.insert(b"new", "w".into(), 0);
-        drop(cache);
-
-        // The file is now a journal: reattach replays both entries.
-        let restored = ResultCache::with_budget(1 << 20);
-        let report = restored.attach_journal(&path).unwrap();
-        assert!(!report.migrated, "already journal form");
-        assert_eq!(report.admitted, 2);
-        assert_eq!(restored.get(b"new").as_deref(), Some("w"));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn foreign_file_fails_attach_and_is_left_untouched() {
-        let dir = std::env::temp_dir().join(format!("tgp-cache-foreign-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("foreign.bin");
-        let original = b"operator data that is not ours, well past sixteen bytes".to_vec();
-        std::fs::write(&path, &original).unwrap();
-
-        let cache = ResultCache::with_budget(1 << 20);
-        assert!(cache.attach_journal(&path).is_err());
-        assert!(cache.is_empty());
-        assert_eq!(std::fs::read(&path).unwrap(), original, "never overwritten");
-        // The cache still works memory-only after the failed attach.
-        assert!(cache.insert(b"k", "v".into(), 0));
-        assert!(cache.journal_len().is_none());
+        let path = journal_path("foreign");
+        // A dump in the retired `TGPCACHE` format (magic, version,
+        // entry count, payload checksum, no entries) is foreign too.
+        let mut legacy_dump = b"TGPCACHE".to_vec();
+        for word in [1, 0, fnv1a(b"")] {
+            legacy_dump.extend_from_slice(&u64::to_le_bytes(word));
+        }
+        for original in [
+            b"operator data that is not ours, well past sixteen bytes".to_vec(),
+            legacy_dump,
+        ] {
+            std::fs::write(&path, &original).unwrap();
+            let cache = ResultCache::with_budget(1 << 20);
+            assert!(cache.attach_journal(&path).is_err());
+            assert!(cache.is_empty());
+            assert_eq!(std::fs::read(&path).unwrap(), original, "never overwritten");
+            // The cache still works memory-only after the failed attach.
+            assert!(cache.insert(b"k", "v".into(), 0));
+            assert!(cache.journal_len().is_none());
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn compaction_shrinks_the_journal_and_keeps_entries() {
-        let dir = std::env::temp_dir().join(format!("tgp-cache-compact-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("compact.cachejournal");
-        let _ = std::fs::remove_file(&path);
+        let path = journal_path("compact");
 
         let cache = ResultCache::with_budget(1 << 20);
         cache.attach_journal(&path).unwrap();
@@ -1458,10 +1251,7 @@ mod tests {
 
     #[test]
     fn journal_preserves_remaining_ttl_across_attach() {
-        let dir = std::env::temp_dir().join(format!("tgp-cache-jttl-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ttl.cachejournal");
-        let _ = std::fs::remove_file(&path);
+        let path = journal_path("jttl");
 
         let cache = ResultCache::new(CacheConfig {
             budget_bytes: 1 << 20,

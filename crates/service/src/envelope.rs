@@ -1,5 +1,5 @@
 //! The v2 error/response envelope: one JSON shape for every error body
-//! on every endpoint in both `--io` modes.
+//! on every endpoint.
 //!
 //! ```json
 //! {"code": "deadline_exceeded", "message": "...",

@@ -1,8 +1,10 @@
-//! A deliberately small HTTP/1.1 layer on top of `std::net`.
+//! A deliberately small HTTP/1.1 layer over framed request bytes.
 //!
 //! Supports exactly what the partition service needs: request line +
 //! headers + `Content-Length` bodies, keep-alive, and plain-text or JSON
-//! responses. Transfer-encodings are rejected with 400 (only
+//! responses. The `tgp-net` event loop frames each request and a worker
+//! parses the framed `&[u8]` here; responses serialize into a `Vec<u8>`
+//! that the loop flushes. Transfer-encodings are rejected with 400 (only
 //! `Content-Length` framing is understood); multipart, TLS and HTTP/2
 //! are out of scope. Every parse failure maps to a structured status
 //! code so malformed input can never panic a worker.
@@ -13,9 +15,9 @@ use std::path::PathBuf;
 
 use tgp_store::SpillBuf;
 
-/// Upper bound on the request line plus headers, in bytes. The epoll
-/// framer in `tgp-net` enforces the same cap, so both `--io` modes
-/// reject oversized heads identically.
+/// Upper bound on the request line plus headers, in bytes. The framer
+/// in `tgp-net` enforces the same cap, so an oversized head is refused
+/// before a worker ever sees it.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Upper bound on the number of headers.
@@ -104,13 +106,9 @@ impl Request {
 /// Why a request could not be read.
 #[derive(Debug, PartialEq, Eq)]
 pub enum RecvError {
-    /// Peer closed before sending a complete request — nothing to
-    /// respond to.
+    /// The bytes ended before a complete request — nothing to respond
+    /// to.
     Disconnected,
-    /// The per-request deadline elapsed before a complete request
-    /// arrived. Closed like [`RecvError::Disconnected`], but counted
-    /// separately (`tgp_timeout_closes_total{kind="read"}`).
-    TimedOut,
     /// Request was syntactically invalid → respond 400.
     BadRequest(String),
     /// Declared body exceeds the service limit → respond 413.
@@ -122,10 +120,8 @@ pub enum RecvError {
     },
 }
 
-/// Reads one request from any buffered source: a socket reader in
-/// threads mode, or a `&[u8]` of framed bytes handed over by the epoll
-/// loop — one parser, so both `--io` modes accept and reject
-/// byte-identically.
+/// Reads one request from any buffered source — in the server, the
+/// `&[u8]` of framed bytes the event loop hands a worker.
 ///
 /// `max_body` bounds the accepted `Content-Length`; larger declarations
 /// are rejected *before* reading the body, so an oversized upload costs
@@ -250,7 +246,9 @@ fn read_body<R: BufRead>(
         }
     }
     let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(recv_io_error)?;
+    reader
+        .read_exact(&mut body)
+        .map_err(|_| RecvError::Disconnected)?;
     Ok(Body::Ram(body))
 }
 
@@ -271,7 +269,7 @@ fn read_body_spilled<R: BufRead>(
         let take = remaining.min(chunk.len());
         reader
             .read_exact(&mut chunk[..take])
-            .map_err(recv_io_error)?;
+            .map_err(|_| RecvError::Disconnected)?;
         if buf.extend_from_slice(&chunk[..take]).is_err() {
             let mut body = Vec::with_capacity(content_length);
             body.extend_from_slice(buf.as_slice());
@@ -281,7 +279,7 @@ fn read_body_spilled<R: BufRead>(
             body.resize(start + remaining, 0);
             reader
                 .read_exact(&mut body[start..])
-                .map_err(recv_io_error)?;
+                .map_err(|_| RecvError::Disconnected)?;
             return Ok(Body::Ram(body));
         }
         remaining -= take;
@@ -289,22 +287,11 @@ fn read_body_spilled<R: BufRead>(
     Ok(Body::Spilled(buf))
 }
 
-/// Maps a transport error to the matching [`RecvError`]: deadline
-/// expiries (surfaced as `WouldBlock`/`TimedOut` by socket timeouts and
-/// the threads-mode deadline wrapper) are distinguished from plain
-/// disconnects so they can be counted.
-fn recv_io_error(e: std::io::Error) -> RecvError {
-    match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => RecvError::TimedOut,
-        _ => RecvError::Disconnected,
-    }
-}
-
 /// Reads one CRLF-terminated line, enforcing the head-size budget.
 fn read_line<R: BufRead>(reader: &mut R, head_bytes: &mut usize) -> Result<String, RecvError> {
     let mut line = Vec::new();
     loop {
-        let available = reader.fill_buf().map_err(recv_io_error)?;
+        let available = reader.fill_buf().map_err(|_| RecvError::Disconnected)?;
         if available.is_empty() {
             if line.is_empty() {
                 return Err(RecvError::Disconnected);
@@ -346,10 +333,8 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serializes a response onto any sink: the socket in threads mode, or
-/// a `Vec<u8>` that the epoll loop later flushes with partial-write
-/// resumption — one serializer, so responses are byte-identical across
-/// `--io` modes.
+/// Serializes a response onto any sink — in the server, a `Vec<u8>`
+/// that the event loop later flushes with partial-write resumption.
 pub fn write_response<W: Write>(
     stream: &mut W,
     status: u16,
@@ -391,11 +376,11 @@ pub fn write_response_with<W: Write>(
     stream.flush()
 }
 
-/// The 503 the acceptor writes when the worker queue is full. The body
-/// is the same v2 envelope as every other error the service emits, with
-/// `retry_after` mirrored in a `retry-after` header (seconds) so
-/// well-behaved clients back off for roughly as long as the queue needs
-/// to drain.
+/// The 503 the event loop answers with when the worker queue is full.
+/// The body is the same v2 envelope as every other error the service
+/// emits, with `retry_after` mirrored in a `retry-after` header
+/// (seconds) so well-behaved clients back off for roughly as long as
+/// the queue needs to drain.
 pub fn overloaded_response(retry_after_secs: u64) -> Vec<u8> {
     let body = crate::envelope::envelope_body(
         "overloaded",

@@ -5,33 +5,34 @@
 //! repeated partitioning queries (the common case in schedule tuning:
 //! same graph, sweeping bounds; or same bound, many graphs) amortize
 //! parsing and benefit from a result cache. Everything is built on
-//! `std::net` + `std::thread` — no external dependencies, matching the
-//! workspace's offline-build constraint.
+//! `std` plus the in-tree `tgp-net` event loop — no external
+//! dependencies, matching the workspace's offline-build constraint.
 //!
 //! # Architecture
 //!
 //! ```text
-//!  --io threads        accept()              BoundedQueue<Work>      pop()
-//!  clients ──────────▶ acceptor thread ──▶ [conn|request|subtask] ─▶ worker pool ─▶ handlers
-//!                                                   ▲ ▲ full?          │      ▲        │
-//!  --io epoll          tgp-net event loop ──────────┘ └ 503+retry      │      │        │
-//!  clients ──────────▶ (framing, timeouts,  ◀── LoopHandle::submit ────┘      │        │
-//!                       partial writes)               batch scatter/gather ───┤        │
-//!                                                                 ResultCache ┴────────┘
+//!             tgp-net event loop           BoundedQueue<Work>      pop()
+//!  clients ─▶ (accept, framing,    ──────▶ [request|subtask] ───▶ worker pool ─▶ handlers
+//!              timeouts, partial             ▲ full?                │      ▲        │
+//!              writes)             ◀── 503+retry                    │      │        │
+//!                                  ◀── LoopHandle::submit ──────────┘      │        │
+//!                                              batch scatter/gather ───────┤        │
+//!                                                              ResultCache ┴────────┘
 //! ```
 //!
-//! * [`server`] — the connection front-ends (thread-per-connection
-//!   acceptor, or the `tgp-net` epoll event loop — see [`IoMode`]),
-//!   bounded queue, worker pool, graceful shutdown ([`Server`],
-//!   [`ServerConfig`]), plus cache persistence (warm load on boot,
-//!   periodic flush, dump on shutdown).
+//! * [`server`] — the `tgp-net` event loops (one per `--loops`), the
+//!   per-loop queues, the worker pool and graceful shutdown
+//!   ([`Server`], [`ServerConfig`]), plus cache-journal attach and
+//!   compaction. Linux-only: elsewhere [`Server::start`] fails with
+//!   `Unsupported`.
 //! * [`api`] — routing and the JSON handlers ([`AppState`]); batch
 //!   requests scatter across the pool and gather in order.
 //! * [`cache`] — sharded, byte-budgeted LRU over canonical request-byte
-//!   keys, with optional TTL and dump/load persistence
+//!   keys, with optional TTL and an append-on-ack journal
 //!   ([`CacheConfig`]).
 //! * [`metrics`] — atomic counters rendered as Prometheus text.
-//! * [`http`] — minimal HTTP/1.1 parsing/serialization.
+//! * [`http`] — minimal HTTP/1.1 parsing/serialization over framed
+//!   bytes.
 //! * [`pool`] — the bounded MPMC work queue.
 //!
 //! # Endpoints
@@ -75,7 +76,6 @@
 
 pub mod api;
 pub mod cache;
-mod cache_journal;
 pub mod envelope;
 pub mod http;
 pub mod metrics;
@@ -85,4 +85,4 @@ pub mod server;
 pub use api::AppState;
 pub use cache::{CacheConfig, KeyBuilder, ResultCache};
 pub use metrics::Metrics;
-pub use server::{IoMode, Server, ServerConfig};
+pub use server::{Server, ServerConfig};

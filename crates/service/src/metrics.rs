@@ -95,9 +95,9 @@ pub struct Metrics {
     /// Result-cache traffic.
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    /// Connections currently waiting in the bounded queue.
+    /// Requests currently waiting in the bounded queue.
     queue_depth: AtomicU64,
-    /// Worker threads currently handling a connection.
+    /// Worker threads currently handling a request.
     busy_workers: AtomicU64,
     /// Requests shed by the cost-based admission guard (503 with code
     /// `shed_expensive`).
@@ -113,8 +113,8 @@ pub struct Metrics {
     graph_spilled: AtomicU64,
     /// Flat-ingested graphs by backing, indexed like [`STORE_BACKINGS`].
     store_backing: [AtomicU64; STORE_BACKINGS.len()],
-    /// Connection-layer counters, one set per event loop (threads mode
-    /// and single-loop epoll have exactly one). `/metrics` renders the
+    /// Connection-layer counters, one set per event loop (a single-loop
+    /// server has exactly one). `/metrics` renders the
     /// *sum* for the unlabeled totals — summing at render time means a
     /// loop that is torn down (its gauge already decremented by its own
     /// force-close path) can never double-count — plus per-loop
@@ -317,10 +317,9 @@ impl Metrics {
         self.graph_spilled.load(Ordering::Relaxed)
     }
 
-    /// The connection-layer counters of loop 0. The transport
-    /// increments them (the epoll loop for open connections,
-    /// backpressure, timeouts and wakeups; the threads-mode servers for
-    /// open connections and timeouts) and `/metrics` renders them.
+    /// The connection-layer counters of loop 0. The event loop
+    /// increments them (open connections, backpressure, timeouts and
+    /// wakeups) and `/metrics` renders them.
     /// Multi-loop servers address their other loops via
     /// [`Metrics::net_for`].
     pub fn net(&self) -> &Arc<NetCounters> {

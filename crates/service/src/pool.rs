@@ -1,18 +1,17 @@
 //! A bounded MPMC queue feeding the worker pool.
 //!
-//! The acceptor pushes accepted connections with [`BoundedQueue::try_push`];
-//! when the queue is full the push fails immediately and the acceptor
-//! sheds load with a canned 503 instead of letting latency grow without
+//! The event loop pushes framed requests with [`BoundedQueue::try_push`];
+//! when the queue is full the push fails immediately and the loop sheds
+//! load with a canned 503 instead of letting latency grow without
 //! bound. Workers block in [`BoundedQueue::pop`] until work arrives or
 //! the queue is closed for shutdown.
 //!
-//! Since batch fan-out, the queue carries [`Work`]: whole connections
-//! from the acceptor *and* individual batch subtasks scattered by a
-//! worker coordinating a `/v1/partition` batch (see
-//! [`crate::api::BatchSubtask`] for why that can never deadlock).
+//! The queue carries [`Work`]: framed requests from the event loop
+//! *and* individual batch subtasks scattered by a worker coordinating a
+//! `/v1/partition` batch (see [`crate::api::BatchSubtask`] for why that
+//! can never deadlock).
 
 use std::collections::VecDeque;
-use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -23,19 +22,9 @@ use tgp_obs::TraceId;
 /// One unit of work a pool worker can execute.
 #[derive(Debug)]
 pub enum Work {
-    /// An accepted connection (threads mode): serve HTTP exchanges on it
-    /// until it ends. The worker owns the socket for the connection's
-    /// whole lifetime.
-    Conn {
-        /// The accepted socket.
-        stream: TcpStream,
-        /// When the acceptor pushed it, for the first request's
-        /// queue-wait span.
-        enqueued_at: Instant,
-    },
-    /// One complete framed request (epoll mode): parse, handle, and
-    /// submit the response back through the event loop. The worker never
-    /// touches a socket.
+    /// One complete framed request: parse, handle, and submit the
+    /// response back through the event loop. The worker never touches a
+    /// socket.
     Request {
         /// Which connection the request arrived on.
         conn: ConnId,
@@ -178,7 +167,7 @@ impl<T> QueueSet<T> {
         }
     }
 
-    /// A single-queue set (threads mode, or a 1-loop server).
+    /// A single-queue set (a 1-loop server).
     pub fn single(queue: Arc<BoundedQueue<T>>) -> QueueSet<T> {
         QueueSet::new(vec![queue])
     }

@@ -1,56 +1,42 @@
-//! The TCP transport: two interchangeable connection models in front of
-//! one worker pool.
+//! The TCP transport: the `tgp-net` event loop in front of one worker
+//! pool.
 //!
-//! **Threads mode** (`--io threads`): one acceptor thread owns the
-//! listener and pushes accepted connections onto a [`BoundedQueue`] of
-//! [`Work`]; a worker serves each connection's keep-alive exchanges
-//! start to finish. Simple and portable, but every in-flight connection
-//! pins a worker, so persistent connections beyond `--workers` starve
-//! (EXPERIMENTS.md §SRV-OPEN / §SRV-EPOLL).
+//! Event-loop threads own accept, request framing, timeouts, and
+//! response writes. Only *complete* requests reach a queue (as
+//! [`Work::Request`]), so workers always compute instead of babysitting
+//! sockets; thousands of connections can be open while `--workers`
+//! stays small. Responses travel back through a [`LoopHandle`]. When a
+//! loop's queue is full it sheds at the door with a 503 carrying a
+//! `retry-after` derived from the queue depth.
 //!
-//! **Epoll mode** (`--io epoll`, Linux): `tgp-net` event-loop threads
-//! own accept, request framing, timeouts, and response writes. Only
-//! *complete* requests reach a queue (as [`Work::Request`]), so workers
-//! always compute instead of babysitting sockets; thousands of
-//! connections can be open while `--workers` stays small. Responses
-//! travel back through a [`LoopHandle`].
-//!
-//! With `loops > 1` (`--loops N`, default `auto` at the CLI), epoll
-//! mode runs a [`LoopSet`]: N `SO_REUSEPORT` listeners on one address,
-//! one event loop per core, each with its own accept path, timer
-//! wheel, wake channel, per-loop [`Work`] queue, and a pinned slice of
-//! the worker pool — the request hot path never crosses a loop
-//! boundary. The result cache shards scale with the loop count and the
+//! With `loops > 1` (`--loops N`, default `auto` at the CLI), the server
+//! runs a [`LoopSet`]: N `SO_REUSEPORT` listeners on one address, one
+//! event loop per core, each with its own accept path, timer wheel,
+//! wake channel, per-loop [`Work`] queue, and a pinned slice of the
+//! worker pool — the request hot path never crosses a loop boundary.
+//! The result cache shards scale with the loop count and the
 //! session/store state stays global behind its existing locks (see
 //! docs/SERVICE.md "Multi-core model" for the cross-loop semantics).
 //!
-//! Both modes share the queue, the worker pool, the HTTP parser and
-//! serializer, and the handler — responses are byte-identical; only the
-//! connection plumbing differs. When the queue is full, both shed at
-//! the door with a 503 carrying a `retry-after` derived from the queue
-//! depth.
+//! The event loop is Linux-only; elsewhere [`Server::start`] fails with
+//! `ErrorKind::Unsupported`.
 //!
 //! With a cache file configured, the server attaches an append-on-ack
-//! journal (see `cache_journal`): boot replays the longest intact
-//! prefix (a corrupt tail is trimmed; a foreign file is logged and left
-//! untouched — never trusted), every admitted insert appends one
-//! record, and a maintenance thread compacts a grown log back to a
-//! snapshot of the live entries, as does a graceful
-//! [`Server::shutdown`]. An abrupt kill (`kill -9`) therefore loses at
-//! most one torn record. Legacy whole-file `TGPCACHE` dumps are
-//! migrated to journal form on boot.
+//! journal (see [`ResultCache::attach_journal`](crate::ResultCache::attach_journal)):
+//! boot replays the longest intact prefix (a corrupt tail is trimmed; a
+//! foreign file is logged and left untouched — never trusted), every
+//! admitted insert appends one record, and a maintenance thread
+//! compacts a grown log back to a snapshot of the live entries, as does
+//! a graceful [`Server::shutdown`]. An abrupt kill (`kill -9`) therefore
+//! loses at most one torn record.
 //!
-//! Shutdown: in threads mode, [`Server::shutdown`] raises a flag,
-//! connects to the listener once to unblock `accept()`, and the exiting
-//! acceptor closes the queue; workers notice at their next request
-//! boundary (bounded by the read timeout). In epoll mode the event loop
-//! drains first — accepting stops, idle connections close, in-flight
-//! requests get the drain window to finish *while workers are still
-//! alive to answer them* — and only then is the queue closed and the
-//! pool joined. The final cache dump happens after both.
+//! Shutdown: the event loops drain first — accepting stops, idle
+//! connections close, in-flight requests get the drain window to finish
+//! *while workers are still alive to answer them* — and only then are
+//! the queues closed and the pool joined. The final journal compactions
+//! happen after both.
 
-use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -68,46 +54,7 @@ use crate::pool::{BoundedQueue, PushError, QueueSet, Work};
 use tgp_net::{
     request_header_value, Action, ConnId, FrameError, LoopHandle, LoopSet, NetConfig, ShardSpec,
 };
-use tgp_obs::{EventKind, Stage, TraceId};
-
-/// Which connection model the server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoMode {
-    /// Thread-per-connection: a worker owns each accepted socket for
-    /// its whole lifetime. Portable; degrades when open connections
-    /// exceed `workers`.
-    Threads,
-    /// Readiness-driven event loop (`tgp-net`, Linux only): one thread
-    /// multiplexes every socket and workers only see complete requests.
-    Epoll,
-}
-
-impl Default for IoMode {
-    /// Epoll where it exists: the event loop serves any number of
-    /// connections with `workers` threads, while thread-per-connection
-    /// starves everything beyond the pool (EXPERIMENTS.md §SRV-EPOLL).
-    fn default() -> IoMode {
-        if cfg!(target_os = "linux") {
-            IoMode::Epoll
-        } else {
-            IoMode::Threads
-        }
-    }
-}
-
-impl std::str::FromStr for IoMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<IoMode, String> {
-        match s {
-            "threads" => Ok(IoMode::Threads),
-            "epoll" => Ok(IoMode::Epoll),
-            other => Err(format!(
-                "unknown io mode {other:?} (expected \"threads\" or \"epoll\")"
-            )),
-        }
-    }
-}
+use tgp_obs::{EventKind, TraceId};
 
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -115,15 +62,13 @@ pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7070` (port 0 picks an ephemeral
     /// port — useful for tests).
     pub addr: String,
-    /// Connection model; see [`IoMode`].
-    pub io: IoMode,
     /// Number of worker threads.
     pub workers: usize,
-    /// Event loops in epoll mode: each gets its own `SO_REUSEPORT`
-    /// listener, timer wheel, request queue, and worker slice. `0`
-    /// means auto (one per available core, capped at [`MAX_LOOPS`]).
-    /// Ignored in threads mode. The library default is 1 — embedders
-    /// and tests get the single-loop behavior unless they opt in.
+    /// Event loops: each gets its own `SO_REUSEPORT` listener, timer
+    /// wheel, request queue, and worker slice. `0` means auto (one per
+    /// available core, capped at [`MAX_LOOPS`]). The library default
+    /// is 1 — embedders and tests get the single-loop behavior unless
+    /// they opt in.
     pub loops: usize,
     /// Result-cache policy: byte budget, TTL, admission limit. A zero
     /// budget disables caching.
@@ -136,32 +81,24 @@ pub struct ServerConfig {
     /// How often the maintenance thread checks whether the cache
     /// journal has outgrown the live entries and compacts it.
     pub cache_flush_interval: Duration,
-    /// Connections allowed to wait for a worker before the acceptor
-    /// sheds load with 503.
+    /// Requests allowed to wait for a worker before the event loop
+    /// sheds load with 503 (split evenly across loops).
     pub queue_depth: usize,
     /// Largest accepted request body, in bytes.
     pub max_body_bytes: usize,
-    /// Simultaneously open connections (epoll mode): at the cap the
-    /// listener pauses instead of accepting. Ignored in threads mode,
-    /// where `queue_depth` plus `workers` bounds concurrency.
+    /// Simultaneously open connections: at the cap the listener pauses
+    /// instead of accepting.
     pub max_connections: usize,
     /// Total deadline for receiving one complete request, from its
     /// first byte. Progress does not reset it, so byte-at-a-time
-    /// senders still time out. Also bounds shutdown latency in threads
-    /// mode.
+    /// senders still time out.
     pub read_timeout: Duration,
-    /// Total deadline for writing one complete response (epoll mode);
-    /// per-write-syscall deadline in threads mode.
+    /// Progress-based deadline for writing one response: a connection
+    /// that accepts at least [`tgp_net::WRITE_MIN_BYTES`] per window
+    /// keeps its timer renewed, so a large response to a slow-but-live
+    /// reader survives while a stalled one closes within one window.
     pub write_timeout: Duration,
-    /// Progress floor for the write deadline (epoll mode): a connection
-    /// that accepts at least this many response bytes per
-    /// `write_timeout` window keeps its timer renewed, so a large
-    /// response to a slow-but-live reader survives while a stalled one
-    /// still closes within one window. `0` restores the legacy total
-    /// deadline.
-    pub write_min_bytes: usize,
-    /// How long a keep-alive connection may sit idle between requests
-    /// (epoll mode). Threads mode folds idle time into `read_timeout`.
+    /// How long a keep-alive connection may sit idle between requests.
     pub idle_timeout: Duration,
     /// Shed cache-missing requests whose [`cost
     /// estimate`](tgp_solvers::Solver::cost_estimate) exceeds this once
@@ -202,7 +139,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:7070".into(),
-            io: IoMode::default(),
             workers: 4,
             loops: 1,
             cache: CacheConfig::default(),
@@ -213,7 +149,6 @@ impl Default for ServerConfig {
             max_connections: 1024,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
-            write_min_bytes: 1024,
             idle_timeout: Duration::from_secs(60),
             shed_cost: None,
             shed_remaining: None,
@@ -251,49 +186,38 @@ pub struct Server {
     state: Arc<AppState>,
     stop: Arc<AtomicBool>,
     queues: Arc<QueueSet<Work>>,
-    acceptor: Option<JoinHandle<()>>,
     loops: Option<LoopSet>,
     workers: Vec<JoinHandle<()>>,
     flusher: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds the listener and spawns the connection front-end
-    /// (acceptor thread or epoll event loop, per `config.io`) plus the
-    /// worker pool. With a `cache_file`, attaches the cache journal
-    /// first — replaying what survives, rejecting (with a log line) any
-    /// file that fails validation — and spawns the compaction thread.
+    /// Binds the listeners and spawns the event loops plus the worker
+    /// pool. With a `cache_file`, attaches the cache journal first —
+    /// replaying what survives, rejecting (with a log line) any file
+    /// that fails validation — and spawns the compaction thread.
+    ///
+    /// Fails with `ErrorKind::Unsupported` off Linux, where the
+    /// `tgp-net` event loop does not exist.
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
-        let loop_count = match config.io {
-            IoMode::Epoll => resolve_loops(config.loops),
-            IoMode::Threads => 1,
-        };
+        let loop_count = resolve_loops(config.loops);
         // Bind before anything else so a bad address fails fast. A
         // single loop binds a plain listener (no `SO_REUSEPORT`), so
         // double-binding a busy port still fails loudly; multi-loop
         // binds `loop_count` reuseport listeners sharing the address
         // and lets the kernel hash connections across them.
-        let (threads_listener, shard_listeners, local_addr) = match (config.io, loop_count) {
-            (IoMode::Threads, _) => {
-                let listener = TcpListener::bind(&config.addr)?;
-                let addr = listener.local_addr()?;
-                (Some(listener), Vec::new(), addr)
-            }
-            (IoMode::Epoll, 1) => {
-                let listener = TcpListener::bind(&config.addr)?;
-                let addr = listener.local_addr()?;
-                (None, vec![listener], addr)
-            }
-            (IoMode::Epoll, n) => {
-                let addr = config.addr.to_socket_addrs()?.next().ok_or_else(|| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        "bind address resolved to nothing",
-                    )
-                })?;
-                let (listeners, addr) = LoopSet::bind(&addr, n)?;
-                (None, listeners, addr)
-            }
+        let (listeners, local_addr) = if loop_count == 1 {
+            let listener = TcpListener::bind(&config.addr)?;
+            let addr = listener.local_addr()?;
+            (vec![listener], addr)
+        } else {
+            let addr = config.addr.to_socket_addrs()?.next().ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    "bind address resolved to nothing",
+                )
+            })?;
+            LoopSet::bind(&addr, loop_count)?
         };
         // Journal-backed sessions replay before the listener serves a
         // request, so clients never observe a pre-replay store. A file
@@ -357,16 +281,11 @@ impl Server {
         if let Some(path) = &config.cache_file {
             match state.cache.attach_journal(path) {
                 Ok(report) => eprintln!(
-                    "tgp-serve cache journal {} replayed: {} entries{}{}",
+                    "tgp-serve cache journal {} replayed: {} entries{}",
                     path.display(),
                     report.admitted,
                     if report.truncated {
                         " (torn tail trimmed)"
-                    } else {
-                        ""
-                    },
-                    if report.migrated {
-                        " (migrated from legacy dump)"
                     } else {
                         ""
                     },
@@ -378,6 +297,36 @@ impl Server {
             }
         }
 
+        // The loops start before the workers, so a platform without the
+        // event loop fails here with no thread left to join. Requests
+        // framed in the meantime simply wait in their queue.
+        let net_config = NetConfig {
+            // The connection cap splits across loops so the configured
+            // total still bounds the whole server.
+            max_connections: config.max_connections.max(1).div_ceil(loop_count),
+            read_timeout: config.read_timeout,
+            write_timeout: config.write_timeout,
+            idle_timeout: config.idle_timeout,
+            max_head_bytes: MAX_HEAD_BYTES,
+            max_body_bytes: config.max_body_bytes as u64,
+            journal: state.debug_endpoints.then(|| Arc::clone(&state.journal)),
+            ..NetConfig::default()
+        };
+        let shards = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(i, listener)| ShardSpec {
+                listener,
+                counters: Arc::clone(state.metrics.net_for(i).expect("metrics sized for loops")),
+                handler: Arc::new(EpollHandler {
+                    state: Arc::clone(&state),
+                    queue: Arc::clone(&shard_queues[i]),
+                    workers: worker_shares[i],
+                }),
+            })
+            .collect();
+        let loop_set = LoopSet::spawn(shards, &net_config)?;
+
         let mut workers = Vec::new();
         for (shard, share) in worker_shares.iter().enumerate() {
             for slot in 0..*share {
@@ -385,8 +334,6 @@ impl Server {
                 let state = Arc::clone(&state);
                 let stop = Arc::clone(&stop);
                 let max_body = config.max_body_bytes;
-                let read_timeout = config.read_timeout;
-                let write_timeout = config.write_timeout;
                 let name = if loop_count == 1 {
                     format!("tgp-worker-{slot}")
                 } else {
@@ -399,31 +346,6 @@ impl Server {
                             state.metrics.queue_changed(-1);
                             state.metrics.workers_changed(1);
                             match work {
-                                Work::Conn {
-                                    stream,
-                                    enqueued_at,
-                                } => {
-                                    if state.debug_endpoints {
-                                        let now = Instant::now();
-                                        let wait = now.saturating_duration_since(enqueued_at);
-                                        state.journal.append_at(
-                                            now,
-                                            EventKind::Dequeue,
-                                            0,
-                                            0,
-                                            wait.as_nanos() as u64,
-                                        );
-                                    }
-                                    serve_connection(
-                                        &state,
-                                        &stop,
-                                        stream,
-                                        enqueued_at,
-                                        max_body,
-                                        read_timeout,
-                                        write_timeout,
-                                    );
-                                }
                                 Work::Request {
                                     conn,
                                     bytes,
@@ -457,7 +379,7 @@ impl Server {
                                             max_body,
                                             &stop,
                                             trace,
-                                            Some(enqueued_at),
+                                            enqueued_at,
                                             now,
                                             deadline,
                                         );
@@ -477,94 +399,6 @@ impl Server {
                 workers.push(worker);
             }
         }
-
-        let (acceptor, loop_set) = match config.io {
-            IoMode::Threads => {
-                let listener = threads_listener.expect("threads mode bound a listener");
-                let queue = Arc::clone(&shard_queues[0]);
-                let state = Arc::clone(&state);
-                let stop = Arc::clone(&stop);
-                let acceptor = std::thread::Builder::new()
-                    .name("tgp-acceptor".into())
-                    .spawn(move || {
-                        for stream in listener.incoming() {
-                            if stop.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            let Ok(stream) = stream else { continue };
-                            // Raise the gauge *before* the push: a worker may
-                            // pop (and decrement) the instant the push lands,
-                            // and increment-after would transiently wrap the
-                            // gauge below zero.
-                            state.metrics.queue_changed(1);
-                            let enqueued_at = Instant::now();
-                            if state.debug_endpoints {
-                                state
-                                    .journal
-                                    .append_at(enqueued_at, EventKind::Enqueue, 0, 0, 0);
-                            }
-                            match queue.try_push(Work::Conn {
-                                stream,
-                                enqueued_at,
-                            }) {
-                                Ok(()) => {}
-                                Err(PushError::Full(Work::Conn { mut stream, .. })) => {
-                                    state.metrics.queue_changed(-1);
-                                    state.metrics.record_overload();
-                                    if state.debug_endpoints {
-                                        state.journal.append(EventKind::Shed, 0, 0, 0);
-                                    }
-                                    let retry = retry_after_secs(queue.len(), worker_count);
-                                    let _ = stream.write_all(&overloaded_response(retry));
-                                    let _ = stream.flush();
-                                }
-                                Err(_) => {
-                                    // Closed (shutdown) — or a Full returning
-                                    // something other than what we pushed,
-                                    // which cannot happen.
-                                    state.metrics.queue_changed(-1);
-                                    break;
-                                }
-                            }
-                        }
-                        queue.close();
-                    })
-                    .expect("spawn acceptor");
-                (Some(acceptor), None)
-            }
-            IoMode::Epoll => {
-                let net_config = NetConfig {
-                    // The connection cap splits across loops so the
-                    // configured total still bounds the whole server.
-                    max_connections: config.max_connections.max(1).div_ceil(loop_count),
-                    read_timeout: config.read_timeout,
-                    write_timeout: config.write_timeout,
-                    write_min_bytes: config.write_min_bytes,
-                    idle_timeout: config.idle_timeout,
-                    max_head_bytes: MAX_HEAD_BYTES,
-                    max_body_bytes: config.max_body_bytes as u64,
-                    journal: state.debug_endpoints.then(|| Arc::clone(&state.journal)),
-                    ..NetConfig::default()
-                };
-                let shards = shard_listeners
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, listener)| ShardSpec {
-                        listener,
-                        counters: Arc::clone(
-                            state.metrics.net_for(i).expect("metrics sized for loops"),
-                        ),
-                        handler: Arc::new(EpollHandler {
-                            state: Arc::clone(&state),
-                            queue: Arc::clone(&shard_queues[i]),
-                            workers: worker_shares[i],
-                        }),
-                    })
-                    .collect();
-                let loop_set = LoopSet::spawn(shards, &net_config)?;
-                (None, Some(loop_set))
-            }
-        };
 
         // Appends make every insert durable on their own; this thread
         // only keeps the journal from growing without bound.
@@ -601,8 +435,7 @@ impl Server {
             state,
             stop,
             queues,
-            acceptor,
-            loops: loop_set,
+            loops: Some(loop_set),
             workers,
             flusher,
         })
@@ -618,7 +451,7 @@ impl Server {
         &self.state
     }
 
-    /// Number of event loops serving (epoll mode; 0 in threads mode).
+    /// Number of event loops serving (0 once shut down).
     pub fn net_loops(&self) -> usize {
         self.loops.as_ref().map_or(0, LoopSet::len)
     }
@@ -634,11 +467,8 @@ impl Server {
     }
 
     /// Blocks until the server stops (i.e. forever, unless another
-    /// thread calls [`Server::shutdown`] or the front-end dies).
+    /// thread calls [`Server::shutdown`]).
     pub fn wait(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -650,24 +480,16 @@ impl Server {
     /// Stops accepting, drains in-flight work, joins all threads, and
     /// (with a cache file configured) compacts the cache journal.
     ///
-    /// In epoll mode the event loops drain *before* the queues close:
-    /// dispatched requests still have live workers to compute them and
-    /// a live loop to flush their responses. Multi-loop teardown drains
-    /// every loop concurrently — one drain window total.
+    /// The event loops drain *before* the queues close: dispatched
+    /// requests still have live workers to compute them and a live
+    /// loop to flush their responses. Multi-loop teardown drains every
+    /// loop concurrently — one drain window total.
     pub fn shutdown(&mut self) {
         if let Some(loop_set) = self.loops.take() {
             loop_set.shutdown();
         }
         self.stop.store(true, Ordering::SeqCst);
-        if self.acceptor.is_some() {
-            // Unblock `accept()` with a throwaway connection; the
-            // acceptor re-checks the stop flag before queueing it, then
-            // closes the queue on its way out.
-            let _ = TcpStream::connect(self.local_addr);
-        } else {
-            // Epoll mode has no acceptor to close the queues.
-            self.queues.close();
-        }
+        self.queues.close();
         self.wait();
         // Compact the session journal to a snapshot: restart replays one
         // record per graph instead of the whole edit history.
@@ -681,8 +503,6 @@ impl Server {
         let _ = self.state.cache.compact_journal();
     }
 }
-
-// ---- epoll front-end ----------------------------------------------
 
 /// The `tgp-net` handler: runs on the event-loop thread, so it only
 /// does bounded work — a queue push, or serializing a canned error.
@@ -698,8 +518,9 @@ impl tgp_net::Handler for EpollHandler {
         // request's story. A client-supplied x-trace-id/traceparent
         // header replaces this id at parse time on the worker.
         let trace = TraceId::mint();
-        // Same gauge protocol as the threads acceptor: raise before the
-        // push so a racing worker's decrement cannot wrap it.
+        // Raise the gauge *before* the push: a worker may pop (and
+        // decrement) the instant the push lands, and increment-after
+        // would transiently wrap the gauge below zero.
         self.state.metrics.queue_changed(1);
         let enqueued_at = Instant::now();
         if self.state.debug_endpoints {
@@ -781,13 +602,12 @@ impl tgp_net::Handler for EpollHandler {
 }
 
 /// Parses one framed request and serializes the response — the worker
-/// half of epoll mode. Same parser and serializer as threads mode, so
-/// both `--io` modes answer byte-identically. Returns the wire bytes,
-/// whether the connection should be kept alive, and the trace id and
-/// commit handle the request ran under (NONE/None for unparseable
-/// requests), so the caller can attribute the eventual socket write.
+/// half of the transport. Returns the wire bytes, whether the
+/// connection should be kept alive, and the trace id and commit handle
+/// the request ran under (NONE/None for unparseable requests), so the
+/// caller can attribute the eventual socket write.
 // Transport plumbing: each argument is a distinct per-request fact the
-// epoll loop already holds; bundling them into a struct would only move
+// event loop already holds; bundling them into a struct would only move
 // the same list one call further away.
 #[allow(clippy::too_many_arguments)]
 fn respond_to_bytes(
@@ -796,13 +616,13 @@ fn respond_to_bytes(
     max_body: usize,
     stop: &AtomicBool,
     trace: TraceId,
-    enqueued_at: Option<Instant>,
+    enqueued_at: Instant,
     dequeued_at: Instant,
     deadline: Option<Instant>,
 ) -> (Vec<u8>, bool, TraceId, Option<u64>) {
     let mut reader = bytes;
     let mut out = Vec::new();
-    // Epoll mode frames the whole request on the heap; re-parsing it
+    // The event loop frames the whole request on the heap; re-parsing it
     // through the spilling reader moves a huge body into an unlinked
     // spill mapping, so the frame buffer can be dropped before the
     // (long) solve phase holds the bytes.
@@ -812,7 +632,7 @@ fn respond_to_bytes(
             let parse = dequeued_at.elapsed();
             let ctx = RequestCtx {
                 trace,
-                enqueued_at,
+                enqueued_at: Some(enqueued_at),
                 dequeued_at,
                 parse,
                 deadline,
@@ -829,11 +649,9 @@ fn respond_to_bytes(
             );
             (out, keep_alive, response.trace, response.trace_seq)
         }
-        // The framer only dispatches complete requests, so these are
+        // The framer only dispatches complete requests, so this is
         // unreachable in practice; answer with a close either way.
-        Err(RecvError::Disconnected) | Err(RecvError::TimedOut) => {
-            (out, false, TraceId::NONE, None)
-        }
+        Err(RecvError::Disconnected) => (out, false, TraceId::NONE, None),
         Err(RecvError::BadRequest(message)) => {
             let body = envelope_body("bad_request", &message, None, None, false);
             state.metrics.record_request("other", 400, Duration::ZERO);
@@ -865,192 +683,4 @@ fn expired_in_queue_response(state: &AppState) -> (Vec<u8>, bool) {
     let mut out = Vec::new();
     let _ = write_response(&mut out, 504, "application/json", body.as_bytes(), false);
     (out, false)
-}
-
-// ---- threads front-end --------------------------------------------
-
-/// Wraps a blocking socket with a *total* deadline: every read gets a
-/// socket timeout of exactly the time remaining, so a byte-at-a-time
-/// sender cannot reset the clock by making progress (slowloris
-/// defense) — the same read-timeout semantics the epoll loop enforces
-/// with its timer wheel.
-struct DeadlineStream {
-    stream: TcpStream,
-    deadline: Instant,
-}
-
-impl DeadlineStream {
-    /// Starts the next request's deadline window.
-    fn reset(&mut self, timeout: Duration) {
-        self.deadline = Instant::now() + timeout;
-    }
-}
-
-impl Read for DeadlineStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let remaining = self.deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "request deadline elapsed",
-            ));
-        }
-        self.stream.set_read_timeout(Some(remaining))?;
-        self.stream.read(buf)
-    }
-}
-
-/// Serves keep-alive exchanges on one connection until it ends
-/// (threads mode). Maintains the same `tgp-net` counters the epoll
-/// loop does, so `/metrics` means the same thing under both `--io`
-/// modes; threads mode folds idle keep-alive time into the read
-/// deadline, so `kind="idle"` stays zero here.
-fn serve_connection(
-    state: &AppState,
-    stop: &AtomicBool,
-    stream: TcpStream,
-    enqueued_at: Instant,
-    max_body: usize,
-    read_timeout: Duration,
-    write_timeout: Duration,
-) {
-    let net = Arc::clone(state.metrics.net());
-    net.open_connections.fetch_add(1, Ordering::Relaxed);
-    serve_connection_inner(
-        state,
-        stop,
-        stream,
-        enqueued_at,
-        max_body,
-        read_timeout,
-        write_timeout,
-    );
-    net.open_connections.fetch_sub(1, Ordering::Relaxed);
-}
-
-fn serve_connection_inner(
-    state: &AppState,
-    stop: &AtomicBool,
-    stream: TcpStream,
-    enqueued_at: Instant,
-    max_body: usize,
-    read_timeout: Duration,
-    write_timeout: Duration,
-) {
-    let net = state.metrics.net();
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let _ = write_half.set_write_timeout(Some(write_timeout));
-    let mut write_half = write_half;
-    let mut reader = BufReader::new(DeadlineStream {
-        stream,
-        deadline: Instant::now() + read_timeout,
-    });
-
-    // Only the connection's first request waited on the worker queue;
-    // later keep-alive requests start their trace at read time.
-    let mut pending_enqueue = Some(enqueued_at);
-    let spill = state.body_spill();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let read_started = Instant::now();
-        match read_request_spilling(&mut reader, max_body, Some(&spill)) {
-            Ok(request) => {
-                // In threads mode the parse span includes the blocking
-                // socket read (the two are one pass over the stream);
-                // see docs/OBSERVABILITY.md.
-                let ctx = RequestCtx {
-                    trace: TraceId::NONE,
-                    enqueued_at: pending_enqueue.take(),
-                    dequeued_at: read_started,
-                    parse: read_started.elapsed(),
-                    // Threads mode has no frame-time peek; handle_traced
-                    // parses the x-deadline-ms header itself.
-                    deadline: None,
-                };
-                let response = handle_traced(state, &request, ctx);
-                let keep_alive = request.keep_alive && !stop.load(Ordering::SeqCst);
-                let write_started = Instant::now();
-                match write_response_with(
-                    &mut write_half,
-                    response.status,
-                    response.content_type,
-                    &response.headers,
-                    response.body.as_bytes(),
-                    keep_alive,
-                ) {
-                    Ok(()) => {
-                        let write_done = Instant::now();
-                        let write_dur = write_done.saturating_duration_since(write_started);
-                        state.metrics.record_stage(Stage::Write, write_dur);
-                        if let Some(seq) = response.trace_seq {
-                            state.traces.append_span_at(
-                                seq,
-                                response.trace,
-                                Stage::Write,
-                                write_dur,
-                            );
-                        }
-                        if state.debug_endpoints {
-                            state.journal.append_at(
-                                write_done,
-                                EventKind::WriteDone,
-                                response.trace.as_u64(),
-                                0,
-                                write_dur.as_nanos() as u64,
-                            );
-                        }
-                        if !keep_alive {
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) {
-                            net.timeout_closes_write.fetch_add(1, Ordering::Relaxed);
-                        }
-                        return;
-                    }
-                }
-                // The next request gets a fresh total deadline.
-                reader.get_mut().reset(read_timeout);
-            }
-            Err(RecvError::Disconnected) => return,
-            Err(RecvError::TimedOut) => {
-                net.timeout_closes_read.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            Err(RecvError::BadRequest(message)) => {
-                let body = envelope_body("bad_request", &message, None, None, false);
-                state.metrics.record_request("other", 400, Duration::ZERO);
-                let _ = write_response(
-                    &mut write_half,
-                    400,
-                    "application/json",
-                    body.as_bytes(),
-                    false,
-                );
-                return;
-            }
-            Err(RecvError::BodyTooLarge { declared, limit }) => {
-                let message = format!("body of {declared} bytes exceeds limit of {limit}");
-                let body = envelope_body("body_too_large", &message, None, None, false);
-                state.metrics.record_request("other", 413, Duration::ZERO);
-                let _ = write_response(
-                    &mut write_half,
-                    413,
-                    "application/json",
-                    body.as_bytes(),
-                    false,
-                );
-                return;
-            }
-        }
-    }
 }

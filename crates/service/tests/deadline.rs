@@ -3,8 +3,8 @@
 //! 504 `deadline_exceeded` envelopes instead of wedged workers, the
 //! `tgp_deadline_drops_total{where}` counters must advance, and —
 //! critically — requests *without* deadlines must be byte-identical to
-//! a server that never heard of the feature. Runs under both `--io`
-//! modes where supported.
+//! a server that never heard of the feature. Runs under one and two
+//! event loops.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -12,17 +12,11 @@ use std::time::Duration;
 
 use tgp_graph::json::Value;
 use tgp_service::envelope::parse_envelope;
-use tgp_service::{IoMode, Server, ServerConfig};
+use tgp_service::{Server, ServerConfig};
 
-/// The `(io, loops)` configurations this target can run: threads,
-/// single-loop epoll, and the sharded two-loop epoll runtime.
-fn modes() -> Vec<(IoMode, usize)> {
-    if cfg!(target_os = "linux") {
-        vec![(IoMode::Threads, 1), (IoMode::Epoll, 1), (IoMode::Epoll, 2)]
-    } else {
-        vec![(IoMode::Threads, 1)]
-    }
-}
+/// The loop counts the scenarios run under: the single-loop runtime and
+/// the sharded two-loop runtime.
+const LOOPS: [usize; 2] = [1, 2];
 
 fn start(config: ServerConfig) -> Server {
     Server::start(ServerConfig {
@@ -105,9 +99,8 @@ fn deadline_drops(server: &Server) -> u64 {
 /// a deadline actually bites.
 #[test]
 fn generous_deadline_is_byte_identical_to_no_deadline() {
-    for (io, loops) in modes() {
+    for loops in LOOPS {
         let mut server = start(ServerConfig {
-            io,
             loops,
             ..ServerConfig::default()
         });
@@ -119,20 +112,21 @@ fn generous_deadline_is_byte_identical_to_no_deadline() {
         );
         assert_eq!(bare_status, 200, "{bare}");
         assert_eq!(dead_status, 200, "{dead}");
-        assert_eq!(bare, dead, "deadline header changed a 200 body ({io:?})");
+        assert_eq!(
+            bare, dead,
+            "deadline header changed a 200 body (loops={loops})"
+        );
         server.shutdown();
     }
 }
 
 /// `x-deadline-ms: 0` is already expired on arrival: the work is
-/// dropped — at the queue in epoll mode, at the solver's first budget
-/// check in threads mode — with a stable 504 envelope, and the drop
+/// dropped at the queue with a stable 504 envelope, and the drop
 /// counters advance.
 #[test]
 fn expired_deadline_is_dropped_with_a_504_envelope() {
-    for (io, loops) in modes() {
+    for loops in LOOPS {
         let mut server = start(ServerConfig {
-            io,
             loops,
             ..ServerConfig::default()
         });
@@ -142,14 +136,14 @@ fn expired_deadline_is_dropped_with_a_504_envelope() {
             &server,
             &post_with("/v1/partition", "x-deadline-ms: 0\r\n", &body),
         );
-        assert_eq!(status, 504, "{io:?}: {reply}");
+        assert_eq!(status, 504, "loops={loops}: {reply}");
         let code = parse_envelope(reply.as_bytes()).expect("504 body is a v2 envelope");
         assert_eq!(code, "deadline_exceeded", "{reply}");
         let v = Value::parse(&reply).unwrap();
         assert_eq!(v["deadline_remaining_ms"].as_u64(), Some(0), "{reply}");
         assert!(
             deadline_drops(&server) > before,
-            "{io:?}: tgp_deadline_drops_total did not advance"
+            "loops={loops}: tgp_deadline_drops_total did not advance"
         );
         server.shutdown();
     }
@@ -175,13 +169,11 @@ fn malformed_deadline_header_is_rejected() {
 
 /// A solve too large for its deadline is cancelled cooperatively
 /// mid-run — the solver's budget check fires, the request answers 504,
-/// and the worker moves on (proved by the follow-up request). Both io
-/// modes.
+/// and the worker moves on (proved by the follow-up request).
 #[test]
 fn mid_solve_cancellation_frees_the_worker() {
-    for (io, loops) in modes() {
+    for loops in LOOPS {
         let mut server = start(ServerConfig {
-            io,
             loops,
             max_body_bytes: 16 << 20,
             ..ServerConfig::default()
@@ -192,7 +184,12 @@ fn mid_solve_cancellation_frees_the_worker() {
             &server,
             &post_with("/v1/partition", "x-deadline-ms: 2\r\n", &huge),
         );
-        assert_eq!(status, 504, "{io:?}: {}", &reply[..reply.len().min(300)]);
+        assert_eq!(
+            status,
+            504,
+            "loops={loops}: {}",
+            &reply[..reply.len().min(300)]
+        );
         assert_eq!(
             parse_envelope(reply.as_bytes()).as_deref(),
             Ok("deadline_exceeded"),
@@ -200,7 +197,7 @@ fn mid_solve_cancellation_frees_the_worker() {
         );
         assert!(
             deadline_drops(&server) > before,
-            "{io:?}: tgp_deadline_drops_total did not advance"
+            "loops={loops}: tgp_deadline_drops_total did not advance"
         );
         // The worker that cancelled is free to serve again.
         let small = format!(r#"{{"objective":"bandwidth","bound":12,"graph":{CHAIN}}}"#);

@@ -4,27 +4,17 @@
 //! the reported total; `/debug/slow` and `/debug/events` answer JSON;
 //! the `/debug/*` surfaces 404 when `debug_endpoints` is off; and
 //! `/metrics` exports the per-stage histogram and journal series.
-//! Everything runs under both `--io` modes (epoll where supported).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use tgp_graph::json::Value;
-use tgp_service::{IoMode, Server, ServerConfig};
+use tgp_service::{Server, ServerConfig};
 
-fn modes() -> Vec<IoMode> {
-    if cfg!(target_os = "linux") {
-        vec![IoMode::Threads, IoMode::Epoll]
-    } else {
-        vec![IoMode::Threads]
-    }
-}
-
-fn start(debug_endpoints: bool, io: IoMode) -> Server {
+fn start(debug_endpoints: bool) -> Server {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        io,
         debug_endpoints,
         ..ServerConfig::default()
     })
@@ -105,131 +95,117 @@ fn span_stages(trace: &Value) -> Vec<String> {
 
 #[test]
 fn client_trace_id_is_adopted_and_served_with_span_tree() {
-    for io in modes() {
-        let mut server = start(true, io);
-        let id = "00c0ffee0ddf00d1";
-        let (status, _) = roundtrip(
-            &server,
-            &post_with_headers(
-                "/v1/partition",
-                &format!("x-trace-id: {id}\r\n"),
-                &partition_body(),
-            ),
-        );
-        assert_eq!(status, 200);
+    let mut server = start(true);
+    let id = "00c0ffee0ddf00d1";
+    let (status, _) = roundtrip(
+        &server,
+        &post_with_headers(
+            "/v1/partition",
+            &format!("x-trace-id: {id}\r\n"),
+            &partition_body(),
+        ),
+    );
+    assert_eq!(status, 200);
 
-        let trace = trace_with_write_span(&server, id);
-        assert_eq!(trace["trace"].as_str(), Some(id));
-        assert_eq!(trace["endpoint"].as_str(), Some("partition"));
-        assert_eq!(trace["objective"].as_str(), Some("bandwidth"));
-        assert_eq!(trace["status"].as_u64(), Some(200));
+    let trace = trace_with_write_span(&server, id);
+    assert_eq!(trace["trace"].as_str(), Some(id));
+    assert_eq!(trace["endpoint"].as_str(), Some("partition"));
+    assert_eq!(trace["objective"].as_str(), Some("bandwidth"));
+    assert_eq!(trace["status"].as_u64(), Some(200));
 
-        let stages = span_stages(&trace);
-        for expected in ["queue", "parse", "cache", "solve", "serialize", "write"] {
-            assert!(
-                stages.iter().any(|s| s == expected),
-                "{io:?}: stage {expected} missing from {stages:?}"
-            );
-        }
-
-        // Stage durations account for at most the reported total.
-        let total_us = trace["total_us"].as_u64().expect("total_us");
-        let span_sum: u64 = trace["spans"]
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|s| s["dur_us"].as_u64().expect("dur_us"))
-            .sum();
+    let stages = span_stages(&trace);
+    for expected in ["queue", "parse", "cache", "solve", "serialize", "write"] {
         assert!(
-            span_sum <= total_us,
-            "{io:?}: spans sum to {span_sum} us > total {total_us} us"
+            stages.iter().any(|s| s == expected),
+            "stage {expected} missing from {stages:?}"
         );
-        server.shutdown();
     }
+
+    // Stage durations account for at most the reported total.
+    let total_us = trace["total_us"].as_u64().expect("total_us");
+    let span_sum: u64 = trace["spans"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|s| s["dur_us"].as_u64().expect("dur_us"))
+        .sum();
+    assert!(
+        span_sum <= total_us,
+        "spans sum to {span_sum} us > total {total_us} us"
+    );
+    server.shutdown();
 }
 
 #[test]
 fn traceparent_header_is_adopted() {
-    for io in modes() {
-        let mut server = start(true, io);
-        let traceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01";
-        let (status, _) = roundtrip(
-            &server,
-            &post_with_headers(
-                "/v1/partition",
-                &format!("traceparent: {traceparent}\r\n"),
-                &partition_body(),
-            ),
-        );
-        assert_eq!(status, 200);
-        // The low 64 bits of the traceparent trace-id field.
-        let (status, body) = roundtrip(&server, &get("/debug/trace/a3ce929d0e0e4736"));
-        assert_eq!(status, 200, "{io:?}: {body}");
-        server.shutdown();
-    }
+    let mut server = start(true);
+    let traceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01";
+    let (status, _) = roundtrip(
+        &server,
+        &post_with_headers(
+            "/v1/partition",
+            &format!("traceparent: {traceparent}\r\n"),
+            &partition_body(),
+        ),
+    );
+    assert_eq!(status, 200);
+    // The low 64 bits of the traceparent trace-id field.
+    let (status, body) = roundtrip(&server, &get("/debug/trace/a3ce929d0e0e4736"));
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
 }
 
 #[test]
 fn debug_slow_and_events_answer_json() {
-    for io in modes() {
-        let mut server = start(true, io);
-        for _ in 0..3 {
-            let (status, _) = roundtrip(
-                &server,
-                &post_with_headers("/v1/partition", "", &partition_body()),
-            );
-            assert_eq!(status, 200);
-        }
-
-        let (status, body) = roundtrip(&server, &get("/debug/slow?n=2"));
-        assert_eq!(status, 200);
-        let slow = Value::parse(&body).expect("slow JSON");
-        let traces = slow["traces"].as_array().expect("traces array");
-        assert!(!traces.is_empty() && traces.len() <= 2, "{body}");
-        // Slowest first.
-        let totals: Vec<u64> = traces
-            .iter()
-            .map(|t| t["total_us"].as_u64().unwrap())
-            .collect();
-        assert!(totals.windows(2).all(|w| w[0] >= w[1]), "{totals:?}");
-
-        let (status, body) = roundtrip(&server, &get("/debug/events"));
-        assert_eq!(status, 200);
-        let events = Value::parse(&body).expect("events JSON");
-        assert!(events["appended"].as_u64().unwrap() > 0);
-        let kinds: Vec<&str> = events["events"]
-            .as_array()
-            .expect("events array")
-            .iter()
-            .map(|e| e["kind"].as_str().unwrap())
-            .collect();
-        assert!(
-            kinds.contains(&"respond"),
-            "{io:?}: no respond event in {kinds:?}"
+    let mut server = start(true);
+    for _ in 0..3 {
+        let (status, _) = roundtrip(
+            &server,
+            &post_with_headers("/v1/partition", "", &partition_body()),
         );
-        assert!(
-            kinds.contains(&"enqueue"),
-            "{io:?}: no enqueue event in {kinds:?}"
-        );
-        server.shutdown();
+        assert_eq!(status, 200);
     }
+
+    let (status, body) = roundtrip(&server, &get("/debug/slow?n=2"));
+    assert_eq!(status, 200);
+    let slow = Value::parse(&body).expect("slow JSON");
+    let traces = slow["traces"].as_array().expect("traces array");
+    assert!(!traces.is_empty() && traces.len() <= 2, "{body}");
+    // Slowest first.
+    let totals: Vec<u64> = traces
+        .iter()
+        .map(|t| t["total_us"].as_u64().unwrap())
+        .collect();
+    assert!(totals.windows(2).all(|w| w[0] >= w[1]), "{totals:?}");
+
+    let (status, body) = roundtrip(&server, &get("/debug/events"));
+    assert_eq!(status, 200);
+    let events = Value::parse(&body).expect("events JSON");
+    assert!(events["appended"].as_u64().unwrap() > 0);
+    let kinds: Vec<&str> = events["events"]
+        .as_array()
+        .expect("events array")
+        .iter()
+        .map(|e| e["kind"].as_str().unwrap())
+        .collect();
+    assert!(kinds.contains(&"respond"), "no respond event in {kinds:?}");
+    assert!(kinds.contains(&"enqueue"), "no enqueue event in {kinds:?}");
+    server.shutdown();
 }
 
 #[test]
 fn debug_surfaces_are_404_when_disabled() {
-    for io in modes() {
-        let mut server = start(false, io);
-        for path in ["/debug/trace/abc123", "/debug/slow", "/debug/events"] {
-            let (status, _) = roundtrip(&server, &get(path));
-            assert_eq!(status, 404, "{io:?}: {path} should be gated off");
-        }
-        server.shutdown();
+    let mut server = start(false);
+    for path in ["/debug/trace/abc123", "/debug/slow", "/debug/events"] {
+        let (status, _) = roundtrip(&server, &get(path));
+        assert_eq!(status, 404, "{path} should be gated off");
     }
+    server.shutdown();
 }
 
 #[test]
 fn unknown_trace_is_404_and_bad_id_is_400() {
-    let mut server = start(true, IoMode::Threads);
+    let mut server = start(true);
     let (status, body) = roundtrip(&server, &get("/debug/trace/fefefefefefefefe"));
     assert_eq!(status, 404);
     assert!(body.contains("not_found"), "{body}");
@@ -241,25 +217,23 @@ fn unknown_trace_is_404_and_bad_id_is_400() {
 
 #[test]
 fn metrics_export_stage_histograms_and_journal_series() {
-    for io in modes() {
-        let mut server = start(false, io);
-        let (status, _) = roundtrip(
-            &server,
-            &post_with_headers("/v1/partition", "", &partition_body()),
-        );
-        assert_eq!(status, 200);
-        let (status, body) = roundtrip(&server, &get("/metrics"));
-        assert_eq!(status, 200);
-        for series in [
-            "tgp_stage_latency_seconds_bucket",
-            "tgp_stage_latency_seconds_count{stage=\"solve\"}",
-            "tgp_request_latency_seconds_bucket",
-            "tgp_journal_events_total",
-            "tgp_journal_overwritten_total",
-            "tgp_traces_retained",
-        ] {
-            assert!(body.contains(series), "{io:?}: {series} missing");
-        }
-        server.shutdown();
+    let mut server = start(false);
+    let (status, _) = roundtrip(
+        &server,
+        &post_with_headers("/v1/partition", "", &partition_body()),
+    );
+    assert_eq!(status, 200);
+    let (status, body) = roundtrip(&server, &get("/metrics"));
+    assert_eq!(status, 200);
+    for series in [
+        "tgp_stage_latency_seconds_bucket",
+        "tgp_stage_latency_seconds_count{stage=\"solve\"}",
+        "tgp_request_latency_seconds_bucket",
+        "tgp_journal_events_total",
+        "tgp_journal_overwritten_total",
+        "tgp_traces_retained",
+    ] {
+        assert!(body.contains(series), "{series} missing");
     }
+    server.shutdown();
 }

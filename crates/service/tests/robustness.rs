@@ -1,38 +1,25 @@
 //! Hostile-input tests: malformed, truncated and oversized requests must
 //! produce structured 4xx responses — never a panic, never a hang — and
-//! the server must keep serving afterwards. Every test runs under both
-//! `--io` modes (epoll only where supported), since the two front-ends
-//! share a parser but frame bytes differently.
+//! the server must keep serving afterwards. The event loop frames the
+//! bytes and a worker parses them, so each case crosses both layers.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use tgp_service::{IoMode, Server, ServerConfig};
+use tgp_service::{Server, ServerConfig};
 
-/// The io modes this target can run.
-fn modes() -> Vec<IoMode> {
-    if cfg!(target_os = "linux") {
-        vec![IoMode::Threads, IoMode::Epoll]
-    } else {
-        vec![IoMode::Threads]
-    }
-}
-
-/// Runs `test` against a fresh server in each supported io mode.
-fn for_each_mode(test: impl Fn(&Server)) {
-    for io in modes() {
-        let mut server = Server::start(ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            io,
-            max_body_bytes: 4096,
-            read_timeout: Duration::from_millis(500),
-            ..ServerConfig::default()
-        })
-        .expect("bind ephemeral port");
-        test(&server);
-        server.shutdown();
-    }
+/// Runs `test` against a fresh server.
+fn with_server(test: impl Fn(&Server)) {
+    let mut server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        max_body_bytes: 4096,
+        read_timeout: Duration::from_millis(500),
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    test(&server);
+    server.shutdown();
 }
 
 fn send_raw(server: &Server, raw: &[u8]) -> Option<(u16, String)> {
@@ -78,7 +65,7 @@ fn assert_alive(server: &Server) {
 
 #[test]
 fn malformed_json_bodies_get_structured_400() {
-    for_each_mode(|server| {
+    with_server(|server| {
         let nested = "[".repeat(500) + &"]".repeat(500);
         let bodies = [
             "",
@@ -107,7 +94,7 @@ fn malformed_json_bodies_get_structured_400() {
 
 #[test]
 fn semantically_invalid_graphs_get_422() {
-    for_each_mode(|server| {
+    with_server(|server| {
         // Syntactically valid JSON that the solver registry must refuse:
         // these are 422 (semantic), never 400 (reserved for non-JSON).
         let bodies = [
@@ -142,7 +129,7 @@ fn semantically_invalid_graphs_get_422() {
 
 #[test]
 fn oversized_body_is_413_before_upload() {
-    for_each_mode(|server| {
+    with_server(|server| {
         // max_body_bytes = 4096
         let raw =
             "POST /v1/partition HTTP/1.1\r\ncontent-length: 10000000\r\nconnection: close\r\n\r\n";
@@ -157,9 +144,9 @@ fn oversized_body_is_413_before_upload() {
 
 #[test]
 fn truncated_body_times_out_without_wedging_the_server() {
-    for_each_mode(|server| {
+    with_server(|server| {
         // Declares 100 bytes but sends 10 and stalls; the read timeout
-        // must reclaim the connection in either io mode.
+        // must reclaim the connection.
         let raw = b"POST /v1/partition HTTP/1.1\r\ncontent-length: 100\r\n\r\n{\"a\": 1}";
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.write_all(raw).unwrap();
@@ -172,7 +159,7 @@ fn truncated_body_times_out_without_wedging_the_server() {
 
 #[test]
 fn garbage_protocol_lines_are_rejected() {
-    for_each_mode(|server| {
+    with_server(|server| {
         for raw in [
             b"GARBAGE\r\n\r\n".as_slice(),
             b"GET\r\n\r\n".as_slice(),
@@ -194,7 +181,7 @@ fn garbage_protocol_lines_are_rejected() {
 
 #[test]
 fn enormous_header_section_is_bounded() {
-    for_each_mode(|server| {
+    with_server(|server| {
         // A single huge header must trip the head-size budget (16 KiB),
         // not buffer without limit.
         let mut raw = b"GET /healthz HTTP/1.1\r\nx-padding: ".to_vec();
@@ -210,7 +197,7 @@ fn enormous_header_section_is_bounded() {
 
 #[test]
 fn resource_exhausting_simulate_scalars_get_422() {
-    for_each_mode(|server| {
+    with_server(|server| {
         // `items` schedules one event each and `processors` sizes
         // per-CPU allocations; a few bytes of JSON must not be able to
         // pin a worker or abort the process on allocation failure.
@@ -238,7 +225,7 @@ fn resource_exhausting_simulate_scalars_get_422() {
 
 #[test]
 fn chunked_transfer_encoding_is_rejected_not_smuggled() {
-    for_each_mode(|server| {
+    with_server(|server| {
         // Only Content-Length framing is supported. If the server parsed
         // this as a body-less request, the chunked payload would be read
         // as a second pipelined request — the smuggling primitive. It
@@ -268,12 +255,10 @@ fn chunked_transfer_encoding_is_rejected_not_smuggled() {
 /// its `SO_REUSEPORT` listener closes, the kernel redistributes new
 /// connections to the survivor, and every fresh request keeps
 /// answering 200. Double-killing the same loop is a no-op.
-#[cfg(target_os = "linux")]
 #[test]
 fn losing_one_loop_degrades_capacity_not_service() {
     let mut server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        io: IoMode::Epoll,
         loops: 2,
         ..ServerConfig::default()
     })
@@ -319,7 +304,7 @@ fn losing_one_loop_degrades_capacity_not_service() {
 
 #[test]
 fn infeasible_bounds_get_422() {
-    for_each_mode(|server| {
+    with_server(|server| {
         let body = r#"{"objective":"bandwidth","bound":0,"graph":{"node_weights":[5,5],"edge_weights":[1]}}"#;
         let (status, reply) = send_raw(server, &post_json(body)).expect("got a response");
         assert_eq!(status, 422, "{reply}");

@@ -1,8 +1,7 @@
 //! End-to-end tests against a real server on an ephemeral port:
 //! concurrent clients, response correctness vs the solvers called
 //! directly, cache behaviour observed through `/metrics`, batching, and
-//! queue saturation. Tests run under both `--io` modes (epoll only
-//! where supported) unless the scenario is mode-specific.
+//! queue saturation.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -13,16 +12,7 @@ use tgp_core::pipeline::partition_chain;
 use tgp_core::procmin::proc_min;
 use tgp_graph::json::{FromJson, Value};
 use tgp_graph::{PathGraph, Tree, Weight};
-use tgp_service::{IoMode, Server, ServerConfig};
-
-/// The io modes this target can run.
-fn modes() -> Vec<IoMode> {
-    if cfg!(target_os = "linux") {
-        vec![IoMode::Threads, IoMode::Epoll]
-    } else {
-        vec![IoMode::Threads]
-    }
-}
+use tgp_service::{Server, ServerConfig};
 
 fn start(config: ServerConfig) -> Server {
     Server::start(ServerConfig {
@@ -74,32 +64,20 @@ const TREE: &str = r#"{"node_weights":[1,2,3,4,5],"edges":[{"a":0,"b":1,"weight"
 
 #[test]
 fn health_and_metrics_respond() {
-    for io in modes() {
-        let mut server = start(ServerConfig {
-            io,
-            ..ServerConfig::default()
-        });
-        let (status, body) = roundtrip(&server, &get("/healthz"));
-        assert_eq!(status, 200);
-        assert!(body.contains("ok"));
-        let (status, body) = roundtrip(&server, &get("/metrics"));
-        assert_eq!(status, 200);
-        assert!(body.contains("tgp_requests_total"));
-        assert!(body.contains("tgp_open_connections"), "{body}");
-        server.shutdown();
-    }
+    let mut server = start(ServerConfig::default());
+    let (status, body) = roundtrip(&server, &get("/healthz"));
+    assert_eq!(status, 200);
+    assert!(body.contains("ok"));
+    let (status, body) = roundtrip(&server, &get("/metrics"));
+    assert_eq!(status, 200);
+    assert!(body.contains("tgp_requests_total"));
+    assert!(body.contains("tgp_open_connections"), "{body}");
+    server.shutdown();
 }
 
 #[test]
 fn concurrent_mixed_clients_match_direct_solvers() {
-    for io in modes() {
-        concurrent_mixed_clients_in(io);
-    }
-}
-
-fn concurrent_mixed_clients_in(io: IoMode) {
     let mut server = start(ServerConfig {
-        io,
         workers: 4,
         ..ServerConfig::default()
     });
@@ -183,16 +161,7 @@ fn concurrent_mixed_clients_in(io: IoMode) {
 
 #[test]
 fn repeated_request_is_a_cache_hit_per_metrics() {
-    for io in modes() {
-        repeated_request_cache_hit_in(io);
-    }
-}
-
-fn repeated_request_cache_hit_in(io: IoMode) {
-    let mut server = start(ServerConfig {
-        io,
-        ..ServerConfig::default()
-    });
+    let mut server = start(ServerConfig::default());
     let body = format!(r#"{{"objective":"bandwidth","bound":12,"graph":{CHAIN}}}"#);
     let (s1, b1) = roundtrip(&server, &post("/v1/partition", &body));
     let (s2, b2) = roundtrip(&server, &post("/v1/partition", &body));
@@ -255,38 +224,8 @@ fn batch_mixes_results_and_errors() {
 }
 
 #[test]
-fn batch_compat_flag_returns_v1_shape_end_to_end() {
-    let mut server = start(ServerConfig::default());
-    let body = format!(
-        r#"{{"requests":[
-            {{"objective":"bandwidth","bound":12,"graph":{CHAIN}}},
-            {{"objective":"bogus","bound":12,"graph":{CHAIN}}}
-        ],"compat":true}}"#
-    );
-    let (status, body) = roundtrip(&server, &post("/v1/partition", &body));
-    assert_eq!(status, 200, "{body}");
-    let v = Value::parse(&body).unwrap();
-    let results = v["results"].as_array().unwrap();
-    assert_eq!(results.len(), 2);
-    assert!(results[0]["bandwidth"].as_u64().is_some());
-    assert!(results[1]["error"].as_str().is_some());
-    assert!(
-        v["completed"].as_u64().is_none(),
-        "compat keeps v1 keys only"
-    );
-    server.shutdown();
-}
-
-#[test]
 fn large_batch_fans_out_across_the_pool_in_order() {
-    for io in modes() {
-        large_batch_fans_out_in(io);
-    }
-}
-
-fn large_batch_fans_out_in(io: IoMode) {
     let mut server = start(ServerConfig {
-        io,
         workers: 4,
         ..ServerConfig::default()
     });
@@ -384,109 +323,114 @@ fn simulate_endpoint_reports_pipeline_stats() {
 
 #[test]
 fn keep_alive_serves_multiple_requests_on_one_connection() {
-    for io in modes() {
-        let mut server = start(ServerConfig {
-            io,
-            ..ServerConfig::default()
-        });
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut server = start(ServerConfig::default());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
 
-        for _ in 0..3 {
-            stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
-            let mut status_line = String::new();
-            reader.read_line(&mut status_line).unwrap();
-            assert!(status_line.starts_with("HTTP/1.1 200"), "{status_line}");
-            let mut content_length = 0usize;
-            loop {
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                if line.trim_end().is_empty() {
-                    break;
-                }
-                if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-                    content_length = v.trim().parse().unwrap();
-                }
+    for _ in 0..3 {
+        stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let mut status_line = String::new();
+        reader.read_line(&mut status_line).unwrap();
+        assert!(status_line.starts_with("HTTP/1.1 200"), "{status_line}");
+        let mut content_length = 0usize;
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            if line.trim_end().is_empty() {
+                break;
             }
-            let mut body = vec![0u8; content_length];
-            reader.read_exact(&mut body).unwrap();
+            if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+                content_length = v.trim().parse().unwrap();
+            }
         }
-        server.shutdown();
+        let mut body = vec![0u8; content_length];
+        reader.read_exact(&mut body).unwrap();
     }
+    server.shutdown();
 }
 
 #[test]
 fn pipelined_requests_all_get_answers() {
     // Two requests written back-to-back before reading: the server must
     // answer both, in order, on the same connection.
-    for io in modes() {
-        let mut server = start(ServerConfig {
-            io,
-            ..ServerConfig::default()
-        });
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        stream
-            .write_all(
-                b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
-            )
-            .unwrap();
-        let mut reply = Vec::new();
-        stream.read_to_end(&mut reply).unwrap();
-        let text = String::from_utf8_lossy(&reply);
-        assert_eq!(text.matches("HTTP/1.1 200").count(), 2, "io {io:?}: {text}");
-        server.shutdown();
-    }
+    let mut server = start(ServerConfig::default());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(
+            b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
+        )
+        .unwrap();
+    let mut reply = Vec::new();
+    stream.read_to_end(&mut reply).unwrap();
+    let text = String::from_utf8_lossy(&reply);
+    assert_eq!(text.matches("HTTP/1.1 200").count(), 2, "{text}");
+    server.shutdown();
 }
 
 #[test]
 fn saturated_queue_gets_503_not_a_hang() {
-    // 1 worker + depth-1 queue: one connection occupies the worker, one
-    // waits in the queue, and the next connection must be shed with the
-    // canned 503 immediately (not after a timeout). Pinned to threads
-    // mode: the scenario relies on idle connections pinning workers,
-    // which is exactly what epoll mode exists to avoid (there, idle
-    // connections consume no worker and nothing queues).
+    // 1 worker + depth-1 queue: one slow solve occupies the worker, one
+    // waits in the queue, and the next request the event loop frames
+    // must be shed with the canned 503 at once (not after a timeout).
+    // Idle connections cost no worker here, so the pressure comes from
+    // concurrent slow requests on separate connections; rounds repeat
+    // until one of them finds the queue full.
     let mut server = start(ServerConfig {
-        io: IoMode::Threads,
         workers: 1,
         queue_depth: 1,
-        read_timeout: Duration::from_secs(2),
         ..ServerConfig::default()
     });
     let addr = server.local_addr();
-
-    // Occupy the worker and the queue slot with idle connections: each
-    // is accepted, then its worker blocks reading a request that never
-    // arrives (until the read timeout).
-    let hold_worker = TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(150)); // let it reach a worker
-    let hold_queue = TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(150)); // let it enter the queue
-
-    // Saturated: this connection must receive the canned 503.
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let mut reply = Vec::new();
-    stream.read_to_end(&mut reply).expect("read 503");
+    // No cache on /v1/simulate: every request pays the whole
+    // simulation.
+    let slow = post(
+        "/v1/simulate",
+        &format!(r#"{{"bound":12,"items":300000,"graph":{CHAIN}}}"#),
+    );
+    let mut shed = None;
+    for _ in 0..20 {
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                let slow = slow.clone();
+                std::thread::spawn(move || {
+                    let mut stream = TcpStream::connect(addr).expect("connect");
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(30)))
+                        .unwrap();
+                    stream.write_all(slow.as_bytes()).expect("send");
+                    let mut reply = Vec::new();
+                    stream.read_to_end(&mut reply).expect("receive");
+                    reply
+                })
+            })
+            .collect();
+        for client in clients {
+            let reply = client.join().expect("client thread");
+            let (status, _) = parse_response(&reply);
+            if status == 503 {
+                shed = Some(reply);
+            } else {
+                assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
+            }
+        }
+        if shed.is_some() {
+            break;
+        }
+    }
+    let reply = shed.expect("four concurrent slow solves never filled a depth-1 queue");
     let raw = String::from_utf8_lossy(&reply).to_ascii_lowercase();
     assert!(raw.contains("retry-after:"), "{raw}");
     let (status, body) = parse_response(&reply);
     assert_eq!(status, 503, "{body}");
-    assert!(body.contains("overloaded"));
     assert!(body.contains(r#""code":"overloaded""#), "{body}");
 
-    // The overload shows up in metrics once capacity frees up.
-    drop(hold_worker);
-    drop(hold_queue);
-    std::thread::sleep(Duration::from_millis(150));
+    // The overload shows up in metrics once the queue has drained.
     let (_, metrics) = roundtrip(&server, &get("/metrics"));
     let rejected: u64 = metrics
         .lines()
@@ -500,35 +444,28 @@ fn saturated_queue_gets_503_not_a_hang() {
 
 #[test]
 fn shutdown_joins_quickly() {
-    for io in modes() {
-        let mut server = start(ServerConfig {
-            io,
-            read_timeout: Duration::from_millis(500),
-            ..ServerConfig::default()
-        });
-        let (status, _) = roundtrip(&server, &get("/healthz"));
-        assert_eq!(status, 200);
-        let started = std::time::Instant::now();
-        server.shutdown();
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "io {io:?}: shutdown took {:?}",
-            started.elapsed()
-        );
-    }
+    let mut server = start(ServerConfig {
+        read_timeout: Duration::from_millis(500),
+        ..ServerConfig::default()
+    });
+    let (status, _) = roundtrip(&server, &get("/healthz"));
+    assert_eq!(status, 200);
+    let started = std::time::Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
 }
 
 #[test]
 fn epoll_serves_more_persistent_connections_than_workers() {
     // The starvation scenario from EXPERIMENTS.md §SRV-OPEN: with 2
-    // workers and 16 persistent connections, threads mode leaves 14
-    // clients starving. Under epoll every connection must get answers,
-    // because idle sockets cost no worker.
-    if !cfg!(target_os = "linux") {
-        return;
-    }
+    // workers and 16 persistent connections, a thread-per-connection
+    // server left 14 clients starving. Every connection must get
+    // answers, because idle sockets cost no worker.
     let mut server = start(ServerConfig {
-        io: IoMode::Epoll,
         workers: 2,
         ..ServerConfig::default()
     });

@@ -16,24 +16,17 @@ use proptest::prelude::*;
 use tgp_graph::json::Value;
 use tgp_service::api::{self, ApiResponse};
 use tgp_service::http::Request;
-use tgp_service::{AppState, CacheConfig, IoMode, Server, ServerConfig};
+use tgp_service::{AppState, CacheConfig, Server, ServerConfig};
 use tgp_session::SessionStore;
 
-/// The `(io, loops)` configurations this target can run: threads,
-/// single-loop epoll, and the sharded two-loop epoll runtime (sessions
-/// are global state, so byte-identity must hold across loops too).
-fn modes() -> Vec<(IoMode, usize)> {
-    if cfg!(target_os = "linux") {
-        vec![(IoMode::Threads, 1), (IoMode::Epoll, 1), (IoMode::Epoll, 2)]
-    } else {
-        vec![(IoMode::Threads, 1)]
-    }
-}
+/// The loop counts the HTTP tests run under: the single-loop runtime
+/// and the sharded two-loop runtime (sessions are global state, so
+/// byte-identity must hold across loops too).
+const LOOPS: [usize; 2] = [1, 2];
 
-fn start(io: IoMode, loops: usize) -> Server {
+fn start(loops: usize) -> Server {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        io,
         loops,
         ..ServerConfig::default()
     })
@@ -416,8 +409,8 @@ fn patch_and_compare(
 /// so in `x-tgp-response`.
 #[test]
 fn delta_responses_reconstruct_to_the_full_body() {
-    for (io, loops) in modes() {
-        let mut server = start(io, loops);
+    for loops in LOOPS {
+        let mut server = start(loops);
         let mut rng = Rng(0xdeca_0007);
         let mut mirror = Mirror::chain(
             (0..24).map(|_| rng.next() % 9 + 1).collect(),
@@ -436,7 +429,7 @@ fn delta_responses_reconstruct_to_the_full_body() {
         assert_eq!(
             mode.as_deref(),
             Some("full"),
-            "first delta request has no baseline ({io:?})"
+            "first delta request has no baseline (loops={loops})"
         );
 
         for round in 0..6 {
@@ -476,7 +469,7 @@ fn delta_responses_reconstruct_to_the_full_body() {
             assert_eq!(status, 200, "{scratch_body}");
             assert_eq!(
                 reconstructed, scratch_body,
-                "round {round} ({io:?}): delta reconstruction diverged\ndelta: {delta}"
+                "round {round} (loops={loops}): delta reconstruction diverged\ndelta: {delta}"
             );
             full = reconstructed;
         }
@@ -496,7 +489,10 @@ fn delta_responses_reconstruct_to_the_full_body() {
         );
         let (status, mode, plain) = roundtrip_response_mode(&server, &path, &plain_solve);
         assert_eq!(status, 200, "{plain}");
-        assert_eq!(mode, None, "no \"response\" field, no header ({io:?})");
+        assert_eq!(
+            mode, None,
+            "no \"response\" field, no header (loops={loops})"
+        );
         assert_eq!(explicit, plain);
 
         // Deleting the session also drops the delta baseline: a fresh
@@ -510,7 +506,7 @@ fn delta_responses_reconstruct_to_the_full_body() {
         assert_eq!(
             mode.as_deref(),
             Some("full"),
-            "baseline must not survive session deletion ({io:?})"
+            "baseline must not survive session deletion (loops={loops})"
         );
         server.shutdown();
     }
@@ -518,8 +514,8 @@ fn delta_responses_reconstruct_to_the_full_body() {
 
 #[test]
 fn chain_edge_edits_stay_warm_and_byte_identical() {
-    for (io, loops) in modes() {
-        let mut server = start(io, loops);
+    for loops in LOOPS {
+        let mut server = start(loops);
         let mut rng = Rng(0x5eed_0001);
         let mut mirror = Mirror::chain(
             (0..32).map(|_| rng.next() % 9 + 1).collect(),
@@ -541,7 +537,7 @@ fn chain_edge_edits_stay_warm_and_byte_identical() {
         }
         assert!(
             warm_solves >= 6,
-            "io {io:?}: only {warm_solves}/8 edge-edit re-solves warm-started"
+            "loops={loops}: only {warm_solves}/8 edge-edit re-solves warm-started"
         );
         server.shutdown();
     }
@@ -549,8 +545,8 @@ fn chain_edge_edits_stay_warm_and_byte_identical() {
 
 #[test]
 fn random_edit_batches_match_scratch_solves_over_http() {
-    for (io, loops) in modes() {
-        let mut server = start(io, loops);
+    for loops in LOOPS {
+        let mut server = start(loops);
         for (seed, tree) in [(0xaaaa_0001u64, false), (0xbbbb_0002, true)] {
             let mut rng = Rng(seed);
             let node_weights: Vec<u64> = (0..20).map(|_| rng.next() % 9 + 1).collect();

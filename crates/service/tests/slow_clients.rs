@@ -2,32 +2,20 @@
 //! mid-upload, or stops reading must be reclaimed by the server's
 //! timeouts — with the close attributed to the right
 //! `tgp_timeout_closes_total{kind=...}` series — while well-behaved
-//! half-closes still get their full response. Every scenario runs under
-//! both `--io` modes (epoll only where supported), since each mode
-//! enforces the deadlines differently: the event loop with a timer
-//! wheel, the thread front-end with socket deadlines.
+//! half-closes still get their full response. The event loop enforces
+//! every deadline with its timer wheel.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
-use tgp_service::{IoMode, Server, ServerConfig};
-
-/// The io modes this target can run.
-fn modes() -> Vec<IoMode> {
-    if cfg!(target_os = "linux") {
-        vec![IoMode::Threads, IoMode::Epoll]
-    } else {
-        vec![IoMode::Threads]
-    }
-}
+use tgp_service::{Server, ServerConfig};
 
 /// A server with deliberately short deadlines so slow-client tests run
 /// in milliseconds, not minutes.
-fn start(io: IoMode) -> Server {
+fn start() -> Server {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        io,
         read_timeout: Duration::from_millis(300),
         write_timeout: Duration::from_millis(300),
         idle_timeout: Duration::from_millis(400),
@@ -78,7 +66,7 @@ const WRITE_SERIES: &str = "tgp_timeout_closes_total{kind=\"write\"}";
 
 /// A request whose response is far bigger than the kernel's socket
 /// buffers (an all-nines chain under bound 9 cuts every edge, so the
-/// `cut` array carries one index per edge), forcing the epoll loop to
+/// `cut` array carries one index per edge), forcing the event loop to
 /// park the connection mid-write — the only state in which the write
 /// deadline matters at all.
 fn huge_response_request(nodes: usize) -> Vec<u8> {
@@ -95,13 +83,12 @@ fn huge_response_request(nodes: usize) -> Vec<u8> {
 }
 
 /// A server tuned for the write-deadline scenarios: a short write
-/// window with the progress floor at its default (1024 bytes per
-/// window), a read deadline long enough to upload the multi-megabyte
+/// window under the fixed progress floor (`tgp_net::WRITE_MIN_BYTES`
+/// per window), a read deadline long enough to upload the multi-megabyte
 /// request, and a body cap that admits it.
 fn start_for_write_deadline() -> Server {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        io: IoMode::Epoll,
         read_timeout: Duration::from_secs(10),
         write_timeout: Duration::from_millis(300),
         idle_timeout: Duration::from_secs(10),
@@ -116,7 +103,6 @@ fn start_for_write_deadline() -> Server {
 const HUGE_NODES: usize = 900_000;
 
 #[test]
-#[cfg(target_os = "linux")]
 fn stalled_reader_is_reclaimed_by_the_write_deadline() {
     let mut server = start_for_write_deadline();
     let before = scrape(&server, WRITE_SERIES);
@@ -143,7 +129,6 @@ fn stalled_reader_is_reclaimed_by_the_write_deadline() {
 }
 
 #[test]
-#[cfg(target_os = "linux")]
 fn slow_but_live_reader_survives_the_write_deadline() {
     let mut server = start_for_write_deadline();
     let before = scrape(&server, WRITE_SERIES);
@@ -161,9 +146,9 @@ fn slow_but_live_reader_survives_the_write_deadline() {
 
     // Drain the response in small sips with deliberate pauses: far
     // slower than one write-timeout window end to end, but each window
-    // sees well over `write_min_bytes` of progress, so the deadline
-    // keeps renewing. Under the legacy *total* write deadline this
-    // reader would be cut off mid-body.
+    // sees well over `WRITE_MIN_BYTES` of progress, so the deadline
+    // keeps renewing. Under a *total* write deadline this reader would
+    // be cut off mid-body.
     let started = Instant::now();
     let mut response = Vec::new();
     let mut chunk = [0u8; 64 * 1024];
@@ -216,140 +201,124 @@ fn slow_but_live_reader_survives_the_write_deadline() {
 
 #[test]
 fn slowloris_head_is_reclaimed_by_the_read_timeout() {
-    for io in modes() {
-        let mut server = start(io);
-        let before = scrape(&server, READ_SERIES);
+    let mut server = start();
+    let before = scrape(&server, READ_SERIES);
 
-        // Trickle a request head one byte at a time, far slower than
-        // the read deadline allows. The deadline is a *total* budget
-        // per request, so steady progress must not reset it — that is
-        // the whole slowloris defense.
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        let head = b"GET /healthz HTTP/1.1\r\nx-slow: aaaaaaaaaaaaaaaa\r\n";
-        for &byte in head {
-            if stream.write_all(&[byte]).is_err() {
-                break; // server already reclaimed the connection
-            }
-            std::thread::sleep(Duration::from_millis(25));
+    // Trickle a request head one byte at a time, far slower than the
+    // read deadline allows. The deadline is a *total* budget per
+    // request, so steady progress must not reset it — that is the
+    // whole slowloris defense.
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let head = b"GET /healthz HTTP/1.1\r\nx-slow: aaaaaaaaaaaaaaaa\r\n";
+    for &byte in head {
+        if stream.write_all(&[byte]).is_err() {
+            break; // server already reclaimed the connection
         }
-
-        let after = wait_for_at_least(&server, READ_SERIES, before + 1, Duration::from_secs(5));
-        assert!(
-            after > before,
-            "[{io:?}] slowloris head never tripped the read timeout ({before} -> {after})"
-        );
-        // The reclaimed socket must actually be dead: draining it
-        // yields EOF (or an error), never a response.
-        let mut sink = Vec::new();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let drained = stream.read_to_end(&mut sink);
-        assert!(
-            drained.is_err() || sink.is_empty(),
-            "[{io:?}] got bytes from a timed-out connection: {:?}",
-            String::from_utf8_lossy(&sink)
-        );
-        server.shutdown();
+        std::thread::sleep(Duration::from_millis(25));
     }
+
+    let after = wait_for_at_least(&server, READ_SERIES, before + 1, Duration::from_secs(5));
+    assert!(
+        after > before,
+        "slowloris head never tripped the read timeout ({before} -> {after})"
+    );
+    // The reclaimed socket must actually be dead: draining it yields
+    // EOF (or an error), never a response.
+    let mut sink = Vec::new();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let drained = stream.read_to_end(&mut sink);
+    assert!(
+        drained.is_err() || sink.is_empty(),
+        "got bytes from a timed-out connection: {:?}",
+        String::from_utf8_lossy(&sink)
+    );
+    server.shutdown();
 }
 
 #[test]
 fn mid_body_stall_is_reclaimed_by_the_read_timeout() {
-    for io in modes() {
-        let mut server = start(io);
-        let before = scrape(&server, READ_SERIES);
+    let mut server = start();
+    let before = scrape(&server, READ_SERIES);
 
-        // A complete head declaring 100 bytes, then 10 bytes, then
-        // silence: the server must not hold the worker (threads) or the
-        // connection slot (epoll) past the read deadline.
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        stream
-            .write_all(b"POST /v1/partition HTTP/1.1\r\ncontent-length: 100\r\n\r\n{\"a\": 1}")
-            .expect("send partial body");
+    // A complete head declaring 100 bytes, then 10 bytes, then silence:
+    // the server must not hold the connection slot past the read
+    // deadline.
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .write_all(b"POST /v1/partition HTTP/1.1\r\ncontent-length: 100\r\n\r\n{\"a\": 1}")
+        .expect("send partial body");
 
-        let after = wait_for_at_least(&server, READ_SERIES, before + 1, Duration::from_secs(5));
-        assert!(
-            after > before,
-            "[{io:?}] stalled body never tripped the read timeout ({before} -> {after})"
-        );
-        drop(stream);
-        server.shutdown();
-    }
+    let after = wait_for_at_least(&server, READ_SERIES, before + 1, Duration::from_secs(5));
+    assert!(
+        after > before,
+        "stalled body never tripped the read timeout ({before} -> {after})"
+    );
+    drop(stream);
+    server.shutdown();
 }
 
 #[test]
 fn half_close_after_the_request_still_gets_the_full_response() {
-    for io in modes() {
-        let mut server = start(io);
+    let mut server = start();
 
-        // Shutting down the write side after the request is a legal
-        // HTTP idiom ("I have nothing more to say"), not a disconnect:
-        // the response must still arrive in full.
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        stream
-            .write_all(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
-            .expect("send request");
-        stream.shutdown(Shutdown::Write).expect("half-close");
+    // Shutting down the write side after the request is a legal HTTP
+    // idiom ("I have nothing more to say"), not a disconnect: the
+    // response must still arrive in full.
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
+        .expect("send request");
+    stream.shutdown(Shutdown::Write).expect("half-close");
 
-        let mut reply = Vec::new();
-        stream.read_to_end(&mut reply).expect("read response");
-        let text = String::from_utf8_lossy(&reply);
-        assert!(
-            text.starts_with("HTTP/1.1 200"),
-            "[{io:?}] half-closed client got: {text:?}"
-        );
-        assert!(text.contains("\"status\""), "[{io:?}] truncated: {text:?}");
-        server.shutdown();
-    }
+    let mut reply = Vec::new();
+    stream.read_to_end(&mut reply).expect("read response");
+    let text = String::from_utf8_lossy(&reply);
+    assert!(
+        text.starts_with("HTTP/1.1 200"),
+        "half-closed client got: {text:?}"
+    );
+    assert!(text.contains("\"status\""), "truncated: {text:?}");
+    server.shutdown();
 }
 
 #[test]
 fn quiet_keepalive_connection_is_reaped() {
-    for io in modes() {
-        let mut server = start(io);
-        let series = match io {
-            // The event loop distinguishes idle keep-alive quiet from a
-            // mid-request stall; the thread front-end folds idle time
-            // into the next request's read deadline.
-            IoMode::Epoll => IDLE_SERIES,
-            IoMode::Threads => READ_SERIES,
-        };
-        let before = scrape(&server, series);
+    let mut server = start();
+    // The event loop distinguishes idle keep-alive quiet from a
+    // mid-request stall.
+    let before = scrape(&server, IDLE_SERIES);
 
-        // One full exchange, then silence on the kept-alive socket.
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        stream
-            .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
-            .expect("send request");
-        let mut buf = [0u8; 1024];
-        let n = stream.read(&mut buf).expect("read response");
-        assert!(
-            String::from_utf8_lossy(&buf[..n]).starts_with("HTTP/1.1 200"),
-            "[{io:?}] first exchange failed"
-        );
+    // One full exchange, then silence on the kept-alive socket.
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+        .expect("send request");
+    let mut buf = [0u8; 1024];
+    let n = stream.read(&mut buf).expect("read response");
+    assert!(
+        String::from_utf8_lossy(&buf[..n]).starts_with("HTTP/1.1 200"),
+        "first exchange failed"
+    );
 
-        let after = wait_for_at_least(&server, series, before + 1, Duration::from_secs(5));
-        assert!(
-            after > before,
-            "[{io:?}] quiet keep-alive connection never reaped ({series}: {before} -> {after})"
-        );
-        // The server must have closed its end: draining the socket
-        // (the first read above may have been short) ends in EOF
-        // rather than our 10 s client timeout.
-        let mut residue = Vec::new();
-        let eof = stream.read_to_end(&mut residue);
-        assert!(
-            eof.is_ok(),
-            "[{io:?}] socket still open after idle reap: {eof:?}"
-        );
-        drop(stream);
-        server.shutdown();
-    }
+    let after = wait_for_at_least(&server, IDLE_SERIES, before + 1, Duration::from_secs(5));
+    assert!(
+        after > before,
+        "quiet keep-alive connection never reaped ({IDLE_SERIES}: {before} -> {after})"
+    );
+    // The server must have closed its end: draining the socket (the
+    // first read above may have been short) ends in EOF rather than our
+    // 10 s client timeout.
+    let mut residue = Vec::new();
+    let eof = stream.read_to_end(&mut residue);
+    assert!(eof.is_ok(), "socket still open after idle reap: {eof:?}");
+    drop(stream);
+    server.shutdown();
 }

@@ -18,10 +18,11 @@
 //!   solvers in `tgp-core` *certify* the window before trusting it, so
 //!   the result is byte-identical to a cold solve whether or not the
 //!   hint was any good.
-//! * [`journal`] — an append-only edit journal (snapshot + log,
-//!   versioned and checksummed like the service's cache dumps) that is
-//!   replayed on restart, restoring every graph to its exact last
-//!   acknowledged version even after `kill -9`.
+//! * [`journal`] — the append-on-ack journal file (snapshot + log,
+//!   versioned and checksummed) that is replayed on restart, restoring
+//!   every graph to its exact last acknowledged version even after
+//!   `kill -9`. The service's result cache (`--cache-file`) keeps its
+//!   entries in the same format under its own magic.
 //!
 //! The crate is std-only and transport-agnostic: the HTTP surface
 //! (`/v1/graphs`) lives in `tgp-service`, the CLI inspection in `tgp`.

@@ -12,6 +12,17 @@ use tgp_graph::{json, PathGraph, Tree};
 
 use crate::journal::{self, Journal};
 
+/// Magic of the session journal file (see [`crate::journal`]). Payloads
+/// are compact JSON operation objects: `register`, `patch` and `delete`
+/// (appended live, *before* the mutation is acknowledged) and
+/// `snapshot` (written whole at compaction).
+const JOURNAL_MAGIC: &[u8; 8] = b"TGPSESSJ";
+
+/// Decodes one session journal payload; `None` ends the replay.
+fn decode_op(payload: &[u8]) -> Option<Value> {
+    Value::parse(std::str::from_utf8(payload).ok()?).ok()
+}
+
 /// Default resident-byte budget: enough for a few hundred 100k-node
 /// chains, small enough that a misbehaving client cannot pin the heap.
 pub const DEFAULT_SESSION_BUDGET: u64 = 256 << 20;
@@ -379,10 +390,10 @@ impl SessionStore {
     /// misconfigured restart.
     pub fn with_journal(path: &Path, budget: u64) -> std::io::Result<SessionStore> {
         let store = SessionStore::new(budget);
-        let keep_len = match journal::read(path)? {
+        let keep_len = match journal::read(path, JOURNAL_MAGIC, decode_op)? {
             None => {
                 *store.journal.lock().expect("journal lock poisoned") =
-                    Some(Journal::create(path)?);
+                    Some(Journal::create(path, JOURNAL_MAGIC)?);
                 return Ok(store);
             }
             Some(replay) => {
@@ -399,7 +410,7 @@ impl SessionStore {
             }
         };
         *store.journal.lock().expect("journal lock poisoned") =
-            Some(Journal::open_for_append(path, keep_len)?);
+            Some(Journal::open_for_append(path, JOURNAL_MAGIC, keep_len)?);
         Ok(store)
     }
 
@@ -408,7 +419,7 @@ impl SessionStore {
     /// torn tail is reported rather than truncated — and returns the
     /// graph listing plus journal health fields.
     pub fn inspect(path: &Path) -> std::io::Result<Value> {
-        let replay = journal::read(path)?.ok_or_else(|| {
+        let replay = journal::read(path, JOURNAL_MAGIC, decode_op)?.ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::NotFound, "no such session journal")
         })?;
         let store = SessionStore::new(u64::MAX);
@@ -731,7 +742,7 @@ impl SessionStore {
         let mut journal = self.journal.lock().expect("journal lock poisoned");
         if let Some(journal) = journal.as_mut() {
             journal
-                .append(payload)
+                .append(payload.as_bytes())
                 .map_err(|e| SessionError::InvalidEdit {
                     message: format!("journal write failed: {e}"),
                 })?;
@@ -774,7 +785,7 @@ impl SessionStore {
         );
         let mut journal = self.journal.lock().expect("journal lock poisoned");
         if let Some(journal) = journal.as_mut() {
-            journal.rewrite(&payload)?;
+            journal.rewrite(&[payload])?;
             self.journal_records.store(1, Ordering::Relaxed);
         }
         Ok(())
@@ -854,7 +865,7 @@ impl SessionStore {
             .lock()
             .expect("journal lock poisoned")
             .as_ref()
-            .map(Journal::path)
+            .map(|journal| journal.path().to_path_buf())
     }
 }
 
@@ -1463,7 +1474,9 @@ mod tests {
                 .unwrap();
             let expected = state_of(&store);
             drop(store);
-            let replay = journal::read(&path).unwrap().unwrap();
+            let replay = journal::read(&path, JOURNAL_MAGIC, decode_op)
+                .unwrap()
+                .unwrap();
             assert_eq!(replay.records.len(), 2, "snapshot + one patch");
             assert_eq!(replay.records[0]["op"].as_str(), Some("snapshot"));
             let reopened = SessionStore::with_journal(&path, 1 << 20).unwrap();
