@@ -34,8 +34,8 @@ mod stats;
 mod temps;
 
 pub use bounded::{
-    min_bandwidth_cut_bounded, min_bandwidth_cut_bounded_budgeted, min_bandwidth_cut_lexicographic,
-    min_bandwidth_cut_lexicographic_budgeted, min_bandwidth_cut_lexicographic_warm,
+    min_bandwidth_cut_bounded, min_bandwidth_cut_lexicographic,
+    min_bandwidth_cut_lexicographic_warm,
 };
 pub use naive::min_bandwidth_cut_naive;
 pub use nonredundant::{nonredundant_edges, NrEdge};

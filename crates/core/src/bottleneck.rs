@@ -19,7 +19,7 @@
 //!   tree; the first merge that exceeds `K` pins the minimal feasible
 //!   prefix. `O(n log n)` (dominated by the sort).
 
-use tgp_graph::{CutSet, EdgeId, NodeId, Tree, TreeView, UnionFind, UnionFind32, Weight};
+use tgp_graph::{CutSet, EdgeId, NodeId, Tree, TreeView, UnionFind32, Weight};
 
 use crate::error::{check_bound_nodes, PartitionError};
 
@@ -164,93 +164,6 @@ pub fn min_bottleneck_cut_paper(
     unreachable!("cutting every edge isolates single vertices, all <= bound")
 }
 
-/// Whether cutting the prefix `sorted[..prefix]` leaves every component
-/// within `bound`. `O(n α(n))` via a union-find over the kept edges.
-fn prefix_is_feasible<T: TreeView>(
-    tree: &T,
-    sorted: &[EdgeId],
-    prefix: usize,
-    bound: Weight,
-) -> bool {
-    let mut uf = UnionFind::new(tree.len());
-    let mut comp_weight: Vec<u64> = (0..tree.len())
-        .map(|i| tree.node_weight(NodeId::new(i)).get())
-        .collect();
-    for &id in &sorted[prefix..] {
-        let e = tree.edge(id);
-        let (ra, rb) = (uf.find(e.a.index()), uf.find(e.b.index()));
-        let merged = comp_weight[ra] + comp_weight[rb];
-        if merged > bound.get() {
-            return false;
-        }
-        uf.union(ra, rb);
-        let root = uf.find(ra);
-        comp_weight[root] = merged;
-    }
-    true
-}
-
-/// Warm-started variant of [`min_bottleneck_cut`]: the minimal-feasible-
-/// prefix search over the weight-sorted edge list is restricted to
-/// prefixes whose bottleneck value lies in `[hint_lo, hint_hi]`.
-///
-/// The window is certified before it is trusted: the prefix just below
-/// it must be infeasible and the window's top prefix must be feasible,
-/// which together pin the true minimal feasible prefix inside the
-/// window (prefix feasibility is monotone — cutting more light edges
-/// only shrinks components). `Ok(None)` means a certificate failed and
-/// the caller must fall back to [`min_bottleneck_cut`]; `Ok(Some(_))`
-/// is guaranteed equal to the cold result.
-///
-/// # Errors
-///
-/// [`PartitionError::BoundTooSmall`] if a single vertex outweighs
-/// `bound` (the cold solve fails identically).
-pub fn min_bottleneck_cut_warm<T: TreeView>(
-    tree: &T,
-    bound: Weight,
-    hint_lo: Weight,
-    hint_hi: Weight,
-) -> Result<Option<BottleneckResult>, PartitionError> {
-    check_bound_nodes(
-        (0..tree.len()).map(|i| tree.node_weight(NodeId::new(i))),
-        bound,
-    )?;
-    if hint_lo > hint_hi {
-        return Ok(None);
-    }
-    let sorted = edges_by_weight(tree);
-    let wts: Vec<Weight> = sorted.iter().map(|&e| tree.edge_weight(e)).collect();
-    // Prefix `p` has bottleneck `wts[p - 1]` (zero for the empty cut).
-    let p_min = if hint_lo == Weight::ZERO {
-        0
-    } else {
-        wts.partition_point(|&w| w < hint_lo) + 1
-    };
-    let p_max = wts.partition_point(|&w| w <= hint_hi);
-    if p_min > p_max {
-        return Ok(None); // no prefix has a bottleneck inside the window
-    }
-    // Certificates: just below the window infeasible, window top feasible.
-    if p_min > 0 && prefix_is_feasible(tree, &sorted, p_min - 1, bound) {
-        return Ok(None); // the optimum is below the window
-    }
-    if !prefix_is_feasible(tree, &sorted, p_max, bound) {
-        return Ok(None); // the optimum is above the window
-    }
-    // Binary search the minimal feasible prefix inside the window.
-    let (mut lo, mut hi) = (p_min, p_max);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if prefix_is_feasible(tree, &sorted, mid, bound) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Ok(Some(result_from_prefix(tree, &sorted, lo)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,66 +280,6 @@ mod tests {
         let r2 = min_bottleneck_cut_paper(&t, Weight::new(6)).unwrap();
         assert_eq!(r1, r2);
         assert_eq!(r1.cut.len(), 2); // both edges must go
-    }
-
-    #[test]
-    fn warm_windows_containing_the_optimum_match_cold() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        use tgp_graph::generators::{random_tree, WeightDist};
-        let mut rng = SmallRng::seed_from_u64(0xB0B);
-        for round in 0..150 {
-            let n = rng.gen_range(1..50);
-            let t = random_tree(
-                n,
-                WeightDist::Uniform { lo: 1, hi: 9 },
-                WeightDist::Uniform { lo: 1, hi: 40 },
-                &mut rng,
-            );
-            let k = Weight::new(rng.gen_range(9..=60));
-            let cold = min_bottleneck_cut(&t, k).unwrap();
-            let delta = rng.gen_range(0..8);
-            let warm = min_bottleneck_cut_warm(
-                &t,
-                k,
-                Weight::new(cold.bottleneck.get().saturating_sub(delta)),
-                Weight::new(cold.bottleneck.get() + delta),
-            )
-            .unwrap()
-            .expect("window containing the optimum always certifies");
-            assert_eq!(warm, cold, "round={round} n={n} k={k}");
-        }
-    }
-
-    #[test]
-    fn warm_refuses_windows_missing_the_optimum() {
-        // Star needing two leaf cut-offs; optimum bottleneck is 5.
-        let t = Tree::from_raw(&[10, 10, 10, 10], &[(0, 1, 5), (0, 2, 3), (0, 3, 8)]).unwrap();
-        let k = Weight::new(20);
-        let cold = min_bottleneck_cut(&t, k).unwrap();
-        assert_eq!(cold.bottleneck, Weight::new(5));
-        // Window above the optimum: the below-window prefix is feasible.
-        assert!(
-            min_bottleneck_cut_warm(&t, k, Weight::new(6), Weight::new(9))
-                .unwrap()
-                .is_none()
-        );
-        // Window below the optimum: the top prefix is infeasible.
-        assert!(min_bottleneck_cut_warm(&t, k, Weight::ZERO, Weight::new(4))
-            .unwrap()
-            .is_none());
-        // Inverted window refuses immediately.
-        assert!(
-            min_bottleneck_cut_warm(&t, k, Weight::new(9), Weight::new(6))
-                .unwrap()
-                .is_none()
-        );
-        // Bound errors still propagate.
-        let t2 = Tree::from_raw(&[1, 99], &[(0, 1, 1)]).unwrap();
-        assert!(matches!(
-            min_bottleneck_cut_warm(&t2, Weight::new(50), Weight::ZERO, Weight::MAX),
-            Err(PartitionError::BoundTooSmall { .. })
-        ));
     }
 
     #[test]

@@ -32,6 +32,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use tgp_core::bandwidth::min_bandwidth_cut_lexicographic;
+use tgp_core::budget::Budget;
 use tgp_core::pipeline::{partition_chain, partition_tree, tree_from_path};
 use tgp_core::procmin::proc_min;
 use tgp_core::PartitionError;
@@ -181,7 +182,9 @@ impl RealTimeTask {
                 partition_tree(&tree_from_path(&self.chain), self.deadline)?.cut
             }
             Strategy::MinProcessors => proc_min(&tree_from_path(&self.chain), self.deadline)?.cut,
-            Strategy::Lexicographic => min_bandwidth_cut_lexicographic(&self.chain, self.deadline)?,
+            Strategy::Lexicographic => {
+                min_bandwidth_cut_lexicographic(&self.chain, self.deadline, &Budget::unlimited())?
+            }
         };
         let groups = self.chain.segments(&cut)?;
         let bandwidth = self.chain.cut_weight(&cut)?;

@@ -2087,7 +2087,14 @@ fn with_cache(
     // instant also stamps the hit/miss journal event — one clock read
     // saved on every request.
     let probe_started = Instant::now();
-    let hit = state.cache.get(key);
+    // A key the admission guard would refuse even with an empty value
+    // can never be cached, so its probe (an FNV pass over the whole key)
+    // is skipped; it still counts as a miss and still reaches `insert`.
+    let hit = if state.cache.admits(key.len(), cost) {
+        state.cache.get(key)
+    } else {
+        None
+    };
     let probe_done = Instant::now();
     let probe = probe_done.saturating_duration_since(probe_started);
     state.metrics.record_stage(Stage::Cache, probe);
@@ -2249,6 +2256,35 @@ mod tests {
         let r2 = handle(&state, &post("/v1/partition", &b));
         assert_eq!(r1.body, r2.body);
         assert_eq!(state.metrics.cache_hits(), 1);
+    }
+
+    #[test]
+    fn keys_the_cache_cannot_hold_are_never_probed() {
+        let state = AppState::new(CacheConfig {
+            budget_bytes: 1 << 20,
+            ttl: None,
+            max_entry_bytes: 1024,
+            shards: 8,
+        });
+        let computes = std::cell::Cell::new(0);
+        let solve = || {
+            computes.set(computes.get() + 1);
+            Ok("body".to_string())
+        };
+        // An admissible entry is stored by the first call and hit by the
+        // second.
+        let small = [b's'; 64];
+        for _ in 0..2 {
+            assert_eq!(with_cache(&state, &small, 0, None, solve).unwrap(), "body");
+        }
+        assert_eq!((computes.get(), state.metrics.cache_hits()), (1, 1));
+        // A key over the cheap-entry limit, planted under the relaxed
+        // allowance of a costly solve: a probe at a cheap cost would
+        // find it, so computing again proves no probe ran.
+        let big = vec![b'b'; 2048];
+        assert!(state.cache.insert(&big, "planted".to_string(), u64::MAX));
+        assert_eq!(with_cache(&state, &big, 0, None, solve).unwrap(), "body");
+        assert_eq!((computes.get(), state.metrics.cache_hits()), (2, 1));
     }
 
     #[test]

@@ -495,6 +495,27 @@ impl ResultCache {
         }
     }
 
+    /// Whether [`ResultCache::insert`] could admit any entry with a
+    /// `key_len`-byte key at solver cost `cost`: the admission guard's
+    /// own check with an empty value. When it is `false`, no entry
+    /// under such a key can be in the cache, so a caller may skip
+    /// [`ResultCache::get`] (and hashing the key) outright.
+    pub fn admits(&self, key_len: usize, cost: u64) -> bool {
+        self.per_shard_budget != 0 && key_len.saturating_add(ENTRY_OVERHEAD) <= self.allowance(cost)
+    }
+
+    /// The largest entry the admission guard accepts at solver cost
+    /// `cost`: relaxed fourfold for responses that are costly to
+    /// recompute, and never beyond one shard's budget.
+    fn allowance(&self, cost: u64) -> usize {
+        let allowance = if cost >= COSTLY_WORK_UNITS {
+            self.max_entry_bytes.saturating_mul(4)
+        } else {
+            self.max_entry_bytes
+        };
+        allowance.min(self.per_shard_budget)
+    }
+
     /// Stores a rendered response under the configured TTL. `cost` is
     /// the solver's work estimate for recomputing the response; pass
     /// `0` when unknown (strictest admission). Returns whether the
@@ -514,12 +535,7 @@ impl ResultCache {
         if self.per_shard_budget == 0 {
             return false;
         }
-        let allowance = if cost >= COSTLY_WORK_UNITS {
-            self.max_entry_bytes.saturating_mul(4)
-        } else {
-            self.max_entry_bytes
-        };
-        if entry_bytes(key, &value) > allowance.min(self.per_shard_budget) {
+        if entry_bytes(key, &value) > self.allowance(cost) {
             self.rejected_oversize.fetch_add(1, Ordering::Relaxed);
             return false;
         }
@@ -924,6 +940,32 @@ mod tests {
         let huge = "x".repeat(5000);
         assert!(!cache.insert(b"huge", huge, COSTLY_WORK_UNITS));
         assert!(cache.get(b"huge").is_none());
+    }
+
+    #[test]
+    fn admits_is_the_insert_guard_with_an_empty_value() {
+        let cache = ResultCache::new(CacheConfig {
+            budget_bytes: 1 << 20,
+            ttl: None,
+            max_entry_bytes: 1024,
+            shards: SHARDS,
+        });
+        let cheap = 1024 - ENTRY_OVERHEAD;
+        let costly = 4 * 1024 - ENTRY_OVERHEAD;
+        for (key_len, cost) in [
+            (cheap, 0),
+            (cheap + 1, 0),
+            (costly, COSTLY_WORK_UNITS),
+            (costly + 1, COSTLY_WORK_UNITS),
+        ] {
+            let key = vec![b'k'; key_len];
+            assert_eq!(
+                cache.admits(key_len, cost),
+                cache.insert(&key, String::new(), cost),
+                "key_len={key_len} cost={cost}"
+            );
+        }
+        assert!(!ResultCache::with_budget(0).admits(0, COSTLY_WORK_UNITS));
     }
 
     #[test]

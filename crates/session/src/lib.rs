@@ -14,10 +14,11 @@
 //! * Warm-start memory — after each solve the store remembers the
 //!   optimal bottleneck per `(objective, params)` key, and each edit
 //!   batch widens a slack interval around it. The next solve seeds the
-//!   bottleneck binary search with `[prev − Δ, prev + Δ]`; the warm
-//!   solvers in `tgp-core` *certify* the window before trusting it, so
-//!   the result is byte-identical to a cold solve whether or not the
-//!   hint was any good.
+//!   bottleneck binary search with `[prev − Δ, prev + Δ]`; the
+//!   lexicographic warm solver in `tgp-core` *certifies* the window
+//!   before trusting it, so the result is byte-identical to a cold
+//!   solve whether or not the hint was any good. Other objectives
+//!   always solve cold.
 //! * [`journal`] — the append-on-ack journal file (snapshot + log,
 //!   versioned and checksummed) that is replayed on restart, restoring
 //!   every graph to its exact last acknowledged version even after

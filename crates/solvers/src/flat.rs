@@ -9,11 +9,8 @@
 //! [`KeyBuilder`] sequence of `Solver::canonical_key`, so a cache entry
 //! produced by one path is served verbatim by the other.
 
-use tgp_core::bandwidth::{
-    min_bandwidth_cut_lexicographic, min_bandwidth_cut_lexicographic_budgeted,
-    min_bandwidth_cut_lexicographic_warm,
-};
-use tgp_core::bottleneck::{min_bottleneck_cut, min_bottleneck_cut_warm};
+use tgp_core::bandwidth::{min_bandwidth_cut_lexicographic, min_bandwidth_cut_lexicographic_warm};
+use tgp_core::bottleneck::min_bottleneck_cut;
 use tgp_core::budget::Budget;
 use tgp_core::pipeline::{partition_chain, partition_chain_budgeted};
 use tgp_graph::Weight;
@@ -235,8 +232,12 @@ impl FlatRequest {
         match (self.objective, &self.graph) {
             (FlatObjective::Bandwidth, FlatGraph::ChainRam(g)) => run_bandwidth(g, bound),
             (FlatObjective::Bandwidth, FlatGraph::ChainDisk(g)) => run_bandwidth(g, bound),
-            (FlatObjective::Lexicographic, FlatGraph::ChainRam(g)) => run_lex(g, bound),
-            (FlatObjective::Lexicographic, FlatGraph::ChainDisk(g)) => run_lex(g, bound),
+            (FlatObjective::Lexicographic, FlatGraph::ChainRam(g)) => {
+                run_lex(g, bound, &Budget::unlimited())
+            }
+            (FlatObjective::Lexicographic, FlatGraph::ChainDisk(g)) => {
+                run_lex(g, bound, &Budget::unlimited())
+            }
             (FlatObjective::Bottleneck, FlatGraph::TreeRam(g)) => run_bottleneck(g, bound),
             (FlatObjective::Bottleneck, FlatGraph::TreeDisk(g)) => run_bottleneck(g, bound),
             (obj, graph) => panic!(
@@ -262,8 +263,8 @@ impl FlatRequest {
             (FlatObjective::Bandwidth, FlatGraph::ChainDisk(g)) => {
                 run_bandwidth_b(g, bound, budget)
             }
-            (FlatObjective::Lexicographic, FlatGraph::ChainRam(g)) => run_lex_b(g, bound, budget),
-            (FlatObjective::Lexicographic, FlatGraph::ChainDisk(g)) => run_lex_b(g, bound, budget),
+            (FlatObjective::Lexicographic, FlatGraph::ChainRam(g)) => run_lex(g, bound, budget),
+            (FlatObjective::Lexicographic, FlatGraph::ChainDisk(g)) => run_lex(g, bound, budget),
             (FlatObjective::Bottleneck, _) => {
                 // The bottleneck solver has no sliced loop; mirror the
                 // legacy default: admission-check, charge, then run.
@@ -290,12 +291,6 @@ impl FlatRequest {
             (FlatObjective::Lexicographic, FlatGraph::ChainDisk(g)) => {
                 run_lex_warm(g, bound, lo, hi)
             }
-            (FlatObjective::Bottleneck, FlatGraph::TreeRam(g)) => {
-                run_bottleneck_warm(g, bound, lo, hi)
-            }
-            (FlatObjective::Bottleneck, FlatGraph::TreeDisk(g)) => {
-                run_bottleneck_warm(g, bound, lo, hi)
-            }
             _ => None,
         }
     }
@@ -319,17 +314,12 @@ fn run_bandwidth_b<C: tgp_graph::ChainView>(
     Ok(render_bandwidth(bound, &part))
 }
 
-fn run_lex<C: tgp_graph::ChainView>(chain: &C, bound: Weight) -> Result<Response, SolveError> {
-    let cut = min_bandwidth_cut_lexicographic(chain, bound).map_err(SolveError::infeasible)?;
-    render_lexicographic(chain, bound, &cut)
-}
-
-fn run_lex_b<C: tgp_graph::ChainView>(
+fn run_lex<C: tgp_graph::ChainView>(
     chain: &C,
     bound: Weight,
     budget: &Budget,
 ) -> Result<Response, SolveError> {
-    let cut = min_bandwidth_cut_lexicographic_budgeted(chain, bound, budget)
+    let cut = min_bandwidth_cut_lexicographic(chain, bound, budget)
         .map_err(SolveError::from_partition)?;
     render_lexicographic(chain, bound, &cut)
 }
@@ -350,20 +340,4 @@ fn run_bottleneck<T: tgp_graph::TreeView>(tree: &T, bound: Weight) -> Result<Res
     // exactly what the legacy path's components().count() reports.
     let components = r.cut.len() + 1;
     Ok(render_bottleneck(bound, &r.cut, r.bottleneck, components))
-}
-
-fn run_bottleneck_warm<T: tgp_graph::TreeView>(
-    tree: &T,
-    bound: Weight,
-    lo: Weight,
-    hi: Weight,
-) -> Option<Result<Response, SolveError>> {
-    let r = min_bottleneck_cut_warm(tree, bound, lo, hi).ok()??;
-    let components = r.cut.len() + 1;
-    Some(Ok(render_bottleneck(
-        bound,
-        &r.cut,
-        r.bottleneck,
-        components,
-    )))
 }

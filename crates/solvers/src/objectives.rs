@@ -13,11 +13,8 @@ use tgp_baselines::hetero::{hetero_partition, HeteroArray};
 use tgp_baselines::host_satellite::host_satellite_partition;
 use tgp_baselines::nicol::nicol_bandwidth_cut;
 use tgp_core::approx::{partition_process_graph_best, ApproxMethod};
-use tgp_core::bandwidth::{
-    min_bandwidth_cut_lexicographic, min_bandwidth_cut_lexicographic_budgeted,
-    min_bandwidth_cut_lexicographic_warm,
-};
-use tgp_core::bottleneck::{min_bottleneck_cut, min_bottleneck_cut_warm};
+use tgp_core::bandwidth::{min_bandwidth_cut_lexicographic, min_bandwidth_cut_lexicographic_warm};
+use tgp_core::bottleneck::min_bottleneck_cut;
 use tgp_core::budget::Budget;
 use tgp_core::pipeline::{partition_chain, partition_chain_budgeted, partition_tree};
 use tgp_core::procmin::proc_min;
@@ -202,25 +199,6 @@ impl Solver for Bottleneck {
             .count();
         Ok(render_bottleneck(bound, &r.cut, r.bottleneck, components))
     }
-    fn run_warm(
-        &self,
-        request: &Request,
-        hint_lo: u64,
-        hint_hi: u64,
-    ) -> Option<Result<Response, SolveError>> {
-        let bound = bound_of(request);
-        let tree = request.graph.tree();
-        let r = min_bottleneck_cut_warm(tree, bound, Weight::new(hint_lo), Weight::new(hint_hi))
-            .ok()??;
-        let components = tree.components(&r.cut).ok()?.count();
-        Some(Ok(Response::new(json!({
-            "objective": self.name(),
-            "bound": bound.get(),
-            "cut": cut_json(r.cut.iter()),
-            "bottleneck": r.bottleneck.get(),
-            "components": components,
-        }))))
-    }
 }
 
 /// `procmin` — Algorithm 2.2 on trees.
@@ -298,15 +276,12 @@ impl Solver for Lexicographic {
         "chain cut minimizing (bottleneck, bandwidth) lexicographically (§3)"
     }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
-        let bound = bound_of(request);
-        let chain = request.graph.chain();
-        let cut = min_bandwidth_cut_lexicographic(chain, bound).map_err(SolveError::infeasible)?;
-        render_lexicographic(chain, bound, &cut)
+        self.run_budgeted(request, &Budget::unlimited())
     }
     fn run_budgeted(&self, request: &Request, budget: &Budget) -> Result<Response, SolveError> {
         let bound = bound_of(request);
         let chain = request.graph.chain();
-        let cut = min_bandwidth_cut_lexicographic_budgeted(chain, bound, budget)
+        let cut = min_bandwidth_cut_lexicographic(chain, bound, budget)
             .map_err(SolveError::from_partition)?;
         render_lexicographic(chain, bound, &cut)
     }
@@ -325,14 +300,7 @@ impl Solver for Lexicographic {
             Weight::new(hint_hi),
         )
         .ok()??;
-        Some(Ok(Response::new(json!({
-            "objective": self.name(),
-            "bound": bound.get(),
-            "cut": cut_json(cut.iter()),
-            "bottleneck": chain.bottleneck(&cut).ok()?.get(),
-            "bandwidth": chain.cut_weight(&cut).ok()?.get(),
-            "processors": cut.len() + 1,
-        }))))
+        Some(render_lexicographic(chain, bound, &cut))
     }
 }
 
@@ -968,65 +936,63 @@ mod tests {
     #[test]
     fn warm_runs_are_byte_identical_to_cold_runs() {
         let registry = Registry::shared();
-        for name in ["lexicographic", "bottleneck"] {
-            let (_, solver) = registry.get(name).unwrap();
-            let value = Value::parse(&golden_request(name)).unwrap();
-            let request = solver.parse(&value).unwrap();
-            let cold = solver.run(&request).unwrap();
-            let cold_body = solver.to_json(&cold).to_string();
-            let b = cold.value["bottleneck"].as_u64().unwrap();
-            for (lo, hi) in [
-                (b, b),
-                (b.saturating_sub(3), b.saturating_add(3)),
-                (0, u64::MAX),
-            ] {
-                let warm = solver
-                    .run_warm(&request, lo, hi)
-                    .unwrap_or_else(|| {
-                        panic!("{name} declined a window [{lo}, {hi}] containing the optimum {b}")
-                    })
-                    .unwrap();
-                assert_eq!(
-                    solver.to_json(&warm).to_string(),
-                    cold_body,
-                    "{name} warm body diverged for window [{lo}, {hi}]"
-                );
-            }
+        let name = "lexicographic";
+        let (_, solver) = registry.get(name).unwrap();
+        let value = Value::parse(&golden_request(name)).unwrap();
+        let request = solver.parse(&value).unwrap();
+        let cold = solver.run(&request).unwrap();
+        let cold_body = solver.to_json(&cold).to_string();
+        let b = cold.value["bottleneck"].as_u64().unwrap();
+        for (lo, hi) in [
+            (b, b),
+            (b.saturating_sub(3), b.saturating_add(3)),
+            (0, u64::MAX),
+        ] {
+            let warm = solver
+                .run_warm(&request, lo, hi)
+                .unwrap_or_else(|| {
+                    panic!("{name} declined a window [{lo}, {hi}] containing the optimum {b}")
+                })
+                .unwrap();
+            assert_eq!(
+                solver.to_json(&warm).to_string(),
+                cold_body,
+                "{name} warm body diverged for window [{lo}, {hi}]"
+            );
         }
     }
 
     #[test]
     fn warm_runs_decline_windows_missing_the_optimum() {
         let registry = Registry::shared();
-        for name in ["lexicographic", "bottleneck"] {
-            let (_, solver) = registry.get(name).unwrap();
-            let value = Value::parse(&golden_request(name)).unwrap();
-            let request = solver.parse(&value).unwrap();
-            let b = solver.run(&request).unwrap().value["bottleneck"]
-                .as_u64()
-                .unwrap();
+        let name = "lexicographic";
+        let (_, solver) = registry.get(name).unwrap();
+        let value = Value::parse(&golden_request(name)).unwrap();
+        let request = solver.parse(&value).unwrap();
+        let b = solver.run(&request).unwrap().value["bottleneck"]
+            .as_u64()
+            .unwrap();
+        assert!(
+            solver.run_warm(&request, b + 1, u64::MAX).is_none(),
+            "{name} must decline a window above the optimum"
+        );
+        if b > 0 {
             assert!(
-                solver.run_warm(&request, b + 1, u64::MAX).is_none(),
-                "{name} must decline a window above the optimum"
-            );
-            if b > 0 {
-                assert!(
-                    solver.run_warm(&request, 0, b - 1).is_none(),
-                    "{name} must decline a window below the optimum"
-                );
-            }
-            assert!(
-                solver.run_warm(&request, 5, 4).is_none(),
-                "{name} must decline an inverted window"
+                solver.run_warm(&request, 0, b - 1).is_none(),
+                "{name} must decline a window below the optimum"
             );
         }
+        assert!(
+            solver.run_warm(&request, 5, 4).is_none(),
+            "{name} must decline an inverted window"
+        );
     }
 
     #[test]
     fn solvers_without_warm_support_decline_every_window() {
         let registry = Registry::shared();
         for solver in registry.iter() {
-            if matches!(solver.name(), "lexicographic" | "bottleneck") {
+            if solver.name() == "lexicographic" {
                 continue;
             }
             let value = Value::parse(&golden_request(solver.name())).unwrap();

@@ -11,7 +11,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use tgp_core::bandwidth::{min_bandwidth_cut, min_bandwidth_cut_lexicographic, prime_subpaths};
-use tgp_core::bottleneck::{min_bottleneck_cut, min_bottleneck_cut_warm};
+use tgp_core::bottleneck::min_bottleneck_cut;
+use tgp_core::budget::Budget;
 use tgp_core::pipeline::partition_chain;
 use tgp_graph::{ChainView, PathGraph, Tree, TreeView, Weight};
 use tgp_store::{
@@ -68,7 +69,7 @@ fn chain_transcript<C: ChainView>(path: &C, bounds: &[u64]) -> String {
             }
             Err(e) => out.push_str(&format!("bw k={k}: ERR {e:?}\n")),
         }
-        match min_bandwidth_cut_lexicographic(path, bound) {
+        match min_bandwidth_cut_lexicographic(path, bound, &Budget::unlimited()) {
             Ok(cut) => {
                 let edges: Vec<usize> = cut.iter().map(|e| e.index()).collect();
                 out.push_str(&format!(
@@ -91,7 +92,7 @@ fn chain_transcript<C: ChainView>(path: &C, bounds: &[u64]) -> String {
     out
 }
 
-/// Same idea for trees: bottleneck solve (cold and warm-start paths).
+/// Same idea for trees: the bottleneck solve.
 fn tree_transcript<T: TreeView>(tree: &T, bounds: &[u64]) -> String {
     let mut out = String::new();
     for &k in bounds {
@@ -104,20 +105,6 @@ fn tree_transcript<T: TreeView>(tree: &T, bounds: &[u64]) -> String {
                     r.bottleneck,
                     tree.cut_weight(&r.cut).unwrap(),
                 ));
-                // Warm re-solve with an exact hint window must certify and
-                // reproduce the cold result on every backing.
-                let warm =
-                    min_bottleneck_cut_warm(tree, bound, r.bottleneck, r.bottleneck).unwrap();
-                match warm {
-                    Some(w) => {
-                        let warm_edges: Vec<usize> = w.cut.iter().map(|e| e.index()).collect();
-                        out.push_str(&format!(
-                            "warm k={k}: cut={warm_edges:?} bn={:?}\n",
-                            w.bottleneck
-                        ));
-                    }
-                    None => out.push_str(&format!("warm k={k}: MISS\n")),
-                }
             }
             Err(e) => out.push_str(&format!("bn k={k}: ERR {e:?}\n")),
         }
