@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use tgp_graph::{CutSet, EdgeId, NodeId, PathGraph, Weight};
+use tgp_graph::{ChainView, CutSet, EdgeId, NodeId, Weight};
 
 /// Errors for the baseline bandwidth solver (mirrors
 /// `tgp_core::PartitionError` without depending on it, to keep the
@@ -72,7 +72,9 @@ impl WindowMin {
 }
 
 /// Minimum-weight cut keeping every segment within `bound`, via the
-/// `O(n log n)` ordered-map DP (the Nicol & O'Hallaron baseline).
+/// `O(n log n)` ordered-map DP (the Nicol & O'Hallaron baseline), over
+/// any [`ChainView`] (pointer `PathGraph` or a flat RAM- or
+/// disk-backed chain).
 ///
 /// # Errors
 ///
@@ -91,8 +93,9 @@ impl WindowMin {
 /// # Ok(())
 /// # }
 /// ```
-pub fn nicol_bandwidth_cut(path: &PathGraph, bound: Weight) -> Result<CutSet, NicolError> {
-    for (i, &w) in path.node_weights().iter().enumerate() {
+pub fn nicol_bandwidth_cut<C: ChainView>(path: &C, bound: Weight) -> Result<CutSet, NicolError> {
+    for i in 0..path.len() {
+        let w = path.node_weight(NodeId::new(i));
         if w > bound {
             return Err(NicolError::BoundTooSmall {
                 node: NodeId::new(i),
@@ -158,6 +161,7 @@ pub fn nicol_bandwidth_cut(path: &PathGraph, bound: Weight) -> Result<CutSet, Ni
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgp_graph::PathGraph;
 
     #[test]
     fn empty_cut_when_everything_fits() {

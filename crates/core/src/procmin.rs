@@ -16,14 +16,16 @@
 //! * [`proc_min`] — an iterative post-order formulation (children are
 //!   always processed before their parent, at which point they behave as
 //!   the paper's "leaves"); `O(n log n)` from sorting each node's child
-//!   weights, robust to million-node trees.
+//!   weights, robust to million-node trees, and generic over
+//!   [`TreeView`], so pointer, flat in-RAM and disk-backed trees share
+//!   one solve.
 //! * [`proc_min_paper`] — a literal work-list transcription of the paper's
 //!   recursion (prune-and-reweigh on an explicitly mutated tree), used for
 //!   cross-checking.
 
-use tgp_graph::{CutSet, EdgeId, NodeId, Tree, Weight};
+use tgp_graph::{CutSet, EdgeId, NodeId, Tree, TreeView, UnionFind32, Weight};
 
-use crate::error::{check_bound, PartitionError};
+use crate::error::{check_bound, check_bound_nodes, PartitionError};
 
 /// The outcome of processor minimization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,12 +38,29 @@ pub struct ProcMinResult {
 }
 
 /// Processor minimization — iterative post-order implementation,
-/// `O(n log n)`.
+/// `O(n log n)`, over any [`TreeView`] (pointer [`Tree`] or a flat
+/// RAM- or disk-backed tree).
+///
+/// The working set is a handful of flat `u32`/`u64` arrays: a CSR
+/// incidence built from [`TreeView::edge`] in edge-id order (the order
+/// `Tree`'s adjacency lists use), the pre-order, each node's parent edge,
+/// the cluster weight each child passes up its parent edge, and one
+/// reused buffer of child clusters. The traversal is the reversed stack
+/// pre-order of `Tree::post_order` from node 0, and each node's child
+/// clusters are gathered in incident-edge order, which is exactly the
+/// order the children finish in; so the heaviest-first sort sees the
+/// same sequence on every representation and the cut is identical,
+/// ties included.
 ///
 /// # Errors
 ///
 /// [`PartitionError::BoundTooSmall`] if a single vertex outweighs `bound`
 /// (no feasible partition exists).
+///
+/// # Panics
+///
+/// If the tree has more than `2^31` nodes (the incidence offsets are
+/// `u32`).
 ///
 /// # Examples
 ///
@@ -57,27 +76,56 @@ pub struct ProcMinResult {
 /// # Ok(())
 /// # }
 /// ```
-pub fn proc_min(tree: &Tree, bound: Weight) -> Result<ProcMinResult, PartitionError> {
-    check_bound(tree.node_weights(), bound)?;
-    let root = NodeId::new(0);
-    let order = tree.post_order(root);
-    let parent = tree.parents(root);
-    // residual[v] = weight of the cluster rooted at v that is still
-    // attached to v's parent after processing v's subtree.
-    let mut residual: Vec<u64> = tree.node_weights().iter().map(|w| w.get()).collect();
+pub fn proc_min<T: TreeView>(tree: &T, bound: Weight) -> Result<ProcMinResult, PartitionError> {
+    check_bound_nodes(
+        (0..tree.len()).map(|i| tree.node_weight(NodeId::new(i))),
+        bound,
+    )?;
+    let incidence = Incidence::new(tree);
+    // Pre-order from node 0: pop a node, push its neighbours in incidence
+    // order, so children are visited right to left and the reversed
+    // order is a post-order (children before parents).
+    let mut parent_edge = vec![NO_EDGE; tree.len()];
+    let mut order: Vec<u32> = Vec::with_capacity(tree.len());
+    let mut stack: Vec<u32> = vec![0];
+    while let Some(v) = stack.pop() {
+        order.push(v);
+        let up = parent_edge[v as usize];
+        for &e in incidence.edges(v) {
+            if e != up {
+                let edge = tree.edge(EdgeId::new(e as usize));
+                let u = if edge.a.index() == v as usize {
+                    edge.b
+                } else {
+                    edge.a
+                };
+                parent_edge[u.index()] = e;
+                stack.push(u.index() as u32);
+            }
+        }
+    }
+    // passed_up[e] = weight of the cluster the child end of `e` still
+    // hands to its parent after its own subtree is settled.
+    let mut passed_up: Vec<u64> = vec![0; tree.edge_count()];
     let mut cut_edges: Vec<EdgeId> = Vec::new();
-    // Child clusters pending absorption, collected per node.
-    let mut pending: Vec<Vec<(u64, EdgeId)>> = vec![Vec::new(); tree.len()];
-    for &v in &order {
-        let mut w: u64 = tree.node_weight(v).get();
-        for &(child_w, _) in &pending[v.index()] {
-            w += child_w;
+    // Child clusters of the current node, in incident-edge order.
+    let mut children: Vec<(u64, EdgeId)> = Vec::new();
+    for &v in order.iter().rev() {
+        let up = parent_edge[v as usize];
+        let mut w: u64 = tree.node_weight(NodeId::new(v as usize)).get();
+        children.clear();
+        for &e in incidence.edges(v) {
+            if e != up {
+                let child_w = passed_up[e as usize];
+                w += child_w;
+                children.push((child_w, EdgeId::new(e as usize)));
+            }
         }
         if w > bound.get() {
             // Cut the heaviest child clusters until the rest fits
             // (the paper's step 5; minimal r by taking heaviest first).
-            pending[v.index()].sort_unstable_by_key(|&(w, _)| std::cmp::Reverse(w));
-            for &(child_w, edge) in &pending[v.index()] {
+            children.sort_unstable_by_key(|&(w, _)| std::cmp::Reverse(w));
+            for &(child_w, edge) in &children {
                 if w <= bound.get() {
                     break;
                 }
@@ -89,21 +137,82 @@ pub fn proc_min(tree: &Tree, bound: Weight) -> Result<ProcMinResult, PartitionEr
                 "cutting every child leaves w = ω(v) <= bound"
             );
         }
-        residual[v.index()] = w;
-        if let Some((p, e)) = parent[v.index()] {
-            pending[p.index()].push((w, e));
+        if up != NO_EDGE {
+            passed_up[up as usize] = w;
         }
     }
     let cut = CutSet::new(cut_edges);
     let component_count = cut.len() + 1;
-    debug_assert!(tree
-        .components(&cut)
-        .expect("cut edges are in range")
-        .is_feasible(bound));
+    debug_assert!(components_fit(tree, &cut, bound));
     Ok(ProcMinResult {
         cut,
         component_count,
     })
+}
+
+/// Whether every component of `T − cut` weighs at most `bound`: the
+/// postcondition [`proc_min`] checks in debug builds.
+fn components_fit<T: TreeView>(tree: &T, cut: &CutSet, bound: Weight) -> bool {
+    let mut uf = UnionFind32::new(tree.len());
+    for e in (0..tree.edge_count()).map(EdgeId::new) {
+        if !cut.contains(e) {
+            let edge = tree.edge(e);
+            uf.union(edge.a.index() as u32, edge.b.index() as u32);
+        }
+    }
+    let mut weight = vec![0u64; tree.len()];
+    for v in 0..tree.len() {
+        weight[uf.find(v as u32) as usize] += tree.node_weight(NodeId::new(v)).get();
+    }
+    weight.iter().all(|&w| w <= bound.get())
+}
+
+/// The parent-edge sentinel of the root.
+const NO_EDGE: u32 = u32::MAX;
+
+/// Every node's incident edge ids in increasing id order, as one CSR:
+/// `edges[start[v]..start[v + 1]]`.
+struct Incidence {
+    start: Vec<u32>,
+    edges: Vec<u32>,
+}
+
+impl Incidence {
+    fn new<T: TreeView>(tree: &T) -> Self {
+        let (n, m) = (tree.len(), tree.edge_count());
+        assert!(
+            u32::try_from(2 * m).is_ok(),
+            "tree node count exceeds u32 incidence offsets"
+        );
+        // Counting sort: degree of v at start[v + 2], prefix sums make
+        // start[v + 1] the first slot of v, and scattering advances it to
+        // the first slot of v + 1, leaving start[v]..start[v + 1] as v's
+        // range. Scattering edges in id order keeps each range sorted.
+        let mut start = vec![0u32; n + 2];
+        for e in 0..m {
+            let edge = tree.edge(EdgeId::new(e));
+            start[edge.a.index() + 2] += 1;
+            start[edge.b.index() + 2] += 1;
+        }
+        for i in 2..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut edges = vec![0u32; 2 * m];
+        for e in 0..m {
+            let edge = tree.edge(EdgeId::new(e));
+            for v in [edge.a.index(), edge.b.index()] {
+                edges[start[v + 1] as usize] = e as u32;
+                start[v + 1] += 1;
+            }
+        }
+        start.truncate(n + 1);
+        Incidence { start, edges }
+    }
+
+    fn edges(&self, v: u32) -> &[u32] {
+        let v = v as usize;
+        &self.edges[self.start[v] as usize..self.start[v + 1] as usize]
+    }
 }
 
 /// Processor minimization — literal work-list transcription of the paper's
@@ -226,6 +335,130 @@ mod tests {
             }
         }
         best
+    }
+
+    /// The pre-flat-array `proc_min`, verbatim: per-node `pending`
+    /// vectors over `Tree::post_order` and `Tree::parents`. The generic
+    /// rewrite must return the same cut, not just the same count.
+    fn proc_min_reference(tree: &Tree, bound: Weight) -> Result<ProcMinResult, PartitionError> {
+        check_bound(tree.node_weights(), bound)?;
+        let root = NodeId::new(0);
+        let order = tree.post_order(root);
+        let parent = tree.parents(root);
+        // residual[v] = weight of the cluster rooted at v that is still
+        // attached to v's parent after processing v's subtree.
+        let mut residual: Vec<u64> = tree.node_weights().iter().map(|w| w.get()).collect();
+        let mut cut_edges: Vec<EdgeId> = Vec::new();
+        // Child clusters pending absorption, collected per node.
+        let mut pending: Vec<Vec<(u64, EdgeId)>> = vec![Vec::new(); tree.len()];
+        for &v in &order {
+            let mut w: u64 = tree.node_weight(v).get();
+            for &(child_w, _) in &pending[v.index()] {
+                w += child_w;
+            }
+            if w > bound.get() {
+                // Cut the heaviest child clusters until the rest fits
+                // (the paper's step 5; minimal r by taking heaviest first).
+                pending[v.index()].sort_unstable_by_key(|&(w, _)| std::cmp::Reverse(w));
+                for &(child_w, edge) in &pending[v.index()] {
+                    if w <= bound.get() {
+                        break;
+                    }
+                    cut_edges.push(edge);
+                    w -= child_w;
+                }
+                debug_assert!(
+                    w <= bound.get(),
+                    "cutting every child leaves w = ω(v) <= bound"
+                );
+            }
+            residual[v.index()] = w;
+            if let Some((p, e)) = parent[v.index()] {
+                pending[p.index()].push((w, e));
+            }
+        }
+        let cut = CutSet::new(cut_edges);
+        let component_count = cut.len() + 1;
+        debug_assert!(tree
+            .components(&cut)
+            .expect("cut edges are in range")
+            .is_feasible(bound));
+        Ok(ProcMinResult {
+            cut,
+            component_count,
+        })
+    }
+
+    #[test]
+    fn flat_array_solve_matches_the_reference_cut_for_cut() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use tgp_store::{DiskBacking, FlatTree, FlatTreeBuilder, MemoryBacking, RamBacking};
+
+        fn flat<B: MemoryBacking + Clone>(
+            backing: &B,
+            nodes: &[u64],
+            edges: &[(usize, usize, u64)],
+        ) -> FlatTree<B> {
+            let mut b = FlatTreeBuilder::new(backing.clone(), nodes.len()).unwrap();
+            for &w in nodes {
+                b.push_node(w).unwrap();
+            }
+            for &(a, bb, w) in edges {
+                b.push_edge(a, bb, w).unwrap();
+            }
+            b.finish().unwrap()
+        }
+        fn shuffle<T>(items: &mut [T], rng: &mut SmallRng) {
+            for i in (1..items.len()).rev() {
+                items.swap(i, rng.gen_range(0..=i));
+            }
+        }
+
+        let mut rng = SmallRng::seed_from_u64(0x9a11);
+        let spill = DiskBacking::new(std::env::temp_dir());
+        for round in 0..2_000 {
+            let n = rng.gen_range(1..=300);
+            // A 1–3 alphabet makes most child clusters tie; 1–100 rarely.
+            let hi = if round % 2 == 0 { 3 } else { 100 };
+            let nodes: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=hi)).collect();
+            // A random attachment tree under a random relabelling, each
+            // edge in a random orientation, the edge list shuffled.
+            let mut label: Vec<usize> = (0..n).collect();
+            shuffle(&mut label, &mut rng);
+            let mut edges: Vec<(usize, usize, u64)> = (1..n)
+                .map(|v| {
+                    let (a, b) = (label[rng.gen_range(0..v)], label[v]);
+                    let w = rng.gen_range(1..=50);
+                    if rng.gen_bool(0.5) {
+                        (a, b, w)
+                    } else {
+                        (b, a, w)
+                    }
+                })
+                .collect();
+            shuffle(&mut edges, &mut rng);
+            let max = *nodes.iter().max().unwrap();
+            let total: u64 = nodes.iter().sum();
+            let bounds = [
+                max.saturating_sub(1).max(1),
+                max,
+                max + rng.gen_range(0..=2 * hi),
+                rng.gen_range(max..=total),
+                total,
+            ];
+            let tree = Tree::from_raw(&nodes, &edges).unwrap();
+            let ram = flat(&RamBacking, &nodes, &edges);
+            let disk = flat(&spill, &nodes, &edges);
+            for k in bounds {
+                let bound = Weight::new(k);
+                let want = proc_min_reference(&tree, bound);
+                let ctx = format!("round={round} n={n} k={k}");
+                assert_eq!(proc_min(&tree, bound), want, "pointer: {ctx}");
+                assert_eq!(proc_min(&ram, bound), want, "RAM: {ctx}");
+                assert_eq!(proc_min(&disk, bound), want, "disk: {ctx}");
+            }
+        }
     }
 
     #[test]

@@ -2908,6 +2908,75 @@ mod tests {
         );
     }
 
+    /// `procmin` and `nicol` bodies take the flat path, which renders
+    /// their solver errors itself; an infeasible bound must answer the
+    /// registry path's 422 byte for byte, on RAM and disk arrays. The
+    /// escaped key (`\u0062ound` is `bound`) is the same request to the
+    /// JSON-tree parser, but one the streaming ingest declines, so it is
+    /// answered by the registry path.
+    #[test]
+    fn flat_infeasible_procmin_and_nicol_match_the_registry_bytes() {
+        let ram = AppState::new(CacheConfig::default());
+        let disk = AppState::new(CacheConfig::default()).with_graph_spill(1, None);
+        for (objective, graph) in [("procmin", TREE), ("nicol", CHAIN)] {
+            let body = format!(r#"{{"objective": "{objective}", "bound": 1, "graph": {graph}}}"#);
+            let escaped = body.replace(r#""bound""#, r#""\u0062ound""#);
+            let registry = handle(&ram, &post("/v1/partition", &escaped));
+            assert_eq!(registry.status, 422, "{objective}: {}", registry.body);
+            assert!(registry.body.contains("infeasible"), "{}", registry.body);
+            for state in [&ram, &disk] {
+                let flat = handle(state, &post("/v1/partition", &body));
+                assert_eq!(flat.status, registry.status, "{objective}: {}", flat.body);
+                assert_eq!(flat.body, registry.body, "{objective}");
+            }
+        }
+        // Both flat requests really were ingested flat, on each backing;
+        // the escaped ones never were.
+        let ram_metrics = handle(&ram, &get("/metrics")).body;
+        assert!(
+            ram_metrics.contains("tgp_store_backing{kind=\"ram\"} 2"),
+            "{ram_metrics}"
+        );
+        let disk_metrics = handle(&disk, &get("/metrics")).body;
+        assert!(
+            disk_metrics.contains("tgp_store_backing{kind=\"disk\"} 2"),
+            "{disk_metrics}"
+        );
+    }
+
+    /// Past the spill threshold, session re-solves of `procmin` (tree)
+    /// and `nicol` (chain) run over disk-backed flat arrays too, with
+    /// the registry path's bytes.
+    #[test]
+    fn session_flat_solve_covers_procmin_and_nicol() {
+        let flat = AppState::new(CacheConfig::default()).with_graph_spill(1, None);
+        let legacy = AppState::new(CacheConfig::default());
+        for state in [&flat, &legacy] {
+            for graph in [TREE, CHAIN] {
+                let r = handle(
+                    state,
+                    &post("/v1/graphs", &format!(r#"{{"graph": {graph}}}"#)),
+                );
+                assert_eq!(r.status, 200, "{}", r.body);
+            }
+        }
+        for (id, solve) in [
+            ("g1", r#"{"objective": "procmin", "bound": 5}"#),
+            ("g2", r#"{"objective": "nicol", "bound": 8}"#),
+        ] {
+            let path = format!("/v1/graphs/{id}/partition");
+            let out_of_core = handle(&flat, &post(&path, solve));
+            let in_ram = handle(&legacy, &post(&path, solve));
+            assert_eq!(out_of_core.status, 200, "{}", out_of_core.body);
+            assert_eq!(out_of_core.body, in_ram.body, "{solve}");
+        }
+        let metrics = handle(&flat, &get("/metrics")).body;
+        assert!(
+            metrics.contains("tgp_store_backing{kind=\"disk\"} 2"),
+            "{metrics}"
+        );
+    }
+
     #[test]
     fn session_flat_solve_runs_out_of_core_and_stays_byte_identical() {
         // Threshold 1: every resident graph is "huge", so session
@@ -2941,7 +3010,7 @@ mod tests {
             metrics.body
         );
         // Requests the flat path cannot serve fall back to the registry
-        // (here: an objective outside the flat trio).
+        // (here: an objective outside the flat set).
         let other = handle(
             &flat,
             &post(

@@ -1,7 +1,7 @@
 //! The flat-substrate solve path: [`FlatRequest`] is the counterpart of
 //! [`crate::Request`] for graphs living in `tgp-store`'s flat arrays
-//! (RAM- or disk-backed), covering the three hot objectives
-//! (`bandwidth`, `bottleneck`, `lexicographic`).
+//! (RAM- or disk-backed), covering five objectives: `bandwidth`,
+//! `bottleneck`, `lexicographic`, `procmin` and `nicol`.
 //!
 //! Responses and canonical cache keys are byte-identical to the legacy
 //! pointer-graph path: the rendering helpers are shared with
@@ -9,16 +9,20 @@
 //! [`KeyBuilder`] sequence of `Solver::canonical_key`, so a cache entry
 //! produced by one path is served verbatim by the other.
 
+use tgp_baselines::nicol::nicol_bandwidth_cut;
 use tgp_core::bandwidth::{min_bandwidth_cut_lexicographic, min_bandwidth_cut_lexicographic_warm};
 use tgp_core::bottleneck::min_bottleneck_cut;
 use tgp_core::budget::Budget;
-use tgp_core::pipeline::{partition_chain, partition_chain_budgeted};
-use tgp_graph::Weight;
+use tgp_core::pipeline::partition_chain_budgeted;
+use tgp_core::procmin::proc_min;
+use tgp_graph::{ChainView, TreeView, Weight};
 use tgp_store::{BackingKind, DiskBacking, FlatPath, FlatTree, RamBacking};
 
 use crate::error::SolveError;
 use crate::key::KeyBuilder;
-use crate::objectives::{render_bandwidth, render_bottleneck, render_lexicographic};
+use crate::objectives::{
+    render_bandwidth, render_bottleneck, render_lexicographic, render_nicol, render_procmin,
+};
 use crate::request::{GraphKind, Params, Response};
 
 /// A flat graph on either backing. The four concrete variants keep the
@@ -86,7 +90,6 @@ impl FlatGraph {
 
     /// Nodes plus edges — same measure as `GraphInput::work_units`.
     pub fn work_units(&self) -> u64 {
-        use tgp_graph::{ChainView, TreeView};
         match self {
             FlatGraph::ChainRam(g) => (g.len() + g.edge_count()) as u64,
             FlatGraph::ChainDisk(g) => (g.len() + g.edge_count()) as u64,
@@ -140,6 +143,10 @@ pub enum FlatObjective {
     Bottleneck,
     /// Lexicographic (bottleneck, bandwidth) chain cut (§3).
     Lexicographic,
+    /// Minimum-processor tree partition (Algorithm 2.2).
+    Procmin,
+    /// The Nicol & O'Hallaron `O(n log n)` chain bandwidth baseline.
+    Nicol,
 }
 
 impl FlatObjective {
@@ -149,6 +156,8 @@ impl FlatObjective {
             FlatObjective::Bandwidth => "bandwidth",
             FlatObjective::Bottleneck => "bottleneck",
             FlatObjective::Lexicographic => "lexicographic",
+            FlatObjective::Procmin => "procmin",
+            FlatObjective::Nicol => "nicol",
         }
     }
 
@@ -158,6 +167,8 @@ impl FlatObjective {
             "bandwidth" => Some(FlatObjective::Bandwidth),
             "bottleneck" => Some(FlatObjective::Bottleneck),
             "lexicographic" => Some(FlatObjective::Lexicographic),
+            "procmin" => Some(FlatObjective::Procmin),
+            "nicol" => Some(FlatObjective::Nicol),
             _ => None,
         }
     }
@@ -165,8 +176,10 @@ impl FlatObjective {
     /// The graph class the objective requires.
     pub fn graph_kind(self) -> GraphKind {
         match self {
-            FlatObjective::Bandwidth | FlatObjective::Lexicographic => GraphKind::Chain,
-            FlatObjective::Bottleneck => GraphKind::Tree,
+            FlatObjective::Bandwidth | FlatObjective::Lexicographic | FlatObjective::Nicol => {
+                GraphKind::Chain
+            }
+            FlatObjective::Bottleneck | FlatObjective::Procmin => GraphKind::Tree,
         }
     }
 }
@@ -228,25 +241,7 @@ impl FlatRequest {
     /// The same [`SolveError`]s the legacy solver reports (infeasible
     /// bounds, etc.).
     pub fn run(&self) -> Result<Response, SolveError> {
-        let bound = Weight::new(self.bound);
-        match (self.objective, &self.graph) {
-            (FlatObjective::Bandwidth, FlatGraph::ChainRam(g)) => run_bandwidth(g, bound),
-            (FlatObjective::Bandwidth, FlatGraph::ChainDisk(g)) => run_bandwidth(g, bound),
-            (FlatObjective::Lexicographic, FlatGraph::ChainRam(g)) => {
-                run_lex(g, bound, &Budget::unlimited())
-            }
-            (FlatObjective::Lexicographic, FlatGraph::ChainDisk(g)) => {
-                run_lex(g, bound, &Budget::unlimited())
-            }
-            (FlatObjective::Bottleneck, FlatGraph::TreeRam(g)) => run_bottleneck(g, bound),
-            (FlatObjective::Bottleneck, FlatGraph::TreeDisk(g)) => run_bottleneck(g, bound),
-            (obj, graph) => panic!(
-                "flat request mismatch: {} expects a {}, holds a {}",
-                obj.name(),
-                obj.graph_kind(),
-                graph.graph_kind()
-            ),
-        }
+        self.run_budgeted(&Budget::unlimited())
     }
 
     /// Cost-sliced [`FlatRequest::run`] — same slicing discipline as
@@ -257,24 +252,24 @@ impl FlatRequest {
     /// As [`FlatRequest::run`], plus deadline/cancel surfacing as
     /// [`SolveError::DeadlineExceeded`] / [`SolveError::Cancelled`].
     pub fn run_budgeted(&self, budget: &Budget) -> Result<Response, SolveError> {
-        let bound = Weight::new(self.bound);
-        match (self.objective, &self.graph) {
-            (FlatObjective::Bandwidth, FlatGraph::ChainRam(g)) => run_bandwidth_b(g, bound, budget),
-            (FlatObjective::Bandwidth, FlatGraph::ChainDisk(g)) => {
-                run_bandwidth_b(g, bound, budget)
-            }
-            (FlatObjective::Lexicographic, FlatGraph::ChainRam(g)) => run_lex(g, bound, budget),
-            (FlatObjective::Lexicographic, FlatGraph::ChainDisk(g)) => run_lex(g, bound, budget),
-            (FlatObjective::Bottleneck, _) => {
-                // The bottleneck solver has no sliced loop; mirror the
-                // legacy default: admission-check, charge, then run.
+        match self.objective {
+            // These charge the budget inside their own loops.
+            FlatObjective::Bandwidth | FlatObjective::Lexicographic => {}
+            // No sliced loop; mirror the legacy default: admission-check,
+            // charge the whole estimate, then run.
+            FlatObjective::Bottleneck | FlatObjective::Procmin | FlatObjective::Nicol => {
                 budget.check_now().map_err(SolveError::from_exceeded)?;
                 budget
                     .charge(self.cost_estimate())
                     .map_err(SolveError::from_exceeded)?;
-                self.run()
             }
-            _ => self.run(),
+        }
+        let bound = Weight::new(self.bound);
+        match &self.graph {
+            FlatGraph::ChainRam(g) => solve_chain(self.objective, g, bound, budget),
+            FlatGraph::ChainDisk(g) => solve_chain(self.objective, g, bound, budget),
+            FlatGraph::TreeRam(g) => solve_tree(self.objective, g, bound),
+            FlatGraph::TreeDisk(g) => solve_tree(self.objective, g, bound),
         }
     }
 
@@ -296,35 +291,65 @@ impl FlatRequest {
     }
 }
 
-fn run_bandwidth<C: tgp_graph::ChainView>(
-    chain: &C,
-    bound: Weight,
-) -> Result<Response, SolveError> {
-    let part = partition_chain(chain, bound).map_err(SolveError::infeasible)?;
-    Ok(render_bandwidth(bound, &part))
-}
-
-fn run_bandwidth_b<C: tgp_graph::ChainView>(
+/// One arm per chain objective, monomorphized per backing.
+fn solve_chain<C: ChainView>(
+    objective: FlatObjective,
     chain: &C,
     bound: Weight,
     budget: &Budget,
 ) -> Result<Response, SolveError> {
-    let part =
-        partition_chain_budgeted(chain, bound, budget).map_err(SolveError::from_partition)?;
-    Ok(render_bandwidth(bound, &part))
+    match objective {
+        FlatObjective::Bandwidth => {
+            let part = partition_chain_budgeted(chain, bound, budget)
+                .map_err(SolveError::from_partition)?;
+            Ok(render_bandwidth(bound, &part))
+        }
+        FlatObjective::Lexicographic => {
+            let cut = min_bandwidth_cut_lexicographic(chain, bound, budget)
+                .map_err(SolveError::from_partition)?;
+            render_lexicographic(chain, bound, &cut)
+        }
+        FlatObjective::Nicol => {
+            let cut = nicol_bandwidth_cut(chain, bound).map_err(SolveError::infeasible)?;
+            render_nicol(chain, bound, &cut)
+        }
+        tree_objective => mismatch(tree_objective, GraphKind::Chain),
+    }
 }
 
-fn run_lex<C: tgp_graph::ChainView>(
-    chain: &C,
+/// One arm per tree objective, monomorphized per backing.
+fn solve_tree<T: TreeView>(
+    objective: FlatObjective,
+    tree: &T,
     bound: Weight,
-    budget: &Budget,
 ) -> Result<Response, SolveError> {
-    let cut = min_bandwidth_cut_lexicographic(chain, bound, budget)
-        .map_err(SolveError::from_partition)?;
-    render_lexicographic(chain, bound, &cut)
+    match objective {
+        FlatObjective::Bottleneck => {
+            let r = min_bottleneck_cut(tree, bound).map_err(SolveError::infeasible)?;
+            // Cutting k edges of a tree always leaves k + 1 components,
+            // which is exactly what the legacy path's
+            // components().count() reports.
+            let components = r.cut.len() + 1;
+            Ok(render_bottleneck(bound, &r.cut, r.bottleneck, components))
+        }
+        FlatObjective::Procmin => {
+            let r = proc_min(tree, bound).map_err(SolveError::infeasible)?;
+            Ok(render_procmin(bound, &r))
+        }
+        chain_objective => mismatch(chain_objective, GraphKind::Tree),
+    }
 }
 
-fn run_lex_warm<C: tgp_graph::ChainView>(
+/// Ingest only builds requests whose graph kind matches the objective.
+fn mismatch(objective: FlatObjective, held: GraphKind) -> ! {
+    panic!(
+        "flat request mismatch: {} expects a {}, holds a {held}",
+        objective.name(),
+        objective.graph_kind(),
+    )
+}
+
+fn run_lex_warm<C: ChainView>(
     chain: &C,
     bound: Weight,
     lo: Weight,
@@ -332,12 +357,4 @@ fn run_lex_warm<C: tgp_graph::ChainView>(
 ) -> Option<Result<Response, SolveError>> {
     let cut = min_bandwidth_cut_lexicographic_warm(chain, bound, lo, hi).ok()??;
     Some(render_lexicographic(chain, bound, &cut))
-}
-
-fn run_bottleneck<T: tgp_graph::TreeView>(tree: &T, bound: Weight) -> Result<Response, SolveError> {
-    let r = min_bottleneck_cut(tree, bound).map_err(SolveError::infeasible)?;
-    // Cutting k edges of a tree always leaves k + 1 components, which is
-    // exactly what the legacy path's components().count() reports.
-    let components = r.cut.len() + 1;
-    Ok(render_bottleneck(bound, &r.cut, r.bottleneck, components))
 }

@@ -8,7 +8,8 @@
 //! nodes several times the body's size.
 //!
 //! The parser is deliberately *conservative*: it understands exactly
-//! the shape the three flat objectives accept —
+//! the shape the five flat objectives (`bandwidth`, `lexicographic`
+//! and `nicol` on chains; `bottleneck` and `procmin` on trees) accept —
 //!
 //! ```json
 //! {"objective": "...", "bound": N,
@@ -206,45 +207,33 @@ where
     B: MemoryBacking + Clone,
     FlatGraph: FromBuilt<B>,
 {
-    // The graph's kind is decided by which keys the object carries, and
-    // "node_weights" may precede the deciding key. A cheap structural
-    // pre-scan (skip values, record keys) settles chain vs. tree before
-    // any array is parsed, so weights stream into the right builder on
-    // the first (and only) real pass.
+    // The graph's kind is decided by its first "edges" or "edge_weights"
+    // key, and "node_weights" may precede it. A cheap structural
+    // pre-scan (skip values, read keys) up to that key settles chain vs.
+    // tree before any array is parsed, so weights stream into the right
+    // builder on the first (and only) real pass. Keys after the deciding
+    // one are left to that pass, which rejects unknown, duplicate and
+    // mixed keys itself; a graph with no deciding key (`{}`, a lone
+    // "node_weights") fails here, at its closing brace.
     let is_tree = {
         let mut probe = s.clone();
         probe.expect(b'{')?;
         probe.skip_ws();
-        let mut has_edges = false;
-        let mut has_edge_weights = false;
-        if !probe.try_consume(b'}') {
-            loop {
-                let key = probe.string_range()?;
-                match probe.slice(key) {
-                    b"edges" => has_edges = true,
-                    b"edge_weights" => has_edge_weights = true,
-                    b"node_weights" => {}
-                    _ => return Err(Abort::Unsupported),
-                }
-                probe.skip_ws();
-                probe.expect(b':')?;
-                probe.skip_ws();
-                probe.skip_value()?;
-                probe.skip_ws();
-                if probe.try_consume(b',') {
-                    probe.skip_ws();
-                    continue;
-                }
-                probe.expect(b'}')?;
-                break;
+        loop {
+            let key = probe.string_range()?;
+            match probe.slice(key) {
+                b"edges" => break true,
+                b"edge_weights" => break false,
+                b"node_weights" => {}
+                _ => return Err(Abort::Unsupported),
             }
-        }
-        match (has_edges, has_edge_weights) {
-            (true, false) => true,
-            (false, true) => false,
-            // Both, neither, or a lone node_weights: not a shape we
-            // stream (the legacy path owns the canonical error).
-            _ => return Err(Abort::Unsupported),
+            probe.skip_ws();
+            probe.expect(b':')?;
+            probe.skip_ws();
+            probe.skip_value()?;
+            probe.skip_ws();
+            probe.expect(b',')?;
+            probe.skip_ws();
         }
     };
     if is_tree {
@@ -639,7 +628,7 @@ mod tests {
     fn ineligible_bodies_fall_back() {
         for body in [
             // other objective
-            r#"{"objective": "procmin", "bound": 1, "graph": {"node_weights": [1],
+            r#"{"objective": "compose", "bound": 1, "graph": {"node_weights": [1],
                 "edges": []}}"#,
             // unknown top-level field
             r#"{"objective": "bandwidth", "bound": 1, "bogus": 2,
@@ -667,9 +656,51 @@ mod tests {
             // trailing garbage
             r#"{"objective": "bandwidth", "bound": 1,
                 "graph": {"node_weights": [1], "edge_weights": []}} x"#,
+            // both deciding keys, in either order
+            r#"{"objective": "bandwidth", "bound": 1,
+                "graph": {"node_weights": [1], "edge_weights": [], "edges": []}}"#,
+            r#"{"objective": "procmin", "bound": 1,
+                "graph": {"edges": [], "node_weights": [1], "edge_weights": []}}"#,
+            // an unknown key after the deciding key
+            r#"{"objective": "procmin", "bound": 1,
+                "graph": {"edges": [], "x": 0, "node_weights": [1]}}"#,
+            // no deciding key: a lone node_weights, an empty graph
+            r#"{"objective": "nicol", "bound": 1, "graph": {"node_weights": [1]}}"#,
+            r#"{"objective": "nicol", "bound": 1, "graph": {}}"#,
         ] {
             assert!(ingest(body).is_none(), "must fall back: {body}");
         }
+    }
+
+    #[test]
+    fn streams_procmin_and_nicol_bodies_on_both_backings() {
+        let procmin = TREE_BODY.replace("bottleneck", "procmin");
+        let nicol = CHAIN_BODY.replace("bandwidth", "nicol");
+        // Tight bounds force cuts; the shared renderers fix the bytes.
+        let tight = |body: &str, bound: &str| body.replace(r#""bound": 10"#, bound);
+        for body in [
+            tight(&procmin, r#""bound": 5"#),
+            tight(&nicol, r#""bound": 8"#),
+        ] {
+            let want = legacy_response(&body);
+            for backing in [
+                IngestBacking::Ram,
+                IngestBacking::disk(std::env::temp_dir()),
+            ] {
+                let flat = ingest_flat(body.as_bytes(), &backing, &Budget::unlimited())
+                    .unwrap()
+                    .expect("eligible body");
+                assert_eq!(flat.run().unwrap().value.to_string(), want, "{body}");
+            }
+        }
+        assert_eq!(
+            ingest(&procmin).map(|f| f.objective),
+            Some(FlatObjective::Procmin)
+        );
+        assert_eq!(
+            ingest(&nicol).map(|f| f.objective),
+            Some(FlatObjective::Nicol)
+        );
     }
 
     #[test]
@@ -694,5 +725,13 @@ mod tests {
         let budget = Budget::with_deadline(std::time::Instant::now()).with_stride(0);
         let err = ingest_flat(CHAIN_BODY.as_bytes(), &IngestBacking::Ram, &budget).unwrap_err();
         assert_eq!(err.code(), "deadline_exceeded");
+    }
+
+    #[test]
+    fn expired_budget_stops_a_procmin_tree_ingest() {
+        let body = TREE_BODY.replace("bottleneck", "procmin");
+        let budget = Budget::with_deadline(std::time::Instant::now()).with_stride(0);
+        let err = ingest_flat(body.as_bytes(), &IngestBacking::Ram, &budget).unwrap_err();
+        assert!(matches!(err, SolveError::DeadlineExceeded), "{err:?}");
     }
 }

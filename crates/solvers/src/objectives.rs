@@ -17,7 +17,7 @@ use tgp_core::bandwidth::{min_bandwidth_cut_lexicographic, min_bandwidth_cut_lex
 use tgp_core::bottleneck::min_bottleneck_cut;
 use tgp_core::budget::Budget;
 use tgp_core::pipeline::{partition_chain, partition_chain_budgeted, partition_tree};
-use tgp_core::procmin::proc_min;
+use tgp_core::procmin::{proc_min, ProcMinResult};
 use tgp_core::tree_bandwidth::min_tree_bandwidth_cut;
 use tgp_graph::json::Value;
 use tgp_graph::{json, EdgeId, NodeId, Weight};
@@ -94,6 +94,32 @@ pub(crate) fn render_bottleneck(
         "bottleneck": bottleneck.get(),
         "components": components,
     }))
+}
+
+/// Renders the `procmin` response shape.
+pub(crate) fn render_procmin(bound: Weight, result: &ProcMinResult) -> Response {
+    Response::new(json!({
+        "objective": "procmin",
+        "bound": bound.get(),
+        "cut": cut_json(result.cut.iter()),
+        "processors": result.component_count,
+    }))
+}
+
+/// Renders the `nicol` response shape, computing the cut weight from any
+/// chain view.
+pub(crate) fn render_nicol<C: tgp_graph::ChainView>(
+    chain: &C,
+    bound: Weight,
+    cut: &tgp_graph::CutSet,
+) -> Result<Response, SolveError> {
+    Ok(Response::new(json!({
+        "objective": "nicol",
+        "bound": bound.get(),
+        "cut": cut_json(cut.iter()),
+        "bandwidth": chain.cut_weight(cut).map_err(SolveError::infeasible)?.get(),
+        "processors": cut.len() + 1,
+    })))
 }
 
 /// Renders the `lexicographic` response shape, computing the derived
@@ -220,12 +246,7 @@ impl Solver for ProcMin {
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
         let bound = bound_of(request);
         let r = proc_min(request.graph.tree(), bound).map_err(SolveError::infeasible)?;
-        Ok(Response::new(json!({
-            "objective": self.name(),
-            "bound": bound.get(),
-            "cut": cut_json(r.cut.iter()),
-            "processors": r.component_count,
-        })))
+        Ok(render_procmin(bound, &r))
     }
 }
 
@@ -413,13 +434,7 @@ impl Solver for Nicol {
         let bound = bound_of(request);
         let chain = request.graph.chain();
         let cut = nicol_bandwidth_cut(chain, bound).map_err(SolveError::infeasible)?;
-        Ok(Response::new(json!({
-            "objective": self.name(),
-            "bound": bound.get(),
-            "cut": cut_json(cut.iter()),
-            "bandwidth": chain.cut_weight(&cut).map_err(SolveError::infeasible)?.get(),
-            "processors": cut.len() + 1,
-        })))
+        render_nicol(chain, bound, &cut)
     }
 }
 

@@ -14,6 +14,7 @@ use tgp_core::bandwidth::{min_bandwidth_cut, min_bandwidth_cut_lexicographic, pr
 use tgp_core::bottleneck::min_bottleneck_cut;
 use tgp_core::budget::Budget;
 use tgp_core::pipeline::partition_chain;
+use tgp_core::procmin::proc_min;
 use tgp_graph::{ChainView, PathGraph, Tree, TreeView, Weight};
 use tgp_store::{
     DiskBacking, FlatPath, FlatPathBuilder, FlatTree, FlatTreeBuilder, MemoryBacking, RamBacking,
@@ -92,7 +93,8 @@ fn chain_transcript<C: ChainView>(path: &C, bounds: &[u64]) -> String {
     out
 }
 
-/// Same idea for trees: the bottleneck solve.
+/// Same idea for trees: the bottleneck and processor-minimization
+/// solves.
 fn tree_transcript<T: TreeView>(tree: &T, bounds: &[u64]) -> String {
     let mut out = String::new();
     for &k in bounds {
@@ -107,6 +109,16 @@ fn tree_transcript<T: TreeView>(tree: &T, bounds: &[u64]) -> String {
                 ));
             }
             Err(e) => out.push_str(&format!("bn k={k}: ERR {e:?}\n")),
+        }
+        match proc_min(tree, bound) {
+            Ok(r) => {
+                let edges: Vec<usize> = r.cut.iter().map(|e| e.index()).collect();
+                out.push_str(&format!(
+                    "pm k={k}: cut={edges:?} procs={}\n",
+                    r.component_count
+                ));
+            }
+            Err(e) => out.push_str(&format!("pm k={k}: ERR {e:?}\n")),
         }
     }
     out
