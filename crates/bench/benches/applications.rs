@@ -12,6 +12,7 @@ use rand::SeedableRng;
 
 use tgp_bench::{chain_instance, tree_instance};
 use tgp_core::approx::{partition_process_graph, ApproxMethod};
+use tgp_core::budget::Budget;
 use tgp_core::knapsack::{knapsack_to_star, min_star_bandwidth_cut, KnapsackInstance};
 use tgp_core::pipeline::{partition_chain, partition_tree};
 use tgp_core::tree_bandwidth::min_tree_bandwidth_cut;
@@ -98,7 +99,7 @@ fn bench_applications(c: &mut Criterion) {
     // Shared-memory pipeline simulation throughput (F3 at scale).
     let chain = chain_instance(256, 1, 100, 0xF3);
     let k = Weight::new(chain.total_weight().get() / 12);
-    let part = partition_chain(&chain, k).expect("feasible bound");
+    let part = partition_chain(&chain, k, &Budget::unlimited()).expect("feasible bound");
     let spec = PipelineSpec::from_partition(&chain, &part.cut).expect("valid partition");
     let machine = Machine::bus(part.processors.max(16)).expect("valid machine");
     group.bench_function("shmem_pipeline/256x500items", |b| {

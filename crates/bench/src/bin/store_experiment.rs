@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use tgp_core::budget::Budget;
 use tgp_graph::json::Value;
-use tgp_solvers::{ingest_flat, FlatGraph, FlatObjective, FlatRequest, IngestBacking, Registry};
+use tgp_solvers::{ingest_flat, GraphInput, IngestBacking, Params, Registry, Request};
 use tgp_store::{DiskBacking, FlatTree, FlatTreeBuilder, MemoryBacking, RamBacking};
 
 /// 64-bit FNV-1a, the same digest the service's journals use.
@@ -107,15 +107,17 @@ fn build_tree<B: MemoryBacking>(backing: B, n: usize, seed: u64) -> (FlatTree<B>
 fn exp_oocore(backing: &str, n: usize) {
     let seed = 0x510_4EED;
     let start = Instant::now();
-    let (graph, total) = match backing {
+    let (graph, total, graph_bytes) = match backing {
         "ram" => {
             let (tree, total) = build_tree(RamBacking, n, seed);
-            (FlatGraph::TreeRam(tree), total)
+            let bytes = tree.byte_len();
+            (GraphInput::TreeRam(tree), total, bytes)
         }
         "disk" => {
             let dir = std::env::temp_dir();
             let (tree, total) = build_tree(DiskBacking::new(dir), n, seed);
-            (FlatGraph::TreeDisk(tree), total)
+            let bytes = tree.byte_len();
+            (GraphInput::TreeDisk(tree), total, bytes)
         }
         other => {
             eprintln!("unknown backing {other:?} (want ram|disk)");
@@ -126,10 +128,14 @@ fn exp_oocore(backing: &str, n: usize) {
     // A component-weight cap that forces a real multi-way cut but is
     // always feasible (far above the 1..=100 node-weight alphabet).
     let bound = total / 64;
-    let request = FlatRequest {
-        objective: FlatObjective::Bottleneck,
-        bound,
+    let (_, objective) = Registry::shared().get("bottleneck").expect("registered");
+    let request = Request {
+        objective,
         graph,
+        params: Params {
+            bound: Some(bound),
+            ..Params::default()
+        },
     };
     let start = Instant::now();
     let response = request.run().expect("feasible bound");
@@ -144,7 +150,7 @@ fn exp_oocore(backing: &str, n: usize) {
     println!("backing:     {}", request.graph.backing_kind().as_str());
     println!("nodes:       {n}");
     println!("bound:       {bound}");
-    println!("graph_bytes: {}", request.graph.byte_len());
+    println!("graph_bytes: {graph_bytes}");
     println!("pinned_heap: {}", request.graph.resident_bytes());
     println!("build_ms:    {build_ms:.0}");
     println!("solve_ms:    {solve_ms:.0}");

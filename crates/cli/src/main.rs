@@ -25,6 +25,7 @@ use tgp_graph::json;
 use tgp_graph::json::{FromJson, JsonError, ToJson, Value};
 
 use tgp_core::bandwidth::analyze_bandwidth;
+use tgp_core::budget::Budget;
 use tgp_core::pipeline::partition_chain;
 use tgp_graph::generators::{random_chain, random_tree, WeightDist};
 use tgp_graph::{EdgeId, PathGraph, Weight};
@@ -593,7 +594,7 @@ fn simulate(opts: &Options) -> CliResult<Value> {
     let bound = Weight::new(opts.required("bound")?);
     let items: usize = opts.required("items")?;
     let chain = load_chain(opts)?;
-    let part = partition_chain(&chain, bound)?;
+    let part = partition_chain(&chain, bound, &Budget::unlimited())?;
     let processors = opts.num("processors")?.unwrap_or(part.processors);
     let interconnect = match opts.get("interconnect").unwrap_or("bus") {
         "bus" => Interconnect::Bus,

@@ -26,6 +26,7 @@ use tgp_graph::spanning::tree_supergraph;
 use tgp_graph::supergraph::{linear_supergraph, LinearOrdering};
 use tgp_graph::{NodeId, ProcessGraph, Weight};
 
+use crate::budget::Budget;
 use crate::error::PartitionError;
 use crate::pipeline::{partition_chain, partition_tree};
 
@@ -143,7 +144,7 @@ pub fn partition_process_graph(
                 LinearOrdering::BfsFromPeriphery
             };
             let sup = linear_supergraph(g, ordering)?;
-            let part = partition_chain(sup.path(), bound)?;
+            let part = partition_chain(sup.path(), bound, &Budget::unlimited())?;
             let mut part_of = vec![0usize; g.len()];
             for (idx, seg) in part.segments.iter().enumerate() {
                 for pos in seg.start..=seg.end {

@@ -24,13 +24,14 @@
 //! # Example
 //!
 //! ```
+//! use tgp_core::budget::Budget;
 //! use tgp_core::pipeline::partition_chain;
 //! use tgp_graph::{PathGraph, Weight};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // A pipeline of five stages, deadline-bound to 8 units per processor.
 //! let chain = PathGraph::from_raw(&[4, 4, 4, 4, 4], &[9, 1, 9, 1])?;
-//! let part = partition_chain(&chain, Weight::new(8))?;
+//! let part = partition_chain(&chain, Weight::new(8), &Budget::unlimited())?;
 //! assert_eq!(part.processors, 3);
 //! assert_eq!(part.bandwidth, Weight::new(2)); // cheapest feasible cut
 //! # Ok(())

@@ -13,7 +13,7 @@ use tgp_graph::{
     contract, ChainView, Components, CutSet, NodeId, PathGraph, Segment, Tree, TreeEdge, Weight,
 };
 
-use crate::bandwidth::{analyze_bandwidth_budgeted, min_bandwidth_cut, MergeSearch};
+use crate::bandwidth::{analyze_bandwidth_budgeted, MergeSearch};
 use crate::bottleneck::min_bottleneck_cut;
 use crate::budget::Budget;
 use crate::error::PartitionError;
@@ -100,44 +100,32 @@ pub struct ChainPartition {
 }
 
 /// Partitions a linear task graph by bandwidth minimization (§2.3, the
-/// `O(n + p log q)` algorithm).
+/// `O(n + p log q)` algorithm). The TEMP_S solve runs under `budget`
+/// (see [`analyze_bandwidth_budgeted`]), so a deadline or cancel raised
+/// mid-solve stops it; callers with no deadline pass
+/// [`Budget::unlimited`].
 ///
 /// # Errors
 ///
-/// [`PartitionError::BoundTooSmall`] if a single vertex outweighs `bound`.
+/// [`PartitionError::BoundTooSmall`] if a single vertex outweighs `bound`;
+/// [`PartitionError::Interrupted`] when the budget runs out.
 ///
 /// # Examples
 ///
 /// ```
+/// use tgp_core::budget::Budget;
 /// use tgp_core::pipeline::partition_chain;
 /// use tgp_graph::{PathGraph, Weight};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let p = PathGraph::from_raw(&[4, 4, 4, 4, 4], &[9, 1, 9, 1])?;
-/// let part = partition_chain(&p, Weight::new(8))?;
+/// let part = partition_chain(&p, Weight::new(8), &Budget::unlimited())?;
 /// assert_eq!(part.bandwidth, Weight::new(2));
 /// assert_eq!(part.processors, 3);
 /// # Ok(())
 /// # }
 /// ```
 pub fn partition_chain<C: ChainView>(
-    path: &C,
-    bound: Weight,
-) -> Result<ChainPartition, PartitionError> {
-    let cut = min_bandwidth_cut(path, bound)?;
-    finish_chain(path, cut)
-}
-
-/// Cost-sliced [`partition_chain`]: the TEMP_S solve runs under the
-/// [`Budget`] (see [`analyze_bandwidth_budgeted`]),
-/// so a deadline or cancel raised mid-solve surfaces as
-/// [`PartitionError::Interrupted`] instead of running to completion.
-///
-/// # Errors
-///
-/// As [`partition_chain`], plus [`PartitionError::Interrupted`] when
-/// the budget runs out.
-pub fn partition_chain_budgeted<C: ChainView>(
     path: &C,
     bound: Weight,
     budget: &Budget,
@@ -237,7 +225,7 @@ mod tests {
     #[test]
     fn chain_partition_reports_consistent_fields() {
         let p = PathGraph::from_raw(&[4, 4, 4, 4, 4], &[9, 1, 9, 1]).unwrap();
-        let part = partition_chain(&p, Weight::new(8)).unwrap();
+        let part = partition_chain(&p, Weight::new(8), &Budget::unlimited()).unwrap();
         assert_eq!(part.processors, part.segments.len());
         assert_eq!(part.cut.len() + 1, part.segments.len());
         assert_eq!(part.bandwidth, Weight::new(2));
@@ -270,7 +258,7 @@ mod tests {
                 &mut rng,
             );
             let k = rng.gen_range(10..=60);
-            let chain = partition_chain(&p, Weight::new(k)).unwrap();
+            let chain = partition_chain(&p, Weight::new(k), &Budget::unlimited()).unwrap();
             let tree = partition_tree(&tree_from_path(&p), Weight::new(k)).unwrap();
             assert!(tree.components.is_feasible(Weight::new(k)));
             // The chain (bandwidth-optimal) cut never exceeds the tree

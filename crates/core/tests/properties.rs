@@ -8,6 +8,7 @@ use tgp_core::bandwidth::{
     analyze_bandwidth, min_bandwidth_cut, nonredundant_edges, prime_subpaths,
 };
 use tgp_core::bottleneck::min_bottleneck_cut;
+use tgp_core::budget::Budget;
 use tgp_core::pipeline::{partition_chain, partition_tree};
 use tgp_core::procmin::proc_min;
 use tgp_core::PartitionError;
@@ -157,7 +158,7 @@ proptest! {
     /// The chain partition's reported fields are internally consistent.
     #[test]
     fn chain_partition_report_is_consistent((path, k) in arb_small_chain()) {
-        let part = partition_chain(&path, k).unwrap();
+        let part = partition_chain(&path, k, &Budget::unlimited()).unwrap();
         prop_assert_eq!(part.processors, part.segments.len());
         prop_assert_eq!(part.cut.len() + 1, part.segments.len());
         prop_assert_eq!(part.bandwidth, path.cut_weight(&part.cut).unwrap());

@@ -9,6 +9,7 @@
 use std::error::Error;
 use std::fmt;
 
+use tgp_core::budget::Budget;
 use tgp_core::pipeline::partition_chain;
 use tgp_core::PartitionError;
 use tgp_graph::supergraph::{linear_supergraph, LinearOrdering};
@@ -195,7 +196,7 @@ pub fn partition_circuit_with_ordering(
 ) -> Result<CircuitPartition, DdsError> {
     let g = process_graph(circuit, profile)?;
     let sup = linear_supergraph(&g, ordering)?;
-    let part = partition_chain(sup.path(), bound)?;
+    let part = partition_chain(sup.path(), bound, &Budget::unlimited())?;
     // Map each gate through its position to its segment index.
     let mut processor_of = vec![0usize; circuit.len()];
     for (seg_idx, seg) in part.segments.iter().enumerate() {

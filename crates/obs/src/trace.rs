@@ -117,7 +117,10 @@ pub enum Stage {
     Parse,
     /// Streaming flat-array ingest: scanning the raw body straight
     /// into `tgp-store` arrays without materializing a JSON tree.
-    /// Present only on requests the flat path accepted.
+    /// Recorded for every body the streaming parser scans, including
+    /// the ones it declines and hands to the JSON-tree parser (that
+    /// time is wasted ingest): every `/v1/partition` body, and session
+    /// re-solves of spilled graphs whose objective streams.
     Ingest,
     /// Result-cache probe.
     Cache,

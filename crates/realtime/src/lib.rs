@@ -177,7 +177,9 @@ impl RealTimeTask {
     /// [`RtError::Partition`] if no feasible partition exists.
     pub fn partition(&self, strategy: Strategy) -> Result<RtPartition, RtError> {
         let cut = match strategy {
-            Strategy::MinBandwidth => partition_chain(&self.chain, self.deadline)?.cut,
+            Strategy::MinBandwidth => {
+                partition_chain(&self.chain, self.deadline, &Budget::unlimited())?.cut
+            }
             Strategy::MinBottleneck => {
                 partition_tree(&tree_from_path(&self.chain), self.deadline)?.cut
             }

@@ -49,7 +49,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use tgp_core::budget::Budget;
-use tgp_core::pipeline::partition_chain_budgeted;
+use tgp_core::pipeline::partition_chain;
 use tgp_graph::json::{FromJson, Value};
 use tgp_graph::{json, PathGraph, Weight};
 use tgp_net::ConnId;
@@ -58,7 +58,7 @@ use tgp_obs::{EventKind, Journal, Stage, TraceId, TraceRecord, TraceStore};
 use tgp_session::{Edit, SessionError, SessionStore, DEFAULT_SESSION_BUDGET};
 use tgp_shmem::machine::{Interconnect, Machine};
 use tgp_shmem::pipeline::{simulate_pipeline, PipelineSpec};
-use tgp_solvers::{ingest_flat, FlatObjective, IngestBacking, KeyBuilder, Registry, SolveError};
+use tgp_solvers::{ingest_flat, IngestBacking, KeyBuilder, Registry, SolveError, Solver};
 
 use crate::cache::{CacheConfig, ResultCache};
 use crate::envelope;
@@ -291,10 +291,25 @@ impl AppState {
     pub(crate) fn body_spill(&self) -> crate::http::BodySpill {
         crate::http::BodySpill {
             threshold: usize::try_from(self.graph_spill_bytes).unwrap_or(usize::MAX),
-            dir: self
-                .graph_spill_dir
-                .clone()
-                .unwrap_or_else(std::env::temp_dir),
+            dir: self.spill_dir(),
+        }
+    }
+
+    /// Where spill files go: `--graph-spill-dir`, else the system temp
+    /// dir.
+    fn spill_dir(&self) -> PathBuf {
+        self.graph_spill_dir
+            .clone()
+            .unwrap_or_else(std::env::temp_dir)
+    }
+
+    /// How flat ingest backs a graph of `bytes`: unlinked-mmap disk
+    /// arrays at or past `--graph-spill-bytes`, RAM below it.
+    fn ingest_backing(&self, bytes: u64) -> IngestBacking {
+        if bytes >= self.graph_spill_bytes {
+            IngestBacking::disk(self.spill_dir())
+        } else {
+            IngestBacking::Ram
         }
     }
 
@@ -949,13 +964,13 @@ fn parse_body_budgeted(
 }
 
 fn partition_endpoint(state: &AppState, body: &[u8], deadline: Option<Instant>) -> ApiResponse {
-    // Streaming flat-ingest fast path: a single request naming a
-    // flat-capable objective scans straight into `tgp-store` arrays
+    // Streaming fast path: a single request whose objective accepts
+    // streamed graphs scans straight into `tgp-store` arrays
     // (disk-backed past `--graph-spill-bytes`) without materializing a
     // JSON tree. Anything else — batches, other objectives, malformed
-    // bodies — falls through untouched, so the legacy registry path
-    // keeps sole ownership of the canonical error behavior.
-    if let Some(response) = partition_flat(state, body, deadline) {
+    // bodies — falls through untouched, so the JSON-tree parser keeps
+    // sole ownership of the canonical error behavior.
+    if let Some(response) = partition_streamed(state, body, deadline) {
         return response;
     }
     let value = match parse_body_budgeted(state, body, deadline) {
@@ -1024,7 +1039,13 @@ fn partition_endpoint(state: &AppState, body: &[u8], deadline: Option<Instant>) 
         return response;
     }
     let objective = dispatched_objective(&value);
-    let mut response = match partition_one(state, &value, deadline) {
+    partition_response(partition_one(state, &value, deadline), objective)
+}
+
+/// The single-request `/v1/partition` response: the rendered body or
+/// the failure's envelope, labelled with its objective.
+fn partition_response(outcome: Result<String, Failure>, objective: &'static str) -> ApiResponse {
+    let mut response = match outcome {
         Ok(rendered) => json_response(200, "partition", format!("{rendered}\n")),
         Err(failure) => error_response("partition", &failure),
     };
@@ -1032,95 +1053,79 @@ fn partition_endpoint(state: &AppState, body: &[u8], deadline: Option<Instant>) 
     response
 }
 
-/// The flat-ingest half of `POST /v1/partition`: streams the raw body
-/// into a [`tgp_solvers::FlatRequest`] (RAM arrays below
-/// [`AppState::with_graph_spill`]'s threshold, unlinked-mmap disk
-/// arrays at or above it) and solves over the flat substrate. The
-/// ingest scan is recorded as the `ingest` stage; the graph's backing
-/// and resident bytes land in the `tgp_store_backing` /
-/// `tgp_graph_resident_bytes` series.
+/// The streaming half of `POST /v1/partition`: [`ingest`]s the raw body
+/// into a [`tgp_solvers::Request`] over flat arrays (RAM below
+/// [`AppState::with_graph_spill`]'s threshold, unlinked-mmap disk at or
+/// above it) and hands it to [`solve_request`], the same tail the
+/// JSON-tree parser's requests take. While the request lives, its RAM
+/// arrays count toward `tgp_graph_resident_bytes`.
 ///
-/// Returns `None` when the body is not eligible (batch envelope,
-/// non-flat objective, unexpected field, malformed JSON, spill dir
-/// unwritable…) — responses and cache keys are byte-identical to the
-/// legacy path's, so falling through is always safe, and *only* the
-/// legacy path renders errors, so the two paths cannot drift apart on
-/// failure bodies. The one exception is a deadline that expires during
-/// the ingest scan itself, answered as a parse-stage expiry.
-fn partition_flat(state: &AppState, body: &[u8], deadline: Option<Instant>) -> Option<ApiResponse> {
+/// Returns `None` when the streaming parser declines the body (batch
+/// envelope, an objective that does not stream, unexpected field,
+/// malformed JSON, spill dir unwritable…): the JSON-tree parser then
+/// answers it, and renders every error, so the two parsers cannot drift
+/// apart on failure bodies. The one exception is a deadline that
+/// expires during the ingest scan itself, answered as a parse-stage
+/// expiry.
+fn partition_streamed(
+    state: &AppState,
+    body: &[u8],
+    deadline: Option<Instant>,
+) -> Option<ApiResponse> {
     let started = Instant::now();
-    let backing = if body.len() as u64 >= state.graph_spill_bytes {
-        IngestBacking::disk(
-            state
-                .graph_spill_dir
-                .clone()
-                .unwrap_or_else(std::env::temp_dir),
-        )
-    } else {
-        IngestBacking::Ram
+    let budget = budget_for(deadline);
+    let backing = state.ingest_backing(body.len() as u64);
+    let request = match ingest(state, body, &backing, &budget, started)? {
+        Ok((request, _)) => request,
+        Err(failure) => return Some(error_response("partition", &failure)),
     };
-    let budget = match deadline {
-        Some(d) => Budget::with_deadline(d),
-        None => Budget::unlimited(),
-    };
-    let (outcome, ingest_done) = timed_stage_from(state, Stage::Ingest, started, || {
-        ingest_flat(body, &backing, &budget)
+    let resident = request.graph.resident_bytes() as i64;
+    state.metrics.graph_resident_changed(resident);
+    let outcome = solve_request(state, &request, &budget, deadline, started);
+    state.metrics.graph_resident_changed(-resident);
+    Some(partition_response(outcome, request.objective.name()))
+}
+
+/// Offers `body` to the streaming parser under the `ingest` stage,
+/// timed from `started` whether or not the parser accepts — a declined
+/// scan's time is how wasted ingest shows. `None` means declined: the
+/// caller parses the body as a JSON tree instead. An accepted request's
+/// backing is counted in `tgp_store_backing`, and it comes back with the
+/// instant the scan ended. A deadline that expires mid-scan is answered
+/// like one inside the JSON-tree parse.
+fn ingest(
+    state: &AppState,
+    body: &[u8],
+    backing: &IngestBacking,
+    budget: &Budget,
+    started: Instant,
+) -> Option<Result<(tgp_solvers::Request, Instant), Failure>> {
+    let (outcome, done) = timed_stage_from(state, Stage::Ingest, started, || {
+        ingest_flat(body, backing, budget)
     });
-    let request = match outcome {
-        Ok(Some(request)) => request,
-        Ok(None) => return None,
+    match outcome {
+        Ok(Some(request)) => {
+            state
+                .metrics
+                .record_store_backing(request.graph.backing_kind().as_str());
+            Some(Ok((request, done)))
+        }
+        Ok(None) => None,
         Err(error) => {
-            // The budget interrupted the ingest scan: same accounting
-            // as a deadline expiring inside the legacy parse.
             if matches!(error, SolveError::DeadlineExceeded) {
                 state.metrics.record_deadline_drop("parse");
             }
-            return Some(error_response("partition", &solve_failure(error)));
+            Some(Err(solve_failure(error)))
         }
-    };
-    let objective = request.objective.name();
-    state
-        .metrics
-        .record_store_backing(request.graph.backing_kind().as_str());
-    let resident = request.graph.resident_bytes();
-    state.metrics.graph_resident_changed(resident as i64);
-    let key = request.canonical_key();
-    let cost = request.cost_estimate();
-    let outcome = with_cache(state, &key, cost, deadline, || {
-        let (response, solve_done) = timed_stage_from(state, Stage::Solve, ingest_done, || {
-            request.run_budgeted(&budget).map_err(solve_failure)
-        });
-        let response = response?;
-        let (rendered, _) = timed_stage_from(state, Stage::Serialize, solve_done, || {
-            // Identical to the legacy `solver.to_json(&response)`
-            // rendering: the default `to_json` is the response value.
-            response.value.to_string()
-        });
-        Ok(rendered)
-    });
-    state.metrics.graph_resident_changed(-(resident as i64));
-    let registry = Registry::shared();
-    let mut response = match outcome {
-        Ok(rendered) => {
-            if let Some((index, _)) = registry.get(objective) {
-                state
-                    .metrics
-                    .record_objective(index, true, started.elapsed());
-            }
-            json_response(200, "partition", format!("{rendered}\n"))
-        }
-        Err(failure) => {
-            if let Some((index, _)) = registry.get(objective) {
-                state
-                    .metrics
-                    .record_objective(index, false, started.elapsed());
-            }
-            note_interrupt(state, &failure, started);
-            error_response("partition", &failure)
-        }
-    };
-    response.objective = objective;
-    Some(response)
+    }
+}
+
+/// A budget for `deadline`, unlimited without one.
+fn budget_for(deadline: Option<Instant>) -> Budget {
+    match deadline {
+        Some(d) => Budget::with_deadline(d),
+        None => Budget::unlimited(),
+    }
 }
 
 /// One prepared batch item: the request object with its (already
@@ -1332,15 +1337,19 @@ impl BatchSubtask {
     }
 }
 
-/// The registered name the request dispatches to, for log labels —
-/// `"-"` when the objective is missing or unknown.
-fn dispatched_objective(value: &Value) -> &'static str {
+/// The registered solver a request object's `"objective"` names, with
+/// its registry index (the dense metrics key).
+fn named_solver(value: &Value) -> Option<(usize, &'static dyn Solver)> {
     value
         .get("objective")
         .and_then(Value::as_str)
         .and_then(|name| Registry::shared().get(name))
-        .map(|(_, solver)| solver.name())
-        .unwrap_or("-")
+}
+
+/// The registered name the request dispatches to, for log labels —
+/// `"-"` when the objective is missing or unknown.
+fn dispatched_objective(value: &Value) -> &'static str {
+    named_solver(value).map_or("-", |(_, solver)| solver.name())
 }
 
 /// Runs `f` under a named stage: the duration lands in the per-stage
@@ -1358,74 +1367,78 @@ fn timed_stage_from<R>(
 ) -> (R, Instant) {
     let result = f();
     let done = Instant::now();
-    let elapsed = done.saturating_duration_since(started);
-    state.metrics.record_stage(stage, elapsed);
-    trace::record(stage, started, elapsed);
+    record_stage(state, stage, started, done);
     (result, done)
 }
 
-/// Handles one partition request object: registry dispatch, then the
-/// cache, then the solver — run under a [`Budget`] when the request has
-/// a deadline, so a long solve is interrupted mid-loop instead of
-/// holding the worker. Returns the rendered (compact) response JSON.
-/// Per-objective metrics are recorded here so batch items count too.
+/// Records `stage` as having run from `started` to `done`.
+fn record_stage(state: &AppState, stage: Stage, started: Instant, done: Instant) {
+    let elapsed = done.saturating_duration_since(started);
+    state.metrics.record_stage(stage, elapsed);
+    trace::record(stage, started, elapsed);
+}
+
+/// Handles one partition request object (a whole body or a batch item):
+/// registry dispatch, then [`solve_request`] under a [`Budget`] for the
+/// request's deadline. Returns the rendered (compact) response JSON.
+/// Per-objective metrics are recorded here and in the tail, so batch
+/// items count too.
 fn partition_one(
     state: &AppState,
     value: &Value,
     deadline: Option<Instant>,
 ) -> Result<String, Failure> {
     let started = Instant::now();
-    let registry = Registry::shared();
-    let outcome =
-        registry
-            .dispatch(value)
-            .map_err(solve_failure)
-            .and_then(|(index, solver, request)| {
-                let key = solver.canonical_key(&request);
-                let cost = solver.cost_estimate(&request);
-                with_cache(state, &key, cost, deadline, || {
-                    let budget = match deadline {
-                        Some(d) => Budget::with_deadline(d),
-                        None => Budget::unlimited(),
-                    };
-                    let (response, solve_done) =
-                        timed_stage_from(state, Stage::Solve, Instant::now(), || {
-                            solver
-                                .run_budgeted(&request, &budget)
-                                .map_err(solve_failure)
-                        });
-                    let response = response?;
-                    let (rendered, _) =
-                        timed_stage_from(state, Stage::Serialize, solve_done, || {
-                            solver.to_json(&response).to_string()
-                        });
-                    Ok(rendered)
-                })
-                .map(|rendered| (index, rendered))
-            });
-    match outcome {
-        Ok((index, rendered)) => {
-            state
-                .metrics
-                .record_objective(index, true, started.elapsed());
-            Ok(rendered)
+    match Registry::shared().dispatch(value) {
+        Ok((_, _, request)) => {
+            solve_request(state, &request, &budget_for(deadline), deadline, started)
         }
-        Err(failure) => {
+        Err(error) => {
             // Label the failure when the objective at least resolved;
             // unknown objectives have no series to attribute to.
-            if let Some((index, _)) = value
-                .get("objective")
-                .and_then(Value::as_str)
-                .and_then(|name| registry.get(name))
-            {
+            if let Some((index, _)) = named_solver(value) {
                 state
                     .metrics
                     .record_objective(index, false, started.elapsed());
             }
-            note_interrupt(state, &failure, started);
-            Err(failure)
+            Err(solve_failure(error))
         }
     }
+}
+
+/// The one stateless solve tail, whichever parser built `request`: the
+/// cache under the request's canonical key, and on a miss the solve
+/// under `budget` and the serialize, each timed as its stage; then the
+/// objective's outcome and latency (from `started`) and, for a solve
+/// its budget interrupted, the `cancelled` stage. A long solve is
+/// interrupted mid-loop instead of holding the worker.
+fn solve_request(
+    state: &AppState,
+    request: &tgp_solvers::Request,
+    budget: &Budget,
+    deadline: Option<Instant>,
+    started: Instant,
+) -> Result<String, Failure> {
+    let key = request.canonical_key();
+    let outcome = with_cache(state, &key, request.cost_estimate(), deadline, || {
+        let (response, solve_done) = timed_stage_from(state, Stage::Solve, Instant::now(), || {
+            request.run_budgeted(budget).map_err(solve_failure)
+        });
+        let response = response?;
+        let (rendered, _) = timed_stage_from(state, Stage::Serialize, solve_done, || {
+            response.value.to_string()
+        });
+        Ok(rendered)
+    });
+    if let Some((index, _)) = Registry::shared().get(request.objective.name()) {
+        state
+            .metrics
+            .record_objective(index, outcome.is_ok(), started.elapsed());
+    }
+    if let Err(failure) = &outcome {
+        note_interrupt(state, failure, started);
+    }
+    outcome
 }
 
 /// Makes a budget interrupt observable: a `cancelled` stage span (the
@@ -1598,11 +1611,7 @@ fn session_partition(
         Err(failure) => return error_response("graphs", &failure),
     };
     let objective = dispatched_objective(&value);
-    let objective_index = value
-        .get("objective")
-        .and_then(Value::as_str)
-        .and_then(|name| Registry::shared().get(name))
-        .map(|(index, _)| index);
+    let objective_index = named_solver(&value).map(|(index, _)| index);
     let mut response = match session_partition_one(state, id, &mut value, deadline) {
         Ok(solved) => {
             if let Some(index) = objective_index {
@@ -1645,9 +1654,11 @@ struct SessionSolve {
 }
 
 /// The session solve: looks up the resident graph, splices it into the
-/// request for registry dispatch (moved, not cloned — a 100k-node graph
-/// costs two pointer swaps), and runs warm when the store still has a
-/// certified window for this `(objective, params)` key.
+/// request for parsing (moved, not cloned — a 100k-node graph costs two
+/// pointer swaps; see [`session_request`]), and runs warm when the store
+/// still has a certified window for this `(objective, params)` key.
+/// Whichever parser built the request, the solve, serialize, warm-window
+/// and delta bookkeeping below are the same.
 ///
 /// Session solves bypass the [`ResultCache`] deliberately: the cache
 /// would mask the warm/cold distinction, and `loadgen --strict`'s cold
@@ -1673,64 +1684,38 @@ fn session_partition_one(
     let response_mode = take_response_mode(value)?;
     let arc = state.sessions.resident(id).map_err(session_failure)?;
     let mut resident = arc.lock().expect("resident graph poisoned");
-    if let Some(result) = session_flat_solve(
-        state,
-        value,
-        &mut resident,
-        id,
-        response_mode,
-        deadline,
-        session_started,
-    ) {
-        return result;
-    }
-    // Move the resident graph into the request object, dispatch, move it
+    let budget = budget_for(deadline);
+    // Move the resident graph into the request object, parse, move it
     // back. No early return while the graph is out.
+    let resident_bytes = resident.resident_bytes();
     let graph = std::mem::replace(&mut resident.graph, Value::Null);
     if let Value::Object(entries) = value {
         entries.push(("graph".to_string(), graph));
     }
-    let dispatched = Registry::shared().dispatch(value).map_err(solve_failure);
+    let parsed = session_request(state, value, resident_bytes, &budget, session_started);
     let graph = match value {
         Value::Object(entries) => entries.pop().map(|(_, graph)| graph).unwrap_or(Value::Null),
         _ => Value::Null,
     };
     resident.graph = graph;
-    let (_, solver, request) = dispatched?;
+    let (request, parsed_at) = parsed?;
 
     // The warm-memory key: objective + params, *without* the graph —
     // it must survive edits to keep pointing at the previous solve.
-    let mut builder = KeyBuilder::default();
-    builder.write_str(solver.name());
-    request.params.write_key(&mut builder);
-    let key = builder.finish();
+    let key = request.warm_key();
     let window = resident.warm_window(&key);
-    let session_done = Instant::now();
-    let session_elapsed = session_done.saturating_duration_since(session_started);
-    state.metrics.record_stage(Stage::Session, session_elapsed);
-    trace::record(Stage::Session, session_started, session_elapsed);
-
-    let ((outcome, warm), solve_done) = timed_stage_from(state, Stage::Solve, session_done, || {
+    let ((outcome, warm), solve_done) = timed_stage_from(state, Stage::Solve, parsed_at, || {
         if let Some((lo, hi)) = window {
-            if let Some(result) = solver.run_warm(&request, lo, hi) {
+            if let Some(result) = request.objective.run_warm(&request, lo, hi) {
                 return (result.map_err(solve_failure), true);
             }
         }
-        let budget = match deadline {
-            Some(d) => Budget::with_deadline(d),
-            None => Budget::unlimited(),
-        };
-        (
-            solver
-                .run_budgeted(&request, &budget)
-                .map_err(solve_failure),
-            false,
-        )
+        (request.run_budgeted(&budget).map_err(solve_failure), false)
     });
     let response = outcome?;
     let ((rendered_value, rendered, bottleneck), _) =
         timed_stage_from(state, Stage::Serialize, solve_done, || {
-            let rendered_value = solver.to_json(&response);
+            let rendered_value = response.value;
             let bottleneck = rendered_value["bottleneck"].as_u64();
             let rendered = rendered_value.to_string();
             (rendered_value, rendered, bottleneck)
@@ -1745,7 +1730,7 @@ fn session_partition_one(
         .last_solves
         .lock()
         .expect("last solves poisoned")
-        .insert((id.to_string(), key.clone()), rendered.clone());
+        .insert((id.to_string(), key), rendered.clone());
     let (body, response_mode) = match response_mode {
         Some("delta") => match previous {
             Some(previous) => (
@@ -1765,128 +1750,41 @@ fn session_partition_one(
     })
 }
 
-/// The out-of-core session solve: a resident graph at or past
-/// `--graph-spill-bytes` would roughly double its footprint if the
-/// solve materialized another pointer graph, so flat-capable requests
-/// (a flat objective plus just a `bound`) re-ingest the resident JSON
-/// into *disk-backed* flat arrays and solve there, keeping the solve's
-/// own resident cost near zero. Responses, warm windows and delta
-/// bookkeeping are byte-identical to the registry path's.
+/// Parses a session solve, the resident graph already spliced into
+/// `value`, and records the `session` stage (lookup through parse, from
+/// `session_started`) exactly once. Returns the request and the instant
+/// its solve may start.
 ///
-/// Returns `None` when the graph is below the threshold or the request
-/// is not flat-eligible (extra params, non-flat objective, malformed
-/// bound…) — the caller then dispatches through the registry, which
-/// owns all error rendering.
-// The arguments mirror the bookkeeping the legacy path does inline;
-// bundling them would just restate `session_partition_one`'s locals.
-#[allow(clippy::too_many_arguments)]
-fn session_flat_solve(
+/// A resident graph at or past `--graph-spill-bytes` would roughly
+/// double its footprint if the solve materialized a pointer graph next
+/// to it, so a request whose objective accepts streamed graphs is
+/// rendered and [`ingest`]ed into *disk-backed* flat arrays instead;
+/// the session stage then ends where the `ingest` stage begins.
+/// Everything else, and anything the streaming parser declines, goes
+/// through registry dispatch, which owns every error body.
+fn session_request(
     state: &AppState,
     value: &Value,
-    resident: &mut tgp_session::Resident,
-    id: &str,
-    response_mode: Option<&'static str>,
-    deadline: Option<Instant>,
+    resident_bytes: u64,
+    budget: &Budget,
     session_started: Instant,
-) -> Option<Result<SessionSolve, Failure>> {
-    if resident.resident_bytes() < state.graph_spill_bytes {
-        return None;
-    }
-    let Value::Object(entries) = value else {
-        return None;
-    };
-    // Exactly {"objective", "bound"}: anything else (extra params,
-    // wrong types) must flow through the registry for canonical errors.
-    if entries.len() != 2 {
-        return None;
-    }
-    let objective = value.get("objective")?.as_str()?;
-    FlatObjective::from_name(objective)?;
-    let bound = value.get("bound")?.as_u64()?;
-    // Compose the flat-ingest body around the resident graph's JSON.
-    // The rendered string is transient (dropped after the ingest scan);
-    // the solve itself runs over the disk-backed arrays.
-    let body = format!(
-        "{{\"objective\":\"{objective}\",\"bound\":{bound},\"graph\":{}}}",
-        resident.graph
-    );
-    let backing = IngestBacking::disk(
-        state
-            .graph_spill_dir
-            .clone()
-            .unwrap_or_else(std::env::temp_dir),
-    );
-    let budget = match deadline {
-        Some(d) => Budget::with_deadline(d),
-        None => Budget::unlimited(),
-    };
-    let session_done = Instant::now();
-    let session_elapsed = session_done.saturating_duration_since(session_started);
-    state.metrics.record_stage(Stage::Session, session_elapsed);
-    trace::record(Stage::Session, session_started, session_elapsed);
-    let (outcome, ingest_done) = timed_stage_from(state, Stage::Ingest, session_done, || {
-        ingest_flat(body.as_bytes(), &backing, &budget)
-    });
-    let request = match outcome {
-        Ok(Some(request)) => request,
-        Ok(None) => return None,
-        Err(error) => {
-            if matches!(error, SolveError::DeadlineExceeded) {
-                state.metrics.record_deadline_drop("parse");
-            }
-            return Some(Err(solve_failure(error)));
+) -> Result<(tgp_solvers::Request, Instant), Failure> {
+    let streams = named_solver(value).is_some_and(|(_, solver)| solver.accepts_streamed_graph());
+    if streams && resident_bytes >= state.graph_spill_bytes {
+        // The rendered body is transient (dropped after the scan); the
+        // solve itself runs over the disk-backed arrays.
+        let body = value.to_string();
+        let backing = state.ingest_backing(resident_bytes);
+        let ingest_started = Instant::now();
+        if let Some(ingested) = ingest(state, body.as_bytes(), &backing, budget, ingest_started) {
+            record_stage(state, Stage::Session, session_started, ingest_started);
+            return ingested;
         }
-    };
-    state
-        .metrics
-        .record_store_backing(request.graph.backing_kind().as_str());
-    let key = request.warm_key();
-    let window = resident.warm_window(&key);
-    let ((outcome, warm), solve_done) = timed_stage_from(state, Stage::Solve, ingest_done, || {
-        if let Some((lo, hi)) = window {
-            if let Some(result) = request.run_warm(lo, hi) {
-                return (result.map_err(solve_failure), true);
-            }
-        }
-        (request.run_budgeted(&budget).map_err(solve_failure), false)
-    });
-    let response = match outcome {
-        Ok(response) => response,
-        Err(failure) => return Some(Err(failure)),
-    };
-    let ((rendered_value, rendered, bottleneck), _) =
-        timed_stage_from(state, Stage::Serialize, solve_done, || {
-            // Identical to the legacy `solver.to_json(&response)`
-            // rendering: the default `to_json` is the response value.
-            let rendered_value = response.value;
-            let bottleneck = rendered_value["bottleneck"].as_u64();
-            let rendered = rendered_value.to_string();
-            (rendered_value, rendered, bottleneck)
-        });
-    if let Some(bottleneck) = bottleneck {
-        resident.note_solve(&key, bottleneck);
     }
-    let previous = state
-        .last_solves
-        .lock()
-        .expect("last solves poisoned")
-        .insert((id.to_string(), key), rendered.clone());
-    let (body, response_mode) = match response_mode {
-        Some("delta") => match previous {
-            Some(previous) => (
-                format!("{}\n", delta_changed(&previous, &rendered_value)),
-                Some("delta"),
-            ),
-            None => (format!("{rendered}\n"), Some("full")),
-        },
-        Some(_) => (format!("{rendered}\n"), Some("full")),
-        None => (format!("{rendered}\n"), None),
-    };
-    Some(Ok(SessionSolve {
-        body,
-        warm,
-        response_mode,
-    }))
+    let (_, _, request) = Registry::shared().dispatch(value).map_err(solve_failure)?;
+    let parsed = Instant::now();
+    record_stage(state, Stage::Session, session_started, parsed);
+    Ok((request, parsed))
 }
 
 /// Removes and validates the session solve's `"response"` field.
@@ -2036,12 +1934,9 @@ fn simulate_one(
     // guard should treat long simulations as expensive to recompute.
     let cost = (items as u64).saturating_mul(chain.len() as u64);
     with_cache(state, &key, cost, deadline, || {
-        let budget = match deadline {
-            Some(d) => Budget::with_deadline(d),
-            None => Budget::unlimited(),
-        };
+        let budget = budget_for(deadline);
         let (solved, solve_done) = timed_stage_from(state, Stage::Solve, Instant::now(), || {
-            let part = partition_chain_budgeted(&chain, Weight::new(bound), &budget)
+            let part = partition_chain(&chain, Weight::new(bound), &budget)
                 .map_err(|e| solve_failure(SolveError::from_partition(e)))?;
             let processors = processors_override.unwrap_or(part.processors);
             let machine = Machine::new(processors, 1, 1, 0, interconnect).map_err(infeasible)?;
@@ -2218,7 +2113,7 @@ mod tests {
         let v = Value::parse(&r.body).unwrap();
 
         let chain = PathGraph::from_json(&Value::parse(CHAIN).unwrap()).unwrap();
-        let direct = partition_chain(&chain, Weight::new(10)).unwrap();
+        let direct = partition_chain(&chain, Weight::new(10), &Budget::unlimited()).unwrap();
         assert_eq!(
             v["processors"].as_u64().unwrap() as usize,
             direct.processors
@@ -3027,6 +2922,43 @@ mod tests {
         );
         assert_eq!(other.status, other_legacy.status);
         assert_eq!(other.body, other_legacy.body);
+    }
+
+    /// A spilled resident graph whose JSON carries a key the streaming
+    /// parser declines (registration accepts it) is re-solved through
+    /// registry dispatch: one wasted `ingest` scan, and still exactly one
+    /// `session` stage per solve.
+    #[test]
+    fn a_declined_session_ingest_records_the_session_stage_once() {
+        let stage_count = |state: &AppState, stage: &str| -> u64 {
+            let metrics = handle(state, &get("/metrics")).body;
+            let prefix = format!("tgp_stage_latency_seconds_count{{stage=\"{stage}\"}} ");
+            metrics
+                .lines()
+                .find_map(|line| line.strip_prefix(prefix.as_str()))
+                .map_or(0, |n| n.parse().expect("count"))
+        };
+        let named = CHAIN.replacen('{', r#"{"name": "x", "#, 1);
+        let solve = r#"{"objective": "lexicographic", "bound": 10}"#;
+        let mut bodies = Vec::new();
+        for graph in [named.as_str(), CHAIN] {
+            let state = AppState::new(CacheConfig::default()).with_graph_spill(1, None);
+            let r = handle(
+                &state,
+                &post("/v1/graphs", &format!(r#"{{"graph": {graph}}}"#)),
+            );
+            assert_eq!(r.status, 200, "{}", r.body);
+            let (session, ingest) = (
+                stage_count(&state, "session"),
+                stage_count(&state, "ingest"),
+            );
+            let r = handle(&state, &post("/v1/graphs/g1/partition", solve));
+            assert_eq!(r.status, 200, "{}", r.body);
+            assert_eq!(stage_count(&state, "session"), session + 1, "{graph}");
+            assert_eq!(stage_count(&state, "ingest"), ingest + 1, "{graph}");
+            bodies.push(r.body);
+        }
+        assert_eq!(bodies[0], bodies[1]);
     }
 
     #[test]

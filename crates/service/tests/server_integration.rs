@@ -8,6 +8,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use tgp_core::bottleneck::min_bottleneck_cut;
+use tgp_core::budget::Budget;
 use tgp_core::pipeline::partition_chain;
 use tgp_core::procmin::proc_min;
 use tgp_graph::json::{FromJson, Value};
@@ -86,7 +87,7 @@ fn concurrent_mixed_clients_match_direct_solvers() {
     // Direct solver answers to compare against.
     let chain = PathGraph::from_json(&Value::parse(CHAIN).unwrap()).unwrap();
     let tree = Tree::from_json(&Value::parse(TREE).unwrap()).unwrap();
-    let chain_direct = partition_chain(&chain, Weight::new(12)).unwrap();
+    let chain_direct = partition_chain(&chain, Weight::new(12), &Budget::unlimited()).unwrap();
     let bottleneck_direct = min_bottleneck_cut(&tree, Weight::new(8)).unwrap();
     let procmin_direct = proc_min(&tree, Weight::new(8)).unwrap();
 

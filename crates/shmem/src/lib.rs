@@ -20,6 +20,7 @@
 //! # Example
 //!
 //! ```
+//! use tgp_core::budget::Budget;
 //! use tgp_core::pipeline::partition_chain;
 //! use tgp_graph::{PathGraph, Weight};
 //! use tgp_shmem::machine::Machine;
@@ -27,7 +28,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let chain = PathGraph::from_raw(&[4, 4, 4, 4, 4], &[9, 1, 9, 1])?;
-//! let part = partition_chain(&chain, Weight::new(8))?;
+//! let part = partition_chain(&chain, Weight::new(8), &Budget::unlimited())?;
 //! let spec = PipelineSpec::from_partition(&chain, &part.cut)?;
 //! let report = simulate_pipeline(&spec, &Machine::bus(4)?, 100)?;
 //! assert!(report.throughput() > 0.0);

@@ -7,9 +7,13 @@
 //! disk-backed, chosen by the caller) instead of a heap of boxed JSON
 //! nodes several times the body's size.
 //!
-//! The parser is deliberately *conservative*: it understands exactly
-//! the shape the five flat objectives (`bandwidth`, `lexicographic`
-//! and `nicol` on chains; `bottleneck` and `procmin` on trees) accept —
+//! It is the registry's second parser: it produces the same
+//! [`Request`] as [`crate::Registry::dispatch`], with the graph in
+//! [`crate::GraphInput`]'s flat variants, for the objectives whose
+//! solver [accepts streamed graphs](crate::Solver::accepts_streamed_graph)
+//! (`bandwidth`, `lexicographic` and `nicol` on chains; `bottleneck` and
+//! `procmin` on trees). It is deliberately *conservative*: it
+//! understands exactly the shape those objectives accept —
 //!
 //! ```json
 //! {"objective": "...", "bound": N,
@@ -20,10 +24,10 @@
 //!
 //! (fields in any order) — and returns `Ok(None)` for anything else:
 //! unknown fields, other objectives, string escapes, malformed JSON,
-//! graph-validation failures. The caller then falls back to the legacy
-//! buffered path, which produces the canonical error envelope. Ingest
-//! therefore never has to replicate error *messages*, only success
-//! bytes — and those are covered by the shared render helpers.
+//! graph-validation failures. The caller then falls back to the
+//! JSON-tree parser, which produces the canonical error envelope. Ingest
+//! therefore never has to replicate error *messages*; success bytes are
+//! the same because the request it builds runs the same solver.
 //!
 //! Work is cost-sliced: one [`Budget`] unit per parsed element, so an
 //! expired deadline or a raised cancel flag stops a huge upload
@@ -32,10 +36,13 @@
 use std::path::Path;
 
 use tgp_core::budget::{Budget, Exceeded};
-use tgp_store::{DiskBacking, FlatPathBuilder, FlatTreeBuilder, MemoryBacking, RamBacking};
+use tgp_store::{
+    DiskBacking, FlatPath, FlatPathBuilder, FlatTree, FlatTreeBuilder, MemoryBacking, RamBacking,
+};
 
 use crate::error::SolveError;
-use crate::flat::{FlatGraph, FlatObjective, FlatRequest};
+use crate::registry::{Registry, Solver};
+use crate::request::{GraphInput, Params, Request};
 
 /// How the graph arrays should be backed.
 #[derive(Debug, Clone)]
@@ -60,7 +67,8 @@ impl IngestBacking {
 
 /// Why the streaming parser gave up on a body.
 enum Abort {
-    /// Not the shape we stream; caller falls back to the legacy path.
+    /// Not the shape we stream; the caller falls back to the JSON-tree
+    /// parser.
     Unsupported,
     /// The budget ran out mid-parse.
     Exceeded(Exceeded),
@@ -73,8 +81,8 @@ impl From<Exceeded> for Abort {
 }
 
 impl From<std::io::Error> for Abort {
-    // A backing failure (spill dir unwritable, disk full). The legacy
-    // in-RAM path may still succeed, so treat it as a fallback.
+    // A backing failure (spill dir unwritable, disk full). The in-RAM
+    // JSON-tree path may still succeed, so treat it as a fallback.
     fn from(_: std::io::Error) -> Self {
         Abort::Unsupported
     }
@@ -82,11 +90,12 @@ impl From<std::io::Error> for Abort {
 
 type Scan<'a, T> = Result<T, Abort>;
 
-/// Streams `body` into a [`FlatRequest`] if it has the exact shape of a
-/// flat-objective request.
+/// Streams `body` into a [`Request`] with a flat graph if it has the
+/// exact shape of a request for an objective that accepts streamed
+/// graphs.
 ///
 /// Returns `Ok(None)` when the body is anything else — the caller must
-/// then parse it through the legacy `Registry` path, which owns the
+/// then parse it through [`crate::Registry::dispatch`], which owns the
 /// canonical error behaviour.
 ///
 /// # Errors
@@ -97,7 +106,7 @@ pub fn ingest_flat(
     body: &[u8],
     backing: &IngestBacking,
     budget: &Budget,
-) -> Result<Option<FlatRequest>, SolveError> {
+) -> Result<Option<Request>, SolveError> {
     let result = match backing {
         IngestBacking::Ram => parse_body(body, &RamBacking, budget),
         IngestBacking::Disk { dir } => parse_body(body, &DiskBacking::new(dir), budget),
@@ -109,17 +118,17 @@ pub fn ingest_flat(
     }
 }
 
-fn parse_body<B>(body: &[u8], backing: &B, budget: &Budget) -> Scan<'static, FlatRequest>
+fn parse_body<B>(body: &[u8], backing: &B, budget: &Budget) -> Scan<'static, Request>
 where
     B: MemoryBacking + Clone,
-    FlatGraph: FromBuilt<B>,
+    GraphInput: FromBuilt<B>,
 {
     let mut s = Cursor::new(body, budget);
     s.skip_ws();
     s.expect(b'{')?;
-    let mut objective: Option<FlatObjective> = None;
+    let mut objective: Option<&'static dyn Solver> = None;
     let mut bound: Option<u64> = None;
-    let mut graph: Option<FlatGraph> = None;
+    let mut graph: Option<GraphInput> = None;
     if !s.try_consume(b'}') {
         loop {
             let key_range = s.string_range()?;
@@ -132,8 +141,7 @@ where
                         return Err(Abort::Unsupported);
                     }
                     let r = s.string_range()?;
-                    let name = std::str::from_utf8(s.slice(r)).map_err(|_| Abort::Unsupported)?;
-                    objective = Some(FlatObjective::from_name(name).ok_or(Abort::Unsupported)?);
+                    objective = Some(streamed_solver(s.slice(r)).ok_or(Abort::Unsupported)?);
                 }
                 b"bound" => {
                     if bound.is_some() {
@@ -166,46 +174,64 @@ where
         (Some(o), Some(b), Some(g)) => (o, b, g),
         _ => return Err(Abort::Unsupported),
     };
-    if graph.graph_kind() != objective.graph_kind() {
+    if graph.kind() != objective.graph_kind() {
         return Err(Abort::Unsupported);
     }
-    Ok(FlatRequest {
+    let request = Request {
         objective,
-        bound,
         graph,
-    })
+        params: Params {
+            bound: Some(bound),
+            ..Params::default()
+        },
+    };
+    objective
+        .validate(&request)
+        .map_err(|_| Abort::Unsupported)?;
+    Ok(request)
 }
 
-/// Wraps a finished builder product into the right [`FlatGraph`]
+/// The registered solver `name` names, if it accepts streamed graphs.
+fn streamed_solver(name: &[u8]) -> Option<&'static dyn Solver> {
+    let (_, solver) = Registry::shared().get(std::str::from_utf8(name).ok()?)?;
+    debug_assert!(
+        !solver.accepts_streamed_graph() || matches!(solver.params(), [p] if p.name == "bound"),
+        "{}: a streamed objective takes only `bound`, the one parameter this parser reads",
+        solver.name()
+    );
+    solver.accepts_streamed_graph().then_some(solver)
+}
+
+/// Wraps a finished builder product into the right [`GraphInput`]
 /// variant for its backing.
 trait FromBuilt<B: MemoryBacking>: Sized {
-    fn from_path(path: tgp_store::FlatPath<B>) -> Self;
-    fn from_tree(tree: tgp_store::FlatTree<B>) -> Self;
+    fn from_path(path: FlatPath<B>) -> Self;
+    fn from_tree(tree: FlatTree<B>) -> Self;
 }
 
-impl FromBuilt<RamBacking> for FlatGraph {
-    fn from_path(path: tgp_store::FlatPath<RamBacking>) -> Self {
-        FlatGraph::ChainRam(path)
+impl FromBuilt<RamBacking> for GraphInput {
+    fn from_path(path: FlatPath<RamBacking>) -> Self {
+        GraphInput::ChainRam(path)
     }
-    fn from_tree(tree: tgp_store::FlatTree<RamBacking>) -> Self {
-        FlatGraph::TreeRam(tree)
+    fn from_tree(tree: FlatTree<RamBacking>) -> Self {
+        GraphInput::TreeRam(tree)
     }
 }
 
-impl FromBuilt<DiskBacking> for FlatGraph {
-    fn from_path(path: tgp_store::FlatPath<DiskBacking>) -> Self {
-        FlatGraph::ChainDisk(path)
+impl FromBuilt<DiskBacking> for GraphInput {
+    fn from_path(path: FlatPath<DiskBacking>) -> Self {
+        GraphInput::ChainDisk(path)
     }
-    fn from_tree(tree: tgp_store::FlatTree<DiskBacking>) -> Self {
-        FlatGraph::TreeDisk(tree)
+    fn from_tree(tree: FlatTree<DiskBacking>) -> Self {
+        GraphInput::TreeDisk(tree)
     }
 }
 
 /// Parses the `"graph"` object. The cursor sits on its `{`.
-fn parse_graph<B>(s: &mut Cursor<'_>, backing: &B) -> Scan<'static, FlatGraph>
+fn parse_graph<B>(s: &mut Cursor<'_>, backing: &B) -> Scan<'static, GraphInput>
 where
     B: MemoryBacking + Clone,
-    FlatGraph: FromBuilt<B>,
+    GraphInput: FromBuilt<B>,
 {
     // The graph's kind is decided by its first "edges" or "edge_weights"
     // key, and "node_weights" may precede it. A cheap structural
@@ -237,16 +263,16 @@ where
         }
     };
     if is_tree {
-        parse_tree_graph(s, backing).map(FlatGraph::from_tree)
+        parse_tree_graph(s, backing).map(GraphInput::from_tree)
     } else {
-        parse_chain_graph(s, backing).map(FlatGraph::from_path)
+        parse_chain_graph(s, backing).map(GraphInput::from_path)
     }
 }
 
 fn parse_chain_graph<B: MemoryBacking + Clone>(
     s: &mut Cursor<'_>,
     backing: &B,
-) -> Scan<'static, tgp_store::FlatPath<B>> {
+) -> Scan<'static, FlatPath<B>> {
     let mut builder = FlatPathBuilder::new(backing, 0)?;
     let mut seen_nodes = false;
     let mut seen_edges = false;
@@ -291,7 +317,7 @@ fn parse_chain_graph<B: MemoryBacking + Clone>(
 fn parse_tree_graph<B: MemoryBacking + Clone>(
     s: &mut Cursor<'_>,
     backing: &B,
-) -> Scan<'static, tgp_store::FlatTree<B>> {
+) -> Scan<'static, FlatTree<B>> {
     let mut builder = FlatTreeBuilder::new(backing.clone(), 0)?;
     let mut seen_nodes = false;
     let mut seen_edges = false;
@@ -450,7 +476,8 @@ impl<'a> Cursor<'a> {
 
     /// Consumes a JSON string with no escapes and returns its byte
     /// range. Escapes are not needed for any field the flat schema
-    /// accepts, so a backslash simply falls back to the legacy parser.
+    /// accepts, so a backslash simply falls back to the JSON-tree
+    /// parser.
     fn string_range(&mut self) -> Scan<'static, (usize, usize)> {
         self.expect(b'"')?;
         let start = self.i;
@@ -469,7 +496,7 @@ impl<'a> Cursor<'a> {
 
     /// Consumes a strict JSON non-negative integer fitting `u64`.
     /// Minus signs, fractions, exponents, leading zeros and overflow
-    /// all fall back (the legacy parser owns their canonical errors).
+    /// all fall back (the JSON-tree parser owns their canonical errors).
     fn number(&mut self) -> Scan<'static, u64> {
         let start = self.i;
         let mut value: u64 = 0;
@@ -568,7 +595,7 @@ mod tests {
     use crate::registry::Registry;
     use tgp_graph::json::Value;
 
-    fn ingest(body: &str) -> Option<FlatRequest> {
+    fn ingest(body: &str) -> Option<Request> {
         ingest_flat(body.as_bytes(), &IngestBacking::Ram, &Budget::unlimited()).unwrap()
     }
 
@@ -589,8 +616,8 @@ mod tests {
     #[test]
     fn streams_a_chain_body_and_matches_legacy_bytes() {
         let flat = ingest(CHAIN_BODY).expect("eligible body");
-        assert_eq!(flat.bound, 10);
-        assert_eq!(flat.objective, FlatObjective::Bandwidth);
+        assert_eq!(flat.params.bound, Some(10));
+        assert_eq!(flat.objective.name(), "bandwidth");
         let response = flat.run().unwrap().value.to_string();
         assert_eq!(response, legacy_response(CHAIN_BODY));
     }
@@ -607,7 +634,7 @@ mod tests {
         let reordered = r#"{"graph": {"edge_weights": [10, 1, 10], "node_weights": [2, 3, 5, 7]},
             "bound": 10, "objective": "lexicographic"}"#;
         let flat = ingest(reordered).expect("eligible body");
-        assert_eq!(flat.objective, FlatObjective::Lexicographic);
+        assert_eq!(flat.objective.name(), "lexicographic");
         assert_eq!(
             flat.run().unwrap().value.to_string(),
             legacy_response(reordered)
@@ -694,13 +721,10 @@ mod tests {
             }
         }
         assert_eq!(
-            ingest(&procmin).map(|f| f.objective),
-            Some(FlatObjective::Procmin)
+            ingest(&procmin).map(|f| f.objective.name()),
+            Some("procmin")
         );
-        assert_eq!(
-            ingest(&nicol).map(|f| f.objective),
-            Some(FlatObjective::Nicol)
-        );
+        assert_eq!(ingest(&nicol).map(|f| f.objective.name()), Some("nicol"));
     }
 
     #[test]

@@ -27,6 +27,16 @@
 //! Caches key on [`Solver::canonical_key`], which is derived from the
 //! *validated* request content, so formatting differences cannot
 //! fragment the cache and cannot alias distinct instances.
+//!
+//! [`Request`] is the one request type, and it names its solver
+//! (`request.objective`). Two parsers build it: [`Registry::dispatch`]
+//! over a JSON tree, and [`ingest_flat`], which streams a raw body
+//! straight into the flat arrays of [`GraphInput`]'s RAM- and
+//! disk-backed variants for the objectives whose solver
+//! [accepts streamed graphs](Solver::accepts_streamed_graph), and
+//! declines everything else. Those objectives each have one solve body,
+//! generic over the graph views, so both parsers' requests get the same
+//! bytes, keys and cost estimates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +50,6 @@ mod registry;
 mod request;
 
 pub use error::SolveError;
-pub use flat::{FlatGraph, FlatObjective, FlatRequest};
 pub use ingest::{ingest_flat, IngestBacking};
 pub use key::KeyBuilder;
 pub use objectives::{MAX_SPEEDS, MAX_TREE_BANDWIDTH_COST};

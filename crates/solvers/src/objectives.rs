@@ -6,6 +6,11 @@
 //! rendering is byte-stable across front ends. Response shapes are the
 //! ones the CLI has always produced; the registry made them the single
 //! source of truth.
+//!
+//! The five objectives that accept streamed graphs (`bandwidth`,
+//! `bottleneck`, `procmin`, `lexicographic`, `nicol`) each have one solve
+//! body, generic over the graph views and expanded per
+//! [`crate::GraphInput`] variant by `on_chain!`/`on_tree!`.
 
 use tgp_baselines::bokhari::bokhari_partition;
 use tgp_baselines::hansen_lih::hansen_lih_partition;
@@ -16,15 +21,16 @@ use tgp_core::approx::{partition_process_graph_best, ApproxMethod};
 use tgp_core::bandwidth::{min_bandwidth_cut_lexicographic, min_bandwidth_cut_lexicographic_warm};
 use tgp_core::bottleneck::min_bottleneck_cut;
 use tgp_core::budget::Budget;
-use tgp_core::pipeline::{partition_chain, partition_chain_budgeted, partition_tree};
-use tgp_core::procmin::{proc_min, ProcMinResult};
+use tgp_core::pipeline::{partition_chain, partition_tree};
+use tgp_core::procmin::proc_min;
 use tgp_core::tree_bandwidth::min_tree_bandwidth_cut;
 use tgp_graph::json::Value;
-use tgp_graph::{json, EdgeId, NodeId, Weight};
+use tgp_graph::{json, ChainView, CutSet, EdgeId, NodeId, Weight};
 
 use crate::error::SolveError;
+use crate::flat::{on_chain, on_tree};
 use crate::registry::Solver;
-use crate::request::{parse_request, GraphKind, ParamKind, ParamSpec, Request, Response};
+use crate::request::{GraphKind, ParamKind, ParamSpec, Request, Response};
 
 /// Work cap for the pseudo-polynomial `tree-bandwidth` DP: the solve
 /// runs in `O(n·K²)` time, so `n·K²` is refused beyond this budget —
@@ -37,21 +43,21 @@ pub const MAX_SPEEDS: usize = 4_096;
 
 /// Every objective in the workspace, in the order they are registered
 /// (and therefore listed in docs, usage and `/metrics`).
-pub(crate) fn all() -> Vec<Box<dyn Solver>> {
-    vec![
-        Box::new(Bandwidth),
-        Box::new(Bottleneck),
-        Box::new(ProcMin),
-        Box::new(Compose),
-        Box::new(Lexicographic),
-        Box::new(TreeBandwidth),
-        Box::new(Approx),
-        Box::new(Nicol),
-        Box::new(Coc),
-        Box::new(Bokhari),
-        Box::new(HansenLih),
-        Box::new(Hetero),
-        Box::new(HostSatellite),
+pub(crate) fn all() -> [&'static dyn Solver; 13] {
+    [
+        &Bandwidth,
+        &Bottleneck,
+        &ProcMin,
+        &Compose,
+        &Lexicographic,
+        &TreeBandwidth,
+        &Approx,
+        &Nicol,
+        &Coc,
+        &Bokhari,
+        &HansenLih,
+        &Hetero,
+        &HostSatellite,
     ]
 }
 
@@ -71,63 +77,12 @@ pub(crate) fn cut_json(cut: impl Iterator<Item = EdgeId>) -> Value {
     Value::Array(cut.map(|e| Value::from(e.index())).collect())
 }
 
-/// Renders the `bandwidth` response shape. Shared by the legacy solver
-/// and the flat-substrate path so the two stay byte-identical.
-pub(crate) fn render_bandwidth(
-    bound: Weight,
-    part: &tgp_core::pipeline::ChainPartition,
-) -> Response {
-    Bandwidth::render("bandwidth", bound, part)
-}
-
-/// Renders the `bottleneck` response shape from its parts.
-pub(crate) fn render_bottleneck(
-    bound: Weight,
-    cut: &tgp_graph::CutSet,
-    bottleneck: Weight,
-    components: usize,
-) -> Response {
-    Response::new(json!({
-        "objective": "bottleneck",
-        "bound": bound.get(),
-        "cut": cut_json(cut.iter()),
-        "bottleneck": bottleneck.get(),
-        "components": components,
-    }))
-}
-
-/// Renders the `procmin` response shape.
-pub(crate) fn render_procmin(bound: Weight, result: &ProcMinResult) -> Response {
-    Response::new(json!({
-        "objective": "procmin",
-        "bound": bound.get(),
-        "cut": cut_json(result.cut.iter()),
-        "processors": result.component_count,
-    }))
-}
-
-/// Renders the `nicol` response shape, computing the cut weight from any
-/// chain view.
-pub(crate) fn render_nicol<C: tgp_graph::ChainView>(
-    chain: &C,
-    bound: Weight,
-    cut: &tgp_graph::CutSet,
-) -> Result<Response, SolveError> {
-    Ok(Response::new(json!({
-        "objective": "nicol",
-        "bound": bound.get(),
-        "cut": cut_json(cut.iter()),
-        "bandwidth": chain.cut_weight(cut).map_err(SolveError::infeasible)?.get(),
-        "processors": cut.len() + 1,
-    })))
-}
-
 /// Renders the `lexicographic` response shape, computing the derived
-/// quantities from any chain view.
-pub(crate) fn render_lexicographic<C: tgp_graph::ChainView>(
+/// quantities from any chain view (cold and warm solves share it).
+fn render_lexicographic<C: ChainView>(
     chain: &C,
     bound: Weight,
-    cut: &tgp_graph::CutSet,
+    cut: &CutSet,
 ) -> Result<Response, SolveError> {
     Ok(Response::new(json!({
         "objective": "lexicographic",
@@ -166,23 +121,18 @@ impl Solver for Bandwidth {
     fn summary(&self) -> &'static str {
         "minimum-bandwidth chain partition under a load bound (§2.3, O(n + p log q))"
     }
+    fn accepts_streamed_graph(&self) -> bool {
+        true
+    }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
-        let bound = bound_of(request);
-        let part = partition_chain(request.graph.chain(), bound).map_err(SolveError::infeasible)?;
-        Ok(Self::render(self.name(), bound, &part))
+        self.run_budgeted(request, &Budget::unlimited())
     }
     fn run_budgeted(&self, request: &Request, budget: &Budget) -> Result<Response, SolveError> {
         let bound = bound_of(request);
-        let part = partition_chain_budgeted(request.graph.chain(), bound, budget)
+        let part = on_chain!(&request.graph, |c| partition_chain(c, bound, budget))
             .map_err(SolveError::from_partition)?;
-        Ok(Self::render(self.name(), bound, &part))
-    }
-}
-
-impl Bandwidth {
-    fn render(name: &str, bound: Weight, part: &tgp_core::pipeline::ChainPartition) -> Response {
-        Response::new(json!({
-            "objective": name,
+        Ok(Response::new(json!({
+            "objective": self.name(),
             "bound": bound.get(),
             "cut": cut_json(part.cut.iter()),
             "segments": part
@@ -195,7 +145,7 @@ impl Bandwidth {
             "processors": part.processors,
             "bandwidth": part.bandwidth.get(),
             "bottleneck": part.bottleneck.get(),
-        }))
+        })))
     }
 }
 
@@ -215,15 +165,21 @@ impl Solver for Bottleneck {
     fn summary(&self) -> &'static str {
         "minimum-bottleneck tree cut under a load bound (Algorithm 2.1)"
     }
+    fn accepts_streamed_graph(&self) -> bool {
+        true
+    }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
         let bound = bound_of(request);
-        let tree = request.graph.tree();
-        let r = min_bottleneck_cut(tree, bound).map_err(SolveError::infeasible)?;
-        let components = tree
-            .components(&r.cut)
-            .map_err(SolveError::infeasible)?
-            .count();
-        Ok(render_bottleneck(bound, &r.cut, r.bottleneck, components))
+        let r = on_tree!(&request.graph, |t| min_bottleneck_cut(t, bound))
+            .map_err(SolveError::infeasible)?;
+        Ok(Response::new(json!({
+            "objective": self.name(),
+            "bound": bound.get(),
+            "cut": cut_json(r.cut.iter()),
+            "bottleneck": r.bottleneck.get(),
+            // Cutting k edges of a tree always leaves k + 1 components.
+            "components": r.cut.len() + 1,
+        })))
     }
 }
 
@@ -243,10 +199,18 @@ impl Solver for ProcMin {
     fn summary(&self) -> &'static str {
         "minimum-processor tree partition under a load bound (Algorithm 2.2)"
     }
+    fn accepts_streamed_graph(&self) -> bool {
+        true
+    }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
         let bound = bound_of(request);
-        let r = proc_min(request.graph.tree(), bound).map_err(SolveError::infeasible)?;
-        Ok(render_procmin(bound, &r))
+        let r = on_tree!(&request.graph, |t| proc_min(t, bound)).map_err(SolveError::infeasible)?;
+        Ok(Response::new(json!({
+            "objective": self.name(),
+            "bound": bound.get(),
+            "cut": cut_json(r.cut.iter()),
+            "processors": r.component_count,
+        })))
     }
 }
 
@@ -296,15 +260,19 @@ impl Solver for Lexicographic {
     fn summary(&self) -> &'static str {
         "chain cut minimizing (bottleneck, bandwidth) lexicographically (§3)"
     }
+    fn accepts_streamed_graph(&self) -> bool {
+        true
+    }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
         self.run_budgeted(request, &Budget::unlimited())
     }
     fn run_budgeted(&self, request: &Request, budget: &Budget) -> Result<Response, SolveError> {
         let bound = bound_of(request);
-        let chain = request.graph.chain();
-        let cut = min_bandwidth_cut_lexicographic(chain, bound, budget)
-            .map_err(SolveError::from_partition)?;
-        render_lexicographic(chain, bound, &cut)
+        on_chain!(&request.graph, |c| {
+            let cut = min_bandwidth_cut_lexicographic(c, bound, budget)
+                .map_err(SolveError::from_partition)?;
+            render_lexicographic(c, bound, &cut)
+        })
     }
     fn run_warm(
         &self,
@@ -313,15 +281,11 @@ impl Solver for Lexicographic {
         hint_hi: u64,
     ) -> Option<Result<Response, SolveError>> {
         let bound = bound_of(request);
-        let chain = request.graph.chain();
-        let cut = min_bandwidth_cut_lexicographic_warm(
-            chain,
-            bound,
-            Weight::new(hint_lo),
-            Weight::new(hint_hi),
-        )
-        .ok()??;
-        Some(render_lexicographic(chain, bound, &cut))
+        let (lo, hi) = (Weight::new(hint_lo), Weight::new(hint_hi));
+        on_chain!(&request.graph, |c| {
+            let cut = min_bandwidth_cut_lexicographic_warm(c, bound, lo, hi).ok()??;
+            Some(render_lexicographic(c, bound, &cut))
+        })
     }
 }
 
@@ -341,8 +305,7 @@ impl Solver for TreeBandwidth {
     fn summary(&self) -> &'static str {
         "exact minimum-bandwidth tree cut, O(n·K²) DP (Theorem 1 counterpart)"
     }
-    fn parse(&self, value: &Value) -> Result<Request, SolveError> {
-        let request = parse_request(self.name(), self.graph_kind(), self.params(), value)?;
+    fn validate(&self, request: &Request) -> Result<(), SolveError> {
         let k = request.params.bound.expect("declared required parameter");
         let n = request.graph.tree().len() as u64;
         let cost = n.saturating_mul(k).saturating_mul(k);
@@ -355,7 +318,7 @@ impl Solver for TreeBandwidth {
                 ),
             });
         }
-        Ok(request)
+        Ok(())
     }
     fn cost_estimate(&self, request: &Request) -> u64 {
         let k = request.params.bound.unwrap_or(1);
@@ -430,11 +393,21 @@ impl Solver for Nicol {
     fn summary(&self) -> &'static str {
         "Nicol & O'Hallaron O(n log n) bandwidth baseline on chains"
     }
+    fn accepts_streamed_graph(&self) -> bool {
+        true
+    }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
         let bound = bound_of(request);
-        let chain = request.graph.chain();
-        let cut = nicol_bandwidth_cut(chain, bound).map_err(SolveError::infeasible)?;
-        render_nicol(chain, bound, &cut)
+        on_chain!(&request.graph, |c| {
+            let cut = nicol_bandwidth_cut(c, bound).map_err(SolveError::infeasible)?;
+            Ok(Response::new(json!({
+                "objective": self.name(),
+                "bound": bound.get(),
+                "cut": cut_json(cut.iter()),
+                "bandwidth": c.cut_weight(&cut).map_err(SolveError::infeasible)?.get(),
+                "processors": cut.len() + 1,
+            })))
+        })
     }
 }
 
@@ -574,8 +547,7 @@ impl Solver for Hetero {
     fn summary(&self) -> &'static str {
         "chain partition over a mixed-speed processor array (Bokhari variant)"
     }
-    fn parse(&self, value: &Value) -> Result<Request, SolveError> {
-        let request = parse_request(self.name(), self.graph_kind(), self.params(), value)?;
+    fn validate(&self, request: &Request) -> Result<(), SolveError> {
         let speeds = request
             .params
             .speeds
@@ -593,7 +565,7 @@ impl Solver for Hetero {
                 message: format!("{} speeds exceed the limit of {MAX_SPEEDS}", speeds.len()),
             });
         }
-        Ok(request)
+        Ok(())
     }
     fn cost_estimate(&self, request: &Request) -> u64 {
         let n = request.graph.chain().len() as u64;
@@ -662,6 +634,7 @@ impl Solver for HostSatellite {
 mod tests {
     use super::*;
     use crate::registry::Registry;
+    use crate::request::parse_request;
 
     const CHAIN: &str = r#"{"node_weights": [2, 3, 5, 7], "edge_weights": [10, 1, 10]}"#;
     const TREE: &str = r#"{"node_weights": [1, 2, 3, 4],
@@ -888,13 +861,8 @@ mod tests {
             r#"{{"objective": "tree-bandwidth", "bound": {}, "graph": {TREE}}}"#,
             u64::MAX
         );
-        let parsed = parse_request(
-            "tree-bandwidth",
-            GraphKind::Tree,
-            BOUND_ONLY,
-            &Value::parse(&body).unwrap(),
-        )
-        .expect("schema-valid even though run() would refuse it");
+        let parsed = parse_request(tb, &Value::parse(&body).unwrap())
+            .expect("schema-valid even though run() would refuse it");
         assert_eq!(tb.cost_estimate(&parsed), u64::MAX);
     }
 

@@ -16,8 +16,8 @@ use crate::request::{parse_request, GraphKind, ParamSpec, Request, Response};
 ///
 /// A solver owns its request schema ([`Solver::params`]) and response
 /// shape; the CLI and the HTTP service are thin shells over
-/// [`Solver::parse`] → [`Solver::run`], which is what guarantees the two
-/// produce byte-identical JSON for the same request.
+/// `parse` → [`Solver::run`], which is what guarantees the two produce
+/// byte-identical JSON for the same request.
 pub trait Solver: Send + Sync {
     /// The objective name used for dispatch, metrics labels and the
     /// `"objective"` response field.
@@ -27,19 +27,27 @@ pub trait Solver: Send + Sync {
     fn graph_kind(&self) -> GraphKind;
 
     /// The scalar parameters the solver accepts beyond `objective` and
-    /// `graph`. Undeclared fields are rejected by [`Solver::parse`].
+    /// `graph`. Both parsers reject undeclared fields.
     fn params(&self) -> &'static [ParamSpec];
 
     /// One human line for docs and usage listings.
     fn summary(&self) -> &'static str;
 
-    /// Strictly validates a raw request object into a typed [`Request`].
-    ///
-    /// The default checks the declared schema and graph kind; solvers
-    /// override only to add extra validation (cost caps, range checks)
-    /// *after* delegating to the default (see `TreeBandwidth`).
-    fn parse(&self, value: &Value) -> Result<Request, SolveError> {
-        parse_request(self.name(), self.graph_kind(), self.params(), value)
+    /// Extra validation of a request that already matches the declared
+    /// schema and graph kind (cost caps, range checks; see
+    /// `TreeBandwidth`). Both parsers run it. The default accepts.
+    fn validate(&self, request: &Request) -> Result<(), SolveError> {
+        let _ = request;
+        Ok(())
+    }
+
+    /// Whether [`crate::ingest_flat`] may stream this objective's bodies
+    /// straight into flat arrays. A solver that says yes takes exactly
+    /// one parameter, `bound`, and solves every [`crate::GraphInput`]
+    /// variant of its kind (pointer, RAM and disk) with byte-identical
+    /// responses. The default declines.
+    fn accepts_streamed_graph(&self) -> bool {
+        false
     }
 
     /// Runs the objective on a validated request.
@@ -107,17 +115,39 @@ pub trait Solver: Send + Sync {
         key.finish()
     }
 
-    /// Renders a response as JSON. The default returns the value the
-    /// solver already built; overriding is only for solvers whose
-    /// in-memory response is not its wire form.
+    /// A copy of the response as JSON. A solver's wire form is the
+    /// [`Response::value`] it built, which the service serializes in
+    /// place (a deep copy per response is measurable on large
+    /// responses), so this is not a rendering hook.
     fn to_json(&self, response: &Response) -> Value {
         response.value.clone()
     }
 }
 
+impl dyn Solver {
+    /// Strictly validates a raw request object into a typed [`Request`]
+    /// naming this solver: the declared schema and graph kind, then
+    /// [`Solver::validate`].
+    ///
+    /// # Errors
+    ///
+    /// The first schema or validation failure, as a [`SolveError`].
+    pub fn parse(&'static self, value: &Value) -> Result<Request, SolveError> {
+        let request = parse_request(self, value)?;
+        self.validate(&request)?;
+        Ok(request)
+    }
+}
+
+impl std::fmt::Debug for dyn Solver {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 /// The set of registered solvers, dispatchable by objective name.
 pub struct Registry {
-    solvers: Vec<Box<dyn Solver>>,
+    solvers: Vec<&'static dyn Solver>,
     names: Vec<&'static str>,
 }
 
@@ -148,7 +178,7 @@ impl Registry {
     ///
     /// If another solver already claimed the name — duplicate objectives
     /// would make dispatch ambiguous, so this is a programming error.
-    pub fn register(&mut self, solver: Box<dyn Solver>) {
+    pub fn register(&mut self, solver: &'static dyn Solver) {
         let name = solver.name();
         assert!(
             !self.names.contains(&name),
@@ -166,11 +196,11 @@ impl Registry {
 
     /// Looks up a solver by objective name. The index is stable for the
     /// registry's lifetime and usable as a dense metrics key.
-    pub fn get(&self, name: &str) -> Option<(usize, &dyn Solver)> {
+    pub fn get(&self, name: &str) -> Option<(usize, &'static dyn Solver)> {
         self.names
             .iter()
             .position(|n| *n == name)
-            .map(|i| (i, self.solvers[i].as_ref()))
+            .map(|i| (i, self.solvers[i]))
     }
 
     /// Every registered objective name, in registration order.
@@ -179,8 +209,8 @@ impl Registry {
     }
 
     /// Iterates the registered solvers in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Solver> {
-        self.solvers.iter().map(|s| s.as_ref())
+    pub fn iter(&self) -> impl Iterator<Item = &'static dyn Solver> + '_ {
+        self.solvers.iter().copied()
     }
 
     /// Number of registered solvers.
@@ -197,10 +227,10 @@ impl Registry {
     /// strictly parses the request against that solver's schema.
     /// Returns the solver's registry index alongside it so callers can
     /// label metrics even when a later stage fails.
-    pub fn dispatch<'r>(
-        &'r self,
+    pub fn dispatch(
+        &self,
         value: &Value,
-    ) -> Result<(usize, &'r dyn Solver, Request), SolveError> {
+    ) -> Result<(usize, &'static dyn Solver, Request), SolveError> {
         let name =
             value
                 .get("objective")

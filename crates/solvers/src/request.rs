@@ -6,14 +6,23 @@
 //! with [`SolveError::UnknownField`]. This is what lets the CLI and the
 //! HTTP service guarantee identical behaviour: there is exactly one
 //! schema per objective and it lives here, not in each front end.
+//!
+//! [`crate::ingest_flat`] is the second parser of the same type: it
+//! streams the bodies of objectives that accept flat graphs straight
+//! into [`GraphInput`]'s flat variants and declines everything else, so
+//! error bodies always come from this one.
 
 use std::fmt;
 
+use tgp_core::budget::Budget;
 use tgp_graph::json::{FromJson, Value};
-use tgp_graph::{PathGraph, ProcessGraph, Tree};
+use tgp_graph::{ChainView, EdgeId, NodeId, PathGraph, ProcessGraph, Tree, TreeView};
+use tgp_store::{DiskBacking, FlatPath, FlatTree, RamBacking};
 
 use crate::error::SolveError;
+use crate::flat::{on_chain, on_tree};
 use crate::key::KeyBuilder;
+use crate::registry::Solver;
 
 /// The graph class a solver accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,8 +52,10 @@ impl fmt::Display for GraphKind {
     }
 }
 
-/// A validated input graph.
-#[derive(Debug, Clone)]
+/// A validated input graph: a pointer graph built by the JSON-tree
+/// parser, or flat arrays streamed in by [`crate::ingest_flat`] (RAM- or
+/// disk-backed, chosen by the caller).
+#[derive(Debug)]
 pub enum GraphInput {
     /// A linear task graph.
     Chain(PathGraph),
@@ -52,24 +63,37 @@ pub enum GraphInput {
     Tree(Tree),
     /// A general process graph.
     Process(ProcessGraph),
+    /// A chain in RAM-backed flat arrays.
+    ChainRam(FlatPath<RamBacking>),
+    /// A chain in disk-backed (mmap) flat arrays.
+    ChainDisk(FlatPath<DiskBacking>),
+    /// A tree in RAM-backed flat arrays.
+    TreeRam(FlatTree<RamBacking>),
+    /// A tree in disk-backed (mmap) flat arrays.
+    TreeDisk(FlatTree<DiskBacking>),
 }
 
 impl GraphInput {
-    /// The chain, for solvers registered with [`GraphKind::Chain`].
+    /// The pointer chain, for chain solvers that do not accept streamed
+    /// graphs.
     ///
     /// # Panics
     ///
-    /// If the request was parsed for a different graph kind — the parser
-    /// guarantees the variant matches the solver's declared kind, so a
-    /// panic here is a registry bug, not bad input.
+    /// If the request holds another variant — parsers only build the
+    /// variants a solver accepts, so a panic here is a registry bug, not
+    /// bad input.
     pub fn chain(&self) -> &PathGraph {
         match self {
             GraphInput::Chain(p) => p,
-            other => panic!("solver expected a chain, request holds {}", other.kind()),
+            other => panic!(
+                "solver expected a pointer chain, request holds {}",
+                other.describe()
+            ),
         }
     }
 
-    /// The tree, for solvers registered with [`GraphKind::Tree`].
+    /// The pointer tree, for tree solvers that do not accept streamed
+    /// graphs.
     ///
     /// # Panics
     ///
@@ -77,7 +101,10 @@ impl GraphInput {
     pub fn tree(&self) -> &Tree {
         match self {
             GraphInput::Tree(t) => t,
-            other => panic!("solver expected a tree, request holds {}", other.kind()),
+            other => panic!(
+                "solver expected a pointer tree, request holds {}",
+                other.describe()
+            ),
         }
     }
 
@@ -92,7 +119,7 @@ impl GraphInput {
             GraphInput::Process(g) => g,
             other => panic!(
                 "solver expected a process graph, request holds {}",
-                other.kind()
+                other.describe()
             ),
         }
     }
@@ -100,10 +127,19 @@ impl GraphInput {
     /// Which graph class this input holds.
     pub fn kind(&self) -> GraphKind {
         match self {
-            GraphInput::Chain(_) => GraphKind::Chain,
-            GraphInput::Tree(_) => GraphKind::Tree,
+            GraphInput::Chain(_) | GraphInput::ChainRam(_) | GraphInput::ChainDisk(_) => {
+                GraphKind::Chain
+            }
+            GraphInput::Tree(_) | GraphInput::TreeRam(_) | GraphInput::TreeDisk(_) => {
+                GraphKind::Tree
+            }
             GraphInput::Process(_) => GraphKind::Process,
         }
+    }
+
+    /// The variant in words, for panic messages.
+    fn describe(&self) -> String {
+        format!("a {} on {}", self.kind(), self.backing_kind().as_str())
     }
 
     /// A rough size-of-instance measure — nodes plus edges — used as the
@@ -111,39 +147,20 @@ impl GraphInput {
     /// time is super-linear in the instance override the estimate
     /// instead of this accessor.
     pub fn work_units(&self) -> u64 {
-        match self {
-            GraphInput::Chain(p) => (p.len() + p.edge_count()) as u64,
-            GraphInput::Tree(t) => (t.len() + t.edge_count()) as u64,
-            GraphInput::Process(g) => (g.len() + g.edge_count()) as u64,
-        }
+        let (nodes, edges) = match (self, self.kind()) {
+            (GraphInput::Process(g), _) => (g.len(), g.edge_count()),
+            (chain, GraphKind::Chain) => on_chain!(chain, |c| (c.len(), c.edge_count())),
+            (tree, _) => on_tree!(tree, |t| (TreeView::len(t), TreeView::edge_count(t))),
+        };
+        (nodes + edges) as u64
     }
 
-    /// Writes the graph's validated content into a canonical key.
+    /// Writes the graph's validated content into a canonical key. Every
+    /// variant holding the same graph writes the same bytes, so pointer,
+    /// RAM and disk solves share cache entries.
     pub fn write_key(&self, key: &mut KeyBuilder) {
-        match self {
-            GraphInput::Chain(p) => {
-                key.write(b"/chain");
-                key.write_u64(p.len() as u64);
-                for w in p.node_weights() {
-                    key.write_u64(w.get());
-                }
-                for w in p.edge_weights() {
-                    key.write_u64(w.get());
-                }
-            }
-            GraphInput::Tree(t) => {
-                key.write(b"/tree");
-                key.write_u64(t.len() as u64);
-                for w in t.node_weights() {
-                    key.write_u64(w.get());
-                }
-                for e in t.edges() {
-                    key.write_u64(e.a.index() as u64);
-                    key.write_u64(e.b.index() as u64);
-                    key.write_u64(e.weight.get());
-                }
-            }
-            GraphInput::Process(g) => {
+        match (self, self.kind()) {
+            (GraphInput::Process(g), _) => {
                 key.write(b"/process");
                 key.write_u64(g.len() as u64);
                 for w in g.node_weights() {
@@ -155,7 +172,34 @@ impl GraphInput {
                     key.write_u64(e.weight.get());
                 }
             }
+            (chain, GraphKind::Chain) => on_chain!(chain, |c| write_chain_key(c, key)),
+            (tree, _) => on_tree!(tree, |t| write_tree_key(t, key)),
         }
+    }
+}
+
+fn write_chain_key<C: ChainView>(chain: &C, key: &mut KeyBuilder) {
+    key.write(b"/chain");
+    key.write_u64(chain.len() as u64);
+    for i in 0..chain.len() {
+        key.write_u64(chain.node_weight(NodeId::new(i)).get());
+    }
+    for e in 0..chain.edge_count() {
+        key.write_u64(chain.edge_weight(EdgeId::new(e)).get());
+    }
+}
+
+fn write_tree_key<T: TreeView>(tree: &T, key: &mut KeyBuilder) {
+    key.write(b"/tree");
+    key.write_u64(tree.len() as u64);
+    for i in 0..tree.len() {
+        key.write_u64(tree.node_weight(NodeId::new(i)).get());
+    }
+    for e in 0..tree.edge_count() {
+        let edge = tree.edge(EdgeId::new(e));
+        key.write_u64(edge.a.index() as u64);
+        key.write_u64(edge.b.index() as u64);
+        key.write_u64(edge.weight.get());
     }
 }
 
@@ -254,15 +298,59 @@ impl Params {
     }
 }
 
-/// A fully validated request: the typed graph plus the solver's
-/// parameters. Constructed only by [`crate::Solver::parse`], so holding one
-/// means the graph kind and every declared parameter already check out.
-#[derive(Debug, Clone)]
+/// A fully validated request: the solver it names, the typed graph and
+/// the solver's parameters. Built only by the two parsers — the
+/// JSON-tree one behind [`crate::Registry::dispatch`] and the streaming
+/// [`crate::ingest_flat`] — so holding one means the graph kind and
+/// every declared parameter already check out.
+#[derive(Debug)]
 pub struct Request {
+    /// The solver the request's `"objective"` names.
+    pub objective: &'static dyn Solver,
     /// The validated input graph (variant matches the solver's kind).
     pub graph: GraphInput,
     /// The validated scalar parameters.
     pub params: Params,
+}
+
+impl Request {
+    /// The named solver's [`Solver::canonical_key`] for this request.
+    pub fn canonical_key(&self) -> Vec<u8> {
+        self.objective.canonical_key(self)
+    }
+
+    /// The named solver's [`Solver::cost_estimate`] for this request.
+    pub fn cost_estimate(&self) -> u64 {
+        self.objective.cost_estimate(self)
+    }
+
+    /// The session warm-memory key: objective and parameters *without*
+    /// the graph, so it keeps pointing at the previous solve across
+    /// edits.
+    pub fn warm_key(&self) -> Vec<u8> {
+        let mut key = KeyBuilder::default();
+        key.write_str(self.objective.name());
+        self.params.write_key(&mut key);
+        key.finish()
+    }
+
+    /// Runs the named solver ([`Solver::run`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Solver::run`].
+    pub fn run(&self) -> Result<Response, SolveError> {
+        self.objective.run(self)
+    }
+
+    /// Runs the named solver under `budget` ([`Solver::run_budgeted`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Solver::run_budgeted`].
+    pub fn run_budgeted(&self, budget: &Budget) -> Result<Response, SolveError> {
+        self.objective.run_budgeted(self, budget)
+    }
 }
 
 /// A solver's result, rendered as a JSON value whose serialization *is*
@@ -281,27 +369,29 @@ impl Response {
     }
 }
 
-/// Strictly parses `value` against a solver's declared schema.
+/// Strictly parses `value` against `objective`'s declared schema.
 ///
 /// Checks, in order: the request is an object; it carries no field
 /// outside `objective`, `graph` and `params`; every required parameter
-/// is present with the right type; the graph parses as `kind`.
-pub fn parse_request(
-    objective: &'static str,
-    kind: GraphKind,
-    params: &[ParamSpec],
+/// is present with the right type; the graph parses as the solver's
+/// kind.
+pub(crate) fn parse_request(
+    objective: &'static dyn Solver,
     value: &Value,
 ) -> Result<Request, SolveError> {
+    let name = objective.name();
+    let params = objective.params();
     let fields = value.as_object().ok_or(SolveError::MissingField {
         field: "graph",
         expected: "a request must be a JSON object",
     })?;
-    for (name, _) in fields {
-        let known = name == "objective" || name == "graph" || params.iter().any(|p| p.name == name);
+    for (field, _) in fields {
+        let known =
+            field == "objective" || field == "graph" || params.iter().any(|p| p.name == field);
         if !known {
             return Err(SolveError::UnknownField {
-                field: name.clone(),
-                objective,
+                field: field.clone(),
+                objective: name,
             });
         }
     }
@@ -310,10 +400,10 @@ pub fn parse_request(
             field: "objective",
             expected: "a string",
         })?;
-        if claimed != objective {
+        if claimed != name {
             return Err(SolveError::InvalidField {
                 field: "objective".into(),
-                message: format!("request names {claimed:?} but was parsed by {objective:?}"),
+                message: format!("request names {claimed:?} but was parsed by {name:?}"),
             });
         }
     }
@@ -377,8 +467,9 @@ pub fn parse_request(
         field: "graph",
         expected: "a graph object",
     })?;
-    let graph = parse_graph(objective, kind, graph_value)?;
+    let graph = parse_graph(name, objective.graph_kind(), graph_value)?;
     Ok(Request {
+        objective,
         graph,
         params: parsed,
     })
@@ -418,8 +509,29 @@ mod tests {
         ParamSpec::optional("algorithm", ParamKind::Str),
     ];
 
+    /// A chain objective declaring `SPEC`, for driving the parser.
+    struct Demo;
+
+    impl Solver for Demo {
+        fn name(&self) -> &'static str {
+            "demo"
+        }
+        fn graph_kind(&self) -> GraphKind {
+            GraphKind::Chain
+        }
+        fn params(&self) -> &'static [ParamSpec] {
+            SPEC
+        }
+        fn summary(&self) -> &'static str {
+            "parser fixture"
+        }
+        fn run(&self, _: &Request) -> Result<Response, SolveError> {
+            unreachable!("the fixture is never run")
+        }
+    }
+
     fn parse(text: &str) -> Result<Request, SolveError> {
-        parse_request("demo", GraphKind::Chain, SPEC, &Value::parse(text).unwrap())
+        parse_request(&Demo, &Value::parse(text).unwrap())
     }
 
     #[test]

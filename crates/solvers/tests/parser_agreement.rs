@@ -1,0 +1,183 @@
+//! Seeded differential test of the registry's two parsers.
+//!
+//! Every body the streaming [`ingest_flat`] accepts must build the same
+//! request as [`Registry::dispatch`] over its JSON tree: the same
+//! canonical key and cost estimate, the same response bytes (or the same
+//! error, code and message), and for `lexicographic` the same warm
+//! answer on every window — ones that contain the optimal bottleneck
+//! `B*` and ones that miss it. Instances are random chains and trees
+//! with zero weights, heavy ties and infeasible bounds, for each of the
+//! five streamed objectives, with the objective named first and last,
+//! on RAM and disk backing.
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+use tgp_graph::json::Value;
+use tgp_solvers::{
+    ingest_flat, Budget, GraphKind, IngestBacking, Registry, Request, Response, SolveError,
+};
+use tgp_store::BackingKind;
+
+const STREAMED: [&str; 5] = [
+    "bandwidth",
+    "lexicographic",
+    "nicol",
+    "bottleneck",
+    "procmin",
+];
+const ROUNDS: u64 = 60;
+
+/// Node or edge weights: small with zeros, heavy ties, or wide.
+fn weights(rng: &mut SmallRng, len: usize) -> Vec<u64> {
+    let style = rng.gen_range(0..3);
+    (0..len)
+        .map(|_| match style {
+            0 => rng.gen_range(0..=9),
+            1 => [0, 4, 4, 4, 7][rng.gen_range(0..5)],
+            _ => rng.gen_range(0..=1_000_000),
+        })
+        .collect()
+}
+
+fn list(values: &[u64]) -> String {
+    let items: Vec<String> = values.iter().map(u64::to_string).collect();
+    format!("[{}]", items.join(", "))
+}
+
+/// A random graph of `kind` as JSON, with its node weights. Tree edges
+/// come in shuffled order, with flipped endpoints and shuffled fields.
+fn graph(rng: &mut SmallRng, kind: GraphKind) -> (String, Vec<u64>) {
+    let n = rng.gen_range(1..=40);
+    let nodes = weights(rng, n);
+    let edge_w = weights(rng, n - 1);
+    let json = match kind {
+        GraphKind::Chain => format!(
+            r#"{{"node_weights": {}, "edge_weights": {}}}"#,
+            list(&nodes),
+            list(&edge_w)
+        ),
+        _ => {
+            let mut edges: Vec<String> = (1..n)
+                .map(|child| {
+                    let parent = rng.gen_range(0..child);
+                    let (a, b) = if rng.gen_bool(0.5) {
+                        (parent, child)
+                    } else {
+                        (child, parent)
+                    };
+                    let w = edge_w[child - 1];
+                    if rng.gen_bool(0.5) {
+                        format!(r#"{{"a": {a}, "b": {b}, "weight": {w}}}"#)
+                    } else {
+                        format!(r#"{{"weight": {w}, "b": {b}, "a": {a}}}"#)
+                    }
+                })
+                .collect();
+            for i in (1..edges.len()).rev() {
+                edges.swap(i, rng.gen_range(0..=i));
+            }
+            format!(
+                r#"{{"edges": [{}], "node_weights": {}}}"#,
+                edges.join(", "),
+                list(&nodes)
+            )
+        }
+    };
+    (json, nodes)
+}
+
+/// A load bound: below the heaviest node (infeasible), exactly at it,
+/// the whole graph's weight, or in between.
+fn bound(rng: &mut SmallRng, nodes: &[u64]) -> u64 {
+    let heaviest = *nodes.iter().max().expect("non-empty");
+    let total: u64 = nodes.iter().sum();
+    match rng.gen_range(0..4) {
+        0 => heaviest.saturating_sub(1),
+        1 => heaviest,
+        2 => total,
+        _ => rng.gen_range(heaviest..=total),
+    }
+}
+
+/// What a client would see: the serialized response, or the error.
+fn outcome(request: &Request, result: Result<Response, SolveError>) -> Result<String, String> {
+    result
+        .map(|response| request.objective.to_json(&response).to_string())
+        .map_err(|e| format!("{}: {e}", e.code()))
+}
+
+/// Warm windows around `b`: containing it, and missing it on each side.
+fn windows(rng: &mut SmallRng, b: u64) -> Vec<(u64, u64)> {
+    let d = rng.gen_range(0..=50);
+    let mut all = vec![
+        (b, b),
+        (b.saturating_sub(d), b.saturating_add(d)),
+        (0, u64::MAX),
+        (b + 1, b.saturating_add(d + 1)),
+    ];
+    if b > 0 {
+        all.push((b.saturating_sub(d + 1), b - 1));
+    }
+    all
+}
+
+#[test]
+fn streamed_and_json_tree_requests_agree() {
+    let registry = Registry::shared();
+    let disk = IngestBacking::disk(std::env::temp_dir());
+    let backings = [
+        (&IngestBacking::Ram, BackingKind::Ram),
+        (&disk, BackingKind::Disk),
+    ];
+    // Cold solves that failed, and that succeeded.
+    let mut solves = [0usize; 2];
+    for (i, name) in STREAMED.into_iter().enumerate() {
+        let (_, solver) = registry.get(name).expect("registered");
+        assert!(solver.accepts_streamed_graph(), "{name}");
+        for round in 0..ROUNDS {
+            let mut rng = SmallRng::seed_from_u64((i as u64) << 32 | round);
+            let (graph, nodes) = graph(&mut rng, solver.graph_kind());
+            let bound = bound(&mut rng, &nodes);
+            let bodies = [
+                format!(r#"{{"objective": "{name}", "bound": {bound}, "graph": {graph}}}"#),
+                format!(r#"{{"bound": {bound}, "graph": {graph}, "objective": "{name}"}}"#),
+            ];
+            for body in &bodies {
+                let value = Value::parse(body).expect("valid JSON");
+                let (_, _, tree) = registry.dispatch(&value).expect("valid request");
+                let cold = outcome(&tree, tree.run_budgeted(&Budget::unlimited()));
+                solves[usize::from(cold.is_ok())] += 1;
+                for (backing, kind) in backings {
+                    let streamed = ingest_flat(body.as_bytes(), backing, &Budget::unlimited())
+                        .expect("no budget to exceed")
+                        .unwrap_or_else(|| panic!("declined: {body}"));
+                    assert_eq!(streamed.objective.name(), name);
+                    assert_eq!(streamed.graph.backing_kind(), kind);
+                    assert_eq!(streamed.canonical_key(), tree.canonical_key(), "{body}");
+                    assert_eq!(streamed.cost_estimate(), tree.cost_estimate(), "{body}");
+                    let got = outcome(&streamed, streamed.run_budgeted(&Budget::unlimited()));
+                    assert_eq!(got, cold, "{kind:?}: {body}");
+                    let (Ok(rendered), "lexicographic") = (&cold, name) else {
+                        continue;
+                    };
+                    let b = Value::parse(rendered).expect("JSON")["bottleneck"]
+                        .as_u64()
+                        .expect("a bottleneck");
+                    for (lo, hi) in windows(&mut rng, b) {
+                        let warm =
+                            |r: &Request| solver.run_warm(r, lo, hi).map(|res| outcome(r, res));
+                        let want = warm(&tree);
+                        assert_eq!(warm(&streamed), want, "[{lo}, {hi}] {kind:?}: {body}");
+                        if lo <= b && b <= hi {
+                            assert_eq!(want, Some(cold.clone()), "[{lo}, {hi}] holds B* {b}");
+                        } else {
+                            assert_eq!(want, None, "[{lo}, {hi}] misses B* {b}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(solves[0] > 0 && solves[1] > 0, "{solves:?}");
+}

@@ -82,7 +82,7 @@ fn chain_transcript<C: ChainView>(path: &C, bounds: &[u64]) -> String {
             }
             Err(e) => out.push_str(&format!("lex k={k}: ERR {e:?}\n")),
         }
-        match partition_chain(path, bound) {
+        match partition_chain(path, bound, &Budget::unlimited()) {
             Ok(p) => out.push_str(&format!(
                 "pipe k={k}: procs={} bw={:?} bn={:?} segs={:?}\n",
                 p.processors, p.bandwidth, p.bottleneck, p.segments,

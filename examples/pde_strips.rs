@@ -17,6 +17,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use tgp::baselines::block::block_partition;
+use tgp::core::budget::Budget;
 use tgp::core::pipeline::{partition_chain, tree_from_path};
 use tgp::graph::{PathGraph, Weight};
 use tgp::shmem::machine::Machine;
@@ -49,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bound
     );
 
-    let part = partition_chain(&chain, bound)?;
+    let part = partition_chain(&chain, bound, &Budget::unlimited())?;
     let blocks = block_partition(&chain, part.processors);
     println!(
         "partition: {} processors; interface traffic {} (algorithm) vs {} (block split)",
@@ -78,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nbound sweep (K → processors, interface traffic):");
     for div in [2u64, 4, 8, 16, 32] {
         let k = Weight::new(total / div + chain.max_node_weight().get());
-        let p = partition_chain(&chain, k)?;
+        let p = partition_chain(&chain, k, &Budget::unlimited())?;
         println!(
             "  K = {:>7} → {:>3} processors, traffic {:>5}",
             k, p.processors, p.bandwidth

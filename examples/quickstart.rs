@@ -7,6 +7,7 @@
 //! ```
 
 use tgp::core::bandwidth::analyze_bandwidth;
+use tgp::core::budget::Budget;
 use tgp::core::pipeline::{partition_chain, partition_tree, tree_from_path};
 use tgp::graph::{dot, PathGraph, Weight};
 
@@ -20,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bound = Weight::new(25);
 
     println!("== bandwidth minimization (Section 2.3, O(n + p log q)) ==");
-    let part = partition_chain(&chain, bound)?;
+    let part = partition_chain(&chain, bound, &Budget::unlimited())?;
     for (i, seg) in part.segments.iter().enumerate() {
         println!(
             "  processor {i}: tasks {}..={} (load {})",

@@ -7,6 +7,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use tgp::baselines::block::block_partition;
+use tgp::core::budget::Budget;
 use tgp::core::pipeline::{partition_chain, partition_tree};
 use tgp::dds::generators::{johnson_counter, shift_register};
 use tgp::dds::partition::{partition_circuit, partition_circuit_block};
@@ -31,7 +32,7 @@ fn chain(n: usize, seed: u64) -> tgp::graph::PathGraph {
 fn observed_bus_traffic_equals_cut_weight_per_item() {
     let path = chain(80, 1);
     let k = Weight::new(path.total_weight().get() / 5);
-    let part = partition_chain(&path, k).unwrap();
+    let part = partition_chain(&path, k, &Budget::unlimited()).unwrap();
     let spec = PipelineSpec::from_partition(&path, &part.cut).unwrap();
     let machine = Machine::bus(part.processors).unwrap();
     let items = 37;
@@ -52,7 +53,7 @@ fn bandwidth_optimal_partition_never_does_worse_on_the_bus() {
     for seed in 0..5 {
         let path = chain(120, seed);
         let k = Weight::new(path.total_weight().get() / 8);
-        let part = partition_chain(&path, k).unwrap();
+        let part = partition_chain(&path, k, &Budget::unlimited()).unwrap();
         let blocks = block_partition(&path, part.processors);
         let machine = Machine::bus(part.processors.max(16)).unwrap();
         let smart = simulate_pipeline(

@@ -4,6 +4,7 @@
 
 use tgp::core::bandwidth::{analyze_bandwidth, min_bandwidth_cut};
 use tgp::core::bottleneck::min_bottleneck_cut;
+use tgp::core::budget::Budget;
 use tgp::core::pipeline::{partition_chain, partition_tree};
 use tgp::core::procmin::proc_min;
 use tgp::core::PartitionError;
@@ -78,7 +79,7 @@ fn bound_exactly_at_total_weight_needs_no_cut() {
 #[test]
 fn zero_weight_edges_make_free_cuts() {
     let p = PathGraph::from_raw(&[5, 5, 5, 5], &[0, 0, 0]).unwrap();
-    let part = partition_chain(&p, Weight::new(10)).unwrap();
+    let part = partition_chain(&p, Weight::new(10), &Budget::unlimited()).unwrap();
     assert_eq!(part.bandwidth, Weight::ZERO);
     assert!(part.segments.iter().all(|s| s.weight <= Weight::new(10)));
 }
