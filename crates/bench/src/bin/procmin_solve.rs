@@ -1,8 +1,15 @@
-//! Timings behind EXPERIMENTS.md §FLAT-PROCMIN: the streaming ingest
-//! (`ingest_flat`) of 100 000-node chain and tree bodies, with the
-//! graph's deciding key (`edge_weights` or `edges`) either after
-//! `node_weights` or first, and Algorithm 2.2 (`proc_min`) on a
-//! 100 000-node random pointer tree at three bounds.
+//! Timings behind EXPERIMENTS.md §FLAT-PROCMIN and §BIG-BODIES: the
+//! streaming ingest (`ingest_flat`) of 100 000-node chain and tree
+//! bodies, and Algorithm 2.2 (`proc_min`) on a 100 000-node random
+//! pointer tree at three bounds.
+//!
+//! Ingest bodies come in the two shapes the benchmark's large-solve
+//! workload sends: compact (`serde_json` field order, `node_weights`
+//! first; also timed with the deciding key `edge_weights`/`edges`
+//! first) and Python-style (`json.dumps(sort_keys=True)`: `", "` and
+//! `": "` separators, the deciding key before `node_weights`). Each is
+//! ingested into RAM arrays and into disk-backed (mmap) arrays in the
+//! system temp directory.
 //!
 //! Usage:
 //!
@@ -13,9 +20,9 @@
 //! Both calls keep their signatures across revisions, so the same file
 //! builds against older revisions of the solver crates and the numbers
 //! compare across them. Ingest bodies name `bandwidth` and `bottleneck`,
-//! which every revision streams, into RAM arrays. A cell prints the
-//! minimum, quartiles and median of 15 runs, and the cut count checks
-//! that revisions agree.
+//! which every revision streams. A cell prints the minimum, quartiles
+//! and median of 15 runs, and the cut count checks that revisions
+//! agree.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -51,11 +58,28 @@ fn millis(mut f: impl FnMut()) -> String {
     )
 }
 
-fn list(values: impl Iterator<Item = u64>) -> String {
+/// A body's separators: compact, or Python's `", "` and `": "`.
+#[derive(Clone, Copy)]
+enum Style {
+    Compact,
+    Python,
+}
+
+impl Style {
+    fn separators(self) -> (&'static str, &'static str) {
+        match self {
+            Style::Compact => (",", ":"),
+            Style::Python => (", ", ": "),
+        }
+    }
+}
+
+fn list(values: impl Iterator<Item = u64>, style: Style) -> String {
+    let (sep, _) = style.separators();
     let mut out = String::from("[");
     for (i, v) in values.enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push_str(sep);
         }
         write!(out, "{v}").expect("write to String");
     }
@@ -63,13 +87,44 @@ fn list(values: impl Iterator<Item = u64>) -> String {
     out
 }
 
-/// The `"graph"` object with `node_weights` first or last.
-fn graph_json(nodes: &str, deciding: (&str, &str), nodes_first: bool) -> String {
+fn edge_list(edges: &[(usize, usize, u64)], style: Style) -> String {
+    let (sep, colon) = style.separators();
+    let mut out = String::from("[");
+    for (i, (a, b, w)) in edges.iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        write!(
+            out,
+            r#"{{"a"{colon}{a}{sep}"b"{colon}{b}{sep}"weight"{colon}{w}}}"#
+        )
+        .expect("write to String");
+    }
+    out.push(']');
+    out
+}
+
+/// The whole request body: compact bodies name the objective first,
+/// Python-style ones sort every object's keys.
+fn body(
+    objective: &str,
+    nodes: &str,
+    deciding: (&str, &str),
+    nodes_first: bool,
+    style: Style,
+) -> String {
+    let (sep, colon) = style.separators();
     let (key, value) = deciding;
-    if nodes_first {
-        format!(r#"{{"node_weights":{nodes},"{key}":{value}}}"#)
+    let graph = if nodes_first {
+        format!(r#"{{"node_weights"{colon}{nodes}{sep}"{key}"{colon}{value}}}"#)
     } else {
-        format!(r#"{{"{key}":{value},"node_weights":{nodes}}}"#)
+        format!(r#"{{"{key}"{colon}{value}{sep}"node_weights"{colon}{nodes}}}"#)
+    };
+    match style {
+        Style::Compact => format!(r#"{{"objective":"{objective}","bound":20000,"graph":{graph}}}"#),
+        Style::Python => {
+            format!(r#"{{"bound": 20000, "graph": {graph}, "objective": "{objective}"}}"#)
+        }
     }
 }
 
@@ -85,67 +140,77 @@ fn main() {
     // leaves behind moves the ingest's array growth by up to a
     // millisecond, and it differs between revisions.
     println!();
-    println!(
-        "{:<34} {:>6} {:>6}  {:>6} {:>6} {:>6} {:>6}",
-        "ingest_flat, RAM", "MB", "", "min", "q1", "median", "q3"
-    );
     let mut rng = SmallRng::seed_from_u64(0x1265);
-    let chain_nodes = list((0..N).map(|_| rng.gen_range(1..=100)));
-    let chain_edges = list((1..N).map(|_| rng.gen_range(1..=1000)));
-    let tree_nodes = list((0..N).map(|v| tree.node_weight(NodeId::new(v)).get()));
-    let tree_edges = {
-        let mut out = String::from("[");
-        for (i, e) in tree.edges().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let (a, b) = (e.a.index(), e.b.index());
-            write!(out, r#"{{"a":{a},"b":{b},"weight":{}}}"#, e.weight.get())
-                .expect("write to String");
-        }
-        out.push(']');
-        out
-    };
-    for (label, objective, nodes, deciding) in [
-        (
-            "chain",
-            "bandwidth",
-            &chain_nodes,
-            ("edge_weights", &chain_edges),
-        ),
-        ("tree", "bottleneck", &tree_nodes, ("edges", &tree_edges)),
+    let chain_nodes: Vec<u64> = (0..N).map(|_| rng.gen_range(1..=100)).collect();
+    let chain_edges: Vec<u64> = (1..N).map(|_| rng.gen_range(1..=1000)).collect();
+    let tree_nodes: Vec<u64> = (0..N)
+        .map(|v| tree.node_weight(NodeId::new(v)).get())
+        .collect();
+    let tree_edges: Vec<(usize, usize, u64)> = tree
+        .edges()
+        .iter()
+        .map(|e| (e.a.index(), e.b.index(), e.weight.get()))
+        .collect();
+    let shapes = [
+        (Style::Compact, true, "compact, node_weights first"),
+        (Style::Compact, false, "compact, deciding key first"),
+        (Style::Python, false, "python, deciding key first"),
+    ];
+    let spill_dir = std::env::temp_dir();
+    for (backing_label, backing) in [
+        ("RAM", IngestBacking::Ram),
+        ("disk", IngestBacking::disk(&spill_dir)),
     ] {
-        for nodes_first in [true, false] {
-            let graph = graph_json(nodes, (deciding.0, deciding.1), nodes_first);
-            let body = format!(r#"{{"objective":"{objective}","bound":20000,"graph":{graph}}}"#);
-            let order = if nodes_first {
-                "node_weights first"
-            } else {
-                "deciding key first"
-            };
-            ingest_flat(body.as_bytes(), &IngestBacking::Ram, &Budget::unlimited())
-                .expect("no deadline")
-                .expect("eligible body");
-            println!(
-                "{:<34} {:>6.2} {:>6}  {}",
-                format!("{label}, {order}"),
-                body.len() as f64 / 1e6,
-                "",
-                millis(|| {
-                    black_box(
-                        ingest_flat(
-                            black_box(body.as_bytes()),
-                            &IngestBacking::Ram,
-                            &Budget::unlimited(),
-                        )
-                        .expect("no deadline"),
-                    );
-                })
-            );
+        println!(
+            "{:<34} {:>6} {:>6}  {:>6} {:>6} {:>6} {:>6}",
+            format!("ingest_flat, {backing_label}"),
+            "MB",
+            "",
+            "min",
+            "q1",
+            "median",
+            "q3"
+        );
+        for (label, objective) in [("chain", "bandwidth"), ("tree", "bottleneck")] {
+            for (style, nodes_first, order) in shapes {
+                let (nodes, deciding) = if label == "chain" {
+                    (
+                        list(chain_nodes.iter().copied(), style),
+                        ("edge_weights", list(chain_edges.iter().copied(), style)),
+                    )
+                } else {
+                    (
+                        list(tree_nodes.iter().copied(), style),
+                        ("edges", edge_list(&tree_edges, style)),
+                    )
+                };
+                let body = body(
+                    objective,
+                    &nodes,
+                    (deciding.0, &deciding.1),
+                    nodes_first,
+                    style,
+                );
+                ingest_flat(body.as_bytes(), &backing, &Budget::unlimited())
+                    .expect("no deadline")
+                    .expect("eligible body");
+                println!(
+                    "{:<34} {:>6.2} {:>6}  {}",
+                    format!("{label}, {order}"),
+                    body.len() as f64 / 1e6,
+                    "",
+                    millis(|| {
+                        black_box(
+                            ingest_flat(black_box(body.as_bytes()), &backing, &Budget::unlimited())
+                                .expect("no deadline"),
+                        );
+                    })
+                );
+            }
         }
+        println!();
     }
 
-    println!();
     println!(
         "{:<34} {:>6} {:>6}  {:>6} {:>6} {:>6} {:>6}",
         "proc_min, pointer Tree", "K", "cuts", "min", "q1", "median", "q3"

@@ -6,7 +6,7 @@
 //! panic contracts) identical to the inherent methods of [`PathGraph`]
 //! and [`Tree`] — so a solver body written against the concrete types
 //! compiles unchanged once its signature is made generic. `tgp-store`
-//! implements the same traits for its flat SoA/CSR representations,
+//! implements the same traits for its flat SoA representations,
 //! which is how one solver code path serves pointer graphs, flat
 //! in-RAM graphs, and mmap-backed out-of-core graphs alike.
 //!

@@ -56,6 +56,10 @@ const WAKER_TOKEN: Token = u64::MAX - 1;
 /// pinning the loop thread on one connection and growing `read_buf`
 /// without bound. Level-triggered epoll redelivers, so the remainder is
 /// picked up next iteration — after every other ready fd had a turn.
+/// It is also the size of the loop's one scratch buffer, which every
+/// `read` fills before its bytes are appended to the connection's
+/// `read_buf`: a whole event's budget in one system call, while a
+/// connection's own buffer still grows only by the bytes that arrived.
 const READ_BUDGET_PER_EVENT: usize = 64 * 1024;
 
 /// How long accepting stays paused after `accept` fails with
@@ -175,6 +179,7 @@ impl EventLoop {
                 max_head_bytes: config.max_head_bytes,
                 max_body_bytes: config.max_body_bytes,
             },
+            scratch: vec![0; READ_BUDGET_PER_EVENT].into_boxed_slice(),
             config,
             counters,
             handler,
@@ -259,6 +264,8 @@ struct Loop {
     /// a slot's previous occupant can never match its current one).
     timer_seq: u64,
     limits: FrameLimits,
+    /// Where each `read` lands first (see [`READ_BUDGET_PER_EVENT`]).
+    scratch: Box<[u8]>,
     config: NetConfig,
     counters: Arc<NetCounters>,
     handler: Arc<dyn Handler>,
@@ -596,14 +603,10 @@ impl Loop {
             let conn = self.slots[idx].conn.as_ref().unwrap();
             conn.read_buf.is_empty()
         };
-        let mut chunk = [0u8; 4096];
         let mut budget = READ_BUDGET_PER_EVENT;
-        loop {
-            if budget == 0 {
-                break;
-            }
+        while budget > 0 {
             let conn = self.slots[idx].conn.as_mut().unwrap();
-            match conn.stream.read(&mut chunk) {
+            match conn.stream.read(&mut self.scratch[..budget]) {
                 Ok(0) => {
                     // EOF — but a client that shut down its write half
                     // after a complete request still deserves its
@@ -618,7 +621,7 @@ impl Loop {
                     break;
                 }
                 Ok(n) => {
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
+                    conn.read_buf.extend_from_slice(&self.scratch[..n]);
                     budget = budget.saturating_sub(n);
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -688,9 +691,13 @@ impl Loop {
             }
             FrameStatus::Complete { len } => {
                 let id = self.conn_id(idx);
+                // The frame buffer itself goes to the handler, so the
+                // request is not copied; only bytes past it (pipelined
+                // requests) move into a fresh buffer.
                 let request = {
                     let conn = self.slots[idx].conn.as_mut().unwrap();
-                    conn.read_buf.drain(..len).collect::<Vec<u8>>()
+                    let rest = conn.read_buf.split_off(len);
+                    std::mem::replace(&mut conn.read_buf, rest)
                 };
                 self.cancel_timer(idx);
                 match self.handler.on_request(id, request, &self.handle) {

@@ -205,8 +205,11 @@ pub enum Action {
 /// must be quick (a bounded-queue push, a cache probe); anything slow
 /// belongs on the worker pool via [`Action::Pending`].
 pub trait Handler: Send + Sync + 'static {
-    /// Called once per complete framed request. `request` is the exact
-    /// wire bytes (head + body) for the service's parser to re-parse.
+    /// Called once per complete framed request. `request` is the
+    /// connection's frame buffer itself, holding exactly one request's
+    /// wire bytes (head + body): ownership moves to the handler, so a
+    /// large body is not copied, and the connection starts its next
+    /// request in a buffer of its own.
     fn on_request(&self, conn: ConnId, request: Vec<u8>, handle: &LoopHandle) -> Action;
 
     /// Called when a connection's bytes can never frame (oversized

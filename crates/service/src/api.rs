@@ -284,17 +284,6 @@ impl AppState {
         self
     }
 
-    /// The HTTP layer's body-spill policy, derived from the same knobs
-    /// as flat ingest: request bodies at or past `--graph-spill-bytes`
-    /// stream into an unlinked spill file while being read instead of
-    /// sitting on a worker's heap.
-    pub(crate) fn body_spill(&self) -> crate::http::BodySpill {
-        crate::http::BodySpill {
-            threshold: usize::try_from(self.graph_spill_bytes).unwrap_or(usize::MAX),
-            dir: self.spill_dir(),
-        }
-    }
-
     /// Where spill files go: `--graph-spill-dir`, else the system temp
     /// dir.
     fn spill_dir(&self) -> PathBuf {
@@ -1412,6 +1401,10 @@ fn partition_one(
 /// objective's outcome and latency (from `started`) and, for a solve
 /// its budget interrupted, the `cancelled` stage. A long solve is
 /// interrupted mid-loop instead of holding the worker.
+///
+/// The key's length is known before the key is built, so a key the
+/// cache must refuse (a 100k-node graph's runs to megabytes) is never
+/// built: the request goes through the cache as an unkeyed miss.
 fn solve_request(
     state: &AppState,
     request: &tgp_solvers::Request,
@@ -1419,8 +1412,12 @@ fn solve_request(
     deadline: Option<Instant>,
     started: Instant,
 ) -> Result<String, Failure> {
-    let key = request.canonical_key();
-    let outcome = with_cache(state, &key, request.cost_estimate(), deadline, || {
+    let cost = request.cost_estimate();
+    let key = state
+        .cache
+        .admits(request.canonical_key_len(), cost)
+        .then(|| request.canonical_key());
+    let outcome = cache_through(state, key.as_deref(), cost, deadline, || {
         let (response, solve_done) = timed_stage_from(state, Stage::Solve, Instant::now(), || {
             request.run_budgeted(budget).map_err(solve_failure)
         });
@@ -1978,6 +1975,20 @@ fn with_cache(
     deadline: Option<Instant>,
     compute: impl FnOnce() -> Result<String, Failure>,
 ) -> Result<String, Failure> {
+    cache_through(state, Some(key), cost, deadline, compute)
+}
+
+/// [`with_cache`] for a key that may be absent: `None` stands for a key
+/// the admission guard refuses, left unbuilt. It is never probed, counts
+/// as a miss, and its insert as the guard's oversize rejection, exactly
+/// as a built key of that length would.
+fn cache_through(
+    state: &AppState,
+    key: Option<&[u8]>,
+    cost: u64,
+    deadline: Option<Instant>,
+    compute: impl FnOnce() -> Result<String, Failure>,
+) -> Result<String, Failure> {
     // Timed inline (not via `timed_stage_from`) so the probe's end
     // instant also stamps the hit/miss journal event — one clock read
     // saved on every request.
@@ -1985,10 +1996,9 @@ fn with_cache(
     // A key the admission guard would refuse even with an empty value
     // can never be cached, so its probe (an FNV pass over the whole key)
     // is skipped; it still counts as a miss and still reaches `insert`.
-    let hit = if state.cache.admits(key.len(), cost) {
-        state.cache.get(key)
-    } else {
-        None
+    let hit = match key {
+        Some(key) if state.cache.admits(key.len(), cost) => state.cache.get(key),
+        _ => None,
     };
     let probe_done = Instant::now();
     let probe = probe_done.saturating_duration_since(probe_started);
@@ -2017,7 +2027,12 @@ fn with_cache(
             .append_at(probe_done, EventKind::CacheMiss, trace_id, cost, 0);
     }
     let rendered = compute()?;
-    state.cache.insert(key, rendered.clone(), cost);
+    match key {
+        Some(key) => {
+            state.cache.insert(key, rendered.clone(), cost);
+        }
+        None => state.cache.note_refused(),
+    }
     Ok(rendered)
 }
 
@@ -2180,6 +2195,52 @@ mod tests {
         assert!(state.cache.insert(&big, "planted".to_string(), u64::MAX));
         assert_eq!(with_cache(&state, &big, 0, None, solve).unwrap(), "body");
         assert_eq!((computes.get(), state.metrics.cache_hits()), (2, 1));
+    }
+
+    #[test]
+    fn unbuilt_refused_keys_count_like_built_ones() {
+        // A key over the admission limit is never built, yet it counts
+        // as a miss and an oversize rejection per request, as a built
+        // and refused key does; a key the guard admits is still stored.
+        let state = AppState::new(CacheConfig {
+            budget_bytes: 1 << 20,
+            ttl: None,
+            max_entry_bytes: 512,
+            shards: 8,
+        });
+        let chain = |n: usize| {
+            format!(
+                r#"{{"objective":"bandwidth","bound":1000,"graph":{{"node_weights":[{}],"edge_weights":[{}]}}}}"#,
+                vec!["1"; n].join(","),
+                vec!["1"; n - 1].join(",")
+            )
+        };
+        let counters = |state: &AppState| {
+            let text = handle(state, &get("/metrics")).body;
+            let value = |name: &str| -> u64 {
+                let line = text
+                    .lines()
+                    .find(|l| l.starts_with(&format!("{name} ")))
+                    .unwrap_or_else(|| panic!("{name} missing"));
+                line.rsplit(' ').next().unwrap().parse().unwrap()
+            };
+            (
+                value("tgp_cache_misses_total"),
+                value("tgp_cache_rejected_oversize_total"),
+                value("tgp_cache_entries"),
+            )
+        };
+        let large = chain(200);
+        for round in 1..=2 {
+            let r = handle(&state, &post("/v1/partition", &large));
+            assert_eq!(r.status, 200, "{}", r.body);
+            assert_eq!(counters(&state), (round, round, 0));
+        }
+        let small = chain(4);
+        handle(&state, &post("/v1/partition", &small));
+        handle(&state, &post("/v1/partition", &small));
+        assert_eq!(counters(&state), (3, 2, 1));
+        assert_eq!(state.metrics.cache_hits(), 1);
     }
 
     #[test]

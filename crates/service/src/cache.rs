@@ -504,6 +504,16 @@ impl ResultCache {
         self.per_shard_budget != 0 && key_len.saturating_add(ENTRY_OVERHEAD) <= self.allowance(cost)
     }
 
+    /// Counts a refused insert that was never offered: a caller told by
+    /// [`ResultCache::admits`] that no entry under its key can be held
+    /// skips building the key, and reports here the oversize rejection
+    /// [`ResultCache::insert`] would have counted.
+    pub fn note_refused(&self) {
+        if self.per_shard_budget != 0 {
+            self.rejected_oversize.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// The largest entry the admission guard accepts at solver cost
     /// `cost`: relaxed fourfold for responses that are costly to
     /// recompute, and never beyond one shard's budget.

@@ -2,15 +2,24 @@
 //!
 //! Supports exactly what the partition service needs: request line +
 //! headers + `Content-Length` bodies, keep-alive, and plain-text or JSON
-//! responses. The `tgp-net` event loop frames each request and a worker
-//! parses the framed `&[u8]` here; responses serialize into a `Vec<u8>`
-//! that the loop flushes. Transfer-encodings are rejected with 400 (only
-//! `Content-Length` framing is understood); multipart, TLS and HTTP/2
-//! are out of scope. Every parse failure maps to a structured status
-//! code so malformed input can never panic a worker.
+//! responses. The `tgp-net` event loop frames each request into one
+//! heap buffer and hands that buffer to a worker, which parses it in
+//! place with [`read_framed`]: the head is read from the front and the
+//! body is served from the same buffer, so a body is copied once, from
+//! the socket into the frame, however large it is. `--max-body-bytes`
+//! therefore bounds the heap one request pins.
+//!
+//! [`read_request_spilling`] reads a request from any [`BufRead`]
+//! stream instead, optionally streaming a large body into an unlinked
+//! [`SpillBuf`] file; both readers share one head parser, so they agree
+//! on every head and every error. Responses serialize into a `Vec<u8>`
+//! that the loop flushes. Transfer-encodings are rejected with 400
+//! (only `Content-Length` framing is understood); multipart, TLS and
+//! HTTP/2 are out of scope. Every parse failure maps to a structured
+//! status code so malformed input can never panic a worker.
 
 use std::io::{BufRead, Write};
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::path::PathBuf;
 
 use tgp_store::SpillBuf;
@@ -23,15 +32,21 @@ pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on the number of headers.
 const MAX_HEADERS: usize = 64;
 
-/// A request body. Small bodies live on the heap; bodies whose declared
-/// `Content-Length` crosses the server's spill threshold stream into an
-/// unlinked [`SpillBuf`] file instead, so one huge upload cannot pin
-/// gigabytes of worker heap. Either way it derefs to `&[u8]`, so
-/// handlers never care where the bytes live.
+/// A request body. Either way it derefs to `&[u8]`, so handlers never
+/// care where the bytes live.
 pub enum Body {
-    /// Heap-resident body (the common case).
+    /// A body of its own on the heap.
     Ram(Vec<u8>),
-    /// Body streamed into an unlinked disk mapping while being read.
+    /// The body where it arrived: `frame[body]`, inside the buffer the
+    /// event loop framed the whole request into ([`read_framed`]).
+    Framed {
+        /// The whole framed request, head included.
+        frame: Vec<u8>,
+        /// Where the body sits in `frame`.
+        body: Range<usize>,
+    },
+    /// A body [`read_request_spilling`] streamed into an unlinked disk
+    /// mapping while reading it.
     Spilled(SpillBuf),
 }
 
@@ -47,6 +62,7 @@ impl Deref for Body {
     fn deref(&self) -> &[u8] {
         match self {
             Body::Ram(v) => v,
+            Body::Framed { frame, body } => &frame[body.clone()],
             Body::Spilled(b) => b.as_slice(),
         }
     }
@@ -60,13 +76,18 @@ impl From<Vec<u8>> for Body {
 
 impl std::fmt::Debug for Body {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = if self.is_spilled() { "Spilled" } else { "Ram" };
+        let kind = match self {
+            Body::Ram(_) => "Ram",
+            Body::Framed { .. } => "Framed",
+            Body::Spilled(_) => "Spilled",
+        };
         write!(f, "Body::{kind}({} bytes)", self.len())
     }
 }
 
-/// Where (and past what size) request bodies spill to disk while being
-/// read. `None` spill policy means every body is heap-resident.
+/// Where (and past what size) [`read_request_spilling`] spills request
+/// bodies to disk while reading them. `None` spill policy means every
+/// body is heap-resident.
 #[derive(Debug, Clone)]
 pub struct BodySpill {
     /// Bodies with `Content-Length >= threshold` stream into a spill
@@ -120,8 +141,7 @@ pub enum RecvError {
     },
 }
 
-/// Reads one request from any buffered source — in the server, the
-/// `&[u8]` of framed bytes the event loop hands a worker.
+/// Reads one request from any buffered source.
 ///
 /// `max_body` bounds the accepted `Content-Length`; larger declarations
 /// are rejected *before* reading the body, so an oversized upload costs
@@ -141,6 +161,60 @@ pub fn read_request_spilling<R: BufRead>(
     max_body: usize,
     spill: Option<&BodySpill>,
 ) -> Result<Request, RecvError> {
+    let head = read_head(reader, max_body)?;
+    let body = read_body(reader, head.content_length, spill)?;
+    Ok(head.with_body(body))
+}
+
+/// Parses one framed request in place: the head from the front of
+/// `frame`, the body served from the same buffer ([`Body::Framed`]), so
+/// the body is not copied again. Heads and errors are exactly
+/// [`read_request_spilling`]'s, through the same head parser; bytes
+/// past the declared body are ignored, as that reader leaves them
+/// unread.
+pub fn read_framed(frame: Vec<u8>, max_body: usize) -> Result<Request, RecvError> {
+    let mut rest = frame.as_slice();
+    let head = read_head(&mut rest, max_body)?;
+    if rest.len() < head.content_length {
+        return Err(RecvError::Disconnected);
+    }
+    let start = frame.len() - rest.len();
+    let body = match head.content_length {
+        0 => Body::Ram(Vec::new()),
+        len => Body::Framed {
+            frame,
+            body: start..start + len,
+        },
+    };
+    Ok(head.with_body(body))
+}
+
+/// A validated request head: everything but the body.
+struct Head {
+    method: String,
+    path: String,
+    headers: Vec<(String, String)>,
+    keep_alive: bool,
+    content_length: usize,
+}
+
+impl Head {
+    fn with_body(self, body: Body) -> Request {
+        Request {
+            method: self.method,
+            path: self.path,
+            headers: self.headers,
+            body,
+            keep_alive: self.keep_alive,
+        }
+    }
+}
+
+/// The one head parser: reads the request line and headers from
+/// `reader`, leaving it at the first body byte, and validates the
+/// framing headers — no `Transfer-Encoding`, a well-formed
+/// `Content-Length` of at most `max_body`.
+fn read_head<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Head, RecvError> {
     let mut head_bytes = 0usize;
 
     let request_line = read_line(reader, &mut head_bytes)?;
@@ -215,14 +289,12 @@ pub fn read_request_spilling<R: BufRead>(
         });
     }
 
-    let body = read_body(reader, content_length, spill)?;
-
-    Ok(Request {
+    Ok(Head {
         method,
         path,
         headers,
-        body,
         keep_alive,
+        content_length,
     })
 }
 
@@ -522,6 +594,63 @@ mod tests {
                 limit: 100
             }
         );
+    }
+
+    #[test]
+    fn framed_and_streaming_readers_agree() {
+        let max_body = 64;
+        let mut cases: Vec<Vec<u8>> = vec![
+            framed_post(b"{\"small\":true}"),
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".to_vec(),
+            b"POST /v1/partition HTTP/1.1\ncontent-length: 3\nX-Trace-Id: 7\n\nabc".to_vec(),
+            b"POST /x HTTP/1.0\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nhi".to_vec(),
+            b"POST /x HTTP/1.1\r\nconnection: close\r\ncontent-length: 0\r\n\r\n".to_vec(),
+            b"POST /x HTTP/1.1\r\ncontent-length: ten\r\n\r\n".to_vec(),
+            b"POST /x HTTP/1.1\r\ncontent-length: -1\r\n\r\n".to_vec(),
+            b"POST /x HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+                .to_vec(),
+            framed_post(&[b'x'; 65]),
+            b"GET /x HTTP/1.1\r\nx-bad: \xff\xfe\r\n\r\n".to_vec(),
+            b"GET /\xff HTTP/1.1\r\n\r\n".to_vec(),
+            b"GET /x SPDY/3\r\n\r\n".to_vec(),
+            b"GET /x HTTP/1.1\r\nno colon here\r\n\r\n".to_vec(),
+            b"POST /x HTTP/1.1\r\ncontent-length: 9\r\n\r\nshort".to_vec(),
+            b"GET /x HTTP/1.1\r\nHost: x".to_vec(),
+            Vec::new(),
+        ];
+        // Bytes past the declared body are left alone by both.
+        let mut pipelined = framed_post(b"{}");
+        pipelined.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
+        cases.push(pipelined);
+        for wire in cases {
+            let streamed = read_request_spilling(&mut wire.as_slice(), max_body, None);
+            let framed = read_framed(wire.clone(), max_body);
+            let text = String::from_utf8_lossy(&wire).into_owned();
+            match (streamed, framed) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(
+                        (&a.method, &a.path, &a.headers, a.keep_alive),
+                        (&b.method, &b.path, &b.headers, b.keep_alive),
+                        "{text:?}"
+                    );
+                    assert_eq!(&a.body[..], &b.body[..], "{text:?}");
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b, "{text:?}"),
+                (a, b) => panic!("readers disagree on {text:?}: {a:?} vs {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn framed_body_is_served_from_the_frame() {
+        let payload: Vec<u8> = (0..BODY_CHUNK * 2 + 3).map(|i| (i % 251) as u8).collect();
+        let wire = framed_post(&payload);
+        let frame_start = wire.as_ptr() as usize;
+        let req = read_framed(wire, usize::MAX).unwrap();
+        assert!(matches!(req.body, Body::Framed { .. }), "{:?}", req.body);
+        assert_eq!(&req.body[..], &payload[..]);
+        let body_start = req.body.as_ptr() as usize;
+        assert!(body_start > frame_start && body_start - frame_start < 128);
     }
 
     #[test]

@@ -47,8 +47,8 @@ use crate::api::{handle_traced, AppState, RequestCtx, DEADLINE_HEADER};
 use crate::cache::CacheConfig;
 use crate::envelope::envelope_body;
 use crate::http::{
-    overloaded_response, read_request_spilling, retry_after_secs, write_response,
-    write_response_with, RecvError, MAX_HEAD_BYTES,
+    overloaded_response, read_framed, retry_after_secs, write_response, write_response_with,
+    RecvError, MAX_HEAD_BYTES,
 };
 use crate::pool::{BoundedQueue, PushError, QueueSet, Work};
 use tgp_net::{
@@ -375,7 +375,7 @@ impl Server {
                                     } else {
                                         let (response, keep_alive, trace, seq) = respond_to_bytes(
                                             &state,
-                                            &bytes,
+                                            bytes,
                                             max_body,
                                             &stop,
                                             trace,
@@ -601,18 +601,19 @@ impl tgp_net::Handler for EpollHandler {
     }
 }
 
-/// Parses one framed request and serializes the response — the worker
-/// half of the transport. Returns the wire bytes, whether the
-/// connection should be kept alive, and the trace id and commit handle
-/// the request ran under (NONE/None for unparseable requests), so the
-/// caller can attribute the eventual socket write.
+/// Parses one framed request in place and serializes the response —
+/// the worker half of the transport. The request keeps the frame as
+/// its body's storage until the response is rendered. Returns the wire
+/// bytes, whether the connection should be kept alive, and the trace id
+/// and commit handle the request ran under (NONE/None for unparseable
+/// requests), so the caller can attribute the eventual socket write.
 // Transport plumbing: each argument is a distinct per-request fact the
 // event loop already holds; bundling them into a struct would only move
 // the same list one call further away.
 #[allow(clippy::too_many_arguments)]
 fn respond_to_bytes(
     state: &AppState,
-    bytes: &[u8],
+    frame: Vec<u8>,
     max_body: usize,
     stop: &AtomicBool,
     trace: TraceId,
@@ -620,14 +621,8 @@ fn respond_to_bytes(
     dequeued_at: Instant,
     deadline: Option<Instant>,
 ) -> (Vec<u8>, bool, TraceId, Option<u64>) {
-    let mut reader = bytes;
     let mut out = Vec::new();
-    // The event loop frames the whole request on the heap; re-parsing it
-    // through the spilling reader moves a huge body into an unlinked
-    // spill mapping, so the frame buffer can be dropped before the
-    // (long) solve phase holds the bytes.
-    let spill = state.body_spill();
-    match read_request_spilling(&mut reader, max_body, Some(&spill)) {
+    match read_framed(frame, max_body) {
         Ok(request) => {
             let parse = dequeued_at.elapsed();
             let ctx = RequestCtx {

@@ -374,6 +374,87 @@ fn pipelined_requests_all_get_answers() {
     server.shutdown();
 }
 
+/// Reads exactly one response off a kept-alive connection: the head up
+/// to its blank line, then `content-length` body bytes.
+fn read_one_response(stream: &mut TcpStream) -> Vec<u8> {
+    let mut reader = BufReader::new(stream);
+    let mut response = Vec::new();
+    let mut length = 0;
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("response head");
+        response.extend_from_slice(line.as_bytes());
+        if let Some(value) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+            length = value.trim().parse::<usize>().expect("content-length");
+        }
+        if line == "\r\n" {
+            break;
+        }
+    }
+    let start = response.len();
+    response.resize(start + length, 0);
+    reader
+        .read_exact(&mut response[start..])
+        .expect("response body");
+    response
+}
+
+#[test]
+fn pipelined_bodies_survive_the_frame_handoff() {
+    // A POST larger than one 64 KiB read round, then a second POST, in
+    // one write: the first frame completes in a round that also holds
+    // the whole second request, so only those bytes may move to the
+    // connection's next buffer. Both answers must match sending each
+    // request on its own connection.
+    let mut server = start(ServerConfig::default());
+    let n = 20_000;
+    let nodes: Vec<String> = (0..n).map(|i| (1 + i % 97).to_string()).collect();
+    let edges: Vec<String> = (1..n).map(|i| (1 + i % 89).to_string()).collect();
+    let big_body = format!(
+        r#"{{"objective":"bandwidth","bound":500,"graph":{{"node_weights":[{}],"edge_weights":[{}]}}}}"#,
+        nodes.join(","),
+        edges.join(",")
+    );
+    assert!(big_body.len() > 64 * 1024, "{}", big_body.len());
+    let big = format!(
+        "POST /v1/partition HTTP/1.1\r\ncontent-length: {}\r\n\r\n{big_body}",
+        big_body.len()
+    );
+    let small = post(
+        "/v1/partition",
+        &format!(r#"{{"objective":"procmin","bound":40,"graph":{TREE}}}"#),
+    );
+    let alone: Vec<Vec<u8>> = [&big, &small]
+        .iter()
+        .map(|request| {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            stream.write_all(request.as_bytes()).unwrap();
+            read_one_response(&mut stream)
+        })
+        .collect();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(format!("{big}{small}").as_bytes())
+        .unwrap();
+    let mut together = Vec::new();
+    stream.read_to_end(&mut together).unwrap();
+    assert_eq!(
+        parse_response(&alone[0]).0,
+        200,
+        "{:?}",
+        parse_response(&alone[0])
+    );
+    assert_eq!(parse_response(&alone[1]).0, 200);
+    assert_eq!(together, [&alone[0][..], &alone[1][..]].concat());
+    server.shutdown();
+}
+
 #[test]
 fn saturated_queue_gets_503_not_a_hang() {
     // 1 worker + depth-1 queue: one slow solve occupies the worker, one

@@ -1,11 +1,11 @@
 //! Streaming request-body ingest into flat graph arrays.
 //!
-//! [`ingest_flat`] scans a raw JSON request body byte-by-byte and
-//! streams the graph's weights straight into `tgp-store` builders —
-//! the document tree (`json::Value`) is never materialized, so a
-//! 100-million-element upload costs a few flat arrays (RAM- or
-//! disk-backed, chosen by the caller) instead of a heap of boxed JSON
-//! nodes several times the body's size.
+//! [`ingest_flat`] scans a raw JSON request body once and streams the
+//! graph's weights straight into `tgp-store` arrays — the document
+//! tree (`json::Value`) is never materialized, so a 100-million-element
+//! upload costs a few flat arrays (RAM- or disk-backed, chosen by the
+//! caller) instead of a heap of boxed JSON nodes several times the
+//! body's size.
 //!
 //! It is the registry's second parser: it produces the same
 //! [`Request`] as [`crate::Registry::dispatch`], with the graph in
@@ -29,20 +29,27 @@
 //! therefore never has to replicate error *messages*; success bytes are
 //! the same because the request it builds runs the same solver.
 //!
-//! Work is cost-sliced: one [`Budget`] unit per parsed element, so an
-//! expired deadline or a raised cancel flag stops a huge upload
-//! mid-parse instead of after it.
+//! Arrays are parsed in blocks of up to [`BLOCK`] elements, each
+//! appended to its array in one call. Work is cost-sliced: one
+//! [`Budget`] unit per parsed element, charged as each block is
+//! appended, so an expired deadline or a raised cancel flag stops a
+//! huge upload mid-parse instead of after it.
 
 use std::path::Path;
 
 use tgp_core::budget::{Budget, Exceeded};
 use tgp_store::{
-    DiskBacking, FlatPath, FlatPathBuilder, FlatTree, FlatTreeBuilder, MemoryBacking, RamBacking,
+    Array, DiskBacking, FlatPath, FlatPathBuilder, FlatTree, FlatTreeBuilder, MemoryBacking,
+    RamBacking,
 };
 
 use crate::error::SolveError;
 use crate::registry::{Registry, Solver};
 use crate::request::{GraphInput, Params, Request};
+
+/// Elements parsed between two appends to an array (and two budget
+/// charges).
+const BLOCK: usize = 512;
 
 /// How the graph arrays should be backed.
 #[derive(Debug, Clone)]
@@ -227,55 +234,31 @@ impl FromBuilt<DiskBacking> for GraphInput {
     }
 }
 
+/// A graph whose kind its deciding key (`"edge_weights"` or `"edges"`)
+/// has settled.
+enum Builder<B: MemoryBacking> {
+    Chain(FlatPathBuilder<B>),
+    Tree(FlatTreeBuilder<B>),
+}
+
 /// Parses the `"graph"` object. The cursor sits on its `{`.
+///
+/// The graph's kind is decided by its first `"edges"` or
+/// `"edge_weights"` key, and `"node_weights"` may precede it: the
+/// weights then stream into an array of their own, which the builder
+/// adopts once the deciding key names it. Whichever array comes second
+/// is sized from the first one's count; growth still covers a body
+/// whose counts disagree, which the builder then rejects. Unknown,
+/// duplicate and mixed keys fall back, and so does a graph with no
+/// deciding key (`{}`, a lone `"node_weights"`).
 fn parse_graph<B>(s: &mut Cursor<'_>, backing: &B) -> Scan<'static, GraphInput>
 where
     B: MemoryBacking + Clone,
     GraphInput: FromBuilt<B>,
 {
-    // The graph's kind is decided by its first "edges" or "edge_weights"
-    // key, and "node_weights" may precede it. A cheap structural
-    // pre-scan (skip values, read keys) up to that key settles chain vs.
-    // tree before any array is parsed, so weights stream into the right
-    // builder on the first (and only) real pass. Keys after the deciding
-    // one are left to that pass, which rejects unknown, duplicate and
-    // mixed keys itself; a graph with no deciding key (`{}`, a lone
-    // "node_weights") fails here, at its closing brace.
-    let is_tree = {
-        let mut probe = s.clone();
-        probe.expect(b'{')?;
-        probe.skip_ws();
-        loop {
-            let key = probe.string_range()?;
-            match probe.slice(key) {
-                b"edges" => break true,
-                b"edge_weights" => break false,
-                b"node_weights" => {}
-                _ => return Err(Abort::Unsupported),
-            }
-            probe.skip_ws();
-            probe.expect(b':')?;
-            probe.skip_ws();
-            probe.skip_value()?;
-            probe.skip_ws();
-            probe.expect(b',')?;
-            probe.skip_ws();
-        }
-    };
-    if is_tree {
-        parse_tree_graph(s, backing).map(GraphInput::from_tree)
-    } else {
-        parse_chain_graph(s, backing).map(GraphInput::from_path)
-    }
-}
-
-fn parse_chain_graph<B: MemoryBacking + Clone>(
-    s: &mut Cursor<'_>,
-    backing: &B,
-) -> Scan<'static, FlatPath<B>> {
-    let mut builder = FlatPathBuilder::new(backing, 0)?;
+    let mut nodes: Option<B::Array<u64>> = None;
     let mut seen_nodes = false;
-    let mut seen_edges = false;
+    let mut graph: Option<Builder<B>> = None;
     s.expect(b'{')?;
     s.skip_ws();
     if !s.try_consume(b'}') {
@@ -284,18 +267,39 @@ fn parse_chain_graph<B: MemoryBacking + Clone>(
             s.skip_ws();
             s.expect(b':')?;
             s.skip_ws();
-            match s.slice(key) {
-                b"node_weights" => {
-                    if std::mem::replace(&mut seen_nodes, true) {
-                        return Err(Abort::Unsupported);
-                    }
-                    s.u64_array(|w| builder.push_node(w))?;
+            match (s.slice(key), &mut graph) {
+                (b"node_weights", _) if seen_nodes => return Err(Abort::Unsupported),
+                (b"node_weights", None) => {
+                    let mut array = backing.new_array::<u64>(0)?;
+                    s.u64_array(|block| array.extend_from_slice(block))?;
+                    nodes = Some(array);
+                    seen_nodes = true;
                 }
-                b"edge_weights" => {
-                    if std::mem::replace(&mut seen_edges, true) {
-                        return Err(Abort::Unsupported);
-                    }
-                    s.u64_array(|w| builder.push_edge(w))?;
+                (b"node_weights", Some(Builder::Chain(chain))) => {
+                    chain.reserve_nodes(chain.edges() + 1)?;
+                    s.u64_array(|block| chain.extend_nodes(block))?;
+                    seen_nodes = true;
+                }
+                (b"node_weights", Some(Builder::Tree(tree))) => {
+                    tree.reserve_nodes(tree.edges() + 1)?;
+                    s.u64_array(|block| tree.extend_nodes(block))?;
+                    seen_nodes = true;
+                }
+                (b"edge_weights", None) => {
+                    let mut chain = match nodes.take() {
+                        Some(node_w) => FlatPathBuilder::with_nodes(backing, node_w)?,
+                        None => FlatPathBuilder::new(backing, 0)?,
+                    };
+                    s.u64_array(|block| chain.extend_edges(block))?;
+                    graph = Some(Builder::Chain(chain));
+                }
+                (b"edges", None) => {
+                    let mut tree = match nodes.take() {
+                        Some(node_w) => FlatTreeBuilder::with_nodes(backing, node_w)?,
+                        None => FlatTreeBuilder::new(backing.clone(), 0)?,
+                    };
+                    s.tree_edges(&mut tree)?;
+                    graph = Some(Builder::Tree(tree));
                 }
                 _ => return Err(Abort::Unsupported),
             }
@@ -308,119 +312,18 @@ fn parse_chain_graph<B: MemoryBacking + Clone>(
             break;
         }
     }
-    if !(seen_nodes && seen_edges) {
+    if !seen_nodes {
         return Err(Abort::Unsupported);
     }
-    builder.finish().map_err(|_| Abort::Unsupported)
-}
-
-fn parse_tree_graph<B: MemoryBacking + Clone>(
-    s: &mut Cursor<'_>,
-    backing: &B,
-) -> Scan<'static, FlatTree<B>> {
-    let mut builder = FlatTreeBuilder::new(backing.clone(), 0)?;
-    let mut seen_nodes = false;
-    let mut seen_edges = false;
-    s.expect(b'{')?;
-    s.skip_ws();
-    if !s.try_consume(b'}') {
-        loop {
-            let key = s.string_range()?;
-            s.skip_ws();
-            s.expect(b':')?;
-            s.skip_ws();
-            match s.slice(key) {
-                b"node_weights" => {
-                    if std::mem::replace(&mut seen_nodes, true) {
-                        return Err(Abort::Unsupported);
-                    }
-                    s.u64_array(|w| builder.push_node(w))?;
-                }
-                b"edges" => {
-                    if std::mem::replace(&mut seen_edges, true) {
-                        return Err(Abort::Unsupported);
-                    }
-                    parse_tree_edges(s, &mut builder)?;
-                }
-                _ => return Err(Abort::Unsupported),
-            }
-            s.skip_ws();
-            if s.try_consume(b',') {
-                s.skip_ws();
-                continue;
-            }
-            s.expect(b'}')?;
-            break;
-        }
+    match graph {
+        Some(Builder::Chain(chain)) => chain.finish().map(GraphInput::from_path),
+        Some(Builder::Tree(tree)) => tree.finish().map(GraphInput::from_tree),
+        None => return Err(Abort::Unsupported),
     }
-    if !(seen_nodes && seen_edges) {
-        return Err(Abort::Unsupported);
-    }
-    builder.finish().map_err(|_| Abort::Unsupported)
-}
-
-/// Parses `[{"a":0,"b":1,"weight":2}, ...]` (fields in any order)
-/// straight into the tree builder.
-fn parse_tree_edges<B: MemoryBacking>(
-    s: &mut Cursor<'_>,
-    builder: &mut FlatTreeBuilder<B>,
-) -> Scan<'static, ()> {
-    s.expect(b'[')?;
-    s.skip_ws();
-    if s.try_consume(b']') {
-        return Ok(());
-    }
-    loop {
-        s.expect(b'{')?;
-        s.skip_ws();
-        let (mut a, mut b, mut w) = (None, None, None);
-        if !s.try_consume(b'}') {
-            loop {
-                let key = s.string_range()?;
-                s.skip_ws();
-                s.expect(b':')?;
-                s.skip_ws();
-                let slot = match s.slice(key) {
-                    b"a" => &mut a,
-                    b"b" => &mut b,
-                    b"weight" => &mut w,
-                    _ => return Err(Abort::Unsupported),
-                };
-                if slot.is_some() {
-                    return Err(Abort::Unsupported);
-                }
-                *slot = Some(s.number()?);
-                s.skip_ws();
-                if s.try_consume(b',') {
-                    s.skip_ws();
-                    continue;
-                }
-                s.expect(b'}')?;
-                break;
-            }
-        }
-        let (a, b, w) = match (a, b, w) {
-            (Some(a), Some(b), Some(w)) => (a, b, w),
-            _ => return Err(Abort::Unsupported),
-        };
-        let (a, b) = match (usize::try_from(a), usize::try_from(b)) {
-            (Ok(a), Ok(b)) => (a, b),
-            _ => return Err(Abort::Unsupported),
-        };
-        builder.push_edge(a, b, w)?;
-        s.budget_tick()?;
-        s.skip_ws();
-        if s.try_consume(b',') {
-            s.skip_ws();
-            continue;
-        }
-        s.expect(b']')?;
-        return Ok(());
-    }
+    .map_err(|_| Abort::Unsupported)
 }
 
 /// A byte cursor over the body with budget accounting.
-#[derive(Clone)]
 struct Cursor<'a> {
     b: &'a [u8],
     i: usize,
@@ -464,10 +367,11 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// One budget unit per parsed element, with the stride machinery in
-    /// [`Budget`] keeping the common case to a counter decrement.
-    fn budget_tick(&mut self) -> Scan<'static, ()> {
-        self.budget.charge(1).map_err(Abort::from)
+    /// Charges one budget unit per element of a block just appended,
+    /// with the stride machinery in [`Budget`] keeping the common case
+    /// to a counter decrement.
+    fn charge(&self, elements: usize) -> Scan<'static, ()> {
+        self.budget.charge(elements as u64).map_err(Abort::from)
     }
 
     fn slice(&self, range: (usize, usize)) -> &'a [u8] {
@@ -497,96 +401,202 @@ impl<'a> Cursor<'a> {
     /// Consumes a strict JSON non-negative integer fitting `u64`.
     /// Minus signs, fractions, exponents, leading zeros and overflow
     /// all fall back (the JSON-tree parser owns their canonical errors).
+    #[inline]
     fn number(&mut self) -> Scan<'static, u64> {
-        let start = self.i;
-        let mut value: u64 = 0;
-        while let Some(c @ b'0'..=b'9') = self.peek() {
-            value = value
-                .checked_mul(10)
-                .and_then(|v| v.checked_add(u64::from(c - b'0')))
-                .ok_or(Abort::Unsupported)?;
-            self.i += 1;
+        let digits = &self.b[self.i..];
+        // The first (up to) eight digits in one word, then one digit at
+        // a time. Nineteen digits never overflow (10^19 - 1 <
+        // u64::MAX), so only a longer run needs checked arithmetic.
+        let (mut value, mut len) = match digits.first_chunk::<8>() {
+            Some(word) => eight_digits(u64::from_le_bytes(*word)),
+            None => (0, 0),
+        };
+        if len == 8 || digits.len() < 8 {
+            while len < 19 {
+                match digits.get(len) {
+                    Some(&c @ b'0'..=b'9') => value = value * 10 + u64::from(c - b'0'),
+                    _ => break,
+                }
+                len += 1;
+            }
+            while let Some(&c @ b'0'..=b'9') = digits.get(len) {
+                value = value
+                    .checked_mul(10)
+                    .and_then(|v| v.checked_add(u64::from(c - b'0')))
+                    .ok_or(Abort::Unsupported)?;
+                len += 1;
+            }
         }
-        let len = self.i - start;
-        if len == 0 || (len > 1 && self.b[start] == b'0') {
+        if len == 0 || (len > 1 && digits[0] == b'0') {
             return Err(Abort::Unsupported);
         }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
+        if matches!(digits.get(len), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
             return Err(Abort::Unsupported);
         }
+        self.i += len;
         Ok(value)
     }
 
-    /// Streams `[n, n, ...]` into `push`, one budget unit per element.
-    fn u64_array(&mut self, mut push: impl FnMut(u64) -> std::io::Result<()>) -> Scan<'static, ()> {
+    /// Streams `[n, n, ...]` into `append` in blocks of up to [`BLOCK`]
+    /// values.
+    fn u64_array(
+        &mut self,
+        mut append: impl FnMut(&[u64]) -> std::io::Result<()>,
+    ) -> Scan<'static, ()> {
         self.expect(b'[')?;
         self.skip_ws();
         if self.try_consume(b']') {
             return Ok(());
         }
+        let mut block = [0u64; BLOCK];
+        let mut len = 0;
         loop {
-            let v = self.number()?;
-            push(v)?;
-            self.budget_tick()?;
+            block[len] = self.number()?;
+            len += 1;
             self.skip_ws();
-            if self.try_consume(b',') {
-                self.skip_ws();
-                continue;
+            let more = self.try_consume(b',');
+            if len == BLOCK || !more {
+                append(&block[..len])?;
+                self.charge(len)?;
+                len = 0;
             }
-            self.expect(b']')?;
-            return Ok(());
+            if !more {
+                return self.expect(b']');
+            }
+            self.skip_ws();
         }
     }
 
-    /// Skips one JSON value structurally (for the kind pre-scan),
-    /// charging a budget unit per 64 bytes skipped.
-    fn skip_value(&mut self) -> Scan<'static, ()> {
+    /// Streams `[{"a":0,"b":1,"weight":2}, ...]` (fields in any order)
+    /// into the tree builder in blocks of up to [`BLOCK`] edges.
+    fn tree_edges<B: MemoryBacking>(
+        &mut self,
+        builder: &mut FlatTreeBuilder<B>,
+    ) -> Scan<'static, ()> {
+        self.expect(b'[')?;
+        self.skip_ws();
+        if self.try_consume(b']') {
+            return Ok(());
+        }
+        let (mut a, mut b, mut w) = ([0usize; BLOCK], [0usize; BLOCK], [0u64; BLOCK]);
+        let mut len = 0;
+        loop {
+            (a[len], b[len], w[len]) = self.tree_edge()?;
+            len += 1;
+            self.skip_ws();
+            let more = self.try_consume(b',');
+            if len == BLOCK || !more {
+                builder.extend_edges(&a[..len], &b[..len], &w[..len])?;
+                self.charge(len)?;
+                len = 0;
+            }
+            if !more {
+                return self.expect(b']');
+            }
+            self.skip_ws();
+        }
+    }
+
+    /// One edge object, `{"a":0,"b":1,"weight":2}` with its fields in
+    /// any order. An edge written compactly in that order takes a fast
+    /// path that matches the keys as literals; any other spelling
+    /// restarts at its `{` on the general path.
+    fn tree_edge(&mut self) -> Scan<'static, (usize, usize, u64)> {
         let start = self.i;
-        match self.peek() {
-            Some(b'"') => {
-                self.string_range()?;
-            }
-            Some(b'{' | b'[') => {
-                let mut depth = 0usize;
-                loop {
-                    match self.peek() {
-                        None => return Err(Abort::Unsupported),
-                        Some(b'"') => {
-                            self.string_range()?;
-                        }
-                        Some(b'{' | b'[') => {
-                            depth += 1;
-                            self.i += 1;
-                        }
-                        Some(b'}' | b']') => {
-                            depth -= 1;
-                            self.i += 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        Some(_) => self.i += 1,
-                    }
-                }
-            }
-            Some(_) => {
-                // A scalar: runs until a separator or whitespace.
-                while let Some(c) = self.peek() {
-                    if matches!(c, b',' | b'}' | b']' | b' ' | b'\t' | b'\n' | b'\r') {
-                        break;
-                    }
-                    self.i += 1;
-                }
-                if self.i == start {
+        if let Some(edge) = self.compact_edge() {
+            return Ok(edge);
+        }
+        self.i = start;
+        self.expect(b'{')?;
+        self.skip_ws();
+        let mut fields = [None; 3];
+        if !self.try_consume(b'}') {
+            loop {
+                let slot = &mut fields[self.edge_key()?];
+                self.skip_ws();
+                self.expect(b':')?;
+                self.skip_ws();
+                if slot.is_some() {
                     return Err(Abort::Unsupported);
                 }
+                *slot = Some(self.number()?);
+                self.skip_ws();
+                if self.try_consume(b',') {
+                    self.skip_ws();
+                    continue;
+                }
+                self.expect(b'}')?;
+                break;
             }
-            None => return Err(Abort::Unsupported),
         }
-        self.budget
-            .charge(((self.i - start) / 64 + 1) as u64)
-            .map_err(Abort::from)
+        match fields {
+            [Some(a), Some(b), Some(w)] => match (usize::try_from(a), usize::try_from(b)) {
+                (Ok(a), Ok(b)) => Ok((a, b, w)),
+                _ => Err(Abort::Unsupported),
+            },
+            _ => Err(Abort::Unsupported),
+        }
     }
+
+    /// `{"a":N,"b":N,"weight":N}` exactly, or `None` somewhere inside
+    /// anything else.
+    fn compact_edge(&mut self) -> Option<(usize, usize, u64)> {
+        self.literal(b"{\"a\":")?;
+        let a = self.number().ok()?;
+        self.literal(b",\"b\":")?;
+        let b = self.number().ok()?;
+        self.literal(b",\"weight\":")?;
+        let w = self.number().ok()?;
+        self.literal(b"}")?;
+        Some((usize::try_from(a).ok()?, usize::try_from(b).ok()?, w))
+    }
+
+    /// Consumes `bytes` if the body continues with them.
+    fn literal(&mut self, bytes: &[u8]) -> Option<()> {
+        self.b[self.i..]
+            .starts_with(bytes)
+            .then(|| self.i += bytes.len())
+    }
+
+    /// Consumes an edge object's key — `"a"`, `"b"` or `"weight"`,
+    /// exactly — and returns its field slot. Any other key, escaped
+    /// spellings included, falls back.
+    fn edge_key(&mut self) -> Scan<'static, usize> {
+        let (slot, len) = match &self.b[self.i..] {
+            [b'"', b'a', b'"', ..] => (0, 3),
+            [b'"', b'b', b'"', ..] => (1, 3),
+            [b'"', b'w', b'e', b'i', b'g', b'h', b't', b'"', ..] => (2, 8),
+            _ => return Err(Abort::Unsupported),
+        };
+        self.i += len;
+        Ok(slot)
+    }
+}
+
+/// The value and count of the ASCII digits that open `word` (eight
+/// body bytes read little-endian, so the first byte is the lowest),
+/// without a branch per digit: a mask finds the first non-digit byte, a
+/// shift drops it and everything after, and three multiply-shift steps
+/// combine the digits pairwise (SWAR, "SIMD within a register").
+fn eight_digits(word: u64) -> (u64, usize) {
+    const LANES: u64 = 0x0101_0101_0101_0101;
+    // A byte is a digit iff its high nibble is 3 and adding 6 keeps it
+    // there. A carry out of a byte >= 0xFA can only disturb bytes after
+    // the first non-digit, which are dropped anyway.
+    let high = word & (0xF0 * LANES);
+    let plus6 = word.wrapping_add(0x06 * LANES) & (0xF0 * LANES);
+    let not_digit = (high ^ (0x30 * LANES)) | (plus6 ^ (0x30 * LANES));
+    let len = (not_digit.trailing_zeros() / 8) as usize;
+    if len == 0 {
+        return (0, 0);
+    }
+    // Digit values, moved up so the run ends at the top byte; the
+    // vacated low bytes read as leading zeros.
+    let mut v = (word & (0x0F * LANES)) << (8 * (8 - len));
+    v = (v.wrapping_mul(10 * 256 + 1) >> 8) & 0x00FF_00FF_00FF_00FF;
+    v = (v.wrapping_mul(100 * 65_536 + 1) >> 16) & 0x0000_FFFF_0000_FFFF;
+    v = v.wrapping_mul(10_000 * (1 << 32) + 1) >> 32;
+    (v, len)
 }
 
 #[cfg(test)]
@@ -648,11 +658,96 @@ mod tests {
             let value = Value::parse(body).unwrap();
             let (_, solver, request) = Registry::shared().dispatch(&value).unwrap();
             assert_eq!(flat.canonical_key(), solver.canonical_key(&request));
+            assert_eq!(flat.canonical_key_len(), flat.canonical_key().len());
+        }
+    }
+
+    #[test]
+    fn eight_digit_words_parse_like_a_digit_loop() {
+        let mut bytes = *b"00000000";
+        let digits = b"0123456789";
+        let others = b" ,]}.e-+/:\xff\x00";
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..20_000 {
+            for byte in &mut bytes {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                *byte = if state.is_multiple_of(4) {
+                    others[(state >> 8) as usize % others.len()]
+                } else {
+                    digits[(state >> 8) as usize % digits.len()]
+                };
+            }
+            let len = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
+            let value = bytes[..len]
+                .iter()
+                .fold(0u64, |v, &b| v * 10 + u64::from(b - b'0'));
+            assert_eq!(
+                eight_digits(u64::from_le_bytes(bytes)),
+                (value, len),
+                "{bytes:?}"
+            );
         }
     }
 
     #[test]
     fn ineligible_bodies_fall_back() {
+        // A number the old scanner refused, past the first block of
+        // elements (and so after a block was already appended).
+        let past_first_block = |bad: &str| {
+            let ones = vec!["1"; BLOCK + 1].join(",");
+            format!(
+                r#"{{"objective": "nicol", "bound": 1,
+                    "graph": {{"edge_weights": [{ones},{bad}], "node_weights": [1]}}}}"#
+            )
+        };
+        let straddling: Vec<String> = ["01", "-0", "1e3", "1.0", "18446744073709551616"]
+            .iter()
+            .map(|bad| past_first_block(bad))
+            .collect();
+        for body in straddling.iter().map(String::as_str).chain([
+            // 20 digits past u64::MAX, and 21 digits, in each number slot
+            r#"{"objective": "bandwidth", "bound": 18446744073709551616,
+                "graph": {"node_weights": [1], "edge_weights": []}}"#,
+            r#"{"objective": "bandwidth", "bound": 1,
+                "graph": {"node_weights": [184467440737095516150], "edge_weights": []}}"#,
+            r#"{"objective": "bandwidth", "bound": 1,
+                "graph": {"node_weights": [1, 1], "edge_weights": [18446744073709551616]}}"#,
+            r#"{"objective": "procmin", "bound": 1, "graph": {"node_weights": [1, 1],
+                "edges": [{"a": 18446744073709551616, "b": 1, "weight": 1}]}}"#,
+            r#"{"objective": "procmin", "bound": 1, "graph": {"node_weights": [1, 1],
+                "edges": [{"a":0,"b":1,"weight":18446744073709551616}]}}"#,
+            // leading zeros, negative zero, exponents, fractions
+            r#"{"objective": "bandwidth", "bound": 01,
+                "graph": {"node_weights": [1], "edge_weights": []}}"#,
+            r#"{"objective": "bandwidth", "bound": 1,
+                "graph": {"node_weights": [00], "edge_weights": []}}"#,
+            r#"{"objective": "bandwidth", "bound": 1,
+                "graph": {"node_weights": [-0], "edge_weights": []}}"#,
+            r#"{"objective": "bandwidth", "bound": 1e3,
+                "graph": {"node_weights": [1], "edge_weights": []}}"#,
+            r#"{"objective": "bandwidth", "bound": 1,
+                "graph": {"node_weights": [1.0], "edge_weights": []}}"#,
+            r#"{"objective": "procmin", "bound": 9, "graph": {"node_weights": [1, 1],
+                "edges": [{"a":0,"b":01,"weight":1}]}}"#,
+            r#"{"objective": "procmin", "bound": 9, "graph": {"node_weights": [1, 1],
+                "edges": [{"a":0,"b":1,"weight":1e3}]}}"#,
+            // empty arrays: no nodes is no graph
+            r#"{"objective": "bandwidth", "bound": 1,
+                "graph": {"node_weights": [], "edge_weights": []}}"#,
+            r#"{"objective": "bottleneck", "bound": 1,
+                "graph": {"edges": [], "node_weights": []}}"#,
+            // an escaped key, a missing field, a repeated field in an edge
+            r#"{"objective": "procmin", "bound": 9, "graph": {"node_weights": [1, 1],
+                "edges": [{"\u0061":0,"b":1,"weight":1}]}}"#,
+            r#"{"objective": "procmin", "bound": 9, "graph": {"node_weights": [1, 1],
+                "edges": [{"a":0,"b":1}]}}"#,
+            r#"{"objective": "procmin", "bound": 9, "graph": {"node_weights": [1, 1],
+                "edges": [{"a":0,"a":0,"b":1,"weight":1}]}}"#,
+        ]) {
+            assert!(ingest(body).is_none(), "must fall back: {body}");
+        }
         for body in [
             // other objective
             r#"{"objective": "compose", "bound": 1, "graph": {"node_weights": [1],

@@ -19,6 +19,16 @@ pub struct KeyBuilder {
 }
 
 impl KeyBuilder {
+    /// Bytes one [`KeyBuilder::write_u64`] appends: the tag and eight
+    /// value bytes. With [`KeyBuilder::str_len`] it lets a key's length
+    /// be known before the key is built.
+    pub const U64_LEN: usize = 9;
+
+    /// Bytes [`KeyBuilder::write_str`] appends for `s`.
+    pub fn str_len(s: &str) -> usize {
+        Self::U64_LEN + s.len()
+    }
+
     /// Appends raw bytes.
     pub fn write(&mut self, bytes: &[u8]) {
         self.bytes.extend_from_slice(bytes);

@@ -731,6 +731,22 @@ mod tests {
     }
 
     #[test]
+    fn canonical_key_len_is_the_built_keys_length() {
+        let registry = Registry::shared();
+        for solver in registry.iter() {
+            let request = solver
+                .parse(&Value::parse(&golden_request(solver.name())).unwrap())
+                .unwrap();
+            assert_eq!(
+                request.canonical_key_len(),
+                request.canonical_key().len(),
+                "{}",
+                solver.name()
+            );
+        }
+    }
+
+    #[test]
     fn canonical_keys_ignore_field_order_but_not_content() {
         let registry = Registry::shared();
         for solver in registry.iter() {

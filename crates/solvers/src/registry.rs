@@ -115,6 +115,14 @@ pub trait Solver: Send + Sync {
         key.finish()
     }
 
+    /// The length of [`Solver::canonical_key`]'s key, computed without
+    /// building it, so a cache can refuse a key too large to hold
+    /// before paying for it. A solver that overrides one of the two
+    /// must override both.
+    fn canonical_key_len(&self, request: &Request) -> usize {
+        KeyBuilder::str_len(self.name()) + request.params.key_len() + request.graph.key_len()
+    }
+
     /// A copy of the response as JSON. A solver's wire form is the
     /// [`Response::value`] it built, which the service serializes in
     /// place (a deep copy per response is measurable on large

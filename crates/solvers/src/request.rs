@@ -161,7 +161,7 @@ impl GraphInput {
     pub fn write_key(&self, key: &mut KeyBuilder) {
         match (self, self.kind()) {
             (GraphInput::Process(g), _) => {
-                key.write(b"/process");
+                key.write(PROCESS_TAG);
                 key.write_u64(g.len() as u64);
                 for w in g.node_weights() {
                     key.write_u64(w.get());
@@ -176,10 +176,33 @@ impl GraphInput {
             (tree, _) => on_tree!(tree, |t| write_tree_key(t, key)),
         }
     }
+
+    /// The length of what [`GraphInput::write_key`] writes: a tag, then
+    /// one tagged `u64` for the node count, one per node weight and one
+    /// per edge field.
+    pub fn key_len(&self) -> usize {
+        let (tag, nodes, edge_fields) = match (self, self.kind()) {
+            (GraphInput::Process(g), _) => (PROCESS_TAG, g.len(), 3 * g.edge_count()),
+            (chain, GraphKind::Chain) => {
+                on_chain!(chain, |c| (CHAIN_TAG, c.len(), c.edge_count()))
+            }
+            (tree, _) => on_tree!(tree, |t| (
+                TREE_TAG,
+                TreeView::len(t),
+                3 * TreeView::edge_count(t)
+            )),
+        };
+        tag.len() + KeyBuilder::U64_LEN * (1 + nodes + edge_fields)
+    }
 }
 
+/// The tags that open a graph's canonical key, one per graph class.
+const PROCESS_TAG: &[u8] = b"/process";
+const CHAIN_TAG: &[u8] = b"/chain";
+const TREE_TAG: &[u8] = b"/tree";
+
 fn write_chain_key<C: ChainView>(chain: &C, key: &mut KeyBuilder) {
-    key.write(b"/chain");
+    key.write(CHAIN_TAG);
     key.write_u64(chain.len() as u64);
     for i in 0..chain.len() {
         key.write_u64(chain.node_weight(NodeId::new(i)).get());
@@ -190,7 +213,7 @@ fn write_chain_key<C: ChainView>(chain: &C, key: &mut KeyBuilder) {
 }
 
 fn write_tree_key<T: TreeView>(tree: &T, key: &mut KeyBuilder) {
-    key.write(b"/tree");
+    key.write(TREE_TAG);
     key.write_u64(tree.len() as u64);
     for i in 0..tree.len() {
         key.write_u64(tree.node_weight(NodeId::new(i)).get());
@@ -296,6 +319,25 @@ impl Params {
             None => key.write_u64(0),
         }
     }
+
+    /// The length of what [`Params::write_key`] writes.
+    pub fn key_len(&self) -> usize {
+        let u64_len = KeyBuilder::U64_LEN;
+        let present = |present: bool| if present { 2 * u64_len } else { u64_len };
+        let scalars: usize = [self.bound, self.processors, self.satellites, self.root]
+            .iter()
+            .map(|opt| present(opt.is_some()))
+            .sum();
+        let algorithm = self
+            .algorithm
+            .as_deref()
+            .map_or(u64_len, |a| u64_len + KeyBuilder::str_len(a));
+        let speeds = self
+            .speeds
+            .as_ref()
+            .map_or(u64_len, |s| u64_len * (1 + s.len()));
+        scalars + algorithm + speeds
+    }
 }
 
 /// A fully validated request: the solver it names, the typed graph and
@@ -317,6 +359,13 @@ impl Request {
     /// The named solver's [`Solver::canonical_key`] for this request.
     pub fn canonical_key(&self) -> Vec<u8> {
         self.objective.canonical_key(self)
+    }
+
+    /// The named solver's [`Solver::canonical_key_len`] for this
+    /// request: the length of [`Request::canonical_key`], without
+    /// building the key.
+    pub fn canonical_key_len(&self) -> usize {
+        self.objective.canonical_key_len(self)
     }
 
     /// The named solver's [`Solver::cost_estimate`] for this request.

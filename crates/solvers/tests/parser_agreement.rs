@@ -6,9 +6,12 @@
 //! error, code and message), and for `lexicographic` the same warm
 //! answer on every window — ones that contain the optimal bottleneck
 //! `B*` and ones that miss it. Instances are random chains and trees
-//! with zero weights, heavy ties and infeasible bounds, for each of the
-//! five streamed objectives, with the objective named first and last,
-//! on RAM and disk backing.
+//! with zero weights, heavy ties, wide (7- to 18-digit) weights,
+//! infeasible bounds and 19- and 20-digit bounds up to `u64::MAX`, for
+//! each of the five streamed objectives, with the objective named first
+//! and last, on RAM and disk backing. Bodies are compact, spaced, or
+//! padded with tabs, CRs and LFs between elements and inside edge
+//! objects, and some arrays run past the scanner's blocks of elements.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -28,34 +31,72 @@ const STREAMED: [&str; 5] = [
 ];
 const ROUNDS: u64 = 60;
 
-/// Node or edge weights: small with zeros, heavy ties, or wide.
+/// Node or edge weights: small with zeros, heavy ties, or wide. Wide
+/// weights have 7 to 9 or 15 to 17 digits, so their digit runs end on
+/// either side of an eight-byte word, and stay below 10^15 in a large
+/// graph, so that no graph's total overflows.
 fn weights(rng: &mut SmallRng, len: usize) -> Vec<u64> {
-    let style = rng.gen_range(0..3);
+    let style = rng.gen_range(0..4);
+    let widest = if len > 100 { 15 } else { 17 };
     (0..len)
         .map(|_| match style {
             0 => rng.gen_range(0..=9),
             1 => [0, 4, 4, 4, 7][rng.gen_range(0..5)],
-            _ => rng.gen_range(0..=1_000_000),
+            2 => rng.gen_range(0..=1_000_000),
+            _ => {
+                let digits = [7, 8, 9, 15, 16, 17][rng.gen_range(0..6)].min(widest);
+                rng.gen_range(10u64.pow(digits - 1)..10u64.pow(digits))
+            }
         })
         .collect()
 }
 
-fn list(values: &[u64]) -> String {
+/// How a body spaces its tokens: the separator between elements and
+/// the one between a key and its value.
+#[derive(Clone, Copy)]
+struct Layout {
+    comma: &'static str,
+    colon: &'static str,
+}
+
+const LAYOUTS: [Layout; 3] = [
+    Layout {
+        comma: ",",
+        colon: ":",
+    },
+    Layout {
+        comma: ", ",
+        colon: ": ",
+    },
+    Layout {
+        comma: "\t,\r\n ",
+        colon: " :\t",
+    },
+];
+
+fn list(values: &[u64], layout: Layout) -> String {
     let items: Vec<String> = values.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(", "))
+    format!("[{}]", items.join(layout.comma))
 }
 
 /// A random graph of `kind` as JSON, with its node weights. Tree edges
 /// come in shuffled order, with flipped endpoints and shuffled fields.
-fn graph(rng: &mut SmallRng, kind: GraphKind) -> (String, Vec<u64>) {
-    let n = rng.gen_range(1..=40);
+/// One graph in six has 510 to 1 030 nodes, so its arrays cross the
+/// streaming scanner's block boundaries.
+fn graph(rng: &mut SmallRng, kind: GraphKind, layout: Layout) -> (String, Vec<u64>) {
+    let n = if rng.gen_range(0..6) == 0 {
+        rng.gen_range(510..=1_030)
+    } else {
+        rng.gen_range(1..=40)
+    };
     let nodes = weights(rng, n);
     let edge_w = weights(rng, n - 1);
+    let Layout { comma, colon } = layout;
     let json = match kind {
         GraphKind::Chain => format!(
-            r#"{{"node_weights": {}, "edge_weights": {}}}"#,
-            list(&nodes),
-            list(&edge_w)
+            r#"{{"node_weights"{colon}{}{comma}"edge_weights"{colon}{}}}"#,
+            list(&nodes, layout),
+            list(&edge_w, layout)
         ),
         _ => {
             let mut edges: Vec<String> = (1..n)
@@ -68,9 +109,9 @@ fn graph(rng: &mut SmallRng, kind: GraphKind) -> (String, Vec<u64>) {
                     };
                     let w = edge_w[child - 1];
                     if rng.gen_bool(0.5) {
-                        format!(r#"{{"a": {a}, "b": {b}, "weight": {w}}}"#)
+                        format!(r#"{{"a"{colon}{a}{comma}"b"{colon}{b}{comma}"weight"{colon}{w}}}"#)
                     } else {
-                        format!(r#"{{"weight": {w}, "b": {b}, "a": {a}}}"#)
+                        format!(r#"{{"weight"{colon}{w}{comma}"b"{colon}{b}{comma}"a"{colon}{a}}}"#)
                     }
                 })
                 .collect();
@@ -78,9 +119,9 @@ fn graph(rng: &mut SmallRng, kind: GraphKind) -> (String, Vec<u64>) {
                 edges.swap(i, rng.gen_range(0..=i));
             }
             format!(
-                r#"{{"edges": [{}], "node_weights": {}}}"#,
-                edges.join(", "),
-                list(&nodes)
+                r#"{{"edges"{colon}[{}]{comma}"node_weights"{colon}{}}}"#,
+                edges.join(comma),
+                list(&nodes, layout)
             )
         }
     };
@@ -88,14 +129,18 @@ fn graph(rng: &mut SmallRng, kind: GraphKind) -> (String, Vec<u64>) {
 }
 
 /// A load bound: below the heaviest node (infeasible), exactly at it,
-/// the whole graph's weight, or in between.
+/// the whole graph's weight, in between, or a 19- or 20-digit bound up
+/// to `u64::MAX`.
 fn bound(rng: &mut SmallRng, nodes: &[u64]) -> u64 {
     let heaviest = *nodes.iter().max().expect("non-empty");
     let total: u64 = nodes.iter().sum();
-    match rng.gen_range(0..4) {
+    match rng.gen_range(0..7) {
         0 => heaviest.saturating_sub(1),
         1 => heaviest,
         2 => total,
+        3 => 9_999_999_999_999_999_999,
+        4 => 10_000_000_000_000_000_000,
+        5 => u64::MAX,
         _ => rng.gen_range(heaviest..=total),
     }
 }
@@ -137,11 +182,17 @@ fn streamed_and_json_tree_requests_agree() {
         assert!(solver.accepts_streamed_graph(), "{name}");
         for round in 0..ROUNDS {
             let mut rng = SmallRng::seed_from_u64((i as u64) << 32 | round);
-            let (graph, nodes) = graph(&mut rng, solver.graph_kind());
+            let layout = LAYOUTS[rng.gen_range(0..LAYOUTS.len())];
+            let (graph, nodes) = graph(&mut rng, solver.graph_kind(), layout);
             let bound = bound(&mut rng, &nodes);
+            let Layout { comma, colon } = layout;
             let bodies = [
-                format!(r#"{{"objective": "{name}", "bound": {bound}, "graph": {graph}}}"#),
-                format!(r#"{{"bound": {bound}, "graph": {graph}, "objective": "{name}"}}"#),
+                format!(
+                    r#"{{"objective"{colon}"{name}"{comma}"bound"{colon}{bound}{comma}"graph"{colon}{graph}}}"#
+                ),
+                format!(
+                    r#"{{"bound"{colon}{bound}{comma}"graph"{colon}{graph}{comma}"objective"{colon}"{name}"}}"#
+                ),
             ];
             for body in &bodies {
                 let value = Value::parse(body).expect("valid JSON");
@@ -155,6 +206,7 @@ fn streamed_and_json_tree_requests_agree() {
                     assert_eq!(streamed.objective.name(), name);
                     assert_eq!(streamed.graph.backing_kind(), kind);
                     assert_eq!(streamed.canonical_key(), tree.canonical_key(), "{body}");
+                    assert_eq!(streamed.canonical_key_len(), tree.canonical_key().len());
                     assert_eq!(streamed.cost_estimate(), tree.cost_estimate(), "{body}");
                     let got = outcome(&streamed, streamed.run_budgeted(&Budget::unlimited()));
                     assert_eq!(got, cold, "{kind:?}: {body}");

@@ -94,6 +94,23 @@ pub trait Array<T: Pod> {
         Ok(())
     }
 
+    /// Appends `count` elements, the `k`-th (from 0) being `f(k)`, with
+    /// one growth check for the whole run.
+    ///
+    /// # Errors
+    ///
+    /// As [`Array::push`].
+    fn extend_from_fn(&mut self, count: usize, f: impl FnMut(usize) -> T) -> io::Result<()>;
+
+    /// Makes room for at least `additional` more elements, for a caller
+    /// that knows the final length. A RAM array reserves exactly that
+    /// much, so its [`Array::resident_bytes`] stays the payload size.
+    ///
+    /// # Errors
+    ///
+    /// As [`Array::push`].
+    fn reserve(&mut self, additional: usize) -> io::Result<()>;
+
     /// Bytes of *RAM* this array pins (a disk array pins none — its
     /// pages live in the reclaimable page cache).
     fn resident_bytes(&self) -> u64;
@@ -135,6 +152,16 @@ impl<T: Pod> Array<T> for RamVec<T> {
 
     fn extend_from_slice(&mut self, values: &[T]) -> io::Result<()> {
         self.0.extend_from_slice(values);
+        Ok(())
+    }
+
+    fn extend_from_fn(&mut self, count: usize, f: impl FnMut(usize) -> T) -> io::Result<()> {
+        self.0.extend((0..count).map(f));
+        Ok(())
+    }
+
+    fn reserve(&mut self, additional: usize) -> io::Result<()> {
+        self.0.reserve_exact(additional);
         Ok(())
     }
 
@@ -280,6 +307,22 @@ impl<T: Pod> Array<T> for DiskVec<T> {
         Ok(())
     }
 
+    fn extend_from_fn(&mut self, count: usize, mut f: impl FnMut(usize) -> T) -> io::Result<()> {
+        self.grow_to_fit(count)?;
+        let base = self.ptr.as_ptr().cast::<T>();
+        for k in 0..count {
+            // SAFETY: capacity covers `len + count` after the growth
+            // check, so every write lands inside the mapping.
+            unsafe { base.add(self.len + k).write(f(k)) };
+        }
+        self.len += count;
+        Ok(())
+    }
+
+    fn reserve(&mut self, additional: usize) -> io::Result<()> {
+        self.grow_to_fit(additional)
+    }
+
     fn resident_bytes(&self) -> u64 {
         0 // pages live in the reclaimable page cache, not process RAM
     }
@@ -411,6 +454,29 @@ mod tests {
         assert_eq!(&a.as_slice()[50_000..], &vals[..]);
     }
 
+    #[test]
+    fn extend_from_fn_and_reserve_match_push_on_both_backings() {
+        fn check<B: MemoryBacking>(backing: &B) {
+            let mut a = backing.new_array::<u32>(0).unwrap();
+            a.push(7).unwrap();
+            a.reserve(40_000).unwrap();
+            a.extend_from_fn(40_000, |k| k as u32 * 3).unwrap();
+            assert_eq!(a.len(), 40_001);
+            assert_eq!(a.as_slice()[0], 7);
+            assert!(a.as_slice()[1..]
+                .iter()
+                .enumerate()
+                .all(|(k, &v)| v == k as u32 * 3));
+        }
+        check(&RamBacking);
+        check(&DiskBacking::new(tmp()));
+        // A RAM reserve is exact: resident bytes are the payload.
+        let mut a = RamBacking.new_array::<u64>(0).unwrap();
+        a.reserve(1000).unwrap();
+        a.extend_from_fn(1000, |k| k as u64).unwrap();
+        assert_eq!(a.resident_bytes(), a.byte_len());
+    }
+
     fn spill_file_count(dir: &Path) -> usize {
         std::fs::read_dir(dir)
             .unwrap()
@@ -421,13 +487,18 @@ mod tests {
 
     #[test]
     fn spill_files_do_not_linger() {
-        let dir = tmp();
+        // A directory of its own: other tests create spill files in the
+        // shared temp dir concurrently, each visible for a moment
+        // before its unlink.
+        let dir = tmp().join(format!("tgp-linger-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
         let before = spill_file_count(&dir);
         let a = DiskVec::<u64>::with_capacity_in(&dir, 1024).unwrap();
         // Even while alive, the file is already unlinked.
         assert_eq!(spill_file_count(&dir), before);
         drop(a);
         assert_eq!(spill_file_count(&dir), before);
+        std::fs::remove_dir(&dir).unwrap();
     }
 
     #[test]

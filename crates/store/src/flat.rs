@@ -1,12 +1,12 @@
-//! Flat SoA/CSR graph representations over a [`MemoryBacking`].
+//! Flat SoA graph representations over a [`MemoryBacking`].
 //!
 //! [`FlatPath`] and [`FlatTree`] hold the same information as
 //! `tgp_graph::PathGraph` / `tgp_graph::Tree`, but as parallel primitive
-//! arrays (`u64` weights, `u32` edge endpoints, prefix-sum adjacency)
-//! that can live on either backing. Their builders are *incremental* —
-//! weights and edges stream in one at a time, which is what lets the
-//! service parse a huge JSON upload directly into (possibly disk-backed)
-//! arrays without ever materializing the document tree.
+//! arrays (`u64` weights, `u32` edge endpoints, prefix sums) that can
+//! live on either backing. Their builders are *incremental* — weights
+//! and edges stream in one at a time or in blocks, which is what lets
+//! the service parse a huge JSON upload directly into (possibly
+//! disk-backed) arrays without ever materializing the document tree.
 //!
 //! Builders reproduce the exact validation sequence — and the exact
 //! [`GraphError`] values — of the legacy constructors, so a request
@@ -145,7 +145,8 @@ impl<B: MemoryBacking> ChainView for FlatPath<B> {
 }
 
 /// Incremental builder for [`FlatPath`]: stream node weights and edge
-/// weights in order, then [`finish`](FlatPathBuilder::finish).
+/// weights in order, one at a time or in blocks, then
+/// [`finish`](FlatPathBuilder::finish).
 pub struct FlatPathBuilder<B: MemoryBacking> {
     node_w: B::Array<u64>,
     edge_w: B::Array<u64>,
@@ -163,10 +164,29 @@ impl<B: MemoryBacking> FlatPathBuilder<B> {
     ///
     /// Backing allocation failure.
     pub fn new(backing: &B, nodes_hint: usize) -> io::Result<Self> {
+        let node_w = backing.new_array::<u64>(nodes_hint)?;
+        FlatPathBuilder::with_nodes_hint(backing, node_w, nodes_hint)
+    }
+
+    /// A builder that adopts `node_w`, node weights already streamed
+    /// into an array on `backing`, with edge storage sized for a chain
+    /// over them.
+    ///
+    /// # Errors
+    ///
+    /// Backing allocation failure.
+    pub fn with_nodes(backing: &B, node_w: B::Array<u64>) -> io::Result<Self> {
+        let n = node_w.len();
+        let mut builder = FlatPathBuilder::with_nodes_hint(backing, node_w, n)?;
+        builder.absorb_nodes(0)?;
+        Ok(builder)
+    }
+
+    fn with_nodes_hint(backing: &B, node_w: B::Array<u64>, nodes_hint: usize) -> io::Result<Self> {
         let mut prefix = backing.new_array::<u64>(nodes_hint + 1)?;
         prefix.push(0)?;
         Ok(FlatPathBuilder {
-            node_w: backing.new_array::<u64>(nodes_hint)?,
+            node_w,
             edge_w: backing.new_array::<u64>(nodes_hint.saturating_sub(1))?,
             prefix,
             node_total: 0,
@@ -176,21 +196,47 @@ impl<B: MemoryBacking> FlatPathBuilder<B> {
         })
     }
 
+    /// Makes room for `additional` more node weights.
+    ///
+    /// # Errors
+    ///
+    /// Backing growth failure.
+    pub fn reserve_nodes(&mut self, additional: usize) -> io::Result<()> {
+        self.node_w.reserve(additional)?;
+        self.prefix.reserve(additional)
+    }
+
     /// Appends the next node weight.
     ///
     /// # Errors
     ///
     /// Backing growth failure.
     pub fn push_node(&mut self, weight: u64) -> io::Result<()> {
-        self.node_w.push(weight)?;
-        self.node_total += u128::from(weight);
-        if self.node_total <= u128::from(u64::MAX) {
-            self.prefix.push(self.node_total as u64)?;
-        }
-        // An overflowing total surfaces as WeightOverflow in finish();
-        // the truncated prefix is never observed.
-        self.max_node = self.max_node.max(weight);
-        Ok(())
+        self.extend_nodes(&[weight])
+    }
+
+    /// Appends the next node weights.
+    ///
+    /// # Errors
+    ///
+    /// Backing growth failure.
+    pub fn extend_nodes(&mut self, weights: &[u64]) -> io::Result<()> {
+        let from = self.node_w.len();
+        self.node_w.extend_from_slice(weights)?;
+        self.absorb_nodes(from)
+    }
+
+    /// Extends the prefix sums, the node total and the heaviest node over
+    /// `node_w[from..]`. An overflowing total surfaces as WeightOverflow
+    /// in `finish`; the truncated prefix is never observed.
+    fn absorb_nodes(&mut self, from: usize) -> io::Result<()> {
+        let weights = &self.node_w.as_slice()[from..];
+        let (total, max) = (&mut self.node_total, &mut self.max_node);
+        self.prefix.extend_from_fn(weights.len(), |k| {
+            *total += u128::from(weights[k]);
+            *max = (*max).max(weights[k]);
+            *total as u64
+        })
     }
 
     /// Appends the next edge weight.
@@ -199,8 +245,17 @@ impl<B: MemoryBacking> FlatPathBuilder<B> {
     ///
     /// Backing growth failure.
     pub fn push_edge(&mut self, weight: u64) -> io::Result<()> {
-        self.edge_w.push(weight)?;
-        self.edge_total += u128::from(weight);
+        self.extend_edges(&[weight])
+    }
+
+    /// Appends the next edge weights.
+    ///
+    /// # Errors
+    ///
+    /// Backing growth failure.
+    pub fn extend_edges(&mut self, weights: &[u64]) -> io::Result<()> {
+        self.edge_w.extend_from_slice(weights)?;
+        self.edge_total += weights.iter().map(|&w| u128::from(w)).sum::<u128>();
         Ok(())
     }
 
@@ -252,18 +307,16 @@ impl<B: MemoryBacking> FlatPathBuilder<B> {
 // FlatTree
 // ---------------------------------------------------------------------------
 
-/// A weighted free tree as parallel arrays plus a CSR adjacency:
-/// `edge_a[i]`/`edge_b[i]` are edge `i`'s endpoints in input
-/// orientation, and `child_edge[child_start[v]..child_start[v+1]]`
-/// lists the edges incident to node `v` in increasing edge order.
+/// A weighted free tree as parallel arrays: `edge_a[i]`/`edge_b[i]` are
+/// edge `i`'s endpoints in input orientation. There is no adjacency
+/// index: [`TreeView`] exposes none, and the solver that walks the tree
+/// (`proc_min`) builds its own incidence from the edge list.
 #[derive(Debug)]
 pub struct FlatTree<B: MemoryBacking> {
     node_w: B::Array<u64>,
     edge_a: B::Array<u32>,
     edge_b: B::Array<u32>,
     edge_w: B::Array<u64>,
-    child_start: B::Array<u32>,
-    child_edge: B::Array<u32>,
     total: u64,
     max_node: u64,
     kind: BackingKind,
@@ -294,26 +347,12 @@ impl<B: MemoryBacking> FlatTree<B> {
         )
     }
 
-    /// Ids of the edges incident to `node`, in increasing edge order.
-    pub fn incident_edges(&self, node: usize) -> &[u32] {
-        let start = self.child_start.as_slice()[node] as usize;
-        let end = self.child_start.as_slice()[node + 1] as usize;
-        &self.child_edge.as_slice()[start..end]
-    }
-
-    /// Degree of `node`.
-    pub fn degree(&self, node: usize) -> usize {
-        self.incident_edges(node).len()
-    }
-
     /// Bytes of process RAM the graph pins (0 when disk-backed).
     pub fn resident_bytes(&self) -> u64 {
         self.node_w.resident_bytes()
             + self.edge_a.resident_bytes()
             + self.edge_b.resident_bytes()
             + self.edge_w.resident_bytes()
-            + self.child_start.resident_bytes()
-            + self.child_edge.resident_bytes()
     }
 
     /// Logical size of the graph's arrays in bytes, whichever medium
@@ -323,8 +362,6 @@ impl<B: MemoryBacking> FlatTree<B> {
             + self.edge_a.byte_len()
             + self.edge_b.byte_len()
             + self.edge_w.byte_len()
-            + self.child_start.byte_len()
-            + self.child_edge.byte_len()
     }
 }
 
@@ -364,20 +401,22 @@ impl<B: MemoryBacking> TreeView for FlatTree<B> {
 }
 
 /// Incremental builder for [`FlatTree`]: stream node weights, then (or
-/// interleaved) edges, then [`finish`](FlatTreeBuilder::finish).
+/// interleaved) edges, one at a time or in blocks, then
+/// [`finish`](FlatTreeBuilder::finish).
 pub struct FlatTreeBuilder<B: MemoryBacking> {
-    backing: B,
     node_w: B::Array<u64>,
     edge_a: B::Array<u32>,
     edge_b: B::Array<u32>,
     edge_w: B::Array<u64>,
-    /// `(edge index, endpoint-is-b, value)` for endpoints too large to
-    /// store as `u32`; only invalid inputs land here, and validation
-    /// consults it so the out-of-range error names the original value.
-    oversized: Vec<(usize, bool, usize)>,
+    /// The first edge with an endpoint too large to store as `u32`, and
+    /// its original endpoints. Such an endpoint is out of range for any
+    /// node count `finish` accepts, so validation stops at this edge at
+    /// the latest, and its error names the original value from here.
+    first_oversized: Option<(usize, [usize; 2])>,
     node_total: u128,
     edge_total: u128,
     max_node: u64,
+    kind: BackingKind,
 }
 
 impl<B: MemoryBacking> FlatTreeBuilder<B> {
@@ -387,18 +426,46 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
     ///
     /// Backing allocation failure.
     pub fn new(backing: B, nodes_hint: usize) -> io::Result<Self> {
+        let node_w = backing.new_array::<u64>(nodes_hint)?;
+        FlatTreeBuilder::with_nodes_hint(&backing, node_w, nodes_hint)
+    }
+
+    /// A builder that adopts `node_w`, node weights already streamed
+    /// into an array on `backing`, with edge storage sized for a tree
+    /// over them.
+    ///
+    /// # Errors
+    ///
+    /// Backing allocation failure.
+    pub fn with_nodes(backing: &B, node_w: B::Array<u64>) -> io::Result<Self> {
+        let n = node_w.len();
+        let mut builder = FlatTreeBuilder::with_nodes_hint(backing, node_w, n)?;
+        builder.absorb_nodes(0);
+        Ok(builder)
+    }
+
+    fn with_nodes_hint(backing: &B, node_w: B::Array<u64>, nodes_hint: usize) -> io::Result<Self> {
         let m = nodes_hint.saturating_sub(1);
         Ok(FlatTreeBuilder {
-            node_w: backing.new_array::<u64>(nodes_hint)?,
+            node_w,
             edge_a: backing.new_array::<u32>(m)?,
             edge_b: backing.new_array::<u32>(m)?,
             edge_w: backing.new_array::<u64>(m)?,
-            backing,
-            oversized: Vec::new(),
+            first_oversized: None,
             node_total: 0,
             edge_total: 0,
             max_node: 0,
+            kind: backing.kind(),
         })
+    }
+
+    /// Makes room for `additional` more node weights.
+    ///
+    /// # Errors
+    ///
+    /// Backing growth failure.
+    pub fn reserve_nodes(&mut self, additional: usize) -> io::Result<()> {
+        self.node_w.reserve(additional)
     }
 
     /// Appends the next node weight.
@@ -407,10 +474,28 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
     ///
     /// Backing growth failure.
     pub fn push_node(&mut self, weight: u64) -> io::Result<()> {
-        self.node_w.push(weight)?;
-        self.node_total += u128::from(weight);
-        self.max_node = self.max_node.max(weight);
+        self.extend_nodes(&[weight])
+    }
+
+    /// Appends the next node weights.
+    ///
+    /// # Errors
+    ///
+    /// Backing growth failure.
+    pub fn extend_nodes(&mut self, weights: &[u64]) -> io::Result<()> {
+        let from = self.node_w.len();
+        self.node_w.extend_from_slice(weights)?;
+        self.absorb_nodes(from);
         Ok(())
+    }
+
+    /// Extends the node total and the heaviest node over
+    /// `node_w[from..]`.
+    fn absorb_nodes(&mut self, from: usize) {
+        for &w in &self.node_w.as_slice()[from..] {
+            self.node_total += u128::from(w);
+            self.max_node = self.max_node.max(w);
+        }
     }
 
     /// Appends the next edge `(a, b, weight)` in input orientation.
@@ -419,16 +504,35 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
     ///
     /// Backing growth failure.
     pub fn push_edge(&mut self, a: usize, b: usize, weight: u64) -> io::Result<()> {
-        let i = self.edge_w.len();
-        for (value, is_b) in [(a, false), (b, true)] {
-            if u32::try_from(value).is_err() {
-                self.oversized.push((i, is_b, value));
+        self.extend_edges(&[a], &[b], &[weight])
+    }
+
+    /// Appends the next edges, edge `k` of the block being
+    /// `(a[k], b[k], w[k])` in input orientation.
+    ///
+    /// # Errors
+    ///
+    /// Backing growth failure.
+    ///
+    /// # Panics
+    ///
+    /// If the three slices differ in length.
+    pub fn extend_edges(&mut self, a: &[usize], b: &[usize], w: &[u64]) -> io::Result<()> {
+        assert!(
+            a.len() == w.len() && b.len() == w.len(),
+            "edge columns must have equal lengths"
+        );
+        let narrow = |v: usize| u32::try_from(v).unwrap_or(u32::MAX);
+        if self.first_oversized.is_none() {
+            let wide = |k: &usize| u32::try_from(a[*k]).is_err() || u32::try_from(b[*k]).is_err();
+            if let Some(k) = (0..w.len()).find(wide) {
+                self.first_oversized = Some((self.edge_w.len() + k, [a[k], b[k]]));
             }
         }
-        self.edge_a.push(a.min(u32::MAX as usize) as u32)?;
-        self.edge_b.push(b.min(u32::MAX as usize) as u32)?;
-        self.edge_w.push(weight)?;
-        self.edge_total += u128::from(weight);
+        self.edge_a.extend_from_fn(a.len(), |k| narrow(a[k]))?;
+        self.edge_b.extend_from_fn(b.len(), |k| narrow(b[k]))?;
+        self.edge_w.extend_from_slice(w)?;
+        self.edge_total += w.iter().map(|&w| u128::from(w)).sum::<u128>();
         Ok(())
     }
 
@@ -442,30 +546,27 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
         self.edge_w.len()
     }
 
-    fn endpoint(&self, edge: usize, is_b: bool) -> usize {
-        if let Some(&(_, _, v)) = self
-            .oversized
-            .iter()
-            .find(|&&(e, side, _)| e == edge && side == is_b)
-        {
-            return v;
-        }
-        if is_b {
-            self.edge_b.as_slice()[edge] as usize
-        } else {
-            self.edge_a.as_slice()[edge] as usize
+    /// Edge `edge`'s endpoints as pushed (`a`, `b`), in O(1).
+    fn endpoints(&self, edge: usize) -> (usize, usize) {
+        match self.first_oversized {
+            Some((e, [a, b])) if e == edge => (a, b),
+            _ => (
+                self.edge_a.as_slice()[edge] as usize,
+                self.edge_b.as_slice()[edge] as usize,
+            ),
         }
     }
 
-    /// Validates the edge set and seals the graph, building the CSR
-    /// adjacency. The checks run in the same order as
+    /// Validates the edge set and seals the graph. The checks run in the
+    /// same order as
     /// `Tree::from_edges`, producing identical errors — including the
     /// duplicate-edge / cycle distinction.
     ///
     /// # Errors
     ///
-    /// Any [`GraphError`] the legacy constructor reports, or
-    /// [`BuildError::TooLarge`] for node counts beyond `u32`.
+    /// Any [`GraphError`] the legacy constructor reports,
+    /// [`BuildError::TooLarge`] for node counts beyond `u32`, or a
+    /// backing failure as [`BuildError::Io`].
     pub fn finish(self) -> Result<FlatTree<B>, BuildError> {
         let n = self.node_w.len();
         if n == 0 {
@@ -483,8 +584,7 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
         }
         let mut uf = UnionFind32::new(n);
         for i in 0..m {
-            let a = self.endpoint(i, false);
-            let b = self.endpoint(i, true);
+            let (a, b) = self.endpoints(i);
             for endpoint in [a, b] {
                 if endpoint >= n {
                     return Err(GraphError::NodeOutOfRange {
@@ -504,7 +604,7 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
                 // The edge closed a cycle; distinguish a parallel edge
                 // for a friendlier message, exactly as Tree::from_edges.
                 if (0..i).any(|j| {
-                    let (fa, fb) = (self.endpoint(j, false), self.endpoint(j, true));
+                    let (fa, fb) = self.endpoints(j);
                     (fa, fb) == (a, b) || (fa, fb) == (b, a)
                 }) {
                     return Err(GraphError::DuplicateEdge {
@@ -520,49 +620,14 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
             }
         }
         // n - 1 successful unions on n nodes guarantee connectivity.
-        // CSR adjacency by counting sort: degrees → prefix offsets →
-        // scatter (each edge appears under both endpoints, increasing
-        // edge order within a node).
-        let edge_a = self.edge_a.as_slice();
-        let edge_b = self.edge_b.as_slice();
-        let mut degree = vec![0u32; n];
-        for i in 0..m {
-            degree[edge_a[i] as usize] += 1;
-            degree[edge_b[i] as usize] += 1;
-        }
-        let mut child_start = self.backing.new_array::<u32>(n + 1)?;
-        let mut acc = 0u32;
-        child_start.push(0)?;
-        for &d in &degree {
-            acc += d;
-            child_start.push(acc)?;
-        }
-        let mut cursor: Vec<u32> = child_start.as_slice()[..n].to_vec();
-        let mut child_edge = self.backing.new_array::<u32>(2 * m)?;
-        // Fill with zeros first, then scatter through as_mut_slice.
-        for _ in 0..2 * m {
-            child_edge.push(0)?;
-        }
-        {
-            let out = child_edge.as_mut_slice();
-            for i in 0..m {
-                for v in [edge_a[i] as usize, edge_b[i] as usize] {
-                    out[cursor[v] as usize] = i as u32;
-                    cursor[v] += 1;
-                }
-            }
-        }
-        let kind = self.backing.kind();
         Ok(FlatTree {
             node_w: self.node_w,
             edge_a: self.edge_a,
             edge_b: self.edge_b,
             edge_w: self.edge_w,
-            child_start,
-            child_edge,
             total: self.node_total as u64,
             max_node: self.max_node,
-            kind,
+            kind: self.kind,
         })
     }
 }
@@ -686,17 +751,6 @@ mod tests {
                 legacy.edge(EdgeId::new(i))
             );
         }
-        for v in 0..nodes.len() {
-            assert_eq!(flat.degree(v), legacy.degree(NodeId::new(v)));
-            let incident: Vec<usize> = flat.incident_edges(v).iter().map(|&e| e as usize).collect();
-            let mut legacy_incident: Vec<usize> = legacy
-                .neighbors(NodeId::new(v))
-                .iter()
-                .map(|&(_, e)| e.index())
-                .collect();
-            legacy_incident.sort_unstable();
-            assert_eq!(incident, legacy_incident, "node {v}");
-        }
     }
 
     #[test]
@@ -717,6 +771,85 @@ mod tests {
             let flat = graph_err(build_tree(&RamBacking, nodes, edges).unwrap_err());
             assert_eq!(flat, legacy, "nodes={nodes:?} edges={edges:?}");
         }
+    }
+
+    #[test]
+    fn many_oversized_endpoints_validate_in_linear_time() {
+        // k valid edges (a path), then k edges whose `a` does not fit
+        // `u32`: validation reads every valid edge's endpoints, so a
+        // lookup that scanned the oversized endpoints would make it
+        // quadratic in k.
+        let k = 100_000;
+        let mut b = FlatTreeBuilder::new(RamBacking, 2 * k + 1).unwrap();
+        for _ in 0..=2 * k {
+            b.push_node(1).unwrap();
+        }
+        for i in 0..k {
+            b.push_edge(i, i + 1, 1).unwrap();
+        }
+        let big = u32::MAX as usize + 1;
+        for i in 0..k {
+            b.push_edge(big + i, k + 1 + i, 1).unwrap();
+        }
+        let started = std::time::Instant::now();
+        let err = graph_err(b.finish().unwrap_err());
+        assert_eq!(
+            err,
+            GraphError::NodeOutOfRange {
+                node: NodeId::new(big),
+                len: 2 * k + 1
+            }
+        );
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(10),
+            "finish took {:?}",
+            started.elapsed()
+        );
+    }
+
+    #[test]
+    fn block_pushes_build_the_same_tree_as_single_pushes() {
+        let nodes = [1u64, 2, 3, 4, 5, 6, 7];
+        let a = [0usize, 1, 2, 1, 1, 2];
+        let b = [1usize, 2, 3, 4, 5, 6];
+        let w = [10u64, 20, 30, 40, 50, 60];
+        let edges: Vec<(usize, usize, u64)> = (0..6).map(|k| (a[k], b[k], w[k])).collect();
+        let single = build_tree(&RamBacking, &nodes, &edges).unwrap();
+        let backing = DiskBacking::new(std::env::temp_dir());
+        let mut node_w = backing.new_array::<u64>(0).unwrap();
+        node_w.extend_from_slice(&nodes).unwrap();
+        let mut blocks = FlatTreeBuilder::with_nodes(&backing, node_w).unwrap();
+        blocks.extend_edges(&a[..4], &b[..4], &w[..4]).unwrap();
+        blocks.extend_edges(&a[4..], &b[4..], &w[4..]).unwrap();
+        let blocks = blocks.finish().unwrap();
+        for i in 0..6 {
+            assert_eq!(blocks.endpoints_raw(i), single.endpoints_raw(i));
+        }
+        assert_eq!(blocks.edge_w(), single.edge_w());
+        assert_eq!(
+            TreeView::total_weight(&blocks),
+            TreeView::total_weight(&single)
+        );
+        assert_eq!(single.resident_bytes(), single.byte_len());
+    }
+
+    #[test]
+    fn adopted_nodes_build_the_same_chain() {
+        let nodes = [2u64, 3, 5, 7, 11];
+        let edges = [1u64, 2, 3, 4];
+        let single = build_path(&RamBacking, &nodes, &edges).unwrap();
+        let mut node_w = RamBacking.new_array::<u64>(0).unwrap();
+        node_w.extend_from_slice(&nodes).unwrap();
+        let mut adopted = FlatPathBuilder::with_nodes(&RamBacking, node_w).unwrap();
+        adopted.extend_edges(&edges).unwrap();
+        let adopted = adopted.finish().unwrap();
+        for lo in 0..nodes.len() {
+            for hi in lo..nodes.len() {
+                assert_eq!(adopted.span_weight(lo, hi), single.span_weight(lo, hi));
+            }
+        }
+        assert_eq!(adopted.max_node_weight(), single.max_node_weight());
+        assert_eq!(adopted.resident_bytes(), adopted.byte_len());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Out-of-core graph substrate: pluggable memory backing and flat
-//! SoA/CSR graph representations.
+//! SoA graph representations.
 //!
 //! The paper's algorithms scan vertices in index order, so a graph is
 //! fundamentally a handful of parallel arrays — vertex weights, edge
-//! weights, prefix sums, and (for trees) a CSR adjacency. This crate
+//! weights, prefix sums, and (for trees) edge endpoints. This crate
 //! stores those arrays behind a [`MemoryBacking`] so the *same* solver
 //! code runs over heap memory ([`RamBacking`]) or an mmap-backed spill
 //! file ([`DiskBacking`]), letting the service partition graphs larger
@@ -19,9 +19,9 @@
 //!   builders reproduce the exact validation (and [`GraphError`]
 //!   values) of the legacy pointer graphs, so responses stay
 //!   byte-identical whichever representation served them.
-//! * [`SpillBuf`] — a request-body buffer that starts on the heap and
-//!   spills to an unlinked mmap-backed file past a threshold, bounding
-//!   the RAM a single huge upload can pin.
+//! * [`SpillBuf`] — a byte buffer that starts on the heap and spills to
+//!   an unlinked mmap-backed file past a threshold, for a reader that
+//!   streams a request body rather than receiving it framed.
 //!
 //! The only `unsafe` in the crate is the minimal mmap FFI surface in
 //! [`sys`], mirroring the epoll layer in `tgp-net`.

@@ -1,9 +1,13 @@
 //! [`SpillBuf`]: a byte buffer that starts on the heap and moves to an
 //! unlinked mmap-backed spill file once it crosses a threshold.
 //!
-//! Request bodies use this so a single huge graph upload cannot pin
-//! more than `threshold` bytes of heap — everything past that lives in
-//! the page cache, evictable under memory pressure.
+//! A reader that streams a request body from a socket or file can
+//! collect it here so the body pins at most `threshold` bytes of heap —
+//! everything past that lives in the page cache, evictable under memory
+//! pressure. `tgp_service::http::read_request_spilling` does; the
+//! server does not, because its event loop has framed the whole body on
+//! the heap before a worker sees it, and the worker solves from that
+//! buffer.
 
 use std::io;
 use std::path::{Path, PathBuf};
