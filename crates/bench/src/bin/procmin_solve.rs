@@ -1,7 +1,8 @@
-//! Timings behind EXPERIMENTS.md §FLAT-PROCMIN and §BIG-BODIES: the
-//! streaming ingest (`ingest_flat`) of 100 000-node chain and tree
-//! bodies, and Algorithm 2.2 (`proc_min`) on a 100 000-node random
-//! pointer tree at three bounds.
+//! Timings behind EXPERIMENTS.md §FLAT-PROCMIN, §BIG-BODIES and
+//! §FLAT-COMPOSE: the streaming ingest (`ingest_flat`) of 100 000-node
+//! chain and tree bodies, Algorithm 2.2 (`proc_min`) on a 100 000-node
+//! random pointer tree at three bounds, and the `compose` objective
+//! (the §3 pipeline) at n = 1 024 and 100 000.
 //!
 //! Ingest bodies come in the two shapes the benchmark's large-solve
 //! workload sends: compact (`serde_json` field order, `node_weights`
@@ -17,12 +18,19 @@
 //! cargo run --release -p tgp-bench --bin procmin_solve
 //! ```
 //!
-//! Both calls keep their signatures across revisions, so the same file
+//! For `compose`, one compact body per size is read both ways: JSON-tree
+//! parse plus registry dispatch (a pointer `Tree`) against
+//! `ingest_flat` into RAM and disk arrays; then `Solver::run` solves
+//! each request it got. A revision whose ingest does not stream
+//! `compose` prints "declined" in the flat cells. Where it streams,
+//! the three responses must be byte-identical.
+//!
+//! Every call keeps its signature across revisions, so the same file
 //! builds against older revisions of the solver crates and the numbers
-//! compare across them. Ingest bodies name `bandwidth` and `bottleneck`,
-//! which every revision streams. A cell prints the minimum, quartiles
-//! and median of 15 runs, and the cut count checks that revisions
-//! agree.
+//! compare across them. The other ingest bodies name `bandwidth` and
+//! `bottleneck`, which every revision streams. A cell prints the
+//! minimum, quartiles and median of 15 runs (201 at n = 1 024), and the
+//! cut count checks that revisions agree.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -33,18 +41,24 @@ use rand::{Rng, SeedableRng};
 
 use tgp_core::procmin::proc_min;
 use tgp_graph::generators::{random_tree, WeightDist};
-use tgp_graph::{NodeId, Weight};
-use tgp_solvers::{ingest_flat, Budget, IngestBacking};
+use tgp_graph::json::Value;
+use tgp_graph::{NodeId, Tree, Weight};
+use tgp_solvers::{ingest_flat, Budget, IngestBacking, Registry, Request};
 
 const N: usize = 100_000;
 const RUNS: usize = 15;
 
-fn millis(mut f: impl FnMut()) -> String {
-    let mut ms: Vec<f64> = (0..RUNS)
+fn millis(f: impl FnMut()) -> String {
+    timings(RUNS, 1e3, f)
+}
+
+/// `runs` timed calls of `f`, in seconds times `scale`.
+fn timings(runs: usize, scale: f64, mut f: impl FnMut()) -> String {
+    let mut ms: Vec<f64> = (0..runs)
         .map(|_| {
             let start = Instant::now();
             f();
-            start.elapsed().as_secs_f64() * 1e3
+            start.elapsed().as_secs_f64() * scale
         })
         .collect();
     ms.sort_by(f64::total_cmp);
@@ -108,6 +122,7 @@ fn edge_list(edges: &[(usize, usize, u64)], style: Style) -> String {
 /// Python-style ones sort every object's keys.
 fn body(
     objective: &str,
+    bound: u64,
     nodes: &str,
     deciding: (&str, &str),
     nodes_first: bool,
@@ -121,10 +136,87 @@ fn body(
         format!(r#"{{"{key}"{colon}{value}{sep}"node_weights"{colon}{nodes}}}"#)
     };
     match style {
-        Style::Compact => format!(r#"{{"objective":"{objective}","bound":20000,"graph":{graph}}}"#),
-        Style::Python => {
-            format!(r#"{{"bound": 20000, "graph": {graph}, "objective": "{objective}"}}"#)
+        Style::Compact => {
+            format!(r#"{{"objective":"{objective}","bound":{bound},"graph":{graph}}}"#)
         }
+        Style::Python => {
+            format!(r#"{{"bound": {bound}, "graph": {graph}, "objective": "{objective}"}}"#)
+        }
+    }
+}
+
+fn tree_body(objective: &str, bound: u64, tree: &Tree, style: Style) -> String {
+    let nodes = list(tree.node_weights().iter().map(|w| w.get()), style);
+    let edges: Vec<(usize, usize, u64)> = tree
+        .edges()
+        .iter()
+        .map(|e| (e.a.index(), e.b.index(), e.weight.get()))
+        .collect();
+    body(
+        objective,
+        bound,
+        &nodes,
+        ("edges", &edge_list(&edges, style)),
+        true,
+        style,
+    )
+}
+
+/// The `compose` cells for one tree: how its body becomes a request,
+/// then the solve on each request, in microseconds.
+fn compose_cells(tree: &Tree, bound: u64, runs: usize) {
+    let body = tree_body("compose", bound, tree, Style::Compact);
+    let bytes = body.as_bytes();
+    let micros = |f: &mut dyn FnMut()| timings(runs, 1e6, f);
+    let registry = Registry::shared();
+    let n = tree.len();
+    let row = |cell: &str, times: &str| {
+        println!("{cell:<34} {n:>6} {bound:>6}  {times}");
+    };
+    row(
+        "parse + dispatch (JSON tree)",
+        &micros(&mut || {
+            let value = Value::parse(black_box(&body)).expect("valid JSON");
+            black_box(registry.dispatch(&value).expect("valid request"));
+        }),
+    );
+    let disk = IngestBacking::disk(std::env::temp_dir());
+    let flat = |backing: &IngestBacking| -> Option<Request> {
+        ingest_flat(bytes, backing, &Budget::unlimited()).expect("no deadline")
+    };
+    let value = Value::parse(&body).expect("valid JSON");
+    let (_, _, pointer) = registry.dispatch(&value).expect("valid request");
+    let want = pointer
+        .objective
+        .run(&pointer)
+        .expect("feasible bound")
+        .value;
+    let mut requests = vec![("pointer Tree", Some(pointer))];
+    for (label, backing) in [("RAM", &IngestBacking::Ram), ("disk", &disk)] {
+        let request = flat(backing);
+        let times = match request {
+            None => "declined".to_string(),
+            Some(_) => micros(&mut || {
+                black_box(flat(black_box(backing)));
+            }),
+        };
+        row(&format!("ingest_flat, {label}"), &times);
+        requests.push((label, request));
+    }
+    let cuts = want["cut"].as_array().expect("a cut").len();
+    println!("{:<34} {n:>6} {bound:>6}  {cuts} cuts", "compose response");
+    for (label, request) in &requests {
+        let times = match request {
+            None => "declined".to_string(),
+            Some(request) => {
+                let got = request.objective.run(request).expect("feasible bound");
+                assert_eq!(got.value.to_string(), want.to_string(), "{label}");
+                micros(&mut || {
+                    black_box(request.objective.run(black_box(request)).expect("feasible"));
+                })
+            }
+        };
+        row(&format!("solve, {label}"), &times);
     }
 }
 
@@ -186,6 +278,7 @@ fn main() {
                 };
                 let body = body(
                     objective,
+                    20_000,
                     &nodes,
                     (deciding.0, &deciding.1),
                     nodes_first,
@@ -226,4 +319,18 @@ fn main() {
             })
         );
     }
+
+    println!();
+    println!(
+        "{:<34} {:>6} {:>6}  {:>6} {:>6} {:>6} {:>6}  (µs)",
+        "compose, compact body", "n", "K", "min", "q1", "median", "q3"
+    );
+    let small = random_tree(
+        1_024,
+        WeightDist::Uniform { lo: 1, hi: 100 },
+        WeightDist::Uniform { lo: 1, hi: 1000 },
+        &mut SmallRng::seed_from_u64(0xC0DE),
+    );
+    compose_cells(&small, 2_000, 201);
+    compose_cells(&tree, 20_000, RUNS);
 }

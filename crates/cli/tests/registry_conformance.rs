@@ -236,11 +236,11 @@ fn get_text(server: &Server, path: &str) -> String {
 }
 
 /// The out-of-core path: with `--graph-spill-bytes 0` every flat-capable
-/// request (bandwidth, bottleneck, procmin, lexicographic, nicol)
-/// ingests into *disk-backed* flat arrays and solves there; the rest
-/// falls through to the registry. Either way the response bytes must
-/// still match the CLI exactly, and `/metrics` must attribute the five
-/// flat solves to the disk backing.
+/// request (bandwidth, bottleneck, procmin, compose, lexicographic,
+/// nicol) ingests into *disk-backed* flat arrays and solves there; the
+/// rest falls through to the registry. Either way the response bytes
+/// must still match the CLI exactly, and `/metrics` must attribute the
+/// six flat solves to the disk backing.
 #[test]
 fn flat_disk_backing_agrees_byte_for_byte_with_the_cli() {
     let mut server = Server::start(ServerConfig {
@@ -270,11 +270,11 @@ fn flat_disk_backing_agrees_byte_for_byte_with_the_cli() {
     }
     let metrics = get_text(&server, "/metrics");
     assert!(
-        metrics.contains("tgp_store_backing{kind=\"disk\"} 5"),
-        "expected 5 disk-backed ingests (bandwidth, bottleneck, \
-         procmin, lexicographic, nicol):\n{metrics}"
+        metrics.contains("tgp_store_backing{kind=\"disk\"} 6"),
+        "expected 6 disk-backed ingests (bandwidth, bottleneck, \
+         procmin, compose, lexicographic, nicol):\n{metrics}"
     );
-    assert!(metrics.contains("tgp_graph_spilled_total 5"), "{metrics}");
+    assert!(metrics.contains("tgp_graph_spilled_total 6"), "{metrics}");
     server.shutdown();
 }
 

@@ -51,25 +51,43 @@ fn result_from_prefix<T: TreeView>(tree: &T, sorted: &[EdgeId], prefix: usize) -
 }
 
 /// [`result_from_prefix`] over the compact `u32` id ordering the
-/// optimized solver uses; the cut itself is small (it is the answer),
-/// so widening the prefix back to [`EdgeId`]s costs nothing.
+/// optimized solver uses, emitting the cut in id order with one pass
+/// over the edges instead of re-sorting the prefix: the `(weight, id)`
+/// keys are unique, so an edge lies in the prefix exactly when its key
+/// is at or below the prefix's last key.
 fn result_from_compact_prefix<T: TreeView>(
     tree: &T,
     sorted: &[u32],
     prefix: usize,
 ) -> BottleneckResult {
-    let cut = CutSet::new(
-        sorted[..prefix]
-            .iter()
-            .map(|&e| EdgeId::new(e as usize))
-            .collect(),
-    );
-    let bottleneck = if prefix == 0 {
-        Weight::ZERO
-    } else {
-        tree.edge_weight(EdgeId::new(sorted[prefix - 1] as usize))
+    let Some(&last) = sorted[..prefix].last() else {
+        return BottleneckResult {
+            cut: CutSet::empty(),
+            bottleneck: Weight::ZERO,
+        };
     };
-    BottleneckResult { cut, bottleneck }
+    let last = EdgeId::new(last as usize);
+    let bottleneck = tree.edge_weight(last);
+    // Branch-free, since on random weights the test is a coin flip per
+    // edge: every edge is written at `cut[len]`, and `len` moves past
+    // the ones in the prefix. It never exceeds `prefix`, so the one
+    // spare slot takes the writes after the prefix's last edge.
+    let mut cut = vec![EdgeId::new(0); prefix + 1];
+    let mut len = 0;
+    for i in 0..tree.edge_count() {
+        let e = EdgeId::new(i);
+        let w = tree.edge_weight(e);
+        cut[len] = e;
+        len += usize::from((w < bottleneck) | ((w == bottleneck) & (e <= last)));
+    }
+    debug_assert_eq!(len, prefix);
+    cut.truncate(len);
+    // Already in increasing id order: `CutSet::new`'s sort finds one
+    // run and returns.
+    BottleneckResult {
+        cut: CutSet::new(cut),
+        bottleneck,
+    }
 }
 
 /// Bottleneck minimization — optimized `O(n log n)` implementation.
@@ -257,15 +275,25 @@ mod tests {
         use rand::{Rng, SeedableRng};
         use tgp_graph::generators::{random_tree, WeightDist};
         let mut rng = SmallRng::seed_from_u64(77);
-        for _ in 0..100 {
+        for round in 0..200 {
             let n = rng.gen_range(1..60);
-            let t = random_tree(
-                n,
-                WeightDist::Uniform { lo: 1, hi: 9 },
-                WeightDist::Uniform { lo: 1, hi: 50 },
-                &mut rng,
-            );
-            let k = rng.gen_range(9..=60);
+            // Every other tree has zero weights and heavy ties on both
+            // vertices and edges, so the (weight, id) order decides
+            // which tied edges the minimal prefix takes.
+            let (nodes, edges, k) = if round % 2 == 0 {
+                (
+                    WeightDist::Uniform { lo: 1, hi: 9 },
+                    WeightDist::Uniform { lo: 1, hi: 50 },
+                    rng.gen_range(9..=60),
+                )
+            } else {
+                (
+                    WeightDist::Uniform { lo: 0, hi: 3 },
+                    WeightDist::Uniform { lo: 0, hi: 2 },
+                    rng.gen_range(3..=12),
+                )
+            };
+            let t = random_tree(n, nodes, edges, &mut rng);
             let fast = min_bottleneck_cut(&t, Weight::new(k)).unwrap();
             let paper = min_bottleneck_cut_paper(&t, Weight::new(k)).unwrap();
             assert_eq!(fast, paper, "n={n} k={k}");

@@ -10,7 +10,8 @@
 //! directly; [`partition_chain`] wraps it with the same report type.
 
 use tgp_graph::{
-    contract, ChainView, Components, CutSet, NodeId, PathGraph, Segment, Tree, TreeEdge, Weight,
+    contract, ChainView, Components, CutSet, NodeId, PathGraph, Segment, Tree, TreeEdge, TreeView,
+    Weight,
 };
 
 use crate::bandwidth::{analyze_bandwidth_budgeted, MergeSearch};
@@ -44,6 +45,11 @@ pub struct TreePartition {
 /// component weighs at most `bound`, and the processor count is minimal
 /// within the bottleneck-optimal cut family.
 ///
+/// Generic over [`TreeView`]: pointer, flat in-RAM and disk-backed trees
+/// run one body and return the same partition. Only the contracted tree
+/// (one super-node per bottleneck component) is built as a pointer
+/// [`Tree`].
+///
 /// # Errors
 ///
 /// [`PartitionError::BoundTooSmall`] if a single vertex outweighs `bound`.
@@ -62,7 +68,10 @@ pub struct TreePartition {
 /// # Ok(())
 /// # }
 /// ```
-pub fn partition_tree(tree: &Tree, bound: Weight) -> Result<TreePartition, PartitionError> {
+pub fn partition_tree<T: TreeView>(
+    tree: &T,
+    bound: Weight,
+) -> Result<TreePartition, PartitionError> {
     let bn = min_bottleneck_cut(tree, bound)?;
     // Lump components into super-nodes; the contracted tree's edges are
     // exactly the bottleneck cut edges.

@@ -7,7 +7,7 @@
 //! tree whose edges are exactly the cut edges. Processor minimization then
 //! runs on that contracted tree.
 
-use crate::{Components, CutSet, EdgeId, GraphError, NodeId, Tree, TreeEdge};
+use crate::{Components, CutSet, EdgeId, GraphError, NodeId, Tree, TreeEdge, TreeView};
 
 /// The result of contracting the components of `T − S` into super-nodes.
 ///
@@ -29,10 +29,10 @@ use crate::{Components, CutSet, EdgeId, GraphError, NodeId, Tree, TreeEdge};
 #[derive(Debug, Clone)]
 pub struct Contraction {
     tree: Tree,
-    /// `node_map[v]` = super-node containing original node `v`.
-    node_map: Vec<NodeId>,
     /// `edge_map[e']` = original edge id of contracted edge `e'`.
     edge_map: Vec<EdgeId>,
+    /// Super-node `c` is component `c` of the original tree under the
+    /// cut.
     components: Components,
 }
 
@@ -48,7 +48,7 @@ impl Contraction {
     ///
     /// Panics if `v` is out of range for the original tree.
     pub fn super_node_of(&self, v: NodeId) -> NodeId {
-        self.node_map[v.index()]
+        NodeId::new(self.components.component_of(v))
     }
 
     /// The original edge that became contracted edge `e`.
@@ -77,37 +77,33 @@ impl Contraction {
 
 /// Contracts each component of `tree − cut` into a super-node.
 ///
-/// The resulting tree has one node per component (weight = component weight)
-/// and one edge per cut edge (same weight). Mapping tables relating original
-/// and contracted ids are kept in the returned [`Contraction`].
+/// The resulting tree has one node per component (weight = component
+/// weight; ids as [`TreeView::components`] numbers them, dense in node
+/// order) and one edge per cut edge (same weight, in cut order, so
+/// contracted edge `i` is the cut's `i`-th smallest edge id). Mapping
+/// tables relating original and contracted ids are kept in the returned
+/// [`Contraction`]. Any tree representation contracts the same way, so
+/// pointer, flat and disk-backed trees yield equal contractions.
 ///
 /// # Errors
 ///
 /// [`GraphError::EdgeOutOfRange`] if the cut refers to edges the tree does
 /// not have.
-pub fn contract(tree: &Tree, cut: &CutSet) -> Result<Contraction, GraphError> {
+pub fn contract<T: TreeView>(tree: &T, cut: &CutSet) -> Result<Contraction, GraphError> {
     let components = tree.components(cut)?;
-    let node_map: Vec<NodeId> = (0..tree.len())
-        .map(|v| NodeId::new(components.component_of(NodeId::new(v))))
+    let super_node = |v: NodeId| NodeId::new(components.component_of(v));
+    let edges = cut
+        .iter()
+        .map(|e| {
+            let TreeEdge { a, b, weight } = tree.edge(e);
+            TreeEdge::new(super_node(a), super_node(b), weight)
+        })
         .collect();
-    let super_weights = components.weights().to_vec();
-    let mut edges = Vec::with_capacity(cut.len());
-    let mut edge_map = Vec::with_capacity(cut.len());
-    for e in cut.iter() {
-        let TreeEdge { a, b, weight } = tree.edge(e);
-        edges.push(TreeEdge::new(
-            node_map[a.index()],
-            node_map[b.index()],
-            weight,
-        ));
-        edge_map.push(e);
-    }
-    let contracted = Tree::from_edges(super_weights, edges)
+    let contracted = Tree::from_edges(components.weights().to_vec(), edges)
         .expect("components of a tree minus a cut always contract to a tree");
     Ok(Contraction {
         tree: contracted,
-        node_map,
-        edge_map,
+        edge_map: cut.as_slice().to_vec(),
         components,
     })
 }

@@ -1,6 +1,6 @@
 //! Edge cuts and the components they induce.
 
-use crate::{EdgeId, GraphError, NodeId, PathGraph, Tree, UnionFind, Weight};
+use crate::{EdgeId, GraphError, NodeId, PathGraph, Tree, TreeView, Weight};
 
 /// A set of edges removed from a graph (the `S ⊆ E` of the paper).
 ///
@@ -120,12 +120,18 @@ pub struct Components {
 }
 
 impl Components {
-    pub(crate) fn from_comp_of(comp_of: Vec<usize>, node_weights: &[Weight]) -> Self {
-        let count = comp_of.iter().copied().max().map_or(0, |m| m + 1);
+    /// Tallies `count` components from each node's component id
+    /// (`comp_of`, every id below `count`) and its weight, in node
+    /// order.
+    pub(crate) fn from_comp_of(
+        comp_of: Vec<usize>,
+        count: usize,
+        node_weights: impl Iterator<Item = Weight>,
+    ) -> Self {
         let mut weights = vec![Weight::ZERO; count];
         let mut sizes = vec![0usize; count];
-        for (v, &c) in comp_of.iter().enumerate() {
-            weights[c] += node_weights[v];
+        for (&c, w) in comp_of.iter().zip(node_weights) {
+            weights[c] += w;
             sizes[c] += 1;
         }
         Components {
@@ -244,33 +250,15 @@ impl Tree {
             .unwrap_or(Weight::ZERO))
     }
 
-    /// The connected components of `T − S`.
+    /// The connected components of `T − S`, ids dense in node order
+    /// (see [`TreeView::components`], which this calls).
     ///
     /// # Errors
     ///
     /// [`GraphError::EdgeOutOfRange`] if the cut refers to an edge this tree
     /// does not have.
     pub fn components(&self, cut: &CutSet) -> Result<Components, GraphError> {
-        cut.check_range(self.edge_count())?;
-        let mut uf = UnionFind::new(self.len());
-        for (i, e) in self.edges().iter().enumerate() {
-            if !cut.contains(EdgeId::new(i)) {
-                uf.union(e.a.index(), e.b.index());
-            }
-        }
-        // Densify component ids in node order.
-        let mut dense = vec![usize::MAX; self.len()];
-        let mut next = 0usize;
-        let mut comp_of = Vec::with_capacity(self.len());
-        for v in 0..self.len() {
-            let root = uf.find(v);
-            if dense[root] == usize::MAX {
-                dense[root] = next;
-                next += 1;
-            }
-            comp_of.push(dense[root]);
-        }
-        Ok(Components::from_comp_of(comp_of, self.node_weights()))
+        TreeView::components(self, cut)
     }
 }
 
@@ -348,7 +336,11 @@ impl PathGraph {
                 *slot = c;
             }
         }
-        Ok(Components::from_comp_of(comp_of, self.node_weights()))
+        Ok(Components::from_comp_of(
+            comp_of,
+            segments.len(),
+            self.node_weights().iter().copied(),
+        ))
     }
 
     /// Returns `true` if every segment of `P − S` weighs at most `bound`.

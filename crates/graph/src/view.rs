@@ -13,7 +13,10 @@
 //! [`PathGraph`]: crate::PathGraph
 //! [`Tree`]: crate::Tree
 
-use crate::{CutSet, EdgeId, GraphError, NodeId, PathGraph, Segment, Tree, TreeEdge, Weight};
+use crate::{
+    Components, CutSet, EdgeId, GraphError, NodeId, PathGraph, Segment, Tree, TreeEdge,
+    UnionFind32, Weight,
+};
 
 /// Read access to a linear task graph `v_0 — v_1 — … — v_{n-1}`.
 ///
@@ -234,6 +237,53 @@ pub trait TreeView {
             .map(|e| self.edge_weight(e))
             .max()
             .unwrap_or(Weight::ZERO))
+    }
+
+    /// The connected components of `T − S`, the one labelling every
+    /// tree representation shares (`Tree::components` and
+    /// [`contract`](crate::contract) call it). Ids are dense in node
+    /// order: node 0 is in component 0, and each node that is the
+    /// lowest of its component takes the next id.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::EdgeOutOfRange`] if the cut refers to an edge this
+    /// tree does not have.
+    ///
+    /// # Panics
+    ///
+    /// If the tree has more than `u32::MAX` nodes (the union-find is
+    /// `u32`).
+    fn components(&self, cut: &CutSet) -> Result<Components, GraphError> {
+        cut.check_range(self.edge_count())?;
+        let n = self.len();
+        let mut uf = UnionFind32::new(n);
+        // The cut is sorted, so one walk alongside the edges skips it.
+        let mut cut_edges = cut.iter().peekable();
+        for i in 0..self.edge_count() {
+            let e = EdgeId::new(i);
+            if cut_edges.next_if_eq(&e).is_none() {
+                let TreeEdge { a, b, .. } = self.edge(e);
+                uf.union(a.index() as u32, b.index() as u32);
+            }
+        }
+        let mut dense = vec![u32::MAX; n];
+        let mut count = 0u32;
+        let comp_of = (0..n as u32)
+            .map(|v| {
+                let root = uf.find(v) as usize;
+                if dense[root] == u32::MAX {
+                    dense[root] = count;
+                    count += 1;
+                }
+                dense[root] as usize
+            })
+            .collect();
+        Ok(Components::from_comp_of(
+            comp_of,
+            count as usize,
+            (0..n).map(|v| self.node_weight(NodeId::new(v))),
+        ))
     }
 }
 

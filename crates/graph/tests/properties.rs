@@ -31,7 +31,10 @@ fn arb_tree() -> impl Strategy<Value = Tree> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
 
-    /// Components partition the vertex set and preserve total weight.
+    /// Components partition the vertex set and preserve total weight;
+    /// a kept edge joins its endpoints and a cut edge separates them;
+    /// ids are dense in node order (each node joins a component a lower
+    /// node opened, or opens the next id).
     #[test]
     fn components_partition_the_tree(tree in arb_tree(), seed in any::<u64>()) {
         let m = tree.edge_count();
@@ -45,6 +48,16 @@ proptest! {
         prop_assert_eq!(total, tree.total_weight());
         let sizes: usize = (0..comps.count()).map(|c| comps.size(c)).sum();
         prop_assert_eq!(sizes, tree.len());
+        for (i, e) in tree.edges().iter().enumerate() {
+            let joined = comps.component_of(e.a) == comps.component_of(e.b);
+            prop_assert_eq!(joined, !cut.contains(EdgeId::new(i)));
+        }
+        let mut next = 0;
+        for v in 0..tree.len() {
+            let c = comps.component_of(NodeId::new(v));
+            prop_assert!(c <= next, "node {} opens id {} before {}", v, c, next);
+            next += usize::from(c == next);
+        }
     }
 
     /// Contraction preserves total weight, produces one super-node per
@@ -63,6 +76,16 @@ proptest! {
         prop_assert_eq!(c.tree().edge_count(), cut.len());
         let all: CutSet = (0..c.tree().edge_count()).map(EdgeId::new).collect();
         prop_assert_eq!(c.lift_cut(&all), cut.clone());
+        // Contracted edge i is the cut's i-th edge, between the
+        // super-nodes of its endpoints.
+        for (i, e) in cut.iter().enumerate() {
+            prop_assert_eq!(c.original_edge(EdgeId::new(i)), e);
+            let (orig, sup) = (tree.edge(e), c.tree().edge(EdgeId::new(i)));
+            prop_assert_eq!(
+                (sup.a, sup.b, sup.weight),
+                (c.super_node_of(orig.a), c.super_node_of(orig.b), orig.weight)
+            );
+        }
         // Every node maps into a valid super-node of matching component.
         let comps = c.components();
         for v in 0..tree.len() {

@@ -2864,9 +2864,10 @@ mod tests {
         );
     }
 
-    /// `procmin` and `nicol` bodies take the flat path, which renders
-    /// their solver errors itself; an infeasible bound must answer the
-    /// registry path's 422 byte for byte, on RAM and disk arrays. The
+    /// `procmin`, `compose` and `nicol` bodies take the flat path, which
+    /// renders their solver errors itself; an infeasible bound must
+    /// answer the registry path's 422 byte for byte, on RAM and disk
+    /// arrays. The
     /// escaped key (`\u0062ound` is `bound`) is the same request to the
     /// JSON-tree parser, but one the streaming ingest declines, so it is
     /// answered by the registry path.
@@ -2874,7 +2875,7 @@ mod tests {
     fn flat_infeasible_procmin_and_nicol_match_the_registry_bytes() {
         let ram = AppState::new(CacheConfig::default());
         let disk = AppState::new(CacheConfig::default()).with_graph_spill(1, None);
-        for (objective, graph) in [("procmin", TREE), ("nicol", CHAIN)] {
+        for (objective, graph) in [("procmin", TREE), ("compose", TREE), ("nicol", CHAIN)] {
             let body = format!(r#"{{"objective": "{objective}", "bound": 1, "graph": {graph}}}"#);
             let escaped = body.replace(r#""bound""#, r#""\u0062ound""#);
             let registry = handle(&ram, &post("/v1/partition", &escaped));
@@ -2886,23 +2887,23 @@ mod tests {
                 assert_eq!(flat.body, registry.body, "{objective}");
             }
         }
-        // Both flat requests really were ingested flat, on each backing;
-        // the escaped ones never were.
+        // All three flat requests really were ingested flat, on each
+        // backing; the escaped ones never were.
         let ram_metrics = handle(&ram, &get("/metrics")).body;
         assert!(
-            ram_metrics.contains("tgp_store_backing{kind=\"ram\"} 2"),
+            ram_metrics.contains("tgp_store_backing{kind=\"ram\"} 3"),
             "{ram_metrics}"
         );
         let disk_metrics = handle(&disk, &get("/metrics")).body;
         assert!(
-            disk_metrics.contains("tgp_store_backing{kind=\"disk\"} 2"),
+            disk_metrics.contains("tgp_store_backing{kind=\"disk\"} 3"),
             "{disk_metrics}"
         );
     }
 
-    /// Past the spill threshold, session re-solves of `procmin` (tree)
-    /// and `nicol` (chain) run over disk-backed flat arrays too, with
-    /// the registry path's bytes.
+    /// Past the spill threshold, session re-solves of `procmin` and
+    /// `compose` (tree) and `nicol` (chain) run over disk-backed flat
+    /// arrays too, with the registry path's bytes.
     #[test]
     fn session_flat_solve_covers_procmin_and_nicol() {
         let flat = AppState::new(CacheConfig::default()).with_graph_spill(1, None);
@@ -2918,6 +2919,7 @@ mod tests {
         }
         for (id, solve) in [
             ("g1", r#"{"objective": "procmin", "bound": 5}"#),
+            ("g1", r#"{"objective": "compose", "bound": 5}"#),
             ("g2", r#"{"objective": "nicol", "bound": 8}"#),
         ] {
             let path = format!("/v1/graphs/{id}/partition");
@@ -2928,7 +2930,7 @@ mod tests {
         }
         let metrics = handle(&flat, &get("/metrics")).body;
         assert!(
-            metrics.contains("tgp_store_backing{kind=\"disk\"} 2"),
+            metrics.contains("tgp_store_backing{kind=\"disk\"} 3"),
             "{metrics}"
         );
     }

@@ -11,8 +11,8 @@
 //! [`Request`] as [`crate::Registry::dispatch`], with the graph in
 //! [`crate::GraphInput`]'s flat variants, for the objectives whose
 //! solver [accepts streamed graphs](crate::Solver::accepts_streamed_graph)
-//! (`bandwidth`, `lexicographic` and `nicol` on chains; `bottleneck` and
-//! `procmin` on trees). It is deliberately *conservative*: it
+//! (`bandwidth`, `lexicographic` and `nicol` on chains; `bottleneck`,
+//! `procmin` and `compose` on trees). It is deliberately *conservative*: it
 //! understands exactly the shape those objectives accept —
 //!
 //! ```json
@@ -750,7 +750,7 @@ mod tests {
         }
         for body in [
             // other objective
-            r#"{"objective": "compose", "bound": 1, "graph": {"node_weights": [1],
+            r#"{"objective": "tree-bandwidth", "bound": 1, "graph": {"node_weights": [1],
                 "edges": []}}"#,
             // unknown top-level field
             r#"{"objective": "bandwidth", "bound": 1, "bogus": 2,

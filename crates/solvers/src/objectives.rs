@@ -7,9 +7,9 @@
 //! ones the CLI has always produced; the registry made them the single
 //! source of truth.
 //!
-//! The five objectives that accept streamed graphs (`bandwidth`,
-//! `bottleneck`, `procmin`, `lexicographic`, `nicol`) each have one solve
-//! body, generic over the graph views and expanded per
+//! The six objectives that accept streamed graphs (`bandwidth`,
+//! `bottleneck`, `procmin`, `compose`, `lexicographic`, `nicol`) each
+//! have one solve body, generic over the graph views and expanded per
 //! [`crate::GraphInput`] variant by `on_chain!`/`on_tree!`.
 
 use tgp_baselines::bokhari::bokhari_partition;
@@ -230,9 +230,13 @@ impl Solver for Compose {
     fn summary(&self) -> &'static str {
         "bottleneck-optimal tree partition with minimal processors (2.1 + 2.2)"
     }
+    fn accepts_streamed_graph(&self) -> bool {
+        true
+    }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
         let bound = bound_of(request);
-        let part = partition_tree(request.graph.tree(), bound).map_err(SolveError::infeasible)?;
+        let part = on_tree!(&request.graph, |t| partition_tree(t, bound))
+            .map_err(SolveError::infeasible)?;
         Ok(Response::new(json!({
             "objective": self.name(),
             "bound": bound.get(),

@@ -8,7 +8,7 @@
 //! `B*` and ones that miss it. Instances are random chains and trees
 //! with zero weights, heavy ties, wide (7- to 18-digit) weights,
 //! infeasible bounds and 19- and 20-digit bounds up to `u64::MAX`, for
-//! each of the five streamed objectives, with the objective named first
+//! each of the six streamed objectives, with the objective named first
 //! and last, on RAM and disk backing. Bodies are compact, spaced, or
 //! padded with tabs, CRs and LFs between elements and inside edge
 //! objects, and some arrays run past the scanner's blocks of elements.
@@ -22,12 +22,13 @@ use tgp_solvers::{
 };
 use tgp_store::BackingKind;
 
-const STREAMED: [&str; 5] = [
+const STREAMED: [&str; 6] = [
     "bandwidth",
     "lexicographic",
     "nicol",
     "bottleneck",
     "procmin",
+    "compose",
 ];
 const ROUNDS: u64 = 60;
 

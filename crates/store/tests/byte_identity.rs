@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use tgp_core::bandwidth::{min_bandwidth_cut, min_bandwidth_cut_lexicographic, prime_subpaths};
 use tgp_core::bottleneck::min_bottleneck_cut;
 use tgp_core::budget::Budget;
-use tgp_core::pipeline::partition_chain;
+use tgp_core::pipeline::{partition_chain, partition_tree};
 use tgp_core::procmin::proc_min;
 use tgp_graph::{ChainView, PathGraph, Tree, TreeView, Weight};
 use tgp_store::{
@@ -94,7 +94,7 @@ fn chain_transcript<C: ChainView>(path: &C, bounds: &[u64]) -> String {
 }
 
 /// Same idea for trees: the bottleneck and processor-minimization
-/// solves.
+/// solves, and the §3 pipeline that composes them over a contraction.
 fn tree_transcript<T: TreeView>(tree: &T, bounds: &[u64]) -> String {
     let mut out = String::new();
     for &k in bounds {
@@ -119,6 +119,16 @@ fn tree_transcript<T: TreeView>(tree: &T, bounds: &[u64]) -> String {
                 ));
             }
             Err(e) => out.push_str(&format!("pm k={k}: ERR {e:?}\n")),
+        }
+        match partition_tree(tree, bound) {
+            Ok(p) => {
+                let edges: Vec<usize> = p.cut.iter().map(|e| e.index()).collect();
+                out.push_str(&format!(
+                    "compose k={k}: cut={edges:?} procs={} bn={:?} bw={:?} comps={:?}\n",
+                    p.processors, p.bottleneck, p.bandwidth, p.components,
+                ));
+            }
+            Err(e) => out.push_str(&format!("compose k={k}: ERR {e:?}\n")),
         }
     }
     out
