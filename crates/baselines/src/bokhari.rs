@@ -13,7 +13,7 @@
 
 #![allow(clippy::needless_range_loop)] // index-based DP reads clearer here
 
-use tgp_graph::{PathGraph, Weight};
+use tgp_graph::{ChainView, Weight};
 
 use crate::coc::{segment_cost, ChainAssignment, CocError};
 
@@ -46,7 +46,7 @@ pub struct CocResult {
 /// # Ok(())
 /// # }
 /// ```
-pub fn bokhari_partition(path: &PathGraph, m: usize) -> Result<CocResult, CocError> {
+pub fn bokhari_partition<C: ChainView>(path: &C, m: usize) -> Result<CocResult, CocError> {
     let n = path.len();
     if m < 1 || m > n {
         return Err(CocError::BadProcessorCount { n, m });
@@ -123,7 +123,7 @@ pub fn bokhari_partition(path: &PathGraph, m: usize) -> Result<CocResult, CocErr
 /// # Ok(())
 /// # }
 /// ```
-pub fn bokhari_partition_at_most(path: &PathGraph, m: usize) -> Result<CocResult, CocError> {
+pub fn bokhari_partition_at_most<C: ChainView>(path: &C, m: usize) -> Result<CocResult, CocError> {
     let n = path.len();
     if m == 0 {
         return Err(CocError::BadProcessorCount { n, m });
@@ -142,6 +142,7 @@ pub fn bokhari_partition_at_most(path: &PathGraph, m: usize) -> Result<CocResult
 mod tests {
     use super::*;
     use crate::coc::brute_force_bottleneck;
+    use tgp_graph::PathGraph;
 
     #[test]
     fn rejects_bad_processor_counts() {

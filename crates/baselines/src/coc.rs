@@ -7,7 +7,7 @@
 //! edges; the objective is to minimize the maximum processor cost (the
 //! *bottleneck*).
 
-use tgp_graph::{PathGraph, Weight};
+use tgp_graph::{ChainView, EdgeId, PathGraph, Weight};
 
 /// Errors for chains-on-chains partitioning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,21 +89,13 @@ impl ChainAssignment {
     }
 
     /// Cost of block `j` on `path`: computation plus both boundary edges.
-    pub fn block_cost(&self, path: &PathGraph, j: usize) -> Weight {
-        let n = path.len();
-        let (s, t) = self.block(j, n);
-        let mut cost = path.span_weight(s, t);
-        if s > 0 {
-            cost += path.edge_weights()[s - 1];
-        }
-        if t < n - 1 {
-            cost += path.edge_weights()[t];
-        }
-        cost
+    pub fn block_cost<C: ChainView>(&self, path: &C, j: usize) -> Weight {
+        let (s, t) = self.block(j, path.len());
+        segment_cost(path, s, t)
     }
 
     /// The bottleneck: the maximum block cost.
-    pub fn bottleneck(&self, path: &PathGraph) -> Weight {
+    pub fn bottleneck<C: ChainView>(&self, path: &C) -> Weight {
         (0..self.processors())
             .map(|j| self.block_cost(path, j))
             .max()
@@ -113,14 +105,14 @@ impl ChainAssignment {
 
 /// The cost a segment `[s, t]` incurs on its processor: computation plus
 /// communication over the boundary edges that exist.
-pub fn segment_cost(path: &PathGraph, s: usize, t: usize) -> Weight {
+pub fn segment_cost<C: ChainView>(path: &C, s: usize, t: usize) -> Weight {
     let n = path.len();
     let mut cost = path.span_weight(s, t);
     if s > 0 {
-        cost += path.edge_weights()[s - 1];
+        cost += path.edge_weight(EdgeId::new(s - 1));
     }
     if t < n - 1 {
-        cost += path.edge_weights()[t];
+        cost += path.edge_weight(EdgeId::new(t));
     }
     cost
 }

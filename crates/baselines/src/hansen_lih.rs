@@ -17,23 +17,23 @@
 
 #![allow(clippy::needless_range_loop)] // index-based DP reads clearer here
 
-use tgp_graph::{PathGraph, Weight};
+use tgp_graph::{ChainView, EdgeId, Weight};
 
 use crate::bokhari::CocResult;
 use crate::coc::{segment_cost, ChainAssignment, CocError};
 
 /// `A(s) = β_s − P[s+1]` as an `i128` (can be negative).
-fn a_value(path: &PathGraph, s: usize) -> i128 {
-    let beta = i128::from(path.edge_weights()[s].get());
+fn a_value<C: ChainView>(path: &C, s: usize) -> i128 {
+    let beta = i128::from(path.edge_weight(EdgeId::new(s)).get());
     let prefix = i128::from(path.span_weight(0, s).get());
     beta - prefix
 }
 
 /// Right-hand side `B − β̂_t − P[t+1]`.
-fn rhs(path: &PathGraph, bound: u64, t: usize) -> i128 {
+fn rhs<C: ChainView>(path: &C, bound: u64, t: usize) -> i128 {
     let n = path.len();
     let beta_hat = if t < n - 1 {
-        i128::from(path.edge_weights()[t].get())
+        i128::from(path.edge_weight(EdgeId::new(t)).get())
     } else {
         0
     };
@@ -43,14 +43,14 @@ fn rhs(path: &PathGraph, bound: u64, t: usize) -> i128 {
 /// Feasibility probe: can modules be split into exactly `m` non-empty
 /// blocks, each of cost at most `bound`? Returns the per-layer
 /// feasible-end sets for reconstruction when feasible.
-fn probe(path: &PathGraph, m: usize, bound: u64) -> Option<Vec<Vec<bool>>> {
+fn probe<C: ChainView>(path: &C, m: usize, bound: u64) -> Option<Vec<Vec<bool>>> {
     let n = path.len();
     let mut layers: Vec<Vec<bool>> = Vec::with_capacity(m);
     // Layer 0: block 0..=t fits?
     let mut layer0 = vec![false; n];
     for (t, slot) in layer0.iter_mut().enumerate() {
         let beta_hat = if t < n - 1 {
-            path.edge_weights()[t].get()
+            path.edge_weight(EdgeId::new(t)).get()
         } else {
             0
         };
@@ -78,7 +78,7 @@ fn probe(path: &PathGraph, m: usize, bound: u64) -> Option<Vec<Vec<bool>>> {
     }
 }
 
-fn reconstruct(path: &PathGraph, layers: &[Vec<bool>], bound: u64) -> ChainAssignment {
+fn reconstruct<C: ChainView>(path: &C, layers: &[Vec<bool>], bound: u64) -> ChainAssignment {
     let n = path.len();
     let m = layers.len();
     let mut boundaries = Vec::with_capacity(m - 1);
@@ -119,15 +119,13 @@ fn reconstruct(path: &PathGraph, layers: &[Vec<bool>], bound: u64) -> ChainAssig
 /// # Ok(())
 /// # }
 /// ```
-pub fn hansen_lih_partition(path: &PathGraph, m: usize) -> Result<CocResult, CocError> {
+pub fn hansen_lih_partition<C: ChainView>(path: &C, m: usize) -> Result<CocResult, CocError> {
     let n = path.len();
     if m < 1 || m > n {
         return Err(CocError::BadProcessorCount { n, m });
     }
-    let max_edge = path
-        .edge_weights()
-        .iter()
-        .map(|w| w.get())
+    let max_edge = (0..path.edge_count())
+        .map(|e| path.edge_weight(EdgeId::new(e)).get())
         .max()
         .unwrap_or(0);
     let mut lo = 0u64;
@@ -154,6 +152,7 @@ pub fn hansen_lih_partition(path: &PathGraph, m: usize) -> Result<CocResult, Coc
 mod tests {
     use super::*;
     use crate::bokhari::bokhari_partition;
+    use tgp_graph::PathGraph;
 
     #[test]
     fn rejects_bad_processor_counts() {

@@ -12,7 +12,7 @@
 
 #![allow(clippy::needless_range_loop)] // index-based DP reads clearer here
 
-use tgp_graph::{PathGraph, Weight};
+use tgp_graph::{ChainView, EdgeId, Weight};
 
 use crate::bokhari::CocResult;
 use crate::coc::{ChainAssignment, CocError};
@@ -61,14 +61,14 @@ impl HeteroArray {
     /// The time processor `j` spends on block `[s, t]` of `path`:
     /// `ceil(computation / speed_j)` plus the boundary edges (transferred
     /// at unit bandwidth).
-    pub fn block_time(&self, path: &PathGraph, j: usize, s: usize, t: usize) -> u64 {
+    pub fn block_time<C: ChainView>(&self, path: &C, j: usize, s: usize, t: usize) -> u64 {
         let n = path.len();
         let mut cost = path.span_weight(s, t).get().div_ceil(self.speeds[j]);
         if s > 0 {
-            cost += path.edge_weights()[s - 1].get();
+            cost += path.edge_weight(EdgeId::new(s - 1)).get();
         }
         if t < n - 1 {
-            cost += path.edge_weights()[t].get();
+            cost += path.edge_weight(EdgeId::new(t)).get();
         }
         cost
     }
@@ -78,7 +78,7 @@ impl HeteroArray {
     /// # Panics
     ///
     /// Panics if the assignment has more blocks than processors.
-    pub fn bottleneck(&self, path: &PathGraph, assignment: &ChainAssignment) -> u64 {
+    pub fn bottleneck<C: ChainView>(&self, path: &C, assignment: &ChainAssignment) -> u64 {
         assert!(assignment.processors() <= self.len());
         (0..assignment.processors())
             .map(|j| {
@@ -113,7 +113,10 @@ impl HeteroArray {
 /// # Ok(())
 /// # }
 /// ```
-pub fn hetero_partition(path: &PathGraph, array: &HeteroArray) -> Result<CocResult, CocError> {
+pub fn hetero_partition<C: ChainView>(
+    path: &C,
+    array: &HeteroArray,
+) -> Result<CocResult, CocError> {
     let n = path.len();
     let m = array.len();
     if m < 1 || m > n {
@@ -166,6 +169,7 @@ pub fn hetero_partition(path: &PathGraph, array: &HeteroArray) -> Result<CocResu
 mod tests {
     use super::*;
     use crate::bokhari::bokhari_partition;
+    use tgp_graph::PathGraph;
 
     fn brute(path: &PathGraph, array: &HeteroArray) -> u64 {
         fn rec(

@@ -19,7 +19,7 @@
 
 #![allow(clippy::needless_range_loop)] // index-based DP reads clearer here
 
-use tgp_graph::{CutSet, EdgeId, NodeId, Tree, Weight};
+use tgp_graph::{CutSet, EdgeId, NodeId, Rooted, TreeView, Weight};
 
 use crate::coc::CocError;
 
@@ -37,10 +37,14 @@ pub struct HostSatelliteResult {
 
 /// Per-node tree-knapsack state: `off[j]` = max weight off-loadable from
 /// this node's subtree using `j` satellites, *without* cutting the node's
-/// own uplink.
-fn solve_feasible(tree: &Tree, root: NodeId, m: usize, bound: u64) -> Option<(u64, Vec<EdgeId>)> {
-    let order = tree.post_order(root);
-    let parent = tree.parents(root);
+/// own uplink. Children are merged in incident-edge order.
+fn solve_feasible<T: TreeView>(
+    tree: &T,
+    rooted: &Rooted,
+    root: NodeId,
+    m: usize,
+    bound: u64,
+) -> Option<(u64, Vec<EdgeId>)> {
     let n = tree.len();
     // subtree_weight computed bottom-up.
     let mut subtree = vec![0u64; n];
@@ -49,26 +53,14 @@ fn solve_feasible(tree: &Tree, root: NodeId, m: usize, bound: u64) -> Option<(u6
     let mut off: Vec<Vec<u64>> = vec![Vec::new(); n];
     #[allow(clippy::type_complexity)]
     let mut choice: Vec<Vec<Vec<(usize, bool)>>> = vec![Vec::new(); n];
-    for &v in &order {
+    for v in rooted.pre_order().rev() {
         let vi = v.index();
         subtree[vi] = tree.node_weight(v).get();
-        let children: Vec<NodeId> = tree
-            .neighbors(v)
-            .iter()
-            .filter(|&&(u, _)| parent[vi].is_none_or(|(p, _)| u != p))
-            .map(|&(u, _)| u)
-            .collect();
         let mut acc = vec![0u64; m + 1];
         let mut acc_choice: Vec<Vec<(usize, bool)>> = vec![Vec::new(); m + 1];
-        for &c in &children {
+        for (c, uplink) in rooted.children(tree, v) {
             let ci = c.index();
             subtree[vi] += subtree[ci];
-            let uplink = tree
-                .neighbors(v)
-                .iter()
-                .find(|&&(u, _)| u == c)
-                .map(|&(_, e)| e)
-                .expect("child is a neighbour");
             let cut_ok = subtree[ci] + tree.edge_weight(uplink).get() <= bound;
             // Max-plus knapsack merge of this child's options into acc.
             // Every slot 0..=m is reachable via (j = slot, jc = 0), so no
@@ -128,20 +120,13 @@ fn solve_feasible(tree: &Tree, root: NodeId, m: usize, bound: u64) -> Option<(u6
     let mut cut = Vec::new();
     let mut stack = vec![(root, m)];
     while let Some((v, j)) = stack.pop() {
-        let vi = v.index();
-        let children: Vec<(NodeId, EdgeId)> = tree
-            .neighbors(v)
-            .iter()
-            .filter(|&&(u, _)| parent[vi].is_none_or(|(p, _)| u != p))
-            .copied()
-            .collect();
-        let decisions = &choice[vi][j];
-        debug_assert_eq!(decisions.len(), children.len());
-        for ((c, e), &(jc, cut_here)) in children.iter().zip(decisions) {
+        let decisions = &choice[v.index()][j];
+        debug_assert_eq!(decisions.len(), rooted.child_edges(v).count());
+        for ((c, e), &(jc, cut_here)) in rooted.children(tree, v).zip(decisions) {
             if cut_here {
-                cut.push(*e);
+                cut.push(e);
             } else if jc > 0 {
-                stack.push((*c, jc));
+                stack.push((c, jc));
             }
         }
     }
@@ -149,7 +134,9 @@ fn solve_feasible(tree: &Tree, root: NodeId, m: usize, bound: u64) -> Option<(u6
 }
 
 /// Minimizes the bottleneck of a host-satellite execution of `tree`
-/// rooted at `root`, using at most `m` satellites.
+/// rooted at `root`, using at most `m` satellites. Generic over
+/// [`TreeView`]; the tree is rooted once ([`Rooted`]) for every probe of
+/// the binary search.
 ///
 /// # Errors
 ///
@@ -175,8 +162,8 @@ fn solve_feasible(tree: &Tree, root: NodeId, m: usize, bound: u64) -> Option<(u6
 /// # Ok(())
 /// # }
 /// ```
-pub fn host_satellite_partition(
-    tree: &Tree,
+pub fn host_satellite_partition<T: TreeView>(
+    tree: &T,
     root: NodeId,
     m: usize,
 ) -> Result<HostSatelliteResult, CocError> {
@@ -185,20 +172,21 @@ pub fn host_satellite_partition(
     if m == 0 || m > n.saturating_sub(1).max(1) {
         return Err(CocError::BadProcessorCount { n, m });
     }
+    let rooted = Rooted::new(tree, root);
     // Binary search the bottleneck over [ceil(total/(m+1)), total].
     let total = tree.total_weight().get();
     let mut lo = 0u64;
     let mut hi = total;
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if solve_feasible(tree, root, m, mid).is_some() {
+        if solve_feasible(tree, &rooted, root, m, mid).is_some() {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
     let (host_cost, cut_edges) =
-        solve_feasible(tree, root, m, lo).expect("lo is feasible by construction");
+        solve_feasible(tree, &rooted, root, m, lo).expect("lo is feasible by construction");
     let cut = CutSet::new(cut_edges);
     let satellites = cut.len();
     // The bottleneck actually achieved (host or the worst satellite).
@@ -226,6 +214,7 @@ pub fn host_satellite_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgp_graph::Tree;
 
     /// Brute force over all subsets of edges, keeping only host-satellite
     /// shaped cuts (every non-root component adjacent to the host

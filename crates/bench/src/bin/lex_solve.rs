@@ -1,7 +1,9 @@
-//! Solve-only timings behind EXPERIMENTS.md §LEX-1DP: the lexicographic
+//! Solve timings behind EXPERIMENTS.md §LEX-1DP: the lexicographic
 //! cold solve, its warm start with a ±64 window around `B*`, and the
 //! tree `bottleneck` cold solve (plus its warm start where the solver
-//! offers one), on 100 000-node graphs.
+//! offers one), on 100 000-node graphs; and beside them the registry
+//! dispatch that builds each request from its parsed JSON, the parse
+//! every in-RAM session re-solve pays.
 //!
 //! Usage:
 //!
@@ -9,8 +11,9 @@
 //! cargo run --release -p tgp-bench --bin lex_solve
 //! ```
 //!
-//! Every cell goes through the registry's `Solver::run` and
-//! `Solver::run_warm`, the calls the session path makes, so the same
+//! Every cell goes through the registry's `Registry::dispatch`,
+//! `Solver::run` and `Solver::run_warm`, the calls the session path
+//! makes, so the same
 //! file builds against older revisions of the solver crates and the
 //! numbers compare across them. Each warm answer is checked byte for
 //! byte against the cold one before it is timed. A cell prints the
@@ -54,10 +57,20 @@ fn cell(label: &str, bound: u64, graph: Value, objective: &str) {
     let value = json!({ "objective": objective, "bound": bound, "graph": graph });
     let (_, solver, request) = Registry::shared().dispatch(&value).expect("valid request");
     let cold = solver.run(&request).expect("feasible bound");
-    let cold_body = solver.to_json(&cold).to_string();
     let b = cold.value["bottleneck"].as_u64().expect("bottleneck field");
     println!(
-        "{label:<24} {bound:>6} {b:>8}  cold  {}",
+        "{label:<24} {bound:>6} {b:>8}  dispatch {}",
+        millis(|| {
+            black_box(
+                Registry::shared()
+                    .dispatch(black_box(&value))
+                    .expect("valid"),
+            );
+        })
+    );
+    let cold_body = solver.to_json(&cold).to_string();
+    println!(
+        "{label:<24} {bound:>6} {b:>8}  cold     {}",
         millis(|| {
             black_box(solver.run(black_box(&request)).expect("feasible"));
         })
@@ -72,13 +85,13 @@ fn cell(label: &str, bound: u64, graph: Value, objective: &str) {
                 "warm diverged"
             );
             println!(
-                "{label:<24} {bound:>6} {b:>8}  warm  {}",
+                "{label:<24} {bound:>6} {b:>8}  warm     {}",
                 millis(|| {
                     black_box(solver.run_warm(black_box(&request), lo, hi));
                 })
             );
         }
-        None => println!("{label:<24} {bound:>6} {b:>8}  warm  declined (solves cold)"),
+        None => println!("{label:<24} {bound:>6} {b:>8}  warm     declined (solves cold)"),
     }
 }
 
@@ -86,7 +99,7 @@ fn main() {
     println!("n = {N}, {RUNS} runs per cell, warm window = B* ± {SLACK}; times in ms");
     println!();
     println!(
-        "{:<24} {:>6} {:>8}  path  {:>6} {:>6} {:>6} {:>6}",
+        "{:<24} {:>6} {:>8}  path     {:>6} {:>6} {:>6} {:>6}",
         "graph", "K", "B*", "min", "q1", "median", "q3"
     );
     let nodes = WeightDist::Uniform { lo: 1, hi: 100 };

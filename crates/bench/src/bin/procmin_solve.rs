@@ -19,9 +19,9 @@
 //! ```
 //!
 //! For `compose`, one compact body per size is read both ways: JSON-tree
-//! parse plus registry dispatch (a pointer `Tree`) against
-//! `ingest_flat` into RAM and disk arrays; then `Solver::run` solves
-//! each request it got. A revision whose ingest does not stream
+//! parse plus registry dispatch (RAM arrays; a pointer `Tree` on older
+//! revisions) against `ingest_flat` into RAM and disk arrays; then
+//! `Solver::run` solves each request it got. A revision whose ingest does not stream
 //! `compose` prints "declined" in the flat cells. Where it streams,
 //! the three responses must be byte-identical.
 //!
@@ -185,13 +185,13 @@ fn compose_cells(tree: &Tree, bound: u64, runs: usize) {
         ingest_flat(bytes, backing, &Budget::unlimited()).expect("no deadline")
     };
     let value = Value::parse(&body).expect("valid JSON");
-    let (_, _, pointer) = registry.dispatch(&value).expect("valid request");
-    let want = pointer
+    let (_, _, dispatched) = registry.dispatch(&value).expect("valid request");
+    let want = dispatched
         .objective
-        .run(&pointer)
+        .run(&dispatched)
         .expect("feasible bound")
         .value;
-    let mut requests = vec![("pointer Tree", Some(pointer))];
+    let mut requests = vec![("dispatched", Some(dispatched))];
     for (label, backing) in [("RAM", &IngestBacking::Ram), ("disk", &disk)] {
         let request = flat(backing);
         let times = match request {

@@ -1,6 +1,6 @@
 //! The §STORE experiments: out-of-core tree partitioning through
-//! `tgp-store`'s disk backing, and the flat in-RAM ingest path against
-//! the legacy pointer-graph path.
+//! `tgp-store`'s disk backing, and the streaming ingest path against
+//! the JSON-tree path.
 //!
 //! Usage:
 //!
@@ -21,9 +21,9 @@
 //!
 //! `lex` measures the lexicographic hot path end to end — raw request
 //! bytes in, rendered response bytes out — through both stacks on the
-//! same body: the legacy path (JSON tree → registry dispatch → pointer
-//! graph → solve → render) and the flat path (streaming ingest into
-//! RAM-backed flat arrays → solve → render). The responses are
+//! same body: the legacy path (JSON tree → registry dispatch into
+//! RAM-backed flat arrays → solve → render) and the flat path
+//! (streaming ingest into RAM-backed flat arrays → solve → render). The responses are
 //! asserted byte-identical before any number is reported.
 
 use std::fmt::Write as _;

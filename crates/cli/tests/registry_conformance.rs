@@ -235,12 +235,12 @@ fn get_text(server: &Server, path: &str) -> String {
     String::from_utf8_lossy(&reply[head_end + 4..]).into_owned()
 }
 
-/// The out-of-core path: with `--graph-spill-bytes 0` every flat-capable
+/// The out-of-core path: with `--graph-spill-bytes 0` every streamed
 /// request (bandwidth, bottleneck, procmin, compose, lexicographic,
-/// nicol) ingests into *disk-backed* flat arrays and solves there; the
-/// rest falls through to the registry. Either way the response bytes
-/// must still match the CLI exactly, and `/metrics` must attribute the
-/// six flat solves to the disk backing.
+/// tree-bandwidth, nicol) ingests into *disk-backed* flat arrays and
+/// solves there; the rest falls through to the registry. Either way the
+/// response bytes must still match the CLI exactly, and `/metrics` must
+/// attribute the seven streamed solves to the disk backing.
 #[test]
 fn flat_disk_backing_agrees_byte_for_byte_with_the_cli() {
     let mut server = Server::start(ServerConfig {
@@ -270,11 +270,11 @@ fn flat_disk_backing_agrees_byte_for_byte_with_the_cli() {
     }
     let metrics = get_text(&server, "/metrics");
     assert!(
-        metrics.contains("tgp_store_backing{kind=\"disk\"} 6"),
-        "expected 6 disk-backed ingests (bandwidth, bottleneck, \
-         procmin, compose, lexicographic, nicol):\n{metrics}"
+        metrics.contains("tgp_store_backing{kind=\"disk\"} 7"),
+        "expected 7 disk-backed ingests (bandwidth, bottleneck, \
+         procmin, compose, lexicographic, tree-bandwidth, nicol):\n{metrics}"
     );
-    assert!(metrics.contains("tgp_graph_spilled_total 6"), "{metrics}");
+    assert!(metrics.contains("tgp_graph_spilled_total 7"), "{metrics}");
     server.shutdown();
 }
 

@@ -23,7 +23,7 @@
 //!   recursion (prune-and-reweigh on an explicitly mutated tree), used for
 //!   cross-checking.
 
-use tgp_graph::{CutSet, EdgeId, NodeId, Tree, TreeView, UnionFind32, Weight};
+use tgp_graph::{CutSet, EdgeId, NodeId, Rooted, Tree, TreeView, Weight};
 
 use crate::error::{check_bound, check_bound_nodes, PartitionError};
 
@@ -41,16 +41,14 @@ pub struct ProcMinResult {
 /// `O(n log n)`, over any [`TreeView`] (pointer [`Tree`] or a flat
 /// RAM- or disk-backed tree).
 ///
-/// The working set is a handful of flat `u32`/`u64` arrays: a CSR
-/// incidence built from [`TreeView::edge`] in edge-id order (the order
-/// `Tree`'s adjacency lists use), the pre-order, each node's parent edge,
-/// the cluster weight each child passes up its parent edge, and one
-/// reused buffer of child clusters. The traversal is the reversed stack
-/// pre-order of `Tree::post_order` from node 0, and each node's child
-/// clusters are gathered in incident-edge order, which is exactly the
-/// order the children finish in; so the heaviest-first sort sees the
-/// same sequence on every representation and the cut is identical,
-/// ties included.
+/// The working set is a handful of flat `u32`/`u64` arrays: the
+/// [`Rooted`] traversal from node 0 (incidence, pre-order, parent
+/// edges), the cluster weight each child passes up its parent edge, and
+/// one reused buffer of child clusters. Nodes are settled in reversed
+/// pre-order, and each node's child clusters are gathered in
+/// incident-edge order, which is exactly the order the children finish
+/// in; so the heaviest-first sort sees the same sequence on every
+/// representation and the cut is identical, ties included.
 ///
 /// # Errors
 ///
@@ -81,45 +79,20 @@ pub fn proc_min<T: TreeView>(tree: &T, bound: Weight) -> Result<ProcMinResult, P
         (0..tree.len()).map(|i| tree.node_weight(NodeId::new(i))),
         bound,
     )?;
-    let incidence = Incidence::new(tree);
-    // Pre-order from node 0: pop a node, push its neighbours in incidence
-    // order, so children are visited right to left and the reversed
-    // order is a post-order (children before parents).
-    let mut parent_edge = vec![NO_EDGE; tree.len()];
-    let mut order: Vec<u32> = Vec::with_capacity(tree.len());
-    let mut stack: Vec<u32> = vec![0];
-    while let Some(v) = stack.pop() {
-        order.push(v);
-        let up = parent_edge[v as usize];
-        for &e in incidence.edges(v) {
-            if e != up {
-                let edge = tree.edge(EdgeId::new(e as usize));
-                let u = if edge.a.index() == v as usize {
-                    edge.b
-                } else {
-                    edge.a
-                };
-                parent_edge[u.index()] = e;
-                stack.push(u.index() as u32);
-            }
-        }
-    }
+    let rooted = Rooted::new(tree, NodeId::new(0));
     // passed_up[e] = weight of the cluster the child end of `e` still
     // hands to its parent after its own subtree is settled.
     let mut passed_up: Vec<u64> = vec![0; tree.edge_count()];
     let mut cut_edges: Vec<EdgeId> = Vec::new();
     // Child clusters of the current node, in incident-edge order.
     let mut children: Vec<(u64, EdgeId)> = Vec::new();
-    for &v in order.iter().rev() {
-        let up = parent_edge[v as usize];
-        let mut w: u64 = tree.node_weight(NodeId::new(v as usize)).get();
+    for v in rooted.pre_order().rev() {
+        let mut w: u64 = tree.node_weight(v).get();
         children.clear();
-        for &e in incidence.edges(v) {
-            if e != up {
-                let child_w = passed_up[e as usize];
-                w += child_w;
-                children.push((child_w, EdgeId::new(e as usize)));
-            }
+        for e in rooted.child_edges(v) {
+            let child_w = passed_up[e.index()];
+            w += child_w;
+            children.push((child_w, e));
         }
         if w > bound.get() {
             // Cut the heaviest child clusters until the rest fits
@@ -137,82 +110,20 @@ pub fn proc_min<T: TreeView>(tree: &T, bound: Weight) -> Result<ProcMinResult, P
                 "cutting every child leaves w = ω(v) <= bound"
             );
         }
-        if up != NO_EDGE {
-            passed_up[up as usize] = w;
+        if let Some(up) = rooted.parent_edge(v) {
+            passed_up[up.index()] = w;
         }
     }
     let cut = CutSet::new(cut_edges);
     let component_count = cut.len() + 1;
-    debug_assert!(components_fit(tree, &cut, bound));
+    debug_assert!(tree
+        .components(&cut)
+        .expect("cut edges are in range")
+        .is_feasible(bound));
     Ok(ProcMinResult {
         cut,
         component_count,
     })
-}
-
-/// Whether every component of `T − cut` weighs at most `bound`: the
-/// postcondition [`proc_min`] checks in debug builds.
-fn components_fit<T: TreeView>(tree: &T, cut: &CutSet, bound: Weight) -> bool {
-    let mut uf = UnionFind32::new(tree.len());
-    for e in (0..tree.edge_count()).map(EdgeId::new) {
-        if !cut.contains(e) {
-            let edge = tree.edge(e);
-            uf.union(edge.a.index() as u32, edge.b.index() as u32);
-        }
-    }
-    let mut weight = vec![0u64; tree.len()];
-    for v in 0..tree.len() {
-        weight[uf.find(v as u32) as usize] += tree.node_weight(NodeId::new(v)).get();
-    }
-    weight.iter().all(|&w| w <= bound.get())
-}
-
-/// The parent-edge sentinel of the root.
-const NO_EDGE: u32 = u32::MAX;
-
-/// Every node's incident edge ids in increasing id order, as one CSR:
-/// `edges[start[v]..start[v + 1]]`.
-struct Incidence {
-    start: Vec<u32>,
-    edges: Vec<u32>,
-}
-
-impl Incidence {
-    fn new<T: TreeView>(tree: &T) -> Self {
-        let (n, m) = (tree.len(), tree.edge_count());
-        assert!(
-            u32::try_from(2 * m).is_ok(),
-            "tree node count exceeds u32 incidence offsets"
-        );
-        // Counting sort: degree of v at start[v + 2], prefix sums make
-        // start[v + 1] the first slot of v, and scattering advances it to
-        // the first slot of v + 1, leaving start[v]..start[v + 1] as v's
-        // range. Scattering edges in id order keeps each range sorted.
-        let mut start = vec![0u32; n + 2];
-        for e in 0..m {
-            let edge = tree.edge(EdgeId::new(e));
-            start[edge.a.index() + 2] += 1;
-            start[edge.b.index() + 2] += 1;
-        }
-        for i in 2..start.len() {
-            start[i] += start[i - 1];
-        }
-        let mut edges = vec![0u32; 2 * m];
-        for e in 0..m {
-            let edge = tree.edge(EdgeId::new(e));
-            for v in [edge.a.index(), edge.b.index()] {
-                edges[start[v + 1] as usize] = e as u32;
-                start[v + 1] += 1;
-            }
-        }
-        start.truncate(n + 1);
-        Incidence { start, edges }
-    }
-
-    fn edges(&self, v: u32) -> &[u32] {
-        let v = v as usize;
-        &self.edges[self.start[v] as usize..self.start[v + 1] as usize]
-    }
 }
 
 /// Processor minimization — literal work-list transcription of the paper's

@@ -12,15 +12,17 @@
 //! NP-complete but pseudo-polynomial on trees) and serves as the exact
 //! reference the heuristic tree pipeline can be measured against.
 
-use tgp_graph::{CutSet, EdgeId, NodeId, Tree, Weight};
+use tgp_graph::{CutSet, EdgeId, NodeId, Rooted, TreeView, Weight};
 
-use crate::error::{check_bound, PartitionError};
+use crate::error::{check_bound_nodes, PartitionError};
 
 const INF: u64 = u64::MAX;
 
 /// Exact minimum-weight cut of `tree` such that every component of
 /// `T − S` weighs at most `bound`: `O(n·K²)` time, `O(n·K)` space, where
-/// `K = bound`.
+/// `K = bound`. Generic over [`TreeView`]: it roots the tree at node 0
+/// with [`Rooted`] and merges each node's children in incident-edge
+/// order, so every representation gets the same cut, ties included.
 ///
 /// Intended for moderate bounds (the state space is proportional to `K`);
 /// for chains use [`crate::bandwidth::min_bandwidth_cut`], which is
@@ -46,15 +48,20 @@ const INF: u64 = u64::MAX;
 /// # Ok(())
 /// # }
 /// ```
-pub fn min_tree_bandwidth_cut(tree: &Tree, bound: Weight) -> Result<CutSet, PartitionError> {
-    check_bound(tree.node_weights(), bound)?;
+pub fn min_tree_bandwidth_cut<T: TreeView>(
+    tree: &T,
+    bound: Weight,
+) -> Result<CutSet, PartitionError> {
+    check_bound_nodes(
+        (0..tree.len()).map(|i| tree.node_weight(NodeId::new(i))),
+        bound,
+    )?;
     if tree.total_weight() <= bound {
         return Ok(CutSet::empty());
     }
     let k = usize::try_from(bound.get()).expect("pseudo-polynomial solver needs K to fit usize");
     let root = NodeId::new(0);
-    let order = tree.post_order(root);
-    let parent = tree.parents(root);
+    let rooted = Rooted::new(tree, root);
     let n = tree.len();
     // dp[v][w] = min cut cost inside subtree(v) such that the component
     // containing v (within the subtree) weighs exactly w. Children are
@@ -69,15 +76,12 @@ pub fn min_tree_bandwidth_cut(tree: &Tree, bound: Weight) -> Result<CutSet, Part
     // best[c] = min over w of dp[c][w] (cost of finishing child c's
     // subtree when its uplink is cut).
     let mut best: Vec<u64> = vec![INF; n];
-    for &v in &order {
+    for v in rooted.pre_order().rev() {
         let vi = v.index();
         let wv = usize::try_from(tree.node_weight(v).get()).expect("node weight <= K fits");
         let mut table = vec![INF; k + 1];
         table[wv] = 0;
-        for &(u, e) in tree.neighbors(v) {
-            if parent[vi].is_some_and(|(p, _)| u == p) {
-                continue;
-            }
+        for (u, e) in rooted.children(tree, v) {
             steps[vi].push(table.clone());
             merge_children[vi].push((u, e));
             let child = &dp[u.index()];
@@ -180,7 +184,7 @@ mod tests {
     use crate::bandwidth::min_bandwidth_cut;
     use crate::knapsack::min_star_bandwidth_cut;
     use crate::pipeline::tree_from_path;
-    use tgp_graph::PathGraph;
+    use tgp_graph::{PathGraph, Tree};
 
     fn brute(tree: &Tree, bound: Weight) -> u64 {
         let m = tree.edge_count();

@@ -848,18 +848,37 @@ fn field<'v>(value: &'v Value, key: &str, ty: &str) -> Result<&'v Value, JsonErr
         .ok_or_else(|| JsonError::msg(format!("{ty}: missing field {key:?}")))
 }
 
-fn weight_vec(value: &Value, key: &str, ty: &str) -> Result<Vec<Weight>, JsonError> {
-    let items = field(value, key, ty)?
+/// The array under `key` in a graph object named `ty` in messages
+/// (`"PathGraph"`, `"Tree"`, ...). This and the next two helpers are
+/// the graph parsers' field checks, shared with the registry's parser
+/// so that both word their errors alike.
+pub fn array_field<'v>(value: &'v Value, key: &str, ty: &str) -> Result<&'v [Value], JsonError> {
+    field(value, key, ty)?
         .as_array()
-        .ok_or_else(|| JsonError::msg(format!("{ty}: {key:?} must be an array")))?;
-    items
+        .map(Vec::as_slice)
+        .ok_or_else(|| JsonError::msg(format!("{ty}: {key:?} must be an array")))
+}
+
+/// Element `i` of the weight array `key` in a graph object named `ty`.
+pub fn weight_item(item: &Value, key: &str, ty: &str, i: usize) -> Result<u64, JsonError> {
+    item.as_u64()
+        .ok_or_else(|| JsonError::msg(format!("{ty}: {key:?}[{i}] must be a non-negative integer")))
+}
+
+/// An edge object's `a`, `b` and `weight`, each checked in that order.
+pub fn edge_fields(value: &Value) -> Result<(NodeId, NodeId, Weight), JsonError> {
+    Ok((
+        NodeId::from_json(field(value, "a", "edge")?)?,
+        NodeId::from_json(field(value, "b", "edge")?)?,
+        Weight::from_json(field(value, "weight", "edge")?)?,
+    ))
+}
+
+fn weight_vec(value: &Value, key: &str, ty: &str) -> Result<Vec<Weight>, JsonError> {
+    array_field(value, key, ty)?
         .iter()
         .enumerate()
-        .map(|(i, v)| {
-            v.as_u64().map(Weight::new).ok_or_else(|| {
-                JsonError::msg(format!("{ty}: {key:?}[{i}] must be a non-negative integer"))
-            })
-        })
+        .map(|(i, v)| weight_item(v, key, ty, i).map(Weight::new))
         .collect()
 }
 
@@ -947,18 +966,13 @@ impl ToJson for TreeEdge {
 
 impl FromJson for TreeEdge {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
-        Ok(TreeEdge::new(
-            NodeId::from_json(field(value, "a", "edge")?)?,
-            NodeId::from_json(field(value, "b", "edge")?)?,
-            Weight::from_json(field(value, "weight", "edge")?)?,
-        ))
+        let (a, b, weight) = edge_fields(value)?;
+        Ok(TreeEdge::new(a, b, weight))
     }
 }
 
 fn edge_list<T: FromJson>(value: &Value, ty: &str) -> Result<Vec<T>, JsonError> {
-    field(value, "edges", ty)?
-        .as_array()
-        .ok_or_else(|| JsonError::msg(format!("{ty}: \"edges\" must be an array")))?
+    array_field(value, "edges", ty)?
         .iter()
         .map(T::from_json)
         .collect()
@@ -999,11 +1013,8 @@ impl ToJson for ProcessEdge {
 
 impl FromJson for ProcessEdge {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
-        Ok(ProcessEdge {
-            a: NodeId::from_json(field(value, "a", "edge")?)?,
-            b: NodeId::from_json(field(value, "b", "edge")?)?,
-            weight: Weight::from_json(field(value, "weight", "edge")?)?,
-        })
+        let (a, b, weight) = edge_fields(value)?;
+        Ok(ProcessEdge { a, b, weight })
     }
 }
 

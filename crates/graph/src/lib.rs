@@ -63,9 +63,9 @@ pub use contraction::{contract, Contraction};
 pub use cut::{Components, CutSet, Segment};
 pub use error::GraphError;
 pub use ids::{EdgeId, NodeId};
-pub use path::PathGraph;
+pub use path::{check_chain, PathGraph};
 pub use process::{ProcessEdge, ProcessGraph};
-pub use tree::{Tree, TreeEdge};
+pub use tree::{check_tree, Tree, TreeEdge};
 pub use union_find::{UnionFind, UnionFind32};
-pub use view::{ChainView, TreeView};
-pub use weight::Weight;
+pub use view::{ChainView, Rooted, TreeView};
+pub use weight::{check_weight_totals, Weight};

@@ -1,5 +1,6 @@
 //! Linear (path) task graphs.
 
+use crate::weight::{check_weight_totals, weight_sum};
 use crate::{EdgeId, GraphError, NodeId, Weight};
 
 /// A linear task graph `P = (V, E)` with `V = {v_0, …, v_{n-1}}` and
@@ -52,16 +53,12 @@ impl PathGraph {
         node_weights: Vec<Weight>,
         edge_weights: Vec<Weight>,
     ) -> Result<Self, GraphError> {
-        if node_weights.is_empty() {
-            return Err(GraphError::Empty);
-        }
-        if edge_weights.len() != node_weights.len() - 1 {
-            return Err(GraphError::WrongEdgeCount {
-                nodes: node_weights.len(),
-                edges: edge_weights.len(),
-            });
-        }
-        crate::weight::check_combined_total(&node_weights, &edge_weights)?;
+        check_chain(
+            node_weights.len(),
+            edge_weights.len(),
+            weight_sum(node_weights.iter().copied()),
+            weight_sum(edge_weights.iter().copied()),
+        )?;
         let prefix = Self::build_prefix(&node_weights)?;
         Ok(PathGraph {
             node_weights,
@@ -204,6 +201,24 @@ impl PathGraph {
         );
         (NodeId::new(edge.index()), NodeId::new(edge.index() + 1))
     }
+}
+
+/// The checks [`PathGraph::from_weights`] and the flat builder in
+/// `tgp-store` run, in order: no nodes, the edge count, then
+/// [`check_weight_totals`] of the summed weights.
+pub fn check_chain(
+    nodes: usize,
+    edges: usize,
+    node_total: u128,
+    edge_total: u128,
+) -> Result<(), GraphError> {
+    if nodes == 0 {
+        return Err(GraphError::Empty);
+    }
+    if edges != nodes - 1 {
+        return Err(GraphError::WrongEdgeCount { nodes, edges });
+    }
+    check_weight_totals(node_total, edge_total)
 }
 
 #[cfg(test)]

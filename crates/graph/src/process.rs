@@ -7,6 +7,7 @@
 
 use std::collections::VecDeque;
 
+use crate::weight::{check_weight_totals, weight_sum};
 use crate::{GraphError, NodeId, UnionFind, Weight};
 
 /// An undirected edge of a [`ProcessGraph`].
@@ -69,8 +70,10 @@ impl ProcessGraph {
         if n == 0 {
             return Err(GraphError::Empty);
         }
-        let edge_weights: Vec<Weight> = raw_edges.iter().map(|e| e.weight).collect();
-        crate::weight::check_combined_total(&node_weights, &edge_weights)?;
+        check_weight_totals(
+            weight_sum(node_weights.iter().copied()),
+            weight_sum(raw_edges.iter().map(|e| e.weight)),
+        )?;
         let mut normalized: Vec<(usize, usize, Weight)> = Vec::with_capacity(raw_edges.len());
         for e in &raw_edges {
             for endpoint in [e.a, e.b] {

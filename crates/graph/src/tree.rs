@@ -1,6 +1,7 @@
 //! Weighted free trees (tree task graphs).
 
-use crate::{EdgeId, GraphError, NodeId, UnionFind, Weight};
+use crate::weight::{check_weight_totals, weight_sum};
+use crate::{EdgeId, GraphError, NodeId, Rooted, UnionFind32, Weight};
 
 /// An undirected edge of a [`Tree`] with a communication weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,51 +87,16 @@ impl Tree {
     ///   and edge weights reaches `u64::MAX` (the crate-wide budget that
     ///   keeps downstream arithmetic overflow-free).
     pub fn from_edges(node_weights: Vec<Weight>, edges: Vec<TreeEdge>) -> Result<Self, GraphError> {
-        let n = node_weights.len();
-        if n == 0 {
-            return Err(GraphError::Empty);
-        }
-        if edges.len() != n - 1 {
-            return Err(GraphError::WrongEdgeCount {
-                nodes: n,
-                edges: edges.len(),
-            });
-        }
-        let edge_weights: Vec<Weight> = edges.iter().map(|e| e.weight).collect();
-        crate::weight::check_combined_total(&node_weights, &edge_weights)?;
-        let mut uf = UnionFind::new(n);
-        for (i, e) in edges.iter().enumerate() {
-            for endpoint in [e.a, e.b] {
-                if endpoint.index() >= n {
-                    return Err(GraphError::NodeOutOfRange {
-                        node: endpoint,
-                        len: n,
-                    });
-                }
-            }
-            if e.a == e.b {
-                return Err(GraphError::SelfLoop { node: e.a });
-            }
-            if !uf.union(e.a.index(), e.b.index()) {
-                // The edge closed a cycle; distinguish a parallel edge for a
-                // friendlier message.
-                if edges[..i]
-                    .iter()
-                    .any(|f| (f.a, f.b) == (e.a, e.b) || (f.a, f.b) == (e.b, e.a))
-                {
-                    return Err(GraphError::DuplicateEdge { a: e.a, b: e.b });
-                }
-                return Err(GraphError::Cycle {
-                    edge: EdgeId::new(i),
-                });
-            }
-        }
-        // n - 1 successful unions on n nodes guarantee connectivity.
-        let mut adjacency = vec![Vec::new(); n];
-        for (i, e) in edges.iter().enumerate() {
-            adjacency[e.a.index()].push((e.b, EdgeId::new(i)));
-            adjacency[e.b.index()].push((e.a, EdgeId::new(i)));
-        }
+        let node_total = weight_sum(node_weights.iter().copied());
+        let edge_total = weight_sum(edges.iter().map(|e| e.weight));
+        check_tree(
+            node_weights.len(),
+            edges.len(),
+            node_total,
+            edge_total,
+            |i| (edges[i].a.index(), edges[i].b.index()),
+        )?;
+        let adjacency = adjacency(node_weights.len(), &edges);
         Ok(Tree {
             node_weights,
             edges,
@@ -201,12 +167,7 @@ impl Tree {
     /// Re-derives the adjacency cache; needed after deserializing, because
     /// the cache is skipped during serialization.
     pub fn rebuild_cache(&mut self) {
-        let mut adjacency = vec![Vec::new(); self.node_weights.len()];
-        for (i, e) in self.edges.iter().enumerate() {
-            adjacency[e.a.index()].push((e.b, EdgeId::new(i)));
-            adjacency[e.b.index()].push((e.a, EdgeId::new(i)));
-        }
-        self.adjacency = adjacency;
+        self.adjacency = adjacency(self.node_weights.len(), &self.edges);
     }
 
     /// Number of nodes.
@@ -315,27 +276,13 @@ impl Tree {
     }
 
     /// Nodes in post-order of the tree rooted at `root` (children before
-    /// parents). Iterative, so arbitrarily deep trees are safe.
+    /// parents): the reversed pre-order of [`Rooted`].
     ///
     /// # Panics
     ///
     /// Panics if `root.index() >= self.len()`.
     pub fn post_order(&self, root: NodeId) -> Vec<NodeId> {
-        assert!(root.index() < self.len(), "root {root} out of range");
-        // Reverse pre-order with children visited right-to-left equals
-        // post-order when reversed.
-        let mut order = Vec::with_capacity(self.len());
-        let mut stack = vec![(root, root)];
-        while let Some((v, parent)) = stack.pop() {
-            order.push(v);
-            for &(u, _) in self.neighbors(v) {
-                if u != parent {
-                    stack.push((u, v));
-                }
-            }
-        }
-        order.reverse();
-        order
+        Rooted::new(self, root).pre_order().rev().collect()
     }
 
     /// For every node, its parent and connecting edge under the rooting at
@@ -345,22 +292,86 @@ impl Tree {
     ///
     /// Panics if `root.index() >= self.len()`.
     pub fn parents(&self, root: NodeId) -> Vec<Option<(NodeId, EdgeId)>> {
-        assert!(root.index() < self.len(), "root {root} out of range");
-        let mut parent: Vec<Option<(NodeId, EdgeId)>> = vec![None; self.len()];
-        let mut visited = vec![false; self.len()];
-        visited[root.index()] = true;
-        let mut stack = vec![root];
-        while let Some(v) = stack.pop() {
-            for &(u, e) in self.neighbors(v) {
-                if !visited[u.index()] {
-                    visited[u.index()] = true;
-                    parent[u.index()] = Some((v, e));
-                    stack.push(u);
-                }
+        let rooted = Rooted::new(self, root);
+        (0..self.len())
+            .map(NodeId::new)
+            .map(|v| rooted.parent_edge(v).map(|e| (self.edge(e).other(v), e)))
+            .collect()
+    }
+}
+
+/// `(neighbor, edge id)` lists per node, each in increasing edge-id order.
+fn adjacency(n: usize, edges: &[TreeEdge]) -> Vec<Vec<(NodeId, EdgeId)>> {
+    let mut adjacency = vec![Vec::new(); n];
+    for (i, e) in edges.iter().enumerate() {
+        adjacency[e.a.index()].push((e.b, EdgeId::new(i)));
+        adjacency[e.b.index()].push((e.a, EdgeId::new(i)));
+    }
+    adjacency
+}
+
+/// The checks that make `edges` edges on `nodes` nodes a tree, in the
+/// order [`Tree::from_edges`] and the flat builder in `tgp-store` run
+/// them: no nodes, the edge count, [`check_weight_totals`], then per
+/// edge in id order its endpoints' range, a self-loop, and an edge that
+/// closes a cycle — a duplicate when it joins the same pair as an
+/// earlier edge. `n - 1` edges that close no cycle connect all `n`
+/// nodes. `endpoints(i)` reads edge `i`'s endpoints as given, once per
+/// edge, plus once per earlier edge when a cycle is found.
+///
+/// # Panics
+///
+/// If `nodes` exceeds `u32::MAX` (the union-find is `u32`, 8 bytes per
+/// node).
+pub fn check_tree(
+    nodes: usize,
+    edges: usize,
+    node_total: u128,
+    edge_total: u128,
+    endpoints: impl Fn(usize) -> (usize, usize),
+) -> Result<(), GraphError> {
+    let n = nodes;
+    if n == 0 {
+        return Err(GraphError::Empty);
+    }
+    if edges != n - 1 {
+        return Err(GraphError::WrongEdgeCount { nodes: n, edges });
+    }
+    check_weight_totals(node_total, edge_total)?;
+    let mut uf = UnionFind32::new(n);
+    for i in 0..edges {
+        let (a, b) = endpoints(i);
+        for endpoint in [a, b] {
+            if endpoint >= n {
+                return Err(GraphError::NodeOutOfRange {
+                    node: NodeId::new(endpoint),
+                    len: n,
+                });
             }
         }
-        parent
+        if a == b {
+            return Err(GraphError::SelfLoop {
+                node: NodeId::new(a),
+            });
+        }
+        if !uf.union(a as u32, b as u32) {
+            // The edge closed a cycle; distinguish a parallel edge for a
+            // friendlier message.
+            if (0..i).any(|j| {
+                let pair = endpoints(j);
+                pair == (a, b) || pair == (b, a)
+            }) {
+                return Err(GraphError::DuplicateEdge {
+                    a: NodeId::new(a),
+                    b: NodeId::new(b),
+                });
+            }
+            return Err(GraphError::Cycle {
+                edge: EdgeId::new(i),
+            });
+        }
     }
+    Ok(())
 }
 
 #[cfg(test)]

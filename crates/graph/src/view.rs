@@ -287,6 +287,118 @@ pub trait TreeView {
     }
 }
 
+/// A tree rooted at one node, the one rooted traversal of any
+/// [`TreeView`]: four `u32` arrays, 20 bytes per node — each node's
+/// incident edge ids as one CSR in increasing id order (the order of
+/// `Tree::neighbors`), a stack pre-order from the root, which pushes
+/// children in that order, and each node's parent edge. Iterative, so
+/// arbitrarily deep trees are safe.
+#[derive(Debug, Clone)]
+pub struct Rooted {
+    start: Vec<u32>,
+    incident: Vec<u32>,
+    order: Vec<u32>,
+    parent_edge: Vec<u32>,
+}
+
+/// The parent-edge sentinel of the root.
+const NO_EDGE: u32 = u32::MAX;
+
+impl Rooted {
+    /// Roots `tree` at `root`.
+    ///
+    /// # Panics
+    ///
+    /// If `root` is out of range, or past `2^31` nodes.
+    pub fn new<T: TreeView + ?Sized>(tree: &T, root: NodeId) -> Self {
+        let (n, m) = (tree.len(), tree.edge_count());
+        assert!(root.index() < n, "root {root} out of range");
+        assert!(
+            u32::try_from(2 * m).is_ok(),
+            "tree node count exceeds u32 incidence offsets"
+        );
+        // Counting sort: degree of v at start[v + 2], prefix sums make
+        // start[v + 1] the first slot of v, and scattering advances it to
+        // the first slot of v + 1, leaving start[v]..start[v + 1] as v's
+        // range. Scattering edges in id order keeps each range sorted.
+        let mut start = vec![0u32; n + 2];
+        for e in 0..m {
+            let edge = tree.edge(EdgeId::new(e));
+            start[edge.a.index() + 2] += 1;
+            start[edge.b.index() + 2] += 1;
+        }
+        for i in 2..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut incident = vec![0u32; 2 * m];
+        for e in 0..m {
+            let edge = tree.edge(EdgeId::new(e));
+            for v in [edge.a.index(), edge.b.index()] {
+                incident[start[v + 1] as usize] = e as u32;
+                start[v + 1] += 1;
+            }
+        }
+        start.truncate(n + 1);
+        let mut order = Vec::with_capacity(n);
+        let mut parent_edge = vec![NO_EDGE; n];
+        let mut stack = vec![root.index() as u32];
+        while let Some(v) = stack.pop() {
+            order.push(v);
+            let (v, up) = (v as usize, parent_edge[v as usize]);
+            for &e in &incident[start[v] as usize..start[v + 1] as usize] {
+                if e != up {
+                    let u = tree.edge(EdgeId::new(e as usize)).other(NodeId::new(v));
+                    parent_edge[u.index()] = e;
+                    stack.push(u.index() as u32);
+                }
+            }
+        }
+        Rooted {
+            start,
+            incident,
+            order,
+            parent_edge,
+        }
+    }
+
+    /// Every node in pre-order from the root (parents before children);
+    /// reversed, a post-order.
+    #[inline]
+    pub fn pre_order(&self) -> impl DoubleEndedIterator<Item = NodeId> + ExactSizeIterator + '_ {
+        self.order.iter().map(|&v| NodeId::new(v as usize))
+    }
+
+    /// The edge joining `node` to its parent; `None` for the root.
+    #[inline]
+    pub fn parent_edge(&self, node: NodeId) -> Option<EdgeId> {
+        let e = self.parent_edge[node.index()];
+        (e != NO_EDGE).then(|| EdgeId::new(e as usize))
+    }
+
+    /// The edges joining `node` to its children, in increasing id order.
+    #[inline]
+    pub fn child_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
+        let v = node.index();
+        let up = self.parent_edge[v];
+        self.incident[self.start[v] as usize..self.start[v + 1] as usize]
+            .iter()
+            .filter(move |&&e| e != up)
+            .map(|&e| EdgeId::new(e as usize))
+    }
+
+    /// `node`'s children with their connecting edges, in increasing
+    /// edge-id order.
+    #[inline]
+    pub fn children<'a, T: TreeView + ?Sized>(
+        &'a self,
+        tree: &'a T,
+        node: NodeId,
+    ) -> impl Iterator<Item = (NodeId, EdgeId)> + 'a {
+        self.child_edges(node)
+            .map(move |e| (tree.edge(e).other(node), e))
+    }
+}
+
 impl TreeView for Tree {
     fn len(&self) -> usize {
         Tree::len(self)

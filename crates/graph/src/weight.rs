@@ -91,24 +91,28 @@ impl Weight {
     }
 }
 
-/// Validates the crate-wide weight budget: the combined total of all
-/// vertex and edge weights must be strictly below `u64::MAX`, so that any
-/// sum of distinct weights (span weights, cut weights, dynamic-programming
-/// costs of the form "edge weight + sum of other weights") fits `u64`
-/// without overflow, and `u64::MAX` stays free as an "unset" sentinel in
-/// the solvers.
-pub(crate) fn check_combined_total(
-    node_weights: &[Weight],
-    edge_weights: &[Weight],
-) -> Result<(), crate::GraphError> {
-    let mut total: u128 = 0;
-    for w in node_weights.iter().chain(edge_weights) {
-        total += u128::from(w.get());
-    }
-    if total >= u128::from(u64::MAX) {
+/// The crate-wide weight budget: the combined total of all vertex and
+/// edge weights, `node_total + edge_total`, must be strictly below
+/// `u64::MAX`, so that any sum of distinct weights (span weights, cut
+/// weights, dynamic-programming costs of the form "edge weight + sum of
+/// other weights") fits `u64` without overflow, and `u64::MAX` stays
+/// free as an "unset" sentinel in the solvers. Every graph constructor
+/// checks it, the streaming builders in `tgp-store` on running totals.
+///
+/// # Errors
+///
+/// [`GraphError::WeightOverflow`](crate::GraphError::WeightOverflow)
+/// otherwise.
+pub fn check_weight_totals(node_total: u128, edge_total: u128) -> Result<(), crate::GraphError> {
+    if node_total + edge_total >= u128::from(u64::MAX) {
         return Err(crate::GraphError::WeightOverflow);
     }
     Ok(())
+}
+
+/// The exact sum of `weights`, for [`check_weight_totals`].
+pub(crate) fn weight_sum(weights: impl IntoIterator<Item = Weight>) -> u128 {
+    weights.into_iter().map(|w| u128::from(w.get())).sum()
 }
 
 impl fmt::Display for Weight {

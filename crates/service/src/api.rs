@@ -58,7 +58,9 @@ use tgp_obs::{EventKind, Journal, Stage, TraceId, TraceRecord, TraceStore};
 use tgp_session::{Edit, SessionError, SessionStore, DEFAULT_SESSION_BUDGET};
 use tgp_shmem::machine::{Interconnect, Machine};
 use tgp_shmem::pipeline::{simulate_pipeline, PipelineSpec};
-use tgp_solvers::{ingest_flat, IngestBacking, KeyBuilder, Registry, SolveError, Solver};
+use tgp_solvers::{
+    ingest_flat, GraphKind, IngestBacking, KeyBuilder, Registry, SolveError, Solver,
+};
 
 use crate::cache::{CacheConfig, ResultCache};
 use crate::envelope;
@@ -1042,11 +1044,14 @@ fn partition_response(outcome: Result<String, Failure>, objective: &'static str)
     response
 }
 
-/// The streaming half of `POST /v1/partition`: [`ingest`]s the raw body
-/// into a [`tgp_solvers::Request`] over flat arrays (RAM below
-/// [`AppState::with_graph_spill`]'s threshold, unlinked-mmap disk at or
-/// above it) and hands it to [`solve_request`], the same tail the
-/// JSON-tree parser's requests take. While the request lives, its RAM
+/// The streaming half of `POST /v1/partition`: scans the raw body with
+/// `ingest_flat` into a [`tgp_solvers::Request`] over flat arrays (RAM
+/// below [`AppState::with_graph_spill`]'s threshold, unlinked-mmap disk
+/// at or above it) and hands it to [`solve_request`], the same tail the
+/// JSON-tree parser's requests take. The scan is timed as the `ingest`
+/// stage whether or not the parser accepts — a declined scan's time is
+/// how wasted ingest shows — and an accepted request's backing is
+/// counted in `tgp_store_backing`. While the request lives, its RAM
 /// arrays count toward `tgp_graph_resident_bytes`.
 ///
 /// Returns `None` when the streaming parser declines the body (batch
@@ -1054,8 +1059,8 @@ fn partition_response(outcome: Result<String, Failure>, objective: &'static str)
 /// malformed JSON, spill dir unwritable…): the JSON-tree parser then
 /// answers it, and renders every error, so the two parsers cannot drift
 /// apart on failure bodies. The one exception is a deadline that
-/// expires during the ingest scan itself, answered as a parse-stage
-/// expiry.
+/// expires during the ingest scan itself, answered like one inside the
+/// JSON-tree parse.
 fn partition_streamed(
     state: &AppState,
     body: &[u8],
@@ -1064,49 +1069,26 @@ fn partition_streamed(
     let started = Instant::now();
     let budget = budget_for(deadline);
     let backing = state.ingest_backing(body.len() as u64);
-    let request = match ingest(state, body, &backing, &budget, started)? {
-        Ok((request, _)) => request,
-        Err(failure) => return Some(error_response("partition", &failure)),
+    let (outcome, _) = timed_stage_from(state, Stage::Ingest, started, || {
+        ingest_flat(body, &backing, &budget)
+    });
+    let request = match outcome {
+        Ok(request) => request?,
+        Err(error) => {
+            if matches!(error, SolveError::DeadlineExceeded) {
+                state.metrics.record_deadline_drop("parse");
+            }
+            return Some(error_response("partition", &solve_failure(error)));
+        }
     };
+    state
+        .metrics
+        .record_store_backing(request.graph.backing_kind().as_str());
     let resident = request.graph.resident_bytes() as i64;
     state.metrics.graph_resident_changed(resident);
     let outcome = solve_request(state, &request, &budget, deadline, started);
     state.metrics.graph_resident_changed(-resident);
     Some(partition_response(outcome, request.objective.name()))
-}
-
-/// Offers `body` to the streaming parser under the `ingest` stage,
-/// timed from `started` whether or not the parser accepts — a declined
-/// scan's time is how wasted ingest shows. `None` means declined: the
-/// caller parses the body as a JSON tree instead. An accepted request's
-/// backing is counted in `tgp_store_backing`, and it comes back with the
-/// instant the scan ended. A deadline that expires mid-scan is answered
-/// like one inside the JSON-tree parse.
-fn ingest(
-    state: &AppState,
-    body: &[u8],
-    backing: &IngestBacking,
-    budget: &Budget,
-    started: Instant,
-) -> Option<Result<(tgp_solvers::Request, Instant), Failure>> {
-    let (outcome, done) = timed_stage_from(state, Stage::Ingest, started, || {
-        ingest_flat(body, backing, budget)
-    });
-    match outcome {
-        Ok(Some(request)) => {
-            state
-                .metrics
-                .record_store_backing(request.graph.backing_kind().as_str());
-            Some(Ok((request, done)))
-        }
-        Ok(None) => None,
-        Err(error) => {
-            if matches!(error, SolveError::DeadlineExceeded) {
-                state.metrics.record_deadline_drop("parse");
-            }
-            Some(Err(solve_failure(error)))
-        }
-    }
 }
 
 /// A budget for `deadline`, unlimited without one.
@@ -1654,8 +1636,8 @@ struct SessionSolve {
 /// request for parsing (moved, not cloned — a 100k-node graph costs two
 /// pointer swaps; see [`session_request`]), and runs warm when the store
 /// still has a certified window for this `(objective, params)` key.
-/// Whichever parser built the request, the solve, serialize, warm-window
-/// and delta bookkeeping below are the same.
+/// Whichever backing the request's arrays got, the solve, serialize,
+/// warm-window and delta bookkeeping below are the same.
 ///
 /// Session solves bypass the [`ResultCache`] deliberately: the cache
 /// would mask the warm/cold distinction, and `loadgen --strict`'s cold
@@ -1689,7 +1671,7 @@ fn session_partition_one(
     if let Value::Object(entries) = value {
         entries.push(("graph".to_string(), graph));
     }
-    let parsed = session_request(state, value, resident_bytes, &budget, session_started);
+    let parsed = session_request(state, value, resident_bytes, session_started);
     let graph = match value {
         Value::Object(entries) => entries.pop().map(|(_, graph)| graph).unwrap_or(Value::Null),
         _ => Value::Null,
@@ -1748,39 +1730,30 @@ fn session_partition_one(
 }
 
 /// Parses a session solve, the resident graph already spliced into
-/// `value`, and records the `session` stage (lookup through parse, from
-/// `session_started`) exactly once. Returns the request and the instant
-/// its solve may start.
-///
-/// A resident graph at or past `--graph-spill-bytes` would roughly
-/// double its footprint if the solve materialized a pointer graph next
-/// to it, so a request whose objective accepts streamed graphs is
-/// rendered and [`ingest`]ed into *disk-backed* flat arrays instead;
-/// the session stage then ends where the `ingest` stage begins.
-/// Everything else, and anything the streaming parser declines, goes
-/// through registry dispatch, which owns every error body.
+/// `value`, once, onto the arrays the graph's size calls for: disk-backed
+/// at or past `--graph-spill-bytes`, so that a solve does not double a
+/// large resident graph's footprint, RAM below it (registry dispatch
+/// falls back to RAM when the spill dir fails). Records the `session`
+/// stage (lookup through parse, from `session_started`) exactly once,
+/// and a chain's or tree's backing in `tgp_store_backing`. Returns the
+/// request and the instant its solve may start.
 fn session_request(
     state: &AppState,
     value: &Value,
     resident_bytes: u64,
-    budget: &Budget,
     session_started: Instant,
 ) -> Result<(tgp_solvers::Request, Instant), Failure> {
-    let streams = named_solver(value).is_some_and(|(_, solver)| solver.accepts_streamed_graph());
-    if streams && resident_bytes >= state.graph_spill_bytes {
-        // The rendered body is transient (dropped after the scan); the
-        // solve itself runs over the disk-backed arrays.
-        let body = value.to_string();
-        let backing = state.ingest_backing(resident_bytes);
-        let ingest_started = Instant::now();
-        if let Some(ingested) = ingest(state, body.as_bytes(), &backing, budget, ingest_started) {
-            record_stage(state, Stage::Session, session_started, ingest_started);
-            return ingested;
-        }
-    }
-    let (_, _, request) = Registry::shared().dispatch(value).map_err(solve_failure)?;
+    let backing = state.ingest_backing(resident_bytes);
+    let (_, _, request) = Registry::shared()
+        .dispatch_onto(value, &backing)
+        .map_err(solve_failure)?;
     let parsed = Instant::now();
     record_stage(state, Stage::Session, session_started, parsed);
+    if request.graph.kind() != GraphKind::Process {
+        state
+            .metrics
+            .record_store_backing(request.graph.backing_kind().as_str());
+    }
     Ok((request, parsed))
 }
 
@@ -2901,9 +2874,10 @@ mod tests {
         );
     }
 
-    /// Past the spill threshold, session re-solves of `procmin` and
-    /// `compose` (tree) and `nicol` (chain) run over disk-backed flat
-    /// arrays too, with the registry path's bytes.
+    /// Past the spill threshold, session re-solves of `procmin`,
+    /// `compose` and `host-satellite` (tree) and `nicol` and `coc`
+    /// (chain) run over disk-backed flat arrays too, with the in-RAM
+    /// bytes.
     #[test]
     fn session_flat_solve_covers_procmin_and_nicol() {
         let flat = AppState::new(CacheConfig::default()).with_graph_spill(1, None);
@@ -2920,7 +2894,9 @@ mod tests {
         for (id, solve) in [
             ("g1", r#"{"objective": "procmin", "bound": 5}"#),
             ("g1", r#"{"objective": "compose", "bound": 5}"#),
+            ("g1", r#"{"objective": "host-satellite", "satellites": 2}"#),
             ("g2", r#"{"objective": "nicol", "bound": 8}"#),
+            ("g2", r#"{"objective": "coc", "processors": 2}"#),
         ] {
             let path = format!("/v1/graphs/{id}/partition");
             let out_of_core = handle(&flat, &post(&path, solve));
@@ -2930,7 +2906,7 @@ mod tests {
         }
         let metrics = handle(&flat, &get("/metrics")).body;
         assert!(
-            metrics.contains("tgp_store_backing{kind=\"disk\"} 3"),
+            metrics.contains("tgp_store_backing{kind=\"disk\"} 5"),
             "{metrics}"
         );
     }
@@ -2987,10 +2963,11 @@ mod tests {
         assert_eq!(other.body, other_legacy.body);
     }
 
-    /// A spilled resident graph whose JSON carries a key the streaming
-    /// parser declines (registration accepts it) is re-solved through
-    /// registry dispatch: one wasted `ingest` scan, and still exactly one
-    /// `session` stage per solve.
+    /// A spilled resident graph is parsed once, onto disk arrays,
+    /// whatever its JSON carries: a graph registered with a key the
+    /// streaming parser would decline (`"name"`) and a plain one each
+    /// re-solve with exactly one `session` stage and no `ingest` stage,
+    /// and with equal bodies.
     #[test]
     fn a_declined_session_ingest_records_the_session_stage_once() {
         let stage_count = |state: &AppState, stage: &str| -> u64 {
@@ -3018,7 +2995,7 @@ mod tests {
             let r = handle(&state, &post("/v1/graphs/g1/partition", solve));
             assert_eq!(r.status, 200, "{}", r.body);
             assert_eq!(stage_count(&state, "session"), session + 1, "{graph}");
-            assert_eq!(stage_count(&state, "ingest"), ingest + 1, "{graph}");
+            assert_eq!(stage_count(&state, "ingest"), ingest, "{graph}");
             bodies.push(r.body);
         }
         assert_eq!(bodies[0], bodies[1]);

@@ -300,9 +300,9 @@ impl Metrics {
         adjust_gauge(&self.graph_resident_bytes, delta);
     }
 
-    /// Records one graph ingested onto the named backing (`ram` or
-    /// `disk`; unknown names are ignored). Disk ingests also advance
-    /// the spill counter.
+    /// Records one graph the streaming ingest or a session re-solve
+    /// placed on the named backing (`ram` or `disk`; unknown names are
+    /// ignored). Disk placements also advance the spill counter.
     pub fn record_store_backing(&self, kind: &str) {
         if let Some(i) = STORE_BACKINGS.iter().position(|k| *k == kind) {
             self.store_backing[i].fetch_add(1, Ordering::Relaxed);
@@ -509,14 +509,16 @@ impl Metrics {
             self.graph_resident_bytes.load(Ordering::Relaxed)
         ));
         out.push_str(
-            "# HELP tgp_graph_spilled_total Graphs ingested into disk-backed (mmap) arrays because they crossed the spill threshold.\n",
+            "# HELP tgp_graph_spilled_total Graphs placed in disk-backed (mmap) arrays because they crossed the spill threshold.\n",
         );
         out.push_str("# TYPE tgp_graph_spilled_total counter\n");
         out.push_str(&format!(
             "tgp_graph_spilled_total {}\n",
             self.graph_spilled.load(Ordering::Relaxed)
         ));
-        out.push_str("# HELP tgp_store_backing Flat-ingested graphs by memory backing.\n");
+        out.push_str(
+            "# HELP tgp_store_backing Graphs the streaming ingest or a session re-solve placed in flat arrays, by memory backing.\n",
+        );
         out.push_str("# TYPE tgp_store_backing counter\n");
         for (i, kind) in STORE_BACKINGS.iter().enumerate() {
             out.push_str(&format!(

@@ -8,12 +8,12 @@
 //! body's size.
 //!
 //! It is the registry's second parser: it produces the same
-//! [`Request`] as [`crate::Registry::dispatch`], with the graph in
-//! [`crate::GraphInput`]'s flat variants, for the objectives whose
-//! solver [accepts streamed graphs](crate::Solver::accepts_streamed_graph)
-//! (`bandwidth`, `lexicographic` and `nicol` on chains; `bottleneck`,
-//! `procmin` and `compose` on trees). It is deliberately *conservative*: it
-//! understands exactly the shape those objectives accept —
+//! [`Request`] as [`crate::Registry::dispatch`], with the graph in the
+//! same flat arrays, for every chain or tree objective whose only
+//! parameter is `bound` (`bandwidth`, `lexicographic` and `nicol` on
+//! chains; `bottleneck`, `procmin`, `compose` and `tree-bandwidth` on
+//! trees). It is deliberately *conservative*: it understands exactly the
+//! shape those objectives accept —
 //!
 //! ```json
 //! {"objective": "...", "bound": N,
@@ -38,18 +38,16 @@
 use std::path::Path;
 
 use tgp_core::budget::{Budget, Exceeded};
-use tgp_store::{
-    Array, DiskBacking, FlatPath, FlatPathBuilder, FlatTree, FlatTreeBuilder, MemoryBacking,
-    RamBacking,
-};
+use tgp_store::{Array, DiskBacking, FlatPathBuilder, FlatTreeBuilder, MemoryBacking, RamBacking};
 
 use crate::error::SolveError;
+use crate::flat::FromBuilt;
 use crate::registry::{Registry, Solver};
 use crate::request::{GraphInput, Params, Request};
 
 /// Elements parsed between two appends to an array (and two budget
 /// charges).
-const BLOCK: usize = 512;
+pub(crate) const BLOCK: usize = 512;
 
 /// How the graph arrays should be backed.
 #[derive(Debug, Clone)]
@@ -98,8 +96,8 @@ impl From<std::io::Error> for Abort {
 type Scan<'a, T> = Result<T, Abort>;
 
 /// Streams `body` into a [`Request`] with a flat graph if it has the
-/// exact shape of a request for an objective that accepts streamed
-/// graphs.
+/// exact shape of a request for a chain or tree objective whose only
+/// parameter is `bound`.
 ///
 /// Returns `Ok(None)` when the body is anything else — the caller must
 /// then parse it through [`crate::Registry::dispatch`], which owns the
@@ -198,40 +196,13 @@ where
     Ok(request)
 }
 
-/// The registered solver `name` names, if it accepts streamed graphs.
+/// The registered solver `name` names, if its only parameter is
+/// `bound` — the one parameter this parser reads. The graph-kind check
+/// in [`parse_body`] then declines `approx`, whose process graphs it
+/// does not build.
 fn streamed_solver(name: &[u8]) -> Option<&'static dyn Solver> {
     let (_, solver) = Registry::shared().get(std::str::from_utf8(name).ok()?)?;
-    debug_assert!(
-        !solver.accepts_streamed_graph() || matches!(solver.params(), [p] if p.name == "bound"),
-        "{}: a streamed objective takes only `bound`, the one parameter this parser reads",
-        solver.name()
-    );
-    solver.accepts_streamed_graph().then_some(solver)
-}
-
-/// Wraps a finished builder product into the right [`GraphInput`]
-/// variant for its backing.
-trait FromBuilt<B: MemoryBacking>: Sized {
-    fn from_path(path: FlatPath<B>) -> Self;
-    fn from_tree(tree: FlatTree<B>) -> Self;
-}
-
-impl FromBuilt<RamBacking> for GraphInput {
-    fn from_path(path: FlatPath<RamBacking>) -> Self {
-        GraphInput::ChainRam(path)
-    }
-    fn from_tree(tree: FlatTree<RamBacking>) -> Self {
-        GraphInput::TreeRam(tree)
-    }
-}
-
-impl FromBuilt<DiskBacking> for GraphInput {
-    fn from_path(path: FlatPath<DiskBacking>) -> Self {
-        GraphInput::ChainDisk(path)
-    }
-    fn from_tree(tree: FlatTree<DiskBacking>) -> Self {
-        GraphInput::TreeDisk(tree)
-    }
+    matches!(solver.params(), [p] if p.name == "bound").then_some(solver)
 }
 
 /// A graph whose kind its deciding key (`"edge_weights"` or `"edges"`)
@@ -750,8 +721,8 @@ mod tests {
         }
         for body in [
             // other objective
-            r#"{"objective": "tree-bandwidth", "bound": 1, "graph": {"node_weights": [1],
-                "edges": []}}"#,
+            r#"{"objective": "coc", "bound": 1, "graph": {"node_weights": [1],
+                "edge_weights": []}}"#,
             // unknown top-level field
             r#"{"objective": "bandwidth", "bound": 1, "bogus": 2,
                 "graph": {"node_weights": [1], "edge_weights": []}}"#,

@@ -30,13 +30,14 @@
 //!
 //! [`Request`] is the one request type, and it names its solver
 //! (`request.objective`). Two parsers build it: [`Registry::dispatch`]
-//! over a JSON tree, and [`ingest_flat`], which streams a raw body
-//! straight into the flat arrays of [`GraphInput`]'s RAM- and
-//! disk-backed variants for the objectives whose solver
-//! [accepts streamed graphs](Solver::accepts_streamed_graph), and
-//! declines everything else. Those objectives each have one solve body,
-//! generic over the graph views, so both parsers' requests get the same
-//! bytes, keys and cost estimates.
+//! over a JSON tree ([`Registry::dispatch_onto`] picks the backing), and
+//! [`ingest_flat`], which streams a raw body straight into flat arrays
+//! for every chain or tree objective whose only parameter is `bound`,
+//! and declines everything else. Both put every chain and tree in the
+//! flat arrays of [`GraphInput`]'s RAM- and disk-backed variants, and
+//! every chain and tree objective has one solve body, generic over the
+//! graph views, so both parsers' requests get the same bytes, keys and
+//! cost estimates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

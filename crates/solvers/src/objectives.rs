@@ -7,10 +7,9 @@
 //! ones the CLI has always produced; the registry made them the single
 //! source of truth.
 //!
-//! The six objectives that accept streamed graphs (`bandwidth`,
-//! `bottleneck`, `procmin`, `compose`, `lexicographic`, `nicol`) each
-//! have one solve body, generic over the graph views and expanded per
-//! [`crate::GraphInput`] variant by `on_chain!`/`on_tree!`.
+//! Every chain and tree objective — all but `approx`, which takes a
+//! general process graph — has one solve body, generic over the graph
+//! views and expanded per backing by `on_chain!`/`on_tree!`.
 
 use tgp_baselines::bokhari::bokhari_partition;
 use tgp_baselines::hansen_lih::hansen_lih_partition;
@@ -25,7 +24,7 @@ use tgp_core::pipeline::{partition_chain, partition_tree};
 use tgp_core::procmin::proc_min;
 use tgp_core::tree_bandwidth::min_tree_bandwidth_cut;
 use tgp_graph::json::Value;
-use tgp_graph::{json, ChainView, CutSet, EdgeId, NodeId, Weight};
+use tgp_graph::{json, ChainView, CutSet, EdgeId, NodeId, TreeView, Weight};
 
 use crate::error::SolveError;
 use crate::flat::{on_chain, on_tree};
@@ -105,6 +104,15 @@ fn usize_param(value: u64, field: &'static str) -> Result<usize, SolveError> {
     })
 }
 
+/// The declared `processors` parameter of a chains-on-chains objective.
+fn processors_of(request: &Request) -> Result<usize, SolveError> {
+    let m = request
+        .params
+        .processors
+        .expect("declared required parameter");
+    usize_param(m, "processors")
+}
+
 /// `bandwidth` — the paper's headline `O(n + p log q)` chain solver.
 struct Bandwidth;
 
@@ -120,9 +128,6 @@ impl Solver for Bandwidth {
     }
     fn summary(&self) -> &'static str {
         "minimum-bandwidth chain partition under a load bound (§2.3, O(n + p log q))"
-    }
-    fn accepts_streamed_graph(&self) -> bool {
-        true
     }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
         self.run_budgeted(request, &Budget::unlimited())
@@ -165,9 +170,6 @@ impl Solver for Bottleneck {
     fn summary(&self) -> &'static str {
         "minimum-bottleneck tree cut under a load bound (Algorithm 2.1)"
     }
-    fn accepts_streamed_graph(&self) -> bool {
-        true
-    }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
         let bound = bound_of(request);
         let r = on_tree!(&request.graph, |t| min_bottleneck_cut(t, bound))
@@ -199,9 +201,6 @@ impl Solver for ProcMin {
     fn summary(&self) -> &'static str {
         "minimum-processor tree partition under a load bound (Algorithm 2.2)"
     }
-    fn accepts_streamed_graph(&self) -> bool {
-        true
-    }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
         let bound = bound_of(request);
         let r = on_tree!(&request.graph, |t| proc_min(t, bound)).map_err(SolveError::infeasible)?;
@@ -229,9 +228,6 @@ impl Solver for Compose {
     }
     fn summary(&self) -> &'static str {
         "bottleneck-optimal tree partition with minimal processors (2.1 + 2.2)"
-    }
-    fn accepts_streamed_graph(&self) -> bool {
-        true
     }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
         let bound = bound_of(request);
@@ -263,9 +259,6 @@ impl Solver for Lexicographic {
     }
     fn summary(&self) -> &'static str {
         "chain cut minimizing (bottleneck, bandwidth) lexicographically (§3)"
-    }
-    fn accepts_streamed_graph(&self) -> bool {
-        true
     }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
         self.run_budgeted(request, &Budget::unlimited())
@@ -311,7 +304,7 @@ impl Solver for TreeBandwidth {
     }
     fn validate(&self, request: &Request) -> Result<(), SolveError> {
         let k = request.params.bound.expect("declared required parameter");
-        let n = request.graph.tree().len() as u64;
+        let n = request.graph.nodes() as u64;
         let cost = n.saturating_mul(k).saturating_mul(k);
         if cost > MAX_TREE_BANDWIDTH_COST {
             return Err(SolveError::TooExpensive {
@@ -326,20 +319,21 @@ impl Solver for TreeBandwidth {
     }
     fn cost_estimate(&self, request: &Request) -> u64 {
         let k = request.params.bound.unwrap_or(1);
-        let n = request.graph.tree().len() as u64;
+        let n = request.graph.nodes() as u64;
         n.saturating_mul(k).saturating_mul(k)
     }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
         let bound = bound_of(request);
-        let tree = request.graph.tree();
-        let cut = min_tree_bandwidth_cut(tree, bound).map_err(SolveError::infeasible)?;
-        Ok(Response::new(json!({
-            "objective": self.name(),
-            "bound": bound.get(),
-            "cut": cut_json(cut.iter()),
-            "bandwidth": tree.cut_weight(&cut).map_err(SolveError::infeasible)?.get(),
-            "processors": tree.components(&cut).map_err(SolveError::infeasible)?.count(),
-        })))
+        on_tree!(&request.graph, |tree| {
+            let cut = min_tree_bandwidth_cut(tree, bound).map_err(SolveError::infeasible)?;
+            Ok(Response::new(json!({
+                "objective": self.name(),
+                "bound": bound.get(),
+                "cut": cut_json(cut.iter()),
+                "bandwidth": tree.cut_weight(&cut).map_err(SolveError::infeasible)?.get(),
+                "processors": tree.components(&cut).map_err(SolveError::infeasible)?.count(),
+            })))
+        })
     }
 }
 
@@ -397,9 +391,6 @@ impl Solver for Nicol {
     fn summary(&self) -> &'static str {
         "Nicol & O'Hallaron O(n log n) bandwidth baseline on chains"
     }
-    fn accepts_streamed_graph(&self) -> bool {
-        true
-    }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
         let bound = bound_of(request);
         on_chain!(&request.graph, |c| {
@@ -432,25 +423,19 @@ impl Solver for Coc {
         "chains-on-chains minimax partition (algorithm: bokhari | probe)"
     }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
-        let m = usize_param(
-            request
-                .params
-                .processors
-                .expect("declared required parameter"),
-            "processors",
-        )?;
+        let m = processors_of(request)?;
         let algorithm = request.params.algorithm.as_deref().unwrap_or("probe");
-        let chain = request.graph.chain();
-        let result = match algorithm {
-            "bokhari" => bokhari_partition(chain, m).map_err(SolveError::infeasible)?,
-            "probe" => hansen_lih_partition(chain, m).map_err(SolveError::infeasible)?,
+        let result = on_chain!(&request.graph, |chain| match algorithm {
+            "bokhari" => bokhari_partition(chain, m),
+            "probe" => hansen_lih_partition(chain, m),
             other => {
                 return Err(SolveError::InvalidField {
                     field: "algorithm".into(),
                     message: format!("must be \"bokhari\" or \"probe\", got {other:?}"),
-                })
+                });
             }
-        };
+        })
+        .map_err(SolveError::infeasible)?;
         Ok(Response::new(json!({
             "objective": self.name(),
             "algorithm": algorithm,
@@ -478,19 +463,14 @@ impl Solver for Bokhari {
         "Bokhari (1988) layered-graph minimax chain partition, O(n²m)"
     }
     fn cost_estimate(&self, request: &Request) -> u64 {
-        let n = request.graph.chain().len() as u64;
+        let n = request.graph.nodes() as u64;
         let m = request.params.processors.unwrap_or(1);
         n.saturating_mul(n).saturating_mul(m)
     }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
-        let m = usize_param(
-            request
-                .params
-                .processors
-                .expect("declared required parameter"),
-            "processors",
-        )?;
-        let result = bokhari_partition(request.graph.chain(), m).map_err(SolveError::infeasible)?;
+        let m = processors_of(request)?;
+        let result = on_chain!(&request.graph, |chain| bokhari_partition(chain, m))
+            .map_err(SolveError::infeasible)?;
         Ok(Response::new(json!({
             "objective": self.name(),
             "processors": m,
@@ -517,15 +497,9 @@ impl Solver for HansenLih {
         "Hansen & Lih (1992) probe/binary-search minimax chain partition"
     }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
-        let m = usize_param(
-            request
-                .params
-                .processors
-                .expect("declared required parameter"),
-            "processors",
-        )?;
-        let result =
-            hansen_lih_partition(request.graph.chain(), m).map_err(SolveError::infeasible)?;
+        let m = processors_of(request)?;
+        let result = on_chain!(&request.graph, |chain| hansen_lih_partition(chain, m))
+            .map_err(SolveError::infeasible)?;
         Ok(Response::new(json!({
             "objective": self.name(),
             "processors": m,
@@ -572,14 +546,15 @@ impl Solver for Hetero {
         Ok(())
     }
     fn cost_estimate(&self, request: &Request) -> u64 {
-        let n = request.graph.chain().len() as u64;
+        let n = request.graph.nodes() as u64;
         let p = request.params.speeds.as_deref().map_or(1, |s| s.len()) as u64;
         n.saturating_mul(n).saturating_mul(p)
     }
     fn run(&self, request: &Request) -> Result<Response, SolveError> {
         let speeds = request.params.speeds.clone().expect("required parameter");
         let array = HeteroArray::new(speeds.clone());
-        let r = hetero_partition(request.graph.chain(), &array).map_err(SolveError::infeasible)?;
+        let r = on_chain!(&request.graph, |chain| hetero_partition(chain, &array))
+            .map_err(SolveError::infeasible)?;
         Ok(Response::new(json!({
             "objective": self.name(),
             "speeds": speeds,
@@ -614,15 +589,18 @@ impl Solver for HostSatellite {
             "satellites",
         )?;
         let root = usize_param(request.params.root.unwrap_or(0), "root")?;
-        let tree = request.graph.tree();
-        if root >= tree.len() {
+        let n = request.graph.nodes();
+        if root >= n {
             return Err(SolveError::InvalidField {
                 field: "root".into(),
-                message: format!("{root} out of range for {} nodes", tree.len()),
+                message: format!("{root} out of range for {n} nodes"),
             });
         }
-        let r =
-            host_satellite_partition(tree, NodeId::new(root), m).map_err(SolveError::infeasible)?;
+        let host = NodeId::new(root);
+        let r = on_tree!(&request.graph, |tree| host_satellite_partition(
+            tree, host, m
+        ))
+        .map_err(SolveError::infeasible)?;
         Ok(Response::new(json!({
             "objective": self.name(),
             "root": root,
@@ -639,6 +617,7 @@ mod tests {
     use super::*;
     use crate::registry::Registry;
     use crate::request::parse_request;
+    use crate::IngestBacking;
 
     const CHAIN: &str = r#"{"node_weights": [2, 3, 5, 7], "edge_weights": [10, 1, 10]}"#;
     const TREE: &str = r#"{"node_weights": [1, 2, 3, 4],
@@ -881,7 +860,7 @@ mod tests {
             r#"{{"objective": "tree-bandwidth", "bound": {}, "graph": {TREE}}}"#,
             u64::MAX
         );
-        let parsed = parse_request(tb, &Value::parse(&body).unwrap())
+        let parsed = parse_request(tb, &Value::parse(&body).unwrap(), &IngestBacking::Ram)
             .expect("schema-valid even though run() would refuse it");
         assert_eq!(tb.cost_estimate(&parsed), u64::MAX);
     }

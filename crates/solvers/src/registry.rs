@@ -7,6 +7,7 @@ use tgp_core::budget::Budget;
 use tgp_graph::json::Value;
 
 use crate::error::SolveError;
+use crate::ingest::IngestBacking;
 use crate::key::KeyBuilder;
 use crate::objectives;
 use crate::request::{parse_request, GraphKind, ParamSpec, Request, Response};
@@ -39,15 +40,6 @@ pub trait Solver: Send + Sync {
     fn validate(&self, request: &Request) -> Result<(), SolveError> {
         let _ = request;
         Ok(())
-    }
-
-    /// Whether [`crate::ingest_flat`] may stream this objective's bodies
-    /// straight into flat arrays. A solver that says yes takes exactly
-    /// one parameter, `bound`, and solves every [`crate::GraphInput`]
-    /// variant of its kind (pointer, RAM and disk) with byte-identical
-    /// responses. The default declines.
-    fn accepts_streamed_graph(&self) -> bool {
-        false
     }
 
     /// Runs the objective on a validated request.
@@ -134,14 +126,14 @@ pub trait Solver: Send + Sync {
 
 impl dyn Solver {
     /// Strictly validates a raw request object into a typed [`Request`]
-    /// naming this solver: the declared schema and graph kind, then
-    /// [`Solver::validate`].
+    /// naming this solver, its graph in RAM arrays: the declared schema
+    /// and graph kind, then [`Solver::validate`].
     ///
     /// # Errors
     ///
     /// The first schema or validation failure, as a [`SolveError`].
     pub fn parse(&'static self, value: &Value) -> Result<Request, SolveError> {
-        let request = parse_request(self, value)?;
+        let request = parse_request(self, value, &IngestBacking::Ram)?;
         self.validate(&request)?;
         Ok(request)
     }
@@ -232,12 +224,24 @@ impl Registry {
     }
 
     /// Full dispatch: resolves the request's `objective` field, then
-    /// strictly parses the request against that solver's schema.
-    /// Returns the solver's registry index alongside it so callers can
-    /// label metrics even when a later stage fails.
+    /// strictly parses the request against that solver's schema, its
+    /// graph in RAM arrays. Returns the solver's registry index
+    /// alongside it so callers can label metrics even when a later stage
+    /// fails.
     pub fn dispatch(
         &self,
         value: &Value,
+    ) -> Result<(usize, &'static dyn Solver, Request), SolveError> {
+        self.dispatch_onto(value, &IngestBacking::Ram)
+    }
+
+    /// As [`dispatch`](Self::dispatch), with the graph's arrays on
+    /// `backing`: a disk backing that fails (spill dir unwritable, disk
+    /// full) falls back to RAM arrays, as [`crate::ingest_flat`] does.
+    pub fn dispatch_onto(
+        &self,
+        value: &Value,
+        backing: &IngestBacking,
     ) -> Result<(usize, &'static dyn Solver, Request), SolveError> {
         let name =
             value
@@ -251,7 +255,8 @@ impl Registry {
             got: name.to_string(),
             known: self.names.clone(),
         })?;
-        let request = solver.parse(value)?;
+        let request = parse_request(solver, value, backing)?;
+        solver.validate(&request)?;
         Ok((index, solver, request))
     }
 }

@@ -7,20 +7,28 @@
 //! HTTP service guarantee identical behaviour: there is exactly one
 //! schema per objective and it lives here, not in each front end.
 //!
+//! The graph parses straight into `tgp-store`'s flat arrays (a process
+//! graph excepted), on the backing the caller names, with the field
+//! checks and error messages of `PathGraph`/`Tree`'s `from_json`.
 //! [`crate::ingest_flat`] is the second parser of the same type: it
-//! streams the bodies of objectives that accept flat graphs straight
-//! into [`GraphInput`]'s flat variants and declines everything else, so
+//! streams the bodies of chain and tree objectives whose only parameter
+//! is `bound` into the same arrays and declines everything else, so
 //! error bodies always come from this one.
 
+use std::error::Error;
 use std::fmt;
 
 use tgp_core::budget::Budget;
-use tgp_graph::json::{FromJson, Value};
-use tgp_graph::{ChainView, EdgeId, NodeId, PathGraph, ProcessGraph, Tree, TreeView};
-use tgp_store::{DiskBacking, FlatPath, FlatTree, RamBacking};
+use tgp_graph::json::{self, FromJson, JsonError, Value};
+use tgp_graph::{ChainView, EdgeId, NodeId, ProcessGraph, TreeView};
+use tgp_store::{
+    BuildError, DiskBacking, FlatPath, FlatPathBuilder, FlatTree, FlatTreeBuilder, MemoryBacking,
+    RamBacking,
+};
 
 use crate::error::SolveError;
-use crate::flat::{on_chain, on_tree};
+use crate::flat::{on_chain, on_tree, FromBuilt};
+use crate::ingest::{IngestBacking, BLOCK};
 use crate::key::KeyBuilder;
 use crate::registry::Solver;
 
@@ -52,15 +60,11 @@ impl fmt::Display for GraphKind {
     }
 }
 
-/// A validated input graph: a pointer graph built by the JSON-tree
-/// parser, or flat arrays streamed in by [`crate::ingest_flat`] (RAM- or
-/// disk-backed, chosen by the caller).
+/// A validated input graph. Chains and trees live in `tgp-store`'s flat
+/// arrays, RAM- or disk-backed, whichever parser built them; a general
+/// process graph (`approx`) is the one pointer graph.
 #[derive(Debug)]
 pub enum GraphInput {
-    /// A linear task graph.
-    Chain(PathGraph),
-    /// A tree task graph.
-    Tree(Tree),
     /// A general process graph.
     Process(ProcessGraph),
     /// A chain in RAM-backed flat arrays.
@@ -74,72 +78,42 @@ pub enum GraphInput {
 }
 
 impl GraphInput {
-    /// The pointer chain, for chain solvers that do not accept streamed
-    /// graphs.
-    ///
-    /// # Panics
-    ///
-    /// If the request holds another variant — parsers only build the
-    /// variants a solver accepts, so a panic here is a registry bug, not
-    /// bad input.
-    pub fn chain(&self) -> &PathGraph {
-        match self {
-            GraphInput::Chain(p) => p,
-            other => panic!(
-                "solver expected a pointer chain, request holds {}",
-                other.describe()
-            ),
-        }
-    }
-
-    /// The pointer tree, for tree solvers that do not accept streamed
-    /// graphs.
-    ///
-    /// # Panics
-    ///
-    /// As for [`GraphInput::chain`].
-    pub fn tree(&self) -> &Tree {
-        match self {
-            GraphInput::Tree(t) => t,
-            other => panic!(
-                "solver expected a pointer tree, request holds {}",
-                other.describe()
-            ),
-        }
-    }
-
     /// The process graph, for solvers registered with
     /// [`GraphKind::Process`].
     ///
     /// # Panics
     ///
-    /// As for [`GraphInput::chain`].
+    /// If the request holds a chain or tree — parsers only build the
+    /// graph kind a solver declares, so a panic here is a registry bug,
+    /// not bad input.
     pub fn process(&self) -> &ProcessGraph {
         match self {
             GraphInput::Process(g) => g,
-            other => panic!(
-                "solver expected a process graph, request holds {}",
-                other.describe()
-            ),
+            other => panic!("solver expected a process graph, got a {}", other.kind()),
         }
     }
 
     /// Which graph class this input holds.
     pub fn kind(&self) -> GraphKind {
         match self {
-            GraphInput::Chain(_) | GraphInput::ChainRam(_) | GraphInput::ChainDisk(_) => {
-                GraphKind::Chain
-            }
-            GraphInput::Tree(_) | GraphInput::TreeRam(_) | GraphInput::TreeDisk(_) => {
-                GraphKind::Tree
-            }
+            GraphInput::ChainRam(_) | GraphInput::ChainDisk(_) => GraphKind::Chain,
+            GraphInput::TreeRam(_) | GraphInput::TreeDisk(_) => GraphKind::Tree,
             GraphInput::Process(_) => GraphKind::Process,
         }
     }
 
-    /// The variant in words, for panic messages.
-    fn describe(&self) -> String {
-        format!("a {} on {}", self.kind(), self.backing_kind().as_str())
+    /// Number of nodes.
+    pub fn nodes(&self) -> usize {
+        self.size().0
+    }
+
+    /// Nodes and edges.
+    fn size(&self) -> (usize, usize) {
+        match (self, self.kind()) {
+            (GraphInput::Process(g), _) => (g.len(), g.edge_count()),
+            (chain, GraphKind::Chain) => on_chain!(chain, |c| (c.len(), c.edge_count())),
+            (tree, _) => on_tree!(tree, |t| (TreeView::len(t), TreeView::edge_count(t))),
+        }
     }
 
     /// A rough size-of-instance measure — nodes plus edges — used as the
@@ -147,17 +121,13 @@ impl GraphInput {
     /// time is super-linear in the instance override the estimate
     /// instead of this accessor.
     pub fn work_units(&self) -> u64 {
-        let (nodes, edges) = match (self, self.kind()) {
-            (GraphInput::Process(g), _) => (g.len(), g.edge_count()),
-            (chain, GraphKind::Chain) => on_chain!(chain, |c| (c.len(), c.edge_count())),
-            (tree, _) => on_tree!(tree, |t| (TreeView::len(t), TreeView::edge_count(t))),
-        };
+        let (nodes, edges) = self.size();
         (nodes + edges) as u64
     }
 
-    /// Writes the graph's validated content into a canonical key. Every
-    /// variant holding the same graph writes the same bytes, so pointer,
-    /// RAM and disk solves share cache entries.
+    /// Writes the graph's validated content into a canonical key. RAM
+    /// and disk arrays holding the same graph write the same bytes, so
+    /// both backings share cache entries.
     pub fn write_key(&self, key: &mut KeyBuilder) {
         match (self, self.kind()) {
             (GraphInput::Process(g), _) => {
@@ -181,16 +151,11 @@ impl GraphInput {
     /// one tagged `u64` for the node count, one per node weight and one
     /// per edge field.
     pub fn key_len(&self) -> usize {
-        let (tag, nodes, edge_fields) = match (self, self.kind()) {
-            (GraphInput::Process(g), _) => (PROCESS_TAG, g.len(), 3 * g.edge_count()),
-            (chain, GraphKind::Chain) => {
-                on_chain!(chain, |c| (CHAIN_TAG, c.len(), c.edge_count()))
-            }
-            (tree, _) => on_tree!(tree, |t| (
-                TREE_TAG,
-                TreeView::len(t),
-                3 * TreeView::edge_count(t)
-            )),
+        let (nodes, edges) = self.size();
+        let (tag, edge_fields) = match self.kind() {
+            GraphKind::Process => (PROCESS_TAG, 3 * edges),
+            GraphKind::Chain => (CHAIN_TAG, edges),
+            GraphKind::Tree => (TREE_TAG, 3 * edges),
         };
         tag.len() + KeyBuilder::U64_LEN * (1 + nodes + edge_fields)
     }
@@ -423,10 +388,11 @@ impl Response {
 /// Checks, in order: the request is an object; it carries no field
 /// outside `objective`, `graph` and `params`; every required parameter
 /// is present with the right type; the graph parses as the solver's
-/// kind.
+/// kind, into arrays on `backing`.
 pub(crate) fn parse_request(
     objective: &'static dyn Solver,
     value: &Value,
+    backing: &IngestBacking,
 ) -> Result<Request, SolveError> {
     let name = objective.name();
     let params = objective.params();
@@ -516,7 +482,7 @@ pub(crate) fn parse_request(
         field: "graph",
         expected: "a graph object",
     })?;
-    let graph = parse_graph(name, objective.graph_kind(), graph_value)?;
+    let graph = parse_graph(name, objective.graph_kind(), graph_value, backing)?;
     Ok(Request {
         objective,
         graph,
@@ -532,21 +498,88 @@ fn expected_of(kind: ParamKind) -> &'static str {
     }
 }
 
+/// Parses the `"graph"` object as `kind`: a chain or tree straight into
+/// flat arrays on `backing` with the `tgp-store` builders, a process
+/// graph as a pointer graph. Field errors come from the same
+/// `tgp_graph::json` helpers, in the same order, as `PathGraph` and
+/// `Tree`'s `from_json`, and the builders return their constructors'
+/// [`GraphError`](tgp_graph::GraphError)s, so every error message is
+/// theirs.
 fn parse_graph(
     objective: &'static str,
     kind: GraphKind,
     value: &Value,
+    backing: &IngestBacking,
 ) -> Result<GraphInput, SolveError> {
-    let wrong = |e: tgp_graph::json::JsonError| SolveError::WrongGraphKind {
+    let built = match (kind, backing) {
+        (GraphKind::Process, _) => ProcessGraph::from_json(value)
+            .map(GraphInput::Process)
+            .map_err(Into::into),
+        (_, IngestBacking::Ram) => build_graph(kind, value, &RamBacking),
+        // A disk backing that fails (spill dir unwritable, disk full)
+        // falls back to RAM arrays, where an invalid graph fails again
+        // with the same error.
+        (_, IngestBacking::Disk { dir }) => build_graph(kind, value, &DiskBacking::new(dir))
+            .or_else(|_| build_graph(kind, value, &RamBacking)),
+    };
+    built.map_err(|e| SolveError::WrongGraphKind {
         objective,
         expected: kind,
         message: e.to_string(),
-    };
-    Ok(match kind {
-        GraphKind::Chain => GraphInput::Chain(PathGraph::from_json(value).map_err(wrong)?),
-        GraphKind::Tree => GraphInput::Tree(Tree::from_json(value).map_err(wrong)?),
-        GraphKind::Process => GraphInput::Process(ProcessGraph::from_json(value).map_err(wrong)?),
     })
+}
+
+/// Streams a chain's or tree's fields into a builder on `backing`, in
+/// blocks of up to [`BLOCK`] elements.
+fn build_graph<B>(kind: GraphKind, value: &Value, backing: &B) -> Result<GraphInput, Box<dyn Error>>
+where
+    B: MemoryBacking + Clone,
+    GraphInput: FromBuilt<B>,
+{
+    let ty = if kind == GraphKind::Chain {
+        "PathGraph"
+    } else {
+        "Tree"
+    };
+    let invalid = |e: BuildError| JsonError::msg(format!("{ty}: {e}"));
+    let nodes = json::array_field(value, "node_weights", ty)?;
+    if kind == GraphKind::Chain {
+        let mut chain = FlatPathBuilder::new(backing, nodes.len())?;
+        weight_blocks(nodes, "node_weights", ty, |block| chain.extend_nodes(block))?;
+        let edges = json::array_field(value, "edge_weights", ty)?;
+        weight_blocks(edges, "edge_weights", ty, |block| chain.extend_edges(block))?;
+        return Ok(GraphInput::from_path(chain.finish().map_err(invalid)?));
+    }
+    let mut tree = FlatTreeBuilder::new(backing.clone(), nodes.len())?;
+    weight_blocks(nodes, "node_weights", ty, |block| tree.extend_nodes(block))?;
+    let (mut a, mut b, mut w) = ([0usize; BLOCK], [0usize; BLOCK], [0u64; BLOCK]);
+    for chunk in json::array_field(value, "edges", ty)?.chunks(BLOCK) {
+        for (k, edge) in chunk.iter().enumerate() {
+            let (ea, eb, ew) = json::edge_fields(edge)?;
+            (a[k], b[k], w[k]) = (ea.index(), eb.index(), ew.get());
+        }
+        let len = chunk.len();
+        tree.extend_edges(&a[..len], &b[..len], &w[..len])?;
+    }
+    Ok(GraphInput::from_tree(tree.finish().map_err(invalid)?))
+}
+
+/// Checks each of `items` as element of the weight array `key` and hands
+/// them to `append` in blocks of up to [`BLOCK`].
+fn weight_blocks(
+    items: &[Value],
+    key: &str,
+    ty: &str,
+    mut append: impl FnMut(&[u64]) -> std::io::Result<()>,
+) -> Result<(), Box<dyn Error>> {
+    let mut block = [0u64; BLOCK];
+    for (c, chunk) in items.chunks(BLOCK).enumerate() {
+        for (k, item) in chunk.iter().enumerate() {
+            block[k] = json::weight_item(item, key, ty, c * BLOCK + k)?;
+        }
+        append(&block[..chunk.len()])?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -580,7 +613,7 @@ mod tests {
     }
 
     fn parse(text: &str) -> Result<Request, SolveError> {
-        parse_request(&Demo, &Value::parse(text).unwrap())
+        parse_request(&Demo, &Value::parse(text).unwrap(), &IngestBacking::Ram)
     }
 
     #[test]
@@ -591,7 +624,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ok.params.bound, Some(5));
-        assert_eq!(ok.graph.chain().len(), 2);
+        assert_eq!(on_chain!(&ok.graph, |c| c.len()), 2);
 
         let err = parse(
             r#"{"objective":"demo","bound":5,"buond":6,

@@ -8,15 +8,17 @@
 //! the service parse a huge JSON upload directly into (possibly
 //! disk-backed) arrays without ever materializing the document tree.
 //!
-//! Builders reproduce the exact validation sequence — and the exact
-//! [`GraphError`] values — of the legacy constructors, so a request
-//! routed through the flat substrate fails (or succeeds) byte-for-byte
-//! identically to one routed through the pointer graphs.
+//! Builders validate with the same `tgp_graph` checks as the pointer
+//! constructors ([`check_chain`], [`check_tree`]), so a graph
+//! fails (or succeeds) with the same [`GraphError`] whichever
+//! representation it is built in.
 
 use std::fmt;
 use std::io;
 
-use tgp_graph::{ChainView, EdgeId, GraphError, NodeId, TreeEdge, TreeView, UnionFind32, Weight};
+use tgp_graph::{
+    check_chain, check_tree, ChainView, EdgeId, GraphError, NodeId, TreeEdge, TreeView, Weight,
+};
 
 use crate::backing::{Array, BackingKind, MemoryBacking};
 
@@ -59,13 +61,6 @@ impl From<io::Error> for BuildError {
     fn from(e: io::Error) -> Self {
         BuildError::Io(e)
     }
-}
-
-/// The crate-wide weight budget: the combined total of all vertex and
-/// edge weights must stay *below* `u64::MAX` (same rule as
-/// `tgp_graph::weight::check_combined_total`).
-fn combined_total_ok(nodes: u128, edges: u128) -> bool {
-    nodes + edges < u128::from(u64::MAX)
 }
 
 // ---------------------------------------------------------------------------
@@ -269,8 +264,8 @@ impl<B: MemoryBacking> FlatPathBuilder<B> {
         self.edge_w.len()
     }
 
-    /// Validates and seals the graph. The checks run in the same order
-    /// as `PathGraph::from_weights`, producing identical errors.
+    /// Validates and seals the graph with [`check_chain`], the checks
+    /// `PathGraph::from_weights` runs, producing identical errors.
     ///
     /// # Errors
     ///
@@ -279,19 +274,7 @@ impl<B: MemoryBacking> FlatPathBuilder<B> {
     /// constructor reports them.
     pub fn finish(self) -> Result<FlatPath<B>, BuildError> {
         let n = self.node_w.len();
-        if n == 0 {
-            return Err(GraphError::Empty.into());
-        }
-        if self.edge_w.len() != n - 1 {
-            return Err(GraphError::WrongEdgeCount {
-                nodes: n,
-                edges: self.edge_w.len(),
-            }
-            .into());
-        }
-        if !combined_total_ok(self.node_total, self.edge_total) {
-            return Err(GraphError::WeightOverflow.into());
-        }
+        check_chain(n, self.edge_w.len(), self.node_total, self.edge_total)?;
         debug_assert_eq!(self.prefix.len(), n + 1);
         Ok(FlatPath {
             node_w: self.node_w,
@@ -309,8 +292,9 @@ impl<B: MemoryBacking> FlatPathBuilder<B> {
 
 /// A weighted free tree as parallel arrays: `edge_a[i]`/`edge_b[i]` are
 /// edge `i`'s endpoints in input orientation. There is no adjacency
-/// index: [`TreeView`] exposes none, and the solver that walks the tree
-/// (`proc_min`) builds its own incidence from the edge list.
+/// index: [`TreeView`] exposes none, and the solvers that walk the tree
+/// root it with `tgp_graph::Rooted`, which builds its own incidence from
+/// the edge list.
 #[derive(Debug)]
 pub struct FlatTree<B: MemoryBacking> {
     node_w: B::Array<u64>,
@@ -557,10 +541,9 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
         }
     }
 
-    /// Validates the edge set and seals the graph. The checks run in the
-    /// same order as
-    /// `Tree::from_edges`, producing identical errors — including the
-    /// duplicate-edge / cycle distinction.
+    /// Validates the edge set and seals the graph with
+    /// [`check_tree`], the checks `Tree::from_edges` runs, so the errors
+    /// are identical — including the duplicate-edge / cycle distinction.
     ///
     /// # Errors
     ///
@@ -569,57 +552,15 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
     /// backing failure as [`BuildError::Io`].
     pub fn finish(self) -> Result<FlatTree<B>, BuildError> {
         let n = self.node_w.len();
-        if n == 0 {
-            return Err(GraphError::Empty.into());
-        }
+        // Only a non-empty tree is too large, so checking first keeps
+        // check_tree's order.
         if n > u32::MAX as usize {
             return Err(BuildError::TooLarge { nodes: n });
         }
         let m = self.edge_w.len();
-        if m != n - 1 {
-            return Err(GraphError::WrongEdgeCount { nodes: n, edges: m }.into());
-        }
-        if !combined_total_ok(self.node_total, self.edge_total) {
-            return Err(GraphError::WeightOverflow.into());
-        }
-        let mut uf = UnionFind32::new(n);
-        for i in 0..m {
-            let (a, b) = self.endpoints(i);
-            for endpoint in [a, b] {
-                if endpoint >= n {
-                    return Err(GraphError::NodeOutOfRange {
-                        node: NodeId::new(endpoint),
-                        len: n,
-                    }
-                    .into());
-                }
-            }
-            if a == b {
-                return Err(GraphError::SelfLoop {
-                    node: NodeId::new(a),
-                }
-                .into());
-            }
-            if !uf.union(a as u32, b as u32) {
-                // The edge closed a cycle; distinguish a parallel edge
-                // for a friendlier message, exactly as Tree::from_edges.
-                if (0..i).any(|j| {
-                    let (fa, fb) = self.endpoints(j);
-                    (fa, fb) == (a, b) || (fa, fb) == (b, a)
-                }) {
-                    return Err(GraphError::DuplicateEdge {
-                        a: NodeId::new(a),
-                        b: NodeId::new(b),
-                    }
-                    .into());
-                }
-                return Err(GraphError::Cycle {
-                    edge: EdgeId::new(i),
-                }
-                .into());
-            }
-        }
-        // n - 1 successful unions on n nodes guarantee connectivity.
+        check_tree(n, m, self.node_total, self.edge_total, |i| {
+            self.endpoints(i)
+        })?;
         Ok(FlatTree {
             node_w: self.node_w,
             edge_a: self.edge_a,

@@ -16,9 +16,9 @@
 //! * [`FlatPath`] / [`FlatTree`] — flat graph representations that
 //!   implement [`tgp_graph::ChainView`] / [`tgp_graph::TreeView`], the
 //!   access traits the solver hot paths are generic over. Their
-//!   builders reproduce the exact validation (and [`GraphError`]
-//!   values) of the legacy pointer graphs, so responses stay
-//!   byte-identical whichever representation served them.
+//!   builders run the pointer graphs' validation (and so return the
+//!   same [`GraphError`] values), so responses stay byte-identical
+//!   whichever representation served them.
 //! * [`SpillBuf`] — a byte buffer that starts on the heap and spills to
 //!   an unlinked mmap-backed file past a threshold, for a reader that
 //!   streams a request body rather than receiving it framed.

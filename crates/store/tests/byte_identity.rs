@@ -1,7 +1,8 @@
 //! Byte-identity property suite: every solver must produce *identical*
-//! results — cut edge sets, weights, segment lists — whether the graph is
-//! the legacy pointer representation (`PathGraph`/`Tree`), a RAM-backed
-//! flat graph, or a disk-backed (mmap) flat graph.
+//! results — cut edge sets, weights, segment lists, block boundaries —
+//! whether the graph is the pointer representation (`PathGraph`/`Tree`),
+//! a RAM-backed flat graph, or a disk-backed (mmap) flat graph. That
+//! covers every chain and tree objective's solve body.
 //!
 //! 64 random cases (32 chains, 32 trees) spanning tiny to moderately
 //! large instances, plus several bounds per instance. Any divergence —
@@ -10,12 +11,17 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use tgp_baselines::{
+    bokhari_partition, hansen_lih_partition, hetero_partition, host_satellite_partition,
+    nicol_bandwidth_cut, CocError, CocResult, HeteroArray,
+};
 use tgp_core::bandwidth::{min_bandwidth_cut, min_bandwidth_cut_lexicographic, prime_subpaths};
 use tgp_core::bottleneck::min_bottleneck_cut;
 use tgp_core::budget::Budget;
 use tgp_core::pipeline::{partition_chain, partition_tree};
 use tgp_core::procmin::proc_min;
-use tgp_graph::{ChainView, PathGraph, Tree, TreeView, Weight};
+use tgp_core::tree_bandwidth::min_tree_bandwidth_cut;
+use tgp_graph::{ChainView, NodeId, PathGraph, Tree, TreeView, Weight};
 use tgp_store::{
     DiskBacking, FlatPath, FlatPathBuilder, FlatTree, FlatTreeBuilder, MemoryBacking, RamBacking,
 };
@@ -89,6 +95,40 @@ fn chain_transcript<C: ChainView>(path: &C, bounds: &[u64]) -> String {
             )),
             Err(e) => out.push_str(&format!("pipe k={k}: ERR {e:?}\n")),
         }
+        match nicol_bandwidth_cut(path, bound) {
+            Ok(cut) => out.push_str(&format!(
+                "nicol k={k}: {:?}\n",
+                cut.iter().collect::<Vec<_>>()
+            )),
+            Err(e) => out.push_str(&format!("nicol k={k}: ERR {e:?}\n")),
+        }
+    }
+    // The chains-on-chains objectives: `bokhari` (and `coc`'s "bokhari"
+    // algorithm), `hansen-lih` (`coc`'s "probe") and `hetero`, with
+    // each assignment's cost re-read through `ChainAssignment`.
+    let coc_line = |name: &str, m: usize, r: Result<CocResult, CocError>| match r {
+        Ok(r) => format!(
+            "{name} m={m}: {:?} bn={:?} cost={:?}\n",
+            r.assignment.boundaries(),
+            r.bottleneck,
+            r.assignment.bottleneck(path),
+        ),
+        Err(e) => format!("{name} m={m}: ERR {e:?}\n"),
+    };
+    for m in [0, 1, 2, 3, 5, path.len()] {
+        out.push_str(&coc_line("bokhari", m, bokhari_partition(path, m)));
+        out.push_str(&coc_line("hansen-lih", m, hansen_lih_partition(path, m)));
+    }
+    for speeds in [vec![1], vec![3, 1], vec![2, 5, 1]] {
+        let array = HeteroArray::new(speeds);
+        let r = hetero_partition(path, &array);
+        if let Ok(r) = &r {
+            out.push_str(&format!(
+                "hetero time={}\n",
+                array.bottleneck(path, &r.assignment)
+            ));
+        }
+        out.push_str(&coc_line("hetero", array.len(), r));
     }
     out
 }
@@ -129,6 +169,34 @@ fn tree_transcript<T: TreeView>(tree: &T, bounds: &[u64]) -> String {
                 ));
             }
             Err(e) => out.push_str(&format!("compose k={k}: ERR {e:?}\n")),
+        }
+        // The exact DP is O(n·K²): only at bounds that keep that small.
+        if (tree.len() as u64) * k * k <= 1 << 22 {
+            match min_tree_bandwidth_cut(tree, bound) {
+                Ok(cut) => {
+                    let edges: Vec<usize> = cut.iter().map(|e| e.index()).collect();
+                    out.push_str(&format!(
+                        "tree-bw k={k}: cut={edges:?} w={:?} comps={:?}\n",
+                        tree.cut_weight(&cut).unwrap(),
+                        tree.components(&cut).unwrap(),
+                    ));
+                }
+                Err(e) => out.push_str(&format!("tree-bw k={k}: ERR {e:?}\n")),
+            }
+        }
+    }
+    for root in [0, tree.len() / 2] {
+        for m in [0, 1, 2, 3] {
+            match host_satellite_partition(tree, NodeId::new(root), m) {
+                Ok(r) => {
+                    let edges: Vec<usize> = r.cut.iter().map(|e| e.index()).collect();
+                    out.push_str(&format!(
+                        "host-sat root={root} m={m}: uplinks={edges:?} sats={} bn={:?}\n",
+                        r.satellites, r.bottleneck,
+                    ));
+                }
+                Err(e) => out.push_str(&format!("host-sat root={root} m={m}: ERR {e:?}\n")),
+            }
         }
     }
     out
