@@ -1147,6 +1147,148 @@ mod tests {
         }
     }
 
+    /// Every error class `Value::parse` reports, pinned to its exact
+    /// message and byte offset (and so to its `Display` text).
+    #[test]
+    fn parse_errors_are_pinned_to_message_and_offset() {
+        let deep = "[".repeat(MAX_DEPTH + 10) + &"]".repeat(MAX_DEPTH + 10);
+        let cases: &[(&str, usize, &str)] = &[
+            // The inputs of `malformed_inputs_error_instead_of_panicking`.
+            ("", 0, "unexpected end of input"),
+            ("{", 1, "expected '\"'"),
+            ("}", 0, "unexpected character '}'"),
+            ("[", 1, "unexpected end of input"),
+            ("[1,", 3, "unexpected end of input"),
+            ("[1 2]", 3, "expected ',' or ']' in array"),
+            ("{\"a\"}", 4, "expected ':'"),
+            ("{\"a\":}", 5, "unexpected character '}'"),
+            ("{a:1}", 1, "expected '\"'"),
+            ("nul", 0, "expected \"null\""),
+            ("tru", 0, "expected \"true\""),
+            ("01", 1, "trailing characters after JSON value"),
+            ("1.", 2, "expected digit after decimal point"),
+            ("1e", 2, "expected digit in exponent"),
+            ("--1", 1, "invalid number"),
+            ("\"", 1, "unterminated string"),
+            ("\"\\q\"", 2, "invalid escape sequence"),
+            ("\"\\u12\"", 5, "invalid hex digit in \\u escape"),
+            ("[1],", 3, "trailing characters after JSON value"),
+            ("{\"a\":1,}x", 7, "expected '\"'"),
+            ("+5", 0, "unexpected character '+'"),
+            ("NaN", 0, "unexpected character 'N'"),
+            ("Infinity", 0, "unexpected character 'I'"),
+            ("1e999", 0, "number out of range"),
+            ("\u{1}", 0, "unexpected character '\\u{1}'"),
+            ("\"abc", 4, "unterminated string"),
+            ("{\"k\" 1}", 5, "expected ':'"),
+            // The depth limit.
+            (&deep, MAX_DEPTH + 1, "nesting deeper than 128"),
+            // Trailing characters, after whitespace.
+            ("[1] x", 4, "trailing characters after JSON value"),
+            ("\t\n 7 \r\n ,", 8, "trailing characters after JSON value"),
+            (
+                "18446744073709551616x",
+                20,
+                "trailing characters after JSON value",
+            ),
+            // A control character inside a string.
+            ("\"a\u{1}b\"", 2, "unescaped control character in string"),
+            // Unpaired and out-of-order surrogates.
+            ("\"\\ud83d\"", 7, "unpaired surrogate in \\u escape"),
+            ("\"\\ud83dx\"", 7, "unpaired surrogate in \\u escape"),
+            ("\"\\ud83d\\u0041\"", 13, "unpaired surrogate in \\u escape"),
+            ("\"\\ude00\"", 7, "invalid \\u escape"),
+            ("\"\\uzzzz\"", 3, "invalid hex digit in \\u escape"),
+            ("\"\\u00", 5, "truncated \\u escape"),
+            ("\"\\", 2, "invalid escape sequence"),
+            ("\"é\\q\"", 4, "invalid escape sequence"),
+            // A multi-byte character where a value should start.
+            ("[é]", 1, "unexpected character 'Ã'"),
+            // Number grammar.
+            ("-", 1, "invalid number"),
+            ("-a", 1, "invalid number"),
+            ("1.e5", 2, "expected digit after decimal point"),
+            ("1e+", 3, "expected digit in exponent"),
+            // Separators and literals.
+            ("[1,]", 3, "unexpected character ']'"),
+            ("{\"a\":1,}", 7, "expected '\"'"),
+            ("{\"a\" :1 ,\"b\"}", 12, "expected ':'"),
+            ("{\"a\":1 \"b\":2}", 7, "expected ',' or '}' in object"),
+            ("[true false]", 6, "expected ',' or ']' in array"),
+            ("fals", 0, "expected \"false\""),
+            ("nulL", 0, "expected \"null\""),
+        ];
+        for &(input, offset, message) in cases {
+            let err = Value::parse(input).unwrap_err();
+            let shown = if input.len() > 40 { "<deep>" } else { input };
+            assert_eq!(err.offset, Some(offset), "{shown:?}");
+            assert_eq!(err.message, message, "{shown:?}");
+            assert!(!err.interrupted, "{shown:?}");
+            assert_eq!(err.to_string(), format!("{message} at byte {offset}"));
+        }
+        // An interrupted parse stops at the second poll, after
+        // 2 * CHECK_STRIDE values.
+        let big = format!(
+            "[{}]",
+            (0..3 * CHECK_STRIDE)
+                .map(|i| i.to_string())
+                .collect::<Vec<_>>()
+                .join(",")
+        );
+        let mut polls = 0;
+        let mut second = || {
+            polls += 1;
+            polls >= 2
+        };
+        let err = Value::parse_with_check(&big, &mut second).unwrap_err();
+        assert!(err.interrupted);
+        assert_eq!(err.offset, Some(39_841));
+        assert_eq!(err.to_string(), "parsing interrupted at byte 39841");
+    }
+
+    /// Numbers keep their representation whichever way they are scanned:
+    /// plain integers as `UInt`, negative ones as `Int`, and anything
+    /// with a fraction or exponent, or past 64 bits, as `Float`.
+    #[test]
+    fn numbers_parse_to_pinned_values() {
+        let cases: &[(&str, Number)] = &[
+            ("0", Number::UInt(0)),
+            ("7", Number::UInt(7)),
+            ("12345678", Number::UInt(12_345_678)),
+            ("123456789", Number::UInt(123_456_789)),
+            ("18446744073709551615", Number::UInt(u64::MAX)),
+            ("-0", Number::UInt(0)),
+            ("-7", Number::Int(-7)),
+            ("-9223372036854775808", Number::Int(i64::MIN)),
+            (
+                "-9223372036854775809",
+                Number::Float(-9_223_372_036_854_775_809.0),
+            ),
+            (
+                "18446744073709551616",
+                Number::Float(18_446_744_073_709_551_616.0),
+            ),
+            (
+                "184467440737095516150",
+                Number::Float(184_467_440_737_095_516_150.0),
+            ),
+            ("1.0", Number::Float(1.0)),
+            ("0.5", Number::Float(0.5)),
+            ("1e3", Number::Float(1000.0)),
+            ("1E-2", Number::Float(0.01)),
+            ("-2.5e+1", Number::Float(-25.0)),
+        ];
+        for &(text, want) in cases {
+            assert_eq!(Value::parse(text).unwrap(), Value::Number(want), "{text}");
+            let in_array = format!("[{text} ,{text}]");
+            assert_eq!(
+                Value::parse(&in_array).unwrap(),
+                Value::Array(vec![Value::Number(want); 2]),
+                "{in_array}"
+            );
+        }
+    }
+
     #[test]
     fn deep_nesting_is_bounded() {
         let deep = "[".repeat(MAX_DEPTH + 10) + &"]".repeat(MAX_DEPTH + 10);
