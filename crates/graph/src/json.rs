@@ -29,6 +29,7 @@
 //! Segment       {"start": i, "end": j, "weight": w}
 //! ```
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::{
@@ -171,18 +172,17 @@ impl Value {
         check: Option<&mut dyn FnMut() -> bool>,
     ) -> Result<Value, JsonError> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
+            lex: Lexer::new(text.as_bytes()),
             check,
             countdown: CHECK_STRIDE,
         };
-        p.skip_ws();
+        p.lex.skip_ws();
         let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
+        p.lex.skip_ws();
+        if !p.lex.at_end() {
             return Err(JsonError::at(
-                p.pos,
-                "trailing characters after JSON value".to_string(),
+                p.lex.pos(),
+                "trailing characters after JSON value",
             ));
         }
         Ok(v)
@@ -527,43 +527,423 @@ macro_rules! json {
 /// `Instant::now()` comparison) stays invisible in profiles.
 pub const CHECK_STRIDE: u32 = 4096;
 
-struct Parser<'a, 'c> {
+/// Where and why a [`Lexer`] stopped. Small and `Copy`, so a scan that
+/// only needs to know *that* a token failed pays nothing for it;
+/// [`Value::parse`] turns it into a [`JsonError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LexError {
+    /// Byte offset into the input.
+    pub offset: usize,
+    /// What was wrong there.
+    pub kind: LexErrorKind,
+}
+
+/// What a [`LexError`] found, rendered as one fixed message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LexErrorKind {
+    /// The next byte had to be this one: `expected ':'`.
+    Expected(u8),
+    /// The next bytes had to spell this word: `expected "null"`.
+    ExpectedWord(&'static str),
+    /// Anything else: `unterminated string`, `invalid number`, ...
+    Invalid(&'static str),
+}
+
+impl fmt::Display for LexErrorKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            LexErrorKind::Expected(byte) => write!(f, "expected {:?}", byte as char),
+            LexErrorKind::ExpectedWord(word) => write!(f, "expected {word:?}"),
+            LexErrorKind::Invalid(message) => f.write_str(message),
+        }
+    }
+}
+
+impl From<LexError> for JsonError {
+    fn from(e: LexError) -> Self {
+        JsonError::at(e.offset, e.kind.to_string())
+    }
+}
+
+/// The JSON tokenizer: a cursor over raw bytes that reads one token at
+/// a time, for a grammar its caller drives. It is the one place that
+/// decides how whitespace, punctuation, literals, strings and numbers
+/// are spelled; [`Value::parse`] and the registry's streaming ingest
+/// are both grammars over it. Every failure carries its byte offset,
+/// and a failed token consumes nothing.
+///
+/// The input need not be UTF-8: string contents are checked as they
+/// are taken.
+#[derive(Debug, Clone)]
+pub struct Lexer<'a> {
     bytes: &'a [u8],
     pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Lexer { bytes, pos: 0 }
+    }
+
+    /// The byte offset of the next token.
+    #[inline]
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// `true` once every byte is consumed.
+    #[inline]
+    pub fn at_end(&self) -> bool {
+        self.pos >= self.bytes.len()
+    }
+
+    /// The next byte, unconsumed.
+    #[inline]
+    pub fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn error(&self, kind: LexErrorKind) -> LexError {
+        LexError {
+            offset: self.pos,
+            kind,
+        }
+    }
+
+    /// Skips JSON whitespace: space, tab, LF and CR.
+    #[inline]
+    pub fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Consumes `byte` if it comes next.
+    #[inline]
+    pub fn eat(&mut self, byte: u8) -> bool {
+        let next = self.peek() == Some(byte);
+        self.pos += usize::from(next);
+        next
+    }
+
+    /// Consumes `byte`, which must come next.
+    ///
+    /// # Errors
+    ///
+    /// `expected 'b'` at the next byte.
+    #[inline]
+    pub fn expect(&mut self, byte: u8) -> Result<(), LexError> {
+        if self.eat(byte) {
+            Ok(())
+        } else {
+            Err(self.error(LexErrorKind::Expected(byte)))
+        }
+    }
+
+    /// Consumes `word` (`null`, `true`, `false`, or any fixed spelling),
+    /// which must come next.
+    ///
+    /// # Errors
+    ///
+    /// `expected "word"` at the word's first byte.
+    #[inline]
+    pub fn literal(&mut self, word: &'static str) -> Result<(), LexError> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(())
+        } else {
+            Err(self.error(LexErrorKind::ExpectedWord(word)))
+        }
+    }
+
+    /// Consumes a string and returns its contents: borrowed from the
+    /// input when it holds no escape, decoded into a new `String` when
+    /// it does.
+    ///
+    /// # Errors
+    ///
+    /// A missing opening quote, an unterminated string, an unescaped
+    /// control character, a bad escape or a byte sequence that is not
+    /// UTF-8, each at the offending byte.
+    #[inline]
+    pub fn string(&mut self) -> Result<Cow<'a, str>, LexError> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        let end = start + plain_run(&self.bytes[start..]);
+        if self.bytes.get(end) == Some(&b'"') {
+            let text = utf8(&self.bytes[start..end], start)?;
+            self.pos = end + 1;
+            return Ok(Cow::Borrowed(text));
+        }
+        self.escaped_string().map(Cow::Owned)
+    }
+
+    /// The rest of a string that does not end at its first special
+    /// byte, from its first content byte.
+    #[cold]
+    fn escaped_string(&mut self) -> Result<String, LexError> {
+        let mut out = String::new();
+        loop {
+            let run = self.pos;
+            self.pos += plain_run(&self.bytes[run..]);
+            out.push_str(utf8(&self.bytes[run..self.pos], run)?);
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    out.push(self.escape()?);
+                }
+                Some(_) => {
+                    return Err(self.error(LexErrorKind::Invalid(
+                        "unescaped control character in string",
+                    )))
+                }
+                None => return Err(self.error(LexErrorKind::Invalid("unterminated string"))),
+            }
+        }
+    }
+
+    /// The character an escape stands for, the cursor just past its
+    /// backslash.
+    fn escape(&mut self) -> Result<char, LexError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0C}',
+            Some(b'u') => {
+                self.pos += 1;
+                return self.unicode_escape();
+            }
+            _ => return Err(self.error(LexErrorKind::Invalid("invalid escape sequence"))),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Parses the 4 hex digits after `\u` (cursor already past the `u`),
+    /// combining surrogate pairs.
+    fn unicode_escape(&mut self) -> Result<char, LexError> {
+        let first = self.hex4()?;
+        if (0xD800..0xDC00).contains(&first) {
+            // High surrogate: require a following \uXXXX low surrogate.
+            if self.bytes[self.pos..].starts_with(b"\\u") {
+                self.pos += 2;
+                let second = self.hex4()?;
+                if (0xDC00..0xE000).contains(&second) {
+                    let c = 0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
+                    return char::from_u32(c).ok_or_else(|| {
+                        self.error(LexErrorKind::Invalid("invalid surrogate pair"))
+                    });
+                }
+            }
+            return Err(self.error(LexErrorKind::Invalid("unpaired surrogate in \\u escape")));
+        }
+        char::from_u32(first).ok_or_else(|| self.error(LexErrorKind::Invalid("invalid \\u escape")))
+    }
+
+    fn hex4(&mut self) -> Result<u32, LexError> {
+        let mut v: u32 = 0;
+        for _ in 0..4 {
+            let b = self
+                .peek()
+                .ok_or_else(|| self.error(LexErrorKind::Invalid("truncated \\u escape")))?;
+            let digit = (b as char).to_digit(16).ok_or_else(|| {
+                self.error(LexErrorKind::Invalid("invalid hex digit in \\u escape"))
+            })?;
+            v = v * 16 + digit;
+            self.pos += 1;
+        }
+        Ok(v)
+    }
+
+    /// Consumes a strict JSON non-negative integer that fits `u64`: no
+    /// sign, no leading zero, and no fraction or exponent after it.
+    /// Anything else fails at the number's first byte, so that
+    /// [`Lexer::number`] can re-read it.
+    ///
+    /// # Errors
+    ///
+    /// `expected a non-negative integer` at the next byte.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, LexError> {
+        let not_u64 = self.error(LexErrorKind::Invalid("expected a non-negative integer"));
+        let digits = &self.bytes[self.pos..];
+        // The first (up to) eight digits in one word, then one digit at
+        // a time. Nineteen digits never overflow (10^19 - 1 <
+        // u64::MAX), so only a longer run needs checked arithmetic.
+        let (mut value, mut len) = match digits.first_chunk::<8>() {
+            Some(word) => eight_digits(u64::from_le_bytes(*word)),
+            None => (0, 0),
+        };
+        if len == 8 || digits.len() < 8 {
+            while len < 19 {
+                match digits.get(len) {
+                    Some(&c @ b'0'..=b'9') => value = value * 10 + u64::from(c - b'0'),
+                    _ => break,
+                }
+                len += 1;
+            }
+            while let Some(&c @ b'0'..=b'9') = digits.get(len) {
+                value = value
+                    .checked_mul(10)
+                    .and_then(|v| v.checked_add(u64::from(c - b'0')))
+                    .ok_or(not_u64)?;
+                len += 1;
+            }
+        }
+        if len == 0 || (len > 1 && digits[0] == b'0') {
+            return Err(not_u64);
+        }
+        if matches!(digits.get(len), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
+            return Err(not_u64);
+        }
+        self.pos += len;
+        Ok(value)
+    }
+
+    /// Consumes any JSON number: a non-negative integer as
+    /// [`Number::UInt`], a negative one as [`Number::Int`], and one with
+    /// a fraction or exponent, or out of 64-bit range, as
+    /// [`Number::Float`]. Plain non-negative integers take the
+    /// [`Lexer::u64`] scan.
+    ///
+    /// # Errors
+    ///
+    /// `invalid number`, `expected digit after decimal point` or
+    /// `expected digit in exponent` at the offending byte, or `number
+    /// out of range` at the number's first byte.
+    pub fn number(&mut self) -> Result<Number, LexError> {
+        if let Ok(u) = self.u64() {
+            return Ok(Number::UInt(u));
+        }
+        let start = self.pos;
+        let negative = self.eat(b'-');
+        let digits = |lex: &mut Self| {
+            while matches!(lex.peek(), Some(b'0'..=b'9')) {
+                lex.pos += 1;
+            }
+        };
+        // Integer part (JSON forbids leading zeros like "01").
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => digits(self),
+            _ => return Err(self.error(LexErrorKind::Invalid("invalid number"))),
+        }
+        let mut is_float = false;
+        if self.eat(b'.') {
+            is_float = true;
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.error(LexErrorKind::Invalid("expected digit after decimal point")));
+            }
+            digits(self);
+        }
+        if self.eat(b'e') || self.eat(b'E') {
+            is_float = true;
+            let _ = self.eat(b'+') || self.eat(b'-');
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.error(LexErrorKind::Invalid("expected digit in exponent")));
+            }
+            digits(self);
+        }
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        if !is_float {
+            if negative {
+                if let Ok(i) = text.parse::<i64>() {
+                    return Ok(if i >= 0 {
+                        Number::UInt(i as u64)
+                    } else {
+                        Number::Int(i)
+                    });
+                }
+            } else if let Ok(u) = text.parse::<u64>() {
+                return Ok(Number::UInt(u));
+            }
+            // Integer out of 64-bit range: fall through to float.
+        }
+        let out_of_range = LexError {
+            offset: start,
+            kind: LexErrorKind::Invalid("number out of range"),
+        };
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Number::Float(f)),
+            _ => Err(out_of_range),
+        }
+    }
+}
+
+/// The length of the run of string bytes that need no attention: up to
+/// the first quote, backslash or control character.
+#[inline]
+fn plain_run(bytes: &[u8]) -> usize {
+    bytes
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(bytes.len())
+}
+
+/// `bytes` as text, or an error at the first byte that is not UTF-8
+/// (`offset` is where `bytes` starts in the input).
+#[inline]
+fn utf8(bytes: &[u8], offset: usize) -> Result<&str, LexError> {
+    std::str::from_utf8(bytes).map_err(|e| LexError {
+        offset: offset + e.valid_up_to(),
+        kind: LexErrorKind::Invalid("invalid UTF-8 in string"),
+    })
+}
+
+/// The value and count of the ASCII digits that open `word` (eight
+/// input bytes read little-endian, so the first byte is the lowest),
+/// without a branch per digit: a mask finds the first non-digit byte, a
+/// shift drops it and everything after, and three multiply-shift steps
+/// combine the digits pairwise (SWAR, "SIMD within a register").
+#[inline]
+fn eight_digits(word: u64) -> (u64, usize) {
+    const LANES: u64 = 0x0101_0101_0101_0101;
+    // A byte is a digit iff its high nibble is 3 and adding 6 keeps it
+    // there. A carry out of a byte >= 0xFA can only disturb bytes after
+    // the first non-digit, which are dropped anyway.
+    let high = word & (0xF0 * LANES);
+    let plus6 = word.wrapping_add(0x06 * LANES) & (0xF0 * LANES);
+    let not_digit = (high ^ (0x30 * LANES)) | (plus6 ^ (0x30 * LANES));
+    let len = (not_digit.trailing_zeros() / 8) as usize;
+    if len == 0 {
+        return (0, 0);
+    }
+    // Digit values, moved up so the run ends at the top byte; the
+    // vacated low bytes read as leading zeros.
+    let mut v = (word & (0x0F * LANES)) << (8 * (8 - len));
+    v = (v.wrapping_mul(10 * 256 + 1) >> 8) & 0x00FF_00FF_00FF_00FF;
+    v = (v.wrapping_mul(100 * 65_536 + 1) >> 16) & 0x0000_FFFF_0000_FFFF;
+    v = v.wrapping_mul(10_000 * (1 << 32) + 1) >> 32;
+    (v, len)
+}
+
+/// [`Value::parse`]'s grammar: a recursive descent over a [`Lexer`]
+/// with the depth limit and the cooperative interruption poll.
+struct Parser<'a, 'c> {
+    lex: Lexer<'a>,
     /// Cooperative interruption callback, polled every [`CHECK_STRIDE`]
     /// values; `None` parses straight through.
     check: Option<&'c mut dyn FnMut() -> bool>,
     countdown: u32,
 }
 
-impl<'a, 'c> Parser<'a, 'c> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(JsonError::at(self.pos, format!("expected {:?}", b as char)))
-        }
-    }
-
+impl Parser<'_, '_> {
     fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
+        let at = self.lex.pos();
         if depth > MAX_DEPTH {
             return Err(JsonError::at(
-                self.pos,
+                at,
                 format!("nesting deeper than {MAX_DEPTH}"),
             ));
         }
@@ -572,252 +952,77 @@ impl<'a, 'c> Parser<'a, 'c> {
             self.countdown = CHECK_STRIDE;
             if let Some(check) = self.check.as_mut() {
                 if check() {
-                    return Err(JsonError::interrupted_at(self.pos));
+                    return Err(JsonError::interrupted_at(at));
                 }
             }
         }
-        match self.peek() {
-            None => Err(JsonError::at(self.pos, "unexpected end of input")),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            Some(other) => Err(JsonError::at(
-                self.pos,
-                format!("unexpected character {:?}", other as char),
-            )),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(JsonError::at(self.pos, format!("expected {word:?}")))
-        }
+        Ok(match self.lex.peek() {
+            None => return Err(JsonError::at(at, "unexpected end of input")),
+            Some(b'n') => self.lex.literal("null").map(|()| Value::Null)?,
+            Some(b't') => self.lex.literal("true").map(|()| Value::Bool(true))?,
+            Some(b'f') => self.lex.literal("false").map(|()| Value::Bool(false))?,
+            Some(b'"') => Value::String(self.lex.string()?.into_owned()),
+            Some(b'[') => self.array(depth)?,
+            Some(b'{') => self.object(depth)?,
+            Some(b'-' | b'0'..=b'9') => Value::Number(self.lex.number()?),
+            Some(other) => {
+                return Err(JsonError::at(
+                    at,
+                    format!("unexpected character {:?}", other as char),
+                ))
+            }
+        })
     }
 
     fn array(&mut self, depth: usize) -> Result<Value, JsonError> {
-        self.expect(b'[')?;
+        self.lex.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
+        self.lex.skip_ws();
+        if self.lex.eat(b']') {
             return Ok(Value::Array(items));
         }
         loop {
-            self.skip_ws();
+            self.lex.skip_ws();
             items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(JsonError::at(self.pos, "expected ',' or ']' in array")),
+            self.lex.skip_ws();
+            if self.lex.eat(b']') {
+                return Ok(Value::Array(items));
+            }
+            if !self.lex.eat(b',') {
+                return Err(JsonError::at(
+                    self.lex.pos(),
+                    "expected ',' or ']' in array",
+                ));
             }
         }
     }
 
     fn object(&mut self, depth: usize) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
+        self.lex.expect(b'{')?;
         let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
+        self.lex.skip_ws();
+        if self.lex.eat(b'}') {
             return Ok(Value::Object(entries));
         }
         loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
+            self.lex.skip_ws();
+            let key = self.lex.string()?.into_owned();
+            self.lex.skip_ws();
+            self.lex.expect(b':')?;
+            self.lex.skip_ws();
             let value = self.value(depth + 1)?;
             entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                _ => return Err(JsonError::at(self.pos, "expected ',' or '}' in object")),
+            self.lex.skip_ws();
+            if self.lex.eat(b'}') {
+                return Ok(Value::Object(entries));
             }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(JsonError::at(self.pos, "unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0C}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let c = self.unicode_escape()?;
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return Err(JsonError::at(self.pos, "invalid escape sequence")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => {
-                    return Err(JsonError::at(
-                        self.pos,
-                        "unescaped control character in string",
-                    ));
-                }
-                Some(_) => {
-                    // Copy one UTF-8 character (input is a &str, so
-                    // boundaries are trustworthy).
-                    let rest = &self.bytes[self.pos..];
-                    let len = utf8_len(rest[0]);
-                    let chunk = rest
-                        .get(..len)
-                        .ok_or_else(|| JsonError::at(self.pos, "truncated UTF-8 sequence"))?;
-                    out.push_str(
-                        std::str::from_utf8(chunk)
-                            .map_err(|_| JsonError::at(self.pos, "invalid UTF-8 in string"))?,
-                    );
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    /// Parses the 4 hex digits after `\u` (cursor already past the `u`),
-    /// combining surrogate pairs.
-    fn unicode_escape(&mut self) -> Result<char, JsonError> {
-        let first = self.hex4()?;
-        if (0xD800..0xDC00).contains(&first) {
-            // High surrogate: require a following \uXXXX low surrogate.
-            if self.peek() == Some(b'\\') && self.bytes.get(self.pos + 1) == Some(&b'u') {
-                self.pos += 2;
-                let second = self.hex4()?;
-                if (0xDC00..0xE000).contains(&second) {
-                    let c = 0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
-                    return char::from_u32(c)
-                        .ok_or_else(|| JsonError::at(self.pos, "invalid surrogate pair"));
-                }
-            }
-            return Err(JsonError::at(self.pos, "unpaired surrogate in \\u escape"));
-        }
-        char::from_u32(first).ok_or_else(|| JsonError::at(self.pos, "invalid \\u escape"))
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let mut v: u32 = 0;
-        for _ in 0..4 {
-            let b = self
-                .peek()
-                .ok_or_else(|| JsonError::at(self.pos, "truncated \\u escape"))?;
-            let digit = (b as char)
-                .to_digit(16)
-                .ok_or_else(|| JsonError::at(self.pos, "invalid hex digit in \\u escape"))?;
-            v = v * 16 + digit;
-            self.pos += 1;
-        }
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Value, JsonError> {
-        let start = self.pos;
-        let negative = self.peek() == Some(b'-');
-        if negative {
-            self.pos += 1;
-        }
-        // Integer part (JSON forbids leading zeros like "01").
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-            }
-            _ => return Err(JsonError::at(self.pos, "invalid number")),
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            if !self.lex.eat(b',') {
                 return Err(JsonError::at(
-                    self.pos,
-                    "expected digit after decimal point",
+                    self.lex.pos(),
+                    "expected ',' or '}' in object",
                 ));
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
         }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(JsonError::at(self.pos, "expected digit in exponent"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        if !is_float {
-            if negative {
-                if let Ok(i) = text.parse::<i64>() {
-                    return Ok(Value::Number(if i >= 0 {
-                        Number::UInt(i as u64)
-                    } else {
-                        Number::Int(i)
-                    }));
-                }
-            } else if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::Number(Number::UInt(u)));
-            }
-            // Integer out of 64-bit range: fall through to float.
-        }
-        let f: f64 = text
-            .parse()
-            .map_err(|_| JsonError::at(start, "number out of range"))?;
-        if f.is_finite() {
-            Ok(Value::Number(Number::Float(f)))
-        } else {
-            Err(JsonError::at(start, "number out of range"))
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 
@@ -1287,6 +1492,109 @@ mod tests {
                 "{in_array}"
             );
         }
+    }
+
+    #[test]
+    fn eight_digit_words_parse_like_a_digit_loop() {
+        let mut bytes = *b"00000000";
+        let digits = b"0123456789";
+        let others = b" ,]}.e-+/:\xff\x00";
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..20_000 {
+            for byte in &mut bytes {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                *byte = if state.is_multiple_of(4) {
+                    others[(state >> 8) as usize % others.len()]
+                } else {
+                    digits[(state >> 8) as usize % digits.len()]
+                };
+            }
+            let len = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
+            let value = bytes[..len]
+                .iter()
+                .fold(0u64, |v, &b| v * 10 + u64::from(b - b'0'));
+            assert_eq!(
+                eight_digits(u64::from_le_bytes(bytes)),
+                (value, len),
+                "{bytes:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn lexer_borrows_plain_strings_and_decodes_escaped_ones() {
+        let mut lex = Lexer::new(r#""plain" "a\u00e9\n" "café""#.as_bytes());
+        assert!(matches!(lex.string(), Ok(Cow::Borrowed("plain"))));
+        lex.skip_ws();
+        assert_eq!(lex.string(), Ok(Cow::Owned::<str>("a\u{e9}\n".to_string())));
+        lex.skip_ws();
+        assert!(matches!(lex.string(), Ok(Cow::Borrowed("café"))));
+        assert!(lex.at_end());
+        // Bytes that are not UTF-8 fail where they start, inside a plain
+        // or an escaped string alike.
+        for input in [&b"\"ab\xff\""[..], b"\"\\n\xc3\"", b"\"ab\xc3"] {
+            let err = Lexer::new(input).string().unwrap_err();
+            assert_eq!(err.kind, LexErrorKind::Invalid("invalid UTF-8 in string"));
+            assert_eq!(err.offset, input.iter().position(|&b| b >= 0x80).unwrap());
+        }
+    }
+
+    #[test]
+    fn strict_integers_refuse_what_the_number_grammar_reads_otherwise() {
+        let accepted = ["0", "7", "12345678", "123456789", "18446744073709551615"];
+        for text in accepted {
+            for tail in ["", ",", " ", "]", "}"] {
+                let input = format!("{text}{tail}");
+                let mut lex = Lexer::new(input.as_bytes());
+                assert_eq!(lex.u64(), Ok(text.parse().unwrap()), "{input}");
+                assert_eq!(lex.pos(), text.len());
+            }
+        }
+        let refused = [
+            "",
+            "-0",
+            "-1",
+            "+1",
+            "01",
+            "00",
+            "1.0",
+            "1e3",
+            "1E3",
+            "1-",
+            "1+",
+            "18446744073709551616",
+            "184467440737095516150",
+            "x",
+            "\"1\"",
+        ];
+        for text in refused {
+            let mut lex = Lexer::new(text.as_bytes());
+            let err = lex.u64().unwrap_err();
+            assert_eq!(err.offset, 0, "{text}");
+            assert_eq!(lex.pos(), 0, "a failed token consumes nothing: {text}");
+        }
+    }
+
+    #[test]
+    fn lexer_errors_render_as_json_errors() {
+        let mut lex = Lexer::new(b"  x");
+        lex.skip_ws();
+        let err = lex.expect(b':').unwrap_err();
+        assert_eq!(
+            err,
+            LexError {
+                offset: 2,
+                kind: LexErrorKind::Expected(b':')
+            }
+        );
+        assert_eq!(JsonError::from(err).to_string(), "expected ':' at byte 2");
+        let err = lex.literal("null").unwrap_err();
+        assert_eq!(
+            JsonError::from(err).to_string(),
+            "expected \"null\" at byte 2"
+        );
     }
 
     #[test]

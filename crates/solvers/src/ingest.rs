@@ -35,9 +35,11 @@
 //! appended, so an expired deadline or a raised cancel flag stops a
 //! huge upload mid-parse instead of after it.
 
+use std::borrow::Cow;
 use std::path::Path;
 
 use tgp_core::budget::{Budget, Exceeded};
+use tgp_graph::json::{LexError, Lexer};
 use tgp_store::{Array, DiskBacking, FlatPathBuilder, FlatTreeBuilder, MemoryBacking, RamBacking};
 
 use crate::error::SolveError;
@@ -85,6 +87,14 @@ impl From<Exceeded> for Abort {
     }
 }
 
+impl From<LexError> for Abort {
+    // Malformed JSON, or a token outside the flat schema (an escape, a
+    // sign, a fraction, ...): the JSON-tree parser answers it.
+    fn from(_: LexError) -> Self {
+        Abort::Unsupported
+    }
+}
+
 impl From<std::io::Error> for Abort {
     // A backing failure (spill dir unwritable, disk full). The in-RAM
     // JSON-tree path may still succeed, so treat it as a fallback.
@@ -93,7 +103,7 @@ impl From<std::io::Error> for Abort {
     }
 }
 
-type Scan<'a, T> = Result<T, Abort>;
+type Scan<T> = Result<T, Abort>;
 
 /// Streams `body` into a [`Request`] with a flat graph if it has the
 /// exact shape of a request for a chain or tree objective whose only
@@ -123,56 +133,32 @@ pub fn ingest_flat(
     }
 }
 
-fn parse_body<B>(body: &[u8], backing: &B, budget: &Budget) -> Scan<'static, Request>
+fn parse_body<B>(body: &[u8], backing: &B, budget: &Budget) -> Scan<Request>
 where
     B: MemoryBacking + Clone,
     GraphInput: FromBuilt<B>,
 {
-    let mut s = Cursor::new(body, budget);
-    s.skip_ws();
-    s.expect(b'{')?;
+    let mut lex = Lexer::new(body);
     let mut objective: Option<&'static dyn Solver> = None;
     let mut bound: Option<u64> = None;
     let mut graph: Option<GraphInput> = None;
-    if !s.try_consume(b'}') {
-        loop {
-            let key_range = s.string_range()?;
-            s.skip_ws();
-            s.expect(b':')?;
-            s.skip_ws();
-            match s.slice(key_range) {
-                b"objective" => {
-                    if objective.is_some() {
-                        return Err(Abort::Unsupported);
-                    }
-                    let r = s.string_range()?;
-                    objective = Some(streamed_solver(s.slice(r)).ok_or(Abort::Unsupported)?);
-                }
-                b"bound" => {
-                    if bound.is_some() {
-                        return Err(Abort::Unsupported);
-                    }
-                    bound = Some(s.number()?);
-                }
-                b"graph" => {
-                    if graph.is_some() {
-                        return Err(Abort::Unsupported);
-                    }
-                    graph = Some(parse_graph(&mut s, backing)?);
-                }
-                _ => return Err(Abort::Unsupported),
+    lex.skip_ws();
+    // No whitespace is skipped after the body's own `{`: such a body
+    // goes to the JSON-tree parser.
+    lex.expect(b'{')?;
+    members(&mut lex, name, |lex, key| {
+        match key {
+            "objective" if objective.is_none() => {
+                objective = Some(streamed_solver(name(lex)?).ok_or(Abort::Unsupported)?);
             }
-            s.skip_ws();
-            if s.try_consume(b',') {
-                s.skip_ws();
-                continue;
-            }
-            s.expect(b'}')?;
-            break;
+            "bound" if bound.is_none() => bound = Some(lex.u64()?),
+            "graph" if graph.is_none() => graph = Some(parse_graph(lex, backing, budget)?),
+            _ => return Err(Abort::Unsupported),
         }
-    }
-    s.skip_ws();
-    if !s.at_end() {
+        Ok(())
+    })?;
+    lex.skip_ws();
+    if !lex.at_end() {
         return Err(Abort::Unsupported);
     }
     let (objective, bound, graph) = match (objective, bound, graph) {
@@ -200,8 +186,8 @@ where
 /// `bound` — the one parameter this parser reads. The graph-kind check
 /// in [`parse_body`] then declines `approx`, whose process graphs it
 /// does not build.
-fn streamed_solver(name: &[u8]) -> Option<&'static dyn Solver> {
-    let (_, solver) = Registry::shared().get(std::str::from_utf8(name).ok()?)?;
+fn streamed_solver(name: &str) -> Option<&'static dyn Solver> {
+    let (_, solver) = Registry::shared().get(name)?;
     matches!(solver.params(), [p] if p.name == "bound").then_some(solver)
 }
 
@@ -212,7 +198,7 @@ enum Builder<B: MemoryBacking> {
     Tree(FlatTreeBuilder<B>),
 }
 
-/// Parses the `"graph"` object. The cursor sits on its `{`.
+/// Parses the `"graph"` object. The lexer sits on its `{`.
 ///
 /// The graph's kind is decided by its first `"edges"` or
 /// `"edge_weights"` key, and `"node_weights"` may precede it: the
@@ -222,7 +208,7 @@ enum Builder<B: MemoryBacking> {
 /// whose counts disagree, which the builder then rejects. Unknown,
 /// duplicate and mixed keys fall back, and so does a graph with no
 /// deciding key (`{}`, a lone `"node_weights"`).
-fn parse_graph<B>(s: &mut Cursor<'_>, backing: &B) -> Scan<'static, GraphInput>
+fn parse_graph<B>(lex: &mut Lexer<'_>, backing: &B, budget: &Budget) -> Scan<GraphInput>
 where
     B: MemoryBacking + Clone,
     GraphInput: FromBuilt<B>,
@@ -230,59 +216,47 @@ where
     let mut nodes: Option<B::Array<u64>> = None;
     let mut seen_nodes = false;
     let mut graph: Option<Builder<B>> = None;
-    s.expect(b'{')?;
-    s.skip_ws();
-    if !s.try_consume(b'}') {
-        loop {
-            let key = s.string_range()?;
-            s.skip_ws();
-            s.expect(b':')?;
-            s.skip_ws();
-            match (s.slice(key), &mut graph) {
-                (b"node_weights", _) if seen_nodes => return Err(Abort::Unsupported),
-                (b"node_weights", None) => {
-                    let mut array = backing.new_array::<u64>(0)?;
-                    s.u64_array(|block| array.extend_from_slice(block))?;
-                    nodes = Some(array);
-                    seen_nodes = true;
-                }
-                (b"node_weights", Some(Builder::Chain(chain))) => {
-                    chain.reserve_nodes(chain.edges() + 1)?;
-                    s.u64_array(|block| chain.extend_nodes(block))?;
-                    seen_nodes = true;
-                }
-                (b"node_weights", Some(Builder::Tree(tree))) => {
-                    tree.reserve_nodes(tree.edges() + 1)?;
-                    s.u64_array(|block| tree.extend_nodes(block))?;
-                    seen_nodes = true;
-                }
-                (b"edge_weights", None) => {
-                    let mut chain = match nodes.take() {
-                        Some(node_w) => FlatPathBuilder::with_nodes(backing, node_w)?,
-                        None => FlatPathBuilder::new(backing, 0)?,
-                    };
-                    s.u64_array(|block| chain.extend_edges(block))?;
-                    graph = Some(Builder::Chain(chain));
-                }
-                (b"edges", None) => {
-                    let mut tree = match nodes.take() {
-                        Some(node_w) => FlatTreeBuilder::with_nodes(backing, node_w)?,
-                        None => FlatTreeBuilder::new(backing.clone(), 0)?,
-                    };
-                    s.tree_edges(&mut tree)?;
-                    graph = Some(Builder::Tree(tree));
-                }
-                _ => return Err(Abort::Unsupported),
+    lex.expect(b'{')?;
+    lex.skip_ws();
+    members(lex, name, |lex, key| {
+        match (key, &mut graph) {
+            ("node_weights", _) if seen_nodes => return Err(Abort::Unsupported),
+            ("node_weights", None) => {
+                let mut array = backing.new_array::<u64>(0)?;
+                u64_array(lex, budget, |block| array.extend_from_slice(block))?;
+                nodes = Some(array);
+                seen_nodes = true;
             }
-            s.skip_ws();
-            if s.try_consume(b',') {
-                s.skip_ws();
-                continue;
+            ("node_weights", Some(Builder::Chain(chain))) => {
+                chain.reserve_nodes(chain.edges() + 1)?;
+                u64_array(lex, budget, |block| chain.extend_nodes(block))?;
+                seen_nodes = true;
             }
-            s.expect(b'}')?;
-            break;
+            ("node_weights", Some(Builder::Tree(tree))) => {
+                tree.reserve_nodes(tree.edges() + 1)?;
+                u64_array(lex, budget, |block| tree.extend_nodes(block))?;
+                seen_nodes = true;
+            }
+            ("edge_weights", None) => {
+                let mut chain = match nodes.take() {
+                    Some(node_w) => FlatPathBuilder::with_nodes(backing, node_w)?,
+                    None => FlatPathBuilder::new(backing, 0)?,
+                };
+                u64_array(lex, budget, |block| chain.extend_edges(block))?;
+                graph = Some(Builder::Chain(chain));
+            }
+            ("edges", None) => {
+                let mut tree = match nodes.take() {
+                    Some(node_w) => FlatTreeBuilder::with_nodes(backing, node_w)?,
+                    None => FlatTreeBuilder::new(backing.clone(), 0)?,
+                };
+                tree_edges(lex, budget, &mut tree)?;
+                graph = Some(Builder::Tree(tree));
+            }
+            _ => return Err(Abort::Unsupported),
         }
-    }
+        Ok(())
+    })?;
     if !seen_nodes {
         return Err(Abort::Unsupported);
     }
@@ -294,280 +268,158 @@ where
     .map_err(|_| Abort::Unsupported)
 }
 
-/// A byte cursor over the body with budget accounting.
-struct Cursor<'a> {
-    b: &'a [u8],
-    i: usize,
-    budget: &'a Budget,
+/// Walks an object's members, the lexer just inside its `{` (before any
+/// whitespace): reads each key with `key`, then hands it to `value` with
+/// the lexer on the member's value.
+#[inline]
+fn members<'a, K>(
+    lex: &mut Lexer<'a>,
+    key: impl Fn(&mut Lexer<'a>) -> Scan<K>,
+    mut value: impl FnMut(&mut Lexer<'a>, K) -> Scan<()>,
+) -> Scan<()> {
+    if lex.eat(b'}') {
+        return Ok(());
+    }
+    loop {
+        let k = key(lex)?;
+        lex.skip_ws();
+        lex.expect(b':')?;
+        lex.skip_ws();
+        value(lex, k)?;
+        lex.skip_ws();
+        if !lex.eat(b',') {
+            return Ok(lex.expect(b'}')?);
+        }
+        lex.skip_ws();
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn new(b: &'a [u8], budget: &'a Budget) -> Self {
-        Cursor { b, i: 0, budget }
+/// A string with no escapes. Escapes are not needed for any field the
+/// flat schema accepts, so a backslash simply falls back to the
+/// JSON-tree parser.
+fn name<'a>(lex: &mut Lexer<'a>) -> Scan<&'a str> {
+    match lex.string()? {
+        Cow::Borrowed(text) => Ok(text),
+        Cow::Owned(_) => Err(Abort::Unsupported),
     }
+}
 
-    fn at_end(&self) -> bool {
-        self.i >= self.b.len()
+/// Streams `[n, n, ...]` of strict non-negative integers into `append`
+/// in blocks of up to [`BLOCK`] values, charging the budget one unit per
+/// value as each block is appended.
+fn u64_array(
+    lex: &mut Lexer<'_>,
+    budget: &Budget,
+    mut append: impl FnMut(&[u64]) -> std::io::Result<()>,
+) -> Scan<()> {
+    lex.expect(b'[')?;
+    lex.skip_ws();
+    if lex.eat(b']') {
+        return Ok(());
     }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
+    let mut block = [0u64; BLOCK];
+    let mut len = 0;
+    loop {
+        block[len] = lex.u64()?;
+        len += 1;
+        lex.skip_ws();
+        let more = lex.eat(b',');
+        if len == BLOCK || !more {
+            append(&block[..len])?;
+            budget.charge(len as u64)?;
+            len = 0;
         }
-    }
-
-    fn expect(&mut self, byte: u8) -> Scan<'static, ()> {
-        if self.peek() == Some(byte) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(Abort::Unsupported)
+        if !more {
+            return Ok(lex.expect(b']')?);
         }
+        lex.skip_ws();
     }
+}
 
-    fn try_consume(&mut self, byte: u8) -> bool {
-        if self.peek() == Some(byte) {
-            self.i += 1;
-            true
-        } else {
-            false
+/// Streams `[{"a":0,"b":1,"weight":2}, ...]` (fields in any order) into
+/// the tree builder in blocks of up to [`BLOCK`] edges, charged as
+/// [`u64_array`] charges.
+fn tree_edges<B: MemoryBacking>(
+    lex: &mut Lexer<'_>,
+    budget: &Budget,
+    builder: &mut FlatTreeBuilder<B>,
+) -> Scan<()> {
+    lex.expect(b'[')?;
+    lex.skip_ws();
+    if lex.eat(b']') {
+        return Ok(());
+    }
+    let (mut a, mut b, mut w) = ([0usize; BLOCK], [0usize; BLOCK], [0u64; BLOCK]);
+    let mut len = 0;
+    loop {
+        (a[len], b[len], w[len]) = tree_edge(lex)?;
+        len += 1;
+        lex.skip_ws();
+        let more = lex.eat(b',');
+        if len == BLOCK || !more {
+            builder.extend_edges(&a[..len], &b[..len], &w[..len])?;
+            budget.charge(len as u64)?;
+            len = 0;
         }
-    }
-
-    /// Charges one budget unit per element of a block just appended,
-    /// with the stride machinery in [`Budget`] keeping the common case
-    /// to a counter decrement.
-    fn charge(&self, elements: usize) -> Scan<'static, ()> {
-        self.budget.charge(elements as u64).map_err(Abort::from)
-    }
-
-    fn slice(&self, range: (usize, usize)) -> &'a [u8] {
-        &self.b[range.0..range.1]
-    }
-
-    /// Consumes a JSON string with no escapes and returns its byte
-    /// range. Escapes are not needed for any field the flat schema
-    /// accepts, so a backslash simply falls back to the JSON-tree
-    /// parser.
-    fn string_range(&mut self) -> Scan<'static, (usize, usize)> {
-        self.expect(b'"')?;
-        let start = self.i;
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    let end = self.i;
-                    self.i += 1;
-                    return Ok((start, end));
-                }
-                Some(b'\\') | None => return Err(Abort::Unsupported),
-                Some(_) => self.i += 1,
-            }
+        if !more {
+            return Ok(lex.expect(b']')?);
         }
+        lex.skip_ws();
     }
+}
 
-    /// Consumes a strict JSON non-negative integer fitting `u64`.
-    /// Minus signs, fractions, exponents, leading zeros and overflow
-    /// all fall back (the JSON-tree parser owns their canonical errors).
-    #[inline]
-    fn number(&mut self) -> Scan<'static, u64> {
-        let digits = &self.b[self.i..];
-        // The first (up to) eight digits in one word, then one digit at
-        // a time. Nineteen digits never overflow (10^19 - 1 <
-        // u64::MAX), so only a longer run needs checked arithmetic.
-        let (mut value, mut len) = match digits.first_chunk::<8>() {
-            Some(word) => eight_digits(u64::from_le_bytes(*word)),
-            None => (0, 0),
-        };
-        if len == 8 || digits.len() < 8 {
-            while len < 19 {
-                match digits.get(len) {
-                    Some(&c @ b'0'..=b'9') => value = value * 10 + u64::from(c - b'0'),
-                    _ => break,
-                }
-                len += 1;
-            }
-            while let Some(&c @ b'0'..=b'9') = digits.get(len) {
-                value = value
-                    .checked_mul(10)
-                    .and_then(|v| v.checked_add(u64::from(c - b'0')))
-                    .ok_or(Abort::Unsupported)?;
-                len += 1;
-            }
-        }
-        if len == 0 || (len > 1 && digits[0] == b'0') {
+/// One edge object, `{"a":0,"b":1,"weight":2}` with its fields in any
+/// order. An edge written compactly in that order takes a fast path
+/// that matches the keys as literals; any other spelling restarts at
+/// its `{` on the general path.
+fn tree_edge(lex: &mut Lexer<'_>) -> Scan<(usize, usize, u64)> {
+    let mut compact = lex.clone();
+    if let Some(edge) = compact_edge(&mut compact) {
+        *lex = compact;
+        return Ok(edge);
+    }
+    lex.expect(b'{')?;
+    lex.skip_ws();
+    let mut fields = [None; 3];
+    members(lex, edge_key, |lex, slot| {
+        if fields[slot].is_some() {
             return Err(Abort::Unsupported);
         }
-        if matches!(digits.get(len), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
-            return Err(Abort::Unsupported);
-        }
-        self.i += len;
-        Ok(value)
-    }
-
-    /// Streams `[n, n, ...]` into `append` in blocks of up to [`BLOCK`]
-    /// values.
-    fn u64_array(
-        &mut self,
-        mut append: impl FnMut(&[u64]) -> std::io::Result<()>,
-    ) -> Scan<'static, ()> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.try_consume(b']') {
-            return Ok(());
-        }
-        let mut block = [0u64; BLOCK];
-        let mut len = 0;
-        loop {
-            block[len] = self.number()?;
-            len += 1;
-            self.skip_ws();
-            let more = self.try_consume(b',');
-            if len == BLOCK || !more {
-                append(&block[..len])?;
-                self.charge(len)?;
-                len = 0;
-            }
-            if !more {
-                return self.expect(b']');
-            }
-            self.skip_ws();
-        }
-    }
-
-    /// Streams `[{"a":0,"b":1,"weight":2}, ...]` (fields in any order)
-    /// into the tree builder in blocks of up to [`BLOCK`] edges.
-    fn tree_edges<B: MemoryBacking>(
-        &mut self,
-        builder: &mut FlatTreeBuilder<B>,
-    ) -> Scan<'static, ()> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.try_consume(b']') {
-            return Ok(());
-        }
-        let (mut a, mut b, mut w) = ([0usize; BLOCK], [0usize; BLOCK], [0u64; BLOCK]);
-        let mut len = 0;
-        loop {
-            (a[len], b[len], w[len]) = self.tree_edge()?;
-            len += 1;
-            self.skip_ws();
-            let more = self.try_consume(b',');
-            if len == BLOCK || !more {
-                builder.extend_edges(&a[..len], &b[..len], &w[..len])?;
-                self.charge(len)?;
-                len = 0;
-            }
-            if !more {
-                return self.expect(b']');
-            }
-            self.skip_ws();
-        }
-    }
-
-    /// One edge object, `{"a":0,"b":1,"weight":2}` with its fields in
-    /// any order. An edge written compactly in that order takes a fast
-    /// path that matches the keys as literals; any other spelling
-    /// restarts at its `{` on the general path.
-    fn tree_edge(&mut self) -> Scan<'static, (usize, usize, u64)> {
-        let start = self.i;
-        if let Some(edge) = self.compact_edge() {
-            return Ok(edge);
-        }
-        self.i = start;
-        self.expect(b'{')?;
-        self.skip_ws();
-        let mut fields = [None; 3];
-        if !self.try_consume(b'}') {
-            loop {
-                let slot = &mut fields[self.edge_key()?];
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                if slot.is_some() {
-                    return Err(Abort::Unsupported);
-                }
-                *slot = Some(self.number()?);
-                self.skip_ws();
-                if self.try_consume(b',') {
-                    self.skip_ws();
-                    continue;
-                }
-                self.expect(b'}')?;
-                break;
-            }
-        }
-        match fields {
-            [Some(a), Some(b), Some(w)] => match (usize::try_from(a), usize::try_from(b)) {
-                (Ok(a), Ok(b)) => Ok((a, b, w)),
-                _ => Err(Abort::Unsupported),
-            },
+        fields[slot] = Some(lex.u64()?);
+        Ok(())
+    })?;
+    match fields {
+        [Some(a), Some(b), Some(w)] => match (usize::try_from(a), usize::try_from(b)) {
+            (Ok(a), Ok(b)) => Ok((a, b, w)),
             _ => Err(Abort::Unsupported),
-        }
-    }
-
-    /// `{"a":N,"b":N,"weight":N}` exactly, or `None` somewhere inside
-    /// anything else.
-    fn compact_edge(&mut self) -> Option<(usize, usize, u64)> {
-        self.literal(b"{\"a\":")?;
-        let a = self.number().ok()?;
-        self.literal(b",\"b\":")?;
-        let b = self.number().ok()?;
-        self.literal(b",\"weight\":")?;
-        let w = self.number().ok()?;
-        self.literal(b"}")?;
-        Some((usize::try_from(a).ok()?, usize::try_from(b).ok()?, w))
-    }
-
-    /// Consumes `bytes` if the body continues with them.
-    fn literal(&mut self, bytes: &[u8]) -> Option<()> {
-        self.b[self.i..]
-            .starts_with(bytes)
-            .then(|| self.i += bytes.len())
-    }
-
-    /// Consumes an edge object's key — `"a"`, `"b"` or `"weight"`,
-    /// exactly — and returns its field slot. Any other key, escaped
-    /// spellings included, falls back.
-    fn edge_key(&mut self) -> Scan<'static, usize> {
-        let (slot, len) = match &self.b[self.i..] {
-            [b'"', b'a', b'"', ..] => (0, 3),
-            [b'"', b'b', b'"', ..] => (1, 3),
-            [b'"', b'w', b'e', b'i', b'g', b'h', b't', b'"', ..] => (2, 8),
-            _ => return Err(Abort::Unsupported),
-        };
-        self.i += len;
-        Ok(slot)
+        },
+        _ => Err(Abort::Unsupported),
     }
 }
 
-/// The value and count of the ASCII digits that open `word` (eight
-/// body bytes read little-endian, so the first byte is the lowest),
-/// without a branch per digit: a mask finds the first non-digit byte, a
-/// shift drops it and everything after, and three multiply-shift steps
-/// combine the digits pairwise (SWAR, "SIMD within a register").
-fn eight_digits(word: u64) -> (u64, usize) {
-    const LANES: u64 = 0x0101_0101_0101_0101;
-    // A byte is a digit iff its high nibble is 3 and adding 6 keeps it
-    // there. A carry out of a byte >= 0xFA can only disturb bytes after
-    // the first non-digit, which are dropped anyway.
-    let high = word & (0xF0 * LANES);
-    let plus6 = word.wrapping_add(0x06 * LANES) & (0xF0 * LANES);
-    let not_digit = (high ^ (0x30 * LANES)) | (plus6 ^ (0x30 * LANES));
-    let len = (not_digit.trailing_zeros() / 8) as usize;
-    if len == 0 {
-        return (0, 0);
-    }
-    // Digit values, moved up so the run ends at the top byte; the
-    // vacated low bytes read as leading zeros.
-    let mut v = (word & (0x0F * LANES)) << (8 * (8 - len));
-    v = (v.wrapping_mul(10 * 256 + 1) >> 8) & 0x00FF_00FF_00FF_00FF;
-    v = (v.wrapping_mul(100 * 65_536 + 1) >> 16) & 0x0000_FFFF_0000_FFFF;
-    v = v.wrapping_mul(10_000 * (1 << 32) + 1) >> 32;
-    (v, len)
+/// `{"a":N,"b":N,"weight":N}` exactly, or `None` somewhere inside
+/// anything else.
+#[inline]
+fn compact_edge(lex: &mut Lexer<'_>) -> Option<(usize, usize, u64)> {
+    lex.literal("{\"a\":").ok()?;
+    let a = lex.u64().ok()?;
+    lex.literal(",\"b\":").ok()?;
+    let b = lex.u64().ok()?;
+    lex.literal(",\"weight\":").ok()?;
+    let w = lex.u64().ok()?;
+    lex.literal("}").ok()?;
+    Some((usize::try_from(a).ok()?, usize::try_from(b).ok()?, w))
+}
+
+/// An edge object's key — `"a"`, `"b"` or `"weight"`, exactly, matched
+/// as literals — as its field slot. Any other key, escaped spellings
+/// included, falls back.
+#[inline]
+fn edge_key(lex: &mut Lexer<'_>) -> Scan<usize> {
+    ["\"a\"", "\"b\"", "\"weight\""]
+        .into_iter()
+        .position(|key| lex.literal(key).is_ok())
+        .ok_or(Abort::Unsupported)
 }
 
 #[cfg(test)]
@@ -630,35 +482,6 @@ mod tests {
             let (_, solver, request) = Registry::shared().dispatch(&value).unwrap();
             assert_eq!(flat.canonical_key(), solver.canonical_key(&request));
             assert_eq!(flat.canonical_key_len(), flat.canonical_key().len());
-        }
-    }
-
-    #[test]
-    fn eight_digit_words_parse_like_a_digit_loop() {
-        let mut bytes = *b"00000000";
-        let digits = b"0123456789";
-        let others = b" ,]}.e-+/:\xff\x00";
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        for _ in 0..20_000 {
-            for byte in &mut bytes {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                *byte = if state.is_multiple_of(4) {
-                    others[(state >> 8) as usize % others.len()]
-                } else {
-                    digits[(state >> 8) as usize % digits.len()]
-                };
-            }
-            let len = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
-            let value = bytes[..len]
-                .iter()
-                .fold(0u64, |v, &b| v * 10 + u64::from(b - b'0'));
-            assert_eq!(
-                eight_digits(u64::from_le_bytes(bytes)),
-                (value, len),
-                "{bytes:?}"
-            );
         }
     }
 
