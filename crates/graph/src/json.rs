@@ -6,9 +6,15 @@
 //! CLI and the `tgp-service` HTTP server:
 //!
 //! * [`Value`] — a JSON document (objects preserve key order),
-//! * [`Value::parse`] — a recursive-descent parser with a hard recursion
-//!   depth limit, suitable for untrusted input (it returns errors, never
-//!   panics),
+//! * [`Lexer`] — the one JSON tokenizer, over raw bytes: whitespace,
+//!   punctuation, literals, strings (borrowed when they hold no escape),
+//!   strict non-negative integers (eight digits per word) and the general
+//!   number grammar, each failure a `Copy` [`LexError`] with its byte
+//!   offset. [`Value::parse`] and the registry's streaming ingest
+//!   (`tgp_solvers::ingest_flat`) are two grammars over it,
+//! * [`Value::parse`] — a recursive-descent parser over [`Lexer`] with a
+//!   hard recursion depth limit, suitable for untrusted input (it returns
+//!   errors, never panics),
 //! * [`Value::pretty`] / `Display` — pretty and compact writers,
 //! * [`json!`](macro@crate::json) — literal construction macro (nested literals are written
 //!   as nested `json!` calls),

@@ -66,6 +66,6 @@ pub use ids::{EdgeId, NodeId};
 pub use path::{check_chain, PathGraph};
 pub use process::{ProcessEdge, ProcessGraph};
 pub use tree::{check_tree, Tree, TreeEdge};
-pub use union_find::{UnionFind, UnionFind32};
+pub use union_find::UnionFind32;
 pub use view::{ChainView, Rooted, TreeView};
 pub use weight::{check_weight_totals, Weight};

@@ -91,18 +91,6 @@ impl PathGraph {
         Ok(prefix)
     }
 
-    /// Re-derives the prefix-sum cache; needed after deserializing, because
-    /// the cache is skipped during serialization.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::WeightOverflow`] if the total vertex weight does not
-    /// fit in `u64`.
-    pub fn rebuild_cache(&mut self) -> Result<(), GraphError> {
-        self.prefix = Self::build_prefix(&self.node_weights)?;
-        Ok(())
-    }
-
     /// Number of nodes `n`.
     pub fn len(&self) -> usize {
         self.node_weights.len()
@@ -307,18 +295,5 @@ mod tests {
         let (last_edge, w) = p.edges().last().unwrap();
         assert_eq!(last_edge, EdgeId::new(3));
         assert_eq!(w, Weight::new(4));
-    }
-
-    #[test]
-    fn rebuild_cache_recomputes_prefix_sums() {
-        let p = sample();
-        let mut q = PathGraph {
-            node_weights: p.node_weights().to_vec(),
-            edge_weights: p.edge_weights().to_vec(),
-            prefix: Vec::new(),
-        };
-        q.rebuild_cache().unwrap();
-        assert_eq!(q.total_weight(), p.total_weight());
-        assert_eq!(q, p);
     }
 }

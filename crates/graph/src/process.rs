@@ -8,7 +8,7 @@
 use std::collections::VecDeque;
 
 use crate::weight::{check_weight_totals, weight_sum};
-use crate::{GraphError, NodeId, UnionFind, Weight};
+use crate::{GraphError, NodeId, UnionFind32, Weight};
 
 /// An undirected edge of a [`ProcessGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,6 +62,11 @@ impl ProcessGraph {
     /// * [`GraphError::Disconnected`] if the graph is not connected.
     /// * [`GraphError::WeightOverflow`] if the combined total of all vertex
     ///   and edge weights reaches `u64::MAX`.
+    ///
+    /// # Panics
+    ///
+    /// If there are more than `u32::MAX` nodes (the connectivity check's
+    /// union-find is `u32`, 8 bytes per node).
     pub fn from_edges(
         node_weights: Vec<Weight>,
         raw_edges: Vec<ProcessEdge>,
@@ -104,9 +109,9 @@ impl ProcessGraph {
                 }),
             }
         }
-        let mut uf = UnionFind::new(n);
+        let mut uf = UnionFind32::new(n);
         for e in &edges {
-            uf.union(e.a.index(), e.b.index());
+            uf.union(e.a.index() as u32, e.b.index() as u32);
         }
         if uf.component_count() != 1 {
             return Err(GraphError::Disconnected);
@@ -143,8 +148,8 @@ impl ProcessGraph {
         )
     }
 
-    /// Re-derives the adjacency cache after deserialization.
-    pub fn rebuild_cache(&mut self) {
+    /// Derives the adjacency lists from the edges.
+    fn rebuild_cache(&mut self) {
         let mut adjacency = vec![Vec::new(); self.node_weights.len()];
         for (i, e) in self.edges.iter().enumerate() {
             adjacency[e.a.index()].push((e.b, i));

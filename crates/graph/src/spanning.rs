@@ -12,7 +12,7 @@
 //! partitions back on the original graph — see
 //! [`TreeSupergraph::cut_cost_on_graph`].
 
-use crate::{Components, CutSet, NodeId, ProcessGraph, Tree, TreeEdge, UnionFind, Weight};
+use crate::{Components, CutSet, NodeId, ProcessGraph, Tree, TreeEdge, UnionFind32, Weight};
 
 /// A maximum-weight spanning tree of a process graph, with the mapping
 /// back to the original edges.
@@ -97,12 +97,12 @@ pub fn tree_supergraph(g: &ProcessGraph) -> TreeSupergraph {
     let n = g.len();
     let mut order: Vec<usize> = (0..g.edge_count()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(g.edges()[i].weight), i));
-    let mut uf = UnionFind::new(n);
+    let mut uf = UnionFind32::new(n);
     let mut edges: Vec<TreeEdge> = Vec::with_capacity(n - 1);
     let mut graph_edge = Vec::with_capacity(n - 1);
     for i in order {
         let e = g.edges()[i];
-        if uf.union(e.a.index(), e.b.index()) {
+        if uf.union(e.a.index() as u32, e.b.index() as u32) {
             edges.push(TreeEdge::new(e.a, e.b, e.weight));
             graph_edge.push(i);
             if edges.len() == n - 1 {

@@ -86,6 +86,11 @@ impl Tree {
     /// * [`GraphError::WeightOverflow`] if the combined total of all vertex
     ///   and edge weights reaches `u64::MAX` (the crate-wide budget that
     ///   keeps downstream arithmetic overflow-free).
+    ///
+    /// # Panics
+    ///
+    /// If there are more than `u32::MAX` nodes (the union-find is `u32`,
+    /// 8 bytes per node).
     pub fn from_edges(node_weights: Vec<Weight>, edges: Vec<TreeEdge>) -> Result<Self, GraphError> {
         let node_total = weight_sum(node_weights.iter().copied());
         let edge_total = weight_sum(edges.iter().map(|e| e.weight));
@@ -162,12 +167,6 @@ impl Tree {
             .map(|(i, &(p, w))| TreeEdge::new(p, NodeId::new(i + 1), w))
             .collect();
         Self::from_edges(node_weights, edges)
-    }
-
-    /// Re-derives the adjacency cache; needed after deserializing, because
-    /// the cache is skipped during serialization.
-    pub fn rebuild_cache(&mut self) {
-        self.adjacency = adjacency(self.node_weights.len(), &self.edges);
     }
 
     /// Number of nodes.
@@ -556,13 +555,5 @@ mod tests {
         assert_eq!(order.len(), n);
         assert_eq!(order[0], NodeId::new(n - 1));
         assert_eq!(order[n - 1], NodeId::new(0));
-    }
-
-    #[test]
-    fn rebuild_cache_restores_adjacency() {
-        let mut t = caterpillar();
-        t.adjacency.clear();
-        t.rebuild_cache();
-        assert_eq!(t.degree(NodeId::new(1)), 4);
     }
 }

@@ -1,112 +1,17 @@
 //! Disjoint-set (union-find) structure with union by size and path halving.
 
-/// A disjoint-set forest over `0..len` with union by size and path halving.
+/// A disjoint-set forest over `0..len` with `u32` indices, union by
+/// size and path halving.
 ///
-/// Used for tree validation, the optimized bottleneck-minimization sweep,
-/// and component bookkeeping. Amortized cost per operation is effectively
-/// constant (inverse Ackermann).
-///
-/// # Examples
-///
-/// ```
-/// use tgp_graph::UnionFind;
-///
-/// let mut uf = UnionFind::new(4);
-/// assert!(uf.union(0, 1));
-/// assert!(uf.union(2, 3));
-/// assert!(!uf.union(1, 0)); // already joined
-/// assert_eq!(uf.find(0), uf.find(1));
-/// assert_ne!(uf.find(0), uf.find(2));
-/// assert_eq!(uf.component_count(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct UnionFind {
-    parent: Vec<usize>,
-    size: Vec<usize>,
-    components: usize,
-}
-
-impl UnionFind {
-    /// Creates `len` singleton sets.
-    pub fn new(len: usize) -> Self {
-        UnionFind {
-            parent: (0..len).collect(),
-            size: vec![1; len],
-            components: len,
-        }
-    }
-
-    /// Number of elements in the structure.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Returns `true` if the structure is empty.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Number of disjoint sets currently present.
-    pub fn component_count(&self) -> usize {
-        self.components
-    }
-
-    /// Returns the canonical representative of `x`'s set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x >= self.len()`.
-    pub fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    /// Merges the sets containing `a` and `b`.
-    ///
-    /// Returns `true` if two distinct sets were merged, `false` if `a` and
-    /// `b` were already in the same set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` or `b` is out of range.
-    pub fn union(&mut self, a: usize, b: usize) -> bool {
-        let (mut ra, mut rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return false;
-        }
-        if self.size[ra] < self.size[rb] {
-            std::mem::swap(&mut ra, &mut rb);
-        }
-        self.parent[rb] = ra;
-        self.size[ra] += self.size[rb];
-        self.components -= 1;
-        true
-    }
-
-    /// Returns `true` if `a` and `b` are in the same set.
-    pub fn same_set(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let root = self.find(x);
-        self.size[root]
-    }
-}
-
-/// A compact [`UnionFind`] over `u32` indices — half the memory, same
-/// semantics.
-///
-/// The out-of-core solvers allocate a disjoint-set forest over every
-/// node of a graph that may itself barely fit in the memory budget, so
-/// the forest's footprint is load-bearing: 8 bytes per element here
-/// versus 16 for [`UnionFind`]. Capacity is capped at `u32::MAX`
-/// elements, which every flat graph already guarantees
-/// (`FlatTreeBuilder` refuses larger node counts).
+/// Used for tree validation, process-graph connectivity, the spanning
+/// tree of a process graph, the optimized bottleneck-minimization sweep
+/// and component bookkeeping. Amortized cost per operation is
+/// effectively constant (inverse Ackermann). The out-of-core solvers
+/// allocate a forest over every node of a graph that may itself barely
+/// fit in the memory budget, so the footprint is load-bearing: 8 bytes
+/// per element. Capacity is capped at `u32::MAX` elements, which every
+/// graph already guarantees (the graph constructors and
+/// `FlatTreeBuilder` refuse larger node counts).
 ///
 /// # Examples
 ///
@@ -115,9 +20,11 @@ impl UnionFind {
 ///
 /// let mut uf = UnionFind32::new(4);
 /// assert!(uf.union(0, 1));
-/// assert!(!uf.union(1, 0));
+/// assert!(uf.union(2, 3));
+/// assert!(!uf.union(1, 0)); // already joined
 /// assert_eq!(uf.find(0), uf.find(1));
-/// assert_eq!(uf.component_count(), 3);
+/// assert_ne!(uf.find(0), uf.find(2));
+/// assert_eq!(uf.component_count(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct UnionFind32 {
@@ -131,8 +38,7 @@ impl UnionFind32 {
     ///
     /// # Panics
     ///
-    /// Panics if `len > u32::MAX`; use [`UnionFind`] for larger
-    /// universes.
+    /// Panics if `len > u32::MAX`.
     pub fn new(len: usize) -> Self {
         assert!(
             u32::try_from(len).is_ok(),
@@ -202,37 +108,34 @@ mod tests {
 
     #[test]
     fn singletons_at_start() {
-        let mut uf = UnionFind::new(5);
+        let mut uf = UnionFind32::new(5);
         assert_eq!(uf.len(), 5);
         assert!(!uf.is_empty());
         assert_eq!(uf.component_count(), 5);
         for i in 0..5 {
             assert_eq!(uf.find(i), i);
-            assert_eq!(uf.set_size(i), 1);
         }
     }
 
     #[test]
     fn union_merges_and_counts() {
-        let mut uf = UnionFind::new(6);
+        let mut uf = UnionFind32::new(6);
         assert!(uf.union(0, 1));
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2));
         assert_eq!(uf.component_count(), 4);
-        assert_eq!(uf.set_size(2), 3);
-        assert!(uf.same_set(0, 2));
-        assert!(!uf.same_set(0, 3));
+        assert_eq!(uf.find(0), uf.find(2));
+        assert_ne!(uf.find(0), uf.find(3));
     }
 
     #[test]
     fn chain_of_unions_converges_to_one_component() {
         let n = 100;
-        let mut uf = UnionFind::new(n);
+        let mut uf = UnionFind32::new(n as usize);
         for i in 0..n - 1 {
             assert!(uf.union(i, i + 1));
         }
         assert_eq!(uf.component_count(), 1);
-        assert_eq!(uf.set_size(0), n);
         let root = uf.find(0);
         for i in 0..n {
             assert_eq!(uf.find(i), root);
@@ -241,34 +144,9 @@ mod tests {
 
     #[test]
     fn empty_structure() {
-        let uf = UnionFind::new(0);
+        let uf = UnionFind32::new(0);
         assert!(uf.is_empty());
         assert_eq!(uf.component_count(), 0);
-    }
-
-    #[test]
-    fn compact_matches_wide_on_random_unions() {
-        // xorshift-driven random union sequence; both structures must
-        // agree on every merge outcome and component count.
-        let n = 257usize;
-        let mut wide = UnionFind::new(n);
-        let mut compact = UnionFind32::new(n);
-        let mut x = 0x9e3779b97f4a7c15u64;
-        for _ in 0..1000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let a = (x as usize) % n;
-            let b = ((x >> 32) as usize) % n;
-            assert_eq!(wide.union(a, b), compact.union(a as u32, b as u32));
-            assert_eq!(wide.component_count(), compact.component_count());
-            assert_eq!(
-                wide.same_set(a, b),
-                compact.find(a as u32) == compact.find(b as u32)
-            );
-        }
-        assert_eq!(compact.len(), n);
-        assert!(!compact.is_empty());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use tgp_graph::generators::WeightDist;
 use tgp_graph::supergraph::{linear_supergraph, LinearOrdering};
 use tgp_graph::{
-    contract, CutSet, EdgeId, NodeId, PathGraph, ProcessGraph, Tree, TreeEdge, UnionFind, Weight,
+    contract, CutSet, EdgeId, NodeId, PathGraph, ProcessGraph, Tree, TreeEdge, UnionFind32, Weight,
 };
 
 fn arb_tree() -> impl Strategy<Value = Tree> {
@@ -165,11 +165,11 @@ proptest! {
         n in 1usize..40,
         unions in prop::collection::vec((0usize..100, 0usize..100), 0..80),
     ) {
-        let mut uf = UnionFind::new(n);
+        let mut uf = UnionFind32::new(n);
         let mut adj = vec![Vec::new(); n];
         for &(a, b) in &unions {
             let (a, b) = (a % n, b % n);
-            uf.union(a, b);
+            uf.union(a as u32, b as u32);
             adj[a].push(b);
             adj[b].push(a);
         }
@@ -195,7 +195,7 @@ proptest! {
         prop_assert_eq!(uf.component_count(), next);
         for a in 0..n {
             for b in 0..n {
-                prop_assert_eq!(uf.same_set(a, b), comp[a] == comp[b]);
+                prop_assert_eq!(uf.find(a as u32) == uf.find(b as u32), comp[a] == comp[b]);
             }
         }
     }

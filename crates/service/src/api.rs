@@ -43,6 +43,7 @@
 //! requests still hit.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -982,27 +983,30 @@ fn partition_endpoint(state: &AppState, body: &[u8], deadline: Option<Instant>) 
         // the batch reports aggregate counts so callers can check
         // success without walking the array, and items the deadline
         // interrupted are marked `partial` (as is the batch itself, at
-        // top level).
+        // top level). A solved item's rendered response is spliced in
+        // as it is: compact JSON with no float, so printing a re-parse
+        // of it would give the same bytes.
         let mut completed = 0u64;
         let mut failed = 0u64;
         let mut partial = false;
-        let results: Vec<Value> = outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(index, outcome)| match outcome {
+        let mut results = String::from("[");
+        for (index, outcome) in outcomes.into_iter().enumerate() {
+            if index > 0 {
+                results.push(',');
+            }
+            match outcome {
                 Ok(rendered) => {
                     completed += 1;
-                    json!({
-                        "index": index as u64,
-                        "status": 200u64,
-                        "body": Value::parse(&rendered).expect("rendered response is JSON"),
-                    })
+                    let _ = write!(
+                        results,
+                        r#"{{"index":{index},"status":200,"body":{rendered}}}"#
+                    );
                 }
                 Err(failure) => {
                     failed += 1;
                     let dropped = failure.is_interrupt();
                     partial |= dropped;
-                    json!({
+                    let item = json!({
                         "index": index as u64,
                         "status": u64::from(failure.status),
                         "body": envelope::envelope_value(
@@ -1012,19 +1016,15 @@ fn partition_endpoint(state: &AppState, body: &[u8], deadline: Option<Instant>) 
                             failure.deadline_remaining_ms,
                             dropped,
                         ),
-                    })
+                    });
+                    let _ = write!(results, "{item}");
                 }
-            })
-            .collect();
-        let mut top: Vec<(String, Value)> = vec![
-            ("completed".to_string(), Value::from(completed)),
-            ("failed".to_string(), Value::from(failed)),
-        ];
-        if partial {
-            top.push(("partial".to_string(), Value::Bool(true)));
+            }
         }
-        top.push(("results".to_string(), Value::Array(results)));
-        let body = format!("{}\n", Value::Object(top));
+        let partial = if partial { r#","partial":true"# } else { "" };
+        let body = format!(
+            "{{\"completed\":{completed},\"failed\":{failed}{partial},\"results\":{results}]}}\n"
+        );
         let mut response = json_response(200, "partition", body);
         response.objective = "batch";
         return response;
@@ -1051,8 +1051,7 @@ fn partition_response(outcome: Result<String, Failure>, objective: &'static str)
 /// JSON-tree parser's requests take. The scan is timed as the `ingest`
 /// stage whether or not the parser accepts — a declined scan's time is
 /// how wasted ingest shows — and an accepted request's backing is
-/// counted in `tgp_store_backing`. While the request lives, its RAM
-/// arrays count toward `tgp_graph_resident_bytes`.
+/// counted in `tgp_store_backing`.
 ///
 /// Returns `None` when the streaming parser declines the body (batch
 /// envelope, an objective that does not stream, unexpected field,
@@ -1084,10 +1083,7 @@ fn partition_streamed(
     state
         .metrics
         .record_store_backing(request.graph.backing_kind().as_str());
-    let resident = request.graph.resident_bytes() as i64;
-    state.metrics.graph_resident_changed(resident);
     let outcome = solve_request(state, &request, &budget, deadline, started);
-    state.metrics.graph_resident_changed(-resident);
     Some(partition_response(outcome, request.objective.name()))
 }
 
@@ -1399,15 +1395,18 @@ fn solve_request(
         .cache
         .admits(request.canonical_key_len(), cost)
         .then(|| request.canonical_key());
-    let outcome = cache_through(state, key.as_deref(), cost, deadline, || {
-        let (response, solve_done) = timed_stage_from(state, Stage::Solve, Instant::now(), || {
-            request.run_budgeted(budget).map_err(solve_failure)
-        });
-        let response = response?;
-        let (rendered, _) = timed_stage_from(state, Stage::Serialize, solve_done, || {
-            response.value.to_string()
-        });
-        Ok(rendered)
+    let outcome = while_resident(state, request, || {
+        cache_through(state, key.as_deref(), cost, deadline, || {
+            let (response, solve_done) =
+                timed_stage_from(state, Stage::Solve, Instant::now(), || {
+                    request.run_budgeted(budget).map_err(solve_failure)
+                });
+            let response = response?;
+            let (rendered, _) = timed_stage_from(state, Stage::Serialize, solve_done, || {
+                response.value.to_string()
+            });
+            Ok(rendered)
+        })
     });
     if let Some((index, _)) = Registry::shared().get(request.objective.name()) {
         state
@@ -1418,6 +1417,17 @@ fn solve_request(
         note_interrupt(state, failure, started);
     }
     outcome
+}
+
+/// Runs `f` with `request`'s RAM-pinned graph bytes counted in
+/// `tgp_graph_resident_bytes`: the stateless tail and the session solve
+/// each bracket their solve with it, whichever parser built the request.
+fn while_resident<R>(state: &AppState, request: &tgp_solvers::Request, f: impl FnOnce() -> R) -> R {
+    let bytes = request.graph.resident_bytes() as i64;
+    state.metrics.graph_resident_changed(bytes);
+    let result = f();
+    state.metrics.graph_resident_changed(-bytes);
+    result
 }
 
 /// Makes a budget interrupt observable: a `cancelled` stage span (the
@@ -1683,13 +1693,15 @@ fn session_partition_one(
     // it must survive edits to keep pointing at the previous solve.
     let key = request.warm_key();
     let window = resident.warm_window(&key);
-    let ((outcome, warm), solve_done) = timed_stage_from(state, Stage::Solve, parsed_at, || {
-        if let Some((lo, hi)) = window {
-            if let Some(result) = request.objective.run_warm(&request, lo, hi) {
-                return (result.map_err(solve_failure), true);
+    let ((outcome, warm), solve_done) = while_resident(state, &request, || {
+        timed_stage_from(state, Stage::Solve, parsed_at, || {
+            if let Some((lo, hi)) = window {
+                if let Some(result) = request.objective.run_warm(&request, lo, hi) {
+                    return (result.map_err(solve_failure), true);
+                }
             }
-        }
-        (request.run_budgeted(&budget).map_err(solve_failure), false)
+            (request.run_budgeted(&budget).map_err(solve_failure), false)
+        })
     });
     let response = outcome?;
     let ((rendered_value, rendered, bottleneck), _) =
@@ -2089,6 +2101,110 @@ mod tests {
                 "missing metrics for {}",
                 solver.name()
             );
+        }
+    }
+
+    /// A batch item's body is the single-request response's bytes,
+    /// spliced into the envelope, for every registered objective.
+    #[test]
+    fn a_one_item_batch_carries_the_single_response_bytes() {
+        for solver in Registry::shared().iter() {
+            let body = golden_body(solver.name());
+            let single = handle(
+                &AppState::new(CacheConfig::default()),
+                &post("/v1/partition", &body),
+            );
+            assert_eq!(single.status, 200, "{}: {}", solver.name(), single.body);
+            let batch = handle(
+                &AppState::new(CacheConfig::default()),
+                &post("/v1/partition", &format!(r#"{{"requests": [{body}]}}"#)),
+            );
+            assert_eq!(batch.status, 200, "{}: {}", solver.name(), batch.body);
+            let item = single.body.strip_suffix('\n').expect("newline-terminated");
+            assert_eq!(
+                batch.body,
+                format!(
+                    "{{\"completed\":1,\"failed\":0,\"results\":[{{\"index\":0,\"status\":200,\"body\":{item}}}]}}\n"
+                ),
+                "{}",
+                solver.name()
+            );
+        }
+    }
+
+    /// `tgp_graph_resident_bytes` counts a flat RAM graph while it is
+    /// solved, whichever way its request arrived: a streamed body, a body
+    /// the streaming parser declines, a batch item, a session re-solve.
+    /// Each kind is sent until a poll lands inside its solve.
+    #[test]
+    fn resident_bytes_count_every_graph_being_solved() {
+        fn gauge(state: &AppState) -> u64 {
+            let text = state.metrics.render();
+            let line = text
+                .lines()
+                .find_map(|l| l.strip_prefix("tgp_graph_resident_bytes "));
+            line.and_then(|v| v.parse().ok()).expect("gauge rendered")
+        }
+        let n = 20_000;
+        let graph = format!(
+            r#"{{"node_weights": [{}], "edge_weights": [{}]}}"#,
+            vec!["7"; n].join(","),
+            vec!["3"; n - 1].join(",")
+        );
+        let state = AppState::new(CacheConfig::default());
+        let r = handle(
+            &state,
+            &post("/v1/graphs", &format!(r#"{{"graph": {graph}}}"#)),
+        );
+        assert_eq!(r.status, 200, "{}", r.body);
+        let id = Value::parse(&r.body).unwrap()["id"]
+            .as_str()
+            .unwrap()
+            .to_string();
+        let requests = |bound: u64| {
+            let streamed =
+                format!(r#"{{"objective": "bandwidth", "bound": {bound}, "graph": {graph}}}"#);
+            [
+                (
+                    "declined",
+                    "/v1/partition".to_string(),
+                    streamed.replacen("\"bound\"", "\"bo\\u0075nd\"", 1),
+                ),
+                (
+                    "batch item",
+                    "/v1/partition".to_string(),
+                    format!(r#"{{"requests": [{streamed}]}}"#),
+                ),
+                (
+                    "session",
+                    format!("/v1/graphs/{id}/partition"),
+                    format!(r#"{{"objective": "bandwidth", "bound": {bound}}}"#),
+                ),
+                ("streamed", "/v1/partition".to_string(), streamed),
+            ]
+        };
+        for k in 0..4 {
+            let mut seen = false;
+            let mut kind = "";
+            // A fresh bound per attempt, so that no attempt is a cache hit.
+            for bound in 100..130 {
+                let (name, path, body) = &requests(bound)[k];
+                kind = name;
+                std::thread::scope(|scope| {
+                    let solving = scope.spawn(|| handle(&state, &post(path, body)));
+                    while !solving.is_finished() {
+                        seen |= gauge(&state) > 0;
+                    }
+                    let r = solving.join().unwrap();
+                    assert_eq!(r.status, 200, "{kind}: {}", r.body);
+                    assert!(!r.body.contains("\"status\":4"), "{kind}: {}", r.body);
+                });
+                if seen {
+                    break;
+                }
+            }
+            assert!(seen, "{kind}: no poll saw the graph counted");
+            assert_eq!(gauge(&state), 0, "{kind}: released after the solve");
         }
     }
 

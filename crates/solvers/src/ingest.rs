@@ -29,6 +29,12 @@
 //! therefore never has to replicate error *messages*; success bytes are
 //! the same because the request it builds runs the same solver.
 //!
+//! The scan is a grammar over `tgp_graph::json`'s [`Lexer`], the
+//! tokenizer under [`tgp_graph::json::Value::parse`] too: this module
+//! decides only which keys and values the schema takes, and every
+//! lexer failure is a decline. Numbers take the lexer's strict `u64`
+//! scan, eight digits per word.
+//!
 //! Arrays are parsed in blocks of up to [`BLOCK`] elements, each
 //! appended to its array in one call. Work is cost-sliced: one
 //! [`Budget`] unit per parsed element, charged as each block is

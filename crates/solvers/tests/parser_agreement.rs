@@ -12,6 +12,14 @@
 //! and last, on RAM and disk backing. Bodies are compact, spaced, or
 //! padded with tabs, CRs and LFs between elements and inside edge
 //! objects, and some arrays run past the scanner's blocks of elements.
+//!
+//! Each body is then bent into malformed and edge-case variants:
+//! truncated, a separator flipped, a number written as `-0`, with
+//! leading zeros, with a fraction or exponent, or in 20 digits, and a
+//! key spelled with an escape. On every variant `ingest_flat` must
+//! decline or build what the JSON-tree parser builds, byte for byte,
+//! and never panic. Variants draw from their own generator, so the
+//! bodies and windows above are the same for every seed.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -188,6 +196,99 @@ fn windows(rng: &mut SmallRng, b: u64) -> Vec<(u64, u64)> {
     all
 }
 
+/// The byte ranges of `body`'s numbers (every digit run: no key or
+/// objective name holds a digit).
+fn numbers(body: &str) -> Vec<(usize, usize)> {
+    let bytes = body.as_bytes();
+    let mut runs = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        if bytes[i].is_ascii_digit() {
+            let start = i;
+            while i < bytes.len() && bytes[i].is_ascii_digit() {
+                i += 1;
+            }
+            runs.push((start, i));
+        } else {
+            i += 1;
+        }
+    }
+    runs
+}
+
+/// Malformed and edge-case variants of a generated body: a truncation,
+/// a flipped separator, `-0` or leading zeros, a fraction or exponent,
+/// a 20-digit value, and an escaped key.
+fn variants(rng: &mut SmallRng, body: &str) -> Vec<String> {
+    let pick =
+        |rng: &mut SmallRng, options: &[&'static str]| options[rng.gen_range(0..options.len())];
+    let mut out = vec![body[..rng.gen_range(1..body.len())].to_string()];
+    let separators: Vec<usize> = body.match_indices([',', ':']).map(|(i, _)| i).collect();
+    let at = separators[rng.gen_range(0..separators.len())];
+    let flipped = if &body[at..=at] == "," { ":" } else { "," };
+    out.push(format!("{}{flipped}{}", &body[..at], &body[at + 1..]));
+    let runs = numbers(body);
+    let replace_number = |rng: &mut SmallRng, with: &dyn Fn(&str) -> String| {
+        let (start, end) = runs[rng.gen_range(0..runs.len())];
+        format!(
+            "{}{}{}",
+            &body[..start],
+            with(&body[start..end]),
+            &body[end..]
+        )
+    };
+    let zero = pick(rng, &["-0", "00", "0"]);
+    out.push(replace_number(rng, &|n| match zero {
+        "0" => format!("0{n}"),
+        other => other.to_string(),
+    }));
+    let tail = pick(rng, &[".0", ".5", "e0", "E+1", "e-1"]);
+    out.push(replace_number(rng, &|n| format!("{n}{tail}")));
+    let wide = pick(rng, &["18446744073709551616", "99999999999999999999"]);
+    out.push(replace_number(rng, &|_| wide.to_string()));
+    let keys: Vec<&str> = [
+        "objective",
+        "bound",
+        "graph",
+        "node_weights",
+        "edge_weights",
+        "edges",
+        "a",
+        "b",
+        "weight",
+    ]
+    .into_iter()
+    .filter(|key| body.contains(&format!("\"{key}\"")))
+    .collect();
+    let key = keys[rng.gen_range(0..keys.len())];
+    let escaped = format!("\\u{:04x}{}", key.as_bytes()[0], &key[1..]);
+    out.push(body.replacen(&format!("\"{key}\""), &format!("\"{escaped}\""), 1));
+    out
+}
+
+/// `ingest_flat` on a variant body: a decline, or the JSON-tree
+/// parser's request, byte for byte.
+fn check_variant(body: &str, backings: &[(&IngestBacking, BackingKind)]) {
+    for &(backing, _) in backings {
+        let Some(streamed) = ingest_flat(body.as_bytes(), backing, &Budget::unlimited())
+            .expect("no budget to exceed")
+        else {
+            continue;
+        };
+        let value =
+            Value::parse(body).unwrap_or_else(|e| panic!("streamed bad JSON ({e}): {body}"));
+        let (_, _, tree) = Registry::shared()
+            .dispatch(&value)
+            .unwrap_or_else(|e| panic!("streamed a refused request ({e}): {body}"));
+        assert_eq!(streamed.canonical_key(), tree.canonical_key(), "{body}");
+        assert_eq!(
+            outcome(&streamed, streamed.run_budgeted(&Budget::unlimited())),
+            outcome(&tree, tree.run_budgeted(&Budget::unlimited())),
+            "{body}"
+        );
+    }
+}
+
 #[test]
 fn streamed_and_json_tree_requests_agree() {
     let registry = Registry::shared();
@@ -223,6 +324,10 @@ fn streamed_and_json_tree_requests_agree() {
                     r#"{{"bound"{colon}{bound}{comma}"graph"{colon}{graph}{comma}"objective"{colon}"{name}"}}"#
                 ),
             ];
+            let mut bent = SmallRng::seed_from_u64(!((i as u64) << 32 | round));
+            for variant in bodies.iter().flat_map(|body| variants(&mut bent, body)) {
+                check_variant(&variant, &backings);
+            }
             for body in &bodies {
                 let value = Value::parse(body).expect("valid JSON");
                 let tree = match registry.dispatch(&value) {

@@ -84,16 +84,6 @@ impl<B: MemoryBacking> FlatPath<B> {
         self.kind
     }
 
-    /// All node weights as raw `u64`s, in index order.
-    pub fn node_w(&self) -> &[u64] {
-        self.node_w.as_slice()
-    }
-
-    /// All edge weights as raw `u64`s, in index order.
-    pub fn edge_w(&self) -> &[u64] {
-        self.edge_w.as_slice()
-    }
-
     /// Bytes of process RAM the graph pins (0 when disk-backed).
     pub fn resident_bytes(&self) -> u64 {
         self.node_w.resident_bytes() + self.edge_w.resident_bytes() + self.prefix.resident_bytes()
@@ -310,25 +300,6 @@ impl<B: MemoryBacking> FlatTree<B> {
     /// Which medium holds this graph.
     pub fn backing_kind(&self) -> BackingKind {
         self.kind
-    }
-
-    /// All node weights as raw `u64`s, in index order.
-    pub fn node_w(&self) -> &[u64] {
-        self.node_w.as_slice()
-    }
-
-    /// All edge weights as raw `u64`s, in edge order.
-    pub fn edge_w(&self) -> &[u64] {
-        self.edge_w.as_slice()
-    }
-
-    /// Edge `i`'s endpoints in the orientation the graph was built
-    /// with (`a`, `b`).
-    pub fn endpoints_raw(&self, edge: usize) -> (usize, usize) {
-        (
-            self.edge_a.as_slice()[edge] as usize,
-            self.edge_b.as_slice()[edge] as usize,
-        )
     }
 
     /// Bytes of process RAM the graph pins (0 when disk-backed).
@@ -764,9 +735,9 @@ mod tests {
         blocks.extend_edges(&a[4..], &b[4..], &w[4..]).unwrap();
         let blocks = blocks.finish().unwrap();
         for i in 0..6 {
-            assert_eq!(blocks.endpoints_raw(i), single.endpoints_raw(i));
+            let edge = EdgeId::new(i);
+            assert_eq!(TreeView::edge(&blocks, edge), TreeView::edge(&single, edge));
         }
-        assert_eq!(blocks.edge_w(), single.edge_w());
         assert_eq!(
             TreeView::total_weight(&blocks),
             TreeView::total_weight(&single)
