@@ -6,12 +6,9 @@
 //! CLI and the `tgp-service` HTTP server:
 //!
 //! * [`Value`] — a JSON document (objects preserve key order),
-//! * [`Lexer`] — the one JSON tokenizer, over raw bytes: whitespace,
-//!   punctuation, literals, strings (borrowed when they hold no escape),
-//!   strict non-negative integers (eight digits per word) and the general
-//!   number grammar, each failure a `Copy` [`LexError`] with its byte
-//!   offset. [`Value::parse`] and the registry's streaming ingest
-//!   (`tgp_solvers::ingest_flat`) are two grammars over it,
+//! * [`Lexer`] — the one JSON tokenizer, over raw bytes: [`Value::parse`]
+//!   and the registry's streaming ingest (`tgp_solvers::ingest_flat`) are
+//!   grammars over it,
 //! * [`Value::parse`] — a recursive-descent parser over [`Lexer`] with a
 //!   hard recursion depth limit, suitable for untrusted input (it returns
 //!   errors, never panics),
@@ -533,9 +530,8 @@ macro_rules! json {
 /// `Instant::now()` comparison) stays invisible in profiles.
 pub const CHECK_STRIDE: u32 = 4096;
 
-/// Where and why a [`Lexer`] stopped. Small and `Copy`, so a scan that
-/// only needs to know *that* a token failed pays nothing for it;
-/// [`Value::parse`] turns it into a [`JsonError`].
+/// Where and why a [`Lexer`] stopped: small and `Copy`, for scans that
+/// only need to know *that* a token failed. It converts to [`JsonError`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LexError {
     /// Byte offset into the input.
@@ -544,42 +540,32 @@ pub struct LexError {
     pub kind: LexErrorKind,
 }
 
-/// What a [`LexError`] found, rendered as one fixed message.
+/// What a [`LexError`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LexErrorKind {
     /// The next byte had to be this one: `expected ':'`.
     Expected(u8),
     /// The next bytes had to spell this word: `expected "null"`.
     ExpectedWord(&'static str),
-    /// Anything else: `unterminated string`, `invalid number`, ...
+    /// Anything else, with its message: `unterminated string`, ...
     Invalid(&'static str),
-}
-
-impl fmt::Display for LexErrorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            LexErrorKind::Expected(byte) => write!(f, "expected {:?}", byte as char),
-            LexErrorKind::ExpectedWord(word) => write!(f, "expected {word:?}"),
-            LexErrorKind::Invalid(message) => f.write_str(message),
-        }
-    }
 }
 
 impl From<LexError> for JsonError {
     fn from(e: LexError) -> Self {
-        JsonError::at(e.offset, e.kind.to_string())
+        let message = match e.kind {
+            LexErrorKind::Expected(byte) => format!("expected {:?}", byte as char),
+            LexErrorKind::ExpectedWord(word) => format!("expected {word:?}"),
+            LexErrorKind::Invalid(message) => message.to_string(),
+        };
+        JsonError::at(e.offset, message)
     }
 }
 
 /// The JSON tokenizer: a cursor over raw bytes that reads one token at
-/// a time, for a grammar its caller drives. It is the one place that
-/// decides how whitespace, punctuation, literals, strings and numbers
-/// are spelled; [`Value::parse`] and the registry's streaming ingest
-/// are both grammars over it. Every failure carries its byte offset,
-/// and a failed token consumes nothing.
-///
-/// The input need not be UTF-8: string contents are checked as they
-/// are taken.
+/// a time for a grammar its caller drives, and alone decides how
+/// whitespace, punctuation, literals, strings and numbers are spelled.
+/// The input need not be UTF-8: string contents are checked as taken.
 #[derive(Debug, Clone)]
 pub struct Lexer<'a> {
     bytes: &'a [u8],
@@ -610,11 +596,11 @@ impl<'a> Lexer<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn error(&self, kind: LexErrorKind) -> LexError {
-        LexError {
+    fn fail<T>(&self, kind: LexErrorKind) -> Result<T, LexError> {
+        Err(LexError {
             offset: self.pos,
             kind,
-        }
+        })
     }
 
     /// Skips JSON whitespace: space, tab, LF and CR.
@@ -633,60 +619,42 @@ impl<'a> Lexer<'a> {
         next
     }
 
-    /// Consumes `byte`, which must come next.
-    ///
-    /// # Errors
-    ///
-    /// `expected 'b'` at the next byte.
+    /// Consumes `byte`, or fails with `expected 'byte'`.
     #[inline]
     pub fn expect(&mut self, byte: u8) -> Result<(), LexError> {
         if self.eat(byte) {
-            Ok(())
-        } else {
-            Err(self.error(LexErrorKind::Expected(byte)))
+            return Ok(());
         }
+        self.fail(LexErrorKind::Expected(byte))
     }
 
-    /// Consumes `word` (`null`, `true`, `false`, or any fixed spelling),
-    /// which must come next.
-    ///
-    /// # Errors
-    ///
-    /// `expected "word"` at the word's first byte.
+    /// Consumes `word` (`null`, `true`, `false` or any fixed spelling),
+    /// or fails with `expected "word"`.
     #[inline]
     pub fn literal(&mut self, word: &'static str) -> Result<(), LexError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(())
-        } else {
-            Err(self.error(LexErrorKind::ExpectedWord(word)))
+            return Ok(());
         }
+        self.fail(LexErrorKind::ExpectedWord(word))
     }
 
-    /// Consumes a string and returns its contents: borrowed from the
-    /// input when it holds no escape, decoded into a new `String` when
-    /// it does.
-    ///
-    /// # Errors
-    ///
-    /// A missing opening quote, an unterminated string, an unescaped
-    /// control character, a bad escape or a byte sequence that is not
-    /// UTF-8, each at the offending byte.
+    /// Consumes a string: its contents borrowed when it holds no escape,
+    /// decoded when it does. Fails at the offending byte.
     #[inline]
     pub fn string(&mut self) -> Result<Cow<'a, str>, LexError> {
         self.expect(b'"')?;
         let start = self.pos;
         let end = start + plain_run(&self.bytes[start..]);
-        if self.bytes.get(end) == Some(&b'"') {
-            let text = utf8(&self.bytes[start..end], start)?;
-            self.pos = end + 1;
-            return Ok(Cow::Borrowed(text));
+        if self.bytes.get(end) != Some(&b'"') {
+            return self.escaped_string().map(Cow::Owned);
         }
-        self.escaped_string().map(Cow::Owned)
+        let text = utf8(&self.bytes[start..end], start)?;
+        self.pos = end + 1;
+        Ok(Cow::Borrowed(text))
     }
 
-    /// The rest of a string that does not end at its first special
-    /// byte, from its first content byte.
+    /// A string that holds an escape (or is malformed), from its start.
     #[cold]
     fn escaped_string(&mut self) -> Result<String, LexError> {
         let mut out = String::new();
@@ -694,27 +662,27 @@ impl<'a> Lexer<'a> {
             let run = self.pos;
             self.pos += plain_run(&self.bytes[run..]);
             out.push_str(utf8(&self.bytes[run..self.pos], run)?);
-            match self.peek() {
+            let c = match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
+                None => return self.invalid("unterminated string"),
                 Some(b'\\') => {
                     self.pos += 1;
-                    out.push(self.escape()?);
+                    self.escape()?
                 }
-                Some(_) => {
-                    return Err(self.error(LexErrorKind::Invalid(
-                        "unescaped control character in string",
-                    )))
-                }
-                None => return Err(self.error(LexErrorKind::Invalid("unterminated string"))),
-            }
+                Some(_) => return self.invalid("unescaped control character in string"),
+            };
+            out.push(c);
         }
     }
 
-    /// The character an escape stands for, the cursor just past its
-    /// backslash.
+    fn invalid<T>(&self, message: &'static str) -> Result<T, LexError> {
+        self.fail(LexErrorKind::Invalid(message))
+    }
+
+    /// The character an escape stands for, the cursor past its backslash.
     fn escape(&mut self) -> Result<char, LexError> {
         let c = match self.peek() {
             Some(b'"') => '"',
@@ -729,42 +697,41 @@ impl<'a> Lexer<'a> {
                 self.pos += 1;
                 return self.unicode_escape();
             }
-            _ => return Err(self.error(LexErrorKind::Invalid("invalid escape sequence"))),
+            _ => return self.invalid("invalid escape sequence"),
         };
         self.pos += 1;
         Ok(c)
     }
 
-    /// Parses the 4 hex digits after `\u` (cursor already past the `u`),
+    /// The 4 hex digits after `\u` (cursor already past the `u`),
     /// combining surrogate pairs.
     fn unicode_escape(&mut self) -> Result<char, LexError> {
         let first = self.hex4()?;
-        if (0xD800..0xDC00).contains(&first) {
-            // High surrogate: require a following \uXXXX low surrogate.
-            if self.bytes[self.pos..].starts_with(b"\\u") {
-                self.pos += 2;
-                let second = self.hex4()?;
-                if (0xDC00..0xE000).contains(&second) {
-                    let c = 0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
-                    return char::from_u32(c).ok_or_else(|| {
-                        self.error(LexErrorKind::Invalid("invalid surrogate pair"))
-                    });
-                }
-            }
-            return Err(self.error(LexErrorKind::Invalid("unpaired surrogate in \\u escape")));
+        if !(0xD800..0xDC00).contains(&first) {
+            return char::from_u32(first).map_or_else(|| self.invalid("invalid \\u escape"), Ok);
         }
-        char::from_u32(first).ok_or_else(|| self.error(LexErrorKind::Invalid("invalid \\u escape")))
+        // High surrogate: require a following \uXXXX low surrogate.
+        if self.bytes[self.pos..].starts_with(b"\\u") {
+            self.pos += 2;
+            let second = self.hex4()?;
+            if (0xDC00..0xE000).contains(&second) {
+                let c = 0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
+                return char::from_u32(c)
+                    .map_or_else(|| self.invalid("invalid surrogate pair"), Ok);
+            }
+        }
+        self.invalid("unpaired surrogate in \\u escape")
     }
 
     fn hex4(&mut self) -> Result<u32, LexError> {
-        let mut v: u32 = 0;
+        let mut v = 0;
         for _ in 0..4 {
-            let b = self
-                .peek()
-                .ok_or_else(|| self.error(LexErrorKind::Invalid("truncated \\u escape")))?;
-            let digit = (b as char).to_digit(16).ok_or_else(|| {
-                self.error(LexErrorKind::Invalid("invalid hex digit in \\u escape"))
-            })?;
+            let Some(b) = self.peek() else {
+                return self.invalid("truncated \\u escape");
+            };
+            let Some(digit) = (b as char).to_digit(16) else {
+                return self.invalid("invalid hex digit in \\u escape");
+            };
             v = v * 16 + digit;
             self.pos += 1;
         }
@@ -772,16 +739,10 @@ impl<'a> Lexer<'a> {
     }
 
     /// Consumes a strict JSON non-negative integer that fits `u64`: no
-    /// sign, no leading zero, and no fraction or exponent after it.
-    /// Anything else fails at the number's first byte, so that
-    /// [`Lexer::number`] can re-read it.
-    ///
-    /// # Errors
-    ///
-    /// `expected a non-negative integer` at the next byte.
+    /// sign, no leading zero, no fraction or exponent after it. Anything
+    /// else fails at the number's first byte and consumes nothing.
     #[inline]
     pub fn u64(&mut self) -> Result<u64, LexError> {
-        let not_u64 = self.error(LexErrorKind::Invalid("expected a non-negative integer"));
         let digits = &self.bytes[self.pos..];
         // The first (up to) eight digits in one word, then one digit at
         // a time. Nineteen digits never overflow (10^19 - 1 <
@@ -799,91 +760,84 @@ impl<'a> Lexer<'a> {
                 len += 1;
             }
             while let Some(&c @ b'0'..=b'9') = digits.get(len) {
-                value = value
+                match value
                     .checked_mul(10)
                     .and_then(|v| v.checked_add(u64::from(c - b'0')))
-                    .ok_or(not_u64)?;
+                {
+                    Some(v) => value = v,
+                    None => return self.invalid("expected a non-negative integer"),
+                }
                 len += 1;
             }
         }
-        if len == 0 || (len > 1 && digits[0] == b'0') {
-            return Err(not_u64);
-        }
-        if matches!(digits.get(len), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
-            return Err(not_u64);
+        if len == 0
+            || (len > 1 && digits[0] == b'0')
+            || matches!(digits.get(len), Some(b'.' | b'e' | b'E' | b'-' | b'+'))
+        {
+            return self.invalid("expected a non-negative integer");
         }
         self.pos += len;
         Ok(value)
     }
 
-    /// Consumes any JSON number: a non-negative integer as
-    /// [`Number::UInt`], a negative one as [`Number::Int`], and one with
-    /// a fraction or exponent, or out of 64-bit range, as
-    /// [`Number::Float`]. Plain non-negative integers take the
-    /// [`Lexer::u64`] scan.
-    ///
-    /// # Errors
-    ///
-    /// `invalid number`, `expected digit after decimal point` or
-    /// `expected digit in exponent` at the offending byte, or `number
-    /// out of range` at the number's first byte.
+    /// Consumes any JSON number: plain integers by the [`Lexer::u64`]
+    /// scan where it can, and a fraction, an exponent or a value out of
+    /// 64-bit range as [`Number::Float`]. Fails at the offending byte.
     pub fn number(&mut self) -> Result<Number, LexError> {
         if let Ok(u) = self.u64() {
             return Ok(Number::UInt(u));
         }
         let start = self.pos;
         let negative = self.eat(b'-');
-        let digits = |lex: &mut Self| {
-            while matches!(lex.peek(), Some(b'0'..=b'9')) {
-                lex.pos += 1;
-            }
-        };
         // Integer part (JSON forbids leading zeros like "01").
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => digits(self),
-            _ => return Err(self.error(LexErrorKind::Invalid("invalid number"))),
+        if !self.eat(b'0') {
+            if !matches!(self.peek(), Some(b'1'..=b'9')) {
+                return self.invalid("invalid number");
+            }
+            self.digits();
         }
         let mut is_float = false;
         if self.eat(b'.') {
             is_float = true;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.error(LexErrorKind::Invalid("expected digit after decimal point")));
+            if !self.digits() {
+                return self.invalid("expected digit after decimal point");
             }
-            digits(self);
         }
         if self.eat(b'e') || self.eat(b'E') {
             is_float = true;
             let _ = self.eat(b'+') || self.eat(b'-');
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.error(LexErrorKind::Invalid("expected digit in exponent")));
+            if !self.digits() {
+                return self.invalid("expected digit in exponent");
             }
-            digits(self);
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
         if !is_float {
             if negative {
                 if let Ok(i) = text.parse::<i64>() {
-                    return Ok(if i >= 0 {
-                        Number::UInt(i as u64)
-                    } else {
-                        Number::Int(i)
-                    });
+                    return Ok(u64::try_from(i).map_or(Number::Int(i), Number::UInt));
                 }
             } else if let Ok(u) = text.parse::<u64>() {
                 return Ok(Number::UInt(u));
             }
             // Integer out of 64-bit range: fall through to float.
         }
-        let out_of_range = LexError {
-            offset: start,
-            kind: LexErrorKind::Invalid("number out of range"),
-        };
         match text.parse::<f64>() {
             Ok(f) if f.is_finite() => Ok(Number::Float(f)),
-            _ => Err(out_of_range),
+            _ => Err(LexError {
+                offset: start,
+                kind: LexErrorKind::Invalid("number out of range"),
+            }),
         }
+    }
+
+    /// Consumes a run of ASCII digits; `false` if there was none.
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos > start
     }
 }
 
@@ -897,8 +851,8 @@ fn plain_run(bytes: &[u8]) -> usize {
         .unwrap_or(bytes.len())
 }
 
-/// `bytes` as text, or an error at the first byte that is not UTF-8
-/// (`offset` is where `bytes` starts in the input).
+/// `bytes`, which start at `offset` in the input, as text, or an error
+/// at the first byte that is not UTF-8.
 #[inline]
 fn utf8(bytes: &[u8], offset: usize) -> Result<&str, LexError> {
     std::str::from_utf8(bytes).map_err(|e| LexError {
@@ -972,10 +926,8 @@ impl Parser<'_, '_> {
             Some(b'{') => self.object(depth)?,
             Some(b'-' | b'0'..=b'9') => Value::Number(self.lex.number()?),
             Some(other) => {
-                return Err(JsonError::at(
-                    at,
-                    format!("unexpected character {:?}", other as char),
-                ))
+                let message = format!("unexpected character {:?}", other as char);
+                return Err(JsonError::at(at, message));
             }
         })
     }
@@ -1016,8 +968,7 @@ impl Parser<'_, '_> {
             self.lex.skip_ws();
             self.lex.expect(b':')?;
             self.lex.skip_ws();
-            let value = self.value(depth + 1)?;
-            entries.push((key, value));
+            entries.push((key, self.value(depth + 1)?));
             self.lex.skip_ws();
             if self.lex.eat(b'}') {
                 return Ok(Value::Object(entries));

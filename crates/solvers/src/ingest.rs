@@ -229,18 +229,18 @@ where
             ("node_weights", _) if seen_nodes => return Err(Abort::Unsupported),
             ("node_weights", None) => {
                 let mut array = backing.new_array::<u64>(0)?;
-                u64_array(lex, budget, |block| array.extend_from_slice(block))?;
+                blocks(lex, budget, weight, |block| array.extend_from_slice(block))?;
                 nodes = Some(array);
                 seen_nodes = true;
             }
             ("node_weights", Some(Builder::Chain(chain))) => {
                 chain.reserve_nodes(chain.edges() + 1)?;
-                u64_array(lex, budget, |block| chain.extend_nodes(block))?;
+                blocks(lex, budget, weight, |block| chain.extend_nodes(block))?;
                 seen_nodes = true;
             }
             ("node_weights", Some(Builder::Tree(tree))) => {
                 tree.reserve_nodes(tree.edges() + 1)?;
-                u64_array(lex, budget, |block| tree.extend_nodes(block))?;
+                blocks(lex, budget, weight, |block| tree.extend_nodes(block))?;
                 seen_nodes = true;
             }
             ("edge_weights", None) => {
@@ -248,7 +248,7 @@ where
                     Some(node_w) => FlatPathBuilder::with_nodes(backing, node_w)?,
                     None => FlatPathBuilder::new(backing, 0)?,
                 };
-                u64_array(lex, budget, |block| chain.extend_edges(block))?;
+                blocks(lex, budget, weight, |block| chain.extend_edges(block))?;
                 graph = Some(Builder::Chain(chain));
             }
             ("edges", None) => {
@@ -256,7 +256,7 @@ where
                     Some(node_w) => FlatTreeBuilder::with_nodes(backing, node_w)?,
                     None => FlatTreeBuilder::new(backing.clone(), 0)?,
                 };
-                tree_edges(lex, budget, &mut tree)?;
+                blocks(lex, budget, tree_edge, |edges| tree.extend_edges(edges))?;
                 graph = Some(Builder::Tree(tree));
             }
             _ => return Err(Abort::Unsupported),
@@ -310,23 +310,24 @@ fn name<'a>(lex: &mut Lexer<'a>) -> Scan<&'a str> {
     }
 }
 
-/// Streams `[n, n, ...]` of strict non-negative integers into `append`
-/// in blocks of up to [`BLOCK`] values, charging the budget one unit per
-/// value as each block is appended.
-fn u64_array(
-    lex: &mut Lexer<'_>,
+/// Streams a JSON array into `append` in blocks of up to [`BLOCK`]
+/// elements, each read by `item`, charging the budget one unit per
+/// element as each block is appended.
+fn blocks<'a, T: Copy + Default>(
+    lex: &mut Lexer<'a>,
     budget: &Budget,
-    mut append: impl FnMut(&[u64]) -> std::io::Result<()>,
+    item: impl Fn(&mut Lexer<'a>) -> Scan<T>,
+    mut append: impl FnMut(&[T]) -> std::io::Result<()>,
 ) -> Scan<()> {
     lex.expect(b'[')?;
     lex.skip_ws();
     if lex.eat(b']') {
         return Ok(());
     }
-    let mut block = [0u64; BLOCK];
+    let mut block = [T::default(); BLOCK];
     let mut len = 0;
     loop {
-        block[len] = lex.u64()?;
+        block[len] = item(lex)?;
         len += 1;
         lex.skip_ws();
         let more = lex.eat(b',');
@@ -342,36 +343,10 @@ fn u64_array(
     }
 }
 
-/// Streams `[{"a":0,"b":1,"weight":2}, ...]` (fields in any order) into
-/// the tree builder in blocks of up to [`BLOCK`] edges, charged as
-/// [`u64_array`] charges.
-fn tree_edges<B: MemoryBacking>(
-    lex: &mut Lexer<'_>,
-    budget: &Budget,
-    builder: &mut FlatTreeBuilder<B>,
-) -> Scan<()> {
-    lex.expect(b'[')?;
-    lex.skip_ws();
-    if lex.eat(b']') {
-        return Ok(());
-    }
-    let (mut a, mut b, mut w) = ([0usize; BLOCK], [0usize; BLOCK], [0u64; BLOCK]);
-    let mut len = 0;
-    loop {
-        (a[len], b[len], w[len]) = tree_edge(lex)?;
-        len += 1;
-        lex.skip_ws();
-        let more = lex.eat(b',');
-        if len == BLOCK || !more {
-            builder.extend_edges(&a[..len], &b[..len], &w[..len])?;
-            budget.charge(len as u64)?;
-            len = 0;
-        }
-        if !more {
-            return Ok(lex.expect(b']')?);
-        }
-        lex.skip_ws();
-    }
+/// A weight: a strict non-negative integer.
+#[inline]
+fn weight(lex: &mut Lexer<'_>) -> Scan<u64> {
+    Ok(lex.u64()?)
 }
 
 /// One edge object, `{"a":0,"b":1,"weight":2}` with its fields in any

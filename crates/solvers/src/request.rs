@@ -552,14 +552,13 @@ where
     }
     let mut tree = FlatTreeBuilder::new(backing.clone(), nodes.len())?;
     weight_blocks(nodes, "node_weights", ty, |block| tree.extend_nodes(block))?;
-    let (mut a, mut b, mut w) = ([0usize; BLOCK], [0usize; BLOCK], [0u64; BLOCK]);
+    let mut block = [(0, 0, 0); BLOCK];
     for chunk in json::array_field(value, "edges", ty)?.chunks(BLOCK) {
         for (k, edge) in chunk.iter().enumerate() {
-            let (ea, eb, ew) = json::edge_fields(edge)?;
-            (a[k], b[k], w[k]) = (ea.index(), eb.index(), ew.get());
+            let (a, b, w) = json::edge_fields(edge)?;
+            block[k] = (a.index(), b.index(), w.get());
         }
-        let len = chunk.len();
-        tree.extend_edges(&a[..len], &b[..len], &w[..len])?;
+        tree.extend_edges(&block[..chunk.len()])?;
     }
     Ok(GraphInput::from_tree(tree.finish().map_err(invalid)?))
 }

@@ -459,35 +459,32 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
     ///
     /// Backing growth failure.
     pub fn push_edge(&mut self, a: usize, b: usize, weight: u64) -> io::Result<()> {
-        self.extend_edges(&[a], &[b], &[weight])
+        self.extend_edges(&[(a, b, weight)])
     }
 
-    /// Appends the next edges, edge `k` of the block being
-    /// `(a[k], b[k], w[k])` in input orientation.
+    /// Appends the next edges, each `(a, b, weight)` in input
+    /// orientation.
     ///
     /// # Errors
     ///
     /// Backing growth failure.
-    ///
-    /// # Panics
-    ///
-    /// If the three slices differ in length.
-    pub fn extend_edges(&mut self, a: &[usize], b: &[usize], w: &[u64]) -> io::Result<()> {
-        assert!(
-            a.len() == w.len() && b.len() == w.len(),
-            "edge columns must have equal lengths"
-        );
+    pub fn extend_edges(&mut self, edges: &[(usize, usize, u64)]) -> io::Result<()> {
         let narrow = |v: usize| u32::try_from(v).unwrap_or(u32::MAX);
         if self.first_oversized.is_none() {
-            let wide = |k: &usize| u32::try_from(a[*k]).is_err() || u32::try_from(b[*k]).is_err();
-            if let Some(k) = (0..w.len()).find(wide) {
-                self.first_oversized = Some((self.edge_w.len() + k, [a[k], b[k]]));
+            let wide = |&(a, b, _): &(usize, usize, u64)| {
+                u32::try_from(a).is_err() || u32::try_from(b).is_err()
+            };
+            if let Some(k) = edges.iter().position(wide) {
+                let (a, b, _) = edges[k];
+                self.first_oversized = Some((self.edge_w.len() + k, [a, b]));
             }
         }
-        self.edge_a.extend_from_fn(a.len(), |k| narrow(a[k]))?;
-        self.edge_b.extend_from_fn(b.len(), |k| narrow(b[k]))?;
-        self.edge_w.extend_from_slice(w)?;
-        self.edge_total += w.iter().map(|&w| u128::from(w)).sum::<u128>();
+        self.edge_a
+            .extend_from_fn(edges.len(), |k| narrow(edges[k].0))?;
+        self.edge_b
+            .extend_from_fn(edges.len(), |k| narrow(edges[k].1))?;
+        self.edge_w.extend_from_fn(edges.len(), |k| edges[k].2)?;
+        self.edge_total += edges.iter().map(|e| u128::from(e.2)).sum::<u128>();
         Ok(())
     }
 
@@ -722,17 +719,21 @@ mod tests {
     #[test]
     fn block_pushes_build_the_same_tree_as_single_pushes() {
         let nodes = [1u64, 2, 3, 4, 5, 6, 7];
-        let a = [0usize, 1, 2, 1, 1, 2];
-        let b = [1usize, 2, 3, 4, 5, 6];
-        let w = [10u64, 20, 30, 40, 50, 60];
-        let edges: Vec<(usize, usize, u64)> = (0..6).map(|k| (a[k], b[k], w[k])).collect();
+        let edges = [
+            (0, 1, 10),
+            (1, 2, 20),
+            (2, 3, 30),
+            (1, 4, 40),
+            (1, 5, 50),
+            (2, 6, 60),
+        ];
         let single = build_tree(&RamBacking, &nodes, &edges).unwrap();
         let backing = DiskBacking::new(std::env::temp_dir());
         let mut node_w = backing.new_array::<u64>(0).unwrap();
         node_w.extend_from_slice(&nodes).unwrap();
         let mut blocks = FlatTreeBuilder::with_nodes(&backing, node_w).unwrap();
-        blocks.extend_edges(&a[..4], &b[..4], &w[..4]).unwrap();
-        blocks.extend_edges(&a[4..], &b[4..], &w[4..]).unwrap();
+        blocks.extend_edges(&edges[..4]).unwrap();
+        blocks.extend_edges(&edges[4..]).unwrap();
         let blocks = blocks.finish().unwrap();
         for i in 0..6 {
             let edge = EdgeId::new(i);
