@@ -614,9 +614,11 @@ impl<'a> Lexer<'a> {
     /// Consumes `byte` if it comes next.
     #[inline]
     pub fn eat(&mut self, byte: u8) -> bool {
-        let next = self.peek() == Some(byte);
-        self.pos += usize::from(next);
-        next
+        if self.peek() == Some(byte) {
+            self.pos += 1;
+            return true;
+        }
+        false
     }
 
     /// Consumes `byte`, or fails with `expected 'byte'`.
