@@ -545,8 +545,6 @@ pub struct LexError {
 pub enum LexErrorKind {
     /// The next byte had to be this one: `expected ':'`.
     Expected(u8),
-    /// The next bytes had to spell this word: `expected "null"`.
-    ExpectedWord(&'static str),
     /// Anything else, with its message: `unterminated string`, ...
     Invalid(&'static str),
 }
@@ -555,7 +553,6 @@ impl From<LexError> for JsonError {
     fn from(e: LexError) -> Self {
         let message = match e.kind {
             LexErrorKind::Expected(byte) => format!("expected {:?}", byte as char),
-            LexErrorKind::ExpectedWord(word) => format!("expected {word:?}"),
             LexErrorKind::Invalid(message) => message.to_string(),
         };
         JsonError::at(e.offset, message)
@@ -630,15 +627,15 @@ impl<'a> Lexer<'a> {
         self.fail(LexErrorKind::Expected(byte))
     }
 
-    /// Consumes `word` (`null`, `true`, `false` or any fixed spelling),
-    /// or fails with `expected "word"`.
-    #[inline]
-    pub fn literal(&mut self, word: &'static str) -> Result<(), LexError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    /// Consumes `word` (`null`, `true`, `false` or any fixed spelling)
+    /// if it comes next.
+    #[inline(always)]
+    pub fn literal(&mut self, word: &str) -> bool {
+        let next = self.bytes[self.pos..].starts_with(word.as_bytes());
+        if next {
             self.pos += word.len();
-            return Ok(());
         }
-        self.fail(LexErrorKind::ExpectedWord(word))
+        next
     }
 
     /// Consumes a string: its contents borrowed when it holds no escape,
@@ -742,9 +739,12 @@ impl<'a> Lexer<'a> {
 
     /// Consumes a strict JSON non-negative integer that fits `u64`: no
     /// sign, no leading zero, no fraction or exponent after it. Anything
-    /// else fails at the number's first byte and consumes nothing.
-    #[inline]
-    pub fn u64(&mut self) -> Result<u64, LexError> {
+    /// else is `None`, consuming nothing.
+    // Inlined into every caller, like `literal`, with no error value: out
+    // of line, the cursor round-trips through memory on every call, which
+    // costs a compact tree's ingest 5–10% (EXPERIMENTS.md §ONE-LEXER).
+    #[inline(always)]
+    pub fn u64(&mut self) -> Option<u64> {
         let digits = &self.bytes[self.pos..];
         // The first (up to) eight digits in one word, then one digit at
         // a time. Nineteen digits never overflow (10^19 - 1 <
@@ -762,13 +762,7 @@ impl<'a> Lexer<'a> {
                 len += 1;
             }
             while let Some(&c @ b'0'..=b'9') = digits.get(len) {
-                match value
-                    .checked_mul(10)
-                    .and_then(|v| v.checked_add(u64::from(c - b'0')))
-                {
-                    Some(v) => value = v,
-                    None => return self.invalid("expected a non-negative integer"),
-                }
+                value = value.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
                 len += 1;
             }
         }
@@ -776,17 +770,17 @@ impl<'a> Lexer<'a> {
             || (len > 1 && digits[0] == b'0')
             || matches!(digits.get(len), Some(b'.' | b'e' | b'E' | b'-' | b'+'))
         {
-            return self.invalid("expected a non-negative integer");
+            return None;
         }
         self.pos += len;
-        Ok(value)
+        Some(value)
     }
 
     /// Consumes any JSON number: plain integers by the [`Lexer::u64`]
     /// scan where it can, and a fraction, an exponent or a value out of
     /// 64-bit range as [`Number::Float`]. Fails at the offending byte.
     pub fn number(&mut self) -> Result<Number, LexError> {
-        if let Ok(u) = self.u64() {
+        if let Some(u) = self.u64() {
             return Ok(Number::UInt(u));
         }
         let start = self.pos;
@@ -920,9 +914,9 @@ impl Parser<'_, '_> {
         }
         Ok(match self.lex.peek() {
             None => return Err(JsonError::at(at, "unexpected end of input")),
-            Some(b'n') => self.lex.literal("null").map(|()| Value::Null)?,
-            Some(b't') => self.lex.literal("true").map(|()| Value::Bool(true))?,
-            Some(b'f') => self.lex.literal("false").map(|()| Value::Bool(false))?,
+            Some(b'n') => self.word(at, "null", Value::Null)?,
+            Some(b't') => self.word(at, "true", Value::Bool(true))?,
+            Some(b'f') => self.word(at, "false", Value::Bool(false))?,
             Some(b'"') => Value::String(self.lex.string()?.into_owned()),
             Some(b'[') => self.array(depth)?,
             Some(b'{') => self.object(depth)?,
@@ -932,6 +926,12 @@ impl Parser<'_, '_> {
                 return Err(JsonError::at(at, message));
             }
         })
+    }
+
+    /// The literal `word` at `at`, as `value`.
+    fn word(&mut self, at: usize, word: &str, value: Value) -> Result<Value, JsonError> {
+        let expected = || JsonError::at(at, format!("expected {word:?}"));
+        self.lex.literal(word).then_some(value).ok_or_else(expected)
     }
 
     fn array(&mut self, depth: usize) -> Result<Value, JsonError> {
@@ -1507,7 +1507,7 @@ mod tests {
             for tail in ["", ",", " ", "]", "}"] {
                 let input = format!("{text}{tail}");
                 let mut lex = Lexer::new(input.as_bytes());
-                assert_eq!(lex.u64(), Ok(text.parse().unwrap()), "{input}");
+                assert_eq!(lex.u64(), Some(text.parse().unwrap()), "{input}");
                 assert_eq!(lex.pos(), text.len());
             }
         }
@@ -1530,9 +1530,8 @@ mod tests {
         ];
         for text in refused {
             let mut lex = Lexer::new(text.as_bytes());
-            let err = lex.u64().unwrap_err();
-            assert_eq!(err.offset, 0, "{text}");
-            assert_eq!(lex.pos(), 0, "a failed token consumes nothing: {text}");
+            assert_eq!(lex.u64(), None, "{text}");
+            assert_eq!(lex.pos(), 0, "a refused number consumes nothing: {text}");
         }
     }
 
@@ -1549,11 +1548,8 @@ mod tests {
             }
         );
         assert_eq!(JsonError::from(err).to_string(), "expected ':' at byte 2");
-        let err = lex.literal("null").unwrap_err();
-        assert_eq!(
-            JsonError::from(err).to_string(),
-            "expected \"null\" at byte 2"
-        );
+        assert!(!lex.literal("null"));
+        assert_eq!(lex.pos(), 2);
     }
 
     #[test]

@@ -157,7 +157,7 @@ where
             "objective" if objective.is_none() => {
                 objective = Some(streamed_solver(name(lex)?).ok_or(Abort::Unsupported)?);
             }
-            "bound" if bound.is_none() => bound = Some(lex.u64()?),
+            "bound" if bound.is_none() => bound = Some(weight(lex)?),
             "graph" if graph.is_none() => graph = Some(parse_graph(lex, backing, budget)?),
             _ => return Err(Abort::Unsupported),
         }
@@ -343,10 +343,10 @@ fn blocks<'a, T: Copy + Default>(
     }
 }
 
-/// A weight: a strict non-negative integer.
+/// A strict non-negative integer: a weight, a bound or an endpoint.
 #[inline]
 fn weight(lex: &mut Lexer<'_>) -> Scan<u64> {
-    Ok(lex.u64()?)
+    lex.u64().ok_or(Abort::Unsupported)
 }
 
 /// One edge object, `{"a":0,"b":1,"weight":2}` with its fields in any
@@ -354,11 +354,11 @@ fn weight(lex: &mut Lexer<'_>) -> Scan<u64> {
 /// that matches the keys as literals; any other spelling restarts at
 /// its `{` on the general path.
 fn tree_edge(lex: &mut Lexer<'_>) -> Scan<(usize, usize, u64)> {
-    let mut compact = lex.clone();
-    if let Some(edge) = compact_edge(&mut compact) {
-        *lex = compact;
+    let start = lex.clone();
+    if let Some(edge) = compact_edge(lex) {
         return Ok(edge);
     }
+    *lex = start;
     lex.expect(b'{')?;
     lex.skip_ws();
     let mut fields = [None; 3];
@@ -366,7 +366,7 @@ fn tree_edge(lex: &mut Lexer<'_>) -> Scan<(usize, usize, u64)> {
         if fields[slot].is_some() {
             return Err(Abort::Unsupported);
         }
-        fields[slot] = Some(lex.u64()?);
+        fields[slot] = Some(weight(lex)?);
         Ok(())
     })?;
     match fields {
@@ -382,13 +382,13 @@ fn tree_edge(lex: &mut Lexer<'_>) -> Scan<(usize, usize, u64)> {
 /// anything else.
 #[inline]
 fn compact_edge(lex: &mut Lexer<'_>) -> Option<(usize, usize, u64)> {
-    lex.literal("{\"a\":").ok()?;
-    let a = lex.u64().ok()?;
-    lex.literal(",\"b\":").ok()?;
-    let b = lex.u64().ok()?;
-    lex.literal(",\"weight\":").ok()?;
-    let w = lex.u64().ok()?;
-    lex.literal("}").ok()?;
+    lex.literal("{\"a\":").then_some(())?;
+    let a = lex.u64()?;
+    lex.literal(",\"b\":").then_some(())?;
+    let b = lex.u64()?;
+    lex.literal(",\"weight\":").then_some(())?;
+    let w = lex.u64()?;
+    lex.literal("}").then_some(())?;
     Some((usize::try_from(a).ok()?, usize::try_from(b).ok()?, w))
 }
 
@@ -399,7 +399,7 @@ fn compact_edge(lex: &mut Lexer<'_>) -> Option<(usize, usize, u64)> {
 fn edge_key(lex: &mut Lexer<'_>) -> Scan<usize> {
     ["\"a\"", "\"b\"", "\"weight\""]
         .into_iter()
-        .position(|key| lex.literal(key).is_ok())
+        .position(|key| lex.literal(key))
         .ok_or(Abort::Unsupported)
 }
 
