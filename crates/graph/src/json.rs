@@ -611,6 +611,7 @@ impl<'a> Lexer<'a> {
     /// Consumes `byte` if it comes next.
     #[inline]
     pub fn eat(&mut self, byte: u8) -> bool {
+        // A branch, not `pos += usize::from(hit)`: EXPERIMENTS.md §ONE-LEXER.
         if self.peek() == Some(byte) {
             self.pos += 1;
             return true;
