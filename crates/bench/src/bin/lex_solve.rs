@@ -1,9 +1,11 @@
-//! Solve timings behind EXPERIMENTS.md §LEX-1DP: the lexicographic
-//! cold solve, its warm start with a ±64 window around `B*`, and the
-//! tree `bottleneck` cold solve (plus its warm start where the solver
-//! offers one), on 100 000-node graphs; and beside them the registry
-//! dispatch that builds each request from its parsed JSON, the parse
-//! every in-RAM session re-solve pays.
+//! Solve timings behind EXPERIMENTS.md §LEX-1DP and §LEX-1PASS: the
+//! lexicographic cold solve, its warm start with a ±64 window around
+//! `B*`, and the tree `bottleneck` cold solve (plus its warm start where
+//! the solver offers one), on 100 000-node graphs; and beside them the
+//! registry dispatch that builds each request from its parsed JSON, the
+//! parse every in-RAM session re-solve pays. Chains come with random
+//! edge weights and with increasing ones, the order in which every
+//! over-weight window's lightest edge is its first.
 //!
 //! Usage:
 //!
@@ -23,7 +25,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use tgp_graph::generators::{random_chain, random_tree, WeightDist};
 use tgp_graph::json;
@@ -112,6 +114,18 @@ fn main() {
         for bound in [4000, 12000] {
             cell(label, bound, chain.to_json(), "lexicographic");
         }
+    }
+    let mut rng = SmallRng::seed_from_u64(0x1E4);
+    let node_weights: Vec<u64> = (0..N).map(|_| rng.gen_range(1..=100)).collect();
+    let edge_weights: Vec<u64> = (1..N as u64).collect();
+    let chain = json!({ "node_weights": node_weights, "edge_weights": edge_weights });
+    for bound in [4000, 12000] {
+        cell(
+            "chain, edges increasing",
+            bound,
+            chain.clone(),
+            "lexicographic",
+        );
     }
     let edges = WeightDist::Uniform { lo: 1, hi: 1000 };
     let tree = random_tree(N, nodes, edges, &mut SmallRng::seed_from_u64(0xB0B));

@@ -12,12 +12,11 @@
 //! [`min_bandwidth_cut_bounded`] is the constrained solver (a sliding-
 //! window DP over the *allowed* edges, `O(n)`), and
 //! [`min_bandwidth_cut_lexicographic`] composes it with the bottleneck
-//! optimum. Finding `B*` needs no DP: a limit `L` admits a feasible cut
-//! exactly when cutting *every* edge of weight `≤ L` leaves each segment
-//! within the bound, since cutting more allowed edges only shrinks
-//! segments. One allocation-free `O(n)` scan decides that, so both
-//! lexicographic solves binary-search `B*` with the scan and run the DP
-//! once, at `B*`.
+//! optimum. Finding `B*` needs no DP and no search. A cut is feasible
+//! exactly when it holds an edge of every prime subpath (§2.3), so `B*`
+//! is the largest, over all prime subpaths, of the lightest edge inside
+//! (zero when there is none). One pass over the edges computes it in
+//! `O(n)`, and both lexicographic solves run the DP once, at `B*`.
 
 use std::collections::VecDeque;
 
@@ -137,71 +136,128 @@ pub fn min_bandwidth_cut_bounded<C: ChainView>(
     Ok(Some(cut))
 }
 
-/// Whether [`min_bandwidth_cut_bounded`] finds a cut at `limit`, decided
-/// without the DP: cut every edge of weight `≤ limit` and check each
-/// remaining run against `bound`. The verdict is exact because a
-/// feasible cut within the limit stays feasible when the other allowed
-/// edges are cut too. Allocation-free `O(n)`, charging the budget one
-/// unit per edge like the DP. Unlike the DP it does not validate single
-/// vertices: one that outweighs `bound` makes every limit infeasible.
-fn is_feasible_at<C: ChainView>(
+/// Edge visits per vertex that the lexicographic solves let
+/// [`optimal_bottleneck`]'s skip pass spend before
+/// [`sliding_bottleneck`] takes over the rest of the chain. On random
+/// weights the pass visits each edge little more than once; on
+/// increasing ones it would rescan every window, `O(n·window)` in all.
+const VISITS_PER_VERTEX: usize = 4;
+
+/// `B*`, the smallest bottleneck of any feasible cut: the largest, over
+/// all prime subpaths, of the lightest edge inside, and zero when the
+/// whole chain fits in `bound` (§2.3: a cut is feasible exactly when it
+/// holds an edge of every prime subpath).
+///
+/// A *skip pass* finds it without a sort. It runs the feasibility scan
+/// at the best limit so far, starting from zero: every edge no heavier
+/// than the limit is cut. When a run turns over-weight at vertex `v`,
+/// the shortest over-weight window ending at `v` is a prime subpath
+/// whose edges all exceed the limit, so the limit rises to its lightest
+/// edge (still at most `B*`) and the scan resumes just after that edge,
+/// where the run is within the bound again. A scan that reaches the end
+/// proves its limit feasible, so the limit is `B*`. Past `max_visits`
+/// edge visits the rest of the chain goes to [`sliding_bottleneck`],
+/// which is `O(n)` on every input.
+///
+/// Vertices are checked against `bound` first, so the error names the
+/// first vertex that outweighs it. Charges the budget one unit per edge
+/// visit.
+fn optimal_bottleneck<C: ChainView>(
     path: &C,
     bound: Weight,
-    limit: Weight,
+    max_visits: usize,
     budget: &Budget,
-) -> Result<bool, PartitionError> {
-    let mut start = 0;
-    for j in 0..path.edge_count() {
+) -> Result<Weight, PartitionError> {
+    check_bound_nodes(
+        (0..path.len()).map(|i| path.node_weight(NodeId::new(i))),
+        bound,
+    )?;
+    let n = path.len();
+    let mut visits = 0;
+    let mut best = Weight::ZERO;
+    let mut start = 0; // first vertex of the current run
+    for v in 1..n {
         budget.charge(1)?;
-        if path.edge_weight(EdgeId::new(j)) <= limit {
-            if path.span_weight(start, j) > bound {
-                return Ok(false);
+        let edge = path.edge_weight(EdgeId::new(v - 1));
+        if edge <= best {
+            start = v;
+            continue;
+        }
+        if path.span_weight(start, v) <= bound {
+            continue;
+        }
+        // `start..=v` is over-weight and `start..v` is not, so the
+        // shortest over-weight window ending at `v`, `s..=v`, is prime.
+        // Walk it back from `v`, keeping its last lightest edge.
+        let (mut s, mut lightest, mut light) = (v - 1, v - 1, edge);
+        while path.span_weight(s, v) <= bound {
+            s -= 1;
+            let w = path.edge_weight(EdgeId::new(s));
+            if w < light {
+                (lightest, light) = (s, w);
             }
-            start = j + 1;
+        }
+        budget.charge((v - 1 - s) as u64)?;
+        visits += v - 1 - s;
+        best = light;
+        start = lightest + 1;
+        if v + visits > max_visits {
+            return sliding_bottleneck(path, bound, start, best, budget);
         }
     }
-    Ok(path.span_weight(start, path.len() - 1) <= bound)
+    Ok(best)
 }
 
-/// Every bottleneck a cut can have: zero (the empty cut) and each edge
-/// weight, unsorted and with repeats.
-fn candidate_limits<C: ChainView>(path: &C) -> impl Iterator<Item = Weight> + '_ {
-    std::iter::once(Weight::ZERO)
-        .chain((0..path.edge_count()).map(|j| path.edge_weight(EdgeId::new(j))))
-}
-
-/// Index of the smallest feasible limit in the ascending, non-empty
-/// `limits`. Feasibility is monotone in the limit (raising it only adds
-/// cuttable edges). The last limit is taken as feasible without a scan:
-/// the caller has certified it, or it allows every edge.
-fn first_feasible<C: ChainView>(
+/// The rest of [`optimal_bottleneck`]'s pass, `O(n)` on every input:
+/// the largest of `best` and, over each over-weight window inside
+/// `start..n` that is the shortest one ending at its last vertex, the
+/// lightest edge inside. A monotone deque keeps the window's lightest
+/// edge as both of its ends advance. Every prime subpath is such a
+/// window, and every such window holds one, so the largest minimum is
+/// the same over both. A window that starts left of `start` holds an
+/// edge no heavier than `best`: the edge `start - 1` when it ends right
+/// of it, and otherwise one the pass cut, since the pass found every run
+/// before `start` within the bound.
+fn sliding_bottleneck<C: ChainView>(
     path: &C,
     bound: Weight,
-    limits: &[Weight],
+    start: usize,
+    mut best: Weight,
     budget: &Budget,
-) -> Result<usize, PartitionError> {
-    let (mut lo, mut hi) = (0usize, limits.len() - 1);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if is_feasible_at(path, bound, limits[mid], budget)? {
-            hi = mid;
-        } else {
-            lo = mid + 1;
+) -> Result<Weight, PartitionError> {
+    // Edge ids and weights, weights strictly rising from the front.
+    let mut lightest: VecDeque<(usize, Weight)> = VecDeque::new();
+    let mut s = start;
+    for t in start + 1..path.len() {
+        budget.charge(1)?;
+        let w = path.edge_weight(EdgeId::new(t - 1));
+        while lightest.back().is_some_and(|&(_, b)| b >= w) {
+            lightest.pop_back();
         }
+        lightest.push_back((t - 1, w));
+        if path.span_weight(s, t) <= bound {
+            continue;
+        }
+        while path.span_weight(s + 1, t) > bound {
+            s += 1;
+        }
+        while lightest.front().is_some_and(|&(j, _)| j < s) {
+            lightest.pop_front();
+        }
+        best = best.max(lightest.front().expect("edge t - 1 is in the window").1);
     }
-    Ok(lo)
+    Ok(best)
 }
 
 /// The lexicographic bicriteria cut of §3's real-time application: the
 /// minimum-total-weight cut among all feasible cuts whose bottleneck
 /// equals the optimum `B*` of Algorithm 2.1.
 ///
-/// `B*` is found by binary search over the sorted candidate limits
-/// (zero and the edge weights) with the `O(n)` feasibility scan, then
-/// [`min_bandwidth_cut_bounded`] runs once at `B*`: `O(n log n)` in
-/// all, for the sort and the `O(log n)` scans. Every scan and the DP
-/// charge the [`Budget`] per edge, so a deadline or cancel interrupts
-/// the solve between and inside them.
+/// `B*` is the largest, over all prime subpaths, of the lightest edge
+/// inside; one pass over the edges finds it, and
+/// [`min_bandwidth_cut_bounded`] then runs once, at `B*`: `O(n)` in
+/// all. The pass and the DP charge the [`Budget`] per edge visit, so a
+/// deadline or cancel interrupts the solve inside either.
 ///
 /// # Errors
 ///
@@ -232,40 +288,32 @@ pub fn min_bandwidth_cut_lexicographic<C: ChainView>(
     budget: &Budget,
 ) -> Result<CutSet, PartitionError> {
     budget.check_now()?;
-    let mut limits: Vec<Weight> = candidate_limits(path).collect();
-    limits.sort_unstable();
-    limits.dedup();
-    budget.charge(limits.len() as u64)?;
-    // The largest limit allows cutting every edge, which isolates single
-    // vertices: feasible unless one outweighs the bound, and then the DP
-    // reports `BoundTooSmall` at exactly that limit.
-    let b_star = limits[first_feasible(path, bound, &limits, budget)?];
+    let b_star = optimal_bottleneck(path, bound, VISITS_PER_VERTEX * path.len(), budget)?;
     Ok(min_bandwidth_cut_bounded(path, bound, b_star, budget)?
-        .expect("the feasibility scan and the DP agree on every limit"))
+        .expect("a cut within B* exists by the definition of B*"))
 }
 
-/// Warm-started variant of [`min_bandwidth_cut_lexicographic`]: the
-/// search for `B*` is restricted to candidate limits in
-/// `[hint_lo, hint_hi]` (typically a window around a previous solve's
-/// `B*` widened by how much the instance has drifted since).
+/// Warm-started variant of [`min_bandwidth_cut_lexicographic`]: it
+/// answers only when `B*` lies in `[hint_lo, hint_hi]` (typically a
+/// window around a previous solve's `B*` widened by how much the
+/// instance has drifted since), and returns `Ok(None)` otherwise, or
+/// when the window is inverted, so that the caller falls back to the
+/// cold solve.
 ///
-/// The window is *certified* before it is trusted: the largest
-/// candidate limit below the window must be infeasible and the largest
-/// candidate inside it must be feasible — together those prove the true
-/// `B*` lies inside the window, because feasibility is monotone in the
-/// limit. Both certificates and the search are feasibility scans;
-/// [`min_bandwidth_cut_bounded`] runs once, at `B*`. `Ok(None)` means a
-/// certificate failed (or the window contains no candidate) and the
-/// caller must fall back to the cold solve.
-///
-/// When the certificates hold, the returned cut is **byte-identical**
-/// to the cold solve's: both find the same `B*` and return the cut of
-/// the same deterministic DP at that limit.
+/// `B*` comes from the cold solve's one-pass search, and the window
+/// check is the whole certificate. Since `B*` is always a candidate
+/// limit (zero or an edge weight), it lies in the window exactly when
+/// the largest candidate below the window is infeasible and the
+/// window's top candidate is feasible, the two facts a search confined
+/// to the window would have to prove. When it answers, the cut is
+/// **byte-identical** to the cold solve's: both run the same
+/// deterministic DP at the same `B*`.
 ///
 /// # Errors
 ///
 /// [`PartitionError::BoundTooSmall`] if a single vertex outweighs
-/// `bound` (the cold solve fails identically).
+/// `bound` and the window is not inverted (the cold solve fails
+/// identically).
 pub fn min_bandwidth_cut_lexicographic_warm<C: ChainView>(
     path: &C,
     bound: Weight,
@@ -275,56 +323,107 @@ pub fn min_bandwidth_cut_lexicographic_warm<C: ChainView>(
     if hint_lo > hint_hi {
         return Ok(None);
     }
-    // The cold solve sorts every candidate limit; the warm solve only
-    // ever scans the largest candidate *below* the window and the
-    // candidates *inside* it, so one pass replaces the O(n log n) sort.
-    let mut below: Option<Weight> = None;
-    let mut window: Vec<Weight> = Vec::new();
-    for w in candidate_limits(path) {
-        if w < hint_lo {
-            below = Some(below.map_or(w, |b| b.max(w)));
-        } else if w <= hint_hi {
-            window.push(w);
-        }
-    }
-    window.sort_unstable();
-    window.dedup();
-    let Some(&top) = window.last() else {
-        return Ok(None); // no candidate in the window
-    };
     let budget = Budget::unlimited();
-    // Certificate: the strongest limit below the window is infeasible
-    // (vacuously true when the window starts at the smallest candidate).
-    if let Some(b) = below {
-        if is_feasible_at(path, bound, b, &budget)? {
-            return Ok(None); // B* is below the window
-        }
+    let b_star = optimal_bottleneck(path, bound, VISITS_PER_VERTEX * path.len(), &budget)?;
+    if b_star < hint_lo || b_star > hint_hi {
+        return Ok(None);
     }
-    // Certificate: the window's top candidate is feasible.
-    if !is_feasible_at(path, bound, top, &budget)? {
-        // Every limit is infeasible when a single vertex outweighs the
-        // bound; report that as the cold solve does.
-        check_bound_nodes(
-            (0..path.len()).map(|i| path.node_weight(NodeId::new(i))),
-            bound,
-        )?;
-        return Ok(None); // B* is above the window
-    }
-    // The window holds the same candidates (sorted, deduped) that the
-    // cold solve's array holds over those indices, so the search lands
-    // on the same `B*`, where the DP is `Some` (the scan is exact).
-    let b_star = window[first_feasible(path, bound, &window, &budget)?];
     min_bandwidth_cut_bounded(path, bound, b_star, &budget)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bandwidth::min_bandwidth_cut;
+    use crate::bandwidth::{min_bandwidth_cut, prime_subpaths};
     use crate::bottleneck::min_bottleneck_cut;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use tgp_graph::{PathGraph, Tree};
+
+    /// Whether [`min_bandwidth_cut_bounded`] finds a cut at `limit`,
+    /// decided without the DP: cut every edge of weight `≤ limit` and
+    /// check each remaining run against `bound`. The verdict is exact
+    /// because a feasible cut within the limit stays feasible when the
+    /// other allowed edges are cut too. Charges the budget one unit per
+    /// edge. Unlike the DP it does not validate single vertices: one
+    /// that outweighs `bound` makes every limit infeasible.
+    fn is_feasible_at<C: ChainView>(
+        path: &C,
+        bound: Weight,
+        limit: Weight,
+        budget: &Budget,
+    ) -> Result<bool, PartitionError> {
+        let mut start = 0;
+        for j in 0..path.edge_count() {
+            budget.charge(1)?;
+            if path.edge_weight(EdgeId::new(j)) <= limit {
+                if path.span_weight(start, j) > bound {
+                    return Ok(false);
+                }
+                start = j + 1;
+            }
+        }
+        Ok(path.span_weight(start, path.len() - 1) <= bound)
+    }
+
+    /// Every bottleneck a cut can have: zero (the empty cut) and each
+    /// edge weight, unsorted and with repeats.
+    fn candidate_limits<C: ChainView>(path: &C) -> impl Iterator<Item = Weight> + '_ {
+        std::iter::once(Weight::ZERO)
+            .chain((0..path.edge_count()).map(|j| path.edge_weight(EdgeId::new(j))))
+    }
+
+    /// Index of the smallest feasible limit in the ascending, non-empty
+    /// `limits`. Feasibility is monotone in the limit (raising it only
+    /// adds cuttable edges). The last limit is taken as feasible
+    /// without a scan: it allows every edge.
+    fn first_feasible<C: ChainView>(
+        path: &C,
+        bound: Weight,
+        limits: &[Weight],
+        budget: &Budget,
+    ) -> Result<usize, PartitionError> {
+        let (mut lo, mut hi) = (0usize, limits.len() - 1);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if is_feasible_at(path, bound, limits[mid], budget)? {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Ok(lo)
+    }
+
+    /// The reference search for `B*`: binary search over the sorted,
+    /// deduplicated candidate limits with the feasibility scan. Every
+    /// limit is infeasible when a vertex outweighs the bound, so the
+    /// search ends on the largest, where the DP names that vertex.
+    fn searched_b_star(p: &PathGraph, k: Weight) -> Result<Weight, PartitionError> {
+        let unlimited = Budget::unlimited();
+        let mut limits: Vec<Weight> = candidate_limits(p).collect();
+        limits.sort_unstable();
+        limits.dedup();
+        let b_star = limits[first_feasible(p, k, &limits, &unlimited)?];
+        min_bandwidth_cut_bounded(p, k, b_star, &unlimited)?.expect("the search ends feasible");
+        Ok(b_star)
+    }
+
+    /// The paper's formula for `B*`: the largest, over all prime
+    /// subpaths, of the lightest edge inside; zero without primes.
+    fn prime_b_star(p: &PathGraph, k: Weight) -> Result<Weight, PartitionError> {
+        Ok(prime_subpaths(p, k)?
+            .iter()
+            .map(|prime| {
+                prime
+                    .edges()
+                    .map(|e| p.edge_weight(e))
+                    .min()
+                    .expect("a prime subpath of a feasible bound holds an edge")
+            })
+            .max()
+            .unwrap_or(Weight::ZERO))
+    }
 
     fn path(nodes: &[u64], edges: &[u64]) -> PathGraph {
         PathGraph::from_raw(nodes, edges).unwrap()
@@ -402,6 +501,125 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A random chain for the three-way `B*` check, by `round`: the
+    /// mixes of [`random_instance`] (zero weights, heavy ties), all-equal
+    /// weights, increasing and decreasing edge weights (the skip pass's
+    /// worst and best orders), a bound at or above the total, a vertex
+    /// above the bound, and one- and two-vertex chains.
+    fn b_star_instance(rng: &mut SmallRng, round: usize) -> (Vec<u64>, Vec<u64>, Weight) {
+        let n: usize = rng.gen_range(1..=64);
+        let random_nodes = |rng: &mut SmallRng, n: usize| -> Vec<u64> {
+            let hi = [1, 10, 100][rng.gen_range(0..3)];
+            (0..n).map(|_| rng.gen_range(0..=hi)).collect()
+        };
+        let (nodes, edges) = match round % 8 {
+            0 | 1 => return random_instance(rng, 64),
+            2 => {
+                let (a, b) = (rng.gen_range(0..=4), rng.gen_range(0..=3));
+                (vec![a; n], vec![b; n - 1])
+            }
+            3 | 4 => {
+                let nodes = random_nodes(rng, n);
+                let step_hi = [0, 1, 5][rng.gen_range(0..3)];
+                let mut w = rng.gen_range(0..=3);
+                let mut edges: Vec<u64> = (1..n)
+                    .map(|_| {
+                        w += rng.gen_range(0..=step_hi);
+                        w
+                    })
+                    .collect();
+                if round % 8 == 4 {
+                    edges.reverse();
+                }
+                (nodes, edges)
+            }
+            5 | 6 => {
+                let nodes = random_nodes(rng, n);
+                let edges = (1..n).map(|_| rng.gen_range(0..=20)).collect();
+                (nodes, edges)
+            }
+            _ => {
+                let n = rng.gen_range(1..=2);
+                let nodes = random_nodes(rng, n);
+                let edges = (1..n).map(|_| rng.gen_range(0..=3)).collect();
+                (nodes, edges)
+            }
+        };
+        let max = nodes.iter().copied().max().unwrap();
+        let total: u64 = nodes.iter().sum();
+        let k = match round % 8 {
+            5 => rng.gen_range(total..=total + 3),
+            6 if max > 0 => rng.gen_range(0..max),
+            7 => rng.gen_range(0..=total + 1),
+            _ => rng.gen_range(max..=total + 2),
+        };
+        (nodes, edges, Weight::new(k))
+    }
+
+    #[test]
+    fn one_pass_b_star_matches_the_prime_formula_and_the_search() {
+        let mut rng = SmallRng::seed_from_u64(0xB57A);
+        let unlimited = Budget::unlimited();
+        for round in 0..20_000 {
+            let (nodes, edges, k) = b_star_instance(&mut rng, round);
+            let p = path(&nodes, &edges);
+            let case = format!("round={round} k={k} nodes={nodes:?} edges={edges:?}");
+            let searched = searched_b_star(&p, k);
+            assert_eq!(prime_b_star(&p, k), searched, "formula: {case}");
+            // Handing over to the sliding minimum after the first raise,
+            // at the solves' cap, and never.
+            for max_visits in [0, VISITS_PER_VERTEX * nodes.len(), usize::MAX] {
+                assert_eq!(
+                    optimal_bottleneck(&p, k, max_visits, &unlimited),
+                    searched,
+                    "max_visits={max_visits}: {case}"
+                );
+            }
+            if searched.is_ok() {
+                assert_eq!(
+                    sliding_bottleneck(&p, k, 0, Weight::ZERO, &unlimited),
+                    searched,
+                    "sliding minimum alone: {case}"
+                );
+            }
+            let solved = lex(&p, k).map(|cut| p.bottleneck(&cut).unwrap());
+            assert_eq!(solved, searched, "solve: {case}");
+        }
+    }
+
+    #[test]
+    fn increasing_edges_at_scale_go_through_the_fallback() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        let n = 100_000;
+        let mut rng = SmallRng::seed_from_u64(0x1AC);
+        let nodes: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=100)).collect();
+        let edges: Vec<u64> = (1..n as u64).collect();
+        let p = path(&nodes, &edges);
+        let k = Weight::new(4_000);
+        let want = prime_b_star(&p, k).unwrap();
+        assert_eq!(searched_b_star(&p, k), Ok(want));
+        // The pass charges one unit per edge visit. A raised cancel flag
+        // polled every 6n units lets the capped pass (4n visits, then at
+        // most n more in the sliding minimum) finish, and stops the skip
+        // pass alone, which rescans every ~80-vertex window.
+        let raised = || {
+            Budget::unlimited()
+                .with_cancel(Arc::new(AtomicBool::new(true)))
+                .with_stride(6 * n as u64)
+        };
+        assert_eq!(
+            optimal_bottleneck(&p, k, VISITS_PER_VERTEX * n, &raised()),
+            Ok(want)
+        );
+        assert!(matches!(
+            optimal_bottleneck(&p, k, usize::MAX, &raised()),
+            Err(PartitionError::Interrupted(_))
+        ));
+        let cut = lex(&p, k).unwrap();
+        assert_eq!(p.bottleneck(&cut).unwrap(), want);
     }
 
     #[test]

@@ -738,9 +738,8 @@ fn session_loop(
                 .collect();
             // Edge weights span a wide range (hashed into 1..=2^24) so
             // the bottleneck candidates are dense in value but sparse
-            // around any one optimum — the regime where a drift window
-            // certifies in a couple of probes instead of degenerating
-            // into the cold binary search.
+            // around any one optimum — the regime where a narrow drift
+            // window still holds the new optimum after a batch of edits.
             let edge_weights: Vec<u64> = (0..nodes - 1)
                 .map(|i| {
                     let h = (i as u64)
@@ -775,7 +774,7 @@ fn session_loop(
         // One batch of small-delta edge refinements — the schedule
         // tuning workload warm starts are built for: each edit nudges
         // a weight by at most 4, so the solver's drift window stays a
-        // few dozen wide and the next re-solve certifies cheaply.
+        // few dozen wide and usually holds the next re-solve's optimum.
         // Applied to the local mirror only once the server acks the
         // new version.
         let pending: Vec<(usize, u64)> = (0..SESSION_BATCH)

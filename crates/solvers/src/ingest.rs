@@ -149,9 +149,8 @@ where
     let mut bound: Option<u64> = None;
     let mut graph: Option<GraphInput> = None;
     lex.skip_ws();
-    // No whitespace is skipped after the body's own `{`: such a body
-    // goes to the JSON-tree parser.
     lex.expect(b'{')?;
+    lex.skip_ws();
     members(&mut lex, name, |lex, key| {
         match key {
             "objective" if objective.is_none() => {
@@ -453,6 +452,27 @@ mod tests {
             flat.run().unwrap().value.to_string(),
             legacy_response(reordered)
         );
+    }
+
+    #[test]
+    fn whitespace_after_the_opening_brace_streams() {
+        let pretty = r#"{
+  "objective": "lexicographic",
+  "bound": 10,
+  "graph": {
+    "node_weights": [2, 3, 5, 7],
+    "edge_weights": [10, 1, 10]
+  }
+}
+"#;
+        let spaced = r#"{ "objective": "bandwidth", "bound": 10,
+            "graph": {"node_weights": [2, 3, 5, 7], "edge_weights": [10, 1, 10]}}"#;
+        let tabbed = "{\t\r\n\"objective\": \"bandwidth\", \"bound\": 10, \
+                      \"graph\": {\"node_weights\": [1], \"edge_weights\": []}}";
+        for body in [pretty, spaced, tabbed] {
+            let flat = ingest(body).unwrap_or_else(|| panic!("declined {body:?}"));
+            assert_eq!(flat.run().unwrap().value.to_string(), legacy_response(body));
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! and last, on RAM and disk backing. Bodies are compact, spaced, or
 //! padded with tabs, CRs and LFs between elements and inside edge
 //! objects, and some arrays run past the scanner's blocks of elements.
+//! Each instance is also sent with a space after the body's opening
+//! brace and newline-indented; those bodies must stream too.
 //!
 //! Each body is then bent into malformed and edge-case variants:
 //! truncated, a separator flipped, a number written as `-0`, with
@@ -322,6 +324,12 @@ fn streamed_and_json_tree_requests_agree() {
                 ),
                 format!(
                     r#"{{"bound"{colon}{bound}{comma}"graph"{colon}{graph}{comma}"objective"{colon}"{name}"}}"#
+                ),
+                format!(
+                    r#"{{ "objective"{colon}"{name}"{comma}"bound"{colon}{bound}{comma}"graph"{colon}{graph}}}"#
+                ),
+                format!(
+                    "{{\n  \"bound\": {bound},\n  \"graph\": {graph},\n  \"objective\": \"{name}\"\n}}\n"
                 ),
             ];
             let mut bent = SmallRng::seed_from_u64(!((i as u64) << 32 | round));
