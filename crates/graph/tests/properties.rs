@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use tgp_core::procmin::proc_min;
 use tgp_graph::generators::WeightDist;
 use tgp_graph::supergraph::{linear_supergraph, LinearOrdering};
 use tgp_graph::{
@@ -91,6 +92,22 @@ proptest! {
         for v in 0..tree.len() {
             let sup = c.super_node_of(NodeId::new(v));
             prop_assert_eq!(sup.index(), comps.component_of(NodeId::new(v)));
+        }
+        // Processor minimization on the contraction cuts what it cuts on
+        // the tree rebuilt from the super-node weights and the contracted
+        // edges.
+        let contracted_edges = cut
+            .iter()
+            .map(|e| {
+                let TreeEdge { a, b, weight } = tree.edge(e);
+                TreeEdge::new(c.super_node_of(a), c.super_node_of(b), weight)
+            })
+            .collect();
+        let rebuilt = Tree::from_edges(comps.weights().to_vec(), contracted_edges).unwrap();
+        let heaviest = comps.max_weight().get();
+        for bound in [heaviest.saturating_sub(1), heaviest, heaviest + seed % 97, u64::from(u32::MAX)] {
+            let bound = Weight::new(bound);
+            prop_assert_eq!(proc_min(c.tree(), bound), proc_min(&rebuilt, bound));
         }
     }
 
