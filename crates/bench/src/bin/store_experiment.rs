@@ -31,8 +31,9 @@ use std::time::Instant;
 
 use tgp_core::budget::Budget;
 use tgp_graph::json::Value;
+use tgp_graph::{FlatTree, FlatTreeBuilder, MemoryBacking, RamBacking};
 use tgp_solvers::{ingest_flat, GraphInput, IngestBacking, Params, Registry, Request};
-use tgp_store::{DiskBacking, FlatTree, FlatTreeBuilder, MemoryBacking, RamBacking};
+use tgp_store::DiskBacking;
 
 /// 64-bit FNV-1a, the same digest the service's journals use.
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -304,7 +304,8 @@ mod tests {
     fn flat_array_solve_matches_the_reference_cut_for_cut() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
-        use tgp_store::{DiskBacking, FlatTree, FlatTreeBuilder, MemoryBacking, RamBacking};
+        use tgp_graph::{FlatTree, FlatTreeBuilder, MemoryBacking, RamBacking};
+        use tgp_store::DiskBacking;
 
         fn flat<B: MemoryBacking + Clone>(
             backing: &B,

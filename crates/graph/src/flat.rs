@@ -16,11 +16,10 @@
 use std::fmt;
 use std::io;
 
-use tgp_graph::{
+use crate::backing::{Array, BackingKind, MemoryBacking};
+use crate::{
     check_chain, check_tree, ChainView, EdgeId, GraphError, NodeId, TreeEdge, TreeView, Weight,
 };
-
-use crate::backing::{Array, BackingKind, MemoryBacking};
 
 /// Why a flat graph could not be built.
 #[derive(Debug)]
@@ -544,8 +543,7 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backing::{DiskBacking, RamBacking};
-    use tgp_graph::{PathGraph, Tree};
+    use crate::backing::RamBacking;
 
     fn build_path<B: MemoryBacking>(
         backing: &B,
@@ -562,123 +560,10 @@ mod tests {
         b.finish()
     }
 
-    fn build_tree<B: MemoryBacking + Clone>(
-        backing: &B,
-        nodes: &[u64],
-        edges: &[(usize, usize, u64)],
-    ) -> Result<FlatTree<B>, BuildError> {
-        let mut b = FlatTreeBuilder::new(backing.clone(), nodes.len()).unwrap();
-        for &w in nodes {
-            b.push_node(w).unwrap();
-        }
-        for &(a, bb, w) in edges {
-            b.push_edge(a, bb, w).unwrap();
-        }
-        b.finish()
-    }
-
     fn graph_err(e: BuildError) -> GraphError {
         match e {
             BuildError::Graph(g) => g,
             other => panic!("expected graph error, got {other}"),
-        }
-    }
-
-    #[test]
-    fn flat_path_matches_pathgraph_views() {
-        let nodes = [2u64, 3, 5, 7, 11];
-        let edges = [1u64, 2, 3, 4];
-        let legacy = PathGraph::from_raw(&nodes, &edges).unwrap();
-        for kind in 0..2 {
-            let assert_same = |flat: &dyn ChainView| {
-                assert_eq!(flat.len(), legacy.len());
-                assert_eq!(flat.edge_count(), legacy.edge_count());
-                assert_eq!(flat.total_weight(), legacy.total_weight());
-                assert_eq!(flat.max_node_weight(), legacy.max_node_weight());
-                for lo in 0..nodes.len() {
-                    for hi in lo..nodes.len() {
-                        assert_eq!(flat.span_weight(lo, hi), legacy.span_weight(lo, hi));
-                    }
-                }
-                for i in 0..edges.len() {
-                    assert_eq!(
-                        flat.edge_weight(EdgeId::new(i)),
-                        legacy.edge_weight(EdgeId::new(i))
-                    );
-                }
-            };
-            if kind == 0 {
-                let flat = build_path(&RamBacking, &nodes, &edges).unwrap();
-                assert_eq!(flat.backing_kind(), BackingKind::Ram);
-                assert_same(&flat);
-            } else {
-                let flat =
-                    build_path(&DiskBacking::new(std::env::temp_dir()), &nodes, &edges).unwrap();
-                assert_eq!(flat.backing_kind(), BackingKind::Disk);
-                assert_eq!(flat.resident_bytes(), 0);
-                assert_same(&flat);
-            }
-        }
-    }
-
-    #[test]
-    fn flat_path_error_parity() {
-        let cases: &[(&[u64], &[u64])] = &[
-            (&[], &[]),
-            (&[1, 2], &[1, 2]),
-            (&[1, 2, 3], &[1]),
-            (&[u64::MAX, 1], &[1]),
-            (&[u64::MAX - 1, 1], &[]),
-        ];
-        for &(nodes, edges) in cases {
-            let legacy = PathGraph::from_raw(nodes, edges).unwrap_err();
-            let flat = graph_err(build_path(&RamBacking, nodes, edges).unwrap_err());
-            assert_eq!(flat, legacy, "nodes={nodes:?} edges={edges:?}");
-        }
-    }
-
-    #[test]
-    fn flat_tree_matches_tree_views() {
-        let nodes = [1u64, 2, 3, 4, 5, 6, 7];
-        let edges = [
-            (0usize, 1usize, 10u64),
-            (1, 2, 20),
-            (2, 3, 30),
-            (1, 4, 40),
-            (1, 5, 50),
-            (2, 6, 60),
-        ];
-        let legacy = Tree::from_raw(&nodes, &edges).unwrap();
-        let flat = build_tree(&DiskBacking::new(std::env::temp_dir()), &nodes, &edges).unwrap();
-        assert_eq!(TreeView::len(&flat), legacy.len());
-        assert_eq!(TreeView::edge_count(&flat), legacy.edge_count());
-        assert_eq!(TreeView::total_weight(&flat), legacy.total_weight());
-        assert_eq!(TreeView::max_node_weight(&flat), legacy.max_node_weight());
-        for i in 0..edges.len() {
-            assert_eq!(
-                TreeView::edge(&flat, EdgeId::new(i)),
-                legacy.edge(EdgeId::new(i))
-            );
-        }
-    }
-
-    #[test]
-    fn flat_tree_error_parity() {
-        type Case = (&'static [u64], &'static [(usize, usize, u64)]);
-        let cases: &[Case] = &[
-            (&[], &[]),
-            (&[1, 2, 3], &[(0, 1, 1)]),
-            (&[1, 2], &[(1, 1, 5)]),
-            (&[1, 2], &[(0, 5, 1)]),
-            (&[1, 2, 3, 4], &[(0, 1, 1), (1, 2, 1), (2, 0, 1)]),
-            (&[1, 2, 3], &[(0, 1, 1), (1, 0, 2)]),
-            (&[1, 1, 1, 1], &[(0, 1, 1), (0, 1, 2), (2, 3, 1)]),
-            (&[u64::MAX, 1], &[(0, 1, 1)]),
-        ];
-        for &(nodes, edges) in cases {
-            let legacy = Tree::from_raw(nodes, edges).unwrap_err();
-            let flat = graph_err(build_tree(&RamBacking, nodes, edges).unwrap_err());
-            assert_eq!(flat, legacy, "nodes={nodes:?} edges={edges:?}");
         }
     }
 
@@ -714,36 +599,6 @@ mod tests {
             "finish took {:?}",
             started.elapsed()
         );
-    }
-
-    #[test]
-    fn block_pushes_build_the_same_tree_as_single_pushes() {
-        let nodes = [1u64, 2, 3, 4, 5, 6, 7];
-        let edges = [
-            (0, 1, 10),
-            (1, 2, 20),
-            (2, 3, 30),
-            (1, 4, 40),
-            (1, 5, 50),
-            (2, 6, 60),
-        ];
-        let single = build_tree(&RamBacking, &nodes, &edges).unwrap();
-        let backing = DiskBacking::new(std::env::temp_dir());
-        let mut node_w = backing.new_array::<u64>(0).unwrap();
-        node_w.extend_from_slice(&nodes).unwrap();
-        let mut blocks = FlatTreeBuilder::with_nodes(&backing, node_w).unwrap();
-        blocks.extend_edges(&edges[..4]).unwrap();
-        blocks.extend_edges(&edges[4..]).unwrap();
-        let blocks = blocks.finish().unwrap();
-        for i in 0..6 {
-            let edge = EdgeId::new(i);
-            assert_eq!(TreeView::edge(&blocks, edge), TreeView::edge(&single, edge));
-        }
-        assert_eq!(
-            TreeView::total_weight(&blocks),
-            TreeView::total_weight(&single)
-        );
-        assert_eq!(single.resident_bytes(), single.byte_len());
     }
 
     #[test]

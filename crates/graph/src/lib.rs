@@ -43,10 +43,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod backing;
 mod contraction;
 mod cut;
 pub mod dot;
 mod error;
+mod flat;
 pub mod generators;
 mod ids;
 pub mod json;
@@ -59,9 +61,11 @@ mod union_find;
 mod view;
 mod weight;
 
+pub use backing::{Array, BackingKind, MemoryBacking, Pod, RamBacking, RamVec};
 pub use contraction::{contract, Contraction};
 pub use cut::{Components, CutSet, Segment};
 pub use error::GraphError;
+pub use flat::{BuildError, FlatPath, FlatPathBuilder, FlatTree, FlatTreeBuilder};
 pub use ids::{EdgeId, NodeId};
 pub use path::{check_chain, PathGraph};
 pub use process::{ProcessEdge, ProcessGraph};

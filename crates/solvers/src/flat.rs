@@ -8,7 +8,8 @@
 //! Responses and canonical keys are therefore byte-identical across RAM
 //! and disk graphs, and a cache entry produced from one serves both.
 
-use tgp_store::{BackingKind, DiskBacking, FlatPath, FlatTree, MemoryBacking, RamBacking};
+use tgp_graph::{BackingKind, FlatPath, FlatTree, MemoryBacking, RamBacking};
+use tgp_store::DiskBacking;
 
 use crate::request::GraphInput;
 

@@ -46,7 +46,8 @@ use std::path::Path;
 
 use tgp_core::budget::{Budget, Exceeded};
 use tgp_graph::json::{LexError, Lexer};
-use tgp_store::{Array, DiskBacking, FlatPathBuilder, FlatTreeBuilder, MemoryBacking, RamBacking};
+use tgp_graph::{Array, FlatPathBuilder, FlatTreeBuilder, MemoryBacking, RamBacking};
+use tgp_store::DiskBacking;
 
 use crate::error::SolveError;
 use crate::flat::FromBuilt;
@@ -626,7 +627,7 @@ mod tests {
         )
         .unwrap()
         .expect("eligible body");
-        assert_eq!(flat.graph.backing_kind(), tgp_store::BackingKind::Disk);
+        assert_eq!(flat.graph.backing_kind(), tgp_graph::BackingKind::Disk);
         assert_eq!(flat.graph.resident_bytes(), 0);
         assert_eq!(
             flat.run().unwrap().value.to_string(),

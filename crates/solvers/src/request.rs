@@ -20,11 +20,11 @@ use std::fmt;
 
 use tgp_core::budget::Budget;
 use tgp_graph::json::{self, FromJson, JsonError, Value};
-use tgp_graph::{ChainView, EdgeId, NodeId, ProcessGraph, TreeView};
-use tgp_store::{
-    BuildError, DiskBacking, FlatPath, FlatPathBuilder, FlatTree, FlatTreeBuilder, MemoryBacking,
-    RamBacking,
+use tgp_graph::{
+    BuildError, ChainView, EdgeId, FlatPath, FlatPathBuilder, FlatTree, FlatTreeBuilder,
+    MemoryBacking, NodeId, ProcessGraph, RamBacking, TreeView,
 };
+use tgp_store::DiskBacking;
 
 use crate::error::SolveError;
 use crate::flat::{on_chain, on_tree, FromBuilt};

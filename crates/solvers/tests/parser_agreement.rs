@@ -27,10 +27,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use tgp_graph::json::Value;
+use tgp_graph::BackingKind;
 use tgp_solvers::{
     ingest_flat, Budget, GraphKind, IngestBacking, Registry, Request, Response, SolveError, Solver,
 };
-use tgp_store::BackingKind;
 
 const STREAMED: [&str; 7] = [
     "bandwidth",

@@ -1,5 +1,5 @@
-//! The [`MemoryBacking`] trait and its two implementations: heap
-//! vectors and mmap-backed spill files.
+//! The disk implementation of `tgp_graph`'s [`MemoryBacking`]: arrays
+//! in mmap-backed spill files.
 
 #![allow(unsafe_code)]
 
@@ -11,164 +11,13 @@ use std::path::{Path, PathBuf};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use tgp_graph::{Array, BackingKind, MemoryBacking, Pod};
+
 use crate::sys;
 
 /// Smallest file size a [`DiskVec`] maps — one growth unit. Growing
 /// doubles from here, so a million-element array needs ~9 remaps.
 const MIN_MAP_BYTES: usize = 64 * 1024;
-
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for u8 {}
-    impl Sealed for u32 {}
-    impl Sealed for u64 {}
-}
-
-/// Element types an [`Array`] may hold: fixed-size primitives that are
-/// valid for every bit pattern, so a page-aligned mapping of them can
-/// be viewed as a slice. Sealed — the safety of [`DiskVec`] rests on
-/// this list staying primitives-only.
-pub trait Pod: sealed::Sealed + Copy + Send + Sync + Default + 'static {}
-
-impl Pod for u8 {}
-impl Pod for u32 {}
-impl Pod for u64 {}
-
-/// Which medium holds an array — the `/metrics` label value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackingKind {
-    /// Heap memory.
-    Ram,
-    /// An mmap-backed spill file.
-    Disk,
-}
-
-impl BackingKind {
-    /// The lowercase label used in metrics and logs.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BackingKind::Ram => "ram",
-            BackingKind::Disk => "disk",
-        }
-    }
-}
-
-/// A growable typed array, the uniform accessor over both backings.
-///
-/// `mmap` gives contiguous addressable memory, so even the disk
-/// implementation exposes a plain slice — solver hot paths index it
-/// with zero per-access overhead and the kernel pages data in and out
-/// underneath.
-pub trait Array<T: Pod> {
-    /// Number of elements.
-    fn len(&self) -> usize;
-
-    /// Whether the array holds no elements.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The elements as a contiguous slice.
-    fn as_slice(&self) -> &[T];
-
-    /// The elements as a mutable contiguous slice.
-    fn as_mut_slice(&mut self) -> &mut [T];
-
-    /// Appends one element, growing the storage if needed.
-    ///
-    /// # Errors
-    ///
-    /// Growth failure (`ENOSPC` on a spill file); heap growth aborts
-    /// instead, as all Rust allocation does.
-    fn push(&mut self, value: T) -> io::Result<()>;
-
-    /// Appends a run of elements.
-    ///
-    /// # Errors
-    ///
-    /// As [`Array::push`].
-    fn extend_from_slice(&mut self, values: &[T]) -> io::Result<()> {
-        for &v in values {
-            self.push(v)?;
-        }
-        Ok(())
-    }
-
-    /// Appends `count` elements, the `k`-th (from 0) being `f(k)`, with
-    /// one growth check for the whole run.
-    ///
-    /// # Errors
-    ///
-    /// As [`Array::push`].
-    fn extend_from_fn(&mut self, count: usize, f: impl FnMut(usize) -> T) -> io::Result<()>;
-
-    /// Makes room for at least `additional` more elements, for a caller
-    /// that knows the final length. A RAM array reserves exactly that
-    /// much, so its [`Array::resident_bytes`] stays the payload size.
-    ///
-    /// # Errors
-    ///
-    /// As [`Array::push`].
-    fn reserve(&mut self, additional: usize) -> io::Result<()>;
-
-    /// Bytes of *RAM* this array pins (a disk array pins none — its
-    /// pages live in the reclaimable page cache).
-    fn resident_bytes(&self) -> u64;
-
-    /// Logical payload size in bytes, whichever medium holds it.
-    fn byte_len(&self) -> u64 {
-        (self.len() * std::mem::size_of::<T>()) as u64
-    }
-}
-
-/// A heap-backed array: a thin wrapper over `Vec<T>`.
-#[derive(Debug, Default)]
-pub struct RamVec<T: Pod>(Vec<T>);
-
-impl<T: Pod> RamVec<T> {
-    /// Creates an empty array with the given capacity hint.
-    pub fn with_capacity(capacity: usize) -> Self {
-        RamVec(Vec::with_capacity(capacity))
-    }
-}
-
-impl<T: Pod> Array<T> for RamVec<T> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn as_slice(&self) -> &[T] {
-        &self.0
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.0
-    }
-
-    fn push(&mut self, value: T) -> io::Result<()> {
-        self.0.push(value);
-        Ok(())
-    }
-
-    fn extend_from_slice(&mut self, values: &[T]) -> io::Result<()> {
-        self.0.extend_from_slice(values);
-        Ok(())
-    }
-
-    fn extend_from_fn(&mut self, count: usize, f: impl FnMut(usize) -> T) -> io::Result<()> {
-        self.0.extend((0..count).map(f));
-        Ok(())
-    }
-
-    fn reserve(&mut self, additional: usize) -> io::Result<()> {
-        self.0.reserve_exact(additional);
-        Ok(())
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        (self.0.capacity() * std::mem::size_of::<T>()) as u64
-    }
-}
 
 /// Distinguishes concurrently created spill files within one process.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -191,8 +40,9 @@ pub struct DiskVec<T: Pod> {
 }
 
 // SAFETY: the mapping is owned exclusively by this value (the file is
-// unlinked and the fd private), `T` is a sealed primitive, and all
-// access flows through &self / &mut self — the usual container rules.
+// unlinked and the fd private), `T` is a primitive (`tgp_graph::Pod` is
+// sealed to u8, u32 and u64), and all access flows through &self /
+// &mut self — the usual container rules.
 unsafe impl<T: Pod> Send for DiskVec<T> {}
 // SAFETY: &DiskVec only hands out &[T]; interior mutation is impossible.
 unsafe impl<T: Pod> Sync for DiskVec<T> {}
@@ -267,8 +117,9 @@ impl<T: Pod> Array<T> for DiskVec<T> {
     fn as_slice(&self) -> &[T] {
         // SAFETY: the mapping is page-aligned (so aligned for any Pod),
         // at least `len * size_of::<T>()` bytes long, and every byte of
-        // it is initialized (fresh ftruncate pages read as zero, and
-        // Pod types are valid for all bit patterns).
+        // it is initialized (fresh ftruncate pages read as zero, and the
+        // types tgp-graph's sealed `Pod` admits — u8, u32, u64 — are
+        // valid for all bit patterns).
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr().cast::<T>(), self.len) }
     }
 
@@ -335,39 +186,6 @@ impl<T: Pod> Drop for DiskVec<T> {
     }
 }
 
-/// Chooses where arrays live. Graph builders are generic over this, so
-/// one code path serves both media.
-pub trait MemoryBacking {
-    /// The array type this backing produces.
-    type Array<T: Pod>: Array<T>;
-
-    /// Which medium this backing allocates on.
-    fn kind(&self) -> BackingKind;
-
-    /// Allocates an empty array sized for `capacity` elements.
-    ///
-    /// # Errors
-    ///
-    /// Spill-file creation failure ([`DiskBacking`] only).
-    fn new_array<T: Pod>(&self, capacity: usize) -> io::Result<Self::Array<T>>;
-}
-
-/// Heap backing: arrays are `Vec`s.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RamBacking;
-
-impl MemoryBacking for RamBacking {
-    type Array<T: Pod> = RamVec<T>;
-
-    fn kind(&self) -> BackingKind {
-        BackingKind::Ram
-    }
-
-    fn new_array<T: Pod>(&self, capacity: usize) -> io::Result<RamVec<T>> {
-        Ok(RamVec::with_capacity(capacity))
-    }
-}
-
 /// Disk backing: arrays are mmap-backed spill files in a directory.
 #[derive(Debug, Clone)]
 pub struct DiskBacking {
@@ -403,24 +221,10 @@ impl MemoryBacking for DiskBacking {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgp_graph::{EdgeId, FlatTreeBuilder, RamBacking, TreeView};
 
     fn tmp() -> PathBuf {
         std::env::temp_dir()
-    }
-
-    #[test]
-    fn ram_array_roundtrip() {
-        let backing = RamBacking;
-        assert_eq!(backing.kind(), BackingKind::Ram);
-        let mut a = backing.new_array::<u64>(4).unwrap();
-        for i in 0..100u64 {
-            a.push(i * 3).unwrap();
-        }
-        assert_eq!(a.len(), 100);
-        assert_eq!(a.as_slice()[77], 231);
-        a.as_mut_slice()[77] = 1;
-        assert_eq!(a.as_slice()[77], 1);
-        assert!(a.resident_bytes() >= a.byte_len());
     }
 
     #[test]
@@ -509,5 +313,42 @@ mod tests {
         }
         a.as_mut_slice()[9] = 42;
         assert_eq!(a.as_slice()[9], 42);
+    }
+
+    #[test]
+    fn block_pushes_build_the_same_tree_as_single_pushes() {
+        let nodes = [1u64, 2, 3, 4, 5, 6, 7];
+        let edges = [
+            (0, 1, 10),
+            (1, 2, 20),
+            (2, 3, 30),
+            (1, 4, 40),
+            (1, 5, 50),
+            (2, 6, 60),
+        ];
+        let mut single = FlatTreeBuilder::new(RamBacking, nodes.len()).unwrap();
+        for &w in &nodes {
+            single.push_node(w).unwrap();
+        }
+        for &(a, b, w) in &edges {
+            single.push_edge(a, b, w).unwrap();
+        }
+        let single = single.finish().unwrap();
+        let backing = DiskBacking::new(std::env::temp_dir());
+        let mut node_w = backing.new_array::<u64>(0).unwrap();
+        node_w.extend_from_slice(&nodes).unwrap();
+        let mut blocks = FlatTreeBuilder::with_nodes(&backing, node_w).unwrap();
+        blocks.extend_edges(&edges[..4]).unwrap();
+        blocks.extend_edges(&edges[4..]).unwrap();
+        let blocks = blocks.finish().unwrap();
+        for i in 0..6 {
+            let edge = EdgeId::new(i);
+            assert_eq!(TreeView::edge(&blocks, edge), TreeView::edge(&single, edge));
+        }
+        assert_eq!(
+            TreeView::total_weight(&blocks),
+            TreeView::total_weight(&single)
+        );
+        assert_eq!(single.resident_bytes(), single.byte_len());
     }
 }

@@ -12,7 +12,9 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::backing::{Array, DiskVec};
+use tgp_graph::Array;
+
+use crate::disk::DiskVec;
 
 enum Inner {
     Ram(Vec<u8>),

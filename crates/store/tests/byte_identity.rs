@@ -21,10 +21,11 @@ use tgp_core::budget::Budget;
 use tgp_core::pipeline::{partition_chain, partition_tree};
 use tgp_core::procmin::proc_min;
 use tgp_core::tree_bandwidth::min_tree_bandwidth_cut;
-use tgp_graph::{ChainView, NodeId, PathGraph, Tree, TreeView, Weight};
-use tgp_store::{
-    DiskBacking, FlatPath, FlatPathBuilder, FlatTree, FlatTreeBuilder, MemoryBacking, RamBacking,
+use tgp_graph::{
+    ChainView, FlatPath, FlatPathBuilder, FlatTree, FlatTreeBuilder, MemoryBacking, NodeId,
+    PathGraph, RamBacking, Tree, TreeView, Weight,
 };
+use tgp_store::DiskBacking;
 
 fn flat_path<B: MemoryBacking>(backing: &B, nodes: &[u64], edges: &[u64]) -> FlatPath<B> {
     let mut b = FlatPathBuilder::new(backing, nodes.len()).unwrap();

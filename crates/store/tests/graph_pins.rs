@@ -6,13 +6,13 @@
 
 use tgp_graph::json::{FromJson, Value};
 use tgp_graph::{
+    BuildError, FlatPath, FlatPathBuilder, FlatTree, FlatTreeBuilder, MemoryBacking, RamBacking,
+};
+use tgp_graph::{
     ChainView, CutSet, EdgeId, GraphError, NodeId, PathGraph, Segment, Tree, TreeEdge, TreeView,
     Weight,
 };
-use tgp_store::{
-    BuildError, DiskBacking, FlatPath, FlatPathBuilder, FlatTree, FlatTreeBuilder, MemoryBacking,
-    RamBacking,
-};
+use tgp_store::DiskBacking;
 
 /// An endpoint past `u32::MAX`, which the flat arrays cannot store.
 const BIG: usize = u32::MAX as usize + 7;
