@@ -4,7 +4,7 @@
 //! weights entirely. Used by the applications and benches to show how much
 //! the weight-aware algorithms actually buy.
 
-use tgp_graph::{CutSet, EdgeId, PathGraph};
+use tgp_graph::{ChainView, CutSet, EdgeId, PathGraph};
 
 /// Cuts `path` into `blocks` contiguous pieces of near-equal node count
 /// (the first `n % blocks` pieces get one extra node).
@@ -19,7 +19,7 @@ use tgp_graph::{CutSet, EdgeId, PathGraph};
 ///
 /// ```
 /// use tgp_baselines::block::block_partition;
-/// use tgp_graph::PathGraph;
+/// use tgp_graph::{ChainView, PathGraph};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let p = PathGraph::from_raw(&[1, 1, 1, 1, 1, 1], &[1, 1, 1, 1, 1])?;

@@ -84,7 +84,7 @@ impl WindowMin {
 ///
 /// ```
 /// use tgp_baselines::nicol::nicol_bandwidth_cut;
-/// use tgp_graph::{PathGraph, Weight};
+/// use tgp_graph::{ChainView, PathGraph, Weight};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let p = PathGraph::from_raw(&[4, 4, 4, 4], &[9, 1, 9])?;

@@ -8,7 +8,7 @@ use tgp_baselines::bokhari::bokhari_partition;
 use tgp_baselines::hansen_lih::hansen_lih_partition;
 use tgp_baselines::hetero::{hetero_partition, HeteroArray};
 use tgp_baselines::host_satellite::host_satellite_partition;
-use tgp_graph::{NodeId, PathGraph, Tree, TreeEdge, Weight};
+use tgp_graph::{ChainView, NodeId, PathGraph, Tree, TreeEdge, TreeView, Weight};
 
 fn arb_chain() -> impl Strategy<Value = PathGraph> {
     (1usize..25).prop_flat_map(|n| {

@@ -19,7 +19,7 @@ use tgp_core::tree_bandwidth::min_tree_bandwidth_cut;
 use tgp_dds::generators::shift_register;
 use tgp_dds::partition::partition_circuit;
 use tgp_dds::sim::simulate_activity;
-use tgp_graph::Weight;
+use tgp_graph::{ChainView, TreeView, Weight};
 use tgp_shmem::machine::Machine;
 use tgp_shmem::pipeline::{simulate_pipeline, PipelineSpec};
 

@@ -14,7 +14,7 @@ use tgp_core::bandwidth::{
     analyze_bandwidth_with, min_bandwidth_cut, min_bandwidth_cut_naive, min_bandwidth_cut_window,
     MergeSearch,
 };
-use tgp_graph::{PathGraph, Weight};
+use tgp_graph::{ChainView, PathGraph, Weight};
 
 fn regimes(path: &PathGraph) -> [(&'static str, Weight); 3] {
     let lo = path.max_node_weight().get();

@@ -9,7 +9,7 @@ use std::hint::black_box;
 
 use tgp_bench::tree_instance;
 use tgp_core::bottleneck::{min_bottleneck_cut, min_bottleneck_cut_paper};
-use tgp_graph::Weight;
+use tgp_graph::{TreeView, Weight};
 
 fn bench_bottleneck(c: &mut Criterion) {
     let mut group = c.benchmark_group("bottleneck");

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use tgp_bench::tree_instance;
 use tgp_core::procmin::{proc_min, proc_min_paper};
 use tgp_graph::generators::{caterpillar, star, WeightDist};
-use tgp_graph::Weight;
+use tgp_graph::{TreeView, Weight};
 
 fn bench_procmin(c: &mut Criterion) {
     let mut group = c.benchmark_group("procmin");

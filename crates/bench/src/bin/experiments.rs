@@ -25,7 +25,7 @@ use tgp_core::procmin::{proc_min, proc_min_paper};
 use tgp_dds::generators::{johnson_counter, random_layered, shift_register};
 use tgp_dds::partition::{partition_circuit, partition_circuit_block};
 use tgp_dds::sim::simulate_activity;
-use tgp_graph::{PathGraph, Weight};
+use tgp_graph::{ChainView, PathGraph, TreeView, Weight};
 use tgp_realtime::{admit, RealTimeTask, Strategy};
 use tgp_shmem::machine::Machine;
 use tgp_shmem::pipeline::{simulate_pipeline, PipelineSpec};
@@ -372,8 +372,8 @@ fn exp_realtime_and_shmem() {
     println!();
     let n = 64;
     let path = chain_instance(n, 1, 100, 0xF3);
-    let durations: Vec<u64> = path.node_weights().iter().map(|w| w.get()).collect();
-    let deps: Vec<u64> = path.edge_weights().iter().map(|w| w.get()).collect();
+    let durations: Vec<u64> = path.node_weights().map(Weight::get).collect();
+    let deps: Vec<u64> = path.edge_weights().map(Weight::get).collect();
     let deadline = Weight::new(path.total_weight().get() / 6);
     let task = RealTimeTask::new(&durations, &deps, deadline).unwrap();
     let part = task.partition(Strategy::MinBandwidth).unwrap();

@@ -42,7 +42,7 @@ use rand::{Rng, SeedableRng};
 use tgp_core::procmin::proc_min;
 use tgp_graph::generators::{random_tree, WeightDist};
 use tgp_graph::json::Value;
-use tgp_graph::{NodeId, Tree, Weight};
+use tgp_graph::{EdgeId, NodeId, Tree, TreeView, Weight};
 use tgp_solvers::{ingest_flat, Budget, IngestBacking, Registry, Request};
 
 const N: usize = 100_000;
@@ -146,10 +146,12 @@ fn body(
 }
 
 fn tree_body(objective: &str, bound: u64, tree: &Tree, style: Style) -> String {
-    let nodes = list(tree.node_weights().iter().map(|w| w.get()), style);
-    let edges: Vec<(usize, usize, u64)> = tree
-        .edges()
-        .iter()
+    let nodes = list(
+        (0..tree.len()).map(|v| tree.node_weight(NodeId::new(v)).get()),
+        style,
+    );
+    let edges: Vec<(usize, usize, u64)> = (0..tree.edge_count())
+        .map(|i| tree.edge(EdgeId::new(i)))
         .map(|e| (e.a.index(), e.b.index(), e.weight.get()))
         .collect();
     body(
@@ -238,9 +240,8 @@ fn main() {
     let tree_nodes: Vec<u64> = (0..N)
         .map(|v| tree.node_weight(NodeId::new(v)).get())
         .collect();
-    let tree_edges: Vec<(usize, usize, u64)> = tree
-        .edges()
-        .iter()
+    let tree_edges: Vec<(usize, usize, u64)> = (0..tree.edge_count())
+        .map(|i| tree.edge(EdgeId::new(i)))
         .map(|e| (e.a.index(), e.b.index(), e.weight.get()))
         .collect();
     let shapes = [

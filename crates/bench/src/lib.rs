@@ -12,7 +12,7 @@ use rand::SeedableRng;
 
 use tgp_core::bandwidth::{analyze_bandwidth, BandwidthStats};
 use tgp_graph::generators::{random_chain, random_tree, WeightDist};
-use tgp_graph::{PathGraph, Tree, Weight};
+use tgp_graph::{ChainView, PathGraph, Tree, Weight};
 
 /// A seeded random chain with vertex weights uniform on `[w_lo, w_hi]`
 /// and edge weights uniform on `[1, 1000]` (the Figure 2 workload; the

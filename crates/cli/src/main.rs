@@ -689,7 +689,7 @@ fn serve(opts: &Options, log_requests: bool, debug_endpoints: bool) -> CliResult
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tgp_graph::Tree;
+    use tgp_graph::{ChainView, Tree, TreeView};
 
     fn strs(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()

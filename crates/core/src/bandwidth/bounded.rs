@@ -20,10 +20,10 @@
 
 use std::collections::VecDeque;
 
-use tgp_graph::{ChainView, CutSet, EdgeId, NodeId, Weight};
+use tgp_graph::{ChainView, CutSet, EdgeId, Weight};
 
 use crate::budget::Budget;
-use crate::error::{check_bound_nodes, PartitionError};
+use crate::error::{check_bound, PartitionError};
 
 const INF: u64 = u64::MAX;
 
@@ -47,7 +47,7 @@ const INF: u64 = u64::MAX;
 /// ```
 /// use tgp_core::bandwidth::min_bandwidth_cut_bounded;
 /// use tgp_core::budget::Budget;
-/// use tgp_graph::{PathGraph, Weight};
+/// use tgp_graph::{ChainView, PathGraph, Weight};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let p = PathGraph::from_raw(&[4, 4, 4, 4], &[9, 1, 9])?;
@@ -66,10 +66,7 @@ pub fn min_bandwidth_cut_bounded<C: ChainView>(
     bottleneck_limit: Weight,
     budget: &Budget,
 ) -> Result<Option<CutSet>, PartitionError> {
-    check_bound_nodes(
-        (0..path.len()).map(|i| path.node_weight(NodeId::new(i))),
-        bound,
-    )?;
+    check_bound(path.max_node_weight(), path.node_weights(), bound)?;
     if path.total_weight() <= bound {
         return Ok(Some(CutSet::empty()));
     }
@@ -168,10 +165,7 @@ fn optimal_bottleneck<C: ChainView>(
     max_visits: usize,
     budget: &Budget,
 ) -> Result<Weight, PartitionError> {
-    check_bound_nodes(
-        (0..path.len()).map(|i| path.node_weight(NodeId::new(i))),
-        bound,
-    )?;
+    check_bound(path.max_node_weight(), path.node_weights(), bound)?;
     let n = path.len();
     let mut visits = 0;
     let mut best = Weight::ZERO;
@@ -270,7 +264,7 @@ fn sliding_bottleneck<C: ChainView>(
 /// ```
 /// use tgp_core::bandwidth::min_bandwidth_cut_lexicographic;
 /// use tgp_core::budget::Budget;
-/// use tgp_graph::{PathGraph, Weight};
+/// use tgp_graph::{ChainView, PathGraph, Weight};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // Pure bandwidth minimization would cut the single weight-6 edge; the

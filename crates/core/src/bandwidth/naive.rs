@@ -9,7 +9,7 @@
 //! why the paper develops the TEMP_S implementation
 //! ([`super::temps`]). Kept as a faithful mid-complexity reference.
 
-use tgp_graph::{CutSet, EdgeId, PathGraph, Weight};
+use tgp_graph::{ChainView, CutSet, EdgeId, PathGraph, Weight};
 
 use super::prime::prime_subpaths;
 use crate::error::PartitionError;
@@ -25,7 +25,7 @@ use crate::error::PartitionError;
 ///
 /// ```
 /// use tgp_core::bandwidth::min_bandwidth_cut_naive;
-/// use tgp_graph::{PathGraph, Weight};
+/// use tgp_graph::{ChainView, PathGraph, Weight};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let p = PathGraph::from_raw(&[4, 4, 4, 4], &[9, 1, 9])?;

@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use tgp_graph::{CutSet, EdgeId, PathGraph, Weight};
+use tgp_graph::{ChainView, CutSet, EdgeId, PathGraph, Weight};
 
 use crate::error::{check_bound, PartitionError};
 
@@ -24,7 +24,7 @@ fn run_dp(
     bound: Weight,
     solve: impl FnOnce(&PathGraph, Weight, &mut [u64], &mut [usize]),
 ) -> Result<CutSet, PartitionError> {
-    check_bound(path.node_weights(), bound)?;
+    check_bound(path.max_node_weight(), path.node_weights(), bound)?;
     if path.total_weight() <= bound {
         return Ok(CutSet::empty());
     }
@@ -72,7 +72,7 @@ fn run_dp(
 ///
 /// ```
 /// use tgp_core::bandwidth::min_bandwidth_cut_oracle;
-/// use tgp_graph::{PathGraph, Weight};
+/// use tgp_graph::{ChainView, PathGraph, Weight};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let p = PathGraph::from_raw(&[4, 4, 4, 4], &[9, 1, 9])?;

@@ -6,9 +6,9 @@
 //! it contains at least one edge from every prime subpath, which turns
 //! bandwidth minimization into a structured weighted hitting-set problem.
 
-use tgp_graph::{ChainView, EdgeId, NodeId, Weight};
+use tgp_graph::{ChainView, EdgeId, Weight};
 
-use crate::error::{check_bound_nodes, PartitionError};
+use crate::error::{check_bound, PartitionError};
 
 /// A prime (minimal critical) subpath `P_i` of a path graph.
 ///
@@ -80,10 +80,7 @@ pub fn prime_subpaths<C: ChainView>(
     path: &C,
     bound: Weight,
 ) -> Result<Vec<PrimeSubpath>, PartitionError> {
-    check_bound_nodes(
-        (0..path.len()).map(|i| path.node_weight(NodeId::new(i))),
-        bound,
-    )?;
+    check_bound(path.max_node_weight(), path.node_weights(), bound)?;
     let n = path.len();
     // For each left end s, t(s) = the smallest t with span(s..=t) > bound,
     // if any. t(s) is non-decreasing in s, so a two-pointer sweep suffices.

@@ -222,7 +222,7 @@ impl<'a, C: ChainView> TempS<'a, C> {
 ///
 /// ```
 /// use tgp_core::bandwidth::min_bandwidth_cut;
-/// use tgp_graph::{PathGraph, Weight};
+/// use tgp_graph::{ChainView, PathGraph, Weight};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let pipeline = PathGraph::from_raw(&[4, 4, 4, 4, 4], &[9, 1, 9, 1])?;

@@ -21,7 +21,7 @@
 
 use tgp_graph::{CutSet, EdgeId, NodeId, Tree, TreeView, UnionFind32, Weight};
 
-use crate::error::{check_bound_nodes, PartitionError};
+use crate::error::{check_bound, PartitionError};
 
 /// The outcome of bottleneck minimization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,10 +115,7 @@ pub fn min_bottleneck_cut<T: TreeView>(
     tree: &T,
     bound: Weight,
 ) -> Result<BottleneckResult, PartitionError> {
-    check_bound_nodes(
-        (0..tree.len()).map(|i| tree.node_weight(NodeId::new(i))),
-        bound,
-    )?;
+    check_bound(tree.max_node_weight(), tree.node_weights(), bound)?;
     // The solver's working set is what bounds how far past RAM an
     // out-of-core solve can go (the graph itself streams from its spill
     // file, but these temporaries are anonymous memory): 20 bytes per
@@ -168,7 +165,7 @@ pub fn min_bottleneck_cut_paper(
     tree: &Tree,
     bound: Weight,
 ) -> Result<BottleneckResult, PartitionError> {
-    check_bound_nodes(tree.node_weights().iter().copied(), bound)?;
+    check_bound(tree.max_node_weight(), tree.node_weights(), bound)?;
     let sorted = edges_by_weight(tree);
     // "for i ← 1 to n−1 do S ← S ∪ {e_i}; if all components ≤ K, output S"
     // — with i = 0 meaning the empty cut, checked first.

@@ -66,33 +66,33 @@ impl From<crate::budget::Exceeded> for PartitionError {
     }
 }
 
-/// Checks the paper's standing feasibility precondition `K ≥ max_i α_i`.
+/// Checks the paper's standing feasibility precondition `K ≥ max_i α_i`
+/// on a graph whose heaviest vertex weighs `max` (a view's
+/// `max_node_weight`, which every flat graph caches): O(1) when it
+/// holds. Otherwise `weights`, the vertex weights in node order, are
+/// scanned for the first that exceeds `bound`.
 ///
 /// # Errors
 ///
 /// [`PartitionError::BoundTooSmall`] naming the first over-weight vertex.
-pub(crate) fn check_bound(node_weights: &[Weight], bound: Weight) -> Result<(), PartitionError> {
-    check_bound_nodes(node_weights.iter().copied(), bound)
-}
-
-/// [`check_bound`] over any weight sequence — the solver hot paths are
-/// generic over graph views, which expose weights by index rather than
-/// as a slice. Names the first over-weight vertex in iteration order,
-/// exactly as [`check_bound`] does.
-pub(crate) fn check_bound_nodes<I>(weights: I, bound: Weight) -> Result<(), PartitionError>
-where
-    I: IntoIterator<Item = Weight>,
-{
-    for (i, w) in weights.into_iter().enumerate() {
-        if w > bound {
-            return Err(PartitionError::BoundTooSmall {
-                node: NodeId::new(i),
-                weight: w,
-                bound,
-            });
-        }
+pub(crate) fn check_bound(
+    max: Weight,
+    weights: impl IntoIterator<Item = Weight>,
+    bound: Weight,
+) -> Result<(), PartitionError> {
+    if max <= bound {
+        return Ok(());
     }
-    Ok(())
+    let (i, weight) = weights
+        .into_iter()
+        .enumerate()
+        .find(|&(_, w)| w > bound)
+        .expect("the heaviest vertex outweighs the bound");
+    Err(PartitionError::BoundTooSmall {
+        node: NodeId::new(i),
+        weight,
+        bound,
+    })
 }
 
 #[cfg(test)]
@@ -102,13 +102,13 @@ mod tests {
     #[test]
     fn bound_check_accepts_equal_weights() {
         let ws = [Weight::new(3), Weight::new(5)];
-        assert!(check_bound(&ws, Weight::new(5)).is_ok());
+        assert!(check_bound(Weight::new(5), ws, Weight::new(5)).is_ok());
     }
 
     #[test]
     fn bound_check_names_first_offender() {
         let ws = [Weight::new(3), Weight::new(9), Weight::new(11)];
-        let err = check_bound(&ws, Weight::new(8)).unwrap_err();
+        let err = check_bound(Weight::new(11), ws, Weight::new(8)).unwrap_err();
         assert_eq!(
             err,
             PartitionError::BoundTooSmall {

@@ -15,7 +15,7 @@
 
 #![allow(clippy::needless_range_loop)] // index-based DP reads clearer here
 
-use tgp_graph::{CutSet, NodeId, Tree, TreeEdge, Weight};
+use tgp_graph::{CutSet, EdgeId, NodeId, Tree, TreeEdge, TreeView, Weight};
 
 use crate::error::PartitionError;
 
@@ -146,15 +146,18 @@ pub fn knapsack_to_star(instance: &KnapsackInstance) -> Tree {
 /// Panics if `star` is not a star centred at node 0.
 pub fn star_to_knapsack(star: &Tree, load_bound: Weight) -> KnapsackInstance {
     let n = star.len() - 1;
+    // Every edge of a star touches its centre, so the edges in id order
+    // are the centre's incident edges, each reaching one leaf.
+    let centre = NodeId::new(0);
     assert!(
-        star.degree(NodeId::new(0)) == n,
+        star.edges().all(|e| e.a == centre || e.b == centre),
         "node 0 must be the centre of a star"
     );
     let mut weights = Vec::with_capacity(n);
     let mut profits = Vec::with_capacity(n);
-    for &(leaf, edge) in star.neighbors(NodeId::new(0)) {
-        weights.push(star.node_weight(leaf).get());
-        profits.push(star.edge_weight(edge).get());
+    for edge in star.edges() {
+        weights.push(star.node_weight(edge.other(centre)).get());
+        profits.push(edge.weight.get());
     }
     KnapsackInstance::new(
         weights,
@@ -182,7 +185,7 @@ pub fn star_to_knapsack(star: &Tree, load_bound: Weight) -> KnapsackInstance {
 ///
 /// ```
 /// use tgp_core::knapsack::min_star_bandwidth_cut;
-/// use tgp_graph::{Tree, Weight};
+/// use tgp_graph::{Tree, TreeView, Weight};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // Centre 0; leaves of weight 6 and 5; edges cost 10 and 3.
@@ -194,17 +197,15 @@ pub fn star_to_knapsack(star: &Tree, load_bound: Weight) -> KnapsackInstance {
 /// # }
 /// ```
 pub fn min_star_bandwidth_cut(star: &Tree, load_bound: Weight) -> Result<CutSet, PartitionError> {
-    crate::error::check_bound(star.node_weights(), load_bound)?;
+    crate::error::check_bound(star.max_node_weight(), star.node_weights(), load_bound)?;
     let instance = star_to_knapsack(star, load_bound);
     let solution = instance.solve();
     // Kept leaves = packed items; cut everything else.
     let kept: std::collections::HashSet<usize> = solution.items.iter().copied().collect();
-    let neighbors = star.neighbors(NodeId::new(0));
-    let cut: CutSet = neighbors
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !kept.contains(i))
-        .map(|(_, &(_, e))| e)
+    // Item i is the leaf across edge i (see `star_to_knapsack`).
+    let cut: CutSet = (0..star.edge_count())
+        .filter(|i| !kept.contains(i))
+        .map(EdgeId::new)
         .collect();
     debug_assert!(star
         .components(&cut)

@@ -10,8 +10,7 @@
 //! directly; [`partition_chain`] wraps it with the same report type.
 
 use tgp_graph::{
-    contract, ChainView, Components, CutSet, NodeId, PathGraph, Segment, Tree, TreeEdge, TreeView,
-    Weight,
+    contract, ChainView, Components, CutSet, PathGraph, Segment, Tree, TreeView, Weight,
 };
 
 use crate::bandwidth::{analyze_bandwidth_budgeted, MergeSearch};
@@ -160,12 +159,13 @@ fn finish_chain<C: ChainView>(path: &C, cut: CutSet) -> Result<ChainPartition, P
 /// the tree algorithms — bottleneck and processor minimization — to run on
 /// chains. Edge ids are preserved (`e_i` connects `v_i` and `v_{i+1}`).
 pub fn tree_from_path(path: &PathGraph) -> Tree {
-    let edges: Vec<TreeEdge> = path
-        .edges()
-        .map(|(e, w)| TreeEdge::new(NodeId::new(e.index()), NodeId::new(e.index() + 1), w))
+    let nodes: Vec<u64> = path.node_weights().map(Weight::get).collect();
+    let edges: Vec<(usize, usize, u64)> = path
+        .edge_weights()
+        .enumerate()
+        .map(|(i, w)| (i, i + 1, w.get()))
         .collect();
-    Tree::from_edges(path.node_weights().to_vec(), edges)
-        .expect("a path graph is always a valid tree")
+    Tree::from_raw(&nodes, &edges).expect("a path graph is always a valid tree")
 }
 
 #[cfg(test)]

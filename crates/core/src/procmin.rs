@@ -25,7 +25,7 @@
 
 use tgp_graph::{CutSet, EdgeId, NodeId, Rooted, Tree, TreeView, Weight};
 
-use crate::error::{check_bound, check_bound_nodes, PartitionError};
+use crate::error::{check_bound, PartitionError};
 
 /// The outcome of processor minimization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,10 +75,7 @@ pub struct ProcMinResult {
 /// # }
 /// ```
 pub fn proc_min<T: TreeView>(tree: &T, bound: Weight) -> Result<ProcMinResult, PartitionError> {
-    check_bound_nodes(
-        (0..tree.len()).map(|i| tree.node_weight(NodeId::new(i))),
-        bound,
-    )?;
+    check_bound(tree.max_node_weight(), tree.node_weights(), bound)?;
     let rooted = Rooted::new(tree, NodeId::new(0));
     // passed_up[e] = weight of the cluster the child end of `e` still
     // hands to its parent after its own subtree is settled.
@@ -136,17 +133,24 @@ pub fn proc_min<T: TreeView>(tree: &T, bound: Weight) -> Result<ProcMinResult, P
 ///
 /// [`PartitionError::BoundTooSmall`] if a single vertex outweighs `bound`.
 pub fn proc_min_paper(tree: &Tree, bound: Weight) -> Result<ProcMinResult, PartitionError> {
-    check_bound(tree.node_weights(), bound)?;
+    check_bound(tree.max_node_weight(), tree.node_weights(), bound)?;
     let n = tree.len();
+    // The tree's adjacency: each node's incident edges in increasing id
+    // order, with the neighbour across each.
+    let rooted = Rooted::new(tree, NodeId::new(0));
+    let neighbors = |v: usize| {
+        rooted
+            .incident_edges(NodeId::new(v))
+            .map(move |e| (tree.edge(e).other(NodeId::new(v)), e))
+    };
     let mut alive = vec![true; n];
-    let mut degree: Vec<usize> = (0..n).map(|v| tree.degree(NodeId::new(v))).collect();
-    let mut weight: Vec<u64> = tree.node_weights().iter().map(|w| w.get()).collect();
+    let mut degree: Vec<usize> = (0..n).map(|v| rooted.degree(NodeId::new(v))).collect();
+    let mut weight: Vec<u64> = tree.node_weights().map(Weight::get).collect();
     let is_internal = |degree: &[usize], alive: &[bool], v: usize| alive[v] && degree[v] >= 2;
     // internal_degree[v] = number of internal neighbours of v.
     let internal_count = |v: usize| {
-        tree.neighbors(NodeId::new(v))
-            .iter()
-            .filter(|&&(u, _)| is_internal(&degree, &alive, u.index()))
+        neighbors(v)
+            .filter(|&(u, _)| is_internal(&degree, &alive, u.index()))
             .count()
     };
     let mut internal_degree: Vec<usize> = (0..n).map(internal_count).collect();
@@ -164,7 +168,7 @@ pub fn proc_min_paper(tree: &Tree, bound: Weight) -> Result<ProcMinResult, Parti
         // Gather the alive leaf neighbours of v and its (≤1) internal one.
         let mut leaves: Vec<(u64, EdgeId, usize)> = Vec::new();
         let mut internal_neighbor: Option<usize> = None;
-        for &(u, e) in tree.neighbors(NodeId::new(v)) {
+        for (u, e) in neighbors(v) {
             if !alive[u.index()] {
                 continue;
             }
@@ -208,10 +212,8 @@ pub fn proc_min_paper(tree: &Tree, bound: Weight) -> Result<ProcMinResult, Parti
     debug_assert!(alive_count == remnant.len() && remnant.len() <= 2);
     if let [a, b] = remnant[..] {
         if weight[a] + weight[b] > bound.get() {
-            let &(_, e) = tree
-                .neighbors(NodeId::new(a))
-                .iter()
-                .find(|&&(u, _)| u.index() == b)
+            let (_, e) = neighbors(a)
+                .find(|&(u, _)| u.index() == b)
                 .expect("two-node remnant is connected by an edge");
             cut_edges.push(e);
         }
@@ -249,16 +251,19 @@ mod tests {
     }
 
     /// The pre-flat-array `proc_min`, verbatim: per-node `pending`
-    /// vectors over `Tree::post_order` and `Tree::parents`. The generic
+    /// vectors over a post-order and a parent table. The generic
     /// rewrite must return the same cut, not just the same count.
     fn proc_min_reference(tree: &Tree, bound: Weight) -> Result<ProcMinResult, PartitionError> {
-        check_bound(tree.node_weights(), bound)?;
-        let root = NodeId::new(0);
-        let order = tree.post_order(root);
-        let parent = tree.parents(root);
+        check_bound(tree.max_node_weight(), tree.node_weights(), bound)?;
+        let rooted = Rooted::new(tree, NodeId::new(0));
+        let order: Vec<NodeId> = rooted.pre_order().rev().collect();
+        let parent: Vec<Option<(NodeId, EdgeId)>> = (0..tree.len())
+            .map(NodeId::new)
+            .map(|v| rooted.parent_edge(v).map(|e| (tree.edge(e).other(v), e)))
+            .collect();
         // residual[v] = weight of the cluster rooted at v that is still
         // attached to v's parent after processing v's subtree.
-        let mut residual: Vec<u64> = tree.node_weights().iter().map(|w| w.get()).collect();
+        let mut residual: Vec<u64> = tree.node_weights().map(Weight::get).collect();
         let mut cut_edges: Vec<EdgeId> = Vec::new();
         // Child clusters pending absorption, collected per node.
         let mut pending: Vec<Vec<(u64, EdgeId)>> = vec![Vec::new(); tree.len()];

@@ -14,7 +14,7 @@
 
 use tgp_graph::{CutSet, EdgeId, NodeId, Rooted, TreeView, Weight};
 
-use crate::error::{check_bound_nodes, PartitionError};
+use crate::error::{check_bound, PartitionError};
 
 const INF: u64 = u64::MAX;
 
@@ -36,7 +36,7 @@ const INF: u64 = u64::MAX;
 ///
 /// ```
 /// use tgp_core::tree_bandwidth::min_tree_bandwidth_cut;
-/// use tgp_graph::{Tree, Weight};
+/// use tgp_graph::{Tree, TreeView, Weight};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // A star whose centre plus all leaves exceed K = 10: cutting the
@@ -52,10 +52,7 @@ pub fn min_tree_bandwidth_cut<T: TreeView>(
     tree: &T,
     bound: Weight,
 ) -> Result<CutSet, PartitionError> {
-    check_bound_nodes(
-        (0..tree.len()).map(|i| tree.node_weight(NodeId::new(i))),
-        bound,
-    )?;
+    check_bound(tree.max_node_weight(), tree.node_weights(), bound)?;
     if tree.total_weight() <= bound {
         return Ok(CutSet::empty());
     }
@@ -184,6 +181,7 @@ mod tests {
     use crate::bandwidth::min_bandwidth_cut;
     use crate::knapsack::min_star_bandwidth_cut;
     use crate::pipeline::tree_from_path;
+    use tgp_graph::ChainView;
     use tgp_graph::{PathGraph, Tree};
 
     fn brute(tree: &Tree, bound: Weight) -> u64 {

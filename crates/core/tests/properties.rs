@@ -12,7 +12,7 @@ use tgp_core::budget::Budget;
 use tgp_core::pipeline::{partition_chain, partition_tree};
 use tgp_core::procmin::proc_min;
 use tgp_core::PartitionError;
-use tgp_graph::{CutSet, EdgeId, NodeId, PathGraph, Tree, TreeEdge, Weight};
+use tgp_graph::{ChainView, CutSet, EdgeId, NodeId, PathGraph, Tree, TreeEdge, TreeView, Weight};
 
 fn arb_small_chain() -> impl Strategy<Value = (PathGraph, Weight)> {
     (1usize..13).prop_flat_map(|n| {

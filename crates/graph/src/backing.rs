@@ -110,7 +110,7 @@ pub trait Array<T: Pod> {
 }
 
 /// A heap-backed array: a thin wrapper over `Vec<T>`.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RamVec<T: Pod>(Vec<T>);
 
 impl<T: Pod> RamVec<T> {
@@ -176,7 +176,7 @@ pub trait MemoryBacking {
 }
 
 /// Heap backing: arrays are `Vec`s.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RamBacking;
 
 impl MemoryBacking for RamBacking {

@@ -14,7 +14,7 @@ use crate::{Components, CutSet, EdgeId, GraphError, NodeId, Tree, TreeEdge, Tree
 /// # Examples
 ///
 /// ```
-/// use tgp_graph::{contract, CutSet, EdgeId, Tree, Weight};
+/// use tgp_graph::{contract, CutSet, EdgeId, Tree, TreeView, Weight};
 ///
 /// # fn main() -> Result<(), tgp_graph::GraphError> {
 /// let t = Tree::from_raw(&[1, 2, 3, 4], &[(0, 1, 10), (1, 2, 20), (2, 3, 30)])?;

@@ -1,6 +1,6 @@
 //! Edge cuts and the components they induce.
 
-use crate::{EdgeId, GraphError, NodeId, PathGraph, Tree, TreeView, Weight};
+use crate::{EdgeId, GraphError, NodeId, Weight};
 
 /// A set of edges removed from a graph (the `S ⊆ E` of the paper).
 ///
@@ -199,7 +199,7 @@ impl Components {
     }
 }
 
-/// A maximal contiguous run of nodes of a [`PathGraph`] after a cut.
+/// A maximal contiguous run of nodes of a chain after a cut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Segment {
     /// First node index (inclusive).
@@ -222,144 +222,10 @@ impl Segment {
     }
 }
 
-impl Tree {
-    /// Total weight of the cut edges (the "bandwidth" objective).
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::EdgeOutOfRange`] if the cut refers to an edge this tree
-    /// does not have.
-    pub fn cut_weight(&self, cut: &CutSet) -> Result<Weight, GraphError> {
-        cut.check_range(self.edge_count())?;
-        Ok(cut.iter().map(|e| self.edge_weight(e)).sum())
-    }
-
-    /// Maximum weight over the cut edges (the "bottleneck" objective);
-    /// zero for the empty cut.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::EdgeOutOfRange`] if the cut refers to an edge this tree
-    /// does not have.
-    pub fn bottleneck(&self, cut: &CutSet) -> Result<Weight, GraphError> {
-        cut.check_range(self.edge_count())?;
-        Ok(cut
-            .iter()
-            .map(|e| self.edge_weight(e))
-            .max()
-            .unwrap_or(Weight::ZERO))
-    }
-
-    /// The connected components of `T − S`, ids dense in node order
-    /// (see [`TreeView::components`], which this calls).
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::EdgeOutOfRange`] if the cut refers to an edge this tree
-    /// does not have.
-    pub fn components(&self, cut: &CutSet) -> Result<Components, GraphError> {
-        TreeView::components(self, cut)
-    }
-}
-
-impl PathGraph {
-    /// Total weight of the cut edges (the "bandwidth" objective, `β(S)`).
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::EdgeOutOfRange`] if the cut refers to an edge this path
-    /// does not have.
-    pub fn cut_weight(&self, cut: &CutSet) -> Result<Weight, GraphError> {
-        cut.check_range(self.edge_count())?;
-        Ok(cut.iter().map(|e| self.edge_weight(e)).sum())
-    }
-
-    /// Maximum weight over the cut edges (the "bottleneck" objective);
-    /// zero for the empty cut.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::EdgeOutOfRange`] if the cut refers to an edge this path
-    /// does not have.
-    pub fn bottleneck(&self, cut: &CutSet) -> Result<Weight, GraphError> {
-        cut.check_range(self.edge_count())?;
-        Ok(cut
-            .iter()
-            .map(|e| self.edge_weight(e))
-            .max()
-            .unwrap_or(Weight::ZERO))
-    }
-
-    /// The maximal contiguous segments of `P − S`, left to right.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::EdgeOutOfRange`] if the cut refers to an edge this path
-    /// does not have.
-    pub fn segments(&self, cut: &CutSet) -> Result<Vec<Segment>, GraphError> {
-        cut.check_range(self.edge_count())?;
-        let mut segments = Vec::with_capacity(cut.len() + 1);
-        let mut start = 0usize;
-        for e in cut.iter() {
-            // Cutting edge e = (v_e, v_{e+1}) ends a segment at node e.
-            let end = e.index();
-            segments.push(Segment {
-                start,
-                end,
-                weight: self.span_weight(start, end),
-            });
-            start = end + 1;
-        }
-        let last = self.len() - 1;
-        segments.push(Segment {
-            start,
-            end: last,
-            weight: self.span_weight(start, last),
-        });
-        Ok(segments)
-    }
-
-    /// The connected components of `P − S` (same data as [`segments`], in
-    /// the [`Components`] form shared with trees).
-    ///
-    /// [`segments`]: PathGraph::segments
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::EdgeOutOfRange`] if the cut refers to an edge this path
-    /// does not have.
-    pub fn components(&self, cut: &CutSet) -> Result<Components, GraphError> {
-        let segments = self.segments(cut)?;
-        let mut comp_of = vec![0usize; self.len()];
-        for (c, seg) in segments.iter().enumerate() {
-            for slot in &mut comp_of[seg.start..=seg.end] {
-                *slot = c;
-            }
-        }
-        Ok(Components::from_comp_of(
-            comp_of,
-            segments.len(),
-            self.node_weights().iter().copied(),
-        ))
-    }
-
-    /// Returns `true` if every segment of `P − S` weighs at most `bound`.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::EdgeOutOfRange`] if the cut refers to an edge this path
-    /// does not have.
-    pub fn is_feasible_cut(&self, cut: &CutSet, bound: Weight) -> Result<bool, GraphError> {
-        Ok(self
-            .segments(cut)?
-            .iter()
-            .all(|segment| segment.weight <= bound))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ChainView, PathGraph, Tree, TreeView};
 
     fn path() -> PathGraph {
         PathGraph::from_raw(&[2, 3, 5, 7, 11], &[1, 2, 3, 4]).unwrap()
@@ -452,9 +318,17 @@ mod tests {
 
     #[test]
     fn path_components_match_segments() {
-        let p = path();
+        // The chain read as a tree: its components are its segments.
+        let p = Tree::from_raw(
+            &[2, 3, 5, 7, 11],
+            &[(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4)],
+        )
+        .unwrap();
         let cut = CutSet::new(vec![EdgeId::new(2)]);
         let comps = p.components(&cut).unwrap();
+        let segments = path().segments(&cut).unwrap();
+        let segment_weights: Vec<Weight> = segments.iter().map(|s| s.weight).collect();
+        assert_eq!(comps.weights(), &segment_weights[..]);
         assert_eq!(comps.count(), 2);
         assert_eq!(comps.component_of(NodeId::new(0)), 0);
         assert_eq!(comps.component_of(NodeId::new(2)), 0);

@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{CutSet, EdgeId, PathGraph, ProcessGraph, Tree};
+use crate::{ChainView, CutSet, EdgeId, NodeId, ProcessGraph, TreeView};
 
 /// Renders a tree as a Graphviz `graph`, highlighting cut edges (dashed,
 /// red) if a cut is supplied.
@@ -19,12 +19,14 @@ use crate::{CutSet, EdgeId, PathGraph, ProcessGraph, Tree};
 /// # Ok(())
 /// # }
 /// ```
-pub fn tree_to_dot(tree: &Tree, cut: Option<&CutSet>) -> String {
+pub fn tree_to_dot<T: TreeView>(tree: &T, cut: Option<&CutSet>) -> String {
     let mut out = String::from("graph tree {\n  node [shape=circle];\n");
-    for (v, w) in tree.node_weights().iter().enumerate() {
+    for v in 0..tree.len() {
+        let w = tree.node_weight(NodeId::new(v));
         let _ = writeln!(out, "  v{v} [label=\"v{v}\\nw={w}\"];");
     }
-    for (i, e) in tree.edges().iter().enumerate() {
+    for i in 0..tree.edge_count() {
+        let e = tree.edge(EdgeId::new(i));
         let style = if cut.is_some_and(|c| c.contains(EdgeId::new(i))) {
             ", style=dashed, color=red"
         } else {
@@ -44,12 +46,14 @@ pub fn tree_to_dot(tree: &Tree, cut: Option<&CutSet>) -> String {
 
 /// Renders a path graph as a Graphviz `graph`, highlighting cut edges if a
 /// cut is supplied.
-pub fn path_to_dot(path: &PathGraph, cut: Option<&CutSet>) -> String {
+pub fn path_to_dot<C: ChainView>(path: &C, cut: Option<&CutSet>) -> String {
     let mut out = String::from("graph chain {\n  rankdir=LR;\n  node [shape=box];\n");
-    for (v, w) in path.node_weights().iter().enumerate() {
+    for v in 0..path.len() {
+        let w = path.node_weight(NodeId::new(v));
         let _ = writeln!(out, "  v{v} [label=\"v{v}\\nw={w}\"];");
     }
-    for (i, w) in path.edge_weights().iter().enumerate() {
+    for i in 0..path.edge_count() {
+        let w = path.edge_weight(EdgeId::new(i));
         let style = if cut.is_some_and(|c| c.contains(EdgeId::new(i))) {
             ", style=dashed, color=red"
         } else {
@@ -110,7 +114,7 @@ pub fn process_to_dot(g: &ProcessGraph, part_of: Option<&[usize]>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CutSet;
+    use crate::{CutSet, PathGraph, Tree};
 
     #[test]
     fn tree_dot_contains_all_elements() {

@@ -1,17 +1,17 @@
-//! Flat SoA graph representations over a [`MemoryBacking`].
+//! Flat SoA graph representations over a [`MemoryBacking`]: the one
+//! representation of each graph class.
 //!
-//! [`FlatPath`] and [`FlatTree`] hold the same information as
-//! `tgp_graph::PathGraph` / `tgp_graph::Tree`, but as parallel primitive
-//! arrays (`u64` weights, `u32` edge endpoints, prefix sums) that can
-//! live on either backing. Their builders are *incremental* — weights
-//! and edges stream in one at a time or in blocks, which is what lets
-//! the service parse a huge JSON upload directly into (possibly
+//! [`FlatPath`] and [`FlatTree`] store a graph as parallel primitive
+//! arrays (`u64` weights, `u32` edge endpoints, prefix sums) on any
+//! backing; [`PathGraph`](crate::PathGraph) and [`Tree`](crate::Tree)
+//! are their RAM instantiations. Their builders are *incremental* —
+//! weights and edges stream in one at a time or in blocks, which is what
+//! lets the service parse a huge JSON upload directly into (possibly
 //! disk-backed) arrays without ever materializing the document tree.
 //!
-//! Builders validate with the same `tgp_graph` checks as the pointer
-//! constructors ([`check_chain`], [`check_tree`]), so a graph
-//! fails (or succeeds) with the same [`GraphError`] whichever
-//! representation it is built in.
+//! Builders validate with [`check_chain`] and [`check_tree`], so a graph
+//! fails (or succeeds) with the same [`GraphError`] whichever backing it
+//! is built on.
 
 use std::fmt;
 use std::io;
@@ -24,8 +24,7 @@ use crate::{
 /// Why a flat graph could not be built.
 #[derive(Debug)]
 pub enum BuildError {
-    /// The input does not describe a valid graph; carries the same
-    /// error value the legacy constructor would produce.
+    /// The input does not describe a valid graph.
     Graph(GraphError),
     /// The backing failed (spill-file creation or growth).
     Io(io::Error),
@@ -50,6 +49,21 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
+impl BuildError {
+    /// The graph error of a build on heap arrays, which cannot fail any
+    /// other way short of more than `u32::MAX` nodes.
+    ///
+    /// # Panics
+    ///
+    /// On [`BuildError::TooLarge`] or [`BuildError::Io`].
+    pub(crate) fn into_graph_error(self) -> GraphError {
+        match self {
+            BuildError::Graph(e) => e,
+            other => panic!("{other}"),
+        }
+    }
+}
+
 impl From<GraphError> for BuildError {
     fn from(e: GraphError) -> Self {
         BuildError::Graph(e)
@@ -68,7 +82,7 @@ impl From<io::Error> for BuildError {
 
 /// A linear task graph as three parallel arrays: node weights, edge
 /// weights, and vertex-weight prefix sums (length `n + 1`).
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatPath<B: MemoryBacking> {
     node_w: B::Array<u64>,
     edge_w: B::Array<u64>,
@@ -253,14 +267,12 @@ impl<B: MemoryBacking> FlatPathBuilder<B> {
         self.edge_w.len()
     }
 
-    /// Validates and seals the graph with [`check_chain`], the checks
-    /// `PathGraph::from_weights` runs, producing identical errors.
+    /// Validates and seals the graph with [`check_chain`].
     ///
     /// # Errors
     ///
     /// [`GraphError::Empty`], [`GraphError::WrongEdgeCount`] or
-    /// [`GraphError::WeightOverflow`], exactly as the legacy
-    /// constructor reports them.
+    /// [`GraphError::WeightOverflow`].
     pub fn finish(self) -> Result<FlatPath<B>, BuildError> {
         let n = self.node_w.len();
         check_chain(n, self.edge_w.len(), self.node_total, self.edge_total)?;
@@ -282,9 +294,9 @@ impl<B: MemoryBacking> FlatPathBuilder<B> {
 /// A weighted free tree as parallel arrays: `edge_a[i]`/`edge_b[i]` are
 /// edge `i`'s endpoints in input orientation. There is no adjacency
 /// index: [`TreeView`] exposes none, and the solvers that walk the tree
-/// root it with `tgp_graph::Rooted`, which builds its own incidence from
-/// the edge list.
-#[derive(Debug)]
+/// root it with [`Rooted`](crate::Rooted), which builds its own
+/// incidence from the edge list.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatTree<B: MemoryBacking> {
     node_w: B::Array<u64>,
     edge_a: B::Array<u32>,
@@ -508,13 +520,12 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
         }
     }
 
-    /// Validates the edge set and seals the graph with
-    /// [`check_tree`], the checks `Tree::from_edges` runs, so the errors
-    /// are identical — including the duplicate-edge / cycle distinction.
+    /// Validates the edge set and seals the graph with [`check_tree`],
+    /// including its duplicate-edge / cycle distinction.
     ///
     /// # Errors
     ///
-    /// Any [`GraphError`] the legacy constructor reports,
+    /// Any [`GraphError`] [`check_tree`] reports,
     /// [`BuildError::TooLarge`] for node counts beyond `u32`, or a
     /// backing failure as [`BuildError::Io`].
     pub fn finish(self) -> Result<FlatTree<B>, BuildError> {

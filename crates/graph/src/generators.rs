@@ -228,11 +228,19 @@ pub fn ring_process_graph<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ChainView, Rooted, TreeView};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(0xC0FFEE)
+    }
+
+    fn degrees(t: &Tree) -> Vec<usize> {
+        let rooted = Rooted::new(t, NodeId::new(0));
+        (0..t.len())
+            .map(|v| rooted.degree(NodeId::new(v)))
+            .collect()
     }
 
     #[test]
@@ -326,8 +334,8 @@ mod tests {
             WeightDist::Constant(2),
             &mut rng(),
         );
-        assert_eq!(t.degree(NodeId::new(0)), 9);
-        assert_eq!(t.leaves().count(), 9);
+        assert_eq!(degrees(&t)[0], 9);
+        assert_eq!(degrees(&t).iter().filter(|&&d| d <= 1).count(), 9);
     }
 
     #[test]
@@ -341,9 +349,9 @@ mod tests {
         );
         assert_eq!(t.len(), 16);
         // Spine interior nodes have degree 2 + legs; spine ends 1 + legs.
-        assert_eq!(t.degree(NodeId::new(0)), 4);
-        assert_eq!(t.degree(NodeId::new(1)), 5);
-        assert_eq!(t.leaves().count(), 12);
+        assert_eq!(degrees(&t)[0], 4);
+        assert_eq!(degrees(&t)[1], 5);
+        assert_eq!(degrees(&t).iter().filter(|&&d| d <= 1).count(), 12);
     }
 
     #[test]
@@ -355,8 +363,8 @@ mod tests {
             &mut rng(),
         );
         assert_eq!(t.len(), 15);
-        assert_eq!(t.degree(NodeId::new(0)), 2);
-        assert_eq!(t.leaves().count(), 8);
+        assert_eq!(degrees(&t)[0], 2);
+        assert_eq!(degrees(&t).iter().filter(|&&d| d <= 1).count(), 8);
     }
 
     #[test]

@@ -36,7 +36,8 @@ use std::borrow::Cow;
 use std::fmt;
 
 use crate::{
-    CutSet, EdgeId, NodeId, PathGraph, ProcessEdge, ProcessGraph, Segment, Tree, TreeEdge, Weight,
+    ChainView, CutSet, EdgeId, FlatPath, FlatTree, MemoryBacking, NodeId, PathGraph, ProcessEdge,
+    ProcessGraph, Segment, Tree, TreeEdge, TreeView, Weight,
 };
 
 /// Maximum nesting depth [`Value::parse`] accepts. Deeper documents are
@@ -1039,11 +1040,11 @@ pub fn edge_fields(value: &Value) -> Result<(NodeId, NodeId, Weight), JsonError>
     ))
 }
 
-fn weight_vec(value: &Value, key: &str, ty: &str) -> Result<Vec<Weight>, JsonError> {
+fn weight_vec(value: &Value, key: &str, ty: &str) -> Result<Vec<u64>, JsonError> {
     array_field(value, key, ty)?
         .iter()
         .enumerate()
-        .map(|(i, v)| weight_item(v, key, ty, i).map(Weight::new))
+        .map(|(i, v)| weight_item(v, key, ty, i))
         .collect()
 }
 
@@ -1096,17 +1097,13 @@ impl FromJson for EdgeId {
     }
 }
 
-impl ToJson for PathGraph {
+impl<B: MemoryBacking> ToJson for FlatPath<B> {
     fn to_json(&self) -> Value {
+        let nodes = (0..self.len()).map(|v| self.node_weight(NodeId::new(v)).to_json());
+        let edges = (0..self.edge_count()).map(|i| self.edge_weight(EdgeId::new(i)).to_json());
         Value::Object(vec![
-            (
-                "node_weights".to_string(),
-                Value::Array(self.node_weights().iter().map(|w| w.to_json()).collect()),
-            ),
-            (
-                "edge_weights".to_string(),
-                Value::Array(self.edge_weights().iter().map(|w| w.to_json()).collect()),
-            ),
+            ("node_weights".to_string(), Value::Array(nodes.collect())),
+            ("edge_weights".to_string(), Value::Array(edges.collect())),
         ])
     }
 }
@@ -1115,7 +1112,7 @@ impl FromJson for PathGraph {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
         let nodes = weight_vec(value, "node_weights", "PathGraph")?;
         let edges = weight_vec(value, "edge_weights", "PathGraph")?;
-        PathGraph::from_weights(nodes, edges).map_err(|e| JsonError::msg(format!("PathGraph: {e}")))
+        PathGraph::from_raw(&nodes, &edges).map_err(|e| JsonError::msg(format!("PathGraph: {e}")))
     }
 }
 
@@ -1143,17 +1140,13 @@ fn edge_list<T: FromJson>(value: &Value, ty: &str) -> Result<Vec<T>, JsonError> 
         .collect()
 }
 
-impl ToJson for Tree {
+impl<B: MemoryBacking> ToJson for FlatTree<B> {
     fn to_json(&self) -> Value {
+        let nodes = (0..self.len()).map(|v| self.node_weight(NodeId::new(v)).to_json());
+        let edges = (0..self.edge_count()).map(|i| self.edge(EdgeId::new(i)).to_json());
         Value::Object(vec![
-            (
-                "node_weights".to_string(),
-                Value::Array(self.node_weights().iter().map(|w| w.to_json()).collect()),
-            ),
-            (
-                "edges".to_string(),
-                Value::Array(self.edges().iter().map(|e| e.to_json()).collect()),
-            ),
+            ("node_weights".to_string(), Value::Array(nodes.collect())),
+            ("edges".to_string(), Value::Array(edges.collect())),
         ])
     }
 }
@@ -1161,8 +1154,11 @@ impl ToJson for Tree {
 impl FromJson for Tree {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
         let nodes = weight_vec(value, "node_weights", "Tree")?;
-        let edges = edge_list::<TreeEdge>(value, "Tree")?;
-        Tree::from_edges(nodes, edges).map_err(|e| JsonError::msg(format!("Tree: {e}")))
+        let edges = array_field(value, "edges", "Tree")?
+            .iter()
+            .map(|edge| edge_fields(edge).map(|(a, b, w)| (a.index(), b.index(), w.get())))
+            .collect::<Result<Vec<_>, _>>()?;
+        Tree::from_raw(&nodes, &edges).map_err(|e| JsonError::msg(format!("Tree: {e}")))
     }
 }
 
@@ -1202,7 +1198,7 @@ impl FromJson for ProcessGraph {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
         let nodes = weight_vec(value, "node_weights", "ProcessGraph")?;
         let edges = edge_list::<ProcessEdge>(value, "ProcessGraph")?;
-        ProcessGraph::from_edges(nodes, edges)
+        ProcessGraph::from_edges(nodes.into_iter().map(Weight::new).collect(), edges)
             .map_err(|e| JsonError::msg(format!("ProcessGraph: {e}")))
     }
 }

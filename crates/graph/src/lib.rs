@@ -27,7 +27,7 @@
 //! # Example
 //!
 //! ```
-//! use tgp_graph::{PathGraph, Weight};
+//! use tgp_graph::{ChainView, PathGraph, Weight};
 //!
 //! # fn main() -> Result<(), tgp_graph::GraphError> {
 //! let chain = PathGraph::from_weights(

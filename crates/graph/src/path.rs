@@ -1,10 +1,10 @@
 //! Linear (path) task graphs.
 
-use crate::weight::{check_weight_totals, weight_sum};
-use crate::{EdgeId, GraphError, NodeId, Weight};
+use crate::{check_weight_totals, FlatPath, FlatPathBuilder, GraphError, RamBacking, Weight};
 
 /// A linear task graph `P = (V, E)` with `V = {v_0, …, v_{n-1}}` and
-/// `E = {e_i = (v_i, v_{i+1})}`.
+/// `E = {e_i = (v_i, v_{i+1})}`: the RAM instantiation of [`FlatPath`],
+/// read through [`ChainView`](crate::ChainView).
 ///
 /// This is the graph class for which the paper's headline bandwidth
 /// minimization algorithm applies: pipelined computations, iterative strip
@@ -18,7 +18,7 @@ use crate::{EdgeId, GraphError, NodeId, Weight};
 /// # Examples
 ///
 /// ```
-/// use tgp_graph::{PathGraph, Weight};
+/// use tgp_graph::{ChainView, PathGraph, Weight};
 ///
 /// # fn main() -> Result<(), tgp_graph::GraphError> {
 /// let p = PathGraph::from_raw(&[2, 3, 5, 7], &[10, 20, 30])?;
@@ -29,13 +29,7 @@ use crate::{EdgeId, GraphError, NodeId, Weight};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathGraph {
-    node_weights: Vec<Weight>,
-    edge_weights: Vec<Weight>,
-    /// `prefix[i]` = sum of node weights `0..i`; length `n + 1`.
-    prefix: Vec<u64>,
-}
+pub type PathGraph = FlatPath<RamBacking>;
 
 impl PathGraph {
     /// Builds a path graph from vertex and edge weight vectors.
@@ -53,147 +47,29 @@ impl PathGraph {
         node_weights: Vec<Weight>,
         edge_weights: Vec<Weight>,
     ) -> Result<Self, GraphError> {
-        check_chain(
-            node_weights.len(),
-            edge_weights.len(),
-            weight_sum(node_weights.iter().copied()),
-            weight_sum(edge_weights.iter().copied()),
-        )?;
-        let prefix = Self::build_prefix(&node_weights)?;
-        Ok(PathGraph {
-            node_weights,
-            edge_weights,
-            prefix,
-        })
+        let raw = |weights: Vec<Weight>| weights.into_iter().map(Weight::get).collect::<Vec<_>>();
+        Self::from_raw(&raw(node_weights), &raw(edge_weights))
     }
 
-    /// Builds a path graph from raw `u64` slices (convenience for tests and
-    /// examples).
+    /// Builds a path graph from raw `u64` slices.
     ///
     /// # Errors
     ///
     /// Same as [`PathGraph::from_weights`].
     pub fn from_raw(node_weights: &[u64], edge_weights: &[u64]) -> Result<Self, GraphError> {
-        Self::from_weights(
-            node_weights.iter().copied().map(Weight::new).collect(),
-            edge_weights.iter().copied().map(Weight::new).collect(),
-        )
-    }
-
-    fn build_prefix(node_weights: &[Weight]) -> Result<Vec<u64>, GraphError> {
-        let mut prefix = Vec::with_capacity(node_weights.len() + 1);
-        prefix.push(0u64);
-        let mut acc: u64 = 0;
-        for w in node_weights {
-            acc = acc.checked_add(w.get()).ok_or(GraphError::WeightOverflow)?;
-            prefix.push(acc);
-        }
-        Ok(prefix)
-    }
-
-    /// Number of nodes `n`.
-    pub fn len(&self) -> usize {
-        self.node_weights.len()
-    }
-
-    /// Always `false`: construction rejects empty graphs.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Number of edges (`n - 1`).
-    pub fn edge_count(&self) -> usize {
-        self.edge_weights.len()
-    }
-
-    /// Weight `α_i` of node `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node.index() >= self.len()`.
-    pub fn node_weight(&self, node: NodeId) -> Weight {
-        self.node_weights[node.index()]
-    }
-
-    /// Weight `β_i` of edge `i` (connecting nodes `i` and `i + 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge.index() >= self.edge_count()`.
-    pub fn edge_weight(&self, edge: EdgeId) -> Weight {
-        self.edge_weights[edge.index()]
-    }
-
-    /// All node weights in order.
-    pub fn node_weights(&self) -> &[Weight] {
-        &self.node_weights
-    }
-
-    /// All edge weights in order.
-    pub fn edge_weights(&self) -> &[Weight] {
-        &self.edge_weights
-    }
-
-    /// Total vertex weight of the whole path.
-    pub fn total_weight(&self) -> Weight {
-        Weight::new(*self.prefix.last().expect("prefix never empty"))
-    }
-
-    /// The maximum single vertex weight (the feasibility floor for the load
-    /// bound `K`).
-    pub fn max_node_weight(&self) -> Weight {
-        self.node_weights
-            .iter()
-            .copied()
-            .max()
-            .expect("path graphs are non-empty")
-    }
-
-    /// Sum of vertex weights over the inclusive span `lo..=hi`, O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` or `hi >= self.len()`.
-    pub fn span_weight(&self, lo: usize, hi: usize) -> Weight {
-        assert!(lo <= hi, "span lo {lo} must be <= hi {hi}");
-        assert!(hi < self.len(), "span hi {hi} out of range {}", self.len());
-        Weight::new(self.prefix[hi + 1] - self.prefix[lo])
-    }
-
-    /// Iterates over `(NodeId, Weight)` pairs.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
-        self.node_weights
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| (NodeId::new(i), w))
-    }
-
-    /// Iterates over `(EdgeId, Weight)` pairs.
-    pub fn edges(&self) -> impl Iterator<Item = (EdgeId, Weight)> + '_ {
-        self.edge_weights
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| (EdgeId::new(i), w))
-    }
-
-    /// The two endpoints of edge `edge`: `(v_i, v_{i+1})`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge.index() >= self.edge_count()`.
-    pub fn endpoints(&self, edge: EdgeId) -> (NodeId, NodeId) {
-        assert!(
-            edge.index() < self.edge_count(),
-            "edge {edge} out of range {}",
-            self.edge_count()
-        );
-        (NodeId::new(edge.index()), NodeId::new(edge.index() + 1))
+        let mut chain = FlatPathBuilder::new(&RamBacking, node_weights.len()).expect(RAM);
+        chain.extend_nodes(node_weights).expect(RAM);
+        chain.extend_edges(edge_weights).expect(RAM);
+        chain.finish().map_err(|e| e.into_graph_error())
     }
 }
 
-/// The checks [`PathGraph::from_weights`] and the flat builder in
-/// `tgp-store` run, in order: no nodes, the edge count, then
-/// [`check_weight_totals`] of the summed weights.
+/// Heap arrays grow or abort; they never return an I/O error.
+pub(crate) const RAM: &str = "RAM arrays never fail to grow";
+
+/// The checks [`FlatPathBuilder::finish`] runs on every backing, and so
+/// every [`PathGraph`] constructor, in order: no nodes, the edge count,
+/// then [`check_weight_totals`] of the summed weights.
 pub fn check_chain(
     nodes: usize,
     edges: usize,
@@ -212,6 +88,7 @@ pub fn check_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ChainView, EdgeId, NodeId};
 
     fn sample() -> PathGraph {
         PathGraph::from_raw(&[2, 3, 5, 7, 11], &[1, 2, 3, 4]).unwrap()
@@ -270,30 +147,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn span_weight_rejects_out_of_range() {
-        sample().span_weight(0, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be <=")]
-    fn span_weight_rejects_inverted_span() {
-        sample().span_weight(3, 2);
-    }
-
-    #[test]
     fn accessors() {
         let p = sample();
         assert_eq!(p.node_weight(NodeId::new(2)), Weight::new(5));
         assert_eq!(p.edge_weight(EdgeId::new(3)), Weight::new(4));
-        assert_eq!(
-            p.endpoints(EdgeId::new(2)),
-            (NodeId::new(2), NodeId::new(3))
-        );
-        assert_eq!(p.nodes().count(), 5);
-        assert_eq!(p.edges().count(), 4);
-        let (last_edge, w) = p.edges().last().unwrap();
-        assert_eq!(last_edge, EdgeId::new(3));
-        assert_eq!(w, Weight::new(4));
+        assert_eq!(p.node_weights().count(), 5);
+        assert_eq!(p.edge_weights().count(), 4);
+        assert_eq!(p.edge_weights().last(), Some(Weight::new(4)));
     }
 }

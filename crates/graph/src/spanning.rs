@@ -12,7 +12,9 @@
 //! partitions back on the original graph — see
 //! [`TreeSupergraph::cut_cost_on_graph`].
 
-use crate::{Components, CutSet, NodeId, ProcessGraph, Tree, TreeEdge, UnionFind32, Weight};
+use crate::{
+    Components, CutSet, NodeId, ProcessGraph, Tree, TreeEdge, TreeView, UnionFind32, Weight,
+};
 
 /// A maximum-weight spanning tree of a process graph, with the mapping
 /// back to the original edges.
@@ -81,14 +83,14 @@ impl TreeSupergraph {
 ///
 /// ```
 /// use tgp_graph::spanning::tree_supergraph;
-/// use tgp_graph::ProcessGraph;
+/// use tgp_graph::{ProcessGraph, TreeView};
 ///
 /// # fn main() -> Result<(), tgp_graph::GraphError> {
 /// // A triangle: the lightest edge (weight 2) is dropped.
 /// let g = ProcessGraph::from_raw(&[1, 1, 1], &[(0, 1, 5), (1, 2, 7), (2, 0, 2)])?;
 /// let sup = tree_supergraph(&g);
 /// assert_eq!(sup.tree().edge_count(), 2);
-/// let kept: u64 = sup.tree().edges().iter().map(|e| e.weight.get()).sum();
+/// let kept: u64 = sup.tree().edges().map(|e| e.weight.get()).sum();
 /// assert_eq!(kept, 12);
 /// # Ok(())
 /// # }
@@ -142,7 +144,7 @@ mod tests {
         let sup = tree_supergraph(&g);
         assert_eq!(sup.tree().len(), 5);
         assert_eq!(sup.tree().edge_count(), 4);
-        let kept: Vec<u64> = sup.tree().edges().iter().map(|e| e.weight.get()).collect();
+        let kept: Vec<u64> = sup.tree().edges().map(|e| e.weight.get()).collect();
         // Heaviest four of {10, 20, 30, 40, 50, 5} that stay acyclic:
         // 50, 40, 30, 20.
         let mut sorted = kept.clone();

@@ -88,7 +88,7 @@ impl LinearSupergraph {
 ///
 /// ```
 /// use tgp_graph::supergraph::{linear_supergraph, LinearOrdering};
-/// use tgp_graph::{ProcessGraph, Weight};
+/// use tgp_graph::{ChainView, EdgeId, ProcessGraph, Weight};
 ///
 /// # fn main() -> Result<(), tgp_graph::GraphError> {
 /// let ring = ProcessGraph::from_raw(
@@ -98,7 +98,7 @@ impl LinearSupergraph {
 /// let sup = linear_supergraph(&ring, LinearOrdering::Identity)?;
 /// assert_eq!(sup.path().len(), 4);
 /// // Boundary 0 is crossed by edges (0,1) and (3,0): weight 20.
-/// assert_eq!(sup.path().edge_weights()[0], Weight::new(20));
+/// assert_eq!(sup.path().edge_weight(EdgeId::new(0)), Weight::new(20));
 /// # Ok(())
 /// # }
 /// ```
@@ -148,6 +148,7 @@ pub fn linear_supergraph(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ChainView;
 
     #[test]
     fn identity_on_a_path_graph_is_exact() {
@@ -155,8 +156,11 @@ mod tests {
         let g =
             ProcessGraph::from_raw(&[2, 3, 5, 7], &[(0, 1, 10), (1, 2, 20), (2, 3, 30)]).unwrap();
         let sup = linear_supergraph(&g, LinearOrdering::Identity).unwrap();
-        assert_eq!(sup.path().node_weights(), g.node_weights());
-        let ws: Vec<u64> = sup.path().edge_weights().iter().map(|w| w.get()).collect();
+        assert!(sup
+            .path()
+            .node_weights()
+            .eq(g.node_weights().iter().copied()));
+        let ws: Vec<u64> = sup.path().edge_weights().map(Weight::get).collect();
         assert_eq!(ws, vec![10, 20, 30]);
     }
 
@@ -168,7 +172,7 @@ mod tests {
         )
         .unwrap();
         let sup = linear_supergraph(&ring, LinearOrdering::Identity).unwrap();
-        let ws: Vec<u64> = sup.path().edge_weights().iter().map(|w| w.get()).collect();
+        let ws: Vec<u64> = sup.path().edge_weights().map(Weight::get).collect();
         // Boundary 0: edges (0,1) + (0,3) = 50; boundary 1: (1,2) + (0,3) = 60;
         // boundary 2: (2,3) + (0,3) = 70.
         assert_eq!(ws, vec![50, 60, 70]);

@@ -1,9 +1,12 @@
 //! Weighted free trees (tree task graphs).
 
-use crate::weight::{check_weight_totals, weight_sum};
-use crate::{EdgeId, GraphError, NodeId, Rooted, UnionFind32, Weight};
+use crate::path::RAM;
+use crate::{
+    check_weight_totals, EdgeId, FlatTree, FlatTreeBuilder, GraphError, NodeId, RamBacking,
+    UnionFind32, Weight,
+};
 
-/// An undirected edge of a [`Tree`] with a communication weight.
+/// An undirected edge of a tree with a communication weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TreeEdge {
     /// One endpoint.
@@ -39,7 +42,9 @@ impl TreeEdge {
     }
 }
 
-/// A weighted free (unrooted) tree task graph `T = (V, E)`.
+/// A weighted free (unrooted) tree task graph `T = (V, E)`: the RAM
+/// instantiation of [`FlatTree`], read through [`TreeView`] and walked
+/// through [`Rooted`](crate::Rooted).
 ///
 /// Vertex weights model processing requirements (`ω` in the paper), edge
 /// weights model communication volumes (`δ`). This is the graph class for
@@ -53,24 +58,18 @@ impl TreeEdge {
 /// # Examples
 ///
 /// ```
-/// use tgp_graph::{NodeId, Tree, Weight};
+/// use tgp_graph::{EdgeId, NodeId, Tree, TreeView, Weight};
 ///
 /// # fn main() -> Result<(), tgp_graph::GraphError> {
 /// // A star: center v0 with three leaves.
 /// let tree = Tree::from_raw(&[1, 2, 3, 4], &[(0, 1, 10), (0, 2, 20), (0, 3, 30)])?;
 /// assert_eq!(tree.len(), 4);
-/// assert_eq!(tree.degree(NodeId::new(0)), 3);
-/// assert!(tree.is_leaf(NodeId::new(2)));
+/// assert_eq!(tree.edge(EdgeId::new(1)).other(NodeId::new(0)), NodeId::new(2));
+/// assert_eq!(tree.total_weight(), Weight::new(10));
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tree {
-    node_weights: Vec<Weight>,
-    edges: Vec<TreeEdge>,
-    /// `adjacency[v]` lists `(neighbor, edge id)` pairs.
-    adjacency: Vec<Vec<(NodeId, EdgeId)>>,
-}
+pub type Tree = FlatTree<RamBacking>;
 
 impl Tree {
     /// Builds a tree from vertex weights and an edge list.
@@ -89,43 +88,33 @@ impl Tree {
     ///
     /// # Panics
     ///
-    /// If there are more than `u32::MAX` nodes (the union-find is `u32`,
-    /// 8 bytes per node).
+    /// If there are more than `u32::MAX` nodes (edge endpoints are `u32`).
     pub fn from_edges(node_weights: Vec<Weight>, edges: Vec<TreeEdge>) -> Result<Self, GraphError> {
-        let node_total = weight_sum(node_weights.iter().copied());
-        let edge_total = weight_sum(edges.iter().map(|e| e.weight));
-        check_tree(
-            node_weights.len(),
-            edges.len(),
-            node_total,
-            edge_total,
-            |i| (edges[i].a.index(), edges[i].b.index()),
-        )?;
-        let adjacency = adjacency(node_weights.len(), &edges);
-        Ok(Tree {
-            node_weights,
-            edges,
-            adjacency,
-        })
+        let nodes: Vec<u64> = node_weights.into_iter().map(Weight::get).collect();
+        let edges: Vec<(usize, usize, u64)> = edges
+            .iter()
+            .map(|e| (e.a.index(), e.b.index(), e.weight.get()))
+            .collect();
+        Self::from_raw(&nodes, &edges)
     }
 
-    /// Builds a tree from raw tuples (convenience for tests and examples):
-    /// `edges[i] = (a, b, weight)`.
+    /// Builds a tree from raw tuples: `edges[i] = (a, b, weight)`.
     ///
     /// # Errors
     ///
     /// Same as [`Tree::from_edges`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Tree::from_edges`].
     pub fn from_raw(
         node_weights: &[u64],
         edges: &[(usize, usize, u64)],
     ) -> Result<Self, GraphError> {
-        Self::from_edges(
-            node_weights.iter().copied().map(Weight::new).collect(),
-            edges
-                .iter()
-                .map(|&(a, b, w)| TreeEdge::new(NodeId::new(a), NodeId::new(b), Weight::new(w)))
-                .collect(),
-        )
+        let mut tree = FlatTreeBuilder::new(RamBacking, node_weights.len()).expect(RAM);
+        tree.extend_nodes(node_weights).expect(RAM);
+        tree.extend_edges(edges).expect(RAM);
+        tree.finish().map_err(|e| e.into_graph_error())
     }
 
     /// Builds a rooted tree from a parent array: node 0 is the root;
@@ -140,10 +129,14 @@ impl Tree {
     /// be `< i + 1` or [`GraphError::Cycle`]/[`GraphError::NodeOutOfRange`]
     /// is reported by the underlying validation.
     ///
+    /// # Panics
+    ///
+    /// As [`Tree::from_edges`].
+    ///
     /// # Examples
     ///
     /// ```
-    /// use tgp_graph::{NodeId, Tree, Weight};
+    /// use tgp_graph::{NodeId, Rooted, Tree, Weight};
     ///
     /// # fn main() -> Result<(), tgp_graph::GraphError> {
     /// // A binary heap shape: node i's parent is (i - 1) / 2.
@@ -152,8 +145,9 @@ impl Tree {
     ///     &[(0, 5), (0, 5), (1, 3), (1, 3), (2, 3), (2, 3)]
     ///         .map(|(p, w)| (NodeId::new(p), Weight::new(w))),
     /// )?;
-    /// assert_eq!(tree.degree(NodeId::new(0)), 2);
-    /// assert_eq!(tree.leaves().count(), 4);
+    /// let rooted = Rooted::new(&tree, NodeId::new(0));
+    /// assert_eq!(rooted.degree(NodeId::new(0)), 2);
+    /// assert_eq!((0..7).filter(|&v| rooted.degree(NodeId::new(v)) == 1).count(), 4);
     /// # Ok(())
     /// # }
     /// ```
@@ -161,157 +155,19 @@ impl Tree {
         node_weights: Vec<Weight>,
         parents: &[(NodeId, Weight)],
     ) -> Result<Self, GraphError> {
-        let edges: Vec<TreeEdge> = parents
+        let nodes: Vec<u64> = node_weights.into_iter().map(Weight::get).collect();
+        let edges: Vec<(usize, usize, u64)> = parents
             .iter()
             .enumerate()
-            .map(|(i, &(p, w))| TreeEdge::new(p, NodeId::new(i + 1), w))
+            .map(|(i, &(p, w))| (p.index(), i + 1, w.get()))
             .collect();
-        Self::from_edges(node_weights, edges)
+        Self::from_raw(&nodes, &edges)
     }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.node_weights.len()
-    }
-
-    /// Always `false`: construction rejects empty trees.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Number of edges (`n - 1`).
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Weight `ω(v)` of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node.index() >= self.len()`.
-    pub fn node_weight(&self, node: NodeId) -> Weight {
-        self.node_weights[node.index()]
-    }
-
-    /// All node weights in index order.
-    pub fn node_weights(&self) -> &[Weight] {
-        &self.node_weights
-    }
-
-    /// The edge with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge.index() >= self.edge_count()`.
-    pub fn edge(&self, edge: EdgeId) -> TreeEdge {
-        self.edges[edge.index()]
-    }
-
-    /// Weight `δ(e)` of an edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge.index() >= self.edge_count()`.
-    pub fn edge_weight(&self, edge: EdgeId) -> Weight {
-        self.edges[edge.index()].weight
-    }
-
-    /// All edges in id order.
-    pub fn edges(&self) -> &[TreeEdge] {
-        &self.edges
-    }
-
-    /// Total vertex weight of the tree.
-    pub fn total_weight(&self) -> Weight {
-        self.node_weights.iter().copied().sum()
-    }
-
-    /// The maximum single vertex weight (the feasibility floor for the load
-    /// bound `K`).
-    pub fn max_node_weight(&self) -> Weight {
-        self.node_weights
-            .iter()
-            .copied()
-            .max()
-            .expect("trees are non-empty")
-    }
-
-    /// Degree of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node.index() >= self.len()`.
-    pub fn degree(&self, node: NodeId) -> usize {
-        self.adjacency[node.index()].len()
-    }
-
-    /// `(neighbor, edge)` pairs incident to `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node.index() >= self.len()`.
-    pub fn neighbors(&self, node: NodeId) -> &[(NodeId, EdgeId)] {
-        &self.adjacency[node.index()]
-    }
-
-    /// Returns `true` if `node` has degree ≤ 1 (a leaf, or the sole node of
-    /// a single-vertex tree).
-    pub fn is_leaf(&self, node: NodeId) -> bool {
-        self.degree(node) <= 1
-    }
-
-    /// All leaves in index order.
-    pub fn leaves(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.len())
-            .map(NodeId::new)
-            .filter(move |&v| self.is_leaf(v))
-    }
-
-    /// All internal (non-leaf) nodes in index order.
-    pub fn internal_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.len())
-            .map(NodeId::new)
-            .filter(move |&v| !self.is_leaf(v))
-    }
-
-    /// Nodes in post-order of the tree rooted at `root` (children before
-    /// parents): the reversed pre-order of [`Rooted`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `root.index() >= self.len()`.
-    pub fn post_order(&self, root: NodeId) -> Vec<NodeId> {
-        Rooted::new(self, root).pre_order().rev().collect()
-    }
-
-    /// For every node, its parent and connecting edge under the rooting at
-    /// `root`; `parent[root] = None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `root.index() >= self.len()`.
-    pub fn parents(&self, root: NodeId) -> Vec<Option<(NodeId, EdgeId)>> {
-        let rooted = Rooted::new(self, root);
-        (0..self.len())
-            .map(NodeId::new)
-            .map(|v| rooted.parent_edge(v).map(|e| (self.edge(e).other(v), e)))
-            .collect()
-    }
-}
-
-/// `(neighbor, edge id)` lists per node, each in increasing edge-id order.
-fn adjacency(n: usize, edges: &[TreeEdge]) -> Vec<Vec<(NodeId, EdgeId)>> {
-    let mut adjacency = vec![Vec::new(); n];
-    for (i, e) in edges.iter().enumerate() {
-        adjacency[e.a.index()].push((e.b, EdgeId::new(i)));
-        adjacency[e.b.index()].push((e.a, EdgeId::new(i)));
-    }
-    adjacency
 }
 
 /// The checks that make `edges` edges on `nodes` nodes a tree, in the
-/// order [`Tree::from_edges`] and the flat builder in `tgp-store` run
-/// them: no nodes, the edge count, [`check_weight_totals`], then per
+/// order [`FlatTreeBuilder::finish`] runs them on every backing, and so
+/// every [`Tree`] constructor: no nodes, the edge count, [`check_weight_totals`], then per
 /// edge in id order its endpoints' range, a self-loop, and an edge that
 /// closes a cycle — a duplicate when it joins the same pair as an
 /// earlier edge. `n - 1` edges that close no cycle connect all `n`
@@ -376,6 +232,12 @@ pub fn check_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Rooted, TreeView};
+
+    /// Nodes in post-order under the rooting at `root`.
+    fn post_order(t: &Tree, root: NodeId) -> Vec<NodeId> {
+        Rooted::new(t, root).pre_order().rev().collect()
+    }
 
     /// The caterpillar 0-1-2-3 with legs 4,5 on node 1 and leg 6 on node 2.
     fn caterpillar() -> Tree {
@@ -406,10 +268,8 @@ mod tests {
     fn single_node_tree() {
         let t = Tree::from_raw(&[5], &[]).unwrap();
         assert_eq!(t.len(), 1);
-        assert!(t.is_leaf(NodeId::new(0)));
-        assert_eq!(t.leaves().count(), 1);
-        assert_eq!(t.internal_nodes().count(), 0);
-        assert_eq!(t.post_order(NodeId::new(0)), vec![NodeId::new(0)]);
+        assert_eq!(Rooted::new(&t, NodeId::new(0)).degree(NodeId::new(0)), 0);
+        assert_eq!(post_order(&t, NodeId::new(0)), vec![NodeId::new(0)]);
     }
 
     #[test]
@@ -493,12 +353,19 @@ mod tests {
     #[test]
     fn degrees_and_leaves() {
         let t = caterpillar();
-        assert_eq!(t.degree(NodeId::new(1)), 4);
-        assert_eq!(t.degree(NodeId::new(0)), 1);
-        let leaves: Vec<usize> = t.leaves().map(NodeId::index).collect();
+        let rooted = Rooted::new(&t, NodeId::new(0));
+        let degree = |v: usize| rooted.degree(NodeId::new(v));
+        assert_eq!(degree(1), 4);
+        assert_eq!(degree(0), 1);
+        let leaves: Vec<usize> = (0..t.len()).filter(|&v| degree(v) <= 1).collect();
         assert_eq!(leaves, vec![0, 3, 4, 5, 6]);
-        let internal: Vec<usize> = t.internal_nodes().map(NodeId::index).collect();
+        let internal: Vec<usize> = (0..t.len()).filter(|&v| degree(v) > 1).collect();
         assert_eq!(internal, vec![1, 2]);
+        let incident: Vec<usize> = rooted
+            .incident_edges(NodeId::new(1))
+            .map(EdgeId::index)
+            .collect();
+        assert_eq!(incident, vec![0, 1, 3, 4]);
     }
 
     #[test]
@@ -522,7 +389,7 @@ mod tests {
     #[test]
     fn post_order_visits_children_first() {
         let t = caterpillar();
-        let order = t.post_order(NodeId::new(0));
+        let order = post_order(&t, NodeId::new(0));
         assert_eq!(order.len(), 7);
         let pos = |v: usize| order.iter().position(|&x| x == NodeId::new(v)).unwrap();
         // Root last; every child precedes its parent under rooting at 0.
@@ -537,12 +404,16 @@ mod tests {
     #[test]
     fn parents_under_rooting() {
         let t = caterpillar();
-        let parent = t.parents(NodeId::new(0));
-        assert_eq!(parent[0], None);
-        assert_eq!(parent[1].unwrap().0, NodeId::new(0));
-        assert_eq!(parent[2].unwrap().0, NodeId::new(1));
-        assert_eq!(parent[3].unwrap().0, NodeId::new(2));
-        assert_eq!(parent[4].unwrap().0, NodeId::new(1));
+        let rooted = Rooted::new(&t, NodeId::new(0));
+        let parent = |v: usize| {
+            let v = NodeId::new(v);
+            rooted.parent_edge(v).map(|e| t.edge(e).other(v))
+        };
+        assert_eq!(parent(0), None);
+        assert_eq!(parent(1), Some(NodeId::new(0)));
+        assert_eq!(parent(2), Some(NodeId::new(1)));
+        assert_eq!(parent(3), Some(NodeId::new(2)));
+        assert_eq!(parent(4), Some(NodeId::new(1)));
     }
 
     #[test]
@@ -551,7 +422,7 @@ mod tests {
         let weights = vec![1u64; n];
         let edges: Vec<(usize, usize, u64)> = (0..n - 1).map(|i| (i, i + 1, 1)).collect();
         let t = Tree::from_raw(&weights, &edges).unwrap();
-        let order = t.post_order(NodeId::new(0));
+        let order = post_order(&t, NodeId::new(0));
         assert_eq!(order.len(), n);
         assert_eq!(order[0], NodeId::new(n - 1));
         assert_eq!(order[n - 1], NodeId::new(0));

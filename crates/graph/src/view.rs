@@ -2,20 +2,18 @@
 //!
 //! The paper's algorithms only ever *read* a graph: weights by index,
 //! O(1) span sums on chains, edge endpoints on trees. [`ChainView`] and
-//! [`TreeView`] capture exactly that surface, with method names (and
-//! panic contracts) identical to the inherent methods of [`PathGraph`]
-//! and [`Tree`] — so a solver body written against the concrete types
-//! compiles unchanged once its signature is made generic. `tgp-store`
-//! implements the same traits for its flat SoA representations,
-//! which is how one solver code path serves pointer graphs, flat
-//! in-RAM graphs, and mmap-backed out-of-core graphs alike.
+//! [`TreeView`] capture exactly that surface. The flat graphs implement
+//! them on every memory backing ([`PathGraph`] and [`Tree`] are the RAM
+//! instantiations, `tgp-store` adds mmap-backed disk arrays), and so
+//! does a [`Contraction`](crate::Contraction), whose super-nodes are
+//! read without building a tree. One solver code path serves all of
+//! them, and [`Rooted`] is the one rooted traversal over any tree view.
 //!
 //! [`PathGraph`]: crate::PathGraph
 //! [`Tree`]: crate::Tree
 
 use crate::{
-    Components, CutSet, EdgeId, GraphError, NodeId, PathGraph, Segment, Tree, TreeEdge,
-    UnionFind32, Weight,
+    Components, CutSet, EdgeId, GraphError, NodeId, Segment, TreeEdge, UnionFind32, Weight,
 };
 
 /// Read access to a linear task graph `v_0 — v_1 — … — v_{n-1}`.
@@ -23,7 +21,7 @@ use crate::{
 /// Implementations must be non-empty (`len() >= 1`) and uphold the
 /// crate-wide invariant that the combined total of all vertex and edge
 /// weights is below `u64::MAX`, so downstream arithmetic cannot
-/// overflow. Index-out-of-range access may panic, as on [`PathGraph`].
+/// overflow. Index-out-of-range access may panic.
 pub trait ChainView {
     /// Number of nodes `n` (always ≥ 1).
     fn len(&self) -> usize;
@@ -48,6 +46,16 @@ pub trait ChainView {
     /// on every provided implementation (prefix sums).
     fn span_weight(&self, lo: usize, hi: usize) -> Weight;
 
+    /// Every vertex weight, in node order.
+    fn node_weights(&self) -> impl Iterator<Item = Weight> + '_ {
+        (0..self.len()).map(|v| self.node_weight(NodeId::new(v)))
+    }
+
+    /// Every edge weight, in edge order.
+    fn edge_weights(&self) -> impl Iterator<Item = Weight> + '_ {
+        (0..self.edge_count()).map(|e| self.edge_weight(EdgeId::new(e)))
+    }
+
     /// Total vertex weight of the whole chain.
     fn total_weight(&self) -> Weight {
         self.span_weight(0, self.len() - 1)
@@ -56,14 +64,11 @@ pub trait ChainView {
     /// The maximum single vertex weight (the feasibility floor for the
     /// load bound `K`).
     fn max_node_weight(&self) -> Weight {
-        (0..self.len())
-            .map(|i| self.node_weight(NodeId::new(i)))
-            .max()
-            .expect("chains are non-empty")
+        self.node_weights().max().expect("chains are non-empty")
     }
 
     /// Total weight of the cut edges (the "bandwidth" objective,
-    /// `β(S)`); same contract as `PathGraph::cut_weight`.
+    /// `β(S)`).
     ///
     /// # Errors
     ///
@@ -90,8 +95,7 @@ pub trait ChainView {
             .unwrap_or(Weight::ZERO))
     }
 
-    /// The maximal contiguous segments of `P − S`, left to right; same
-    /// contract (and output) as `PathGraph::segments`.
+    /// The maximal contiguous segments of `P − S`, left to right.
     ///
     /// # Errors
     ///
@@ -135,36 +139,6 @@ pub trait ChainView {
     }
 }
 
-impl ChainView for PathGraph {
-    fn len(&self) -> usize {
-        PathGraph::len(self)
-    }
-
-    fn edge_count(&self) -> usize {
-        PathGraph::edge_count(self)
-    }
-
-    fn node_weight(&self, node: NodeId) -> Weight {
-        PathGraph::node_weight(self, node)
-    }
-
-    fn edge_weight(&self, edge: EdgeId) -> Weight {
-        PathGraph::edge_weight(self, edge)
-    }
-
-    fn span_weight(&self, lo: usize, hi: usize) -> Weight {
-        PathGraph::span_weight(self, lo, hi)
-    }
-
-    fn total_weight(&self) -> Weight {
-        PathGraph::total_weight(self)
-    }
-
-    fn max_node_weight(&self) -> Weight {
-        PathGraph::max_node_weight(self)
-    }
-}
-
 /// Read access to a weighted free tree.
 ///
 /// Same invariants as [`ChainView`]: non-empty, combined weight total
@@ -196,24 +170,28 @@ pub trait TreeView {
         self.edge(edge).weight
     }
 
+    /// Every vertex weight, in node order.
+    fn node_weights(&self) -> impl Iterator<Item = Weight> + '_ {
+        (0..self.len()).map(|v| self.node_weight(NodeId::new(v)))
+    }
+
+    /// Every edge, in id order.
+    fn edges(&self) -> impl Iterator<Item = TreeEdge> + '_ {
+        (0..self.edge_count()).map(|e| self.edge(EdgeId::new(e)))
+    }
+
     /// Total vertex weight of the tree.
     fn total_weight(&self) -> Weight {
-        (0..self.len())
-            .map(|i| self.node_weight(NodeId::new(i)))
-            .sum()
+        self.node_weights().sum()
     }
 
     /// The maximum single vertex weight (the feasibility floor for the
     /// load bound `K`).
     fn max_node_weight(&self) -> Weight {
-        (0..self.len())
-            .map(|i| self.node_weight(NodeId::new(i)))
-            .max()
-            .expect("trees are non-empty")
+        self.node_weights().max().expect("trees are non-empty")
     }
 
-    /// Total weight of the cut edges; same contract as
-    /// `Tree::cut_weight`.
+    /// Total weight of the cut edges (the "bandwidth" objective).
     ///
     /// # Errors
     ///
@@ -224,7 +202,8 @@ pub trait TreeView {
         Ok(cut.iter().map(|e| self.edge_weight(e)).sum())
     }
 
-    /// Maximum weight over the cut edges; zero for the empty cut.
+    /// Maximum weight over the cut edges (the "bottleneck" objective);
+    /// zero for the empty cut.
     ///
     /// # Errors
     ///
@@ -240,8 +219,7 @@ pub trait TreeView {
     }
 
     /// The connected components of `T − S`, the one labelling every
-    /// tree representation shares (`Tree::components` and
-    /// [`contract`](crate::contract) call it). Ids are dense in node
+    /// tree view shares ([`contract`](crate::contract) calls it). Ids are dense in node
     /// order: node 0 is in component 0, and each node that is the
     /// lowest of its component takes the next id.
     ///
@@ -282,16 +260,16 @@ pub trait TreeView {
         Ok(Components::from_comp_of(
             comp_of,
             count as usize,
-            (0..n).map(|v| self.node_weight(NodeId::new(v))),
+            self.node_weights(),
         ))
     }
 }
 
 /// A tree rooted at one node, the one rooted traversal of any
-/// [`TreeView`]: four `u32` arrays, 20 bytes per node — each node's
-/// incident edge ids as one CSR in increasing id order (the order of
-/// `Tree::neighbors`), a stack pre-order from the root, which pushes
-/// children in that order, and each node's parent edge. Iterative, so
+/// [`TreeView`] and the only tree adjacency: four `u32` arrays, 20 bytes
+/// per node — each node's incident edge ids as one CSR in increasing id
+/// order, a stack pre-order from the root, which pushes children in that
+/// order, and each node's parent edge. Iterative, so
 /// arbitrarily deep trees are safe.
 #[derive(Debug, Clone)]
 pub struct Rooted {
@@ -375,15 +353,28 @@ impl Rooted {
         (e != NO_EDGE).then(|| EdgeId::new(e as usize))
     }
 
+    /// Every edge incident to `node`, its parent edge included, in
+    /// increasing id order.
+    #[inline]
+    pub fn incident_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
+        let v = node.index();
+        self.incident[self.start[v] as usize..self.start[v + 1] as usize]
+            .iter()
+            .map(|&e| EdgeId::new(e as usize))
+    }
+
+    /// The number of edges incident to `node`.
+    #[inline]
+    pub fn degree(&self, node: NodeId) -> usize {
+        let v = node.index();
+        (self.start[v + 1] - self.start[v]) as usize
+    }
+
     /// The edges joining `node` to its children, in increasing id order.
     #[inline]
     pub fn child_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
-        let v = node.index();
-        let up = self.parent_edge[v];
-        self.incident[self.start[v] as usize..self.start[v + 1] as usize]
-            .iter()
-            .filter(move |&&e| e != up)
-            .map(|&e| EdgeId::new(e as usize))
+        let up = self.parent_edge[node.index()] as usize;
+        self.incident_edges(node).filter(move |e| e.index() != up)
     }
 
     /// `node`'s children with their connecting edges, in increasing
@@ -396,94 +387,5 @@ impl Rooted {
     ) -> impl Iterator<Item = (NodeId, EdgeId)> + 'a {
         self.child_edges(node)
             .map(move |e| (tree.edge(e).other(node), e))
-    }
-}
-
-impl TreeView for Tree {
-    fn len(&self) -> usize {
-        Tree::len(self)
-    }
-
-    fn edge_count(&self) -> usize {
-        Tree::edge_count(self)
-    }
-
-    fn node_weight(&self, node: NodeId) -> Weight {
-        Tree::node_weight(self, node)
-    }
-
-    fn edge(&self, edge: EdgeId) -> TreeEdge {
-        Tree::edge(self, edge)
-    }
-
-    fn edge_weight(&self, edge: EdgeId) -> Weight {
-        Tree::edge_weight(self, edge)
-    }
-
-    fn total_weight(&self) -> Weight {
-        Tree::total_weight(self)
-    }
-
-    fn max_node_weight(&self) -> Weight {
-        Tree::max_node_weight(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn chain_view_matches_inherent_methods() {
-        let p = PathGraph::from_raw(&[2, 3, 5, 7], &[10, 20, 30]).unwrap();
-        fn probe<C: ChainView>(c: &C) -> (usize, usize, Weight, Weight, Weight, Weight, Weight) {
-            (
-                c.len(),
-                c.edge_count(),
-                c.node_weight(NodeId::new(2)),
-                c.edge_weight(EdgeId::new(1)),
-                c.span_weight(1, 3),
-                c.total_weight(),
-                c.max_node_weight(),
-            )
-        }
-        assert_eq!(
-            probe(&p),
-            (
-                4,
-                3,
-                Weight::new(5),
-                Weight::new(20),
-                Weight::new(15),
-                Weight::new(17),
-                Weight::new(7)
-            )
-        );
-    }
-
-    #[test]
-    fn tree_view_matches_inherent_methods() {
-        let t = Tree::from_raw(&[1, 2, 3, 4], &[(0, 1, 10), (0, 2, 20), (0, 3, 30)]).unwrap();
-        fn probe<T: TreeView>(t: &T) -> (usize, usize, Weight, TreeEdge, Weight, Weight, Weight) {
-            (
-                t.len(),
-                t.edge_count(),
-                t.node_weight(NodeId::new(3)),
-                t.edge(EdgeId::new(1)),
-                t.edge_weight(EdgeId::new(2)),
-                t.total_weight(),
-                t.max_node_weight(),
-            )
-        }
-        let (n, m, w, e, ew, tw, mw) = probe(&t);
-        assert_eq!((n, m), (4, 3));
-        assert_eq!(w, Weight::new(4));
-        assert_eq!(
-            (e.a, e.b, e.weight),
-            (NodeId::new(0), NodeId::new(2), Weight::new(20))
-        );
-        assert_eq!(ew, Weight::new(30));
-        assert_eq!(tw, Weight::new(10));
-        assert_eq!(mw, Weight::new(4));
     }
 }

@@ -4,7 +4,7 @@
 //! service and any stored documents all speak them.
 
 use tgp_graph::json::{FromJson, ToJson, Value};
-use tgp_graph::{CutSet, EdgeId, NodeId, PathGraph, ProcessGraph, Tree, Weight};
+use tgp_graph::{ChainView, CutSet, EdgeId, NodeId, PathGraph, ProcessGraph, Tree, Weight};
 
 #[test]
 fn path_graph_roundtrips_through_text() {
@@ -130,5 +130,5 @@ fn weights_keep_u64_fidelity() {
     let big = u64::MAX / 2;
     let p = PathGraph::from_raw(&[big, 1], &[7]).unwrap();
     let back = PathGraph::from_json(&Value::parse(&p.to_json().to_string()).unwrap()).unwrap();
-    assert_eq!(back.node_weights()[0], Weight::new(big));
+    assert_eq!(back.node_weight(NodeId::new(0)), Weight::new(big));
 }

@@ -6,7 +6,8 @@ use tgp_core::procmin::proc_min;
 use tgp_graph::generators::WeightDist;
 use tgp_graph::supergraph::{linear_supergraph, LinearOrdering};
 use tgp_graph::{
-    contract, CutSet, EdgeId, NodeId, PathGraph, ProcessGraph, Tree, TreeEdge, UnionFind32, Weight,
+    contract, ChainView, CutSet, EdgeId, NodeId, PathGraph, ProcessGraph, Rooted, Tree, TreeEdge,
+    TreeView, UnionFind32, Weight,
 };
 
 fn arb_tree() -> impl Strategy<Value = Tree> {
@@ -49,7 +50,7 @@ proptest! {
         prop_assert_eq!(total, tree.total_weight());
         let sizes: usize = (0..comps.count()).map(|c| comps.size(c)).sum();
         prop_assert_eq!(sizes, tree.len());
-        for (i, e) in tree.edges().iter().enumerate() {
+        for (i, e) in tree.edges().enumerate() {
             let joined = comps.component_of(e.a) == comps.component_of(e.b);
             prop_assert_eq!(joined, !cut.contains(EdgeId::new(i)));
         }
@@ -115,17 +116,18 @@ proptest! {
     #[test]
     fn post_order_is_a_permutation(tree in arb_tree(), root_seed in any::<usize>()) {
         let root = NodeId::new(root_seed % tree.len());
-        let order = tree.post_order(root);
+        let rooted = Rooted::new(&tree, root);
+        let order: Vec<NodeId> = rooted.pre_order().rev().collect();
         prop_assert_eq!(order.len(), tree.len());
         let mut pos = vec![usize::MAX; tree.len()];
         for (i, v) in order.iter().enumerate() {
             prop_assert_eq!(pos[v.index()], usize::MAX);
             pos[v.index()] = i;
         }
-        let parents = tree.parents(root);
-        for v in 0..tree.len() {
-            if let Some((p, _)) = parents[v] {
-                prop_assert!(pos[v] < pos[p.index()], "child before parent");
+        for v in (0..tree.len()).map(NodeId::new) {
+            if let Some(e) = rooted.parent_edge(v) {
+                let p = tree.edge(e).other(v);
+                prop_assert!(pos[v.index()] < pos[p.index()], "child before parent");
             }
         }
         prop_assert_eq!(order.last().copied(), Some(root));
@@ -171,7 +173,7 @@ proptest! {
                 })
                 .map(|e| e.weight.get())
                 .sum();
-            prop_assert_eq!(sup.path().edge_weights()[b].get(), expected);
+            prop_assert_eq!(sup.path().edge_weight(EdgeId::new(b)).get(), expected);
         }
     }
 
@@ -249,7 +251,10 @@ fn weight_dist_sampling_is_exercised_via_generators() {
     let mut rng = SmallRng::seed_from_u64(5);
     let d = WeightDist::Uniform { lo: 1, hi: 9 };
     assert_eq!(random_chain(10, d, d, &mut rng).len(), 10);
-    assert_eq!(star(10, d, d, &mut rng).leaves().count(), 9);
+    let star = star(10, d, d, &mut rng);
+    let rooted = Rooted::new(&star, NodeId::new(0));
+    let leaves = (0..star.len()).filter(|&v| rooted.degree(NodeId::new(v)) == 1);
+    assert_eq!(leaves.count(), 9);
     assert_eq!(caterpillar(3, 2, d, d, &mut rng).len(), 9);
     assert_eq!(balanced_binary(2, d, d, &mut rng).len(), 7);
 }

@@ -36,7 +36,7 @@ use tgp_core::budget::Budget;
 use tgp_core::pipeline::{partition_chain, partition_tree, tree_from_path};
 use tgp_core::procmin::proc_min;
 use tgp_core::PartitionError;
-use tgp_graph::{CutSet, GraphError, PathGraph, Segment, Weight};
+use tgp_graph::{ChainView, CutSet, GraphError, NodeId, PathGraph, Segment, Weight};
 use tgp_shmem::machine::Machine;
 use tgp_shmem::pipeline::{simulate_pipeline, PipelineSpec, SimError};
 use tgp_shmem::SimReport;
@@ -147,10 +147,10 @@ impl RealTimeTask {
         let chain = PathGraph::from_raw(durations, dep_costs)?;
         // Surface the infeasibility at construction, as the paper's
         // constraint list does.
-        for (node, w) in chain.nodes() {
+        for (i, w) in chain.node_weights().enumerate() {
             if w > deadline {
                 return Err(RtError::Partition(PartitionError::BoundTooSmall {
-                    node,
+                    node: NodeId::new(i),
                     weight: w,
                     bound: deadline,
                 }));

@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 use tgp_core::budget::Budget;
 use tgp_core::pipeline::partition_chain;
 use tgp_graph::json::{FromJson, Value};
-use tgp_graph::{json, PathGraph, Weight};
+use tgp_graph::{json, ChainView, PathGraph, Weight};
 use tgp_net::ConnId;
 use tgp_obs::trace::{self, SpanRecorder};
 use tgp_obs::{EventKind, Journal, Stage, TraceId, TraceRecord, TraceStore};

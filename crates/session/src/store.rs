@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use tgp_graph::json::{FromJson, Value};
-use tgp_graph::{json, PathGraph, Tree};
+use tgp_graph::{json, ChainView, PathGraph, Tree, TreeView};
 
 use crate::journal::{self, Journal};
 

@@ -11,7 +11,7 @@
 //! observable: total cut weight (bandwidth) determines bus occupancy,
 //! while the heaviest cut edge (bottleneck) bounds the critical transfer.
 
-use tgp_graph::{Components, CutSet, Tree};
+use tgp_graph::{Components, CutSet, Tree, TreeView};
 
 use crate::exchange::{simulate_compute_exchange, Transfer};
 use crate::machine::Machine;

@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
-use tgp_graph::{CutSet, PathGraph, Weight};
+use tgp_graph::{ChainView, CutSet, PathGraph, Weight};
 
 use crate::engine::EventQueue;
 use crate::machine::Machine;

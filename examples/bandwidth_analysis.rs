@@ -13,7 +13,7 @@ use rand::SeedableRng;
 
 use tgp::core::bandwidth::analyze_bandwidth;
 use tgp::graph::generators::{random_chain, WeightDist};
-use tgp::graph::Weight;
+use tgp::graph::{ChainView, Weight};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 20_000;

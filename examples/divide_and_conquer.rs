@@ -18,7 +18,7 @@
 
 use tgp::core::pipeline::partition_tree;
 use tgp::core::procmin::proc_min;
-use tgp::graph::{CutSet, EdgeId, NodeId, Tree, TreeEdge, Weight};
+use tgp::graph::{CutSet, EdgeId, NodeId, Tree, TreeEdge, TreeView, Weight};
 use tgp::shmem::machine::Machine;
 use tgp::shmem::onepass::simulate_onepass;
 

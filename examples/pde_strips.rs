@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use tgp::baselines::block::block_partition;
 use tgp::core::budget::Budget;
 use tgp::core::pipeline::{partition_chain, tree_from_path};
-use tgp::graph::{PathGraph, Weight};
+use tgp::graph::{ChainView, PathGraph, Weight};
 use tgp::shmem::machine::Machine;
 use tgp::shmem::onepass::simulate_onepass;
 

@@ -19,7 +19,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use tgp::graph::{PathGraph, Weight};
+//! use tgp::graph::{ChainView, PathGraph, Weight};
 //! use tgp::core::bandwidth;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -13,7 +13,7 @@ use tgp::core::bandwidth::{
 };
 use tgp::core::bottleneck::{min_bottleneck_cut, min_bottleneck_cut_paper};
 use tgp::core::procmin::{proc_min, proc_min_paper};
-use tgp::graph::{NodeId, PathGraph, Tree, TreeEdge, Weight};
+use tgp::graph::{ChainView, NodeId, PathGraph, Tree, TreeEdge, TreeView, Weight};
 
 fn arb_chain() -> impl Strategy<Value = (PathGraph, Weight)> {
     (1usize..120).prop_flat_map(|n| {

@@ -3,7 +3,7 @@
 //! motivate the algorithm.
 
 use tgp::core::procmin::{proc_min, proc_min_paper};
-use tgp::graph::{EdgeId, NodeId, Tree, Weight};
+use tgp::graph::{EdgeId, NodeId, Tree, TreeView, Weight};
 
 /// The Figure 1 shape: a short spine whose ends carry leaf clusters.
 fn figure1_tree() -> Tree {

@@ -13,7 +13,7 @@ use tgp::dds::generators::{johnson_counter, shift_register};
 use tgp::dds::partition::{partition_circuit, partition_circuit_block};
 use tgp::dds::sim::simulate_activity;
 use tgp::graph::generators::{random_chain, random_tree, WeightDist};
-use tgp::graph::Weight;
+use tgp::graph::{ChainView, TreeView, Weight};
 use tgp::realtime::{admit, RealTimeTask, Strategy};
 use tgp::shmem::machine::{Interconnect, Machine};
 use tgp::shmem::onepass::simulate_onepass;

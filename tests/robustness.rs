@@ -8,7 +8,7 @@ use tgp::core::budget::Budget;
 use tgp::core::pipeline::{partition_chain, partition_tree};
 use tgp::core::procmin::proc_min;
 use tgp::core::PartitionError;
-use tgp::graph::{GraphError, PathGraph, Tree, Weight};
+use tgp::graph::{ChainView, GraphError, PathGraph, Tree, Weight};
 
 #[test]
 fn weight_overflow_is_rejected_at_construction() {

@@ -9,7 +9,7 @@ use tgp::core::bandwidth::{analyze_bandwidth, min_bandwidth_cut_window};
 use tgp::core::pipeline::partition_tree;
 use tgp::core::procmin::proc_min;
 use tgp::graph::generators::{random_chain, random_tree, WeightDist};
-use tgp::graph::Weight;
+use tgp::graph::{ChainView, TreeView, Weight};
 
 const DIST: WeightDist = WeightDist::Uniform { lo: 1, hi: 100 };
 const EDGE: WeightDist = WeightDist::Uniform { lo: 1, hi: 1000 };

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use tgp::core::knapsack::{
     knapsack_to_star, min_star_bandwidth_cut, star_cut_decision, star_to_knapsack, KnapsackInstance,
 };
-use tgp::graph::Weight;
+use tgp::graph::{TreeView, Weight};
 
 fn arb_instance() -> impl Strategy<Value = KnapsackInstance> {
     (1usize..10).prop_flat_map(|n| {
