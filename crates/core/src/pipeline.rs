@@ -44,10 +44,9 @@ pub struct TreePartition {
 /// component weighs at most `bound`, and the processor count is minimal
 /// within the bottleneck-optimal cut family.
 ///
-/// Generic over [`TreeView`]: pointer, flat in-RAM and disk-backed trees
-/// run one body and return the same partition. Only the contracted tree
-/// (one super-node per bottleneck component) is built as a pointer
-/// [`Tree`].
+/// Generic over [`TreeView`]: RAM and disk-backed trees run one body and
+/// return the same partition. The contracted tree (one super-node per
+/// bottleneck component) is read as a view, never built.
 ///
 /// # Errors
 ///
@@ -73,9 +72,9 @@ pub fn partition_tree<T: TreeView>(
 ) -> Result<TreePartition, PartitionError> {
     let bn = min_bottleneck_cut(tree, bound)?;
     // Lump components into super-nodes; the contracted tree's edges are
-    // exactly the bottleneck cut edges.
+    // exactly the bottleneck cut edges, and it is solved as a view.
     let contraction = contract(tree, &bn.cut)?;
-    let pm = proc_min(contraction.tree(), bound)?;
+    let pm = proc_min(&contraction, bound)?;
     let cut = contraction.lift_cut(&pm.cut);
     let components = tree.components(&cut)?;
     debug_assert!(components.is_feasible(bound));

@@ -1,15 +1,25 @@
-//! Super-node contraction: lumping the components of `T − S` into a new tree.
+//! Super-node contraction: reading the components of `T − S` as a tree.
 //!
 //! Section 2.2 of the paper observes that after bottleneck minimization cuts
 //! a tree into components, "there may be at most one edge between two
 //! connected components", so lumping every component into a super-node
 //! (whose weight is the component's total vertex weight) yields another
 //! tree whose edges are exactly the cut edges. Processor minimization then
-//! runs on that contracted tree.
+//! runs on that contracted tree. A [`Contraction`] is that tree as a
+//! [`TreeView`]: it reads super-node weights from the component labelling
+//! and keeps one entry per cut edge, so no tree is built or validated.
 
-use crate::{Components, CutSet, EdgeId, GraphError, NodeId, Tree, TreeEdge, TreeView};
+use crate::{
+    check_tree, Components, CutSet, EdgeId, GraphError, NodeId, TreeEdge, TreeView, Weight,
+};
 
-/// The result of contracting the components of `T − S` into super-nodes.
+/// The result of contracting the components of `T − S` into super-nodes,
+/// readable as the contracted tree through [`TreeView`].
+///
+/// Super-node `c` is component `c` of `T − S` (ids as
+/// [`TreeView::components`] numbers them) and weighs what that component
+/// weighs; contracted edge `i` joins the super-nodes of the cut's `i`-th
+/// smallest edge and carries that edge's weight.
 ///
 /// # Examples
 ///
@@ -20,15 +30,16 @@ use crate::{Components, CutSet, EdgeId, GraphError, NodeId, Tree, TreeEdge, Tree
 /// let t = Tree::from_raw(&[1, 2, 3, 4], &[(0, 1, 10), (1, 2, 20), (2, 3, 30)])?;
 /// let cut = CutSet::new(vec![EdgeId::new(1)]);
 /// let c = contract(&t, &cut)?;
-/// assert_eq!(c.tree().len(), 2);           // two super-nodes
-/// assert_eq!(c.tree().total_weight(), t.total_weight());
+/// assert_eq!(c.len(), 2);           // two super-nodes
+/// assert_eq!(c.total_weight(), t.total_weight());
 /// assert_eq!(c.original_edge(EdgeId::new(0)), EdgeId::new(1));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct Contraction {
-    tree: Tree,
+    /// `edges[e']` = contracted edge `e'`, between super-nodes.
+    edges: Vec<TreeEdge>,
     /// `edge_map[e']` = original edge id of contracted edge `e'`.
     edge_map: Vec<EdgeId>,
     /// Super-node `c` is component `c` of the original tree under the
@@ -37,11 +48,6 @@ pub struct Contraction {
 }
 
 impl Contraction {
-    /// The contracted tree of super-nodes.
-    pub fn tree(&self) -> &Tree {
-        &self.tree
-    }
-
     /// The super-node containing original node `v`.
     ///
     /// # Panics
@@ -75,15 +81,35 @@ impl Contraction {
     }
 }
 
+impl TreeView for Contraction {
+    fn len(&self) -> usize {
+        self.components.count()
+    }
+
+    fn edge_count(&self) -> usize {
+        self.edges.len()
+    }
+
+    fn node_weight(&self, node: NodeId) -> Weight {
+        self.components.weight(node.index())
+    }
+
+    fn edge(&self, edge: EdgeId) -> TreeEdge {
+        self.edges[edge.index()]
+    }
+
+    fn max_node_weight(&self) -> Weight {
+        self.components.max_weight()
+    }
+}
+
 /// Contracts each component of `tree − cut` into a super-node.
 ///
-/// The resulting tree has one node per component (weight = component
-/// weight; ids as [`TreeView::components`] numbers them, dense in node
-/// order) and one edge per cut edge (same weight, in cut order, so
-/// contracted edge `i` is the cut's `i`-th smallest edge id). Mapping
-/// tables relating original and contracted ids are kept in the returned
-/// [`Contraction`]. Any tree representation contracts the same way, so
-/// pointer, flat and disk-backed trees yield equal contractions.
+/// Labels the components once ([`TreeView::components`]) and maps each
+/// cut edge onto the super-nodes of its endpoints; the returned
+/// [`Contraction`] reads as the contracted tree and keeps the tables
+/// relating original and contracted ids. Any tree view contracts the
+/// same way, so RAM and disk-backed trees yield equal contractions.
 ///
 /// # Errors
 ///
@@ -92,17 +118,30 @@ impl Contraction {
 pub fn contract<T: TreeView>(tree: &T, cut: &CutSet) -> Result<Contraction, GraphError> {
     let components = tree.components(cut)?;
     let super_node = |v: NodeId| NodeId::new(components.component_of(v));
-    let edges = cut
+    let edges: Vec<TreeEdge> = cut
         .iter()
         .map(|e| {
             let TreeEdge { a, b, weight } = tree.edge(e);
             TreeEdge::new(super_node(a), super_node(b), weight)
         })
         .collect();
-    let contracted = Tree::from_edges(components.weights().to_vec(), edges)
-        .expect("components of a tree minus a cut always contract to a tree");
+    debug_assert_eq!(
+        check_tree(
+            components.count(),
+            edges.len(),
+            components
+                .weights()
+                .iter()
+                .map(|w| u128::from(w.get()))
+                .sum(),
+            edges.iter().map(|e| u128::from(e.weight.get())).sum(),
+            |i| (edges[i].a.index(), edges[i].b.index()),
+        ),
+        Ok(()),
+        "components of a tree minus a cut always contract to a tree"
+    );
     Ok(Contraction {
-        tree: contracted,
+        edges,
         edge_map: cut.as_slice().to_vec(),
         components,
     })
@@ -111,7 +150,7 @@ pub fn contract<T: TreeView>(tree: &T, cut: &CutSet) -> Result<Contraction, Grap
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Weight;
+    use crate::Tree;
 
     fn caterpillar() -> Tree {
         Tree::from_raw(
@@ -132,9 +171,9 @@ mod tests {
     fn empty_cut_contracts_to_single_node() {
         let t = caterpillar();
         let c = contract(&t, &CutSet::empty()).unwrap();
-        assert_eq!(c.tree().len(), 1);
-        assert_eq!(c.tree().total_weight(), t.total_weight());
-        assert_eq!(c.tree().edge_count(), 0);
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.total_weight(), t.total_weight());
+        assert_eq!(c.edge_count(), 0);
     }
 
     #[test]
@@ -142,9 +181,9 @@ mod tests {
         let t = caterpillar();
         let cut: CutSet = (0..t.edge_count()).map(EdgeId::new).collect();
         let c = contract(&t, &cut).unwrap();
-        assert_eq!(c.tree().len(), t.len());
-        assert_eq!(c.tree().edge_count(), t.edge_count());
-        assert_eq!(c.tree().total_weight(), t.total_weight());
+        assert_eq!(c.len(), t.len());
+        assert_eq!(c.edge_count(), t.edge_count());
+        assert_eq!(c.total_weight(), t.total_weight());
     }
 
     #[test]
@@ -152,8 +191,8 @@ mod tests {
         let t = caterpillar();
         let cut = CutSet::new(vec![EdgeId::new(1)]); // split {0,1,4,5} | {2,3,6}
         let c = contract(&t, &cut).unwrap();
-        assert_eq!(c.tree().len(), 2);
-        assert_eq!(c.tree().total_weight(), Weight::new(28));
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.total_weight(), Weight::new(28));
         let s0 = c.super_node_of(NodeId::new(0));
         assert_eq!(c.super_node_of(NodeId::new(4)), s0);
         assert_eq!(c.super_node_of(NodeId::new(5)), s0);
@@ -161,10 +200,10 @@ mod tests {
         assert_ne!(s0, s2);
         assert_eq!(c.super_node_of(NodeId::new(6)), s2);
         // Component weights: {1,2,5,6}=14 and {3,4,7}=14.
-        assert_eq!(c.tree().node_weight(s0), Weight::new(14));
-        assert_eq!(c.tree().node_weight(s2), Weight::new(14));
+        assert_eq!(c.node_weight(s0), Weight::new(14));
+        assert_eq!(c.node_weight(s2), Weight::new(14));
         // Contracted edge carries original weight and maps back.
-        assert_eq!(c.tree().edge_weight(EdgeId::new(0)), Weight::new(20));
+        assert_eq!(c.edge_weight(EdgeId::new(0)), Weight::new(20));
         assert_eq!(c.original_edge(EdgeId::new(0)), EdgeId::new(1));
     }
 
@@ -173,7 +212,7 @@ mod tests {
         let t = caterpillar();
         let cut = CutSet::new(vec![EdgeId::new(1), EdgeId::new(3)]);
         let c = contract(&t, &cut).unwrap();
-        let all: CutSet = (0..c.tree().edge_count()).map(EdgeId::new).collect();
+        let all: CutSet = (0..c.edge_count()).map(EdgeId::new).collect();
         let lifted = c.lift_cut(&all);
         assert_eq!(lifted, cut);
         let none = c.lift_cut(&CutSet::empty());

@@ -73,16 +73,16 @@ proptest! {
             .map(EdgeId::new)
             .collect();
         let c = contract(&tree, &cut).unwrap();
-        prop_assert_eq!(c.tree().total_weight(), tree.total_weight());
-        prop_assert_eq!(c.tree().len(), cut.len() + 1);
-        prop_assert_eq!(c.tree().edge_count(), cut.len());
-        let all: CutSet = (0..c.tree().edge_count()).map(EdgeId::new).collect();
+        prop_assert_eq!(c.total_weight(), tree.total_weight());
+        prop_assert_eq!(c.len(), cut.len() + 1);
+        prop_assert_eq!(c.edge_count(), cut.len());
+        let all: CutSet = (0..c.edge_count()).map(EdgeId::new).collect();
         prop_assert_eq!(c.lift_cut(&all), cut.clone());
         // Contracted edge i is the cut's i-th edge, between the
         // super-nodes of its endpoints.
         for (i, e) in cut.iter().enumerate() {
             prop_assert_eq!(c.original_edge(EdgeId::new(i)), e);
-            let (orig, sup) = (tree.edge(e), c.tree().edge(EdgeId::new(i)));
+            let (orig, sup) = (tree.edge(e), c.edge(EdgeId::new(i)));
             prop_assert_eq!(
                 (sup.a, sup.b, sup.weight),
                 (c.super_node_of(orig.a), c.super_node_of(orig.b), orig.weight)
@@ -108,7 +108,7 @@ proptest! {
         let heaviest = comps.max_weight().get();
         for bound in [heaviest.saturating_sub(1), heaviest, heaviest + seed % 97, u64::from(u32::MAX)] {
             let bound = Weight::new(bound);
-            prop_assert_eq!(proc_min(c.tree(), bound), proc_min(&rebuilt, bound));
+            prop_assert_eq!(proc_min(&c, bound), proc_min(&rebuilt, bound));
         }
     }
 
