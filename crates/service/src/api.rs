@@ -1696,6 +1696,12 @@ fn session_partition_one(
     let ((outcome, warm), solve_done) = while_resident(state, &request, || {
         timed_stage_from(state, Stage::Solve, parsed_at, || {
             if let Some((lo, hi)) = window {
+                // `run_warm` takes no budget: a deadline already past
+                // stops the solve here, as the cold path's first budget
+                // poll would.
+                if let Err(why) = budget.check_now() {
+                    return (Err(solve_failure(SolveError::from_exceeded(why))), false);
+                }
                 if let Some(result) = request.objective.run_warm(&request, lo, hi) {
                     return (result.map_err(solve_failure), true);
                 }
@@ -2877,6 +2883,52 @@ mod tests {
         assert_eq!(r.status, 200, "{}", r.body);
         let r = handle(&state, &get("/v1/graphs/g1"));
         assert_eq!(r.status, 404, "{}", r.body);
+    }
+
+    #[test]
+    fn expired_deadline_stops_a_warm_session_resolve() {
+        let state = AppState::new(CacheConfig::default());
+        for _ in 0..2 {
+            let r = handle(
+                &state,
+                &post("/v1/graphs", &format!(r#"{{"graph": {CHAIN}}}"#)),
+            );
+            assert_eq!(r.status, 200, "{}", r.body);
+        }
+        let solve = r#"{"objective": "lexicographic", "bound": 10}"#;
+        let late = |path: &str| {
+            let mut req = post(path, solve);
+            req.headers
+                .push((DEADLINE_HEADER.to_string(), "0".to_string()));
+            req
+        };
+        // g2 has no window, so its expired re-solve takes the cold path.
+        let cold_late = handle(&state, &late("/v1/graphs/g2/partition"));
+        assert_eq!(cold_late.status, 504, "{}", cold_late.body);
+
+        // g1 solved once has a window; a small body never reaches the
+        // parser's budget poll, so the deadline first meets the warm
+        // attempt, which must answer as the cold path does.
+        let cold = handle(&state, &post("/v1/graphs/g1/partition", solve));
+        assert_eq!(solve_header(&cold), Some("cold"));
+        let warm_late = handle(&state, &late("/v1/graphs/g1/partition"));
+        assert_eq!(warm_late.status, 504, "{}", warm_late.body);
+        assert_eq!(solve_header(&warm_late), None);
+        assert_eq!(warm_late.body, cold_late.body);
+        let metrics = handle(&state, &get("/metrics")).body;
+        assert!(
+            metrics.contains("tgp_deadline_drops_total{where=\"solve\"} 2"),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains("tgp_stage_latency_seconds_count{stage=\"cancelled\"} 2"),
+            "{metrics}"
+        );
+
+        // The window survives: without a deadline the re-solve is warm.
+        let warm = handle(&state, &post("/v1/graphs/g1/partition", solve));
+        assert_eq!(solve_header(&warm), Some("warm"));
+        assert_eq!(warm.body, cold.body);
     }
 
     #[test]
