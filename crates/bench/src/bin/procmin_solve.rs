@@ -1,7 +1,8 @@
 //! Timings behind EXPERIMENTS.md §FLAT-PROCMIN, §BIG-BODIES and
 //! §FLAT-COMPOSE: the streaming ingest (`ingest_flat`) of 100 000-node
 //! chain and tree bodies, Algorithm 2.2 (`proc_min`) on a 100 000-node
-//! random pointer tree at three bounds, and the `compose` objective
+//! random RAM tree (a pointer `Tree` on older revisions) at three
+//! bounds, and the `compose` objective
 //! (the §3 pipeline) at n = 1 024 and 100 000.
 //!
 //! Ingest bodies come in the two shapes the benchmark's large-solve
@@ -307,7 +308,7 @@ fn main() {
 
     println!(
         "{:<34} {:>6} {:>6}  {:>6} {:>6} {:>6} {:>6}",
-        "proc_min, pointer Tree", "K", "cuts", "min", "q1", "median", "q3"
+        "proc_min, RAM Tree", "K", "cuts", "min", "q1", "median", "q3"
     );
     for bound in [200, 5_000, 20_000] {
         let k = Weight::new(bound);

@@ -3,19 +3,29 @@
 //! This crate provides the graph machinery on which the partitioning
 //! algorithms of Ray & Jiang (ICDCS 1994) operate:
 //!
+//! * [`FlatPath`] / [`FlatTree`] — the one representation of each graph
+//!   class: parallel primitive arrays on a [`MemoryBacking`], built
+//!   incrementally by [`FlatPathBuilder`] / [`FlatTreeBuilder`];
 //! * [`PathGraph`] — linear task graphs (pipelines, iterative strip
-//!   computations),
-//! * [`Tree`] — tree task graphs (divide-and-conquer computations),
+//!   computations), the RAM instantiation `FlatPath<RamBacking>`,
+//! * [`Tree`] — tree task graphs (divide-and-conquer computations), the
+//!   RAM instantiation `FlatTree<RamBacking>`,
+//! * [`ChainView`] / [`TreeView`] — the read access every solver is
+//!   generic over, and [`Rooted`], the one rooted traversal of a tree,
 //! * [`CutSet`] — sets of edges removed by a partition, with component
 //!   extraction and cut/bottleneck weights,
 //! * [`Contraction`] — lumping components into super-nodes (used between
-//!   the bottleneck- and processor-minimization phases),
+//!   the bottleneck- and processor-minimization phases), read as a tree,
 //! * [`ProcessGraph`] and [`supergraph`] — general process graphs and their
 //!   linear super-graph approximation (Section 3 of the paper),
 //! * [`spanning`] — the tree super-graph approximation the paper's
 //!   conclusion proposes for general systems,
 //! * [`generators`] — reproducible random workloads used by tests and the
 //!   benchmark harness.
+//!
+//! Heap arrays ([`RamBacking`]) live here; `tgp-store` adds mmap-backed
+//! disk arrays behind the same [`MemoryBacking`] trait, so one solve
+//! serves both.
 //!
 //! # Conventions
 //!

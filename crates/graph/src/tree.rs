@@ -43,8 +43,9 @@ impl TreeEdge {
 }
 
 /// A weighted free (unrooted) tree task graph `T = (V, E)`: the RAM
-/// instantiation of [`FlatTree`], read through [`TreeView`] and walked
-/// through [`Rooted`](crate::Rooted).
+/// instantiation of [`FlatTree`], read through
+/// [`TreeView`](crate::TreeView) and walked through
+/// [`Rooted`](crate::Rooted).
 ///
 /// Vertex weights model processing requirements (`ω` in the paper), edge
 /// weights model communication volumes (`δ`). This is the graph class for
