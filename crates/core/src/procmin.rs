@@ -17,8 +17,8 @@
 //!   always processed before their parent, at which point they behave as
 //!   the paper's "leaves"); `O(n log n)` from sorting each node's child
 //!   weights, robust to million-node trees, and generic over
-//!   [`TreeView`], so pointer, flat in-RAM and disk-backed trees share
-//!   one solve.
+//!   [`TreeView`], so RAM and disk-backed trees, and the contracted
+//!   tree of `compose`, share one solve.
 //! * [`proc_min_paper`] — a literal work-list transcription of the paper's
 //!   recursion (prune-and-reweigh on an explicitly mutated tree), used for
 //!   cross-checking.
@@ -38,8 +38,8 @@ pub struct ProcMinResult {
 }
 
 /// Processor minimization — iterative post-order implementation,
-/// `O(n log n)`, over any [`TreeView`] (pointer [`Tree`] or a flat
-/// RAM- or disk-backed tree).
+/// `O(n log n)`, over any [`TreeView`] (a RAM [`Tree`], a disk-backed
+/// tree, or a [`Contraction`](tgp_graph::Contraction)).
 ///
 /// The working set is a handful of flat `u32`/`u64` arrays: the
 /// [`Rooted`] traversal from node 0 (incidence, pre-order, parent
@@ -371,7 +371,7 @@ mod tests {
                 let bound = Weight::new(k);
                 let want = proc_min_reference(&tree, bound);
                 let ctx = format!("round={round} n={n} k={k}");
-                assert_eq!(proc_min(&tree, bound), want, "pointer: {ctx}");
+                assert_eq!(proc_min(&tree, bound), want, "from_raw: {ctx}");
                 assert_eq!(proc_min(&ram, bound), want, "RAM: {ctx}");
                 assert_eq!(proc_min(&disk, bound), want, "disk: {ctx}");
             }

@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{ChainView, CutSet, EdgeId, NodeId, ProcessGraph, TreeView};
+use crate::{ChainView, CutSet, EdgeId, ProcessGraph, TreeView};
 
 /// Renders a tree as a Graphviz `graph`, highlighting cut edges (dashed,
 /// red) if a cut is supplied.
@@ -21,12 +21,10 @@ use crate::{ChainView, CutSet, EdgeId, NodeId, ProcessGraph, TreeView};
 /// ```
 pub fn tree_to_dot<T: TreeView>(tree: &T, cut: Option<&CutSet>) -> String {
     let mut out = String::from("graph tree {\n  node [shape=circle];\n");
-    for v in 0..tree.len() {
-        let w = tree.node_weight(NodeId::new(v));
+    for (v, w) in tree.node_weights().enumerate() {
         let _ = writeln!(out, "  v{v} [label=\"v{v}\\nw={w}\"];");
     }
-    for i in 0..tree.edge_count() {
-        let e = tree.edge(EdgeId::new(i));
+    for (i, e) in tree.edges().enumerate() {
         let style = if cut.is_some_and(|c| c.contains(EdgeId::new(i))) {
             ", style=dashed, color=red"
         } else {
@@ -48,12 +46,10 @@ pub fn tree_to_dot<T: TreeView>(tree: &T, cut: Option<&CutSet>) -> String {
 /// cut is supplied.
 pub fn path_to_dot<C: ChainView>(path: &C, cut: Option<&CutSet>) -> String {
     let mut out = String::from("graph chain {\n  rankdir=LR;\n  node [shape=box];\n");
-    for v in 0..path.len() {
-        let w = path.node_weight(NodeId::new(v));
+    for (v, w) in path.node_weights().enumerate() {
         let _ = writeln!(out, "  v{v} [label=\"v{v}\\nw={w}\"];");
     }
-    for i in 0..path.edge_count() {
-        let w = path.edge_weight(EdgeId::new(i));
+    for (i, w) in path.edge_weights().enumerate() {
         let style = if cut.is_some_and(|c| c.contains(EdgeId::new(i))) {
             ", style=dashed, color=red"
         } else {

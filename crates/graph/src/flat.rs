@@ -50,8 +50,8 @@ impl fmt::Display for BuildError {
 impl std::error::Error for BuildError {}
 
 impl BuildError {
-    /// The graph error of a build on heap arrays, which cannot fail any
-    /// other way short of more than `u32::MAX` nodes.
+    /// The graph error of a build on heap arrays, which grow or abort
+    /// and so fail no other way short of more than `u32::MAX` nodes.
     ///
     /// # Panics
     ///

@@ -1040,11 +1040,11 @@ pub fn edge_fields(value: &Value) -> Result<(NodeId, NodeId, Weight), JsonError>
     ))
 }
 
-fn weight_vec(value: &Value, key: &str, ty: &str) -> Result<Vec<u64>, JsonError> {
+fn weight_vec(value: &Value, key: &str, ty: &str) -> Result<Vec<Weight>, JsonError> {
     array_field(value, key, ty)?
         .iter()
         .enumerate()
-        .map(|(i, v)| weight_item(v, key, ty, i))
+        .map(|(i, v)| weight_item(v, key, ty, i).map(Weight::new))
         .collect()
 }
 
@@ -1099,8 +1099,8 @@ impl FromJson for EdgeId {
 
 impl<B: MemoryBacking> ToJson for FlatPath<B> {
     fn to_json(&self) -> Value {
-        let nodes = (0..self.len()).map(|v| self.node_weight(NodeId::new(v)).to_json());
-        let edges = (0..self.edge_count()).map(|i| self.edge_weight(EdgeId::new(i)).to_json());
+        let nodes = self.node_weights().map(|w| w.to_json());
+        let edges = self.edge_weights().map(|w| w.to_json());
         Value::Object(vec![
             ("node_weights".to_string(), Value::Array(nodes.collect())),
             ("edge_weights".to_string(), Value::Array(edges.collect())),
@@ -1112,7 +1112,7 @@ impl FromJson for PathGraph {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
         let nodes = weight_vec(value, "node_weights", "PathGraph")?;
         let edges = weight_vec(value, "edge_weights", "PathGraph")?;
-        PathGraph::from_raw(&nodes, &edges).map_err(|e| JsonError::msg(format!("PathGraph: {e}")))
+        PathGraph::from_weights(nodes, edges).map_err(|e| JsonError::msg(format!("PathGraph: {e}")))
     }
 }
 
@@ -1142,8 +1142,8 @@ fn edge_list<T: FromJson>(value: &Value, ty: &str) -> Result<Vec<T>, JsonError> 
 
 impl<B: MemoryBacking> ToJson for FlatTree<B> {
     fn to_json(&self) -> Value {
-        let nodes = (0..self.len()).map(|v| self.node_weight(NodeId::new(v)).to_json());
-        let edges = (0..self.edge_count()).map(|i| self.edge(EdgeId::new(i)).to_json());
+        let nodes = self.node_weights().map(|w| w.to_json());
+        let edges = self.edges().map(|e| e.to_json());
         Value::Object(vec![
             ("node_weights".to_string(), Value::Array(nodes.collect())),
             ("edges".to_string(), Value::Array(edges.collect())),
@@ -1154,11 +1154,8 @@ impl<B: MemoryBacking> ToJson for FlatTree<B> {
 impl FromJson for Tree {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
         let nodes = weight_vec(value, "node_weights", "Tree")?;
-        let edges = array_field(value, "edges", "Tree")?
-            .iter()
-            .map(|edge| edge_fields(edge).map(|(a, b, w)| (a.index(), b.index(), w.get())))
-            .collect::<Result<Vec<_>, _>>()?;
-        Tree::from_raw(&nodes, &edges).map_err(|e| JsonError::msg(format!("Tree: {e}")))
+        let edges = edge_list::<TreeEdge>(value, "Tree")?;
+        Tree::from_edges(nodes, edges).map_err(|e| JsonError::msg(format!("Tree: {e}")))
     }
 }
 
@@ -1198,7 +1195,7 @@ impl FromJson for ProcessGraph {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
         let nodes = weight_vec(value, "node_weights", "ProcessGraph")?;
         let edges = edge_list::<ProcessEdge>(value, "ProcessGraph")?;
-        ProcessGraph::from_edges(nodes.into_iter().map(Weight::new).collect(), edges)
+        ProcessGraph::from_edges(nodes, edges)
             .map_err(|e| JsonError::msg(format!("ProcessGraph: {e}")))
     }
 }

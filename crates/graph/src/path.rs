@@ -1,6 +1,8 @@
 //! Linear (path) task graphs.
 
-use crate::{check_weight_totals, FlatPath, FlatPathBuilder, GraphError, RamBacking, Weight};
+use crate::{
+    check_weight_totals, BuildError, FlatPath, FlatPathBuilder, GraphError, RamBacking, Weight,
+};
 
 /// A linear task graph `P = (V, E)` with `V = {v_0, …, v_{n-1}}` and
 /// `E = {e_i = (v_i, v_{i+1})}`: the RAM instantiation of [`FlatPath`],
@@ -57,15 +59,16 @@ impl PathGraph {
     ///
     /// Same as [`PathGraph::from_weights`].
     pub fn from_raw(node_weights: &[u64], edge_weights: &[u64]) -> Result<Self, GraphError> {
-        let mut chain = FlatPathBuilder::new(&RamBacking, node_weights.len()).expect(RAM);
-        chain.extend_nodes(node_weights).expect(RAM);
-        chain.extend_edges(edge_weights).expect(RAM);
-        chain.finish().map_err(|e| e.into_graph_error())
+        build(node_weights, edge_weights).map_err(BuildError::into_graph_error)
     }
 }
 
-/// Heap arrays grow or abort; they never return an I/O error.
-pub(crate) const RAM: &str = "RAM arrays never fail to grow";
+fn build(node_weights: &[u64], edge_weights: &[u64]) -> Result<PathGraph, BuildError> {
+    let mut chain = FlatPathBuilder::new(&RamBacking, node_weights.len())?;
+    chain.extend_nodes(node_weights)?;
+    chain.extend_edges(edge_weights)?;
+    chain.finish()
+}
 
 /// The checks [`FlatPathBuilder::finish`] runs on every backing, and so
 /// every [`PathGraph`] constructor, in order: no nodes, the edge count,

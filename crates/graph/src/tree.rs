@@ -1,9 +1,8 @@
 //! Weighted free trees (tree task graphs).
 
-use crate::path::RAM;
 use crate::{
-    check_weight_totals, EdgeId, FlatTree, FlatTreeBuilder, GraphError, NodeId, RamBacking,
-    UnionFind32, Weight,
+    check_weight_totals, BuildError, EdgeId, FlatTree, FlatTreeBuilder, GraphError, NodeId,
+    RamBacking, UnionFind32, Weight,
 };
 
 /// An undirected edge of a tree with a communication weight.
@@ -112,10 +111,7 @@ impl Tree {
         node_weights: &[u64],
         edges: &[(usize, usize, u64)],
     ) -> Result<Self, GraphError> {
-        let mut tree = FlatTreeBuilder::new(RamBacking, node_weights.len()).expect(RAM);
-        tree.extend_nodes(node_weights).expect(RAM);
-        tree.extend_edges(edges).expect(RAM);
-        tree.finish().map_err(|e| e.into_graph_error())
+        build(node_weights, edges).map_err(BuildError::into_graph_error)
     }
 
     /// Builds a rooted tree from a parent array: node 0 is the root;
@@ -164,6 +160,13 @@ impl Tree {
             .collect();
         Self::from_raw(&nodes, &edges)
     }
+}
+
+fn build(node_weights: &[u64], edges: &[(usize, usize, u64)]) -> Result<Tree, BuildError> {
+    let mut tree = FlatTreeBuilder::new(RamBacking, node_weights.len())?;
+    tree.extend_nodes(node_weights)?;
+    tree.extend_edges(edges)?;
+    tree.finish()
 }
 
 /// The checks that make `edges` edges on `nodes` nodes a tree, in the

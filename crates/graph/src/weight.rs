@@ -97,7 +97,7 @@ impl Weight {
 /// weights, dynamic-programming costs of the form "edge weight + sum of
 /// other weights") fits `u64` without overflow, and `u64::MAX` stays
 /// free as an "unset" sentinel in the solvers. Every graph constructor
-/// checks it, the streaming builders in `tgp-store` on running totals.
+/// checks it, the flat builders on running totals.
 ///
 /// # Errors
 ///

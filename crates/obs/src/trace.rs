@@ -116,7 +116,7 @@ pub enum Stage {
     /// HTTP request parsing of the framed bytes on a worker.
     Parse,
     /// Streaming flat-array ingest: scanning the raw body straight
-    /// into `tgp-store` arrays without materializing a JSON tree.
+    /// into flat graph arrays without materializing a JSON tree.
     /// Recorded for every body the streaming parser scans, including
     /// the ones it declines and hands to the JSON-tree parser (that
     /// time is wasted ingest): every `/v1/partition` body, and session

@@ -957,7 +957,7 @@ fn parse_body_budgeted(
 
 fn partition_endpoint(state: &AppState, body: &[u8], deadline: Option<Instant>) -> ApiResponse {
     // Streaming fast path: a single request whose objective accepts
-    // streamed graphs scans straight into `tgp-store` arrays
+    // streamed graphs scans straight into flat graph arrays
     // (disk-backed past `--graph-spill-bytes`) without materializing a
     // JSON tree. Anything else — batches, other objectives, malformed
     // bodies — falls through untouched, so the JSON-tree parser keeps

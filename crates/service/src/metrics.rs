@@ -53,7 +53,7 @@ const STATUSES: [u16; 10] = [200, 400, 404, 405, 409, 413, 422, 503, 504, 500];
 pub const DEADLINE_DROP_SITES: [&str; 5] = ["admission", "queue", "parse", "solve", "batch"];
 
 /// Label values of the `tgp_store_backing{kind=...}` family: which
-/// `tgp-store` memory backing a flat-ingested graph landed on.
+/// memory backing a flat-ingested graph landed on.
 pub const STORE_BACKINGS: [&str; 2] = ["ram", "disk"];
 
 /// Per-objective counters, indexed by the solver's registry index so the

@@ -1,6 +1,6 @@
 //! Flat graphs inside the one request type.
 //!
-//! [`GraphInput`] holds every chain and tree in `tgp-store`'s flat
+//! [`GraphInput`] holds every chain and tree in `tgp-graph`'s flat
 //! arrays, RAM- or disk-backed, whichever parser built them. Every chain
 //! and tree solver writes its solve once, generic over
 //! `ChainView`/`TreeView`, inside [`on_chain!`] or [`on_tree!`], which

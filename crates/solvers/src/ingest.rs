@@ -1,7 +1,7 @@
 //! Streaming request-body ingest into flat graph arrays.
 //!
 //! [`ingest_flat`] scans a raw JSON request body once and streams the
-//! graph's weights straight into `tgp-store` arrays — the document
+//! graph's weights straight into flat graph arrays — the document
 //! tree (`json::Value`) is never materialized, so a 100-million-element
 //! upload costs a few flat arrays (RAM- or disk-backed, chosen by the
 //! caller) instead of a heap of boxed JSON nodes several times the

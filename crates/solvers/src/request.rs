@@ -7,7 +7,7 @@
 //! HTTP service guarantee identical behaviour: there is exactly one
 //! schema per objective and it lives here, not in each front end.
 //!
-//! The graph parses straight into `tgp-store`'s flat arrays (a process
+//! The graph parses straight into `tgp-graph`'s flat arrays (a process
 //! graph excepted), on the backing the caller names, with the field
 //! checks and error messages of `PathGraph`/`Tree`'s `from_json`.
 //! [`crate::ingest_flat`] is the second parser of the same type: it
@@ -60,7 +60,7 @@ impl fmt::Display for GraphKind {
     }
 }
 
-/// A validated input graph. Chains and trees live in `tgp-store`'s flat
+/// A validated input graph. Chains and trees live in `tgp-graph`'s flat
 /// arrays, RAM- or disk-backed, whichever parser built them; a general
 /// process graph (`approx`) is the one pointer graph.
 #[derive(Debug)]
@@ -499,12 +499,12 @@ fn expected_of(kind: ParamKind) -> &'static str {
 }
 
 /// Parses the `"graph"` object as `kind`: a chain or tree straight into
-/// flat arrays on `backing` with the `tgp-store` builders, a process
+/// flat arrays on `backing` with the flat builders, a process
 /// graph as a pointer graph. Field errors come from the same
 /// `tgp_graph::json` helpers, in the same order, as `PathGraph` and
-/// `Tree`'s `from_json`, and the builders return their constructors'
-/// [`GraphError`](tgp_graph::GraphError)s, so every error message is
-/// theirs.
+/// `Tree`'s `from_json`, which build through the same builders and
+/// return the same [`GraphError`](tgp_graph::GraphError)s, so every
+/// error message is theirs.
 fn parse_graph(
     objective: &'static str,
     kind: GraphKind,
