@@ -120,6 +120,12 @@ impl<T: Pod> RamVec<T> {
     }
 }
 
+impl<T: Pod> From<Vec<T>> for RamVec<T> {
+    fn from(values: Vec<T>) -> Self {
+        RamVec(values)
+    }
+}
+
 impl<T: Pod> Array<T> for RamVec<T> {
     fn len(&self) -> usize {
         self.0.len()
@@ -178,6 +184,9 @@ pub trait MemoryBacking {
 /// Heap backing: arrays are `Vec`s.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RamBacking;
+
+/// Heap arrays grow or abort, so a RAM build never sees an I/O error.
+pub(crate) const HEAP_GROWS: &str = "heap arrays grow or abort";
 
 impl MemoryBacking for RamBacking {
     type Array<T: Pod> = RamVec<T>;

@@ -1041,11 +1041,12 @@ pub fn edge_fields(value: &Value) -> Result<(NodeId, NodeId, Weight), JsonError>
 }
 
 fn weight_vec(value: &Value, key: &str, ty: &str) -> Result<Vec<Weight>, JsonError> {
-    array_field(value, key, ty)?
-        .iter()
-        .enumerate()
-        .map(|(i, v)| weight_item(v, key, ty, i).map(Weight::new))
-        .collect()
+    let items = array_field(value, key, ty)?;
+    let mut weights = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        weights.push(Weight::new(weight_item(item, key, ty, i)?));
+    }
+    Ok(weights)
 }
 
 impl ToJson for Weight {

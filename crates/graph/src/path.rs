@@ -1,7 +1,9 @@
 //! Linear (path) task graphs.
 
+use crate::backing::HEAP_GROWS;
 use crate::{
-    check_weight_totals, BuildError, FlatPath, FlatPathBuilder, GraphError, RamBacking, Weight,
+    check_weight_totals, BuildError, FlatPath, FlatPathBuilder, GraphError, RamBacking, RamVec,
+    Weight,
 };
 
 /// A linear task graph `P = (V, E)` with `V = {v_0, …, v_{n-1}}` and
@@ -49,8 +51,8 @@ impl PathGraph {
         node_weights: Vec<Weight>,
         edge_weights: Vec<Weight>,
     ) -> Result<Self, GraphError> {
-        let raw = |weights: Vec<Weight>| weights.into_iter().map(Weight::get).collect::<Vec<_>>();
-        Self::from_raw(&raw(node_weights), &raw(edge_weights))
+        let raw = |weights: Vec<Weight>| weights.into_iter().map(Weight::get).collect();
+        build(raw(node_weights), &raw(edge_weights))
     }
 
     /// Builds a path graph from raw `u64` slices.
@@ -59,15 +61,17 @@ impl PathGraph {
     ///
     /// Same as [`PathGraph::from_weights`].
     pub fn from_raw(node_weights: &[u64], edge_weights: &[u64]) -> Result<Self, GraphError> {
-        build(node_weights, edge_weights).map_err(BuildError::into_graph_error)
+        build(node_weights.to_vec(), edge_weights)
     }
 }
 
-fn build(node_weights: &[u64], edge_weights: &[u64]) -> Result<PathGraph, BuildError> {
-    let mut chain = FlatPathBuilder::new(&RamBacking, node_weights.len())?;
-    chain.extend_nodes(node_weights)?;
-    chain.extend_edges(edge_weights)?;
-    chain.finish()
+/// Builds a chain on heap arrays, adopting `node_weights` as its node
+/// array.
+fn build(node_weights: Vec<u64>, edge_weights: &[u64]) -> Result<PathGraph, GraphError> {
+    let nodes = RamVec::from(node_weights);
+    let mut chain = FlatPathBuilder::with_nodes(&RamBacking, nodes).expect(HEAP_GROWS);
+    chain.extend_edges(edge_weights).expect(HEAP_GROWS);
+    chain.finish().map_err(BuildError::into_graph_error)
 }
 
 /// The checks [`FlatPathBuilder::finish`] runs on every backing, and so

@@ -1,8 +1,9 @@
 //! Weighted free trees (tree task graphs).
 
+use crate::backing::HEAP_GROWS;
 use crate::{
     check_weight_totals, BuildError, EdgeId, FlatTree, FlatTreeBuilder, GraphError, NodeId,
-    RamBacking, UnionFind32, Weight,
+    RamBacking, RamVec, UnionFind32, Weight,
 };
 
 /// An undirected edge of a tree with a communication weight.
@@ -90,12 +91,11 @@ impl Tree {
     ///
     /// If there are more than `u32::MAX` nodes (edge endpoints are `u32`).
     pub fn from_edges(node_weights: Vec<Weight>, edges: Vec<TreeEdge>) -> Result<Self, GraphError> {
-        let nodes: Vec<u64> = node_weights.into_iter().map(Weight::get).collect();
         let edges: Vec<(usize, usize, u64)> = edges
-            .iter()
+            .into_iter()
             .map(|e| (e.a.index(), e.b.index(), e.weight.get()))
             .collect();
-        Self::from_raw(&nodes, &edges)
+        build(raw(node_weights), &edges)
     }
 
     /// Builds a tree from raw tuples: `edges[i] = (a, b, weight)`.
@@ -111,7 +111,7 @@ impl Tree {
         node_weights: &[u64],
         edges: &[(usize, usize, u64)],
     ) -> Result<Self, GraphError> {
-        build(node_weights, edges).map_err(BuildError::into_graph_error)
+        build(node_weights.to_vec(), edges)
     }
 
     /// Builds a rooted tree from a parent array: node 0 is the root;
@@ -152,21 +152,26 @@ impl Tree {
         node_weights: Vec<Weight>,
         parents: &[(NodeId, Weight)],
     ) -> Result<Self, GraphError> {
-        let nodes: Vec<u64> = node_weights.into_iter().map(Weight::get).collect();
         let edges: Vec<(usize, usize, u64)> = parents
             .iter()
             .enumerate()
             .map(|(i, &(p, w))| (p.index(), i + 1, w.get()))
             .collect();
-        Self::from_raw(&nodes, &edges)
+        build(raw(node_weights), &edges)
     }
 }
 
-fn build(node_weights: &[u64], edges: &[(usize, usize, u64)]) -> Result<Tree, BuildError> {
-    let mut tree = FlatTreeBuilder::new(RamBacking, node_weights.len())?;
-    tree.extend_nodes(node_weights)?;
-    tree.extend_edges(edges)?;
-    tree.finish()
+fn raw(weights: Vec<Weight>) -> Vec<u64> {
+    weights.into_iter().map(Weight::get).collect()
+}
+
+/// Builds a tree on heap arrays, adopting `node_weights` as its node
+/// array.
+fn build(node_weights: Vec<u64>, edges: &[(usize, usize, u64)]) -> Result<Tree, GraphError> {
+    let nodes = RamVec::from(node_weights);
+    let mut tree = FlatTreeBuilder::with_nodes(&RamBacking, nodes).expect(HEAP_GROWS);
+    tree.extend_edges(edges).expect(HEAP_GROWS);
+    tree.finish().map_err(BuildError::into_graph_error)
 }
 
 /// The checks that make `edges` edges on `nodes` nodes a tree, in the
