@@ -66,11 +66,6 @@ impl Contraction {
         self.edge_map[e.index()]
     }
 
-    /// The components of the original tree under the cut.
-    pub fn components(&self) -> &Components {
-        &self.components
-    }
-
     /// Translates a cut on the contracted tree back to original edge ids.
     ///
     /// # Panics

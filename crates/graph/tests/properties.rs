@@ -89,11 +89,12 @@ proptest! {
             );
         }
         // Every node maps into a valid super-node of matching component.
-        let comps = c.components();
+        let comps = tree.components(&cut).unwrap();
         for v in 0..tree.len() {
             let sup = c.super_node_of(NodeId::new(v));
             prop_assert_eq!(sup.index(), comps.component_of(NodeId::new(v)));
         }
+        prop_assert!(c.node_weights().eq(comps.weights().iter().copied()));
         // Processor minimization on the contraction cuts what it cuts on
         // the tree rebuilt from the super-node weights and the contracted
         // edges.
