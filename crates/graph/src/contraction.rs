@@ -81,20 +81,12 @@ impl TreeView for Contraction {
         self.components.count()
     }
 
-    fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     fn node_weight(&self, node: NodeId) -> Weight {
         self.components.weight(node.index())
     }
 
     fn edge(&self, edge: EdgeId) -> TreeEdge {
         self.edges[edge.index()]
-    }
-
-    fn max_node_weight(&self) -> Weight {
-        self.components.max_weight()
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{ChainView, CutSet, EdgeId, ProcessGraph, TreeView};
+use crate::{ChainView, CutSet, EdgeId, PathGraph, ProcessGraph, Tree, TreeView};
 
 /// Renders a tree as a Graphviz `graph`, highlighting cut edges (dashed,
 /// red) if a cut is supplied.
@@ -19,7 +19,7 @@ use crate::{ChainView, CutSet, EdgeId, ProcessGraph, TreeView};
 /// # Ok(())
 /// # }
 /// ```
-pub fn tree_to_dot<T: TreeView>(tree: &T, cut: Option<&CutSet>) -> String {
+pub fn tree_to_dot(tree: &Tree, cut: Option<&CutSet>) -> String {
     let mut out = String::from("graph tree {\n  node [shape=circle];\n");
     for (v, w) in tree.node_weights().enumerate() {
         let _ = writeln!(out, "  v{v} [label=\"v{v}\\nw={w}\"];");
@@ -44,7 +44,7 @@ pub fn tree_to_dot<T: TreeView>(tree: &T, cut: Option<&CutSet>) -> String {
 
 /// Renders a path graph as a Graphviz `graph`, highlighting cut edges if a
 /// cut is supplied.
-pub fn path_to_dot<C: ChainView>(path: &C, cut: Option<&CutSet>) -> String {
+pub fn path_to_dot(path: &PathGraph, cut: Option<&CutSet>) -> String {
     let mut out = String::from("graph chain {\n  rankdir=LR;\n  node [shape=box];\n");
     for (v, w) in path.node_weights().enumerate() {
         let _ = writeln!(out, "  v{v} [label=\"v{v}\\nw={w}\"];");
@@ -110,7 +110,7 @@ pub fn process_to_dot(g: &ProcessGraph, part_of: Option<&[usize]>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CutSet, PathGraph, Tree};
+    use crate::CutSet;
 
     #[test]
     fn tree_dot_contains_all_elements() {

@@ -36,8 +36,8 @@ use std::borrow::Cow;
 use std::fmt;
 
 use crate::{
-    ChainView, CutSet, EdgeId, FlatPath, FlatTree, MemoryBacking, NodeId, PathGraph, ProcessEdge,
-    ProcessGraph, Segment, Tree, TreeEdge, TreeView, Weight,
+    ChainView, CutSet, EdgeId, NodeId, PathGraph, ProcessEdge, ProcessGraph, Segment, Tree,
+    TreeEdge, TreeView, Weight,
 };
 
 /// Maximum nesting depth [`Value::parse`] accepts. Deeper documents are
@@ -1098,7 +1098,7 @@ impl FromJson for EdgeId {
     }
 }
 
-impl<B: MemoryBacking> ToJson for FlatPath<B> {
+impl ToJson for PathGraph {
     fn to_json(&self) -> Value {
         let nodes = self.node_weights().map(|w| w.to_json());
         let edges = self.edge_weights().map(|w| w.to_json());
@@ -1141,7 +1141,7 @@ fn edge_list<T: FromJson>(value: &Value, ty: &str) -> Result<Vec<T>, JsonError> 
         .collect()
 }
 
-impl<B: MemoryBacking> ToJson for FlatTree<B> {
+impl ToJson for Tree {
     fn to_json(&self) -> Value {
         let nodes = self.node_weights().map(|w| w.to_json());
         let edges = self.edges().map(|e| e.to_json());

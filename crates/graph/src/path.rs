@@ -154,6 +154,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn span_weight_rejects_out_of_range() {
+        sample().span_weight(0, 5);
+    }
+
+    // The `lo <= hi` check is a `debug_assert!` on the solvers' hot path.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must be <=")]
+    fn span_weight_rejects_inverted_span() {
+        sample().span_weight(3, 2);
+    }
+
+    #[test]
     fn accessors() {
         let p = sample();
         assert_eq!(p.node_weight(NodeId::new(2)), Weight::new(5));

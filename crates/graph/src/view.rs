@@ -44,6 +44,13 @@ pub trait ChainView {
 
     /// Sum of vertex weights over the inclusive span `lo..=hi`; O(1)
     /// on every provided implementation (prefix sums).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hi >= self.len()`. The flat chains check `lo <= hi`
+    /// in debug builds only: this is the solvers' innermost read, and a
+    /// release build given an inverted span returns a meaningless
+    /// weight instead of panicking.
     fn span_weight(&self, lo: usize, hi: usize) -> Weight;
 
     /// Every vertex weight, in node order.
