@@ -1,11 +1,10 @@
 //! Solve timings behind EXPERIMENTS.md §LEX-1DP and §LEX-1PASS: the
-//! lexicographic cold solve, its warm start with a ±64 window around
-//! `B*`, and the tree `bottleneck` cold solve (plus its warm start where
-//! the solver offers one), on 100 000-node graphs; and beside them the
-//! registry dispatch that builds each request from its parsed JSON, the
-//! parse every in-RAM session re-solve pays. Chains come with random
-//! edge weights and with increasing ones, the order in which every
-//! over-weight window's lightest edge is its first.
+//! lexicographic solve and the tree `bottleneck` solve on 100 000-node
+//! graphs, and beside them the registry dispatch that builds each
+//! request from its parsed JSON, the parse every in-RAM session re-solve
+//! pays. Chains come with random edge weights and with increasing ones,
+//! the order in which every over-weight window's lightest edge is its
+//! first.
 //!
 //! Usage:
 //!
@@ -13,13 +12,14 @@
 //! cargo run --release -p tgp-bench --bin lex_solve
 //! ```
 //!
-//! Every cell goes through the registry's `Registry::dispatch`,
-//! `Solver::run` and `Solver::run_warm`, the calls the session path
-//! makes, so the same
-//! file builds against older revisions of the solver crates and the
-//! numbers compare across them. Each warm answer is checked byte for
-//! byte against the cold one before it is timed. A cell prints the
-//! minimum, quartiles and median of 21 runs.
+//! Every cell goes through the registry's `Registry::dispatch` and
+//! `Solver::run`, the calls the session path makes, so the same file
+//! builds against older revisions of the solver crates and the numbers
+//! compare across them. On every chain cell the answer's `bottleneck`
+//! is checked against §2.3's hitting-set view before it is timed: `B*`
+//! is the largest, over all prime subpaths, of the lightest edge inside,
+//! and 0 when there is none. A cell prints the minimum, quartiles and
+//! median of 21 runs.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -27,14 +27,15 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use tgp_core::bandwidth::prime_subpaths;
 use tgp_graph::generators::{random_chain, random_tree, WeightDist};
 use tgp_graph::json;
-use tgp_graph::json::{ToJson, Value};
+use tgp_graph::json::{FromJson, ToJson, Value};
+use tgp_graph::{PathGraph, Weight};
 use tgp_solvers::Registry;
 
 const N: usize = 100_000;
 const RUNS: usize = 21;
-const SLACK: u64 = 64;
 
 fn millis(mut f: impl FnMut()) -> String {
     let mut ms: Vec<f64> = (0..RUNS)
@@ -55,11 +56,43 @@ fn millis(mut f: impl FnMut()) -> String {
     )
 }
 
+/// The optimal bottleneck of `chain` under `bound` from the prime
+/// subpaths alone: a cut is feasible exactly when it holds an edge of
+/// every prime subpath, so `B*` is the largest of their lightest edges.
+fn prime_oracle(chain: &Value, bound: u64) -> u64 {
+    let path = PathGraph::from_json(chain).expect("valid chain");
+    let edges: Vec<u64> = chain["edge_weights"]
+        .as_array()
+        .expect("edge weights")
+        .iter()
+        .map(|w| w.as_u64().expect("integer weight"))
+        .collect();
+    prime_subpaths(&path, Weight::new(bound))
+        .expect("feasible bound")
+        .iter()
+        .map(|p| {
+            edges[p.first_node..p.last_node]
+                .iter()
+                .copied()
+                .min()
+                .expect("a prime subpath has an edge")
+        })
+        .max()
+        .unwrap_or(0)
+}
+
 fn cell(label: &str, bound: u64, graph: Value, objective: &str) {
+    let oracle = (objective == "lexicographic").then(|| prime_oracle(&graph, bound));
     let value = json!({ "objective": objective, "bound": bound, "graph": graph });
     let (_, solver, request) = Registry::shared().dispatch(&value).expect("valid request");
     let cold = solver.run(&request).expect("feasible bound");
     let b = cold.value["bottleneck"].as_u64().expect("bottleneck field");
+    if let Some(oracle) = oracle {
+        assert_eq!(
+            b, oracle,
+            "{label}, K = {bound}: B* differs from the prime oracle"
+        );
+    }
     println!(
         "{label:<24} {bound:>6} {b:>8}  dispatch {}",
         millis(|| {
@@ -70,35 +103,18 @@ fn cell(label: &str, bound: u64, graph: Value, objective: &str) {
             );
         })
     );
-    let cold_body = solver.to_json(&cold).to_string();
     println!(
         "{label:<24} {bound:>6} {b:>8}  cold     {}",
         millis(|| {
             black_box(solver.run(black_box(&request)).expect("feasible"));
         })
     );
-    let (lo, hi) = (b.saturating_sub(SLACK), b.saturating_add(SLACK));
-    match solver.run_warm(&request, lo, hi) {
-        Some(warm) => {
-            let warm = warm.expect("feasible bound");
-            assert_eq!(
-                solver.to_json(&warm).to_string(),
-                cold_body,
-                "warm diverged"
-            );
-            println!(
-                "{label:<24} {bound:>6} {b:>8}  warm     {}",
-                millis(|| {
-                    black_box(solver.run_warm(black_box(&request), lo, hi));
-                })
-            );
-        }
-        None => println!("{label:<24} {bound:>6} {b:>8}  warm     declined (solves cold)"),
-    }
 }
 
 fn main() {
-    println!("n = {N}, {RUNS} runs per cell, warm window = B* ± {SLACK}; times in ms");
+    println!(
+        "n = {N}, {RUNS} runs per cell; chain B* checked against the prime oracle; times in ms"
+    );
     println!();
     println!(
         "{:<24} {:>6} {:>8}  path     {:>6} {:>6} {:>6} {:>6}",

@@ -16,7 +16,7 @@
 //! exactly when it holds an edge of every prime subpath (§2.3), so `B*`
 //! is the largest, over all prime subpaths, of the lightest edge inside
 //! (zero when there is none). One pass over the edges computes it in
-//! `O(n)`, and both lexicographic solves run the DP once, at `B*`.
+//! `O(n)`, and the lexicographic solve runs the DP once, at `B*`.
 
 use std::collections::VecDeque;
 
@@ -133,7 +133,7 @@ pub fn min_bandwidth_cut_bounded<C: ChainView>(
     Ok(Some(cut))
 }
 
-/// Edge visits per vertex that the lexicographic solves let
+/// Edge visits per vertex that the lexicographic solve lets
 /// [`optimal_bottleneck`]'s skip pass spend before
 /// [`sliding_bottleneck`] takes over the rest of the chain. On random
 /// weights the pass visits each edge little more than once; on
@@ -285,44 +285,6 @@ pub fn min_bandwidth_cut_lexicographic<C: ChainView>(
     let b_star = optimal_bottleneck(path, bound, VISITS_PER_VERTEX * path.len(), budget)?;
     Ok(min_bandwidth_cut_bounded(path, bound, b_star, budget)?
         .expect("a cut within B* exists by the definition of B*"))
-}
-
-/// Warm-started variant of [`min_bandwidth_cut_lexicographic`]: it
-/// answers only when `B*` lies in `[hint_lo, hint_hi]` (typically a
-/// window around a previous solve's `B*` widened by how much the
-/// instance has drifted since), and returns `Ok(None)` otherwise, or
-/// when the window is inverted, so that the caller falls back to the
-/// cold solve.
-///
-/// `B*` comes from the cold solve's one-pass search, and the window
-/// check is the whole certificate. Since `B*` is always a candidate
-/// limit (zero or an edge weight), it lies in the window exactly when
-/// the largest candidate below the window is infeasible and the
-/// window's top candidate is feasible, the two facts a search confined
-/// to the window would have to prove. When it answers, the cut is
-/// **byte-identical** to the cold solve's: both run the same
-/// deterministic DP at the same `B*`.
-///
-/// # Errors
-///
-/// [`PartitionError::BoundTooSmall`] if a single vertex outweighs
-/// `bound` and the window is not inverted (the cold solve fails
-/// identically).
-pub fn min_bandwidth_cut_lexicographic_warm<C: ChainView>(
-    path: &C,
-    bound: Weight,
-    hint_lo: Weight,
-    hint_hi: Weight,
-) -> Result<Option<CutSet>, PartitionError> {
-    if hint_lo > hint_hi {
-        return Ok(None);
-    }
-    let budget = Budget::unlimited();
-    let b_star = optimal_bottleneck(path, bound, VISITS_PER_VERTEX * path.len(), &budget)?;
-    if b_star < hint_lo || b_star > hint_hi {
-        return Ok(None);
-    }
-    min_bandwidth_cut_bounded(path, bound, b_star, &budget)
 }
 
 #[cfg(test)]
@@ -726,72 +688,6 @@ mod tests {
         ));
         assert!(matches!(
             lex(&p, Weight::new(8)),
-            Err(PartitionError::BoundTooSmall { .. })
-        ));
-    }
-
-    #[test]
-    fn warm_with_certified_window_matches_cold_exactly() {
-        let mut rng = SmallRng::seed_from_u64(0xA11CE);
-        for round in 0..300 {
-            let (nodes, edges, k) = if round % 2 == 0 {
-                random_instance(&mut rng, 200)
-            } else {
-                let n: usize = rng.gen_range(1..40);
-                let nodes: Vec<u64> = (0..n).map(|_| rng.gen_range(1..10)).collect();
-                let edges: Vec<u64> = (0..n - 1).map(|_| rng.gen_range(0..25)).collect();
-                let max = nodes.iter().copied().max().unwrap();
-                (nodes, edges, Weight::new(rng.gen_range(max..=max + 20)))
-            };
-            let p = path(&nodes, &edges);
-            let cold = lex(&p, k).unwrap();
-            let b_star = p.bottleneck(&cold).unwrap().get();
-            // A window around the true B* (as a session would seed after
-            // drift) must certify and reproduce the cold cut exactly.
-            let delta = rng.gen_range(0..6);
-            let warm = min_bandwidth_cut_lexicographic_warm(
-                &p,
-                k,
-                Weight::new(b_star.saturating_sub(delta)),
-                Weight::new(b_star + delta),
-            )
-            .unwrap();
-            let warm = warm.expect("window containing B* always certifies");
-            assert_eq!(warm, cold, "round={round} nodes={nodes:?} edges={edges:?}");
-        }
-    }
-
-    #[test]
-    fn warm_refuses_windows_that_exclude_the_optimum() {
-        let p = path(&[5, 5, 5, 5], &[4, 6, 4]);
-        let k = Weight::new(10);
-        let cold = lex(&p, k).unwrap();
-        assert_eq!(p.bottleneck(&cold).unwrap(), Weight::new(4));
-        // Window entirely above B*: the below-window certificate fails.
-        assert!(
-            min_bandwidth_cut_lexicographic_warm(&p, k, Weight::new(5), Weight::new(9))
-                .unwrap()
-                .is_none()
-        );
-        // Window entirely below B*: the top-of-window probe is infeasible.
-        assert!(
-            min_bandwidth_cut_lexicographic_warm(&p, k, Weight::ZERO, Weight::new(3))
-                .unwrap()
-                .is_none()
-        );
-        // Inverted or empty windows fall back without probing.
-        assert!(
-            min_bandwidth_cut_lexicographic_warm(&p, k, Weight::new(9), Weight::new(5))
-                .unwrap()
-                .is_none()
-        );
-    }
-
-    #[test]
-    fn warm_errors_match_cold_errors() {
-        let p = path(&[1, 9], &[1]);
-        assert!(matches!(
-            min_bandwidth_cut_lexicographic_warm(&p, Weight::new(8), Weight::ZERO, Weight::MAX),
             Err(PartitionError::BoundTooSmall { .. })
         ));
     }

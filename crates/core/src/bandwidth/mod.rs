@@ -33,10 +33,7 @@ mod prime;
 mod stats;
 mod temps;
 
-pub use bounded::{
-    min_bandwidth_cut_bounded, min_bandwidth_cut_lexicographic,
-    min_bandwidth_cut_lexicographic_warm,
-};
+pub use bounded::{min_bandwidth_cut_bounded, min_bandwidth_cut_lexicographic};
 pub use naive::min_bandwidth_cut_naive;
 pub use nonredundant::{nonredundant_edges, NrEdge};
 pub use oracle::{min_bandwidth_cut_oracle, min_bandwidth_cut_window};

@@ -42,7 +42,6 @@
 //! so formatting differences (whitespace, key order) between equivalent
 //! requests still hit.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -243,12 +242,6 @@ pub struct AppState {
     /// nearly full — the solve would almost certainly time out anyway,
     /// so the slot goes to a request that can still make its deadline.
     shed_remaining: Option<u64>,
-    /// Previous full response per `(graph id, warm key)`, kept so
-    /// `POST /v1/graphs/<id>/partition` can answer `"response": "delta"`
-    /// requests with only the fields that changed since the last solve.
-    /// Written under the resident graph's lock, so per-graph updates
-    /// serialize with the solves that produce them.
-    last_solves: Mutex<HashMap<(String, Vec<u8>), String>>,
     /// Bodies at or above this size take the flat-ingest path with
     /// *disk* (mmap) backing instead of RAM (`--graph-spill-bytes`).
     graph_spill_bytes: u64,
@@ -271,7 +264,6 @@ impl AppState {
             fanout: OnceLock::new(),
             shed_cost: None,
             shed_remaining: None,
-            last_solves: Mutex::new(HashMap::new()),
             graph_spill_bytes: 64 << 20,
             graph_spill_dir: None,
         }
@@ -468,8 +460,8 @@ pub struct ApiResponse {
     /// the response is flushed. `None` until [`handle_traced`] commits.
     pub trace_seq: Option<u64>,
     /// Extra response headers (name, value) — the session partition
-    /// endpoint signals `x-tgp-solve: warm|cold` here so response
-    /// *bodies* stay byte-identical across warm and cold paths.
+    /// endpoint signals `x-tgp-response: full|delta` here, so the body
+    /// carries only the response itself.
     pub headers: Vec<(&'static str, String)>,
 }
 
@@ -1517,20 +1509,11 @@ fn graphs_item(
             Err(error) => error_response("graphs", &session_failure(error)),
         },
         "DELETE" => match state.sessions.delete(id) {
-            Ok(()) => {
-                // The graph is gone; so is the baseline any future
-                // delta response could be computed against.
-                state
-                    .last_solves
-                    .lock()
-                    .expect("last solves poisoned")
-                    .retain(|(graph, _), _| graph != id);
-                json_response(
-                    200,
-                    "graphs",
-                    format!("{}\n", json!({ "id": id, "deleted": true })),
-                )
-            }
+            Ok(()) => json_response(
+                200,
+                "graphs",
+                format!("{}\n", json!({ "id": id, "deleted": true })),
+            ),
             Err(error) => error_response("graphs", &session_failure(error)),
         },
         "PATCH" => graphs_patch(state, id, body),
@@ -1584,10 +1567,8 @@ fn graphs_patch(state: &AppState, id: &str, body: &[u8]) -> ApiResponse {
 }
 
 /// `POST /v1/graphs/<id>/partition`: solves an objective against the
-/// resident graph, warm-starting from the session's previous solve when
-/// the store's slack window is still valid. Responses are byte-identical
-/// to the stateless endpoint; only the `x-tgp-solve` header says which
-/// path ran.
+/// resident graph, under the request's deadline. Full responses are
+/// byte-identical to the stateless endpoint's.
 fn session_partition(
     state: &AppState,
     id: &str,
@@ -1608,12 +1589,8 @@ fn session_partition(
                     .metrics
                     .record_objective(index, true, started.elapsed());
             }
-            state.sessions.record_solve(solved.warm);
+            state.sessions.record_solve();
             let mut response = json_response(200, "graphs", solved.body);
-            response.headers.push((
-                "x-tgp-solve",
-                if solved.warm { "warm" } else { "cold" }.to_string(),
-            ));
             if let Some(mode) = solved.response_mode {
                 response.headers.push(("x-tgp-response", mode.to_string()));
             }
@@ -1634,24 +1611,22 @@ fn session_partition(
 }
 
 /// Outcome of one session solve: the response body (full, or just the
-/// changed fields), whether the warm path ran, and — when the client
-/// asked via `"response"` — which body shape was actually returned.
+/// changed fields) and — when the client asked via `"response"` — which
+/// body shape was actually returned.
 struct SessionSolve {
     body: String,
-    warm: bool,
     response_mode: Option<&'static str>,
 }
 
 /// The session solve: looks up the resident graph, splices it into the
 /// request for parsing (moved, not cloned — a 100k-node graph costs two
-/// pointer swaps; see [`session_request`]), and runs warm when the store
-/// still has a certified window for this `(objective, params)` key.
-/// Whichever backing the request's arrays got, the solve, serialize,
-/// warm-window and delta bookkeeping below are the same.
+/// pointer swaps; see [`session_request`]), and solves it under the
+/// request's budget. Whichever backing the request's arrays got, the
+/// solve, serialize and delta bookkeeping below are the same.
 ///
-/// Session solves bypass the [`ResultCache`] deliberately: the cache
-/// would mask the warm/cold distinction, and `loadgen --strict`'s cold
-/// verification depends on cold meaning "actually recomputed".
+/// Session solves bypass the [`ResultCache`] deliberately: every
+/// re-solve recomputes, which is what `loadgen --strict` verifies
+/// against the stateless endpoint.
 fn session_partition_one(
     state: &AppState,
     id: &str,
@@ -1689,45 +1664,26 @@ fn session_partition_one(
     resident.graph = graph;
     let (request, parsed_at) = parsed?;
 
-    // The warm-memory key: objective + params, *without* the graph —
-    // it must survive edits to keep pointing at the previous solve.
-    let key = request.warm_key();
-    let window = resident.warm_window(&key);
-    let ((outcome, warm), solve_done) = while_resident(state, &request, || {
+    let (outcome, solve_done) = while_resident(state, &request, || {
         timed_stage_from(state, Stage::Solve, parsed_at, || {
-            if let Some((lo, hi)) = window {
-                // `run_warm` takes no budget: a deadline already past
-                // stops the solve here, as the cold path's first budget
-                // poll would.
-                if let Err(why) = budget.check_now() {
-                    return (Err(solve_failure(SolveError::from_exceeded(why))), false);
-                }
-                if let Some(result) = request.objective.run_warm(&request, lo, hi) {
-                    return (result.map_err(solve_failure), true);
-                }
-            }
-            (request.run_budgeted(&budget).map_err(solve_failure), false)
+            request.run_budgeted(&budget).map_err(solve_failure)
         })
     });
     let response = outcome?;
-    let ((rendered_value, rendered, bottleneck), _) =
+    let ((rendered_value, rendered), _) =
         timed_stage_from(state, Stage::Serialize, solve_done, || {
             let rendered_value = response.value;
-            let bottleneck = rendered_value["bottleneck"].as_u64();
             let rendered = rendered_value.to_string();
-            (rendered_value, rendered, bottleneck)
+            (rendered_value, rendered)
         });
-    if let Some(bottleneck) = bottleneck {
-        resident.note_solve(&key, bottleneck);
-    }
-    // Remember the full response (still under the resident lock, so
-    // per-graph solves serialize with their baselines) and answer delta
-    // requests with only the fields that changed since the last solve.
-    let previous = state
-        .last_solves
-        .lock()
-        .expect("last solves poisoned")
-        .insert((id.to_string(), key), rendered.clone());
+    // Keep the full response as the baseline of this (objective,
+    // params) key, still under the resident lock so per-graph solves
+    // serialize with their baselines, and answer delta requests with
+    // only the fields that changed since the last solve.
+    let previous =
+        state
+            .sessions
+            .replace_baseline(&mut resident, request.baseline_key(), rendered.clone());
     let (body, response_mode) = match response_mode {
         Some("delta") => match previous {
             Some(previous) => (
@@ -1742,7 +1698,6 @@ fn session_partition_one(
     };
     Ok(SessionSolve {
         body,
-        warm,
         response_mode,
     })
 }
@@ -2818,10 +2773,10 @@ mod tests {
         }
     }
 
-    fn solve_header(r: &ApiResponse) -> Option<&str> {
+    fn response_header(r: &ApiResponse) -> Option<&str> {
         r.headers
             .iter()
-            .find(|(k, _)| *k == "x-tgp-solve")
+            .find(|(k, _)| *k == "x-tgp-response")
             .map(|(_, v)| v.as_str())
     }
 
@@ -2860,11 +2815,6 @@ mod tests {
         assert_eq!(r.status, 200, "{}", r.body);
         assert_eq!(r.endpoint, "graphs");
         assert_eq!(r.objective, "lexicographic");
-        assert_eq!(
-            solve_header(&r),
-            Some("cold"),
-            "no prior solve to warm from"
-        );
         let edited = r#"{"node_weights": [2, 3, 5, 7], "edge_weights": [12, 1, 10]}"#;
         let stateless = handle(
             &state,
@@ -2886,7 +2836,7 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_stops_a_warm_session_resolve() {
+    fn expired_deadline_stops_a_session_resolve() {
         let state = AppState::new(CacheConfig::default());
         for _ in 0..2 {
             let r = handle(
@@ -2902,19 +2852,16 @@ mod tests {
                 .push((DEADLINE_HEADER.to_string(), "0".to_string()));
             req
         };
-        // g2 has no window, so its expired re-solve takes the cold path.
-        let cold_late = handle(&state, &late("/v1/graphs/g2/partition"));
-        assert_eq!(cold_late.status, 504, "{}", cold_late.body);
-
-        // g1 solved once has a window; a small body never reaches the
-        // parser's budget poll, so the deadline first meets the warm
-        // attempt, which must answer as the cold path does.
-        let cold = handle(&state, &post("/v1/graphs/g1/partition", solve));
-        assert_eq!(solve_header(&cold), Some("cold"));
-        let warm_late = handle(&state, &late("/v1/graphs/g1/partition"));
-        assert_eq!(warm_late.status, 504, "{}", warm_late.body);
-        assert_eq!(solve_header(&warm_late), None);
-        assert_eq!(warm_late.body, cold_late.body);
+        // g1 solved once and g2 never solved: a small body never reaches
+        // the parser's budget poll, so the deadline first meets the
+        // budgeted solve, and both answer alike.
+        let solved = handle(&state, &post("/v1/graphs/g1/partition", solve));
+        assert_eq!(solved.status, 200, "{}", solved.body);
+        let resolve_late = handle(&state, &late("/v1/graphs/g1/partition"));
+        let fresh_late = handle(&state, &late("/v1/graphs/g2/partition"));
+        assert_eq!(resolve_late.status, 504, "{}", resolve_late.body);
+        assert_eq!(fresh_late.status, 504, "{}", fresh_late.body);
+        assert_eq!(resolve_late.body, fresh_late.body);
         let metrics = handle(&state, &get("/metrics")).body;
         assert!(
             metrics.contains("tgp_deadline_drops_total{where=\"solve\"} 2"),
@@ -2924,15 +2871,10 @@ mod tests {
             metrics.contains("tgp_stage_latency_seconds_count{stage=\"cancelled\"} 2"),
             "{metrics}"
         );
-
-        // The window survives: without a deadline the re-solve is warm.
-        let warm = handle(&state, &post("/v1/graphs/g1/partition", solve));
-        assert_eq!(solve_header(&warm), Some("warm"));
-        assert_eq!(warm.body, cold.body);
     }
 
     #[test]
-    fn session_warm_resolves_are_flagged_and_byte_identical() {
+    fn session_resolves_after_edits_are_byte_identical() {
         let state = AppState::new(CacheConfig::default());
         let r = handle(
             &state,
@@ -2940,56 +2882,51 @@ mod tests {
         );
         assert_eq!(r.status, 200, "{}", r.body);
         let solve = r#"{"objective": "lexicographic", "bound": 10}"#;
+        let stateless = |graph: &str| {
+            handle(
+                &state,
+                &post(
+                    "/v1/partition",
+                    &format!(r#"{{"objective": "lexicographic", "bound": 10, "graph": {graph}}}"#),
+                ),
+            )
+            .body
+        };
 
-        // First solve is cold; the second has an exact window.
-        let cold = handle(&state, &post("/v1/graphs/g1/partition", solve));
-        assert_eq!(cold.status, 200, "{}", cold.body);
-        assert_eq!(solve_header(&cold), Some("cold"));
-        let warm = handle(&state, &post("/v1/graphs/g1/partition", solve));
-        assert_eq!(warm.status, 200, "{}", warm.body);
-        assert_eq!(solve_header(&warm), Some("warm"));
-        assert_eq!(warm.body, cold.body);
+        let first = handle(&state, &post("/v1/graphs/g1/partition", solve));
+        assert_eq!(first.status, 200, "{}", first.body);
+        let again = handle(&state, &post("/v1/graphs/g1/partition", solve));
+        assert_eq!(again.status, 200, "{}", again.body);
+        assert_eq!(again.body, first.body);
+        assert_eq!(first.body, stateless(CHAIN));
 
-        // An edge edit widens the window but keeps it warm; the body
-        // must match a stateless solve of the edited graph.
+        // After an edge edit, and after a vertex edit, the re-solve
+        // matches a stateless solve of the edited graph.
         let patch_body =
             r#"{"version": 1, "edits": [{"op": "edge_weight", "index": 2, "weight": 7}]}"#;
         let r = handle(&state, &request("PATCH", "/v1/graphs/g1", patch_body));
         assert_eq!(r.status, 200, "{}", r.body);
         let after_edit = handle(&state, &post("/v1/graphs/g1/partition", solve));
         assert_eq!(after_edit.status, 200, "{}", after_edit.body);
-        assert_eq!(solve_header(&after_edit), Some("warm"));
-        let edited = r#"{"node_weights": [2, 3, 5, 7], "edge_weights": [10, 1, 7]}"#;
-        let stateless = handle(
-            &state,
-            &post(
-                "/v1/partition",
-                &format!(r#"{{"objective": "lexicographic", "bound": 10, "graph": {edited}}}"#),
-            ),
+        assert_eq!(
+            after_edit.body,
+            stateless(r#"{"node_weights": [2, 3, 5, 7], "edge_weights": [10, 1, 7]}"#)
         );
-        assert_eq!(after_edit.body, stateless.body);
 
-        // A vertex edit invalidates the window: next solve is cold.
         let patch_body =
             r#"{"version": 2, "edits": [{"op": "vertex_weight", "index": 0, "weight": 4}]}"#;
         let r = handle(&state, &request("PATCH", "/v1/graphs/g1", patch_body));
         assert_eq!(r.status, 200, "{}", r.body);
         let after_vertex = handle(&state, &post("/v1/graphs/g1/partition", solve));
         assert_eq!(after_vertex.status, 200, "{}", after_vertex.body);
-        assert_eq!(solve_header(&after_vertex), Some("cold"));
+        assert_eq!(
+            after_vertex.body,
+            stateless(r#"{"node_weights": [4, 3, 5, 7], "edge_weights": [10, 1, 7]}"#)
+        );
 
         let metrics = handle(&state, &get("/metrics"));
         assert!(
-            metrics
-                .body
-                .contains("tgp_session_solves_total{mode=\"warm\"} 2"),
-            "{}",
-            metrics.body
-        );
-        assert!(
-            metrics
-                .body
-                .contains("tgp_session_solves_total{mode=\"cold\"} 2"),
+            metrics.body.contains("tgp_session_solves_total 4"),
             "{}",
             metrics.body
         );
@@ -3003,6 +2940,67 @@ mod tests {
             "{}",
             metrics.body
         );
+    }
+
+    /// Delta baselines are charged to the session budget: they grow the
+    /// resident-bytes gauge up to the budget and never past it, and a
+    /// key whose baseline did not fit answers its delta solves in full.
+    #[test]
+    fn delta_baselines_count_against_the_session_budget() {
+        // The chain costs 56 bytes; the rest of the budget holds three
+        // baselines of 178 bytes (key and response) each.
+        let budget = 600;
+        let state = AppState::new(CacheConfig::default())
+            .with_sessions(Arc::new(SessionStore::new(budget)));
+        let r = handle(
+            &state,
+            &post("/v1/graphs", &format!(r#"{{"graph": {CHAIN}}}"#)),
+        );
+        assert_eq!(r.status, 200, "{}", r.body);
+        let gauge = || {
+            let metrics = handle(&state, &get("/metrics")).body;
+            metrics
+                .lines()
+                .find_map(|line| line.strip_prefix("tgp_session_resident_bytes "))
+                .map(|n| n.parse::<u64>().expect("a count"))
+                .expect("the gauge is rendered")
+        };
+        assert_eq!(gauge(), 56);
+        let delta = |bound: u64| {
+            let body = format!(
+                r#"{{"objective": "lexicographic", "bound": {bound}, "response": "delta"}}"#
+            );
+            let r = handle(&state, &post("/v1/graphs/g1/partition", &body));
+            assert_eq!(r.status, 200, "{}", r.body);
+            response_header(&r)
+                .expect("a delta request names its shape")
+                .to_string()
+        };
+        let mut kept = 0;
+        let mut refused = None;
+        for bound in 20..40 {
+            let before = gauge();
+            assert_eq!(delta(bound), "full", "bound {bound} has no baseline yet");
+            let after = gauge();
+            assert!(
+                after <= budget,
+                "{after} bytes exceed the budget of {budget}"
+            );
+            if after > before {
+                kept += 1;
+            } else {
+                refused.get_or_insert(bound);
+            }
+        }
+        let refused = refused.expect("twenty baselines do not fit in the budget");
+        assert_eq!(kept, 3, "three baselines fit");
+        // A kept baseline answers a delta; a refused one still cannot.
+        assert_eq!(delta(20), "delta");
+        assert_eq!(delta(refused), "full");
+        // Deleting the graph releases it and its baselines.
+        let r = handle(&state, &request("DELETE", "/v1/graphs/g1", ""));
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(gauge(), 0);
     }
 
     /// `procmin`, `compose` and `nicol` bodies take the flat path, which
@@ -3096,15 +3094,12 @@ mod tests {
         let cold_flat = handle(&flat, &post("/v1/graphs/g1/partition", solve));
         let cold_legacy = handle(&legacy, &post("/v1/graphs/g1/partition", solve));
         assert_eq!(cold_flat.status, 200, "{}", cold_flat.body);
-        assert_eq!(solve_header(&cold_flat), Some("cold"));
         assert_eq!(
             cold_flat.body, cold_legacy.body,
             "out-of-core session solve must match the registry path"
         );
-        // The flat path honors the same warm-window contract.
-        let warm_flat = handle(&flat, &post("/v1/graphs/g1/partition", solve));
-        assert_eq!(solve_header(&warm_flat), Some("warm"));
-        assert_eq!(warm_flat.body, cold_flat.body);
+        let again_flat = handle(&flat, &post("/v1/graphs/g1/partition", solve));
+        assert_eq!(again_flat.body, cold_flat.body);
         let metrics = handle(&flat, &get("/metrics"));
         assert!(
             metrics.body.contains("tgp_store_backing{kind=\"disk\"} 2"),

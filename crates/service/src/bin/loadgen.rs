@@ -67,12 +67,11 @@
 //! * `session` — each connection registers a resident chain
 //!   (`POST /v1/graphs`), then loops: apply a 16-edit batch
 //!   (`PATCH /v1/graphs/<id>`) and re-partition
-//!   (`POST /v1/graphs/<id>/partition`). The `x-tgp-solve` response
-//!   header splits client-side re-solve latency into warm and cold
-//!   series in the report. Each client mirrors its edits locally, so
-//!   under `--strict` every warm re-solve is verified byte-for-byte
-//!   against a stateless cold `/v1/partition` of the same edited
-//!   graph; any divergence fails the run.
+//!   (`POST /v1/graphs/<id>/partition`). Each client mirrors its edits
+//!   locally, so under `--strict` every re-solve is verified
+//!   byte-for-byte against a stateless `/v1/partition` of the same
+//!   edited graph; any divergence, or a re-solve left unverified,
+//!   fails the run.
 //! * `outofcore` — huge-graph uploads: each connection cycles its own
 //!   distinct set of large chains (`--nodes`) through `/v1/partition`,
 //!   so its first pass is cold — against a server whose
@@ -90,7 +89,7 @@
 //! shed or an intended deadline 504 (for CI smoke runs, where sheds
 //! under deliberate overload are the server working as designed but
 //! anything else is a bug), when any connection starved, when any
-//! session warm re-solve differed from its cold verification, when any
+//! session re-solve differed from its stateless verification, when any
 //! non-200 body fails to parse as a v2 error envelope with a stable
 //! `code` (`tgp_service::envelope`), or when a latency budget
 //! (`--latency-budget MS` p99, `--p999-budget MS` p999) is exceeded.
@@ -499,11 +498,9 @@ fn sweep_bodies(nodes: usize, lo: u64, hi: u64) -> Vec<RequestBody> {
         .collect()
 }
 
-/// A parsed HTTP response: status, the `x-tgp-solve` header when the
-/// server sent one (`true` = warm), and the raw body bytes.
+/// A parsed HTTP response: status and the raw body bytes.
 struct Response {
     status: u16,
-    warm: Option<bool>,
     body: Vec<u8>,
 }
 
@@ -534,7 +531,6 @@ fn http_exchange(
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
 
     let mut content_length = 0usize;
-    let mut warm = None;
     loop {
         let mut line = String::new();
         reader.read_line(&mut line)?;
@@ -548,13 +544,10 @@ fn http_exchange(
                 std::io::Error::new(std::io::ErrorKind::InvalidData, "bad content-length")
             })?;
         }
-        if let Some(v) = lower.strip_prefix("x-tgp-solve:") {
-            warm = Some(v.trim() == "warm");
-        }
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    Ok(Response { status, warm, body })
+    Ok(Response { status, body })
 }
 
 /// One POST exchange returning the full parsed response, so strict
@@ -603,20 +596,22 @@ struct Tally {
     /// small-request tail (`--p999-budget`) is not averaged away.
     huge_latency: Histogram,
     huge_sent: u64,
-    /// Session mix only: re-solve latency split by the `x-tgp-solve`
-    /// header, plus edit-batch and verification outcomes. The
-    /// verification histogram times the `--strict` stateless cold
-    /// solves — each is a full parse+solve of the same edited graph a
-    /// warm re-solve just answered, so warm vs verify is the
+    /// Session and out-of-core mixes: the solves the server computed —
+    /// every session re-solve, and each out-of-core first (spilled)
+    /// upload — and the `--strict` verifications of them. A session
+    /// verification is a stateless parse+solve of the same edited graph
+    /// a re-solve just answered, so re-solve vs verify is the
     /// apples-to-apples cost of statelessness.
-    warm_latency: Histogram,
-    cold_latency: Histogram,
+    solve_latency: Histogram,
+    solves: u64,
     verify_latency: Histogram,
-    warm_solves: u64,
-    cold_solves: u64,
+    verify_mismatches: u64,
+    /// Out-of-core mix only: repeats answered from the result cache.
+    hit_latency: Histogram,
+    hits: u64,
+    /// Session mix only: edit-batch outcomes.
     edit_batches: u64,
     version_conflicts: u64,
-    verify_mismatches: u64,
 }
 
 impl Tally {
@@ -644,7 +639,7 @@ impl Tally {
 
 /// The per-connection state of one resident-graph session: the server
 /// id and version plus the client's mirror of the edited chain. The
-/// mirror is what `--strict` solves statelessly to verify warm bodies.
+/// mirror is what `--strict` solves statelessly to verify re-solves.
 struct SessionState {
     id: String,
     version: u64,
@@ -736,10 +731,9 @@ fn session_loop(
             let node_weights: Vec<u64> = (0..nodes)
                 .map(|i| ((i * 7 + slot.index * 13) % 9 + 1) as u64)
                 .collect();
-            // Edge weights span a wide range (hashed into 1..=2^24) so
+            // Edge weights span a wide range (hashed into 1..=2^24), so
             // the bottleneck candidates are dense in value but sparse
-            // around any one optimum — the regime where a narrow drift
-            // window still holds the new optimum after a batch of edits.
+            // around any one optimum.
             let edge_weights: Vec<u64> = (0..nodes - 1)
                 .map(|i| {
                     let h = (i as u64)
@@ -771,10 +765,8 @@ fn session_loop(
         }
         let state = session.as_mut().expect("session was just registered");
 
-        // One batch of small-delta edge refinements — the schedule
-        // tuning workload warm starts are built for: each edit nudges
-        // a weight by at most 4, so the solver's drift window stays a
-        // few dozen wide and usually holds the next re-solve's optimum.
+        // One batch of small-delta edge refinements, the schedule
+        // tuning workload: each edit nudges a weight by at most 4.
         // Applied to the local mirror only once the server acks the
         // new version.
         let pending: Vec<(usize, u64)> = (0..SESSION_BATCH)
@@ -827,32 +819,26 @@ fn session_loop(
             }
         }
 
-        // Re-partition the resident graph; the header says whether the
-        // solver warm-started from the previous solve's window.
+        // Re-partition the resident graph.
         let path = format!("/v1/graphs/{}/partition", state.id);
         let (response, started) = send!("POST", &path, &partition_body);
         if response.status != 200 {
             session = None;
             continue;
         }
-        let warm = response.warm == Some(true);
-        let elapsed = started.elapsed().as_micros() as u64;
-        if warm {
-            tally.warm_latency.record(elapsed);
-            tally.warm_solves += 1;
-        } else {
-            tally.cold_latency.record(elapsed);
-            tally.cold_solves += 1;
-        }
+        tally
+            .solve_latency
+            .record(started.elapsed().as_micros() as u64);
+        tally.solves += 1;
 
-        if strict && warm {
-            // Verify the warm body against a stateless cold solve of
-            // the mirrored graph: byte-identical or the run fails.
-            let cold = format!(
+        if strict {
+            // Verify the body against a stateless solve of the
+            // mirrored graph: byte-identical or the run fails.
+            let stateless = format!(
                 r#"{{"objective":"lexicographic","bound":{bound},"graph":{}}}"#,
                 state.graph_json()
             );
-            let (verification, verify_started) = send!("POST", "/v1/partition", &cold);
+            let (verification, verify_started) = send!("POST", "/v1/partition", &stateless);
             tally
                 .verify_latency
                 .record(verify_started.elapsed().as_micros() as u64);
@@ -940,11 +926,11 @@ fn outofcore_loop(
         }
         tally.ok_200 += 1;
         if cold {
-            tally.cold_latency.record(micros);
-            tally.cold_solves += 1;
+            tally.solve_latency.record(micros);
+            tally.solves += 1;
         } else {
-            tally.warm_latency.record(micros);
-            tally.warm_solves += 1;
+            tally.hit_latency.record(micros);
+            tally.hits += 1;
         }
 
         // Cross-check every cold (spilled) solve against the in-RAM
@@ -1436,11 +1422,11 @@ fn main() {
         }
         merged.huge_latency.merge(&tally.huge_latency);
         merged.huge_sent += tally.huge_sent;
-        merged.warm_latency.merge(&tally.warm_latency);
-        merged.cold_latency.merge(&tally.cold_latency);
+        merged.hit_latency.merge(&tally.hit_latency);
+        merged.solve_latency.merge(&tally.solve_latency);
         merged.verify_latency.merge(&tally.verify_latency);
-        merged.warm_solves += tally.warm_solves;
-        merged.cold_solves += tally.cold_solves;
+        merged.hits += tally.hits;
+        merged.solves += tally.solves;
         merged.edit_batches += tally.edit_batches;
         merged.version_conflicts += tally.version_conflicts;
         merged.verify_mismatches += tally.verify_mismatches;
@@ -1496,13 +1482,12 @@ fn main() {
     );
     if config.mix == Mix::Session {
         println!(
-            "session:    {} warm / {} cold re-solves, {} edit batches applied, {} version conflicts",
-            merged.warm_solves, merged.cold_solves, merged.edit_batches, merged.version_conflicts
+            "session:    {} re-solves, {} edit batches applied, {} version conflicts",
+            merged.solves, merged.edit_batches, merged.version_conflicts
         );
         for (label, h) in [
-            ("warm solve ", &merged.warm_latency),
-            ("cold solve ", &merged.cold_latency),
-            ("verify cold", &merged.verify_latency),
+            ("re-solve   ", &merged.solve_latency),
+            ("verify     ", &merged.verify_latency),
         ] {
             if h.count() == 0 {
                 continue;
@@ -1517,19 +1502,21 @@ fn main() {
         }
         if config.strict {
             println!(
-                "verify:     {} warm re-solves cross-checked against stateless cold solves, {} mismatches",
-                merged.warm_solves, merged.verify_mismatches
+                "verify:     {} of {} re-solves cross-checked against stateless solves, {} mismatches",
+                merged.verify_latency.count(),
+                merged.solves,
+                merged.verify_mismatches
             );
         }
     }
     if config.mix == Mix::OutOfCore {
         println!(
             "outofcore:  {} cold (spilled) uploads / {} warm result-cache hits",
-            merged.cold_solves, merged.warm_solves
+            merged.solves, merged.hits
         );
         for (label, h) in [
-            ("cold solve ", &merged.cold_latency),
-            ("warm hit   ", &merged.warm_latency),
+            ("cold solve ", &merged.solve_latency),
+            ("warm hit   ", &merged.hit_latency),
             ("verify ram ", &merged.verify_latency),
         ] {
             if h.count() == 0 {
@@ -1574,17 +1561,25 @@ fn main() {
     if starved > 0 {
         failures.push(format!("{starved} of {slots} connections starved"));
     }
-    if config.mix == Mix::OutOfCore
+    if matches!(config.mix, Mix::Session | Mix::OutOfCore)
         && config.strict
-        && merged.verify_latency.count() < merged.cold_solves
+        && merged.verify_latency.count() < merged.solves
     {
-        // A cold solve whose verification exchange failed in transport
-        // went unchecked; strict runs refuse to vouch for it.
-        failures.push(format!(
-            "only {} of {} spilled solves were cross-checked in RAM",
-            merged.verify_latency.count(),
-            merged.cold_solves
-        ));
+        // A solve whose verification exchange failed went unchecked;
+        // strict runs refuse to vouch for it.
+        failures.push(if config.mix == Mix::OutOfCore {
+            format!(
+                "only {} of {} spilled solves were cross-checked in RAM",
+                merged.verify_latency.count(),
+                merged.solves
+            )
+        } else {
+            format!(
+                "only {} of {} re-solves were cross-checked statelessly",
+                merged.verify_latency.count(),
+                merged.solves
+            )
+        });
     }
     if merged.verify_mismatches > 0 {
         failures.push(if config.mix == Mix::OutOfCore {
@@ -1594,7 +1589,7 @@ fn main() {
             )
         } else {
             format!(
-                "{} warm re-solves differed from their cold verification",
+                "{} re-solves differed from their stateless verification",
                 merged.verify_mismatches
             )
         });

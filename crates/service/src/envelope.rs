@@ -97,7 +97,7 @@ pub const ENDPOINTS: &[(&str, &str, &str, &str)] = &[
     (
         "POST",
         "/v1/graphs/<id>/partition",
-        "solve against the resident graph (warm-started; delta responses)",
+        "solve against the resident graph (delta responses)",
         "unknown_objective, missing_field, invalid_field, session_not_found, infeasible, \
          deadline_exceeded, cancelled",
     ),

@@ -418,7 +418,7 @@ pub fn write_response<W: Write>(
 }
 
 /// [`write_response`] with extra response headers (name, value) — the
-/// session endpoints use it for `x-tgp-solve`. Names and values are
+/// session endpoints use it for `x-tgp-response`. Names and values are
 /// caller-controlled constants, never client input.
 pub fn write_response_with<W: Write>(
     stream: &mut W,
@@ -660,14 +660,14 @@ mod tests {
             &mut out,
             200,
             "application/json",
-            &[("x-tgp-solve", "warm".to_string())],
+            &[("x-tgp-response", "delta".to_string())],
             b"{}\n",
             true,
         )
         .unwrap();
         let text = std::str::from_utf8(&out).unwrap();
         let (head, body) = text.split_once("\r\n\r\n").unwrap();
-        assert!(head.contains("x-tgp-solve: warm"), "{head}");
+        assert!(head.contains("x-tgp-response: delta"), "{head}");
         assert_eq!(body, "{}\n");
     }
 }

@@ -1,8 +1,8 @@
 //! End-to-end and property tests of the stateful session surface:
 //! graphs registered once, mutated through PATCH edit batches, and
 //! re-partitioned in place. The contract under test is byte-identity —
-//! a session re-solve (warm or cold, the client cannot choose) must
-//! return exactly the bytes a stateless `/v1/partition` of the same
+//! a session re-solve must return exactly the bytes a stateless
+//! `/v1/partition` of the same
 //! edited graph returns. Every test keeps a client-side mirror of the
 //! resident graph and checks the session answer against a scratch
 //! solve of the mirror after every batch.
@@ -33,9 +33,9 @@ fn start(loops: usize) -> Server {
     .expect("bind ephemeral port")
 }
 
-/// One complete exchange on a fresh connection; returns the status,
-/// the `x-tgp-solve` header when present (`true` = warm), and the body.
-fn roundtrip(server: &Server, method: &str, path: &str, body: &str) -> (u16, Option<bool>, String) {
+/// One complete exchange on a fresh connection; returns the status and
+/// the body.
+fn roundtrip(server: &Server, method: &str, path: &str, body: &str) -> (u16, String) {
     let request = format!(
         "{method} {path} HTTP/1.1\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
         body.len()
@@ -53,17 +53,8 @@ fn roundtrip(server: &Server, method: &str, path: &str, body: &str) -> (u16, Opt
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| panic!("no status line in {text:?}"));
-    let (head, body) = text.split_once("\r\n\r\n").expect("header/body split");
-    let warm = head
-        .lines()
-        .find_map(|l| {
-            l.to_ascii_lowercase()
-                .strip_prefix("x-tgp-solve:")
-                .map(str::trim)
-                .map(String::from)
-        })
-        .map(|v| v == "warm");
-    (status, warm, body.to_string())
+    let (_, body) = text.split_once("\r\n\r\n").expect("header/body split");
+    (status, body.to_string())
 }
 
 /// A session-partition POST that also captures the `x-tgp-response`
@@ -344,7 +335,7 @@ impl Rng {
 
 /// Registers the mirror as a resident graph and returns `(id, version)`.
 fn register(server: &Server, mirror: &Mirror) -> (String, u64) {
-    let (status, _, body) = roundtrip(
+    let (status, body) = roundtrip(
         server,
         "POST",
         "/v1/graphs",
@@ -358,17 +349,16 @@ fn register(server: &Server, mirror: &Mirror) -> (String, u64) {
     )
 }
 
-/// One PATCH + session solve + scratch solve round; returns whether the
-/// session solve reported a warm start.
+/// One PATCH + session solve + scratch solve round.
 fn patch_and_compare(
     server: &Server,
     id: &str,
     version: &mut u64,
     mirror: &mut Mirror,
     edits: &[String],
-) -> bool {
+) {
     let patch = format!(r#"{{"version":{version},"edits":[{}]}}"#, edits.join(","));
-    let (status, _, body) = roundtrip(server, "PATCH", &format!("/v1/graphs/{id}"), &patch);
+    let (status, body) = roundtrip(server, "PATCH", &format!("/v1/graphs/{id}"), &patch);
     assert_eq!(status, 200, "patch {patch}: {body}");
     *version = Value::parse(&body).unwrap()["version"].as_u64().unwrap();
 
@@ -376,30 +366,27 @@ fn patch_and_compare(
         r#"{{"objective":"{}","bound":{BOUND}}}"#,
         mirror.objective()
     );
-    let (status, warm, session_body) = roundtrip(
+    let (status, session_body) = roundtrip(
         server,
         "POST",
         &format!("/v1/graphs/{id}/partition"),
         &solve,
     );
     assert_eq!(status, 200, "{session_body}");
-    let warm = warm.expect("session solve always reports x-tgp-solve");
 
     let scratch = format!(
         r#"{{"objective":"{}","bound":{BOUND},"graph":{}}}"#,
         mirror.objective(),
         mirror.graph_json()
     );
-    let (status, _, scratch_body) = roundtrip(server, "POST", "/v1/partition", &scratch);
+    let (status, scratch_body) = roundtrip(server, "POST", "/v1/partition", &scratch);
     assert_eq!(status, 200, "{scratch_body}");
     assert_eq!(
         session_body,
         scratch_body,
-        "session ({}) vs scratch solve diverged after {} edits at version {version}",
-        if warm { "warm" } else { "cold" },
+        "session vs scratch solve diverged after {} edits at version {version}",
         edits.len(),
     );
-    warm
 }
 
 /// `"response": "delta"` answers with only the fields that changed
@@ -447,8 +434,7 @@ fn delta_responses_reconstruct_to_the_full_body() {
                 })
                 .collect();
             let patch = format!(r#"{{"version":{version},"edits":[{}]}}"#, edits.join(","));
-            let (status, _, body) =
-                roundtrip(&server, "PATCH", &format!("/v1/graphs/{id}"), &patch);
+            let (status, body) = roundtrip(&server, "PATCH", &format!("/v1/graphs/{id}"), &patch);
             assert_eq!(status, 200, "{body}");
             version = Value::parse(&body).unwrap()["version"].as_u64().unwrap();
 
@@ -465,7 +451,7 @@ fn delta_responses_reconstruct_to_the_full_body() {
                 mirror.objective(),
                 mirror.graph_json()
             );
-            let (status, _, scratch_body) = roundtrip(&server, "POST", "/v1/partition", &scratch);
+            let (status, scratch_body) = roundtrip(&server, "POST", "/v1/partition", &scratch);
             assert_eq!(status, 200, "{scratch_body}");
             assert_eq!(
                 reconstructed, scratch_body,
@@ -497,7 +483,7 @@ fn delta_responses_reconstruct_to_the_full_body() {
 
         // Deleting the session also drops the delta baseline: a fresh
         // registration of the same graph starts from "full" again.
-        let (status, _, body) = roundtrip(&server, "DELETE", &format!("/v1/graphs/{id}"), "");
+        let (status, body) = roundtrip(&server, "DELETE", &format!("/v1/graphs/{id}"), "");
         assert_eq!(status, 200, "{body}");
         let (id, _) = register(&server, &mirror);
         let (status, mode, body) =
@@ -513,7 +499,7 @@ fn delta_responses_reconstruct_to_the_full_body() {
 }
 
 #[test]
-fn chain_edge_edits_stay_warm_and_byte_identical() {
+fn chain_edge_edits_stay_byte_identical() {
     for loops in LOOPS {
         let mut server = start(loops);
         let mut rng = Rng(0x5eed_0001);
@@ -523,22 +509,13 @@ fn chain_edge_edits_stay_warm_and_byte_identical() {
         );
         let (id, mut version) = register(&server, &mirror);
 
-        let mut warm_solves = 0;
         for _ in 0..8 {
-            // Edge-weight-only batches keep the previous solve's window
-            // valid, so re-solves should warm-start.
             let mut added = false;
             let edits: Vec<String> = (0..4)
                 .map(|_| mirror.apply(1, rng.next() as usize, rng.next() % 15 + 1, &mut added))
                 .collect();
-            if patch_and_compare(&server, &id, &mut version, &mut mirror, &edits) {
-                warm_solves += 1;
-            }
+            patch_and_compare(&server, &id, &mut version, &mut mirror, &edits);
         }
-        assert!(
-            warm_solves >= 6,
-            "loops={loops}: only {warm_solves}/8 edge-edit re-solves warm-started"
-        );
         server.shutdown();
     }
 }
@@ -574,7 +551,7 @@ fn random_edit_batches_match_scratch_solves_over_http() {
                 patch_and_compare(&server, &id, &mut version, &mut mirror, &edits);
             }
 
-            let (status, _, body) = roundtrip(&server, "DELETE", &format!("/v1/graphs/{id}"), "");
+            let (status, body) = roundtrip(&server, "DELETE", &format!("/v1/graphs/{id}"), "");
             assert_eq!(status, 200, "{body}");
         }
         server.shutdown();

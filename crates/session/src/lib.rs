@@ -1,6 +1,5 @@
 //! Stateful partition sessions: resident graphs, edit batches, and the
-//! warm-start memory that lets re-solves skip the stateless parse+solve
-//! path.
+//! delta baselines that let a re-solve answer with only what changed.
 //!
 //! The stateless `POST /v1/partition` endpoint pays full JSON parse plus
 //! a from-scratch solve on every request, even when a client
@@ -11,14 +10,12 @@
 //!   graphs. Clients register a graph once, then send *edit batches*
 //!   (vertex-weight and edge-weight updates, leaf add/remove) that are
 //!   applied atomically under an optimistic version check.
-//! * Warm-start memory — after each solve the store remembers the
-//!   optimal bottleneck per `(objective, params)` key, and each edit
-//!   batch widens a slack interval around it. The next solve hands
-//!   `[prev − Δ, prev + Δ]` to the lexicographic warm solver in
-//!   `tgp-core`, which answers only when the optimum it finds lies in
-//!   that window, so the result is byte-identical to a cold solve
-//!   whether or not the hint was any good. Other objectives always
-//!   solve cold.
+//! * Delta baselines — after each solve the store keeps the full
+//!   response per `(objective, params)` key, charged to the same byte
+//!   budget, so a `"response": "delta"` re-solve can send only the
+//!   fields that changed. Every re-solve runs cold: since §3's optimum
+//!   `B*` is found in one linear pass, a warm start around the previous
+//!   optimum has nothing left to prune.
 //! * [`journal`] — the append-on-ack journal file (snapshot + log,
 //!   versioned and checksummed) that is replayed on restart, restoring
 //!   every graph to its exact last acknowledged version even after

@@ -1,5 +1,5 @@
-//! The resident-graph store: versioned graphs, edit batches, warm-start
-//! memory and the byte budget.
+//! The resident-graph store: versioned graphs, edit batches, delta
+//! baselines and the byte budget.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -26,10 +26,6 @@ fn decode_op(payload: &[u8]) -> Option<Value> {
 /// Default resident-byte budget: enough for a few hundred 100k-node
 /// chains, small enough that a misbehaving client cannot pin the heap.
 pub const DEFAULT_SESSION_BUDGET: u64 = 256 << 20;
-
-/// Slack value meaning "the edits since the last solve invalidated the
-/// warm window entirely; go cold".
-const SLACK_COLD: u64 = u64::MAX;
 
 /// A session-layer failure, mapped onto the service's error envelope.
 #[derive(Debug)]
@@ -241,19 +237,8 @@ impl Edit {
     }
 }
 
-/// Warm-start memory for one `(objective, params)` key.
-#[derive(Debug, Clone, Copy)]
-struct WarmEntry {
-    /// The optimal bottleneck of the last solve under this key.
-    bottleneck: u64,
-    /// Accumulated bound on how far the optimum may have drifted since:
-    /// the sum of `|Δweight|` over edge-weight edits, [`SLACK_COLD`]
-    /// once a structural or vertex-weight edit breaks the bound.
-    slack: u64,
-}
-
 /// One resident graph: the mutable JSON body, its version, and the
-/// per-objective warm-start memory.
+/// delta baselines of its solves.
 #[derive(Debug)]
 pub struct Resident {
     /// The graph's kind, fixed at registration.
@@ -269,7 +254,13 @@ pub struct Resident {
     pub nodes: usize,
     /// Current edge count.
     pub edges: usize,
-    warm: Vec<(Vec<u8>, WarmEntry)>,
+    /// The last full response per `(objective, params)` key, which a
+    /// `"response": "delta"` solve diffs against; each charged to the
+    /// store's byte budget (see [`SessionStore::replace_baseline`]).
+    baselines: Vec<(Vec<u8>, String)>,
+    /// Set by a delete, so that a solve that looked the graph up before
+    /// it went cannot charge a baseline to it.
+    deleted: bool,
 }
 
 impl Resident {
@@ -281,39 +272,18 @@ impl Resident {
         resident_cost(self.kind, self.nodes, self.edges)
     }
 
-    /// The warm bottleneck window for a solve keyed by `key`:
-    /// `[prev − Δ, prev + Δ]`, or `None` when no prior solve exists or
-    /// the edits since it invalidated the bound (the caller then solves
-    /// cold).
+    /// Always `None`: session re-solves have no warm start. Kept only
+    /// for the benchmark's frozen replay (`perfbench/src/replay.rs`),
+    /// which then solves cold.
     pub fn warm_window(&self, key: &[u8]) -> Option<(u64, u64)> {
-        let entry = self.warm.iter().find(|(k, _)| k == key).map(|(_, e)| *e)?;
-        if entry.slack == SLACK_COLD {
-            return None;
-        }
-        Some((
-            entry.bottleneck.saturating_sub(entry.slack),
-            entry.bottleneck.saturating_add(entry.slack),
-        ))
+        let _ = key;
+        None
     }
 
-    /// Records a completed solve: the optimum under `key` is
-    /// `bottleneck` as of the current version, with zero drift.
+    /// Does nothing: there is no warm start to remember a solve for.
+    /// Kept only for the benchmark's frozen replay.
     pub fn note_solve(&mut self, key: &[u8], bottleneck: u64) {
-        let entry = WarmEntry {
-            bottleneck,
-            slack: 0,
-        };
-        match self.warm.iter_mut().find(|(k, _)| k == key) {
-            Some((_, e)) => *e = entry,
-            None => self.warm.push((key.to_vec(), entry)),
-        }
-    }
-
-    /// Widens every warm entry by one applied batch's drift bound.
-    fn widen(&mut self, batch_slack: u64) {
-        for (_, entry) in &mut self.warm {
-            entry.slack = entry.slack.saturating_add(batch_slack);
-        }
+        let _ = (key, bottleneck);
     }
 
     /// The `GET /v1/graphs/<id>` metadata body.
@@ -340,6 +310,12 @@ fn resident_cost(kind: GraphKind, nodes: usize, edges: usize) -> u64 {
     8 * scalars
 }
 
+/// The bytes a delta baseline charges to the budget: its key and its
+/// rendered response.
+fn baseline_cost(key: &[u8], rendered: &str) -> u64 {
+    (key.len() + rendered.len()) as u64
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     graphs: HashMap<String, Arc<Mutex<Resident>>>,
@@ -358,8 +334,7 @@ pub struct SessionStore {
     budget: u64,
     resident_bytes: AtomicU64,
     edits_total: AtomicU64,
-    warm_solves: AtomicU64,
-    cold_solves: AtomicU64,
+    solves: AtomicU64,
     journal_records: AtomicU64,
 }
 
@@ -372,8 +347,7 @@ impl SessionStore {
             budget,
             resident_bytes: AtomicU64::new(0),
             edits_total: AtomicU64::new(0),
-            warm_solves: AtomicU64::new(0),
-            cold_solves: AtomicU64::new(0),
+            solves: AtomicU64::new(0),
             journal_records: AtomicU64::new(0),
         }
     }
@@ -577,7 +551,8 @@ impl SessionStore {
             version,
             nodes,
             edges,
-            warm: Vec::new(),
+            baselines: Vec::new(),
+            deleted: false,
         };
         let mut inner = self.inner.lock().expect("session store poisoned");
         if let Some(num) = id.strip_prefix('g').and_then(|n| n.parse::<u64>().ok()) {
@@ -609,7 +584,8 @@ impl SessionStore {
             version: 1,
             nodes,
             edges,
-            warm: Vec::new(),
+            baselines: Vec::new(),
+            deleted: false,
         };
         inner
             .graphs
@@ -675,8 +651,16 @@ impl SessionStore {
                 return Err(e);
             }
         }
-        let resident = arc.lock().expect("resident graph poisoned");
-        self.release_bytes(resident_cost(resident.kind, resident.nodes, resident.edges));
+        let mut resident = arc.lock().expect("resident graph poisoned");
+        resident.deleted = true;
+        let baselines: u64 = resident
+            .baselines
+            .drain(..)
+            .map(|(key, rendered)| baseline_cost(&key, &rendered))
+            .sum();
+        self.release_bytes(
+            resident_cost(resident.kind, resident.nodes, resident.edges) + baselines,
+        );
         Ok(())
     }
 
@@ -709,9 +693,9 @@ impl SessionStore {
                 actual: resident.version,
             });
         }
-        let plan = validate_batch(&resident, edits)?;
-        if plan.byte_delta > 0 {
-            self.claim_bytes(plan.byte_delta as u64)?;
+        let byte_delta = validate_batch(&resident, edits)?;
+        if byte_delta > 0 {
+            self.claim_bytes(byte_delta as u64)?;
         }
         if journal {
             let rendered: Vec<String> = edits.iter().map(|e| e.to_json().to_string()).collect();
@@ -721,18 +705,17 @@ impl SessionStore {
                 rendered.join(",")
             );
             if let Err(e) = self.journal_append(&record) {
-                if plan.byte_delta > 0 {
-                    self.release_bytes(plan.byte_delta as u64);
+                if byte_delta > 0 {
+                    self.release_bytes(byte_delta as u64);
                 }
                 return Err(e);
             }
         }
         apply_batch(&mut resident, edits);
-        if plan.byte_delta < 0 {
-            self.release_bytes(plan.byte_delta.unsigned_abs());
+        if byte_delta < 0 {
+            self.release_bytes(byte_delta.unsigned_abs());
         }
         resident.version += 1;
-        resident.widen(plan.slack);
         self.edits_total
             .fetch_add(edits.len() as u64, Ordering::Relaxed);
         Ok(resident.version)
@@ -805,24 +788,32 @@ impl SessionStore {
         self.edits_total.load(Ordering::Relaxed)
     }
 
-    /// Counts a session solve as warm or cold.
-    pub fn record_solve(&self, warm: bool) {
-        let counter = if warm {
-            &self.warm_solves
-        } else {
-            &self.cold_solves
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+    /// Counts a session solve.
+    pub fn record_solve(&self) {
+        self.solves.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Warm session solves so far.
-    pub fn warm_solves(&self) -> u64 {
-        self.warm_solves.load(Ordering::Relaxed)
-    }
-
-    /// Cold session solves so far.
-    pub fn cold_solves(&self) -> u64 {
-        self.cold_solves.load(Ordering::Relaxed)
+    /// Keeps `rendered`, a solve's full response, as `resident`'s delta
+    /// baseline under `key`, and returns the baseline it replaces. The
+    /// replaced baseline's bytes are released and the new one's are
+    /// claimed from the byte budget; a baseline that does not fit, or
+    /// whose graph was deleted, is not kept, so the next delta solve
+    /// under `key` answers in full.
+    pub fn replace_baseline(
+        &self,
+        resident: &mut Resident,
+        key: Vec<u8>,
+        rendered: String,
+    ) -> Option<String> {
+        let position = resident.baselines.iter().position(|(k, _)| *k == key);
+        let previous = position.map(|i| resident.baselines.swap_remove(i).1);
+        if let Some(previous) = &previous {
+            self.release_bytes(baseline_cost(&key, previous));
+        }
+        if !resident.deleted && self.claim_bytes(baseline_cost(&key, &rendered)).is_ok() {
+            resident.baselines.push((key, rendered));
+        }
+        previous
     }
 
     /// Appends the store's Prometheus series to a `/metrics` body.
@@ -831,7 +822,8 @@ impl SessionStore {
         out.push_str("# TYPE tgp_sessions_open gauge\n");
         out.push_str(&format!("tgp_sessions_open {}\n", self.open_count()));
         out.push_str(
-            "# HELP tgp_session_resident_bytes Estimated bytes held by resident graphs.\n",
+            "# HELP tgp_session_resident_bytes Estimated bytes held by resident graphs \
+             and their delta baselines.\n",
         );
         out.push_str("# TYPE tgp_session_resident_bytes gauge\n");
         out.push_str(&format!(
@@ -841,15 +833,11 @@ impl SessionStore {
         out.push_str("# HELP tgp_session_edits_total Edits applied to session graphs.\n");
         out.push_str("# TYPE tgp_session_edits_total counter\n");
         out.push_str(&format!("tgp_session_edits_total {}\n", self.edits_total()));
-        out.push_str("# HELP tgp_session_solves_total Session partition solves by start mode.\n");
+        out.push_str("# HELP tgp_session_solves_total Session partition solves.\n");
         out.push_str("# TYPE tgp_session_solves_total counter\n");
         out.push_str(&format!(
-            "tgp_session_solves_total{{mode=\"warm\"}} {}\n",
-            self.warm_solves()
-        ));
-        out.push_str(&format!(
-            "tgp_session_solves_total{{mode=\"cold\"}} {}\n",
-            self.cold_solves()
+            "tgp_session_solves_total {}\n",
+            self.solves.load(Ordering::Relaxed)
         ));
         out.push_str("# HELP tgp_session_journal_records_total Records in the session journal.\n");
         out.push_str("# TYPE tgp_session_journal_records_total counter\n");
@@ -867,16 +855,6 @@ impl SessionStore {
             .as_ref()
             .map(|journal| journal.path().to_path_buf())
     }
-}
-
-/// What applying a batch will do, computed during validation so a
-/// failing batch leaves the graph untouched.
-struct BatchPlan {
-    /// Resident-byte change (leaf adds grow, removes shrink).
-    byte_delta: i64,
-    /// Drift bound for the warm windows: summed `|Δweight|` of
-    /// edge-weight edits, [`SLACK_COLD`] if any edit breaks the bound.
-    slack: u64,
 }
 
 /// Looks up the mutable array under `key` in a validated graph object.
@@ -898,18 +876,6 @@ fn array_mut<'v>(graph: &'v mut Value, key: &str) -> &'v mut Vec<Value> {
     items
 }
 
-fn edge_weight_of(graph: &Value, kind: GraphKind, index: usize) -> Option<u64> {
-    match kind {
-        GraphKind::Chain => graph.get("edge_weights")?.as_array()?.get(index)?.as_u64(),
-        GraphKind::Tree => graph
-            .get("edges")?
-            .as_array()?
-            .get(index)?
-            .get("weight")?
-            .as_u64(),
-    }
-}
-
 /// The edge array endpoints `(a, b)` of tree edge `index`.
 fn tree_edge_nodes(graph: &Value, index: usize) -> Option<(u64, u64)> {
     let edge = graph.get("edges")?.as_array()?.get(index)?;
@@ -917,12 +883,13 @@ fn tree_edge_nodes(graph: &Value, index: usize) -> Option<(u64, u64)> {
 }
 
 /// Validates a batch against the resident graph, simulating node/edge
-/// counts so later edits see earlier ones. Read-only.
-fn validate_batch(resident: &Resident, edits: &[Edit]) -> Result<BatchPlan, SessionError> {
+/// counts so later edits see earlier ones, and returns the batch's
+/// resident-byte change (leaf adds grow, removes shrink). Read-only, so
+/// a failing batch leaves the graph untouched.
+fn validate_batch(resident: &Resident, edits: &[Edit]) -> Result<i64, SessionError> {
     let mut nodes = resident.nodes;
     let mut edges = resident.edges;
     let mut byte_delta = 0i64;
-    let mut slack = 0u64;
     let mut grew = false;
     let per_leaf =
         resident_cost(resident.kind, 2, 1) as i64 - resident_cost(resident.kind, 1, 0) as i64;
@@ -933,22 +900,10 @@ fn validate_batch(resident: &Resident, edits: &[Edit]) -> Result<BatchPlan, Sess
                 if *index >= nodes {
                     return fail(format!("vertex index {index} out of range (n = {nodes})"));
                 }
-                slack = SLACK_COLD;
             }
-            Edit::EdgeWeight { index, weight } => {
+            Edit::EdgeWeight { index, .. } => {
                 if *index >= edges {
                     return fail(format!("edge index {index} out of range (m = {edges})"));
-                }
-                // A weight moving from w to w' shifts any optimum by at
-                // most |w − w'| (only one term of any cut's max/sum
-                // changed). Edits to edges added earlier in this batch
-                // already went cold via the add_leaf arm.
-                if slack != SLACK_COLD {
-                    let delta = match edge_weight_of(&resident.graph, resident.kind, *index) {
-                        Some(old) => old.abs_diff(*weight),
-                        None => SLACK_COLD,
-                    };
-                    slack = slack.saturating_add(delta);
                 }
             }
             Edit::AddLeaf { attach, .. } => {
@@ -975,7 +930,6 @@ fn validate_batch(resident: &Resident, edits: &[Edit]) -> Result<BatchPlan, Sess
                 edges += 1;
                 grew = true;
                 byte_delta += per_leaf;
-                slack = SLACK_COLD;
             }
             Edit::RemoveLeaf => {
                 if nodes <= 1 {
@@ -1008,11 +962,10 @@ fn validate_batch(resident: &Resident, edits: &[Edit]) -> Result<BatchPlan, Sess
                 nodes -= 1;
                 edges -= 1;
                 byte_delta -= per_leaf;
-                slack = SLACK_COLD;
             }
         }
     }
-    Ok(BatchPlan { byte_delta, slack })
+    Ok(byte_delta)
 }
 
 /// Applies a validated batch in place.
@@ -1346,47 +1299,48 @@ mod tests {
     }
 
     #[test]
-    fn warm_windows_track_edge_slack_and_go_cold_on_structure() {
-        let store = SessionStore::new(1 << 20);
-        let (id, v) = store.register(chain_graph()).unwrap();
+    fn baselines_are_charged_to_the_budget_and_released_with_the_graph() {
+        // Chain cost 56; each baseline below costs its key plus its body.
+        let store = SessionStore::new(100);
+        let (id, _) = store.register(chain_graph()).unwrap();
         let arc = store.resident(&id).unwrap();
-        let key = b"lexicographic/10";
-        assert_eq!(arc.lock().unwrap().warm_window(key), None);
-        arc.lock().unwrap().note_solve(key, 10);
-        assert_eq!(arc.lock().unwrap().warm_window(key), Some((10, 10)));
-        // Edge 0: 10 → 7 is a drift bound of 3.
-        let v = store
-            .apply(
-                &id,
-                v,
-                &edits(r#"[{"op": "edge_weight", "index": 0, "weight": 7}]"#),
-            )
-            .unwrap();
-        assert_eq!(arc.lock().unwrap().warm_window(key), Some((7, 13)));
-        // Another ±2 widens to ±5.
-        let v = store
-            .apply(
-                &id,
-                v,
-                &edits(r#"[{"op": "edge_weight", "index": 1, "weight": 3}]"#),
-            )
-            .unwrap();
-        assert_eq!(arc.lock().unwrap().warm_window(key), Some((5, 15)));
-        // A solve snaps the window shut at the new optimum.
-        arc.lock().unwrap().note_solve(key, 7);
-        assert_eq!(arc.lock().unwrap().warm_window(key), Some((7, 7)));
-        // Vertex edits invalidate the bound entirely.
-        store
-            .apply(
-                &id,
-                v,
-                &edits(r#"[{"op": "vertex_weight", "index": 0, "weight": 1}]"#),
-            )
-            .unwrap();
-        assert_eq!(arc.lock().unwrap().warm_window(key), None);
-        // Until the next solve re-establishes it.
-        arc.lock().unwrap().note_solve(key, 7);
-        assert_eq!(arc.lock().unwrap().warm_window(key), Some((7, 7)));
+        let bytes = || store.resident_bytes.load(Ordering::Relaxed);
+        let mut resident = arc.lock().unwrap();
+        let key = b"k1".to_vec();
+        assert_eq!(
+            store.replace_baseline(&mut resident, key.clone(), "x".repeat(18)),
+            None
+        );
+        assert_eq!(bytes(), 56 + 20);
+        // Replacing releases the old bytes before claiming the new.
+        assert_eq!(
+            store.replace_baseline(&mut resident, key.clone(), "y".repeat(38)),
+            Some("x".repeat(18))
+        );
+        assert_eq!(bytes(), 56 + 40);
+        // A baseline past the budget is not kept, and the one it
+        // replaces is gone too: the next delta answers in full.
+        assert_eq!(
+            store.replace_baseline(&mut resident, key.clone(), "z".repeat(50)),
+            Some("y".repeat(38))
+        );
+        assert_eq!(bytes(), 56);
+        assert_eq!(
+            store.replace_baseline(&mut resident, key, String::new()),
+            None
+        );
+        assert_eq!(bytes(), 56 + 2);
+        drop(resident);
+        // Deleting the graph releases its baselines with it, and a
+        // caller still holding the graph cannot charge a new one.
+        store.delete(&id).unwrap();
+        assert_eq!(bytes(), 0);
+        let mut resident = arc.lock().unwrap();
+        assert_eq!(
+            store.replace_baseline(&mut resident, b"k2".to_vec(), "w".to_string()),
+            None
+        );
+        assert_eq!(bytes(), 0);
     }
 
     fn temp_journal(tag: &str) -> std::path::PathBuf {
@@ -1514,21 +1468,14 @@ mod tests {
                 &edits(r#"[{"op": "edge_weight", "index": 0, "weight": 7}]"#),
             )
             .unwrap();
-        store.record_solve(true);
-        store.record_solve(false);
-        store.record_solve(true);
+        store.record_solve();
+        store.record_solve();
+        store.record_solve();
         let mut out = String::new();
         store.render_metrics(&mut out);
         assert!(out.contains("tgp_sessions_open 1"), "{out}");
         assert!(out.contains("tgp_session_edits_total 1"), "{out}");
-        assert!(
-            out.contains("tgp_session_solves_total{mode=\"warm\"} 2"),
-            "{out}"
-        );
-        assert!(
-            out.contains("tgp_session_solves_total{mode=\"cold\"} 1"),
-            "{out}"
-        );
+        assert!(out.contains("tgp_session_solves_total 3"), "{out}");
         assert!(out.contains("tgp_session_resident_bytes 56"), "{out}");
     }
 }

@@ -17,14 +17,14 @@ use tgp_baselines::hetero::{hetero_partition, HeteroArray};
 use tgp_baselines::host_satellite::host_satellite_partition;
 use tgp_baselines::nicol::nicol_bandwidth_cut;
 use tgp_core::approx::{partition_process_graph_best, ApproxMethod};
-use tgp_core::bandwidth::{min_bandwidth_cut_lexicographic, min_bandwidth_cut_lexicographic_warm};
+use tgp_core::bandwidth::min_bandwidth_cut_lexicographic;
 use tgp_core::bottleneck::min_bottleneck_cut;
 use tgp_core::budget::Budget;
 use tgp_core::pipeline::{partition_chain, partition_tree};
 use tgp_core::procmin::proc_min;
 use tgp_core::tree_bandwidth::min_tree_bandwidth_cut;
 use tgp_graph::json::Value;
-use tgp_graph::{json, ChainView, CutSet, EdgeId, NodeId, TreeView, Weight};
+use tgp_graph::{json, ChainView, EdgeId, NodeId, TreeView, Weight};
 
 use crate::error::SolveError;
 use crate::flat::{on_chain, on_tree};
@@ -74,23 +74,6 @@ const HOST_SATELLITE_PARAMS: &[ParamSpec] = &[
 
 pub(crate) fn cut_json(cut: impl Iterator<Item = EdgeId>) -> Value {
     Value::Array(cut.map(|e| Value::from(e.index())).collect())
-}
-
-/// Renders the `lexicographic` response shape, computing the derived
-/// quantities from any chain view (cold and warm solves share it).
-fn render_lexicographic<C: ChainView>(
-    chain: &C,
-    bound: Weight,
-    cut: &CutSet,
-) -> Result<Response, SolveError> {
-    Ok(Response::new(json!({
-        "objective": "lexicographic",
-        "bound": bound.get(),
-        "cut": cut_json(cut.iter()),
-        "bottleneck": chain.bottleneck(cut).map_err(SolveError::infeasible)?.get(),
-        "bandwidth": chain.cut_weight(cut).map_err(SolveError::infeasible)?.get(),
-        "processors": cut.len() + 1,
-    })))
 }
 
 fn bound_of(request: &Request) -> Weight {
@@ -268,20 +251,14 @@ impl Solver for Lexicographic {
         on_chain!(&request.graph, |c| {
             let cut = min_bandwidth_cut_lexicographic(c, bound, budget)
                 .map_err(SolveError::from_partition)?;
-            render_lexicographic(c, bound, &cut)
-        })
-    }
-    fn run_warm(
-        &self,
-        request: &Request,
-        hint_lo: u64,
-        hint_hi: u64,
-    ) -> Option<Result<Response, SolveError>> {
-        let bound = bound_of(request);
-        let (lo, hi) = (Weight::new(hint_lo), Weight::new(hint_hi));
-        on_chain!(&request.graph, |c| {
-            let cut = min_bandwidth_cut_lexicographic_warm(c, bound, lo, hi).ok()??;
-            Some(render_lexicographic(c, bound, &cut))
+            Ok(Response::new(json!({
+                "objective": self.name(),
+                "bound": bound.get(),
+                "cut": cut_json(cut.iter()),
+                "bottleneck": c.bottleneck(&cut).map_err(SolveError::infeasible)?.get(),
+                "bandwidth": c.cut_weight(&cut).map_err(SolveError::infeasible)?.get(),
+                "processors": cut.len() + 1,
+            })))
         })
     }
 }
@@ -915,75 +892,21 @@ mod tests {
         assert!(err.to_string().contains("load bound"), "{err}");
     }
 
-    #[test]
-    fn warm_runs_are_byte_identical_to_cold_runs() {
-        let registry = Registry::shared();
-        let name = "lexicographic";
-        let (_, solver) = registry.get(name).unwrap();
-        let value = Value::parse(&golden_request(name)).unwrap();
-        let request = solver.parse(&value).unwrap();
-        let cold = solver.run(&request).unwrap();
-        let cold_body = solver.to_json(&cold).to_string();
-        let b = cold.value["bottleneck"].as_u64().unwrap();
-        for (lo, hi) in [
-            (b, b),
-            (b.saturating_sub(3), b.saturating_add(3)),
-            (0, u64::MAX),
-        ] {
-            let warm = solver
-                .run_warm(&request, lo, hi)
-                .unwrap_or_else(|| {
-                    panic!("{name} declined a window [{lo}, {hi}] containing the optimum {b}")
-                })
-                .unwrap();
-            assert_eq!(
-                solver.to_json(&warm).to_string(),
-                cold_body,
-                "{name} warm body diverged for window [{lo}, {hi}]"
-            );
-        }
-    }
-
-    #[test]
-    fn warm_runs_decline_windows_missing_the_optimum() {
-        let registry = Registry::shared();
-        let name = "lexicographic";
-        let (_, solver) = registry.get(name).unwrap();
-        let value = Value::parse(&golden_request(name)).unwrap();
-        let request = solver.parse(&value).unwrap();
-        let b = solver.run(&request).unwrap().value["bottleneck"]
-            .as_u64()
-            .unwrap();
-        assert!(
-            solver.run_warm(&request, b + 1, u64::MAX).is_none(),
-            "{name} must decline a window above the optimum"
-        );
-        if b > 0 {
-            assert!(
-                solver.run_warm(&request, 0, b - 1).is_none(),
-                "{name} must decline a window below the optimum"
-            );
-        }
-        assert!(
-            solver.run_warm(&request, 5, 4).is_none(),
-            "{name} must decline an inverted window"
-        );
-    }
-
+    /// `run_warm` is an inert stub kept for the benchmark's replay:
+    /// every solver, `lexicographic` included, declines every window.
     #[test]
     fn solvers_without_warm_support_decline_every_window() {
         let registry = Registry::shared();
         for solver in registry.iter() {
-            if solver.name() == "lexicographic" {
-                continue;
-            }
             let value = Value::parse(&golden_request(solver.name())).unwrap();
             let request = solver.parse(&value).unwrap();
-            assert!(
-                solver.run_warm(&request, 0, u64::MAX).is_none(),
-                "{} has no warm path and must decline",
-                solver.name()
-            );
+            for (lo, hi) in [(0, u64::MAX), (0, 0), (5, 4)] {
+                assert!(
+                    solver.run_warm(&request, lo, hi).is_none(),
+                    "{} must decline [{lo}, {hi}]",
+                    solver.name()
+                );
+            }
         }
     }
 }

@@ -66,24 +66,6 @@ pub trait Solver: Send + Sync {
         self.run(request)
     }
 
-    /// Warm-started run: like [`Solver::run`], but the caller asserts
-    /// the optimal bottleneck of the *previous* solve on a near-identical
-    /// graph lay at some `B`, and the edits since then changed it by at
-    /// most `hint_hi - hint_lo` in either direction. A solver that can
-    /// exploit the window `[hint_lo, hint_hi]` returns `Some(result)`
-    /// **only when it can certify** the answer is byte-identical to what
-    /// [`Solver::run`] would produce; otherwise it returns `None` and the
-    /// caller falls back to the cold path. The default declines.
-    fn run_warm(
-        &self,
-        request: &Request,
-        hint_lo: u64,
-        hint_hi: u64,
-    ) -> Option<Result<Response, SolveError>> {
-        let _ = (request, hint_lo, hint_hi);
-        None
-    }
-
     /// A rough, dimensionless estimate of how much work [`Solver::run`]
     /// does on this request. Caches use it as an admission signal: a
     /// response that was expensive to compute is worth keeping even
@@ -136,6 +118,20 @@ impl dyn Solver {
         let request = parse_request(self, value, &IngestBacking::Ram)?;
         self.validate(&request)?;
         Ok(request)
+    }
+
+    /// Always `None`: no solver has a warm start. Session re-solves run
+    /// [`Solver::run_budgeted`]. Kept, outside the trait so that no
+    /// solver can override it, only for the benchmark's frozen replay
+    /// (`perfbench/src/replay.rs`), which then takes its cold branch.
+    pub fn run_warm(
+        &self,
+        request: &Request,
+        hint_lo: u64,
+        hint_hi: u64,
+    ) -> Option<Result<Response, SolveError>> {
+        let _ = (request, hint_lo, hint_hi);
+        None
     }
 }
 

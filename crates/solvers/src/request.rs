@@ -338,10 +338,10 @@ impl Request {
         self.objective.cost_estimate(self)
     }
 
-    /// The session warm-memory key: objective and parameters *without*
-    /// the graph, so it keeps pointing at the previous solve across
-    /// edits.
-    pub fn warm_key(&self) -> Vec<u8> {
+    /// The session delta-baseline key: objective and parameters
+    /// *without* the graph, so it keeps pointing at the previous solve
+    /// across edits.
+    pub fn baseline_key(&self) -> Vec<u8> {
         let mut key = KeyBuilder::default();
         key.write_str(self.objective.name());
         self.params.write_key(&mut key);
