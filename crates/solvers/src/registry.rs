@@ -120,10 +120,11 @@ impl dyn Solver {
         Ok(request)
     }
 
-    /// Always `None`: no solver has a warm start. Session re-solves run
-    /// [`Solver::run_budgeted`]. Kept, outside the trait so that no
-    /// solver can override it, only for the benchmark's frozen replay
-    /// (`perfbench/src/replay.rs`), which then takes its cold branch.
+    /// Always `None`: no solver has a warm start, and session re-solves
+    /// run [`Solver::run_budgeted`]. Kept only for the benchmark's frozen
+    /// replay (`perfbench/src/replay.rs`), which then takes its cold
+    /// branch; it lives outside the trait so that no solver can
+    /// override it.
     pub fn run_warm(
         &self,
         request: &Request,
