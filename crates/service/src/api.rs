@@ -2947,8 +2947,8 @@ mod tests {
     /// key whose baseline did not fit answers its delta solves in full.
     #[test]
     fn delta_baselines_count_against_the_session_budget() {
-        // The chain costs 56 bytes; the rest of the budget holds three
-        // baselines of 178 bytes (key and response) each.
+        // The chain costs 56 bytes; the rest of the budget holds a few
+        // baselines (key and response, under 200 bytes each here).
         let budget = 600;
         let state = AppState::new(CacheConfig::default())
             .with_sessions(Arc::new(SessionStore::new(budget)));
@@ -2976,7 +2976,9 @@ mod tests {
                 .expect("a delta request names its shape")
                 .to_string()
         };
+        // Bounds 20..40 all cut nothing, so their baselines cost alike.
         let mut kept = 0;
+        let mut cost = None;
         let mut refused = None;
         for bound in 20..40 {
             let before = gauge();
@@ -2988,12 +2990,15 @@ mod tests {
             );
             if after > before {
                 kept += 1;
+                assert_eq!(after - before, *cost.get_or_insert(after - before));
             } else {
                 refused.get_or_insert(bound);
             }
         }
         let refused = refused.expect("twenty baselines do not fit in the budget");
-        assert_eq!(kept, 3, "three baselines fit");
+        let cost = cost.expect("a baseline fits");
+        assert!(kept >= 2, "only {kept} baselines of {cost} bytes fit");
+        assert_eq!(kept, (budget - 56) / cost, "baselines fill the budget");
         // A kept baseline answers a delta; a refused one still cannot.
         assert_eq!(delta(20), "delta");
         assert_eq!(delta(refused), "full");
