@@ -14,6 +14,7 @@ use tgp_core::bandwidth::{
     analyze_bandwidth_with, min_bandwidth_cut, min_bandwidth_cut_naive, min_bandwidth_cut_window,
     MergeSearch,
 };
+use tgp_core::budget::Budget;
 use tgp_graph::{ChainView, PathGraph, Weight};
 
 fn regimes(path: &PathGraph) -> [(&'static str, Weight); 3] {
@@ -40,9 +41,15 @@ fn bench_bandwidth(c: &mut Criterion) {
             });
             group.bench_function(BenchmarkId::new("temps_gallop", &id), |b| {
                 // Ablation: the paper's §2.3.2 future-work search policy.
+                let budget = Budget::unlimited();
                 b.iter(|| {
-                    analyze_bandwidth_with(black_box(&path), black_box(k), MergeSearch::Gallop)
-                        .unwrap()
+                    analyze_bandwidth_with(
+                        black_box(&path),
+                        black_box(k),
+                        MergeSearch::Gallop,
+                        &budget,
+                    )
+                    .unwrap()
                 })
             });
             group.bench_function(BenchmarkId::new("nicol", &id), |b| {

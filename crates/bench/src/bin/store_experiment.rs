@@ -187,7 +187,7 @@ fn chain_body(n: usize, seed: u64, bound: u64) -> String {
 }
 
 fn exp_lex(sizes: &[usize]) {
-    let registry = Registry::with_all();
+    let registry = Registry::shared();
     let reps = 5;
     println!("## lexicographic end-to-end, bytes -> response (best of {reps})");
     println!();
@@ -208,7 +208,7 @@ fn exp_lex(sizes: &[usize]) {
             let value = Value::parse(&body).expect("valid body");
             let (_, solver, request) = registry.dispatch(&value).expect("dispatch");
             let response = solver.run(&request).expect("feasible bound");
-            legacy_out = solver.to_json(&response).to_string();
+            legacy_out = response.value.to_string();
             legacy_best = legacy_best.min(start.elapsed().as_secs_f64() * 1e3);
         }
 

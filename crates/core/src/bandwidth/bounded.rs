@@ -32,9 +32,8 @@ const INF: u64 = u64::MAX;
 /// such cut exists (some over-weight window contains no allowed edge).
 ///
 /// `O(n)` time via a monotonic-deque window minimum. The DP charges the
-/// [`Budget`] one unit per edge, so an expired deadline or a raised
-/// cancel flag interrupts it mid-scan; pass [`Budget::unlimited`] when
-/// nothing bounds the solve.
+/// [`Budget`] one unit per edge, so an expired deadline interrupts it
+/// mid-scan; pass [`Budget::unlimited`] when nothing bounds the solve.
 ///
 /// # Errors
 ///
@@ -251,7 +250,7 @@ fn sliding_bottleneck<C: ChainView>(
 /// inside; one pass over the edges finds it, and
 /// [`min_bandwidth_cut_bounded`] then runs once, at `B*`: `O(n)` in
 /// all. The pass and the DP charge the [`Budget`] per edge visit, so a
-/// deadline or cancel interrupts the solve inside either.
+/// deadline interrupts the solve inside either.
 ///
 /// # Errors
 ///
@@ -547,8 +546,7 @@ mod tests {
 
     #[test]
     fn increasing_edges_at_scale_go_through_the_fallback() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
+        use std::time::{Duration, Instant};
         let n = 100_000;
         let mut rng = SmallRng::seed_from_u64(0x1AC);
         let nodes: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=100)).collect();
@@ -557,13 +555,12 @@ mod tests {
         let k = Weight::new(4_000);
         let want = prime_b_star(&p, k).unwrap();
         assert_eq!(searched_b_star(&p, k), Ok(want));
-        // The pass charges one unit per edge visit. A raised cancel flag
+        // The pass charges one unit per edge visit. An expired deadline
         // polled every 6n units lets the capped pass (4n visits, then at
         // most n more in the sliding minimum) finish, and stops the skip
         // pass alone, which rescans every ~80-vertex window.
         let raised = || {
-            Budget::unlimited()
-                .with_cancel(Arc::new(AtomicBool::new(true)))
+            Budget::with_deadline(Instant::now() - Duration::from_millis(1))
                 .with_stride(6 * n as u64)
         };
         assert_eq!(
@@ -648,8 +645,6 @@ mod tests {
 
     #[test]
     fn budgeted_lexicographic_matches_and_interrupts() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
         use std::time::{Duration, Instant};
         let nodes: Vec<u64> = (0..400).map(|i| 1 + (i % 5)).collect();
         let edges: Vec<u64> = (0..399).map(|i| 1 + (i * 17) % 29).collect();
@@ -664,11 +659,10 @@ mod tests {
             min_bandwidth_cut_lexicographic(&p, k, &expired),
             Err(PartitionError::Interrupted(_))
         ));
-        // A flag raised after the entry check still stops the first
-        // scan and the DP on their first charged edge.
-        let raised = Budget::unlimited()
-            .with_cancel(Arc::new(AtomicBool::new(true)))
-            .with_stride(0);
+        // A deadline that passed after the entry check still stops the
+        // first scan and the DP on their first charged edge.
+        let raised =
+            Budget::with_deadline(Instant::now() - Duration::from_millis(1)).with_stride(0);
         assert!(matches!(
             is_feasible_at(&p, k, Weight::MAX, &raised),
             Err(PartitionError::Interrupted(_))

@@ -39,7 +39,4 @@ pub use nonredundant::{nonredundant_edges, NrEdge};
 pub use oracle::{min_bandwidth_cut_oracle, min_bandwidth_cut_window};
 pub use prime::{prime_subpaths, PrimeSubpath};
 pub use stats::BandwidthStats;
-pub use temps::{
-    analyze_bandwidth, analyze_bandwidth_budgeted, analyze_bandwidth_with, min_bandwidth_cut,
-    MergeSearch,
-};
+pub use temps::{analyze_bandwidth, analyze_bandwidth_with, min_bandwidth_cut, MergeSearch};

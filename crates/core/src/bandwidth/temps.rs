@@ -247,40 +247,26 @@ pub fn analyze_bandwidth<C: ChainView>(
     path: &C,
     bound: Weight,
 ) -> Result<(CutSet, BandwidthStats), PartitionError> {
-    analyze_bandwidth_with(path, bound, MergeSearch::Binary)
+    analyze_bandwidth_with(path, bound, MergeSearch::Binary, &Budget::unlimited())
 }
 
 /// [`analyze_bandwidth`] with an explicit [`MergeSearch`] policy — the
-/// ablation hook for the paper's §2.3.2 "k-ary search" future-work idea.
+/// ablation hook for the paper's §2.3.2 "k-ary search" future-work
+/// idea — under a [`Budget`]. All policies return cuts of identical
+/// weight; only the constant factor of the TEMP_S merge step changes.
 ///
-/// All policies return cuts of identical weight; only the constant factor
-/// of the TEMP_S merge step changes.
-///
-/// # Errors
-///
-/// [`PartitionError::BoundTooSmall`] if a single vertex outweighs `bound`.
-pub fn analyze_bandwidth_with<C: ChainView>(
-    path: &C,
-    bound: Weight,
-    policy: MergeSearch,
-) -> Result<(CutSet, BandwidthStats), PartitionError> {
-    analyze_bandwidth_budgeted(path, bound, policy, &Budget::unlimited())
-}
-
-/// Cost-sliced [`analyze_bandwidth_with`]: the TEMP_S edge loop charges
-/// the [`Budget`] one unit per non-redundant edge (plus `n` units for
-/// the linear prime-subpath scan), so a mid-solve deadline or cancel
-/// surfaces as [`PartitionError::Interrupted`] within one budget stride
-/// instead of after the full `O(n + p log q)` run.
-///
-/// With an unlimited budget the result is identical to the unbudgeted
-/// entry point — this *is* the unbudgeted entry point's implementation.
+/// The TEMP_S edge loop charges the budget one unit per non-redundant
+/// edge (plus `n` units for the linear prime-subpath scan), so a
+/// mid-solve deadline surfaces as [`PartitionError::Interrupted`]
+/// within one budget stride instead of after the full
+/// `O(n + p log q)` run. Under [`Budget::unlimited`] nothing is ever
+/// refused.
 ///
 /// # Errors
 ///
 /// [`PartitionError::BoundTooSmall`] if a single vertex outweighs
 /// `bound`; [`PartitionError::Interrupted`] if the budget ran out.
-pub fn analyze_bandwidth_budgeted<C: ChainView>(
+pub fn analyze_bandwidth_with<C: ChainView>(
     path: &C,
     bound: Weight,
     policy: MergeSearch,
@@ -347,12 +333,11 @@ mod tests {
         let bound = Weight::new(24);
         let plain = analyze_bandwidth(&p, bound).unwrap();
         let generous = Budget::with_deadline(Instant::now() + Duration::from_secs(3600));
-        let budgeted =
-            analyze_bandwidth_budgeted(&p, bound, MergeSearch::Binary, &generous).unwrap();
+        let budgeted = analyze_bandwidth_with(&p, bound, MergeSearch::Binary, &generous).unwrap();
         assert_eq!(plain.0, budgeted.0);
         let expired = Budget::with_deadline(Instant::now() - Duration::from_millis(1));
         assert!(matches!(
-            analyze_bandwidth_budgeted(&p, bound, MergeSearch::Binary, &expired),
+            analyze_bandwidth_with(&p, bound, MergeSearch::Binary, &expired),
             Err(PartitionError::Interrupted(_))
         ));
     }
@@ -465,8 +450,9 @@ mod tests {
             let p = path(&nodes, &edges);
             let max = nodes.iter().copied().max().unwrap();
             let k = Weight::new(rng.gen_range(max..=max * 3));
-            let (a, _) = analyze_bandwidth_with(&p, k, MergeSearch::Binary).unwrap();
-            let (b, _) = analyze_bandwidth_with(&p, k, MergeSearch::Gallop).unwrap();
+            let unlimited = Budget::unlimited();
+            let (a, _) = analyze_bandwidth_with(&p, k, MergeSearch::Binary, &unlimited).unwrap();
+            let (b, _) = analyze_bandwidth_with(&p, k, MergeSearch::Gallop, &unlimited).unwrap();
             assert_eq!(
                 p.cut_weight(&a).unwrap(),
                 p.cut_weight(&b).unwrap(),

@@ -1,67 +1,56 @@
 //! Cooperative cost-slicing for long solves.
 //!
-//! A [`Budget`] is handed to a budgeted solver entry point and charged
+//! A [`Budget`] is a request's deadline, handed to a solve and charged
 //! once per unit of work (a processed edge, a probe, a DP cell). Every
-//! `stride` units the budget actually looks at the clock and the cancel
-//! flag, so the common case costs one counter decrement — cheap enough
-//! to sit inside the paper's `O(n + p log q)` hot loops — while a
-//! million-node adversarial solve still notices an expired deadline
-//! within a bounded number of work units instead of head-of-line
-//! blocking a worker until it finishes.
+//! `stride` units the budget actually looks at the clock, so the common
+//! case costs one counter decrement — cheap enough to sit inside the
+//! paper's `O(n + p log q)` hot loops — while a million-node
+//! adversarial solve still notices an expired deadline within a bounded
+//! number of work units instead of head-of-line blocking a worker until
+//! it finishes.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-/// Default number of work units between real deadline/cancel checks.
+/// Default number of work units between real deadline checks.
 ///
 /// Chosen so the check amortizes to noise (one `Instant::now()` per
 /// ~16k edge visits) while a 50 ms deadline is still observed within a
 /// fraction of a millisecond of solver progress.
 pub const DEFAULT_STRIDE: u64 = 16 * 1024;
 
-/// Why a [`Budget`] refused further work.
+/// Why a [`Budget`] refused further work: its wall-clock deadline
+/// passed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Exceeded {
-    /// The wall-clock deadline passed.
-    Deadline,
-    /// The cooperative cancel flag was raised.
-    Cancelled,
-}
+pub struct Exceeded;
 
 impl std::fmt::Display for Exceeded {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Exceeded::Deadline => write!(f, "deadline exceeded"),
-            Exceeded::Cancelled => write!(f, "cancelled"),
-        }
+        write!(f, "deadline exceeded")
     }
 }
 
 impl std::error::Error for Exceeded {}
 
-/// A cooperative work budget: an optional wall-clock deadline plus an
-/// optional external cancel flag, checked every `stride` work units.
+/// A cooperative work budget: an optional wall-clock deadline, checked
+/// every `stride` work units.
 ///
 /// One budget serves one solve; it is intentionally `!Sync` (interior
 /// `Cell` counters) — concurrent batch items each build their own from
-/// the same shared cancel flag.
+/// their deadline.
 #[derive(Debug, Clone)]
 pub struct Budget {
     deadline: Option<Instant>,
-    cancel: Option<Arc<AtomicBool>>,
     stride: u64,
     until_check: Cell<u64>,
 }
 
 impl Budget {
-    /// A budget that never expires and cannot be cancelled. Charges
-    /// against it are a single branch.
+    /// A budget that never expires. Charges against it are a single
+    /// branch.
     pub fn unlimited() -> Self {
         Budget {
             deadline: None,
-            cancel: None,
             stride: DEFAULT_STRIDE,
             until_check: Cell::new(DEFAULT_STRIDE),
         }
@@ -73,14 +62,6 @@ impl Budget {
             deadline: Some(deadline),
             ..Budget::unlimited()
         }
-    }
-
-    /// Attaches a cooperative cancel flag; raising it fails the next
-    /// real check with [`Exceeded::Cancelled`].
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(cancel);
-        self
     }
 
     /// Overrides the check stride (work units between real checks).
@@ -95,7 +76,7 @@ impl Budget {
     /// Whether this budget can ever refuse work. `false` lets callers
     /// skip building budgeted state entirely.
     pub fn is_limited(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_some()
+        self.deadline.is_some()
     }
 
     /// The wall-clock deadline, if any.
@@ -117,8 +98,7 @@ impl Budget {
     }
 
     /// Charges `units` of work. Most calls only decrement a counter;
-    /// once `stride` units accumulate the clock and the cancel flag are
-    /// actually consulted.
+    /// once `stride` units accumulate the clock is actually consulted.
     #[inline]
     pub fn charge(&self, units: u64) -> Result<(), Exceeded> {
         if !self.is_limited() {
@@ -133,20 +113,12 @@ impl Budget {
         self.check_now()
     }
 
-    /// Consults the cancel flag and the clock immediately, bypassing
-    /// the stride counter.
+    /// Consults the clock immediately, bypassing the stride counter.
     pub fn check_now(&self) -> Result<(), Exceeded> {
-        if let Some(cancel) = &self.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return Err(Exceeded::Cancelled);
-            }
+        match self.deadline {
+            Some(deadline) if Instant::now() >= deadline => Err(Exceeded),
+            _ => Ok(()),
         }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Err(Exceeded::Deadline);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -179,7 +151,7 @@ mod tests {
             }
         }
         assert!(refused, "expired budget must refuse within one stride");
-        assert_eq!(b.check_now(), Err(Exceeded::Deadline));
+        assert_eq!(b.check_now(), Err(Exceeded));
         assert_eq!(b.remaining_ms(), Some(0));
     }
 
@@ -193,24 +165,14 @@ mod tests {
     }
 
     #[test]
-    fn cancel_flag_wins_over_deadline() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let b = Budget::with_deadline(Instant::now() - Duration::from_millis(1))
-            .with_cancel(Arc::clone(&flag));
-        assert_eq!(b.check_now(), Err(Exceeded::Deadline));
-        flag.store(true, Ordering::Relaxed);
-        assert_eq!(b.check_now(), Err(Exceeded::Cancelled));
-    }
-
-    #[test]
     fn zero_stride_checks_every_charge() {
         let b = Budget::with_deadline(Instant::now() - Duration::from_millis(1)).with_stride(0);
-        assert_eq!(b.charge(1), Err(Exceeded::Deadline));
+        assert_eq!(b.charge(1), Err(Exceeded));
     }
 
     #[test]
     fn oversized_charge_triggers_immediate_check() {
         let b = Budget::with_deadline(Instant::now() - Duration::from_millis(1));
-        assert_eq!(b.charge(DEFAULT_STRIDE + 1), Err(Exceeded::Deadline));
+        assert_eq!(b.charge(DEFAULT_STRIDE + 1), Err(Exceeded));
     }
 }

@@ -13,7 +13,7 @@ use tgp_graph::{
     contract, ChainView, Components, CutSet, PathGraph, Segment, Tree, TreeView, Weight,
 };
 
-use crate::bandwidth::{analyze_bandwidth_budgeted, MergeSearch};
+use crate::bandwidth::{analyze_bandwidth_with, MergeSearch};
 use crate::bottleneck::min_bottleneck_cut;
 use crate::budget::Budget;
 use crate::error::PartitionError;
@@ -108,7 +108,7 @@ pub struct ChainPartition {
 
 /// Partitions a linear task graph by bandwidth minimization (§2.3, the
 /// `O(n + p log q)` algorithm). The TEMP_S solve runs under `budget`
-/// (see [`analyze_bandwidth_budgeted`]), so a deadline or cancel raised
+/// (see [`analyze_bandwidth_with`]), so a deadline that expires
 /// mid-solve stops it; callers with no deadline pass
 /// [`Budget::unlimited`].
 ///
@@ -137,7 +137,7 @@ pub fn partition_chain<C: ChainView>(
     bound: Weight,
     budget: &Budget,
 ) -> Result<ChainPartition, PartitionError> {
-    let (cut, _stats) = analyze_bandwidth_budgeted(path, bound, MergeSearch::Binary, budget)?;
+    let (cut, _stats) = analyze_bandwidth_with(path, bound, MergeSearch::Binary, budget)?;
     finish_chain(path, cut)
 }
 

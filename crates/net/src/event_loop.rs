@@ -45,7 +45,7 @@ use crate::framer::{frame, FrameLimits, FrameStatus};
 use crate::poll::{Event, Interest, Poller, Token, Waker};
 use crate::sys;
 use crate::timer::{TimeoutKind, TimerWheel};
-use crate::{Action, ConnId, Handler, NetConfig, NetCounters, WRITE_MIN_BYTES};
+use crate::{Action, ConnId, Handler, NetConfig, NetCounters, WriteTag, WRITE_MIN_BYTES};
 
 const LISTENER_TOKEN: Token = u64::MAX;
 const WAKER_TOKEN: Token = u64::MAX - 1;
@@ -73,6 +73,7 @@ struct Completion {
     conn: ConnId,
     bytes: Vec<u8>,
     keep_alive: bool,
+    tag: Option<WriteTag>,
 }
 
 /// State shared between the loop thread and [`LoopHandle`] clones.
@@ -99,12 +100,14 @@ impl LoopHandle {
     /// Queues the wire response for `conn` and wakes the loop. If the
     /// connection died in the meantime the response is dropped — the
     /// generation in [`ConnId`] guarantees it can never reach a peer
-    /// that reused the slot.
-    pub fn submit(&self, conn: ConnId, bytes: Vec<u8>, keep_alive: bool) {
+    /// that reused the slot. `tag` comes back through
+    /// [`Handler::on_write_complete`] once the response is flushed.
+    pub fn submit(&self, conn: ConnId, bytes: Vec<u8>, keep_alive: bool, tag: Option<WriteTag>) {
         self.shared.completions.lock().unwrap().push(Completion {
             conn,
             bytes,
             keep_alive,
+            tag,
         });
         self.shared.waker.wake();
     }
@@ -236,6 +239,8 @@ struct Connection {
     /// When the current response's first write was attempted; reported
     /// to [`Handler::on_write_complete`] once the flush finishes.
     write_started: Option<Instant>,
+    /// The current response's [`WriteTag`], handed back with it.
+    write_tag: Option<WriteTag>,
 }
 
 /// One slab slot. `generation` survives reuse so stale tokens and
@@ -474,6 +479,7 @@ impl Loop {
             keep_alive: true,
             rdhup: false,
             write_started: None,
+            write_tag: None,
         });
         self.open += 1;
         self.counters
@@ -708,7 +714,7 @@ impl Loop {
                         false
                     }
                     Action::Respond { bytes, keep_alive } => {
-                        self.start_write(idx, bytes, keep_alive);
+                        self.start_write(idx, bytes, keep_alive, None);
                         true
                     }
                 }
@@ -716,13 +722,13 @@ impl Loop {
             FrameStatus::Error(err) => {
                 self.journal_event(EventKind::FrameError, idx as u64, 0);
                 let response = self.handler.on_frame_error(err);
-                self.start_write(idx, response, false);
+                self.start_write(idx, response, false, None);
                 true
             }
         }
     }
 
-    fn start_write(&mut self, idx: usize, bytes: Vec<u8>, keep_alive: bool) {
+    fn start_write(&mut self, idx: usize, bytes: Vec<u8>, keep_alive: bool, tag: Option<WriteTag>) {
         {
             let conn = self.slots[idx].conn.as_mut().unwrap();
             conn.write_buf = bytes;
@@ -731,6 +737,7 @@ impl Loop {
             conn.keep_alive = keep_alive && !conn.rdhup;
             conn.state = ConnState::Writing;
             conn.write_started = Some(Instant::now());
+            conn.write_tag = tag;
         }
         self.arm_timer(idx, TimeoutKind::Write);
     }
@@ -769,17 +776,18 @@ impl Loop {
     /// Returns `true` if the state machine should keep advancing
     /// (pipelined bytes are already buffered).
     fn finish_response(&mut self, idx: usize) -> bool {
-        let (keep_alive, write_elapsed) = {
+        let (keep_alive, tag, write_elapsed) = {
             let conn = self.slots[idx].conn.as_mut().unwrap();
             let elapsed = conn
                 .write_started
                 .take()
                 .map(|started| started.elapsed())
                 .unwrap_or_default();
-            (conn.keep_alive && self.drain_deadline.is_none(), elapsed)
+            let keep_alive = conn.keep_alive && self.drain_deadline.is_none();
+            (keep_alive, conn.write_tag.take(), elapsed)
         };
         let id = self.conn_id(idx);
-        self.handler.on_write_complete(id, write_elapsed);
+        self.handler.on_write_complete(id, tag, write_elapsed);
         if !keep_alive {
             self.close_conn(idx);
             return false;
@@ -845,7 +853,7 @@ impl Loop {
             if !live {
                 continue; // connection died while the worker computed
             }
-            self.start_write(idx, completion.bytes, completion.keep_alive);
+            self.start_write(idx, completion.bytes, completion.keep_alive, completion.tag);
             self.advance(idx);
         }
     }

@@ -66,9 +66,7 @@ pub use timer::TimeoutKind;
 /// reused under a new generation and the late [`LoopHandle::submit`]
 /// is dropped instead of answering the wrong peer. With a sharded
 /// [`LoopSet`], every loop has its own slab and generation space, so
-/// `shard` is what distinguishes loop 0's connection 3 from loop 1's —
-/// cross-loop consumers (the service's write-span table) must key on
-/// all three fields.
+/// `shard` is what distinguishes loop 0's connection 3 from loop 1's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConnId {
     /// Which event loop of the [`LoopSet`] owns the connection
@@ -98,6 +96,19 @@ impl ConnId {
             generation: (token >> 32) as u32,
         }
     }
+}
+
+/// Attributes a response's socket write to the request it answers: the
+/// request's trace id and that trace's commit sequence in the service's
+/// trace store. A worker hands it to [`LoopHandle::submit`] with the
+/// response; the loop keeps it with the connection while the response
+/// flushes and gives it back through [`Handler::on_write_complete`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WriteTag {
+    /// The request's trace id.
+    pub trace: tgp_obs::TraceId,
+    /// The committed trace's sequence number.
+    pub seq: u64,
 }
 
 /// Minimum write progress (bytes flushed to the socket) per
@@ -218,9 +229,11 @@ pub trait Handler: Send + Sync + 'static {
     fn on_frame_error(&self, err: FrameError) -> Vec<u8>;
 
     /// Called on the loop thread after a response has been fully
-    /// flushed to the socket, with the time spent writing it (from
-    /// first write attempt to last byte). Default: ignored. Used by
-    /// the service to patch the `write` span into the request's
-    /// trace, which is committed before the loop performs the write.
-    fn on_write_complete(&self, _conn: ConnId, _elapsed: Duration) {}
+    /// flushed to the socket, with the [`WriteTag`] it was submitted
+    /// with (`None` for responses the loop answered itself) and the
+    /// time spent writing it (from first write attempt to last byte).
+    /// Default: ignored. Used by the service to patch the `write` span
+    /// into the request's trace, which is committed before the loop
+    /// performs the write.
+    fn on_write_complete(&self, _conn: ConnId, _tag: Option<WriteTag>, _elapsed: Duration) {}
 }

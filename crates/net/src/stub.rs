@@ -8,7 +8,7 @@ use std::io;
 use std::net::TcpListener;
 use std::sync::Arc;
 
-use crate::{ConnId, Handler, NetConfig, NetCounters};
+use crate::{ConnId, Handler, NetConfig, NetCounters, WriteTag};
 
 /// Stand-in for the Linux event loop; cannot be constructed.
 #[derive(Debug)]
@@ -24,7 +24,7 @@ pub struct LoopHandle {
 
 impl LoopHandle {
     /// No loop exists to deliver to; unreachable in practice.
-    pub fn submit(&self, _conn: ConnId, _bytes: Vec<u8>, _keep_alive: bool) {}
+    pub fn submit(&self, _: ConnId, _: Vec<u8>, _: bool, _: Option<WriteTag>) {}
 
     /// No loop exists to stop; unreachable in practice.
     pub fn shutdown(&self) {}

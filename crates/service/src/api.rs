@@ -26,8 +26,8 @@
 //! * `422` — the body parsed but the request is semantically unusable:
 //!   unknown objective, missing/invalid/undeclared field, wrong graph
 //!   kind, cost-cap refusal, infeasible instance.
-//! * `503` — shed (`shed_expensive`/`shed_deadline`) or cancelled
-//!   mid-solve (`cancelled`).
+//! * `503` — queue full (`overloaded`) or shed near capacity
+//!   (`shed_expensive`/`shed_deadline`).
 //! * `504` — the request's deadline (`x-deadline-ms`, or a batch
 //!   item's `deadline_ms`) expired before the solve completed
 //!   (`deadline_exceeded`).
@@ -37,14 +37,14 @@
 //! `retry_after`, `deadline_remaining_ms` and `partial` fields; the
 //! codes for 422s come from [`SolveError::code`].
 //!
-//! Every partition response is cached under the solver's canonical key
-//! ([`tgp_solvers::Solver::canonical_key`]) of the *validated* content,
+//! Every partition response is cached under the request's canonical key
+//! ([`tgp_solvers::Request::canonical_key`]) of the *validated* content,
 //! so formatting differences (whitespace, key order) between equivalent
 //! requests still hit.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -52,7 +52,7 @@ use tgp_core::budget::Budget;
 use tgp_core::pipeline::partition_chain;
 use tgp_graph::json::{FromJson, Value};
 use tgp_graph::{json, ChainView, PathGraph, Weight};
-use tgp_net::ConnId;
+use tgp_net::{ConnId, WriteTag};
 use tgp_obs::trace::{self, SpanRecorder};
 use tgp_obs::{EventKind, Journal, Stage, TraceId, TraceRecord, TraceStore};
 use tgp_session::{Edit, SessionError, SessionStore, DEFAULT_SESSION_BUDGET};
@@ -104,101 +104,6 @@ pub const MAX_BATCH_SUBTASKS: usize = 64;
 const SHED_OCCUPANCY_NUM: usize = 3;
 const SHED_OCCUPANCY_DEN: usize = 4;
 
-/// Slots in the [`WritePending`] table (power of two). Connection slab
-/// indexes map into it by masking, so servers with at most this many
-/// concurrent connections never collide.
-const WRITE_PENDING_SLOTS: usize = 1024;
-
-/// Lock-free table of "response in flight on this connection" trace
-/// ids, indexed by the connection's slab slot (spread by its owning
-/// loop's shard id, since every loop has its own slot 0). The epoll
-/// loop frames one request per connection at a time, so insert (worker,
-/// before submit) and remove (loop, at write completion) for one
-/// connection never race each other; the table only has to tolerate
-/// *different* connections sharing a masked slot. On such a collision
-/// the later insert wins and the earlier connection's removal sees a
-/// token/shard mismatch — its write span is dropped (a debug-only
-/// loss), never misattributed; the shard check is what keeps that
-/// guarantee across loops, where `(index, generation)` alone can
-/// coincide. This used to be a `Mutex<HashMap>`, but two lock
-/// acquisitions per request on the hot path is exactly the kind of
-/// overhead the <2% tracing budget (EXPERIMENTS.md §OBS) rules out.
-struct WritePending {
-    slots: Vec<PendingSlot>,
-}
-
-struct PendingSlot {
-    token: AtomicU64,
-    shard: AtomicU64,
-    trace: AtomicU64,
-    seq: AtomicU64,
-}
-
-/// "Slot empty" sentinel: a real token would need generation and index
-/// both at `u32::MAX`.
-const WRITE_PENDING_EMPTY: u64 = u64::MAX;
-
-impl WritePending {
-    fn new() -> Self {
-        WritePending {
-            slots: (0..WRITE_PENDING_SLOTS)
-                .map(|_| PendingSlot {
-                    token: AtomicU64::new(WRITE_PENDING_EMPTY),
-                    shard: AtomicU64::new(0),
-                    trace: AtomicU64::new(0),
-                    seq: AtomicU64::new(0),
-                })
-                .collect(),
-        }
-    }
-
-    fn slot(&self, conn: ConnId) -> &PendingSlot {
-        // Offset each loop's slab by a stride co-prime with the table
-        // size, so concurrent loops' low slab indexes do not all fight
-        // over the same few slots.
-        let spread = (conn.index as usize).wrapping_add(conn.shard as usize * 61);
-        &self.slots[spread & (WRITE_PENDING_SLOTS - 1)]
-    }
-
-    fn insert(&self, conn: ConnId, trace: TraceId, seq: u64) {
-        let slot = self.slot(conn);
-        slot.shard.store(u64::from(conn.shard), Ordering::Relaxed);
-        slot.trace.store(trace.as_u64(), Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Relaxed);
-        // Release-publish after the payload stores so a remover that
-        // sees our token also sees our shard, trace id and sequence.
-        slot.token.store(conn.token(), Ordering::Release);
-    }
-
-    fn remove(&self, conn: ConnId) -> Option<(TraceId, u64)> {
-        let slot = self.slot(conn);
-        if slot.token.load(Ordering::Acquire) != conn.token()
-            || slot.shard.load(Ordering::Relaxed) != u64::from(conn.shard)
-        {
-            return None; // canned error, or lost to a collision
-        }
-        slot.token.store(WRITE_PENDING_EMPTY, Ordering::Relaxed);
-        Some((
-            TraceId::from_u64(slot.trace.load(Ordering::Relaxed)),
-            slot.seq.load(Ordering::Relaxed),
-        ))
-    }
-}
-
-impl std::fmt::Debug for WritePending {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let occupied = self
-            .slots
-            .iter()
-            .filter(|s| s.token.load(Ordering::Relaxed) != WRITE_PENDING_EMPTY)
-            .count();
-        f.debug_struct("WritePending")
-            .field("slots", &self.slots.len())
-            .field("occupied", &occupied)
-            .finish()
-    }
-}
-
 /// Shared handler state: one per server.
 #[derive(Debug)]
 pub struct AppState {
@@ -221,11 +126,6 @@ pub struct AppState {
     /// the server swaps in a journal-backed store via
     /// [`AppState::with_sessions`] when `--session-file` is set.
     pub sessions: Arc<SessionStore>,
-    /// Trace ids of responses currently being flushed by the epoll
-    /// loop, keyed by connection (one in-flight response per
-    /// connection). Lets [`AppState::complete_write`] attribute the
-    /// write duration to the right trace after commit.
-    write_pending: WritePending,
     /// The worker-pool queues batch handlers scatter subtasks onto —
     /// one per event loop, round-robined by [`QueueSet`]. Unset when
     /// the state runs without a pool (unit tests, embedders calling
@@ -260,7 +160,6 @@ impl AppState {
             traces: TraceStore::new(TRACE_CAPACITY),
             debug_endpoints: false,
             sessions: Arc::new(SessionStore::new(DEFAULT_SESSION_BUDGET)),
-            write_pending: WritePending::new(),
             fanout: OnceLock::new(),
             shed_cost: None,
             shed_remaining: None,
@@ -316,29 +215,16 @@ impl AppState {
         self
     }
 
-    /// Remembers which trace's response is about to be flushed on
-    /// `conn` by the epoll loop, so [`AppState::complete_write`] can
-    /// attribute the write duration. `seq` is the trace's commit
-    /// handle ([`ApiResponse::trace_seq`]). Must be called *before*
-    /// the response is submitted to the loop.
-    pub fn note_write_pending(&self, conn: ConnId, trace: TraceId, seq: Option<u64>) {
-        if let Some(seq) = seq {
-            if !trace.is_none() {
-                self.write_pending.insert(conn, trace, seq);
-            }
-        }
-    }
-
     /// Write completion from the transport: records the `write` stage
-    /// and patches the span into the committed trace. Safe for
-    /// responses with no pending trace (canned errors, frame errors).
-    pub fn complete_write(&self, conn: ConnId, elapsed: Duration) {
-        let pending = self.write_pending.remove(conn);
+    /// and patches the span into the trace `tag` names. Responses with
+    /// no committed trace (canned errors, frame errors) carry no tag.
+    pub fn complete_write(&self, conn: ConnId, tag: Option<WriteTag>, elapsed: Duration) {
         self.metrics.record_stage(Stage::Write, elapsed);
-        let id = match pending {
-            Some((id, seq)) => {
-                self.traces.append_span_at(seq, id, Stage::Write, elapsed);
-                id
+        let id = match tag {
+            Some(WriteTag { trace, seq }) => {
+                self.traces
+                    .append_span_at(seq, trace, Stage::Write, elapsed);
+                trace
             }
             None => TraceId::NONE,
         };
@@ -504,10 +390,10 @@ impl Failure {
         )
     }
 
-    /// Whether this failure means the solve was interrupted by its
-    /// budget (deadline or cancel) rather than rejected.
+    /// Whether this failure means the request's deadline interrupted
+    /// it rather than that it was rejected.
     fn is_interrupt(&self) -> bool {
-        matches!(self.code, "deadline_exceeded" | "cancelled")
+        self.code == "deadline_exceeded"
     }
 }
 
@@ -528,17 +414,14 @@ fn bad(message: impl Into<String>) -> Failure {
 
 /// A registry-level rejection carrying the solver error's code: 422 for
 /// semantic rejections, 504 when the request's deadline interrupted the
-/// solve, 503 when the cooperative cancel flag did.
+/// solve.
 fn solve_failure(error: SolveError) -> Failure {
-    let mut f = match &error {
-        SolveError::DeadlineExceeded => failure(504, error.to_string(), error.code()),
-        SolveError::Cancelled => failure(503, error.to_string(), error.code()),
-        _ => failure(422, error.to_string(), error.code()),
-    };
     if matches!(error, SolveError::DeadlineExceeded) {
+        let mut f = failure(504, error.to_string(), error.code());
         f.deadline_remaining_ms = Some(0);
+        return f;
     }
-    f
+    failure(422, error.to_string(), error.code())
 }
 
 fn error_response(endpoint: &'static str, failure: &Failure) -> ApiResponse {
@@ -1355,22 +1238,18 @@ fn partition_one(
         Err(error) => {
             // Label the failure when the objective at least resolved;
             // unknown objectives have no series to attribute to.
-            if let Some((index, _)) = named_solver(value) {
-                state
-                    .metrics
-                    .record_objective(index, false, started.elapsed());
-            }
-            Err(solve_failure(error))
+            let outcome = Err(solve_failure(error));
+            record_outcome(state, named_solver(value), &outcome, started);
+            outcome
         }
     }
 }
 
 /// The one stateless solve tail, whichever parser built `request`: the
-/// cache under the request's canonical key, and on a miss the solve
-/// under `budget` and the serialize, each timed as its stage; then the
-/// objective's outcome and latency (from `started`) and, for a solve
-/// its budget interrupted, the `cancelled` stage. A long solve is
-/// interrupted mid-loop instead of holding the worker.
+/// cache under the request's canonical key, and on a miss
+/// [`solve_and_render`] under `budget`; then [`record_outcome`] from
+/// `started`. A long solve is interrupted mid-loop instead of holding
+/// the worker.
 ///
 /// The key's length is known before the key is built, so a key the
 /// cache must refuse (a 100k-node graph's runs to megabytes) is never
@@ -1387,46 +1266,55 @@ fn solve_request(
         .cache
         .admits(request.canonical_key_len(), cost)
         .then(|| request.canonical_key());
-    let outcome = while_resident(state, request, || {
-        cache_through(state, key.as_deref(), cost, deadline, || {
-            let (response, solve_done) =
-                timed_stage_from(state, Stage::Solve, Instant::now(), || {
-                    request.run_budgeted(budget).map_err(solve_failure)
-                });
-            let response = response?;
-            let (rendered, _) = timed_stage_from(state, Stage::Serialize, solve_done, || {
-                response.value.to_string()
-            });
-            Ok(rendered)
-        })
+    let outcome = cache_through(state, key.as_deref(), cost, deadline, || {
+        solve_and_render(state, request, budget, Instant::now())
     });
-    if let Some((index, _)) = Registry::shared().get(request.objective.name()) {
+    let objective = Registry::shared().get(request.objective.name());
+    record_outcome(state, objective, &outcome, started);
+    outcome
+}
+
+/// The one partition solve step, for stateless requests and session
+/// solves alike: solves `request` under `budget` and renders the
+/// response, timed as the `solve` stage (from `solve_started`) and the
+/// `serialize` stage. The request's RAM-pinned graph bytes count in
+/// `tgp_graph_resident_bytes` for the length of the solve.
+fn solve_and_render(
+    state: &AppState,
+    request: &tgp_solvers::Request,
+    budget: &Budget,
+    solve_started: Instant,
+) -> Result<String, Failure> {
+    let bytes = request.graph.resident_bytes() as i64;
+    state.metrics.graph_resident_changed(bytes);
+    let (response, solve_done) = timed_stage_from(state, Stage::Solve, solve_started, || {
+        request.run_budgeted(budget).map_err(solve_failure)
+    });
+    state.metrics.graph_resident_changed(-bytes);
+    let response = response?;
+    let (rendered, _) = timed_stage_from(state, Stage::Serialize, solve_done, || {
+        response.value.to_string()
+    });
+    Ok(rendered)
+}
+
+/// Records how a solve that began at `started` ended: the outcome and
+/// latency of its objective, when one resolved, and for a deadline
+/// interrupt a `cancelled` stage span (the time the doomed solve
+/// consumed before noticing) and one tick of
+/// `tgp_deadline_drops_total{where="solve"}`.
+fn record_outcome<T>(
+    state: &AppState,
+    objective: Option<(usize, &'static dyn Solver)>,
+    outcome: &Result<T, Failure>,
+    started: Instant,
+) {
+    if let Some((index, _)) = objective {
         state
             .metrics
             .record_objective(index, outcome.is_ok(), started.elapsed());
     }
-    if let Err(failure) = &outcome {
-        note_interrupt(state, failure, started);
-    }
-    outcome
-}
-
-/// Runs `f` with `request`'s RAM-pinned graph bytes counted in
-/// `tgp_graph_resident_bytes`: the stateless tail and the session solve
-/// each bracket their solve with it, whichever parser built the request.
-fn while_resident<R>(state: &AppState, request: &tgp_solvers::Request, f: impl FnOnce() -> R) -> R {
-    let bytes = request.graph.resident_bytes() as i64;
-    state.metrics.graph_resident_changed(bytes);
-    let result = f();
-    state.metrics.graph_resident_changed(-bytes);
-    result
-}
-
-/// Makes a budget interrupt observable: a `cancelled` stage span (the
-/// time the doomed solve consumed before noticing) and one tick of
-/// `tgp_deadline_drops_total{where="solve"}`.
-fn note_interrupt(state: &AppState, failure: &Failure, started: Instant) {
-    if failure.is_interrupt() {
+    if outcome.as_ref().is_err_and(Failure::is_interrupt) {
         let elapsed = started.elapsed();
         state.metrics.record_stage(Stage::Cancelled, elapsed);
         trace::record(Stage::Cancelled, started, elapsed);
@@ -1580,15 +1468,11 @@ fn session_partition(
         Ok(v) => v,
         Err(failure) => return error_response("graphs", &failure),
     };
-    let objective = dispatched_objective(&value);
-    let objective_index = named_solver(&value).map(|(index, _)| index);
-    let mut response = match session_partition_one(state, id, &mut value, deadline) {
+    let objective = named_solver(&value);
+    let outcome = session_partition_one(state, id, &mut value, deadline);
+    record_outcome(state, objective, &outcome, started);
+    let mut response = match outcome {
         Ok(solved) => {
-            if let Some(index) = objective_index {
-                state
-                    .metrics
-                    .record_objective(index, true, started.elapsed());
-            }
             state.sessions.record_solve();
             let mut response = json_response(200, "graphs", solved.body);
             if let Some(mode) = solved.response_mode {
@@ -1596,17 +1480,9 @@ fn session_partition(
             }
             response
         }
-        Err(failure) => {
-            if let Some(index) = objective_index {
-                state
-                    .metrics
-                    .record_objective(index, false, started.elapsed());
-            }
-            note_interrupt(state, &failure, started);
-            error_response("graphs", &failure)
-        }
+        Err(failure) => error_response("graphs", &failure),
     };
-    response.objective = objective;
+    response.objective = objective.map_or("-", |(_, solver)| solver.name());
     response
 }
 
@@ -1663,19 +1539,7 @@ fn session_partition_one(
     };
     resident.graph = graph;
     let (request, parsed_at) = parsed?;
-
-    let (outcome, solve_done) = while_resident(state, &request, || {
-        timed_stage_from(state, Stage::Solve, parsed_at, || {
-            request.run_budgeted(&budget).map_err(solve_failure)
-        })
-    });
-    let response = outcome?;
-    let ((rendered_value, rendered), _) =
-        timed_stage_from(state, Stage::Serialize, solve_done, || {
-            let rendered_value = response.value;
-            let rendered = rendered_value.to_string();
-            (rendered_value, rendered)
-        });
+    let rendered = solve_and_render(state, &request, &budget, parsed_at)?;
     // Keep the full response as the baseline of this (objective,
     // params) key, still under the resident lock so per-graph solves
     // serialize with their baselines, and answer delta requests with
@@ -1687,7 +1551,7 @@ fn session_partition_one(
     let (body, response_mode) = match response_mode {
         Some("delta") => match previous {
             Some(previous) => (
-                format!("{}\n", delta_changed(&previous, &rendered_value)),
+                format!("{}\n", delta_changed(&previous, &rendered)),
                 Some("delta"),
             ),
             // No baseline to diff against: fall back to the full body.
@@ -1746,22 +1610,24 @@ fn take_response_mode(value: &mut Value) -> Result<Option<&'static str>, Failure
     }
 }
 
-/// The delta body: the fields of `current` whose rendered value differs
-/// from the stored `previous` full response, in response order.
-/// Reconstructing the full body = taking `previous` and substituting
-/// each changed field's value; session_e2e pins that round trip
-/// byte-identical.
-fn delta_changed(previous: &str, current: &Value) -> Value {
+/// The delta body: the fields of the `current` full response whose
+/// rendered value differs from the stored `previous` one, in response
+/// order. Both are compact renderings with no float, so the parsed
+/// fields print back byte-identically. Reconstructing the full body =
+/// taking `previous` and substituting each changed field's value;
+/// session_e2e pins that round trip byte-identical.
+fn delta_changed(previous: &str, current: &str) -> Value {
     let prev = Value::parse(previous).expect("stored solve is rendered JSON");
+    let current = Value::parse(current).expect("a solve renders JSON");
     let mut changed: Vec<(String, Value)> = Vec::new();
     if let Value::Object(entries) = current {
         for (k, v) in entries {
             let same = prev
-                .get(k)
+                .get(&k)
                 .map(|p| p.to_string() == v.to_string())
                 .unwrap_or(false);
             if !same {
-                changed.push((k.clone(), v.clone()));
+                changed.push((k, v));
             }
         }
     }
@@ -1774,12 +1640,11 @@ fn simulate_endpoint(state: &AppState, body: &[u8], deadline: Option<Instant>) -
         Ok(v) => v,
         Err(failure) => return error_response("simulate", &failure),
     };
-    match simulate_one(state, &value, deadline) {
+    let outcome = simulate_one(state, &value, deadline);
+    record_outcome(state, None, &outcome, started);
+    match outcome {
         Ok(rendered) => json_response(200, "simulate", format!("{rendered}\n")),
-        Err(failure) => {
-            note_interrupt(state, &failure, started);
-            error_response("simulate", &failure)
-        }
+        Err(failure) => error_response("simulate", &failure),
     }
 }
 
@@ -1876,7 +1741,7 @@ fn simulate_one(
     // One simulation event per item per stage, roughly: the admission
     // guard should treat long simulations as expensive to recompute.
     let cost = (items as u64).saturating_mul(chain.len() as u64);
-    with_cache(state, &key, cost, deadline, || {
+    cache_through(state, Some(key.as_slice()), cost, deadline, || {
         let budget = budget_for(deadline);
         let (solved, solve_done) = timed_stage_from(state, Stage::Solve, Instant::now(), || {
             let part = partition_chain(&chain, Weight::new(bound), &budget)
@@ -1914,20 +1779,11 @@ fn simulate_one(
 /// while the worker queue is nearly full. The shed check sits *after*
 /// the cache probe on purpose: a hit costs nothing to serve, so cached
 /// requests are never shed no matter how expensive their solve was.
-fn with_cache(
-    state: &AppState,
-    key: &[u8],
-    cost: u64,
-    deadline: Option<Instant>,
-    compute: impl FnOnce() -> Result<String, Failure>,
-) -> Result<String, Failure> {
-    cache_through(state, Some(key), cost, deadline, compute)
-}
-
-/// [`with_cache`] for a key that may be absent: `None` stands for a key
-/// the admission guard refuses, left unbuilt. It is never probed, counts
-/// as a miss, and its insert as the guard's oversize rejection, exactly
-/// as a built key of that length would.
+///
+/// A `None` key stands for a key the admission guard refuses, left
+/// unbuilt. It is never probed, counts as a miss, and its insert as the
+/// guard's oversize rejection, exactly as a built key of that length
+/// would.
 fn cache_through(
     state: &AppState,
     key: Option<&[u8]>,
@@ -2235,7 +2091,10 @@ mod tests {
         // second.
         let small = [b's'; 64];
         for _ in 0..2 {
-            assert_eq!(with_cache(&state, &small, 0, None, solve).unwrap(), "body");
+            assert_eq!(
+                cache_through(&state, Some(small.as_slice()), 0, None, solve).unwrap(),
+                "body"
+            );
         }
         assert_eq!((computes.get(), state.metrics.cache_hits()), (1, 1));
         // A key over the cheap-entry limit, planted under the relaxed
@@ -2243,7 +2102,10 @@ mod tests {
         // find it, so computing again proves no probe ran.
         let big = vec![b'b'; 2048];
         assert!(state.cache.insert(&big, "planted".to_string(), u64::MAX));
-        assert_eq!(with_cache(&state, &big, 0, None, solve).unwrap(), "body");
+        assert_eq!(
+            cache_through(&state, Some(big.as_slice()), 0, None, solve).unwrap(),
+            "body"
+        );
         assert_eq!((computes.get(), state.metrics.cache_hits()), (2, 1));
     }
 

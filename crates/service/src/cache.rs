@@ -133,8 +133,8 @@ fn decode_entry(payload: &[u8]) -> Option<EntryRecord> {
     })
 }
 
-// The canonical key builder moved to `tgp-solvers` (solvers define
-// their own keys via `Solver::canonical_key`); re-exported here so
+// The canonical key builder moved to `tgp-solvers` (requests build
+// their own keys via `Request::canonical_key`); re-exported here so
 // existing embedders keep compiling.
 pub use tgp_solvers::KeyBuilder;
 

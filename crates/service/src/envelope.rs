@@ -21,7 +21,6 @@ use tgp_graph::json::Value;
 pub const STABLE_CODES: &[&str] = &[
     "bad_request",
     "body_too_large",
-    "cancelled",
     "deadline_exceeded",
     "infeasible",
     "invalid_edit",
@@ -60,7 +59,7 @@ pub const ENDPOINTS: &[(&str, &str, &str, &str)] = &[
         "/v1/partition",
         "run any registered objective (single request or batch)",
         "unknown_objective, missing_field, invalid_field, unknown_field, wrong_graph_kind, \
-         too_expensive, infeasible, shed_expensive, shed_deadline, deadline_exceeded, cancelled",
+         too_expensive, infeasible, shed_expensive, shed_deadline, deadline_exceeded",
     ),
     (
         "POST",
@@ -99,7 +98,7 @@ pub const ENDPOINTS: &[(&str, &str, &str, &str)] = &[
         "/v1/graphs/<id>/partition",
         "solve against the resident graph (delta responses)",
         "unknown_objective, missing_field, invalid_field, session_not_found, infeasible, \
-         deadline_exceeded, cancelled",
+         deadline_exceeded",
     ),
     ("GET", "/healthz", "liveness probe", "-"),
     ("GET", "/metrics", "Prometheus text exposition", "-"),
@@ -234,7 +233,6 @@ mod tests {
         use tgp_solvers::SolveError;
         let samples = [
             SolveError::DeadlineExceeded,
-            SolveError::Cancelled,
             SolveError::Infeasible {
                 message: String::new(),
             },

@@ -53,6 +53,7 @@ use crate::http::{
 use crate::pool::{BoundedQueue, PushError, QueueSet, Work};
 use tgp_net::{
     request_header_value, Action, ConnId, FrameError, LoopHandle, LoopSet, NetConfig, ShardSpec,
+    WriteTag,
 };
 use tgp_obs::{EventKind, TraceId};
 
@@ -371,9 +372,9 @@ impl Server {
                                         // drop it without even parsing.
                                         let (response, keep_alive) =
                                             expired_in_queue_response(&state);
-                                        reply.submit(conn, response, keep_alive);
+                                        reply.submit(conn, response, keep_alive, None);
                                     } else {
-                                        let (response, keep_alive, trace, seq) = respond_to_bytes(
+                                        let (response, keep_alive, tag) = respond_to_bytes(
                                             &state,
                                             bytes,
                                             max_body,
@@ -383,11 +384,7 @@ impl Server {
                                             now,
                                             deadline,
                                         );
-                                        // Registered before the submit: the loop may
-                                        // finish flushing (and report the write) the
-                                        // instant the response lands.
-                                        state.note_write_pending(conn, trace, seq);
-                                        reply.submit(conn, response, keep_alive);
+                                        reply.submit(conn, response, keep_alive, tag);
                                     }
                                 }
                                 Work::Batch(subtask) => subtask.run(&state),
@@ -596,17 +593,18 @@ impl tgp_net::Handler for EpollHandler {
         out
     }
 
-    fn on_write_complete(&self, conn: ConnId, elapsed: Duration) {
-        self.state.complete_write(conn, elapsed);
+    fn on_write_complete(&self, conn: ConnId, tag: Option<WriteTag>, elapsed: Duration) {
+        self.state.complete_write(conn, tag, elapsed);
     }
 }
 
 /// Parses one framed request in place and serializes the response —
 /// the worker half of the transport. The request keeps the frame as
 /// its body's storage until the response is rendered. Returns the wire
-/// bytes, whether the connection should be kept alive, and the trace id
-/// and commit handle the request ran under (NONE/None for unparseable
-/// requests), so the caller can attribute the eventual socket write.
+/// bytes, whether the connection should be kept alive, and the
+/// [`WriteTag`] of the trace the request committed (`None` when it
+/// committed none), which rides with the response to attribute its
+/// socket write.
 // Transport plumbing: each argument is a distinct per-request fact the
 // event loop already holds; bundling them into a struct would only move
 // the same list one call further away.
@@ -620,7 +618,7 @@ fn respond_to_bytes(
     enqueued_at: Instant,
     dequeued_at: Instant,
     deadline: Option<Instant>,
-) -> (Vec<u8>, bool, TraceId, Option<u64>) {
+) -> (Vec<u8>, bool, Option<WriteTag>) {
     let mut out = Vec::new();
     match read_framed(frame, max_body) {
         Ok(request) => {
@@ -642,23 +640,27 @@ fn respond_to_bytes(
                 response.body.as_bytes(),
                 keep_alive,
             );
-            (out, keep_alive, response.trace, response.trace_seq)
+            let tag = response.trace_seq.map(|seq| WriteTag {
+                trace: response.trace,
+                seq,
+            });
+            (out, keep_alive, tag)
         }
         // The framer only dispatches complete requests, so this is
         // unreachable in practice; answer with a close either way.
-        Err(RecvError::Disconnected) => (out, false, TraceId::NONE, None),
+        Err(RecvError::Disconnected) => (out, false, None),
         Err(RecvError::BadRequest(message)) => {
             let body = envelope_body("bad_request", &message, None, None, false);
             state.metrics.record_request("other", 400, Duration::ZERO);
             let _ = write_response(&mut out, 400, "application/json", body.as_bytes(), false);
-            (out, false, TraceId::NONE, None)
+            (out, false, None)
         }
         Err(RecvError::BodyTooLarge { declared, limit }) => {
             let message = format!("body of {declared} bytes exceeds limit of {limit}");
             let body = envelope_body("body_too_large", &message, None, None, false);
             state.metrics.record_request("other", 413, Duration::ZERO);
             let _ = write_response(&mut out, 413, "application/json", body.as_bytes(), false);
-            (out, false, TraceId::NONE, None)
+            (out, false, None)
         }
     }
 }

@@ -258,8 +258,9 @@ pub struct Resident {
     /// `"response": "delta"` solve diffs against; each charged to the
     /// store's byte budget (see [`SessionStore::replace_baseline`]).
     baselines: Vec<(Vec<u8>, String)>,
-    /// Set by a delete, so that a solve that looked the graph up before
-    /// it went cannot charge a baseline to it.
+    /// Set by a delete, so that a solve or an edit batch that looked
+    /// the graph up before it went can neither charge a baseline to it
+    /// nor edit it.
     deleted: bool,
 }
 
@@ -643,15 +644,18 @@ impl SessionStore {
         let mut inner = self.inner.lock().expect("session store poisoned");
         let arc = inner
             .graphs
-            .remove(id)
+            .get(id)
+            .cloned()
             .ok_or_else(|| SessionError::NotFound { id: id.to_string() })?;
-        if journal {
-            if let Err(e) = self.journal_append(&format!("{{\"op\":\"delete\",\"id\":\"{id}\"}}")) {
-                inner.graphs.insert(id.to_string(), arc);
-                return Err(e);
-            }
-        }
+        // Lock the graph before journaling the delete: an edit batch that
+        // looked the graph up first either journals its patch before the
+        // delete or finds the graph deleted, so replay never meets a
+        // patch of a graph it has already dropped.
         let mut resident = arc.lock().expect("resident graph poisoned");
+        if journal {
+            self.journal_append(&format!("{{\"op\":\"delete\",\"id\":\"{id}\"}}"))?;
+        }
+        inner.graphs.remove(id);
         resident.deleted = true;
         let baselines: u64 = resident
             .baselines
@@ -686,6 +690,9 @@ impl SessionStore {
     ) -> Result<u64, SessionError> {
         let arc = self.resident(id)?;
         let mut resident = arc.lock().expect("resident graph poisoned");
+        if resident.deleted {
+            return Err(SessionError::NotFound { id: id.to_string() });
+        }
         if resident.version != expected_version {
             return Err(SessionError::VersionConflict {
                 id: id.to_string(),
@@ -1401,6 +1408,54 @@ mod tests {
             let (next, _) = reopened.register(chain_graph()).unwrap();
             assert_eq!(next, "g4");
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// An edit batch that looked its graph up just before a delete
+    /// (here: while a solve holds the graph) must not journal its patch
+    /// after the delete, or the journal can no longer be replayed; and
+    /// the bytes of its `add_leaf` must not outlive the graph.
+    #[test]
+    fn patch_racing_a_delete_keeps_the_journal_replayable() {
+        let path = temp_journal("patch-delete-race");
+        {
+            let store = Arc::new(SessionStore::with_journal(&path, 1 << 20).unwrap());
+            let (id, version) = store.register(chain_graph()).unwrap();
+            let arc = store.resident(&id).unwrap();
+            let solving = arc.lock().unwrap();
+            let patch = {
+                let (store, id) = (Arc::clone(&store), id.clone());
+                std::thread::spawn(move || {
+                    let leaf = r#"[{"op": "add_leaf", "node_weight": 6, "edge_weight": 2}]"#;
+                    store.apply(&id, version, &edits(leaf))
+                })
+            };
+            // The patch has looked the graph up once it holds a third
+            // reference, and has left the store lock once that is free.
+            while Arc::strong_count(&arc) < 3 {
+                std::thread::yield_now();
+            }
+            drop(store.inner.lock().unwrap());
+            let delete = {
+                let (store, id) = (Arc::clone(&store), id.clone());
+                std::thread::spawn(move || store.delete(&id))
+            };
+            // Only the delete takes the store lock from here on.
+            while store.inner.try_lock().is_ok() {
+                std::thread::yield_now();
+            }
+            drop(solving);
+            delete.join().unwrap().unwrap();
+            // The patch either landed before the delete or found the
+            // graph gone.
+            if let Err(error) = patch.join().unwrap() {
+                assert_eq!(error.code(), "session_not_found");
+            }
+            assert_eq!(store.resident_bytes.load(Ordering::SeqCst), 0);
+        }
+        let reopened = SessionStore::with_journal(&path, 1 << 20).unwrap();
+        assert_eq!(reopened.open_count(), 0);
+        drop(reopened);
         std::fs::remove_file(&path).unwrap();
     }
 

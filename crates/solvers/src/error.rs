@@ -74,9 +74,6 @@ pub enum SolveError {
     /// The request's deadline expired before (or while) the solve ran.
     /// Transports map this to HTTP 504.
     DeadlineExceeded,
-    /// The solve was cooperatively cancelled mid-flight (shutdown, or an
-    /// already-failed batch). Transports map this to HTTP 503.
-    Cancelled,
 }
 
 impl SolveError {
@@ -92,7 +89,6 @@ impl SolveError {
             SolveError::TooExpensive { .. } => "too_expensive",
             SolveError::Infeasible { .. } => "infeasible",
             SolveError::DeadlineExceeded => "deadline_exceeded",
-            SolveError::Cancelled => "cancelled",
         }
     }
 
@@ -105,24 +101,18 @@ impl SolveError {
     }
 
     /// Lifts a core [`PartitionError`](tgp_core::PartitionError),
-    /// preserving budget interrupts as their own stable codes instead of
-    /// folding them into [`SolveError::Infeasible`].
+    /// preserving a budget interrupt as its own stable code instead of
+    /// folding it into [`SolveError::Infeasible`].
     pub fn from_partition(error: tgp_core::PartitionError) -> Self {
         match error {
-            tgp_core::PartitionError::Interrupted(tgp_core::budget::Exceeded::Cancelled) => {
-                SolveError::Cancelled
-            }
-            tgp_core::PartitionError::Interrupted(_) => SolveError::DeadlineExceeded,
+            tgp_core::PartitionError::Interrupted(why) => SolveError::from_exceeded(why),
             other => SolveError::infeasible(other),
         }
     }
 
     /// Lifts a budget refusal directly.
-    pub fn from_exceeded(why: tgp_core::budget::Exceeded) -> Self {
-        match why {
-            tgp_core::budget::Exceeded::Cancelled => SolveError::Cancelled,
-            tgp_core::budget::Exceeded::Deadline => SolveError::DeadlineExceeded,
-        }
+    pub fn from_exceeded(_: tgp_core::budget::Exceeded) -> Self {
+        SolveError::DeadlineExceeded
     }
 }
 
@@ -156,7 +146,6 @@ impl fmt::Display for SolveError {
             SolveError::DeadlineExceeded => {
                 write!(f, "deadline exceeded before the solve completed")
             }
-            SolveError::Cancelled => write!(f, "solve cancelled before it completed"),
         }
     }
 }

@@ -38,8 +38,8 @@
 //! Arrays are parsed in blocks of up to [`BLOCK`] elements, each
 //! appended to its array in one call. Work is cost-sliced: one
 //! [`Budget`] unit per parsed element, charged as each block is
-//! appended, so an expired deadline or a raised cancel flag stops a
-//! huge upload mid-parse instead of after it.
+//! appended, so an expired deadline stops a huge upload mid-parse
+//! instead of after it.
 
 use std::borrow::Cow;
 use std::path::Path;
@@ -122,8 +122,7 @@ type Scan<T> = Result<T, Abort>;
 ///
 /// # Errors
 ///
-/// Only budget exhaustion: [`SolveError::DeadlineExceeded`] or
-/// [`SolveError::Cancelled`].
+/// Only budget exhaustion: [`SolveError::DeadlineExceeded`].
 pub fn ingest_flat(
     body: &[u8],
     backing: &IngestBacking,

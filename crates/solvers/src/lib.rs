@@ -2,12 +2,13 @@
 //!
 //! `tgp-solvers` turns the workspace's partitioning algorithms into a
 //! uniform [`Solver`] registry: each objective declares its name, the
-//! graph class it accepts, its parameter schema, and how it renders a
-//! response. The CLI, the HTTP service and the benchmarks all resolve
-//! objectives through [`Registry::shared`], which is what guarantees
-//! that `tgp partition <objective>` and `POST /v1/partition` accept the
-//! same requests, reject the same malformed ones, and produce
-//! byte-identical JSON.
+//! graph class it accepts and its parameter schema, and implements one
+//! [`Solver::solve`] under a deadline [`Budget`]. The CLI, the HTTP
+//! service and the benchmarks all resolve objectives through
+//! [`Registry::shared`], which is what guarantees that
+//! `tgp partition <objective>` and `POST /v1/partition` accept the same
+//! requests, reject the same malformed ones, and produce byte-identical
+//! JSON.
 //!
 //! The flow for a front end is three calls:
 //!
@@ -24,7 +25,11 @@
 //! assert_eq!(response.value["objective"].as_str(), Some("bandwidth"));
 //! ```
 //!
-//! Caches key on [`Solver::canonical_key`], which is derived from the
+//! Every way to run a solve checks the request's deadline once and
+//! calls [`Solver::solve`]: `run_budgeted` on `dyn Solver` or on
+//! [`Request`], and `run`, the same under [`Budget::unlimited`].
+//!
+//! Caches key on [`Request::canonical_key`], which is derived from the
 //! *validated* request content, so formatting differences cannot
 //! fragment the cache and cannot alias distinct instances.
 //!

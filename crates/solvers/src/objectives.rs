@@ -112,10 +112,7 @@ impl Solver for Bandwidth {
     fn summary(&self) -> &'static str {
         "minimum-bandwidth chain partition under a load bound (§2.3, O(n + p log q))"
     }
-    fn run(&self, request: &Request) -> Result<Response, SolveError> {
-        self.run_budgeted(request, &Budget::unlimited())
-    }
-    fn run_budgeted(&self, request: &Request, budget: &Budget) -> Result<Response, SolveError> {
+    fn solve(&self, request: &Request, budget: &Budget) -> Result<Response, SolveError> {
         let bound = bound_of(request);
         let part = on_chain!(&request.graph, |c| partition_chain(c, bound, budget))
             .map_err(SolveError::from_partition)?;
@@ -153,7 +150,7 @@ impl Solver for Bottleneck {
     fn summary(&self) -> &'static str {
         "minimum-bottleneck tree cut under a load bound (Algorithm 2.1)"
     }
-    fn run(&self, request: &Request) -> Result<Response, SolveError> {
+    fn solve(&self, request: &Request, _: &Budget) -> Result<Response, SolveError> {
         let bound = bound_of(request);
         let r = on_tree!(&request.graph, |t| min_bottleneck_cut(t, bound))
             .map_err(SolveError::infeasible)?;
@@ -184,7 +181,7 @@ impl Solver for ProcMin {
     fn summary(&self) -> &'static str {
         "minimum-processor tree partition under a load bound (Algorithm 2.2)"
     }
-    fn run(&self, request: &Request) -> Result<Response, SolveError> {
+    fn solve(&self, request: &Request, _: &Budget) -> Result<Response, SolveError> {
         let bound = bound_of(request);
         let r = on_tree!(&request.graph, |t| proc_min(t, bound)).map_err(SolveError::infeasible)?;
         Ok(Response::new(json!({
@@ -212,7 +209,7 @@ impl Solver for Compose {
     fn summary(&self) -> &'static str {
         "bottleneck-optimal tree partition with minimal processors (2.1 + 2.2)"
     }
-    fn run(&self, request: &Request) -> Result<Response, SolveError> {
+    fn solve(&self, request: &Request, _: &Budget) -> Result<Response, SolveError> {
         let bound = bound_of(request);
         let part = on_tree!(&request.graph, |t| partition_tree(t, bound))
             .map_err(SolveError::infeasible)?;
@@ -243,10 +240,7 @@ impl Solver for Lexicographic {
     fn summary(&self) -> &'static str {
         "chain cut minimizing (bottleneck, bandwidth) lexicographically (§3)"
     }
-    fn run(&self, request: &Request) -> Result<Response, SolveError> {
-        self.run_budgeted(request, &Budget::unlimited())
-    }
-    fn run_budgeted(&self, request: &Request, budget: &Budget) -> Result<Response, SolveError> {
+    fn solve(&self, request: &Request, budget: &Budget) -> Result<Response, SolveError> {
         let bound = bound_of(request);
         on_chain!(&request.graph, |c| {
             let cut = min_bandwidth_cut_lexicographic(c, bound, budget)
@@ -299,7 +293,7 @@ impl Solver for TreeBandwidth {
         let n = request.graph.nodes() as u64;
         n.saturating_mul(k).saturating_mul(k)
     }
-    fn run(&self, request: &Request) -> Result<Response, SolveError> {
+    fn solve(&self, request: &Request, _: &Budget) -> Result<Response, SolveError> {
         let bound = bound_of(request);
         on_tree!(&request.graph, |tree| {
             let cut = min_tree_bandwidth_cut(tree, bound).map_err(SolveError::infeasible)?;
@@ -330,7 +324,7 @@ impl Solver for Approx {
     fn summary(&self) -> &'static str {
         "best-of heuristics for general process graphs under a load bound"
     }
-    fn run(&self, request: &Request) -> Result<Response, SolveError> {
+    fn solve(&self, request: &Request, _: &Budget) -> Result<Response, SolveError> {
         let bound = bound_of(request);
         let part = partition_process_graph_best(request.graph.process(), bound)
             .map_err(SolveError::infeasible)?;
@@ -368,7 +362,7 @@ impl Solver for Nicol {
     fn summary(&self) -> &'static str {
         "Nicol & O'Hallaron O(n log n) bandwidth baseline on chains"
     }
-    fn run(&self, request: &Request) -> Result<Response, SolveError> {
+    fn solve(&self, request: &Request, _: &Budget) -> Result<Response, SolveError> {
         let bound = bound_of(request);
         on_chain!(&request.graph, |c| {
             let cut = nicol_bandwidth_cut(c, bound).map_err(SolveError::infeasible)?;
@@ -399,7 +393,7 @@ impl Solver for Coc {
     fn summary(&self) -> &'static str {
         "chains-on-chains minimax partition (algorithm: bokhari | probe)"
     }
-    fn run(&self, request: &Request) -> Result<Response, SolveError> {
+    fn solve(&self, request: &Request, _: &Budget) -> Result<Response, SolveError> {
         let m = processors_of(request)?;
         let algorithm = request.params.algorithm.as_deref().unwrap_or("probe");
         let result = on_chain!(&request.graph, |chain| match algorithm {
@@ -444,7 +438,7 @@ impl Solver for Bokhari {
         let m = request.params.processors.unwrap_or(1);
         n.saturating_mul(n).saturating_mul(m)
     }
-    fn run(&self, request: &Request) -> Result<Response, SolveError> {
+    fn solve(&self, request: &Request, _: &Budget) -> Result<Response, SolveError> {
         let m = processors_of(request)?;
         let result = on_chain!(&request.graph, |chain| bokhari_partition(chain, m))
             .map_err(SolveError::infeasible)?;
@@ -473,7 +467,7 @@ impl Solver for HansenLih {
     fn summary(&self) -> &'static str {
         "Hansen & Lih (1992) probe/binary-search minimax chain partition"
     }
-    fn run(&self, request: &Request) -> Result<Response, SolveError> {
+    fn solve(&self, request: &Request, _: &Budget) -> Result<Response, SolveError> {
         let m = processors_of(request)?;
         let result = on_chain!(&request.graph, |chain| hansen_lih_partition(chain, m))
             .map_err(SolveError::infeasible)?;
@@ -527,7 +521,7 @@ impl Solver for Hetero {
         let p = request.params.speeds.as_deref().map_or(1, |s| s.len()) as u64;
         n.saturating_mul(n).saturating_mul(p)
     }
-    fn run(&self, request: &Request) -> Result<Response, SolveError> {
+    fn solve(&self, request: &Request, _: &Budget) -> Result<Response, SolveError> {
         let speeds = request.params.speeds.clone().expect("required parameter");
         let array = HeteroArray::new(speeds.clone());
         let r = on_chain!(&request.graph, |chain| hetero_partition(chain, &array))
@@ -557,7 +551,7 @@ impl Solver for HostSatellite {
     fn summary(&self) -> &'static str {
         "host/satellite tree offloading with at most m satellites (Bokhari)"
     }
-    fn run(&self, request: &Request) -> Result<Response, SolveError> {
+    fn solve(&self, request: &Request, _: &Budget) -> Result<Response, SolveError> {
         let m = usize_param(
             request
                 .params
@@ -621,6 +615,10 @@ mod tests {
     #[test]
     fn registry_has_all_thirteen_objectives() {
         let names = Registry::shared().names();
+        let mut distinct = names.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), names.len(), "dispatch needs distinct names");
         assert_eq!(
             names,
             [
@@ -682,11 +680,6 @@ mod tests {
             let expired = Budget::with_deadline(Instant::now() - Duration::from_millis(1));
             let err = dispatched.run_budgeted(&request, &expired).unwrap_err();
             assert_eq!(err.code(), "deadline_exceeded", "{}", solver.name());
-            // A raised cancel flag maps to the cancelled code.
-            let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
-            let cancelled = Budget::unlimited().with_cancel(flag);
-            let err = dispatched.run_budgeted(&request, &cancelled).unwrap_err();
-            assert_eq!(err.code(), "cancelled", "{}", solver.name());
         }
     }
 

@@ -8,17 +8,18 @@ use tgp_graph::json::Value;
 
 use crate::error::SolveError;
 use crate::ingest::IngestBacking;
-use crate::key::KeyBuilder;
 use crate::objectives;
 use crate::request::{parse_request, GraphKind, ParamSpec, Request, Response};
 
 /// One partitioning objective: everything a front end needs to accept,
-/// run, cache and render it.
+/// solve and cache it.
 ///
 /// A solver owns its request schema ([`Solver::params`]) and response
-/// shape; the CLI and the HTTP service are thin shells over
-/// `parse` → [`Solver::run`], which is what guarantees the two produce
-/// byte-identical JSON for the same request.
+/// shape; the CLI and the HTTP service are thin shells over `parse` →
+/// [`Request::run_budgeted`], which is what guarantees the two produce
+/// byte-identical JSON for the same request. [`Solver::solve`] is the
+/// one method that runs the objective; `run` and `run_budgeted` on
+/// `dyn Solver` and on [`Request`] check the deadline once and call it.
 pub trait Solver: Send + Sync {
     /// The objective name used for dispatch, metrics labels and the
     /// `"objective"` response field.
@@ -42,68 +43,23 @@ pub trait Solver: Send + Sync {
         Ok(())
     }
 
-    /// Runs the objective on a validated request.
-    fn run(&self, request: &Request) -> Result<Response, SolveError>;
-
-    /// Cost-sliced cooperative run: like [`Solver::run`], but the solve
-    /// charges its work against `budget`, so an expired deadline or a
-    /// raised cancel flag stops it with [`SolveError::DeadlineExceeded`]
-    /// or [`SolveError::Cancelled`] instead of running to completion.
-    ///
-    /// The default charges the whole [`Solver::cost_estimate`] before
-    /// delegating to [`Solver::run`] — a pre-flight admission check that
-    /// refuses already-expired work but cannot preempt mid-solve.
-    /// Solvers whose hot loops can be sliced (bandwidth, lexicographic)
-    /// override this to charge incrementally inside the loop.
-    ///
-    /// With an unlimited budget the result is byte-identical to
-    /// [`Solver::run`].
-    fn run_budgeted(&self, request: &Request, budget: &Budget) -> Result<Response, SolveError> {
-        budget.check_now().map_err(SolveError::from_exceeded)?;
-        budget
-            .charge(self.cost_estimate(request))
-            .map_err(SolveError::from_exceeded)?;
-        self.run(request)
-    }
-
-    /// A rough, dimensionless estimate of how much work [`Solver::run`]
-    /// does on this request. Caches use it as an admission signal: a
-    /// response that was expensive to compute is worth keeping even
-    /// when it is large. The default — nodes plus edges — matches the
-    /// linear-time solvers; super-linear objectives override it (see
-    /// `TreeBandwidth`, `Bokhari`). Estimates saturate rather than
-    /// overflow.
+    /// A rough, dimensionless estimate of how much work
+    /// [`Solver::solve`] does on this request. Caches use it as an
+    /// admission signal: a response that was expensive to compute is
+    /// worth keeping even when it is large. The default — nodes plus
+    /// edges — matches the linear-time solvers; super-linear objectives
+    /// override it (see `TreeBandwidth`, `Bokhari`). Estimates saturate
+    /// rather than overflow.
     fn cost_estimate(&self, request: &Request) -> u64 {
         request.graph.work_units()
     }
 
-    /// The canonical cache key of a validated request: objective name,
-    /// parameters, then graph content — independent of the original
-    /// JSON formatting. Two requests with equal keys are guaranteed to
-    /// produce equal responses, so a cache may serve one for the other.
-    fn canonical_key(&self, request: &Request) -> Vec<u8> {
-        let mut key = KeyBuilder::default();
-        key.write_str(self.name());
-        request.params.write_key(&mut key);
-        request.graph.write_key(&mut key);
-        key.finish()
-    }
-
-    /// The length of [`Solver::canonical_key`]'s key, computed without
-    /// building it, so a cache can refuse a key too large to hold
-    /// before paying for it. A solver that overrides one of the two
-    /// must override both.
-    fn canonical_key_len(&self, request: &Request) -> usize {
-        KeyBuilder::str_len(self.name()) + request.params.key_len() + request.graph.key_len()
-    }
-
-    /// A copy of the response as JSON. A solver's wire form is the
-    /// [`Response::value`] it built, which the service serializes in
-    /// place (a deep copy per response is measurable on large
-    /// responses), so this is not a rendering hook.
-    fn to_json(&self, response: &Response) -> Value {
-        response.value.clone()
-    }
+    /// Solves a validated request, whose deadline the caller has just
+    /// checked. A solver whose hot loop can be sliced (bandwidth,
+    /// lexicographic) charges its work against `budget`, so a deadline
+    /// that expires mid-solve stops it with
+    /// [`SolveError::DeadlineExceeded`]; the others run to completion.
+    fn solve(&self, request: &Request, budget: &Budget) -> Result<Response, SolveError>;
 }
 
 impl dyn Solver {
@@ -120,11 +76,46 @@ impl dyn Solver {
         Ok(request)
     }
 
+    /// Runs the objective under `budget`: refuses a request whose
+    /// deadline has already passed, then [`Solver::solve`]s it. A
+    /// budget that does not run out leaves the response byte-identical
+    /// to `run`'s.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::DeadlineExceeded`] when the budget runs out, else
+    /// the solver's own failure.
+    pub fn run_budgeted(&self, request: &Request, budget: &Budget) -> Result<Response, SolveError> {
+        budget.check_now().map_err(SolveError::from_exceeded)?;
+        self.solve(request, budget)
+    }
+
+    /// `run_budgeted` with no deadline.
+    ///
+    /// # Errors
+    ///
+    /// The solver's own failure.
+    pub fn run(&self, request: &Request) -> Result<Response, SolveError> {
+        self.run_budgeted(request, &Budget::unlimited())
+    }
+
+    /// [`Request::canonical_key`] of `request`, which names this
+    /// solver. Kept only for the benchmark's frozen replay
+    /// (`perfbench/src/replay.rs`).
+    pub fn canonical_key(&self, request: &Request) -> Vec<u8> {
+        request.canonical_key()
+    }
+
+    /// A copy of the response's [`Response::value`], the wire form the
+    /// service serializes in place. Kept only for the benchmark's frozen
+    /// replay (`perfbench/src/replay.rs`).
+    pub fn to_json(&self, response: &Response) -> Value {
+        response.value.clone()
+    }
+
     /// Always `None`: no solver has a warm start, and session re-solves
-    /// run [`Solver::run_budgeted`]. Kept only for the benchmark's frozen
-    /// replay (`perfbench/src/replay.rs`), which then takes its cold
-    /// branch; it lives outside the trait so that no solver can
-    /// override it.
+    /// run `run_budgeted`. Kept only for the benchmark's frozen replay
+    /// (`perfbench/src/replay.rs`), which then takes its cold branch.
     pub fn run_warm(
         &self,
         request: &Request,
@@ -142,7 +133,9 @@ impl std::fmt::Debug for dyn Solver {
     }
 }
 
-/// The set of registered solvers, dispatchable by objective name.
+/// The registered solvers, dispatchable by objective name: the table
+/// [`Registry::shared`] builds once from every objective in the
+/// workspace.
 pub struct Registry {
     solvers: Vec<&'static dyn Solver>,
     names: Vec<&'static str>,
@@ -157,38 +150,14 @@ impl std::fmt::Debug for Registry {
 }
 
 impl Registry {
-    /// Builds a registry with every objective in the workspace.
-    pub fn with_all() -> Self {
-        let mut registry = Registry {
-            solvers: Vec::new(),
-            names: Vec::new(),
-        };
-        for solver in objectives::all() {
-            registry.register(solver);
-        }
-        registry
-    }
-
-    /// Adds a solver.
-    ///
-    /// # Panics
-    ///
-    /// If another solver already claimed the name — duplicate objectives
-    /// would make dispatch ambiguous, so this is a programming error.
-    pub fn register(&mut self, solver: &'static dyn Solver) {
-        let name = solver.name();
-        assert!(
-            !self.names.contains(&name),
-            "duplicate solver registration: {name}"
-        );
-        self.names.push(name);
-        self.solvers.push(solver);
-    }
-
     /// The shared process-wide registry.
     pub fn shared() -> &'static Registry {
         static SHARED: OnceLock<Registry> = OnceLock::new();
-        SHARED.get_or_init(Registry::with_all)
+        SHARED.get_or_init(|| {
+            let solvers = objectives::all().to_vec();
+            let names = solvers.iter().map(|solver| solver.name()).collect();
+            Registry { solvers, names }
+        })
     }
 
     /// Looks up a solver by objective name. The index is stable for the

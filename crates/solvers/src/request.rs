@@ -321,16 +321,24 @@ pub struct Request {
 }
 
 impl Request {
-    /// The named solver's [`Solver::canonical_key`] for this request.
+    /// The canonical cache key of this request: objective name,
+    /// parameters, then graph content — independent of the original
+    /// JSON formatting, and of which parser built the request. Two
+    /// requests with equal keys are guaranteed to produce equal
+    /// responses, so a cache may serve one for the other.
     pub fn canonical_key(&self) -> Vec<u8> {
-        self.objective.canonical_key(self)
+        let mut key = KeyBuilder::default();
+        key.write_str(self.objective.name());
+        self.params.write_key(&mut key);
+        self.graph.write_key(&mut key);
+        key.finish()
     }
 
-    /// The named solver's [`Solver::canonical_key_len`] for this
-    /// request: the length of [`Request::canonical_key`], without
-    /// building the key.
+    /// The length of [`Request::canonical_key`], computed without
+    /// building the key, so a cache can refuse a key too large to hold
+    /// before paying for it.
     pub fn canonical_key_len(&self) -> usize {
-        self.objective.canonical_key_len(self)
+        KeyBuilder::str_len(self.objective.name()) + self.params.key_len() + self.graph.key_len()
     }
 
     /// The named solver's [`Solver::cost_estimate`] for this request.
@@ -348,20 +356,22 @@ impl Request {
         key.finish()
     }
 
-    /// Runs the named solver ([`Solver::run`]).
+    /// [`Request::run_budgeted`] with no deadline.
     ///
     /// # Errors
     ///
-    /// As [`Solver::run`].
+    /// The named solver's own failure.
     pub fn run(&self) -> Result<Response, SolveError> {
-        self.objective.run(self)
+        self.run_budgeted(&Budget::unlimited())
     }
 
-    /// Runs the named solver under `budget` ([`Solver::run_budgeted`]).
+    /// Runs the named solver under `budget`: refuses the request if its
+    /// deadline has already passed, then [`Solver::solve`]s it.
     ///
     /// # Errors
     ///
-    /// As [`Solver::run_budgeted`].
+    /// [`SolveError::DeadlineExceeded`] when the budget runs out, else
+    /// the named solver's own failure.
     pub fn run_budgeted(&self, budget: &Budget) -> Result<Response, SolveError> {
         self.objective.run_budgeted(self, budget)
     }
@@ -606,7 +616,7 @@ mod tests {
         fn summary(&self) -> &'static str {
             "parser fixture"
         }
-        fn run(&self, _: &Request) -> Result<Response, SolveError> {
+        fn solve(&self, _: &Request, _: &Budget) -> Result<Response, SolveError> {
             unreachable!("the fixture is never run")
         }
     }
