@@ -262,6 +262,53 @@ pub struct Resident {
     /// the graph up before it went can neither charge a baseline to it
     /// nor edit it.
     deleted: bool,
+    /// The graph's shape as `info` and `list` report it, republished
+    /// after every change.
+    listing: Listing,
+}
+
+/// A graph's shape, as `GET /v1/graphs` reports it.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    kind: GraphKind,
+    version: u64,
+    nodes: usize,
+    edges: usize,
+}
+
+impl Shape {
+    /// The `GET /v1/graphs/<id>` metadata body.
+    fn info(&self, id: &str) -> Value {
+        json!({
+            "id": id,
+            "version": self.version,
+            "kind": self.kind.as_str(),
+            "nodes": self.nodes as u64,
+            "edges": self.edges as u64,
+            "bytes": resident_cost(self.kind, self.nodes, self.edges),
+        })
+    }
+}
+
+/// A resident graph's [`Shape`], published beside it so that `info` and
+/// `list` never wait for a solve that holds the graph; `None` once the
+/// graph is deleted. A leaf lock: held only to copy a shape in or out.
+type Listing = Arc<Mutex<Option<Shape>>>;
+
+/// A resident graph and its published shape.
+#[derive(Debug)]
+struct Entry {
+    resident: Arc<Mutex<Resident>>,
+    listing: Listing,
+}
+
+impl Entry {
+    fn new(resident: Resident) -> Self {
+        Entry {
+            listing: Arc::clone(&resident.listing),
+            resident: Arc::new(Mutex::new(resident)),
+        }
+    }
 }
 
 impl Resident {
@@ -287,16 +334,37 @@ impl Resident {
         let _ = (key, bottleneck);
     }
 
-    /// The `GET /v1/graphs/<id>` metadata body.
-    fn info(&self, id: &str) -> Value {
-        json!({
-            "id": id,
-            "version": self.version,
-            "kind": self.kind.as_str(),
-            "nodes": self.nodes as u64,
-            "edges": self.edges as u64,
-            "bytes": resident_cost(self.kind, self.nodes, self.edges),
-        })
+    /// Whether a delete has removed the graph: a caller that looked it
+    /// up before must answer as if it were not found.
+    pub fn is_deleted(&self) -> bool {
+        self.deleted
+    }
+
+    /// A graph as registered or replayed, its shape published.
+    fn new(kind: GraphKind, graph: Value, version: u64, nodes: usize, edges: usize) -> Self {
+        let resident = Resident {
+            kind,
+            graph,
+            version,
+            nodes,
+            edges,
+            baselines: Vec::new(),
+            deleted: false,
+            listing: Listing::default(),
+        };
+        resident.publish();
+        resident
+    }
+
+    /// Republishes the graph's shape for `info` and `list`.
+    fn publish(&self) {
+        let shape = Shape {
+            kind: self.kind,
+            version: self.version,
+            nodes: self.nodes,
+            edges: self.edges,
+        };
+        *self.listing.lock().expect("listing poisoned") = (!self.deleted).then_some(shape);
     }
 }
 
@@ -319,7 +387,7 @@ fn baseline_cost(key: &[u8], rendered: &str) -> u64 {
 
 #[derive(Debug, Default)]
 struct Inner {
-    graphs: HashMap<String, Arc<Mutex<Resident>>>,
+    graphs: HashMap<String, Entry>,
     next_id: u64,
 }
 
@@ -546,20 +614,12 @@ impl SessionStore {
     ) -> Result<(GraphKind, usize, usize), SessionError> {
         let (kind, nodes, edges) = Self::validate_graph(&graph)?;
         self.claim_bytes(resident_cost(kind, nodes, edges))?;
-        let resident = Resident {
-            kind,
-            graph,
-            version,
-            nodes,
-            edges,
-            baselines: Vec::new(),
-            deleted: false,
-        };
+        let resident = Resident::new(kind, graph, version, nodes, edges);
         let mut inner = self.inner.lock().expect("session store poisoned");
         if let Some(num) = id.strip_prefix('g').and_then(|n| n.parse::<u64>().ok()) {
             inner.next_id = inner.next_id.max(num);
         }
-        inner.graphs.insert(id, Arc::new(Mutex::new(resident)));
+        inner.graphs.insert(id, Entry::new(resident));
         Ok((kind, nodes, edges))
     }
 
@@ -579,18 +639,8 @@ impl SessionStore {
             self.release_bytes(resident_cost(kind, nodes, edges));
             return Err(e);
         }
-        let resident = Resident {
-            kind,
-            graph,
-            version: 1,
-            nodes,
-            edges,
-            baselines: Vec::new(),
-            deleted: false,
-        };
-        inner
-            .graphs
-            .insert(id.clone(), Arc::new(Mutex::new(resident)));
+        let resident = Resident::new(kind, graph, 1, nodes, edges);
+        inner.graphs.insert(id.clone(), Entry::new(resident));
         Ok((id, 1))
     }
 
@@ -603,25 +653,33 @@ impl SessionStore {
             .expect("session store poisoned")
             .graphs
             .get(id)
-            .cloned()
+            .map(|entry| Arc::clone(&entry.resident))
             .ok_or_else(|| SessionError::NotFound { id: id.to_string() })
     }
 
-    /// Graph metadata for `GET /v1/graphs/<id>`.
+    /// Graph metadata for `GET /v1/graphs/<id>`, from the published
+    /// shape: a solve holding the graph does not hold up the answer.
     pub fn info(&self, id: &str) -> Result<Value, SessionError> {
-        let arc = self.resident(id)?;
-        let resident = arc.lock().expect("resident graph poisoned");
-        Ok(resident.info(id))
+        let listing = {
+            let inner = self.inner.lock().expect("session store poisoned");
+            inner.graphs.get(id).map(|entry| Arc::clone(&entry.listing))
+        };
+        let shape = listing.and_then(|listing| *listing.lock().expect("listing poisoned"));
+        shape
+            .map(|shape| shape.info(id))
+            .ok_or_else(|| SessionError::NotFound { id: id.to_string() })
     }
 
-    /// Metadata for every resident graph, id-sorted.
+    /// Metadata for every resident graph, id-sorted, from the published
+    /// shapes: a solve holding a graph does not hold up the listing, and
+    /// a graph whose delete is under way is not listed.
     pub fn list(&self) -> Value {
-        let mut entries: Vec<(String, Arc<Mutex<Resident>>)> = {
+        let mut entries: Vec<(String, Listing)> = {
             let inner = self.inner.lock().expect("session store poisoned");
             inner
                 .graphs
                 .iter()
-                .map(|(id, arc)| (id.clone(), Arc::clone(arc)))
+                .map(|(id, entry)| (id.clone(), Arc::clone(&entry.listing)))
                 .collect()
         };
         entries.sort_by(|(a, _), (b, _)| {
@@ -630,7 +688,10 @@ impl SessionStore {
         });
         let graphs: Vec<Value> = entries
             .iter()
-            .map(|(id, arc)| arc.lock().expect("resident graph poisoned").info(id))
+            .filter_map(|(id, listing)| {
+                let shape = *listing.lock().expect("listing poisoned");
+                shape.map(|shape| shape.info(id))
+            })
             .collect();
         json!({ "graphs": graphs })
     }
@@ -640,23 +701,25 @@ impl SessionStore {
         self.delete_inner(id, true)
     }
 
+    /// Deletes `id` without holding the store lock while it waits for
+    /// the graph's own lock, which a long solve may hold: lookups,
+    /// registrations and listings of other graphs go on meanwhile.
     fn delete_inner(&self, id: &str, journal: bool) -> Result<(), SessionError> {
-        let mut inner = self.inner.lock().expect("session store poisoned");
-        let arc = inner
-            .graphs
-            .get(id)
-            .cloned()
-            .ok_or_else(|| SessionError::NotFound { id: id.to_string() })?;
+        let arc = self.resident(id)?;
         // Lock the graph before journaling the delete: an edit batch that
         // looked the graph up first either journals its patch before the
         // delete or finds the graph deleted, so replay never meets a
         // patch of a graph it has already dropped.
         let mut resident = arc.lock().expect("resident graph poisoned");
+        if resident.deleted {
+            // A concurrent delete got the lock first.
+            return Err(SessionError::NotFound { id: id.to_string() });
+        }
         if journal {
             self.journal_append(&format!("{{\"op\":\"delete\",\"id\":\"{id}\"}}"))?;
         }
-        inner.graphs.remove(id);
         resident.deleted = true;
+        resident.publish();
         let baselines: u64 = resident
             .baselines
             .drain(..)
@@ -665,6 +728,18 @@ impl SessionStore {
         self.release_bytes(
             resident_cost(resident.kind, resident.nodes, resident.edges) + baselines,
         );
+        drop(resident);
+        // The graph's lock is released before the store's is taken (the
+        // lock order), so the id may have been replaced meanwhile; only
+        // this graph's entry is removed.
+        let mut inner = self.inner.lock().expect("session store poisoned");
+        if inner
+            .graphs
+            .get(id)
+            .is_some_and(|entry| Arc::ptr_eq(&entry.resident, &arc))
+        {
+            inner.graphs.remove(id);
+        }
         Ok(())
     }
 
@@ -723,6 +798,7 @@ impl SessionStore {
             self.release_bytes(byte_delta.unsigned_abs());
         }
         resident.version += 1;
+        resident.publish();
         self.edits_total
             .fetch_add(edits.len() as u64, Ordering::Relaxed);
         Ok(resident.version)
@@ -750,14 +826,20 @@ impl SessionStore {
         let inner = self.inner.lock().expect("session store poisoned");
         let mut ids: Vec<&String> = inner.graphs.keys().collect();
         ids.sort();
+        // A graph whose delete is under way is journaled as deleted
+        // already, so the snapshot leaves it out.
         let guards: Vec<(&String, MutexGuard<'_, Resident>)> = ids
             .iter()
             .map(|id| {
                 (
                     *id,
-                    inner.graphs[*id].lock().expect("resident graph poisoned"),
+                    inner.graphs[*id]
+                        .resident
+                        .lock()
+                        .expect("resident graph poisoned"),
                 )
             })
+            .filter(|(_, resident)| !resident.deleted)
             .collect();
         let entries: Vec<String> = guards
             .iter()
@@ -1440,8 +1522,9 @@ mod tests {
                 let (store, id) = (Arc::clone(&store), id.clone());
                 std::thread::spawn(move || store.delete(&id))
             };
-            // Only the delete takes the store lock from here on.
-            while store.inner.try_lock().is_ok() {
+            // The delete has looked the graph up once it holds a fourth
+            // reference; it then waits for the graph's lock.
+            while Arc::strong_count(&arc) < 4 {
                 std::thread::yield_now();
             }
             drop(solving);
@@ -1455,6 +1538,63 @@ mod tests {
         }
         let reopened = SessionStore::with_journal(&path, 1 << 20).unwrap();
         assert_eq!(reopened.open_count(), 0);
+        drop(reopened);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A delete that waits for a graph a solve holds must not hold up
+    /// calls about other graphs: lookups, registrations and listings
+    /// return meanwhile, and the delete lands once the solve ends.
+    #[test]
+    fn a_waiting_delete_does_not_stall_other_graphs() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let path = temp_journal("delete-stall");
+        let (g1, g2, g3) = {
+            let store = Arc::new(SessionStore::with_journal(&path, 1 << 20).unwrap());
+            let (g1, _) = store.register(chain_graph()).unwrap();
+            let (g2, _) = store.register(tree_graph()).unwrap();
+            let arc = store.resident(&g1).unwrap();
+            let solving = arc.lock().unwrap();
+            let delete = {
+                let (store, id) = (Arc::clone(&store), g1.clone());
+                std::thread::spawn(move || store.delete(&id))
+            };
+            // The delete holds a third reference once it has looked g1
+            // up; it then waits for g1's lock.
+            while Arc::strong_count(&arc) < 3 {
+                std::thread::yield_now();
+            }
+            let (done, calls) = mpsc::channel();
+            {
+                let (store, g2) = (Arc::clone(&store), g2.clone());
+                std::thread::spawn(move || {
+                    let info = store.info(&g2).map(|v| v["id"].as_str().map(String::from));
+                    let registered = store.register(chain_graph()).map(|(id, _)| id);
+                    let listed = store.list()["graphs"].as_array().map_or(0, Vec::len);
+                    let _ = done.send((info, registered, listed));
+                });
+            }
+            let (info, registered, listed) = calls
+                .recv_timeout(Duration::from_secs(10))
+                .expect("calls about other graphs return while the delete waits");
+            assert_eq!(info.unwrap(), Some(g2.clone()));
+            let g3 = registered.unwrap();
+            assert_eq!(listed, 3, "g1 is listed until its delete lands");
+            assert!(!delete.is_finished());
+            drop(solving);
+            delete.join().unwrap().unwrap();
+            assert_eq!(store.info(&g1).unwrap_err().code(), "session_not_found");
+            assert_eq!(store.delete(&g1).unwrap_err().code(), "session_not_found");
+            (g1, g2, g3)
+        };
+        let reopened = SessionStore::with_journal(&path, 1 << 20).unwrap();
+        let ids: Vec<String> = state_of(&reopened)
+            .into_iter()
+            .map(|(id, _, _)| id)
+            .collect();
+        assert_eq!(ids, [g2, g3]);
+        assert!(reopened.resident(&g1).is_err());
         drop(reopened);
         std::fs::remove_file(&path).unwrap();
     }
