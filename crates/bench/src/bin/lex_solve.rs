@@ -86,7 +86,9 @@ fn cell(label: &str, bound: u64, graph: Value, objective: &str) {
     let value = json!({ "objective": objective, "bound": bound, "graph": graph });
     let (_, solver, request) = Registry::shared().dispatch(&value).expect("valid request");
     let cold = solver.run(&request).expect("feasible bound");
-    let b = cold.value["bottleneck"].as_u64().expect("bottleneck field");
+    let b = solver.to_json(&cold)["bottleneck"]
+        .as_u64()
+        .expect("bottleneck field");
     if let Some(oracle) = oracle {
         assert_eq!(
             b, oracle,

@@ -1,17 +1,18 @@
-//! Timings behind EXPERIMENTS.md §FLAT-PROCMIN, §BIG-BODIES and
-//! §FLAT-COMPOSE: the streaming ingest (`ingest_flat`) of 100 000-node
-//! chain and tree bodies, Algorithm 2.2 (`proc_min`) on a 100 000-node
-//! random RAM tree (a pointer `Tree` on older revisions) at three
-//! bounds, and the `compose` objective
-//! (the §3 pipeline) at n = 1 024 and 100 000.
+//! Timings behind EXPERIMENTS.md §FLAT-PROCMIN, §BIG-BODIES,
+//! §FLAT-COMPOSE and §WRITE-NOT-FAULT: the streaming ingest
+//! (`ingest_flat`) of 100 000-node chain and tree bodies, Algorithm 2.2
+//! (`proc_min`) on a 100 000-node random RAM tree (a pointer `Tree` on
+//! older revisions) at three bounds, the `compose` objective (the §3
+//! pipeline) at n = 1 024 and 100 000, and two large responses.
 //!
 //! Ingest bodies come in the two shapes the benchmark's large-solve
 //! workload sends: compact (`serde_json` field order, `node_weights`
 //! first; also timed with the deciding key `edge_weights`/`edges`
 //! first) and Python-style (`json.dumps(sort_keys=True)`: `", "` and
 //! `": "` separators, the deciding key before `node_weights`). Each is
-//! ingested into RAM arrays and into disk-backed (mmap) arrays in the
-//! system temp directory.
+//! ingested into RAM arrays and into disk-backed (spill file) arrays in
+//! the system temp directory. Each ingest cell also prints the minor
+//! page faults per call, read from `/proc/thread-self/stat` (Linux).
 //!
 //! Usage:
 //!
@@ -25,6 +26,14 @@
 //! `Solver::run` solves each request it got. A revision whose ingest does not stream
 //! `compose` prints "declined" in the flat cells. Where it streams,
 //! the three responses must be byte-identical.
+//!
+//! The response cells solve the bound-200 `bandwidth` request on the
+//! 100 000-node chain (1.5 MB of response) and the bound-200
+//! `bottleneck` request on the 100 000-node tree, each streamed into RAM
+//! arrays, and time the core solve alone, `Solver::run` (the solve and
+//! the response it builds) and `response.value.to_string()` (rendering
+//! a `Value` tree on revisions whose responses are trees, copying the
+//! written text on later ones).
 //!
 //! Every call keeps its signature across revisions, so the same file
 //! builds against older revisions of the solver crates and the numbers
@@ -40,6 +49,8 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use tgp_core::bottleneck::min_bottleneck_cut;
+use tgp_core::pipeline::partition_chain;
 use tgp_core::procmin::proc_min;
 use tgp_graph::generators::{random_tree, WeightDist};
 use tgp_graph::json::Value;
@@ -51,6 +62,28 @@ const RUNS: usize = 15;
 
 fn millis(f: impl FnMut()) -> String {
     timings(RUNS, 1e3, f)
+}
+
+/// Minor page faults of the calling thread so far: field 10 of
+/// `/proc/thread-self/stat`, counted after the parenthesized command
+/// name (which may hold spaces). Zero where the file does not exist.
+fn minor_faults() -> u64 {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap_or_default();
+    let fields = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+    // After the name: state is field 3, so minflt is the 8th.
+    fields
+        .split_whitespace()
+        .nth(7)
+        .and_then(|f| f.parse().ok())
+        .unwrap_or(0)
+}
+
+/// [`millis`], with the minor page faults per call appended.
+fn millis_and_faults(f: impl FnMut()) -> String {
+    let before = minor_faults();
+    let times = millis(f);
+    let faults = (minor_faults() - before) as f64 / RUNS as f64;
+    format!("{times}  {faults:>7.1}")
 }
 
 /// `runs` timed calls of `f`, in seconds times `scale`.
@@ -189,11 +222,8 @@ fn compose_cells(tree: &Tree, bound: u64, runs: usize) {
     };
     let value = Value::parse(&body).expect("valid JSON");
     let (_, _, dispatched) = registry.dispatch(&value).expect("valid request");
-    let want = dispatched
-        .objective
-        .run(&dispatched)
-        .expect("feasible bound")
-        .value;
+    let solver = dispatched.objective;
+    let want = solver.to_json(&solver.run(&dispatched).expect("feasible bound"));
     let mut requests = vec![("dispatched", Some(dispatched))];
     for (label, backing) in [("RAM", &IngestBacking::Ram), ("disk", &disk)] {
         let request = flat(backing);
@@ -256,14 +286,15 @@ fn main() {
         ("disk", IngestBacking::disk(&spill_dir)),
     ] {
         println!(
-            "{:<34} {:>6} {:>6}  {:>6} {:>6} {:>6} {:>6}",
+            "{:<34} {:>6} {:>6}  {:>6} {:>6} {:>6} {:>6}  {:>7}",
             format!("ingest_flat, {backing_label}"),
             "MB",
             "",
             "min",
             "q1",
             "median",
-            "q3"
+            "q3",
+            "faults"
         );
         for (label, objective) in [("chain", "bandwidth"), ("tree", "bottleneck")] {
             for (style, nodes_first, order) in shapes {
@@ -294,7 +325,7 @@ fn main() {
                     format!("{label}, {order}"),
                     body.len() as f64 / 1e6,
                     "",
-                    millis(|| {
+                    millis_and_faults(|| {
                         black_box(
                             ingest_flat(black_box(body.as_bytes()), &backing, &Budget::unlimited())
                                 .expect("no deadline"),
@@ -335,4 +366,60 @@ fn main() {
     );
     compose_cells(&small, 2_000, 201);
     compose_cells(&tree, 20_000, RUNS);
+
+    println!();
+    println!(
+        "{:<34} {:>6} {:>6}  {:>6} {:>6} {:>6} {:>6}",
+        "response, RAM arrays", "K", "MB", "min", "q1", "median", "q3"
+    );
+    let chain_body = body(
+        "bandwidth",
+        200,
+        &list(chain_nodes.iter().copied(), Style::Compact),
+        (
+            "edge_weights",
+            &list(chain_edges.iter().copied(), Style::Compact),
+        ),
+        true,
+        Style::Compact,
+    );
+    let chain = tgp_graph::PathGraph::from_raw(&chain_nodes, &chain_edges).expect("a chain");
+    response_cells("bandwidth", &chain_body, &mut || {
+        black_box(partition_chain(&chain, Weight::new(200), &Budget::unlimited()).expect("fits"));
+    });
+    let tree_body = tree_body("bottleneck", 200, &tree, Style::Compact);
+    response_cells("bottleneck", &tree_body, &mut || {
+        black_box(min_bottleneck_cut(&tree, Weight::new(200)).expect("fits"));
+    });
+}
+
+/// The response cells for one request body: the core solve alone, then
+/// `Solver::run` and `response.value.to_string()`.
+fn response_cells(objective: &str, body: &str, core: &mut dyn FnMut()) {
+    let request = ingest_flat(body.as_bytes(), &IngestBacking::Ram, &Budget::unlimited())
+        .expect("no deadline")
+        .expect("eligible body");
+    let solver = request.objective;
+    let response = solver.run(&request).expect("feasible bound");
+    let bytes = response.value.to_string().len() as f64 / 1e6;
+    let row = |cell: &str, times: String| {
+        println!(
+            "{:<34} {:>6} {bytes:>6.2}  {times}",
+            format!("{objective}, {cell}"),
+            200
+        );
+    };
+    row("core solve", millis(core));
+    row(
+        "Solver::run",
+        millis(|| {
+            black_box(solver.run(black_box(&request)).expect("feasible"));
+        }),
+    );
+    row(
+        "value.to_string()",
+        millis(|| {
+            black_box(black_box(&response).value.to_string());
+        }),
+    );
 }

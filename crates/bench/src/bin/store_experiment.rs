@@ -142,8 +142,8 @@ fn exp_oocore(backing: &str, n: usize) {
     let response = request.run().expect("feasible bound");
     let solve_ms = start.elapsed().as_secs_f64() * 1e3;
     let body = response.value.to_string();
-    let cut = response
-        .value
+    let parsed = Value::parse(&body).expect("a response is JSON");
+    let cut = parsed
         .get("cut")
         .and_then(Value::as_array)
         .map_or(0, Vec::len);

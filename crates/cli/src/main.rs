@@ -22,7 +22,7 @@ use std::io::Read;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tgp_graph::json;
-use tgp_graph::json::{FromJson, JsonError, ToJson, Value};
+use tgp_graph::json::{FromJson, JsonError, Text, ToJson, Value};
 
 use tgp_core::bandwidth::analyze_bandwidth;
 use tgp_core::budget::Budget;
@@ -501,9 +501,9 @@ fn cut_to_json(cut: impl Iterator<Item = EdgeId>) -> Value {
 
 /// Runs any registered objective through the shared solver registry:
 /// flags become the request's parameter fields, the graph comes from
-/// `--input`/stdin, and the returned value is the solver's response —
-/// the same `Value` the HTTP service renders for the same request.
-fn partition(objective: &str, opts: &Options) -> CliResult<Value> {
+/// `--input`/stdin, and the returned text is the solver's response —
+/// the same bytes the HTTP service sends for the same request.
+fn partition(objective: &str, opts: &Options) -> CliResult<Text> {
     let registry = Registry::shared();
     let (_, solver) = registry.get(objective).ok_or_else(|| {
         format!(

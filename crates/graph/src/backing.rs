@@ -43,10 +43,13 @@ impl BackingKind {
 
 /// A growable typed array, the uniform accessor over both backings.
 ///
-/// `mmap` gives contiguous addressable memory, so even the disk
-/// implementation exposes a plain slice — solver hot paths index it
-/// with zero per-access overhead and the kernel pages data in and out
-/// underneath.
+/// Arrays are append-only: elements go in at the end, in runs, and are
+/// read back as one slice. `mmap` gives contiguous addressable memory,
+/// so even the disk implementation exposes a plain slice — solver hot
+/// paths index it with zero per-access overhead and the kernel pages
+/// data in and out underneath. A disk array writes each append to its
+/// file in one `pwrite` (see `tgp-store`), so callers batch appends
+/// into runs of many elements.
 pub trait Array<T: Pod> {
     /// Number of elements.
     fn len(&self) -> usize;
@@ -58,9 +61,6 @@ pub trait Array<T: Pod> {
 
     /// The elements as a contiguous slice.
     fn as_slice(&self) -> &[T];
-
-    /// The elements as a mutable contiguous slice.
-    fn as_mut_slice(&mut self) -> &mut [T];
 
     /// Appends one element, growing the storage if needed.
     ///
@@ -133,10 +133,6 @@ impl<T: Pod> Array<T> for RamVec<T> {
 
     fn as_slice(&self) -> &[T] {
         &self.0
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.0
     }
 
     fn push(&mut self, value: T) -> io::Result<()> {
@@ -214,8 +210,6 @@ mod tests {
         }
         assert_eq!(a.len(), 100);
         assert_eq!(a.as_slice()[77], 231);
-        a.as_mut_slice()[77] = 1;
-        assert_eq!(a.as_slice()[77], 1);
         assert!(a.resident_bytes() >= a.byte_len());
     }
 }

@@ -76,6 +76,26 @@ impl From<io::Error> for BuildError {
     }
 }
 
+/// The node-weight total and heaviest node a builder keeps as weights
+/// stream in. An overflowing total surfaces as WeightOverflow in
+/// `finish`.
+#[derive(Default)]
+struct NodeStats {
+    total: u128,
+    max: u64,
+}
+
+impl NodeStats {
+    /// Counts one more node weight; returns the running total, truncated
+    /// (a truncated prefix is never observed: `finish` refuses it).
+    #[inline]
+    fn absorb(&mut self, weight: u64) -> u64 {
+        self.total += u128::from(weight);
+        self.max = self.max.max(weight);
+        self.total as u64
+    }
+}
+
 // ---------------------------------------------------------------------------
 // FlatPath
 // ---------------------------------------------------------------------------
@@ -149,9 +169,8 @@ pub struct FlatPathBuilder<B: MemoryBacking> {
     node_w: B::Array<u64>,
     edge_w: B::Array<u64>,
     prefix: B::Array<u64>,
-    node_total: u128,
+    nodes: NodeStats,
     edge_total: u128,
-    max_node: u64,
     kind: BackingKind,
 }
 
@@ -176,7 +195,8 @@ impl<B: MemoryBacking> FlatPathBuilder<B> {
     pub fn with_nodes(backing: &B, node_w: B::Array<u64>) -> io::Result<Self> {
         let n = node_w.len();
         let mut builder = FlatPathBuilder::with_nodes_hint(backing, node_w, n)?;
-        builder.absorb_nodes(0)?;
+        let b = &mut builder;
+        Self::absorb_nodes(&mut b.prefix, &mut b.nodes, b.node_w.as_slice())?;
         Ok(builder)
     }
 
@@ -187,9 +207,8 @@ impl<B: MemoryBacking> FlatPathBuilder<B> {
             node_w,
             edge_w: backing.new_array::<u64>(nodes_hint.saturating_sub(1))?,
             prefix,
-            node_total: 0,
+            nodes: NodeStats::default(),
             edge_total: 0,
-            max_node: 0,
             kind: backing.kind(),
         })
     }
@@ -219,22 +238,19 @@ impl<B: MemoryBacking> FlatPathBuilder<B> {
     ///
     /// Backing growth failure.
     pub fn extend_nodes(&mut self, weights: &[u64]) -> io::Result<()> {
-        let from = self.node_w.len();
         self.node_w.extend_from_slice(weights)?;
-        self.absorb_nodes(from)
+        Self::absorb_nodes(&mut self.prefix, &mut self.nodes, weights)
     }
 
-    /// Extends the prefix sums, the node total and the heaviest node over
-    /// `node_w[from..]`. An overflowing total surfaces as WeightOverflow
-    /// in `finish`; the truncated prefix is never observed.
-    fn absorb_nodes(&mut self, from: usize) -> io::Result<()> {
-        let weights = &self.node_w.as_slice()[from..];
-        let (total, max) = (&mut self.node_total, &mut self.max_node);
-        self.prefix.extend_from_fn(weights.len(), |k| {
-            *total += u128::from(weights[k]);
-            *max = (*max).max(weights[k]);
-            *total as u64
-        })
+    /// Extends the prefix sums and `stats` over `weights`, the node
+    /// weights just appended — read from the caller's slice, not back
+    /// from the array they went into.
+    fn absorb_nodes(
+        prefix: &mut B::Array<u64>,
+        stats: &mut NodeStats,
+        weights: &[u64],
+    ) -> io::Result<()> {
+        prefix.extend_from_fn(weights.len(), |k| stats.absorb(weights[k]))
     }
 
     /// Appends the next edge weight.
@@ -275,13 +291,13 @@ impl<B: MemoryBacking> FlatPathBuilder<B> {
     /// [`GraphError::WeightOverflow`].
     pub fn finish(self) -> Result<FlatPath<B>, BuildError> {
         let n = self.node_w.len();
-        check_chain(n, self.edge_w.len(), self.node_total, self.edge_total)?;
+        check_chain(n, self.edge_w.len(), self.nodes.total, self.edge_total)?;
         debug_assert_eq!(self.prefix.len(), n + 1);
         Ok(FlatPath {
             node_w: self.node_w,
             edge_w: self.edge_w,
             prefix: self.prefix,
-            max_node: self.max_node,
+            max_node: self.nodes.max,
             kind: self.kind,
         })
     }
@@ -379,9 +395,8 @@ pub struct FlatTreeBuilder<B: MemoryBacking> {
     /// node count `finish` accepts, so validation stops at this edge at
     /// the latest, and its error names the original value from here.
     first_oversized: Option<(usize, [usize; 2])>,
-    node_total: u128,
+    nodes: NodeStats,
     edge_total: u128,
-    max_node: u64,
     kind: BackingKind,
 }
 
@@ -406,7 +421,9 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
     pub fn with_nodes(backing: &B, node_w: B::Array<u64>) -> io::Result<Self> {
         let n = node_w.len();
         let mut builder = FlatTreeBuilder::with_nodes_hint(backing, node_w, n)?;
-        builder.absorb_nodes(0);
+        for &w in builder.node_w.as_slice() {
+            builder.nodes.absorb(w);
+        }
         Ok(builder)
     }
 
@@ -418,9 +435,8 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
             edge_b: backing.new_array::<u32>(m)?,
             edge_w: backing.new_array::<u64>(m)?,
             first_oversized: None,
-            node_total: 0,
+            nodes: NodeStats::default(),
             edge_total: 0,
-            max_node: 0,
             kind: backing.kind(),
         })
     }
@@ -449,19 +465,11 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
     ///
     /// Backing growth failure.
     pub fn extend_nodes(&mut self, weights: &[u64]) -> io::Result<()> {
-        let from = self.node_w.len();
         self.node_w.extend_from_slice(weights)?;
-        self.absorb_nodes(from);
-        Ok(())
-    }
-
-    /// Extends the node total and the heaviest node over
-    /// `node_w[from..]`.
-    fn absorb_nodes(&mut self, from: usize) {
-        for &w in &self.node_w.as_slice()[from..] {
-            self.node_total += u128::from(w);
-            self.max_node = self.max_node.max(w);
+        for &w in weights {
+            self.nodes.absorb(w);
         }
+        Ok(())
     }
 
     /// Appends the next edge `(a, b, weight)` in input orientation.
@@ -536,7 +544,7 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
             return Err(BuildError::TooLarge { nodes: n });
         }
         let m = self.edge_w.len();
-        check_tree(n, m, self.node_total, self.edge_total, |i| {
+        check_tree(n, m, self.nodes.total, self.edge_total, |i| {
             self.endpoints(i)
         })?;
         Ok(FlatTree {
@@ -544,8 +552,8 @@ impl<B: MemoryBacking> FlatTreeBuilder<B> {
             edge_a: self.edge_a,
             edge_b: self.edge_b,
             edge_w: self.edge_w,
-            total: self.node_total as u64,
-            max_node: self.max_node,
+            total: self.nodes.total as u64,
+            max_node: self.nodes.max,
             kind: self.kind,
         })
     }

@@ -12,7 +12,9 @@
 //! * [`Value::parse`] — a recursive-descent parser over [`Lexer`] with a
 //!   hard recursion depth limit, suitable for untrusted input (it returns
 //!   errors, never panics),
-//! * [`Value::pretty`] / `Display` — pretty and compact writers,
+//! * [`Writer`] — the one renderer: compact JSON text written straight
+//!   into bytes, which solvers write their responses with and which
+//!   [`Value::pretty`] and `Display` render through,
 //! * [`json!`](macro@crate::json) — literal construction macro (nested literals are written
 //!   as nested `json!` calls),
 //! * [`ToJson`] / [`FromJson`] — conversions for the graph types, always
@@ -266,129 +268,370 @@ impl Value {
         }
     }
 
-    /// Pretty-prints with two-space indentation.
+    /// Pretty-prints with two-space indentation. Scalars and keys are
+    /// rendered by [`Writer`], as in the compact form.
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out
+        let mut w = Writer::new();
+        self.write_pretty(&mut w, 0);
+        w.finish().into_string()
     }
 
-    fn write_pretty(&self, out: &mut String, indent: usize) {
+    fn write_pretty(&self, w: &mut Writer, indent: usize) {
         match self {
             Value::Array(items) if !items.is_empty() => {
-                out.push_str("[\n");
+                w.raw(b"[\n");
                 for (i, item) in items.iter().enumerate() {
-                    push_indent(out, indent + 1);
-                    item.write_pretty(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
+                    w.indent(indent + 1);
+                    item.write_pretty(w, indent + 1);
+                    w.raw(if i + 1 < items.len() { b",\n" } else { b"\n" });
                 }
-                push_indent(out, indent);
-                out.push(']');
+                w.indent(indent);
+                w.raw(b"]");
             }
             Value::Object(entries) if !entries.is_empty() => {
-                out.push_str("{\n");
+                w.raw(b"{\n");
                 for (i, (k, v)) in entries.iter().enumerate() {
-                    push_indent(out, indent + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write_pretty(out, indent + 1);
-                    if i + 1 < entries.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
+                    w.indent(indent + 1);
+                    w.string(k);
+                    w.raw(b": ");
+                    v.write_pretty(w, indent + 1);
+                    w.raw(if i + 1 < entries.len() { b",\n" } else { b"\n" });
                 }
-                push_indent(out, indent);
-                out.push('}');
+                w.indent(indent);
+                w.raw(b"}");
             }
             other => {
-                use fmt::Write;
-                let _ = write!(out, "{other}");
+                w.value(other);
             }
         }
     }
 }
 
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
+/// `"00"` through `"99"`, two digits per entry, for [`Writer::u64`].
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Compact JSON text, written straight into a byte buffer.
+///
+/// The one JSON renderer: every solver writes its response with it, and
+/// [`Value`]'s `Display` and [`Value::pretty`] render through it. Calls
+/// follow the document's order — [`Writer::begin_object`], then a
+/// [`Writer::key`] and a value per member, then
+/// [`Writer::end_object`] — and the writer puts the commas in. Numbers
+/// are written through a two-digit table, strings are copied as they
+/// are unless they need escapes (a cold path), and floats are written
+/// as [`Value`] always wrote them.
+///
+/// ```
+/// use tgp_graph::json::Writer;
+///
+/// let mut w = Writer::new();
+/// w.begin_object().key("cut").u64s([3, 14]).key("ok").bool(true).end_object();
+/// assert_eq!(w.finish().as_str(), r#"{"cut":[3,14],"ok":true}"#);
+/// ```
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: Vec<u8>,
+    /// Whether the next key or value follows a sibling, and so needs a
+    /// comma first.
+    comma: bool,
+}
+
+impl Writer {
+    /// An empty writer.
+    pub fn new() -> Self {
+        Writer::default()
+    }
+
+    /// An empty writer with room for `bytes` bytes of text.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Writer {
+            out: Vec::with_capacity(bytes),
+            comma: false,
+        }
+    }
+
+    /// The comma before a sibling; the next item then has a sibling
+    /// before it if `then` is true.
+    #[inline]
+    fn separate(&mut self, then: bool) {
+        if self.comma {
+            self.out.push(b',');
+        }
+        self.comma = then;
+    }
+
+    /// Opens an object.
+    #[inline]
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.separate(false);
+        self.out.push(b'{');
+        self
+    }
+
+    /// Closes the innermost open object.
+    #[inline]
+    pub fn end_object(&mut self) -> &mut Self {
+        self.out.push(b'}');
+        self.comma = true;
+        self
+    }
+
+    /// Opens an array.
+    #[inline]
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.separate(false);
+        self.out.push(b'[');
+        self
+    }
+
+    /// Closes the innermost open array.
+    #[inline]
+    pub fn end_array(&mut self) -> &mut Self {
+        self.out.push(b']');
+        self.comma = true;
+        self
+    }
+
+    /// Writes a member's key, a static name that needs no escape; its
+    /// value comes next.
+    #[inline]
+    pub fn key(&mut self, key: &'static str) -> &mut Self {
+        debug_assert_eq!(
+            plain_run(key.as_bytes()),
+            key.len(),
+            "{key:?} needs escapes"
+        );
+        self.separate(false);
+        self.out.reserve(key.len() + 3);
+        self.out.push(b'"');
+        self.out.extend_from_slice(key.as_bytes());
+        self.out.extend_from_slice(b"\":");
+        self
+    }
+
+    /// Writes a non-negative integer: four digits per division, two per
+    /// table lookup, pushed byte by byte (a copy of a few bytes costs
+    /// more as a `memcpy` call).
+    #[inline]
+    pub fn u64(&mut self, value: u64) -> &mut Self {
+        self.separate(true);
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        let mut pair = |at: &mut usize, p: usize| {
+            *at -= 2;
+            buf[*at..*at + 2].copy_from_slice(&DIGIT_PAIRS[2 * p..2 * p + 2]);
+        };
+        let mut v = value;
+        while v >= 10_000 {
+            let four = (v % 10_000) as usize;
+            v /= 10_000;
+            pair(&mut at, four % 100);
+            pair(&mut at, four / 100);
+        }
+        let mut v = v as usize;
+        if v >= 100 {
+            pair(&mut at, v % 100);
+            v /= 100;
+        }
+        if v >= 10 {
+            pair(&mut at, v);
+        } else {
+            at -= 1;
+            buf[at] = b'0' + v as u8;
+        }
+        self.out.reserve(buf.len());
+        for &digit in &buf[at..] {
+            self.out.push(digit);
+        }
+        self
+    }
+
+    /// Writes a signed integer.
+    pub fn i64(&mut self, value: i64) -> &mut Self {
+        if value < 0 {
+            self.separate(false);
+            self.out.push(b'-');
+        }
+        self.u64(value.unsigned_abs())
+    }
+
+    /// Writes a float: with one decimal when it is integral and below
+    /// 10^15 in magnitude (so it stays recognizable as a float), in
+    /// Rust's shortest round-trip form otherwise, and as `null` when it
+    /// is not finite, since JSON has no Inf or NaN.
+    pub fn f64(&mut self, value: f64) -> &mut Self {
+        use std::io::Write as _;
+        self.separate(true);
+        let _ = if !value.is_finite() {
+            self.out.write_all(b"null")
+        } else if value.fract() == 0.0 && value.abs() < 1e15 {
+            write!(self.out, "{value:.1}")
+        } else {
+            write!(self.out, "{value}")
+        };
+        self
+    }
+
+    /// Writes `true` or `false`.
+    #[inline]
+    pub fn bool(&mut self, value: bool) -> &mut Self {
+        self.separate(true);
+        self.out
+            .extend_from_slice(if value { b"true" } else { b"false" });
+        self
+    }
+
+    /// Writes `null`.
+    #[inline]
+    pub fn null(&mut self) -> &mut Self {
+        self.separate(true);
+        self.out.extend_from_slice(b"null");
+        self
+    }
+
+    /// Writes a string value.
+    #[inline]
+    pub fn str(&mut self, value: &str) -> &mut Self {
+        self.separate(true);
+        self.string(value);
+        self
+    }
+
+    /// Writes an array of non-negative integers.
+    pub fn u64s(&mut self, values: impl IntoIterator<Item = u64>) -> &mut Self {
+        self.begin_array();
+        for v in values {
+            self.u64(v);
+        }
+        self.end_array()
+    }
+
+    /// Writes a document tree.
+    pub fn value(&mut self, value: &Value) -> &mut Self {
+        match value {
+            Value::Null => self.null(),
+            Value::Bool(b) => self.bool(*b),
+            Value::Number(Number::UInt(u)) => self.u64(*u),
+            Value::Number(Number::Int(i)) => self.i64(*i),
+            Value::Number(Number::Float(x)) => self.f64(*x),
+            Value::String(s) => self.str(s),
+            Value::Array(items) => {
+                self.begin_array();
+                for item in items {
+                    self.value(item);
+                }
+                self.end_array()
+            }
+            Value::Object(entries) => {
+                self.begin_object();
+                for (k, v) in entries {
+                    self.separate(false);
+                    self.string(k);
+                    self.out.push(b':');
+                    self.value(v);
+                }
+                self.end_object()
+            }
+        }
+    }
+
+    /// The text written so far.
+    pub fn finish(self) -> Text {
+        Text(String::from_utf8(self.out).expect("the writer writes UTF-8"))
+    }
+
+    /// A quoted string: its run of plain characters copied as it is,
+    /// the rest (from the first character that needs an escape) on the
+    /// cold path.
+    #[inline]
+    fn string(&mut self, s: &str) {
+        self.out.push(b'"');
+        let plain = plain_run(s.as_bytes());
+        self.out.extend_from_slice(&s.as_bytes()[..plain]);
+        if plain < s.len() {
+            // The byte at `plain` is ASCII, so a character starts there.
+            self.escaped(&s[plain..]);
+        }
+        self.out.push(b'"');
+    }
+
+    #[cold]
+    fn escaped(&mut self, s: &str) {
+        use std::io::Write as _;
+        for c in s.chars() {
+            let _ = match c {
+                '"' => self.out.write_all(b"\\\""),
+                '\\' => self.out.write_all(b"\\\\"),
+                '\n' => self.out.write_all(b"\\n"),
+                '\r' => self.out.write_all(b"\\r"),
+                '\t' => self.out.write_all(b"\\t"),
+                '\u{08}' => self.out.write_all(b"\\b"),
+                '\u{0C}' => self.out.write_all(b"\\f"),
+                c if (c as u32) < 0x20 => write!(self.out, "\\u{:04x}", c as u32),
+                c => self.out.write_all(c.encode_utf8(&mut [0; 4]).as_bytes()),
+            };
+        }
+    }
+
+    /// Text outside the compact grammar, for [`Value::pretty`]; the
+    /// next item starts without a comma.
+    fn raw(&mut self, text: &[u8]) {
+        self.out.extend_from_slice(text);
+        self.comma = false;
+    }
+
+    /// Two spaces per level, for [`Value::pretty`].
+    fn indent(&mut self, levels: usize) {
+        for _ in 0..levels {
+            self.raw(b"  ");
+        }
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// Compact JSON text, as a [`Writer`] wrote it. `Display` writes the
+/// text as it is.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Text(String);
+
+impl Text {
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        &self.0
     }
-    out.push('"');
+
+    /// The text as an owned string, without a copy.
+    pub fn into_string(self) -> String {
+        self.0
+    }
+
+    /// Length in bytes.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the text is empty (a writer that wrote nothing).
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
 }
 
 impl fmt::Display for Value {
-    /// Compact (no whitespace) JSON encoding.
+    /// Compact (no whitespace) JSON encoding, by [`Writer`].
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => f.write_str("null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Number(Number::UInt(u)) => write!(f, "{u}"),
-            Value::Number(Number::Int(i)) => write!(f, "{i}"),
-            Value::Number(Number::Float(x)) => {
-                if x.is_finite() {
-                    // Keep floats recognizable as floats on the wire.
-                    if x.fract() == 0.0 && x.abs() < 1e15 {
-                        write!(f, "{x:.1}")
-                    } else {
-                        write!(f, "{x}")
-                    }
-                } else {
-                    // JSON has no Inf/NaN; encode as null like serde_json.
-                    f.write_str("null")
-                }
-            }
-            Value::String(s) => {
-                let mut buf = String::with_capacity(s.len() + 2);
-                write_escaped(&mut buf, s);
-                f.write_str(&buf)
-            }
-            Value::Array(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Value::Object(entries) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    let mut buf = String::with_capacity(k.len() + 2);
-                    write_escaped(&mut buf, k);
-                    f.write_str(&buf)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut w = Writer::new();
+        w.value(self);
+        f.write_str(w.finish().as_str())
     }
 }
 
@@ -1260,6 +1503,104 @@ mod tests {
         assert_eq!(v, reparsed);
         let pretty = Value::parse(&v.pretty()).unwrap();
         assert_eq!(v, pretty);
+    }
+
+    /// The writer's numbers, floats and escapes read exactly as `fmt`
+    /// and the renderer before it wrote them.
+    #[test]
+    fn writer_formats_scalars_as_fmt_does() {
+        let mut edges = vec![0u64, 9, 10, 99, 100, 999, 1_000, 9_999, 10_000, 99_999];
+        for digits in 5..=19 {
+            let p = 10u64.pow(digits);
+            edges.extend([p - 1, p, p + 1, p + p / 2]);
+        }
+        edges.extend([12_345_678, u64::MAX - 1, u64::MAX]);
+        for v in edges {
+            assert_eq!(Value::from(v).to_string(), v.to_string());
+        }
+        for v in [-1i64, -10, -10_001, i64::MIN] {
+            assert_eq!(Value::from(v).to_string(), v.to_string());
+        }
+        let old_float = |x: f64| {
+            if !x.is_finite() {
+                "null".to_string()
+            } else if x.fract() == 0.0 && x.abs() < 1e15 {
+                format!("{x:.1}")
+            } else {
+                format!("{x}")
+            }
+        };
+        for x in [
+            0.0,
+            -0.0,
+            1.0,
+            -3.0,
+            1.5,
+            0.1 + 0.2,
+            1e-7,
+            123_456.789,
+            999_999_999_999_999.0,
+            1e15,
+            1e16,
+            -2.5e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(Value::from(x).to_string(), old_float(x), "{x:?}");
+        }
+        let tricky = "q\"b\\s\n\r\t\u{08}\u{0C}\u{01}\u{1f}é😀";
+        let want = r#""q\"b\\s\n\r\t\b\f\u0001\u001fé😀""#;
+        assert_eq!(Value::from(tricky).to_string(), want);
+        assert_eq!(Value::parse(want).unwrap().as_str(), Some(tricky));
+        let object = Value::Object(vec![(tricky.to_string(), Value::Null)]);
+        assert_eq!(object.to_string(), format!("{{{want}:null}}"));
+    }
+
+    #[test]
+    fn writer_places_commas_between_siblings_only() {
+        let mut w = Writer::new();
+        w.begin_object()
+            .key("a")
+            .u64s([])
+            .key("b")
+            .begin_array()
+            .begin_object()
+            .end_object()
+            .begin_array()
+            .end_array()
+            .null()
+            .bool(false)
+            .i64(-4)
+            .str("")
+            .end_array()
+            .key("c")
+            .begin_object()
+            .key("d")
+            .f64(2.0)
+            .end_object()
+            .end_object();
+        let text = w.finish();
+        assert_eq!(
+            text.as_str(),
+            r#"{"a":[],"b":[{},[],null,false,-4,""],"c":{"d":2.0}}"#
+        );
+        assert_eq!(text.to_string(), text.as_str());
+        assert_eq!(
+            Value::parse(text.as_str()).unwrap().to_string(),
+            text.as_str()
+        );
+    }
+
+    #[test]
+    fn pretty_indents_two_spaces_and_renders_scalars_compactly() {
+        let v = Value::parse(r#"{"a":[1,{"b":"x\"y"}],"e":{},"f":[],"g":1.0}"#).unwrap();
+        assert_eq!(
+            v.pretty(),
+            "{\n  \"a\": [\n    1,\n    {\n      \"b\": \"x\\\"y\"\n    }\n  ],\n  \
+             \"e\": {},\n  \"f\": [],\n  \"g\": 1.0\n}"
+        );
+        assert_eq!(Value::from(7u64).pretty(), "7");
     }
 
     #[test]

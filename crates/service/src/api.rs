@@ -909,10 +909,11 @@ fn partition_endpoint(state: &AppState, body: &[u8], deadline: Option<Instant>) 
 }
 
 /// The single-request `/v1/partition` response: the rendered body or
-/// the failure's envelope, labelled with its objective.
+/// the failure's envelope, labelled with its objective. The body moves
+/// into the response as it is, its newline appended in place.
 fn partition_response(outcome: Result<String, Failure>, objective: &'static str) -> ApiResponse {
     let mut response = match outcome {
-        Ok(rendered) => json_response(200, "partition", format!("{rendered}\n")),
+        Ok(rendered) => json_response(200, "partition", with_newline(rendered)),
         Err(failure) => error_response("partition", &failure),
     };
     response.objective = objective;
@@ -1275,10 +1276,13 @@ fn solve_request(
 }
 
 /// The one partition solve step, for stateless requests and session
-/// solves alike: solves `request` under `budget` and renders the
-/// response, timed as the `solve` stage (from `solve_started`) and the
-/// `serialize` stage. The request's RAM-pinned graph bytes count in
-/// `tgp_graph_resident_bytes` for the length of the solve.
+/// solves alike: solves `request` under `budget`, timed as the `solve`
+/// stage (from `solve_started`), and takes the body the solver wrote,
+/// timed as the `serialize` stage. The solver writes its JSON text as
+/// it solves, so what `serialize` times is handing that text over
+/// (and dropping the request's working memory), not rendering it. The
+/// request's RAM-pinned graph bytes count in `tgp_graph_resident_bytes`
+/// for the length of the solve.
 fn solve_and_render(
     state: &AppState,
     request: &tgp_solvers::Request,
@@ -1293,9 +1297,16 @@ fn solve_and_render(
     state.metrics.graph_resident_changed(-bytes);
     let response = response?;
     let (rendered, _) = timed_stage_from(state, Stage::Serialize, solve_done, || {
-        response.value.to_string()
+        response.value.into_string()
     });
     Ok(rendered)
+}
+
+/// A rendered body with the newline every response body ends with,
+/// appended in place: the body is not copied unless its buffer is full.
+fn with_newline(mut rendered: String) -> String {
+    rendered.push('\n');
+    rendered
 }
 
 /// Records how a solve that began at `started` ended: the outcome and
@@ -1524,6 +1535,11 @@ fn session_partition_one(
     let response_mode = take_response_mode(value)?;
     let arc = state.sessions.resident(id).map_err(session_failure)?;
     let mut resident = arc.lock().expect("resident graph poisoned");
+    if resident.is_deleted() {
+        // Deleted while this solve waited for it.
+        let id = id.to_string();
+        return Err(session_failure(SessionError::NotFound { id }));
+    }
     let budget = budget_for(deadline);
     // Move the resident graph into the request object, parse, move it
     // back. No early return while the graph is out.
@@ -1555,10 +1571,10 @@ fn session_partition_one(
                 Some("delta"),
             ),
             // No baseline to diff against: fall back to the full body.
-            None => (format!("{rendered}\n"), Some("full")),
+            None => (with_newline(rendered), Some("full")),
         },
-        Some(_) => (format!("{rendered}\n"), Some("full")),
-        None => (format!("{rendered}\n"), None),
+        Some(_) => (with_newline(rendered), Some("full")),
+        None => (with_newline(rendered), None),
     };
     Ok(SessionSolve {
         body,
@@ -1643,7 +1659,7 @@ fn simulate_endpoint(state: &AppState, body: &[u8], deadline: Option<Instant>) -
     let outcome = simulate_one(state, &value, deadline);
     record_outcome(state, None, &outcome, started);
     match outcome {
-        Ok(rendered) => json_response(200, "simulate", format!("{rendered}\n")),
+        Ok(rendered) => json_response(200, "simulate", with_newline(rendered)),
         Err(failure) => error_response("simulate", &failure),
     }
 }

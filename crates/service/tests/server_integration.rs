@@ -602,3 +602,55 @@ fn epoll_serves_more_persistent_connections_than_workers() {
     assert!(wakeups > 0, "{metrics}");
     server.shutdown();
 }
+
+/// A spill directory the server cannot create files in — here a
+/// regular file — turns every spill into the RAM fallback: spilled
+/// chain and tree requests, stateless and in a session, answer with the
+/// bytes a RAM-backed server sends, and no graph counts as spilled.
+#[test]
+fn an_unusable_spill_dir_falls_back_to_the_ram_bytes() {
+    let file = std::env::temp_dir().join(format!("tgp-spill-dir-is-a-file-{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").unwrap();
+    let mut spilling = start(ServerConfig {
+        graph_spill_bytes: 0,
+        graph_spill_dir: Some(file.clone()),
+        ..ServerConfig::default()
+    });
+    let mut ram = start(ServerConfig::default());
+    for (objective, graph) in [
+        ("bandwidth", CHAIN),
+        ("lexicographic", CHAIN),
+        ("bottleneck", TREE),
+        ("procmin", TREE),
+    ] {
+        let body = format!(r#"{{"objective":"{objective}","bound":12,"graph":{graph}}}"#);
+        let want = roundtrip(&ram, &post("/v1/partition", &body));
+        assert_eq!(want.0, 200, "{objective}: {}", want.1);
+        let got = roundtrip(&spilling, &post("/v1/partition", &body));
+        assert_eq!(got, want, "{objective}");
+    }
+    for (objective, graph) in [("lexicographic", CHAIN), ("procmin", TREE)] {
+        let register = format!(r#"{{"graph":{graph}}}"#);
+        let solve = format!(r#"{{"objective":"{objective}","bound":12}}"#);
+        let mut bodies = Vec::new();
+        for server in [&ram, &spilling] {
+            let (status, reply) = roundtrip(server, &post("/v1/graphs", &register));
+            assert_eq!(status, 200, "{reply}");
+            let id = Value::parse(&reply).unwrap()["id"]
+                .as_str()
+                .expect("an id")
+                .to_string();
+            bodies.push(roundtrip(
+                server,
+                &post(&format!("/v1/graphs/{id}/partition"), &solve),
+            ));
+        }
+        assert_eq!(bodies[0].0, 200, "{objective}: {}", bodies[0].1);
+        assert_eq!(bodies[1], bodies[0], "session {objective}");
+    }
+    let (_, metrics) = roundtrip(&spilling, &get("/metrics"));
+    assert!(metrics.contains("tgp_graph_spilled_total 0"), "{metrics}");
+    spilling.shutdown();
+    ram.shutdown();
+    std::fs::remove_file(&file).unwrap();
+}

@@ -36,10 +36,10 @@
 //! scan, eight digits per word.
 //!
 //! Arrays are parsed in blocks of up to [`BLOCK`] elements, each
-//! appended to its array in one call. Work is cost-sliced: one
-//! [`Budget`] unit per parsed element, charged as each block is
-//! appended, so an expired deadline stops a huge upload mid-parse
-//! instead of after it.
+//! appended to its array in one call — for a disk array, one `pwrite`
+//! of at least 64 KiB per column. Work is cost-sliced: one [`Budget`]
+//! unit per parsed element, charged as each block is appended, so an
+//! expired deadline stops a huge upload mid-parse instead of after it.
 
 use std::borrow::Cow;
 use std::path::Path;
@@ -55,8 +55,15 @@ use crate::registry::{Registry, Solver};
 use crate::request::{GraphInput, Params, Request};
 
 /// Elements parsed between two appends to an array (and two budget
-/// charges).
-pub(crate) const BLOCK: usize = 512;
+/// charges): 64 KiB of the narrowest column (a tree's `u32` edge
+/// endpoints), so a disk array takes each block in runs of at least
+/// 64 KiB.
+pub(crate) const BLOCK: usize = 16 * 1024;
+
+/// The capacity a block buffer starts with. A buffer grows to
+/// [`BLOCK`] only when its array is that long, so a small body pays one
+/// small allocation per array.
+const FIRST_BLOCK: usize = 512;
 
 /// How the graph arrays should be backed.
 #[derive(Debug, Clone)]
@@ -312,7 +319,7 @@ fn name<'a>(lex: &mut Lexer<'a>) -> Scan<&'a str> {
 /// Streams a JSON array into `append` in blocks of up to [`BLOCK`]
 /// elements, each read by `item`, charging the budget one unit per
 /// element as each block is appended.
-fn blocks<'a, T: Copy + Default>(
+fn blocks<'a, T>(
     lex: &mut Lexer<'a>,
     budget: &Budget,
     item: impl Fn(&mut Lexer<'a>) -> Scan<T>,
@@ -323,17 +330,15 @@ fn blocks<'a, T: Copy + Default>(
     if lex.eat(b']') {
         return Ok(());
     }
-    let mut block = [T::default(); BLOCK];
-    let mut len = 0;
+    let mut block = Vec::with_capacity(FIRST_BLOCK);
     loop {
-        block[len] = item(lex)?;
-        len += 1;
+        block.push(item(lex)?);
         lex.skip_ws();
         let more = lex.eat(b',');
-        if len == BLOCK || !more {
-            append(&block[..len])?;
-            budget.charge(len as u64)?;
-            len = 0;
+        if block.len() == BLOCK || !more {
+            append(&block)?;
+            budget.charge(block.len() as u64)?;
+            block.clear();
         }
         if !more {
             return Ok(lex.expect(b']')?);

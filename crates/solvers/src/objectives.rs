@@ -1,9 +1,9 @@
 //! The concrete solver implementations behind every registered
 //! objective.
 //!
-//! Each solver declares its schema (graph kind + parameters) and builds
-//! its response `Value` with a fixed field order, so the compact
-//! rendering is byte-stable across front ends. Response shapes are the
+//! Each solver declares its schema (graph kind + parameters) and writes
+//! its response as compact JSON text with `tgp_graph::json::Writer`, in
+//! a fixed field order, so the body is byte-stable across front ends. Response shapes are the
 //! ones the CLI has always produced; the registry made them the single
 //! source of truth.
 //!
@@ -11,7 +11,7 @@
 //! general process graph — has one solve body, generic over the graph
 //! views and expanded per backing by `on_chain!`/`on_tree!`.
 
-use tgp_baselines::bokhari::bokhari_partition;
+use tgp_baselines::bokhari::{bokhari_partition, CocResult};
 use tgp_baselines::hansen_lih::hansen_lih_partition;
 use tgp_baselines::hetero::{hetero_partition, HeteroArray};
 use tgp_baselines::host_satellite::host_satellite_partition;
@@ -23,8 +23,8 @@ use tgp_core::budget::Budget;
 use tgp_core::pipeline::{partition_chain, partition_tree};
 use tgp_core::procmin::proc_min;
 use tgp_core::tree_bandwidth::min_tree_bandwidth_cut;
-use tgp_graph::json::Value;
-use tgp_graph::{json, ChainView, EdgeId, NodeId, TreeView, Weight};
+use tgp_graph::json::Writer;
+use tgp_graph::{ChainView, EdgeId, NodeId, TreeView, Weight};
 
 use crate::error::SolveError;
 use crate::flat::{on_chain, on_tree};
@@ -72,8 +72,34 @@ const HOST_SATELLITE_PARAMS: &[ParamSpec] = &[
     ParamSpec::optional("root", ParamKind::U64),
 ];
 
-pub(crate) fn cut_json(cut: impl Iterator<Item = EdgeId>) -> Value {
-    Value::Array(cut.map(|e| Value::from(e.index())).collect())
+/// A response writer with its object open and `"objective"` written,
+/// with room for `bytes` more bytes of fields.
+fn response(objective: &'static str, bytes: usize) -> Writer {
+    let mut w = Writer::with_capacity(96 + bytes);
+    w.begin_object().key("objective").str(objective);
+    w
+}
+
+/// Closes the object `w` holds: the response.
+fn finish(mut w: Writer) -> Response {
+    w.end_object();
+    Response::new(w.finish())
+}
+
+/// Room for `count` edge ids or indices in a response: up to seven
+/// digits and a comma each.
+fn ids_bytes(count: usize) -> usize {
+    8 * count
+}
+
+/// An edge id as written in a response.
+fn id(edge: EdgeId) -> u64 {
+    edge.index() as u64
+}
+
+/// Indices (boundaries, part labels) as written in a response.
+fn indices(values: &[usize]) -> impl Iterator<Item = u64> + '_ {
+    values.iter().map(|&v| v as u64)
 }
 
 fn bound_of(request: &Request) -> Weight {
@@ -96,6 +122,17 @@ fn processors_of(request: &Request) -> Result<usize, SolveError> {
     usize_param(m, "processors")
 }
 
+/// The response of a chains-on-chains solver run directly (`bokhari`,
+/// `hansen-lih`).
+fn chains_on_chains(objective: &'static str, m: usize, result: &CocResult) -> Response {
+    let boundaries = result.assignment.boundaries();
+    let mut w = response(objective, ids_bytes(boundaries.len()));
+    w.key("processors").u64(m as u64);
+    w.key("boundaries").u64s(indices(boundaries));
+    w.key("bottleneck").u64(result.bottleneck.get());
+    finish(w)
+}
+
 /// `bandwidth` — the paper's headline `O(n + p log q)` chain solver.
 struct Bandwidth;
 
@@ -116,21 +153,27 @@ impl Solver for Bandwidth {
         let bound = bound_of(request);
         let part = on_chain!(&request.graph, |c| partition_chain(c, bound, budget))
             .map_err(SolveError::from_partition)?;
-        Ok(Response::new(json!({
-            "objective": self.name(),
-            "bound": bound.get(),
-            "cut": cut_json(part.cut.iter()),
-            "segments": part
-                .segments
-                .iter()
-                .map(|s| json!({
-                    "start": s.start, "end": s.end, "weight": s.weight.get(),
-                }))
-                .collect::<Vec<_>>(),
-            "processors": part.processors,
-            "bandwidth": part.bandwidth.get(),
-            "bottleneck": part.bottleneck.get(),
-        })))
+        // A segment object is 30 bytes and three numbers.
+        let bytes = ids_bytes(part.cut.len()) + 56 * part.segments.len();
+        let mut w = response(self.name(), bytes);
+        w.key("bound").u64(bound.get());
+        w.key("cut").u64s(part.cut.iter().map(id));
+        w.key("segments").begin_array();
+        for s in &part.segments {
+            w.begin_object()
+                .key("start")
+                .u64(s.start as u64)
+                .key("end")
+                .u64(s.end as u64)
+                .key("weight")
+                .u64(s.weight.get())
+                .end_object();
+        }
+        w.end_array();
+        w.key("processors").u64(part.processors as u64);
+        w.key("bandwidth").u64(part.bandwidth.get());
+        w.key("bottleneck").u64(part.bottleneck.get());
+        Ok(finish(w))
     }
 }
 
@@ -154,14 +197,13 @@ impl Solver for Bottleneck {
         let bound = bound_of(request);
         let r = on_tree!(&request.graph, |t| min_bottleneck_cut(t, bound))
             .map_err(SolveError::infeasible)?;
-        Ok(Response::new(json!({
-            "objective": self.name(),
-            "bound": bound.get(),
-            "cut": cut_json(r.cut.iter()),
-            "bottleneck": r.bottleneck.get(),
-            // Cutting k edges of a tree always leaves k + 1 components.
-            "components": r.cut.len() + 1,
-        })))
+        let mut w = response(self.name(), ids_bytes(r.cut.len()));
+        w.key("bound").u64(bound.get());
+        w.key("cut").u64s(r.cut.iter().map(id));
+        w.key("bottleneck").u64(r.bottleneck.get());
+        // Cutting k edges of a tree always leaves k + 1 components.
+        w.key("components").u64(r.cut.len() as u64 + 1);
+        Ok(finish(w))
     }
 }
 
@@ -184,12 +226,11 @@ impl Solver for ProcMin {
     fn solve(&self, request: &Request, _: &Budget) -> Result<Response, SolveError> {
         let bound = bound_of(request);
         let r = on_tree!(&request.graph, |t| proc_min(t, bound)).map_err(SolveError::infeasible)?;
-        Ok(Response::new(json!({
-            "objective": self.name(),
-            "bound": bound.get(),
-            "cut": cut_json(r.cut.iter()),
-            "processors": r.component_count,
-        })))
+        let mut w = response(self.name(), ids_bytes(r.cut.len()));
+        w.key("bound").u64(bound.get());
+        w.key("cut").u64s(r.cut.iter().map(id));
+        w.key("processors").u64(r.component_count as u64);
+        Ok(finish(w))
     }
 }
 
@@ -213,14 +254,13 @@ impl Solver for Compose {
         let bound = bound_of(request);
         let part = on_tree!(&request.graph, |t| partition_tree(t, bound))
             .map_err(SolveError::infeasible)?;
-        Ok(Response::new(json!({
-            "objective": self.name(),
-            "bound": bound.get(),
-            "cut": cut_json(part.cut.iter()),
-            "processors": part.processors,
-            "bottleneck": part.bottleneck.get(),
-            "bandwidth": part.bandwidth.get(),
-        })))
+        let mut w = response(self.name(), ids_bytes(part.cut.len()));
+        w.key("bound").u64(bound.get());
+        w.key("cut").u64s(part.cut.iter().map(id));
+        w.key("processors").u64(part.processors as u64);
+        w.key("bottleneck").u64(part.bottleneck.get());
+        w.key("bandwidth").u64(part.bandwidth.get());
+        Ok(finish(w))
     }
 }
 
@@ -245,14 +285,15 @@ impl Solver for Lexicographic {
         on_chain!(&request.graph, |c| {
             let cut = min_bandwidth_cut_lexicographic(c, bound, budget)
                 .map_err(SolveError::from_partition)?;
-            Ok(Response::new(json!({
-                "objective": self.name(),
-                "bound": bound.get(),
-                "cut": cut_json(cut.iter()),
-                "bottleneck": c.bottleneck(&cut).map_err(SolveError::infeasible)?.get(),
-                "bandwidth": c.cut_weight(&cut).map_err(SolveError::infeasible)?.get(),
-                "processors": cut.len() + 1,
-            })))
+            let bottleneck = c.bottleneck(&cut).map_err(SolveError::infeasible)?;
+            let bandwidth = c.cut_weight(&cut).map_err(SolveError::infeasible)?;
+            let mut w = response(self.name(), ids_bytes(cut.len()));
+            w.key("bound").u64(bound.get());
+            w.key("cut").u64s(cut.iter().map(id));
+            w.key("bottleneck").u64(bottleneck.get());
+            w.key("bandwidth").u64(bandwidth.get());
+            w.key("processors").u64(cut.len() as u64 + 1);
+            Ok(finish(w))
         })
     }
 }
@@ -297,13 +338,14 @@ impl Solver for TreeBandwidth {
         let bound = bound_of(request);
         on_tree!(&request.graph, |tree| {
             let cut = min_tree_bandwidth_cut(tree, bound).map_err(SolveError::infeasible)?;
-            Ok(Response::new(json!({
-                "objective": self.name(),
-                "bound": bound.get(),
-                "cut": cut_json(cut.iter()),
-                "bandwidth": tree.cut_weight(&cut).map_err(SolveError::infeasible)?.get(),
-                "processors": tree.components(&cut).map_err(SolveError::infeasible)?.count(),
-            })))
+            let bandwidth = tree.cut_weight(&cut).map_err(SolveError::infeasible)?;
+            let components = tree.components(&cut).map_err(SolveError::infeasible)?;
+            let mut w = response(self.name(), ids_bytes(cut.len()));
+            w.key("bound").u64(bound.get());
+            w.key("cut").u64s(cut.iter().map(id));
+            w.key("bandwidth").u64(bandwidth.get());
+            w.key("processors").u64(components.count() as u64);
+            Ok(finish(w))
         })
     }
 }
@@ -334,15 +376,16 @@ impl Solver for Approx {
             ApproxMethod::SpanningTree => "spanning-tree",
             _ => "unknown",
         };
-        Ok(Response::new(json!({
-            "objective": self.name(),
-            "bound": bound.get(),
-            "method": method,
-            "parts": part.parts,
-            "part_of": part.part_of,
-            "part_weights": part.part_weights.iter().map(|w| w.get()).collect::<Vec<_>>(),
-            "cut_weight": part.cut_weight.get(),
-        })))
+        let bytes = ids_bytes(part.part_of.len()) + 16 * part.part_weights.len();
+        let mut w = response(self.name(), bytes);
+        w.key("bound").u64(bound.get());
+        w.key("method").str(method);
+        w.key("parts").u64(part.parts as u64);
+        w.key("part_of").u64s(indices(&part.part_of));
+        w.key("part_weights")
+            .u64s(part.part_weights.iter().map(|w| w.get()));
+        w.key("cut_weight").u64(part.cut_weight.get());
+        Ok(finish(w))
     }
 }
 
@@ -366,13 +409,13 @@ impl Solver for Nicol {
         let bound = bound_of(request);
         on_chain!(&request.graph, |c| {
             let cut = nicol_bandwidth_cut(c, bound).map_err(SolveError::infeasible)?;
-            Ok(Response::new(json!({
-                "objective": self.name(),
-                "bound": bound.get(),
-                "cut": cut_json(cut.iter()),
-                "bandwidth": c.cut_weight(&cut).map_err(SolveError::infeasible)?.get(),
-                "processors": cut.len() + 1,
-            })))
+            let bandwidth = c.cut_weight(&cut).map_err(SolveError::infeasible)?;
+            let mut w = response(self.name(), ids_bytes(cut.len()));
+            w.key("bound").u64(bound.get());
+            w.key("cut").u64s(cut.iter().map(id));
+            w.key("bandwidth").u64(bandwidth.get());
+            w.key("processors").u64(cut.len() as u64 + 1);
+            Ok(finish(w))
         })
     }
 }
@@ -407,13 +450,13 @@ impl Solver for Coc {
             }
         })
         .map_err(SolveError::infeasible)?;
-        Ok(Response::new(json!({
-            "objective": self.name(),
-            "algorithm": algorithm,
-            "processors": m,
-            "boundaries": result.assignment.boundaries().to_vec(),
-            "bottleneck": result.bottleneck.get(),
-        })))
+        let boundaries = result.assignment.boundaries();
+        let mut w = response(self.name(), ids_bytes(boundaries.len()));
+        w.key("algorithm").str(algorithm);
+        w.key("processors").u64(m as u64);
+        w.key("boundaries").u64s(indices(boundaries));
+        w.key("bottleneck").u64(result.bottleneck.get());
+        Ok(finish(w))
     }
 }
 
@@ -442,12 +485,7 @@ impl Solver for Bokhari {
         let m = processors_of(request)?;
         let result = on_chain!(&request.graph, |chain| bokhari_partition(chain, m))
             .map_err(SolveError::infeasible)?;
-        Ok(Response::new(json!({
-            "objective": self.name(),
-            "processors": m,
-            "boundaries": result.assignment.boundaries().to_vec(),
-            "bottleneck": result.bottleneck.get(),
-        })))
+        Ok(chains_on_chains(self.name(), m, &result))
     }
 }
 
@@ -471,12 +509,7 @@ impl Solver for HansenLih {
         let m = processors_of(request)?;
         let result = on_chain!(&request.graph, |chain| hansen_lih_partition(chain, m))
             .map_err(SolveError::infeasible)?;
-        Ok(Response::new(json!({
-            "objective": self.name(),
-            "processors": m,
-            "boundaries": result.assignment.boundaries().to_vec(),
-            "bottleneck": result.bottleneck.get(),
-        })))
+        Ok(chains_on_chains(self.name(), m, &result))
     }
 }
 
@@ -522,16 +555,20 @@ impl Solver for Hetero {
         n.saturating_mul(n).saturating_mul(p)
     }
     fn solve(&self, request: &Request, _: &Budget) -> Result<Response, SolveError> {
-        let speeds = request.params.speeds.clone().expect("required parameter");
-        let array = HeteroArray::new(speeds.clone());
+        let speeds = request
+            .params
+            .speeds
+            .as_deref()
+            .expect("required parameter");
+        let array = HeteroArray::new(speeds.to_vec());
         let r = on_chain!(&request.graph, |chain| hetero_partition(chain, &array))
             .map_err(SolveError::infeasible)?;
-        Ok(Response::new(json!({
-            "objective": self.name(),
-            "speeds": speeds,
-            "boundaries": r.assignment.boundaries().to_vec(),
-            "bottleneck": r.bottleneck.get(),
-        })))
+        let boundaries = r.assignment.boundaries();
+        let mut w = response(self.name(), ids_bytes(speeds.len() + boundaries.len()));
+        w.key("speeds").u64s(speeds.iter().copied());
+        w.key("boundaries").u64s(indices(boundaries));
+        w.key("bottleneck").u64(r.bottleneck.get());
+        Ok(finish(w))
     }
 }
 
@@ -572,14 +609,13 @@ impl Solver for HostSatellite {
             tree, host, m
         ))
         .map_err(SolveError::infeasible)?;
-        Ok(Response::new(json!({
-            "objective": self.name(),
-            "root": root,
-            "max_satellites": m,
-            "satellites_used": r.satellites,
-            "uplinks": cut_json(r.cut.iter()),
-            "bottleneck": r.bottleneck.get(),
-        })))
+        let mut w = response(self.name(), ids_bytes(r.cut.len()));
+        w.key("root").u64(root as u64);
+        w.key("max_satellites").u64(m as u64);
+        w.key("satellites_used").u64(r.satellites as u64);
+        w.key("uplinks").u64s(r.cut.iter().map(id));
+        w.key("bottleneck").u64(r.bottleneck.get());
+        Ok(finish(w))
     }
 }
 
@@ -589,6 +625,7 @@ mod tests {
     use crate::registry::Registry;
     use crate::request::parse_request;
     use crate::IngestBacking;
+    use tgp_graph::json::Value;
 
     const CHAIN: &str = r#"{"node_weights": [2, 3, 5, 7], "edge_weights": [10, 1, 10]}"#;
     const TREE: &str = r#"{"node_weights": [1, 2, 3, 4],
@@ -650,12 +687,13 @@ mod tests {
             let response = dispatched
                 .run(&request)
                 .unwrap_or_else(|e| panic!("{} failed on its golden request: {e}", solver.name()));
+            let tree = dispatched.to_json(&response);
             assert_eq!(
-                response.value["objective"].as_str(),
+                tree["objective"].as_str(),
                 Some(solver.name()),
                 "every response must echo its objective"
             );
-            assert_eq!(dispatched.to_json(&response), response.value);
+            assert_eq!(tree.to_string(), response.value.to_string());
         }
     }
 
@@ -785,7 +823,7 @@ mod tests {
         let b = coc
             .run(&coc.parse(&Value::parse(&probe).unwrap()).unwrap())
             .unwrap();
-        assert_eq!(a.value["bottleneck"], b.value["bottleneck"]);
+        assert_eq!(coc.to_json(&a)["bottleneck"], coc.to_json(&b)["bottleneck"]);
 
         let junk = base.replace("bokhari", "quantum");
         let err = coc

@@ -15,7 +15,8 @@ use crate::request::{parse_request, GraphKind, ParamSpec, Request, Response};
 /// solve and cache it.
 ///
 /// A solver owns its request schema ([`Solver::params`]) and response
-/// shape; the CLI and the HTTP service are thin shells over `parse` →
+/// shape, which it writes as JSON text with `tgp_graph::json::Writer`;
+/// the CLI and the HTTP service are thin shells over `parse` →
 /// [`Request::run_budgeted`], which is what guarantees the two produce
 /// byte-identical JSON for the same request. [`Solver::solve`] is the
 /// one method that runs the objective; `run` and `run_budgeted` on
@@ -106,11 +107,12 @@ impl dyn Solver {
         request.canonical_key()
     }
 
-    /// A copy of the response's [`Response::value`], the wire form the
-    /// service serializes in place. Kept only for the benchmark's frozen
-    /// replay (`perfbench/src/replay.rs`).
+    /// The response body parsed back into a tree. Kept only for the
+    /// benchmark's frozen replay (`perfbench/src/replay.rs`), which
+    /// indexes the tree and renders it again; nothing else needs a tree
+    /// of a response.
     pub fn to_json(&self, response: &Response) -> Value {
-        response.value.clone()
+        Value::parse(response.value.as_str()).expect("a solver writes JSON text")
     }
 
     /// Always `None`: no solver has a warm start, and session re-solves

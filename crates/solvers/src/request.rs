@@ -19,7 +19,7 @@ use std::error::Error;
 use std::fmt;
 
 use tgp_core::budget::Budget;
-use tgp_graph::json::{self, FromJson, JsonError, Value};
+use tgp_graph::json::{self, FromJson, JsonError, Text, Value};
 use tgp_graph::{
     BuildError, ChainView, EdgeId, FlatPath, FlatPathBuilder, FlatTree, FlatTreeBuilder,
     MemoryBacking, NodeId, ProcessGraph, RamBacking, TreeView,
@@ -377,18 +377,22 @@ impl Request {
     }
 }
 
-/// A solver's result, rendered as a JSON value whose serialization *is*
-/// the response body both front ends emit.
+/// A solver's result: the response body both front ends emit, as the
+/// compact JSON text the solver wrote with [`json::Writer`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
-    /// The response object. Field order is fixed by the solver, so the
-    /// compact rendering is byte-stable.
-    pub value: Value,
+    /// The response object's text, its fields in the solver's fixed
+    /// order, so it is byte-stable. Named `value`, though it is text,
+    /// only for the benchmark's frozen replay
+    /// (`perfbench/src/replay.rs`), which renders it with
+    /// `response.value.to_string()`: `Text`'s `Display` writes it as it
+    /// is.
+    pub value: Text,
 }
 
 impl Response {
-    /// Wraps a rendered value.
-    pub fn new(value: Value) -> Self {
+    /// Wraps a written response.
+    pub fn new(value: Text) -> Self {
         Response { value }
     }
 }
@@ -562,13 +566,15 @@ where
     }
     let mut tree = FlatTreeBuilder::new(backing.clone(), nodes.len())?;
     weight_blocks(nodes, "node_weights", ty, |block| tree.extend_nodes(block))?;
-    let mut block = [(0, 0, 0); BLOCK];
-    for chunk in json::array_field(value, "edges", ty)?.chunks(BLOCK) {
-        for (k, edge) in chunk.iter().enumerate() {
+    let edges = json::array_field(value, "edges", ty)?;
+    let mut block = Vec::with_capacity(edges.len().min(BLOCK));
+    for chunk in edges.chunks(BLOCK) {
+        block.clear();
+        for edge in chunk {
             let (a, b, w) = json::edge_fields(edge)?;
-            block[k] = (a.index(), b.index(), w.get());
+            block.push((a.index(), b.index(), w.get()));
         }
-        tree.extend_edges(&block[..chunk.len()])?;
+        tree.extend_edges(&block)?;
     }
     Ok(GraphInput::from_tree(tree.finish().map_err(invalid)?))
 }
@@ -581,12 +587,13 @@ fn weight_blocks(
     ty: &str,
     mut append: impl FnMut(&[u64]) -> std::io::Result<()>,
 ) -> Result<(), Box<dyn Error>> {
-    let mut block = [0u64; BLOCK];
+    let mut block = Vec::with_capacity(items.len().min(BLOCK));
     for (c, chunk) in items.chunks(BLOCK).enumerate() {
+        block.clear();
         for (k, item) in chunk.iter().enumerate() {
-            block[k] = json::weight_item(item, key, ty, c * BLOCK + k)?;
+            block.push(json::weight_item(item, key, ty, c * BLOCK + k)?);
         }
-        append(&block[..chunk.len()])?;
+        append(&block)?;
     }
     Ok(())
 }

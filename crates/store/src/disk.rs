@@ -1,5 +1,6 @@
 //! The disk implementation of `tgp_graph`'s [`MemoryBacking`]: arrays
-//! in mmap-backed spill files.
+//! in spill files, filled with `pwrite` and read through a read-only
+//! mapping.
 
 #![allow(unsafe_code)]
 
@@ -15,21 +16,32 @@ use tgp_graph::{Array, BackingKind, MemoryBacking, Pod};
 
 use crate::sys;
 
-/// Smallest file size a [`DiskVec`] maps — one growth unit. Growing
+/// Smallest mapping a [`DiskVec`] makes — one growth unit. Growing
 /// doubles from here, so a million-element array needs ~9 remaps.
 const MIN_MAP_BYTES: usize = 64 * 1024;
+
+/// The most bytes [`DiskVec::extend_from_fn`] stages before one
+/// `pwrite`: a run long enough that the syscall's fixed cost is small
+/// beside the copy.
+const RUN_BYTES: usize = 64 * 1024;
 
 /// Distinguishes concurrently created spill files within one process.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// An mmap-backed growable array over an *unlinked* spill file.
+/// A growable array in an *unlinked* spill file: appends are `pwrite`s
+/// into the file, and reads go through a read-only shared mapping of
+/// it, so no page is ever filled by a write fault.
 ///
 /// The file is created in the spill directory, opened, and immediately
 /// removed from the namespace — the kernel keeps it alive while the fd
 /// is open and reclaims the space automatically on drop or crash, so
-/// spill files can never leak. Growth doubles the file with
-/// `ftruncate` and remaps (`MAP_SHARED` mappings of the same file see
-/// the same pages, so data survives the remap).
+/// spill files can never leak. An append writes at byte offset
+/// `len × size_of::<T>()`, and the file grows with the writes; the
+/// mapping reads the same page-cache pages, so a slice over it sees
+/// every element appended so far. When an append would run past the
+/// mapping, the mapping doubles (unmap and map again; the data lives
+/// in the file, so nothing is copied). A failed write leaves the
+/// length as it was and returns its error.
 #[derive(Debug)]
 pub struct DiskVec<T: Pod> {
     file: File,
@@ -44,16 +56,26 @@ pub struct DiskVec<T: Pod> {
 // sealed to u8, u32 and u64), and all access flows through &self /
 // &mut self — the usual container rules.
 unsafe impl<T: Pod> Send for DiskVec<T> {}
-// SAFETY: &DiskVec only hands out &[T]; interior mutation is impossible.
+// SAFETY: &DiskVec only hands out &[T] over a read-only mapping.
 unsafe impl<T: Pod> Sync for DiskVec<T> {}
 
+/// The bytes of `values`.
+fn bytes_of<T: Pod>(values: &[T]) -> &[u8] {
+    // SAFETY: `Pod` is sealed to u8, u32 and u64, which have no padding,
+    // so every byte of the slice is initialized; u8 has alignment 1.
+    unsafe {
+        std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
+    }
+}
+
 impl<T: Pod> DiskVec<T> {
-    /// Creates an empty disk array spilling into `dir`, sized for
-    /// `capacity` elements up front (it still grows beyond that).
+    /// Creates an empty disk array spilling into `dir`, its mapping
+    /// sized for `capacity` elements up front (it still grows beyond
+    /// that).
     ///
     /// # Errors
     ///
-    /// File creation, truncation or mapping failure.
+    /// File creation or mapping failure.
     pub fn with_capacity_in(dir: &Path, capacity: usize) -> io::Result<Self> {
         let name = format!(
             "tgp-spill-{}-{}.bin",
@@ -66,13 +88,12 @@ impl<T: Pod> DiskVec<T> {
             .write(true)
             .create_new(true)
             .open(&path)?;
-        // Unlink immediately: the mapping keeps the inode alive and the
+        // Unlink immediately: the open fd keeps the inode alive and the
         // space is reclaimed automatically however the process exits.
         std::fs::remove_file(&path)?;
         let want = capacity.saturating_mul(std::mem::size_of::<T>());
         let map_bytes = want.next_power_of_two().max(MIN_MAP_BYTES);
-        sys::truncate(file.as_raw_fd(), map_bytes as u64)?;
-        let ptr = sys::map_shared(file.as_raw_fd(), map_bytes)?;
+        let ptr = sys::map_read(file.as_raw_fd(), map_bytes)?;
         Ok(DiskVec {
             file,
             ptr,
@@ -82,30 +103,24 @@ impl<T: Pod> DiskVec<T> {
         })
     }
 
-    fn capacity(&self) -> usize {
-        self.map_bytes / std::mem::size_of::<T>()
-    }
-
     fn grow_to_fit(&mut self, extra: usize) -> io::Result<()> {
         let need = (self.len + extra).saturating_mul(std::mem::size_of::<T>());
         if need <= self.map_bytes {
             return Ok(());
         }
         let new_bytes = need.next_power_of_two().max(self.map_bytes * 2);
+        let ptr = sys::map_read(self.file.as_raw_fd(), new_bytes)?;
         sys::unmap(self.ptr, self.map_bytes);
-        sys::truncate(self.file.as_raw_fd(), new_bytes as u64)?;
-        self.ptr = sys::map_shared(self.file.as_raw_fd(), new_bytes)?;
+        self.ptr = ptr;
         self.map_bytes = new_bytes;
         Ok(())
     }
 
-    /// Flushes dirty pages to the spill file.
-    ///
-    /// # Errors
-    ///
-    /// The underlying `msync` failure.
-    pub fn sync(&self) -> io::Result<()> {
-        sys::sync(self.ptr, self.map_bytes)
+    /// Writes `values` as elements `at..at + values.len()`, which the
+    /// mapping must already cover.
+    fn write_at(&self, at: usize, values: &[T]) -> io::Result<()> {
+        let offset = (at * std::mem::size_of::<T>()) as u64;
+        sys::write_all_at(&self.file, bytes_of(values), offset)
     }
 }
 
@@ -115,56 +130,36 @@ impl<T: Pod> Array<T> for DiskVec<T> {
     }
 
     fn as_slice(&self) -> &[T] {
-        // SAFETY: the mapping is page-aligned (so aligned for any Pod),
-        // at least `len * size_of::<T>()` bytes long, and every byte of
-        // it is initialized (fresh ftruncate pages read as zero, and the
-        // types tgp-graph's sealed `Pod` admits — u8, u32, u64 — are
-        // valid for all bit patterns).
+        // SAFETY: the mapping is page-aligned (so aligned for any Pod)
+        // and at least `len * size_of::<T>()` bytes long, and the file
+        // holds every one of those bytes: each was written by an append
+        // before `len` covered it. The types tgp-graph's sealed `Pod`
+        // admits — u8, u32, u64 — are valid for all bit patterns.
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr().cast::<T>(), self.len) }
     }
 
-    fn as_mut_slice(&mut self) -> &mut [T] {
-        // SAFETY: as in `as_slice`, plus &mut self guarantees
-        // exclusive access.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr().cast::<T>(), self.len) }
-    }
-
     fn push(&mut self, value: T) -> io::Result<()> {
-        if self.len == self.capacity() {
-            self.grow_to_fit(1)?;
-        }
-        // SAFETY: `len < capacity` after the growth check, so the write
-        // lands inside the mapping.
-        unsafe {
-            self.ptr.as_ptr().cast::<T>().add(self.len).write(value);
-        }
-        self.len += 1;
-        Ok(())
+        self.extend_from_slice(&[value])
     }
 
     fn extend_from_slice(&mut self, values: &[T]) -> io::Result<()> {
         self.grow_to_fit(values.len())?;
-        // SAFETY: capacity covers `len + values.len()` after the growth
-        // check; source and destination cannot overlap (the mapping is
-        // private to this value).
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                values.as_ptr(),
-                self.ptr.as_ptr().cast::<T>().add(self.len),
-                values.len(),
-            );
-        }
+        self.write_at(self.len, values)?;
         self.len += values.len();
         Ok(())
     }
 
     fn extend_from_fn(&mut self, count: usize, mut f: impl FnMut(usize) -> T) -> io::Result<()> {
         self.grow_to_fit(count)?;
-        let base = self.ptr.as_ptr().cast::<T>();
-        for k in 0..count {
-            // SAFETY: capacity covers `len + count` after the growth
-            // check, so every write lands inside the mapping.
-            unsafe { base.add(self.len + k).write(f(k)) };
+        let run = (RUN_BYTES / std::mem::size_of::<T>()).min(count);
+        let mut chunk = Vec::with_capacity(run);
+        let mut done = 0;
+        while done < count {
+            let end = (done + run).min(count);
+            chunk.clear();
+            chunk.extend((done..end).map(&mut f));
+            self.write_at(self.len + done, &chunk)?;
+            done = end;
         }
         self.len += count;
         Ok(())
@@ -186,7 +181,8 @@ impl<T: Pod> Drop for DiskVec<T> {
     }
 }
 
-/// Disk backing: arrays are mmap-backed spill files in a directory.
+/// Disk backing: arrays are spill files in a directory, read through
+/// read-only mappings.
 #[derive(Debug, Clone)]
 pub struct DiskBacking {
     dir: PathBuf,
@@ -243,7 +239,6 @@ mod tests {
         }
         assert_eq!(a.resident_bytes(), 0);
         assert_eq!(a.byte_len(), (n * 8) as u64);
-        a.sync().unwrap();
     }
 
     #[test]
@@ -303,16 +298,6 @@ mod tests {
         drop(a);
         assert_eq!(spill_file_count(&dir), before);
         std::fs::remove_dir(&dir).unwrap();
-    }
-
-    #[test]
-    fn mutation_through_mut_slice_persists() {
-        let mut a = DiskVec::<u64>::with_capacity_in(&tmp(), 16).unwrap();
-        for _ in 0..16 {
-            a.push(0).unwrap();
-        }
-        a.as_mut_slice()[9] = 42;
-        assert_eq!(a.as_slice()[9], 42);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Out-of-core storage: the mmap-backed disk implementation of
+//! Out-of-core storage: the spill-file disk implementation of
 //! `tgp_graph`'s [`MemoryBacking`], and a spilling request buffer.
 //!
 //! The paper's algorithms scan vertices in index order, so a graph is
@@ -6,10 +6,11 @@
 //! (`FlatPath`, `FlatTree`; `PathGraph` and `Tree` are their RAM
 //! instantiations) keep those arrays behind a [`MemoryBacking`], so the
 //! *same* solver code runs over heap memory or, with [`DiskBacking`],
-//! over an mmap-backed spill file, letting the service partition graphs
-//! larger than RAM while the kernel pages the arrays in and out.
+//! over a spill file, letting the service partition graphs larger than
+//! RAM while the kernel pages the arrays in and out.
 //!
-//! * [`DiskBacking`] / [`DiskVec`] — arrays in unlinked spill files
+//! * [`DiskBacking`] / [`DiskVec`] — arrays in unlinked spill files,
+//!   appended with `pwrite` and read through a read-only shared mapping
 //!   (`mmap` gives contiguous addressable memory, so a disk array is
 //!   still a plain slice).
 //! * [`SpillBuf`] — a byte buffer that starts on the heap and spills to
@@ -17,8 +18,9 @@
 //!   streams a request body rather than receiving it framed.
 //!
 //! The only `unsafe` in the crate is the minimal mmap FFI surface in
-//! [`sys`], mirroring the epoll layer in `tgp-net`, and the slice views
-//! over its mappings in [`DiskVec`].
+//! [`sys`], mirroring the epoll layer in `tgp-net`, and in [`DiskVec`]
+//! the slice views over its mappings and the byte view of the elements
+//! it writes.
 //!
 //! [`MemoryBacking`]: tgp_graph::MemoryBacking
 

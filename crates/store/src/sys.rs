@@ -1,6 +1,5 @@
-//! Raw `extern "C"` bindings to the memory-mapping syscalls the disk
-//! backing needs: `mmap`/`munmap` to address a spill file as memory,
-//! `msync` to flush dirty pages, and `ftruncate` to grow the file.
+//! The syscalls the disk backing needs: `mmap`/`munmap` to address a
+//! spill file as read-only memory, and `pwrite` to fill it.
 //!
 //! Mirrors the epoll layer in `tgp-net`: no external dependency, just
 //! the minimal FFI surface, wrapped in fallible safe functions that
@@ -9,15 +8,15 @@
 
 #![allow(unsafe_code)]
 
+use std::fs::File;
 use std::io;
 use std::os::raw::{c_int, c_void};
+use std::os::unix::fs::FileExt;
 use std::os::unix::io::RawFd;
 use std::ptr::NonNull;
 
 const PROT_READ: c_int = 0x1;
-const PROT_WRITE: c_int = 0x2;
 const MAP_SHARED: c_int = 0x01;
-const MS_SYNC: c_int = 0x4;
 
 extern "C" {
     fn mmap(
@@ -29,71 +28,45 @@ extern "C" {
         offset: i64,
     ) -> *mut c_void;
     fn munmap(addr: *mut c_void, length: usize) -> c_int;
-    fn msync(addr: *mut c_void, length: usize, flags: c_int) -> c_int;
-    fn ftruncate(fd: c_int, length: i64) -> c_int;
 }
 
-fn check(ret: c_int) -> io::Result<c_int> {
-    if ret < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(ret)
-    }
-}
-
-/// Maps `len` bytes of `fd` (from offset 0) as shared read-write
-/// memory. The mapping is page-aligned, so casting it to any primitive
-/// element type is alignment-safe.
+/// Maps `len` bytes of `fd` (from offset 0) as shared read-only memory:
+/// the mapping reads the file's page-cache pages, so it sees every byte
+/// [`write_all_at`] has written, and a store through it faults. The
+/// mapping is page-aligned, so casting it to any primitive element type
+/// is alignment-safe. It may extend past the end of the file; only the
+/// pages past the end must not be read.
 ///
 /// # Errors
 ///
 /// The raw `mmap` failure (`ENOMEM`, `ENODEV`, …) as an I/O error.
-pub fn map_shared(fd: RawFd, len: usize) -> io::Result<NonNull<u8>> {
+pub fn map_read(fd: RawFd, len: usize) -> io::Result<NonNull<u8>> {
     // SAFETY: a NULL hint with a fresh length asks the kernel to pick
     // the placement; the fd stays open for the mapping's lifetime (the
     // owning DiskVec holds the File) and offset 0 is always valid.
-    let ptr = unsafe {
-        mmap(
-            std::ptr::null_mut(),
-            len,
-            PROT_READ | PROT_WRITE,
-            MAP_SHARED,
-            fd,
-            0,
-        )
-    };
+    let ptr = unsafe { mmap(std::ptr::null_mut(), len, PROT_READ, MAP_SHARED, fd, 0) };
     if ptr == usize::MAX as *mut c_void {
         return Err(io::Error::last_os_error());
     }
     NonNull::new(ptr.cast::<u8>()).ok_or_else(|| io::Error::other("mmap returned NULL"))
 }
 
-/// Unmaps a region previously returned by [`map_shared`].
+/// Unmaps a region previously returned by [`map_read`].
 pub fn unmap(ptr: NonNull<u8>, len: usize) {
     // SAFETY: the caller owns the mapping and guarantees `ptr`/`len`
-    // are exactly what `map_shared` returned; the owning type calls
-    // this exactly once, in `Drop` or just before remapping.
+    // are exactly what `map_read` returned; the owning type calls this
+    // exactly once, in `Drop` or just before remapping.
     let _ = unsafe { munmap(ptr.as_ptr().cast::<c_void>(), len) };
 }
 
-/// Synchronously flushes dirty pages of a mapped region to its file.
+/// Writes all of `bytes` to `file` at byte `offset` with `pwrite`,
+/// retrying short writes and `EINTR`, and growing the file when the
+/// write ends past it. The data lands in the page cache, where a
+/// [`map_read`] mapping of the file reads it.
 ///
 /// # Errors
 ///
-/// The raw `msync` failure as an I/O error.
-pub fn sync(ptr: NonNull<u8>, len: usize) -> io::Result<()> {
-    // SAFETY: the region is a live mapping owned by the caller.
-    check(unsafe { msync(ptr.as_ptr().cast::<c_void>(), len, MS_SYNC) }).map(|_| ())
-}
-
-/// Grows (or shrinks) the file behind a mapping to `len` bytes.
-///
-/// # Errors
-///
-/// The raw `ftruncate` failure (`ENOSPC`, …) as an I/O error.
-pub fn truncate(fd: RawFd, len: u64) -> io::Result<()> {
-    let len = i64::try_from(len)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "file length exceeds i64"))?;
-    // SAFETY: no pointers involved; the return value is checked.
-    check(unsafe { ftruncate(fd, len) }).map(|_| ())
+/// The first `pwrite` failure other than `EINTR` (`ENOSPC`, `EIO`, …).
+pub fn write_all_at(file: &File, bytes: &[u8], offset: u64) -> io::Result<()> {
+    file.write_all_at(bytes, offset)
 }
