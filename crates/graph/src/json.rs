@@ -595,7 +595,7 @@ impl Writer {
 
 /// Compact JSON text, as a [`Writer`] wrote it. `Display` writes the
 /// text as it is.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Text(String);
 
 impl Text {
@@ -607,16 +607,6 @@ impl Text {
     /// The text as an owned string, without a copy.
     pub fn into_string(self) -> String {
         self.0
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the text is empty (a writer that wrote nothing).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 }
 

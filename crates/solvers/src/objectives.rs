@@ -3,9 +3,9 @@
 //!
 //! Each solver declares its schema (graph kind + parameters) and writes
 //! its response as compact JSON text with `tgp_graph::json::Writer`, in
-//! a fixed field order, so the body is byte-stable across front ends. Response shapes are the
-//! ones the CLI has always produced; the registry made them the single
-//! source of truth.
+//! a fixed field order, so the body is byte-stable across front ends.
+//! Response shapes are the ones the CLI has always produced; the
+//! registry made them the single source of truth.
 //!
 //! Every chain and tree objective — all but `approx`, which takes a
 //! general process graph — has one solve body, generic over the graph
@@ -153,7 +153,8 @@ impl Solver for Bandwidth {
         let bound = bound_of(request);
         let part = on_chain!(&request.graph, |c| partition_chain(c, bound, budget))
             .map_err(SolveError::from_partition)?;
-        // A segment object is 30 bytes and three numbers.
+        // A segment object is 30 bytes of keys and punctuation plus
+        // three numbers.
         let bytes = ids_bytes(part.cut.len()) + 56 * part.segments.len();
         let mut w = response(self.name(), bytes);
         w.key("bound").u64(bound.get());
