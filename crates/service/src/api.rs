@@ -1279,10 +1279,9 @@ fn solve_request(
 /// solves alike: solves `request` under `budget`, timed as the `solve`
 /// stage (from `solve_started`), and takes the body the solver wrote,
 /// timed as the `serialize` stage. The solver writes its JSON text as
-/// it solves, so what `serialize` times is handing that text over
-/// (and dropping the request's working memory), not rendering it. The
-/// request's RAM-pinned graph bytes count in `tgp_graph_resident_bytes`
-/// for the length of the solve.
+/// it solves, so what `serialize` times is handing that text over, not
+/// rendering it. The request's RAM-pinned graph bytes count in
+/// `tgp_graph_resident_bytes` for the length of the solve.
 fn solve_and_render(
     state: &AppState,
     request: &tgp_solvers::Request,
