@@ -394,8 +394,9 @@ struct Inner {
 /// The store: id-keyed resident graphs behind a byte budget, plus the
 /// optional journal that makes them survive restarts.
 ///
-/// Lock order (deadlock freedom): `inner` → any `Resident` → `journal`.
-/// No method acquires an earlier lock while holding a later one.
+/// Lock order (deadlock freedom): `inner` → any `Resident` → `journal`,
+/// and a graph's published listing last (a leaf, held only to copy its
+/// shape). No method acquires an earlier lock while holding a later one.
 #[derive(Debug)]
 pub struct SessionStore {
     inner: Mutex<Inner>,
@@ -660,11 +661,11 @@ impl SessionStore {
     /// Graph metadata for `GET /v1/graphs/<id>`, from the published
     /// shape: a solve holding the graph does not hold up the answer.
     pub fn info(&self, id: &str) -> Result<Value, SessionError> {
-        let listing = {
+        let shape = {
             let inner = self.inner.lock().expect("session store poisoned");
-            inner.graphs.get(id).map(|entry| Arc::clone(&entry.listing))
+            let entry = inner.graphs.get(id);
+            entry.and_then(|entry| *entry.listing.lock().expect("listing poisoned"))
         };
-        let shape = listing.and_then(|listing| *listing.lock().expect("listing poisoned"));
         shape
             .map(|shape| shape.info(id))
             .ok_or_else(|| SessionError::NotFound { id: id.to_string() })
@@ -674,26 +675,27 @@ impl SessionStore {
     /// shapes: a solve holding a graph does not hold up the listing, and
     /// a graph whose delete is under way is not listed.
     pub fn list(&self) -> Value {
-        let mut entries: Vec<(String, Listing)> = {
-            let inner = self.inner.lock().expect("session store poisoned");
-            inner
-                .graphs
-                .iter()
-                .map(|(id, entry)| (id.clone(), Arc::clone(&entry.listing)))
-                .collect()
-        };
-        entries.sort_by(|(a, _), (b, _)| {
+        let mut shapes = self.shapes();
+        shapes.sort_by(|(a, _), (b, _)| {
             let num = |s: &str| s.trim_start_matches('g').parse::<u64>().unwrap_or(u64::MAX);
             num(a).cmp(&num(b)).then_with(|| a.cmp(b))
         });
-        let graphs: Vec<Value> = entries
-            .iter()
-            .filter_map(|(id, listing)| {
-                let shape = *listing.lock().expect("listing poisoned");
-                shape.map(|shape| shape.info(id))
-            })
-            .collect();
+        let graphs: Vec<Value> = shapes.iter().map(|(id, shape)| shape.info(id)).collect();
         json!({ "graphs": graphs })
+    }
+
+    /// The published shape of every graph not deleted. A listing is a
+    /// leaf lock, so taking it under `inner` keeps the lock order.
+    fn shapes(&self) -> Vec<(String, Shape)> {
+        let inner = self.inner.lock().expect("session store poisoned");
+        inner
+            .graphs
+            .iter()
+            .filter_map(|(id, entry)| {
+                let shape = *entry.listing.lock().expect("listing poisoned");
+                Some((id.clone(), shape?))
+            })
+            .collect()
     }
 
     /// Deletes a graph, releasing its budget and journaling the delete.
