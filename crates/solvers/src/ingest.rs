@@ -37,9 +37,10 @@
 //!
 //! Arrays are parsed in blocks of up to [`BLOCK`] elements, each
 //! appended to its array in one call — for a disk array, one `pwrite`
-//! of at least 64 KiB per column. Work is cost-sliced: one [`Budget`]
-//! unit per parsed element, charged as each block is appended, so an
-//! expired deadline stops a huge upload mid-parse instead of after it.
+//! of at least [`RUN_BYTES`] per full block. Work is cost-sliced: one
+//! [`Budget`] unit per parsed element, charged as each block is
+//! appended, so an expired deadline stops a huge upload mid-parse
+//! instead of after it.
 
 use std::borrow::Cow;
 use std::path::Path;
@@ -47,7 +48,7 @@ use std::path::Path;
 use tgp_core::budget::{Budget, Exceeded};
 use tgp_graph::json::{LexError, Lexer};
 use tgp_graph::{Array, FlatPathBuilder, FlatTreeBuilder, MemoryBacking, RamBacking};
-use tgp_store::DiskBacking;
+use tgp_store::{DiskBacking, RUN_BYTES};
 
 use crate::error::SolveError;
 use crate::flat::FromBuilt;
@@ -55,10 +56,10 @@ use crate::registry::{Registry, Solver};
 use crate::request::{GraphInput, Params, Request};
 
 /// Elements parsed between two appends to an array (and two budget
-/// charges): 64 KiB of the narrowest column (a tree's `u32` edge
-/// endpoints), so a disk array takes each block in runs of at least
-/// 64 KiB.
-pub(crate) const BLOCK: usize = 16 * 1024;
+/// charges): one [`RUN_BYTES`] run of the narrowest column (a tree's
+/// `u32` edge endpoints), so a disk array takes each full block in
+/// runs at least that long.
+pub(crate) const BLOCK: usize = RUN_BYTES / std::mem::size_of::<u32>();
 
 /// The capacity a block buffer starts with. A buffer grows to
 /// [`BLOCK`] only when its array is that long, so a small body pays one

@@ -10,9 +10,9 @@
 //! `tests/golden/responses.txt` byte for byte.
 //!
 //! The golden file is the registry's output; a change to any response
-//! shape or number formatting shows up here first. To regenerate it
-//! after a deliberate shape change, run this test with
-//! `TGP_BLESS_RESPONSES=1` and review the diff.
+//! shape or number formatting shows up here first. After a deliberate
+//! shape change, copy the new lines the failing assertion prints into
+//! the golden file and review them in the diff.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -263,11 +263,6 @@ fn render_all() -> String {
 #[test]
 fn every_response_matches_the_pinned_bytes() {
     let rendered = render_all();
-    if std::env::var_os("TGP_BLESS_RESPONSES").is_some() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/responses.txt");
-        std::fs::write(path, &rendered).expect("golden file writable");
-        return;
-    }
     let mut expected = GOLDEN.lines();
     for (i, line) in rendered.lines().enumerate() {
         let want = expected

@@ -7,6 +7,7 @@
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::marker::PhantomData;
+use std::os::unix::fs::FileExt;
 use std::os::unix::io::AsRawFd;
 use std::path::{Path, PathBuf};
 use std::ptr::NonNull;
@@ -20,10 +21,11 @@ use crate::sys;
 /// doubles from here, so a million-element array needs ~9 remaps.
 const MIN_MAP_BYTES: usize = 64 * 1024;
 
-/// The most bytes [`DiskVec::extend_from_fn`] stages before one
-/// `pwrite`: a run long enough that the syscall's fixed cost is small
-/// beside the copy.
-const RUN_BYTES: usize = 64 * 1024;
+/// The bytes a disk array should take per `pwrite`: a run long enough
+/// that the syscall's fixed cost is small beside the copy.
+/// [`DiskVec::extend_from_fn`] stages this many bytes per write, and
+/// callers that append in blocks size them from it.
+pub const RUN_BYTES: usize = 64 * 1024;
 
 /// Distinguishes concurrently created spill files within one process.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -117,10 +119,12 @@ impl<T: Pod> DiskVec<T> {
     }
 
     /// Writes `values` as elements `at..at + values.len()`, which the
-    /// mapping must already cover.
+    /// mapping must already cover, with `pwrite` (std's `write_all_at`
+    /// retries short writes and `EINTR`). The data lands in the page
+    /// cache, where the mapping reads it.
     fn write_at(&self, at: usize, values: &[T]) -> io::Result<()> {
         let offset = (at * std::mem::size_of::<T>()) as u64;
-        sys::write_all_at(&self.file, bytes_of(values), offset)
+        self.file.write_all_at(bytes_of(values), offset)
     }
 }
 

@@ -30,5 +30,5 @@ mod disk;
 mod spill;
 pub mod sys;
 
-pub use disk::{DiskBacking, DiskVec};
+pub use disk::{DiskBacking, DiskVec, RUN_BYTES};
 pub use spill::SpillBuf;

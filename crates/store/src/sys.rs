@@ -1,5 +1,5 @@
-//! The syscalls the disk backing needs: `mmap`/`munmap` to address a
-//! spill file as read-only memory, and `pwrite` to fill it.
+//! The syscalls the disk backing needs beyond std: `mmap`/`munmap` to
+//! address a spill file as read-only memory.
 //!
 //! Mirrors the epoll layer in `tgp-net`: no external dependency, just
 //! the minimal FFI surface, wrapped in fallible safe functions that
@@ -8,10 +8,8 @@
 
 #![allow(unsafe_code)]
 
-use std::fs::File;
 use std::io;
 use std::os::raw::{c_int, c_void};
-use std::os::unix::fs::FileExt;
 use std::os::unix::io::RawFd;
 use std::ptr::NonNull;
 
@@ -32,7 +30,7 @@ extern "C" {
 
 /// Maps `len` bytes of `fd` (from offset 0) as shared read-only memory:
 /// the mapping reads the file's page-cache pages, so it sees every byte
-/// [`write_all_at`] has written, and a store through it faults. The
+/// written to the file, and a store through it faults. The
 /// mapping is page-aligned, so casting it to any primitive element type
 /// is alignment-safe. It may extend past the end of the file; only the
 /// pages past the end must not be read.
@@ -57,16 +55,4 @@ pub fn unmap(ptr: NonNull<u8>, len: usize) {
     // are exactly what `map_read` returned; the owning type calls this
     // exactly once, in `Drop` or just before remapping.
     let _ = unsafe { munmap(ptr.as_ptr().cast::<c_void>(), len) };
-}
-
-/// Writes all of `bytes` to `file` at byte `offset` with `pwrite`,
-/// retrying short writes and `EINTR`, and growing the file when the
-/// write ends past it. The data lands in the page cache, where a
-/// [`map_read`] mapping of the file reads it.
-///
-/// # Errors
-///
-/// The first `pwrite` failure other than `EINTR` (`ENOSPC`, `EIO`, …).
-pub fn write_all_at(file: &File, bytes: &[u8], offset: u64) -> io::Result<()> {
-    file.write_all_at(bytes, offset)
 }
